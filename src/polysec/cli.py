@@ -38,12 +38,22 @@ from .slack import factorize_from_section, slack_matrix, verify_factorization
 from .svg import render_polygon_svg
 
 
-def _read_json(path: str):
+def _read_bytes(path: str) -> bytes:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    return loads(text)
+
+
+def _parse_json(raw: bytes):
+    try:
+        return loads(raw.decode())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def _read_json(path: str):
+    return _parse_json(_read_bytes(path))
 
 
 def _load_polygon(path: str) -> Polygon:
@@ -67,23 +77,17 @@ def _extend(polygon: Polygon, mode: str) -> tuple[SectionedPolytope, int]:
     n = polygon.n
     if n < 6:
         raise DomainError(f"extensions are constructed for n >= 6, got {n}")
-    if mode == "auto":
-        mode = "hexagon" if n == 6 else ("heptagon" if n == 7 else "join")
     if n == 6:
         decision = hexagon_ic(polygon)
         if decision.ic == 5:
             return hexagon_extension5(polygon), 5
         flat = [(x, y, 0) for x, y in polygon.affine_vertices()]
         return certify(SectionedPolytope(3, flat, polygon)), 6
-    if mode == "hexagon":
-        raise DomainError("hexagon mode needs a hexagon")
-    if mode == "heptagon" or n == 7:
+    if n == 7:
         return heptagon_extension(polygon), 6
     if mode == "3d":
         return ngon_3d_extension(polygon), n - 1
-    if mode == "join":
-        return ngon_extension(polygon), -((6 * n) // -7)
-    raise DomainError(f"unknown mode {mode!r}")
+    return ngon_extension(polygon), -((6 * n) // -7)  # "auto" and "join"
 
 
 def cmd_extend(args) -> int:
@@ -128,8 +132,8 @@ def cmd_slack(args) -> int:
 
 def cmd_factorize(args) -> int:
     polygon = _load_polygon(args.path)
-    raw = Path(args.extension).read_bytes()
-    s = sectioned_from_obj(loads(raw.decode()))
+    raw = _read_bytes(args.extension)
+    s = sectioned_from_obj(_parse_json(raw))
     if not verify_section(s):
         raise DomainError("extension file fails verification")
     if s.claimed_polygon() != polygon:

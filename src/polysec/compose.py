@@ -2,9 +2,10 @@
 
 Three constructions: a 3-dimensional extension with at most n-1 vertices
 (peel vertices down to a heptagon, re-add each at height zero), the convex
-join of two sectioned polytopes (which adds dimensions but keeps vertex
-counts additive), and the chunked construction giving a
+join of any number of sectioned polytopes (which adds dimensions but keeps
+vertex counts additive), and the chunked construction giving a
 (2 + floor(n/7))-dimensional extension with at most ceil(6n/7) vertices.
+Each construction certifies its result once, from scratch.
 optimal_even_gon realizes the matching lower-bound witness: a 2m-gon cut
 out of a stacked polytope with m + 2 vertices.
 """
@@ -44,47 +45,44 @@ def ngon_3d_extension(
 ) -> SectionedPolytope:
     """Certified 3-dimensional extension of an n-gon with at most n-1 vertices.
 
-    Recursively removes one vertex (the highest canonical index unless a
-    chooser is supplied) until a heptagon remains, then re-adds each removed
-    vertex at height zero.
+    Removes one vertex at a time (the highest canonical index unless a
+    chooser is supplied) until a heptagon remains, extends the heptagon,
+    re-adds the removed vertices at height zero and certifies the result.
     """
     if polygon.n < 7:
         raise DomainError(f"need n >= 7, got {polygon.n}")
-    if polygon.n == 7:
-        return heptagon_extension(polygon)
-    index = polygon.n - 1 if drop_choice is None else drop_choice(polygon) % polygon.n
-    dropped = polygon.affine(index)
-    rest = [polygon.affine(k) for k in range(polygon.n) if k != index]
-    inner = ngon_3d_extension(validate(rest), drop_choice)
-    vertices = list(inner.vertices) + [(dropped[0], dropped[1], Fraction(0))]
+    core = polygon
+    dropped = []
+    while core.n > 7:
+        index = core.n - 1 if drop_choice is None else drop_choice(core) % core.n
+        dropped.append(core.affine(index))
+        core = validate([core.affine(k) for k in range(core.n) if k != index])
+    inner = heptagon_extension(core)
+    if not dropped:
+        return inner
+    vertices = list(inner.vertices) + [(x, y, Fraction(0)) for x, y in reversed(dropped)]
     return certify(SectionedPolytope(3, vertices, polygon))
 
 
-def convex_join_sections(s1: SectionedPolytope, s2: SectionedPolytope) -> SectionedPolytope:
+def convex_join_sections(*parts: SectionedPolytope) -> SectionedPolytope:
     """Combine sections over the same plane into one for the joint hull.
 
-    Extra coordinates of the two polytopes are placed in disjoint blocks, so
-    the result lives in dimension d1 + d2 - 2 and uses no more vertices than
-    both inputs together.
+    Extra coordinates of the polytopes are placed in disjoint blocks, in
+    argument order, so the result lives in dimension 2 + sum(d_i - 2) and
+    uses no more vertices than all inputs together.  It is certified once.
     """
-    if not (s1.certified and s2.certified):
-        raise IncompatibleSections("both inputs must carry a verified certificate")
-    d1, d2 = s1.dim, s2.dim
-    dim = d1 + d2 - 2
-    vertices = []
-    seen = set()
-    for v in s1.vertices:
-        w = (v[0], v[1], *v[2:], *([Fraction(0)] * (d2 - 2)))
-        if w not in seen:
-            seen.add(w)
-            vertices.append(w)
-    for v in s2.vertices:
-        w = (v[0], v[1], *([Fraction(0)] * (d1 - 2)), *v[2:])
-        if w not in seen:
-            seen.add(w)
-            vertices.append(w)
-    claimed = PlanarHull.of(tuple(s1.claimed.points) + tuple(s2.claimed.points))
-    return certify(SectionedPolytope(dim, vertices, claimed))
+    if not all(s.certified for s in parts):
+        raise IncompatibleSections("all inputs must carry a verified certificate")
+    dim = 2 + sum(s.dim - 2 for s in parts)
+    vertices = {}  # insertion-ordered, drops repeats
+    before = 0
+    for s in parts:
+        after = dim - s.dim - before
+        for v in s.vertices:
+            vertices[(*v[:2], *[Fraction(0)] * before, *v[2:], *[Fraction(0)] * after)] = None
+        before += s.dim - 2
+    claimed = PlanarHull.of([p for s in parts for p in s.claimed.points])
+    return certify(SectionedPolytope(dim, list(vertices), claimed))
 
 
 @dataclass(frozen=True)
@@ -126,9 +124,7 @@ def ngon_extension(polygon: Polygon) -> SectionedPolytope:
             parts.append(heptagon_extension(validate(pts)))
         else:
             parts.append(_trivial_planar_section(pts))
-    result = parts[0]
-    for part in parts[1:]:
-        result = convex_join_sections(result, part)
+    result = convex_join_sections(*parts)
     expected_dim = 2 + n // 7
     bound = -((6 * n) // -7)
     if result.dim != expected_dim:

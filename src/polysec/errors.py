@@ -3,7 +3,9 @@
 DomainError covers bad user input (CLI exit code 1).  CertificationFailure
 covers internal invariant violations: a construction that should be
 mathematically impossible to fail did fail (CLI exit code 3).
-PullbackUnbounded is a retryable signal consumed by the K-retry ladders.
+PullbackUnbounded is raised by a pullback whose image would be unbounded;
+the constructions shear first so that it cannot happen there, and if it
+still does the CLI treats it as an internal failure (exit code 3).
 """
 
 

@@ -38,13 +38,32 @@ __all__ = [
 ]
 
 
+# Longest accepted rational text.  A "p/q" whose parts both sit at the
+# interpreter's 4300-digit int/str conversion limit fits, so every file this
+# package writes reads back.
+MAX_SCALAR_CHARS = 10_000
+# Bound on text length plus decimal exponent magnitude for text with an
+# exponent: it keeps the value printable within the 4300-digit limit, and
+# without it "1e99999999" makes Fraction build a 10^8-digit integer.
+MAX_EXPONENT_DIGITS = 4000
+
+
 def parse_scalar(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
+    """Parse "p/q" or "p" into an exact rational.
+
+    Text longer than MAX_SCALAR_CHARS, or with a decimal exponent that
+    takes it past MAX_EXPONENT_DIGITS, is rejected with ParseError.
+    """
+    s = str(text).strip()
+    if len(s) > MAX_SCALAR_CHARS:
+        raise ParseError(f"rational text longer than {MAX_SCALAR_CHARS} characters")
     try:
-        value = Fraction(str(text).strip())
+        exponent = s.lower().partition("e")[2]
+        if exponent and len(s) + abs(int(exponent)) > MAX_EXPONENT_DIGITS:
+            raise ParseError(f"exponent of {s[:40]!r} too large")
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"invalid rational {text!r}") from exc
-    return value
 
 
 def format_scalar(value: ScalarLike) -> str:

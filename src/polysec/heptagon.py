@@ -14,10 +14,9 @@ suite only.
 from __future__ import annotations
 
 import enum
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     BadK,
@@ -25,7 +24,6 @@ from .errors import (
     DegenerateConstruction,
     NoneFound,
     NotHeptagon,
-    PullbackUnbounded,
 )
 from .exactgeom import ProjLine, ProjPoint, det3, join, meet
 from .polygon import Polygon, ProjMap2, affine_through_three, map_line_to_infinity, validate
@@ -45,8 +43,6 @@ __all__ = [
     "standardize",
     "build_standard_extension",
     "heptagon_extension",
-    "max_k_retries",
-    "run_with_k_retries",
 ]
 
 
@@ -218,7 +214,8 @@ class StandardHeptagon:
     (p_1, p_2) vertical and the edge (p_-1, p_-2) horizontal.
 
     Parameters satisfy b, c < 0 < a, d, lam, mu, and the vertex list is a
-    convex clockwise heptagon; the constructor certifies all of it.
+    convex clockwise heptagon; the constructor certifies all of it and keeps
+    the validated polygon.
     """
 
     a: Fraction
@@ -227,6 +224,7 @@ class StandardHeptagon:
     d: Fraction
     lam: Fraction
     mu: Fraction
+    _polygon: Polygon = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d", "lam", "mu"):
@@ -243,7 +241,8 @@ class StandardHeptagon:
         for i in range(7):
             if det3(pts[(i + 2) % 7], pts[(i + 1) % 7], pts[i]) <= 0:
                 raise CertificationFailure("vertex list is not convex clockwise")
-        self.polygon()  # full validation, raises on any remaining defect
+        # full validation, raises on any remaining defect
+        object.__setattr__(self, "_polygon", validate(self.vertex_list()))
 
     def vertex_list(self) -> list[tuple[Fraction, Fraction]]:
         """Vertices in index order 0..6 (indices -1, -2, -3 are 6, 5, 4)."""
@@ -259,32 +258,7 @@ class StandardHeptagon:
         ]
 
     def polygon(self) -> Polygon:
-        return validate(self.vertex_list())
-
-
-def max_k_retries() -> int:
-    value = os.environ.get("POLYSEC_MAX_RETRIES")
-    if value is None:
-        return 32
-    try:
-        return max(0, int(value))
-    except ValueError:
-        return 32
-
-
-def run_with_k_retries(build: Callable[[Fraction], SectionedPolytope], k0: Fraction) -> SectionedPolytope:
-    """Run a K-parametrized construction, doubling K on unbounded pullbacks."""
-    k = Fraction(k0)
-    last: Optional[PullbackUnbounded] = None
-    for _ in range(max_k_retries() + 1):
-        try:
-            return build(k)
-        except PullbackUnbounded as exc:
-            last = exc
-            k = k * 2
-    raise CertificationFailure(
-        f"pullback stayed unbounded up to K={k}; last error: {last}"
-    ) from last
+        return self._polygon
 
 
 def standardize(polygon: Polygon) -> tuple[StandardHeptagon, ProjMap2]:
@@ -360,19 +334,13 @@ def build_standard_extension(std: StandardHeptagon, k: Optional[Fraction] = None
 def heptagon_extension(polygon: Polygon) -> SectionedPolytope:
     """Certified 3-dimensional extension of a heptagon with at most 6 vertices.
 
-    The pullback is made bounded by an H-fixing shear of the standard
-    extension when the canonical lift alone would not be; on top of that the
-    usual K-doubling ladder applies.
+    The standard extension at the default K is pulled back once; an H-fixing
+    shear bounds the pullback when the canonical lift alone would not, and
+    bounded_pullback explains why such a shear always exists.
     """
     _require_heptagon(polygon)
     std, total = standardize(polygon)
-    inverse = total.inverse()
-
-    def build(k: Fraction) -> SectionedPolytope:
-        ext = build_standard_extension(std, k)
-        return bounded_pullback(ext, inverse)
-
-    result = run_with_k_retries(build, default_extension_k(std))
+    result = bounded_pullback(build_standard_extension(std), total.inverse())
     if not result.certified:
         raise CertificationFailure(f"pullback lost the section certificate: {result!r}")
     if result.claimed_polygon() != polygon:

@@ -21,7 +21,6 @@ from .errors import (
     NotHexagon,
 )
 from .exactgeom import ProjLine, ProjPoint, det3, join, meet
-from .heptagon import run_with_k_retries
 from .polygon import (
     Polygon,
     ProjMap2,
@@ -256,13 +255,8 @@ def hexagon_extension5(polygon: Polygon) -> SectionedPolytope:
     if decision.ic == 6:
         raise ComplexitySix("this hexagon is not a section of any 5-vertex polytope")
     nf = hexagon_normal_form(polygon, decision.witness)
-    inverse = nf.map.inverse()
-
-    def build(k: Fraction) -> SectionedPolytope:
-        ext = build_bipyramid(nf, k)
-        return bounded_pullback(ext, inverse)
-
-    result = run_with_k_retries(build, default_bipyramid_k(nf))
+    ext = build_bipyramid(nf, default_bipyramid_k(nf))
+    result = bounded_pullback(ext, nf.map.inverse())
     if not result.certified or result.claimed_polygon() != polygon:
         raise NormalFormConstraintViolated("pulled-back bipyramid lost its section")
     return result

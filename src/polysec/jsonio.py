@@ -32,7 +32,9 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError and integers past the interpreter's
+    # digit limit; RecursionError covers nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
@@ -79,6 +81,8 @@ def sectioned_from_obj(obj) -> SectionedPolytope:
     dim = obj["dim"]
     if not isinstance(dim, int) or dim < 2:
         raise ParseError(f"bad dimension {dim!r}")
+    if not isinstance(obj["vertices"], list):
+        raise ParseError("vertices must be an array")
     vertices = []
     for raw in obj["vertices"]:
         if not isinstance(raw, list) or len(raw) != dim:

@@ -206,14 +206,3 @@ def fourier_motzkin_point(constraints: Sequence[Constraint], nvars: int) -> Opti
         else:
             x[var] = Fraction(0)
     return x
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]

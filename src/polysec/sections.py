@@ -10,7 +10,7 @@ every claim is verified against it vertex-for-vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -42,10 +42,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlanarHull:
-    """Canonical planar hull: a polygon, or a flagged degenerate (point/segment)."""
+    """Canonical planar hull: a polygon, or a flagged degenerate (point/segment).
+
+    A polygon hull keeps the validated Polygon it was built from; equality
+    compares kind and points only.
+    """
 
     kind: str  # "point" | "segment" | "polygon"
     points: tuple[tuple[Fraction, Fraction], ...]
+    _polygon: Optional[Polygon] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def of(cls, points: Sequence[tuple[Fraction, Fraction]]) -> "PlanarHull":
@@ -60,7 +65,7 @@ class PlanarHull:
 
     @classmethod
     def from_polygon(cls, polygon: Polygon) -> "PlanarHull":
-        return cls("polygon", tuple(polygon.affine_vertices()))
+        return cls("polygon", tuple(polygon.affine_vertices()), polygon)
 
     @property
     def degenerate(self) -> bool:
@@ -69,7 +74,7 @@ class PlanarHull:
     def polygon(self) -> Polygon:
         if self.kind != "polygon":
             raise EmptySection(f"section is a {self.kind}, not a polygon")
-        return validate(self.points)
+        return self._polygon
 
 
 def _coerce_hull(claimed) -> PlanarHull:
@@ -215,16 +220,6 @@ class MapD:
         self.planar = planar
         self.dim = dim
 
-    def matrix(self) -> list[list[int]]:
-        d, m = self.dim, self.planar.m
-        rows = []
-        rows.append([m[0][0], m[0][1]] + [0] * (d - 2) + [m[0][2]])
-        rows.append([m[1][0], m[1][1]] + [0] * (d - 2) + [m[1][2]])
-        for j in range(d - 2):
-            rows.append([0, 0] + [1 if k == j else 0 for k in range(d - 2)] + [0])
-        rows.append([m[2][0], m[2][1]] + [0] * (d - 2) + [m[2][2]])
-        return rows
-
     def apply_raw(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Image of an affine d-point in homogeneous (d+1)-coordinates."""
         m = self.planar.m
@@ -243,9 +238,9 @@ def pullback(s: SectionedPolytope, planar: ProjMap2) -> SectionedPolytope:
     """Carry a sectioned polytope through the lift of a planar map.
 
     Every vertex must land at a finite point with a consistent homogeneous
-    sign, otherwise the image is unbounded and PullbackUnbounded is raised
-    for the caller's retry ladder.  The claimed section is mapped alongside
-    and the certificate is recomputed.
+    sign, otherwise the image is unbounded and PullbackUnbounded is raised.
+    The claimed section is mapped alongside and the certificate is
+    recomputed.
     """
     tau = lift_projective(planar, s.dim)
     images = [tau.apply_raw(v) for v in s.vertices]
@@ -312,7 +307,18 @@ def bounded_pullback(s: SectionedPolytope, planar: ProjMap2) -> SectionedPolytop
     section, and shifts each vertex's horizon value by a slope times its
     height; choosing the slope inside its exact feasible interval makes the
     pulled-back polytope bounded whenever any H-invariant lift of the planar
-    map can.  Raises PullbackUnbounded when no slope works at all.
+    map can.
+
+    In 3-D some slope always works when the planar map is finite on the
+    section.  The horizon of the lifted map is the plane through the
+    horizon line l of H that is vertical to H, and sheared lifts turn that
+    plane about l; every plane through l other than H is reached this way.
+    l misses the section, hence misses P.  Projecting along l sends l to a
+    point outside the projected polygon of P, and a line through that point
+    missing the polygon lifts to a plane through l missing P; that plane is
+    not H, which meets P.  The feasible slope interval is therefore never
+    empty.  PullbackUnbounded, should it still be raised, is an internal
+    failure.
     """
     if s.dim != 3:
         return pullback(s, planar)

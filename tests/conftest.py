@@ -46,6 +46,19 @@ def rng():
     return random.Random(20240913)
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap module.name for the test; the returned list grows by one per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def rational_grid_point(r: random.Random, spread: int = 200, denom: int = 32):
     return (Fraction(r.randrange(-spread, spread + 1), denom),
             Fraction(r.randrange(-spread, spread + 1), denom))

@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polysec.cli import main
-from polysec.jsonio import dumps, loads, polygon_to_obj, sectioned_from_obj
+from polysec.heptagon import heptagon_extension
+from polysec.jsonio import dumps, loads, polygon_to_obj, sectioned_from_obj, sectioned_to_obj
 from polysec.polygon import validate
 
 from conftest import SIX_CROSSING_HEPTAGON, SIX_VERTEX_HEXAGON
@@ -47,6 +55,16 @@ class TestValidateCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 1
 
+    def test_huge_exponent_rejected_without_hanging(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"vertices": [["1e99999999", "0"], ["1", "0"], ["0", "1"]]}')
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "polysec.cli", "validate", str(path)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 1
+        assert loads(proc.stderr)["error"] == "ParseError"
+
 
 class TestExtendVerify:
     def test_heptagon_round_trip(self, heptagon_file, tmp_path, capsys):
@@ -67,6 +85,12 @@ class TestExtendVerify:
         Path(out).write_text(json.dumps(obj))
         assert main(["verify", str(out)]) == 1
         assert capsys.readouterr().out.startswith("FAIL")
+
+    def test_verify_non_list_vertices(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"dim": 3, "vertices": 5, "claimed": {"vertices": []}}')
+        assert main(["verify", str(path)]) == 1
+        assert loads(capsys.readouterr().err)["error"] == "ParseError"
 
     def test_verify_missing_claimed(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -143,6 +167,11 @@ class TestSlackFactorize:
         assert bundle["R"]["shape"] == [7, 6] and bundle["C"]["shape"] == [6, 7]
         assert len(bundle["extension_sha256"]) == 64
 
+    def test_missing_extension_file(self, heptagon_file, tmp_path, capsys):
+        assert main(["factorize", heptagon_file, str(tmp_path / "missing.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and loads(err)["error"] == "DomainError"
+
     def test_mismatched_pair(self, heptagon_file, tmp_path, capsys):
         square = write_polygon(tmp_path, "sq.json", [(0, 0), (1, 0), (1, 1), (0, 1)])
         out = tmp_path / "ext.json"
@@ -182,15 +211,6 @@ class TestUsageAndEnvironment:
             main(["extend"])
         assert exc.value.code == 2
 
-    def test_retry_budget_env_override(self, monkeypatch):
-        from polysec.heptagon import max_k_retries
-
-        assert max_k_retries() == 32
-        monkeypatch.setenv("POLYSEC_MAX_RETRIES", "5")
-        assert max_k_retries() == 5
-        monkeypatch.setenv("POLYSEC_MAX_RETRIES", "not-a-number")
-        assert max_k_retries() == 32
-
 
 class TestSvgCommand:
     def test_heptagon_with_lines_and_labels(self, heptagon_file, tmp_path):
@@ -210,3 +230,88 @@ class TestSvgCommand:
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         assert main(["svg", str(tmp_path / "none.json")]) == 1
+
+
+# Malformed and oversized input for the commands that read files.
+OVERSIZED_SCALARS = ["9" * 4000, "9" * 4301, "1/" + "7" * 9999, "1e99999999", "-1e-99999999",
+                     "1e3999", "9" * 3000 + "e999"]
+scalars = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=5).map(str),
+    st.integers(-10, 10),
+    st.sampled_from(OVERSIZED_SCALARS + ["1/0", "nan", "inf", "x", "", "1e", "0.5"]),
+    st.none(), st.booleans(), st.floats(allow_nan=True, allow_infinity=True),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8) | scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+pair_lists = st.lists(st.one_of(st.lists(scalars, min_size=2, max_size=2), json_values), max_size=8)
+VALID_POLYGON = polygon_to_obj(validate(SIX_CROSSING_HEPTAGON))
+VALID_EXTENSION = sectioned_to_obj(heptagon_extension(validate(SIX_CROSSING_HEPTAGON)))
+
+
+def mutated(doc: dict, fields: tuple):
+    """The valid document with up to two fields or coordinates replaced."""
+    edits = st.lists(st.tuples(st.sampled_from(fields), st.integers(0, 9), st.integers(0, 2),
+                               scalars), max_size=2)
+
+    def apply(changes):
+        out = json.loads(json.dumps(doc))
+        for field, i, j, value in changes:
+            if field == "dim":
+                out["dim"] = value
+                continue
+            rows = out["claimed"]["vertices"] if field == "claimed" else out["vertices"]
+            row = rows[i % len(rows)]
+            row[j % len(row)] = value
+        return out
+
+    return edits.map(apply)
+
+
+polygon_docs = st.one_of(mutated(VALID_POLYGON, ("vertices",)),
+                         st.fixed_dictionaries({"vertices": st.one_of(pair_lists, json_values)}),
+                         json_values)
+sectioned_docs = st.one_of(
+    mutated(VALID_EXTENSION, ("dim", "vertices", "claimed")),
+    st.fixed_dictionaries({
+        "dim": st.one_of(st.integers(-1, 5), json_values),
+        "vertices": st.one_of(st.lists(st.lists(scalars, min_size=1, max_size=4), max_size=6),
+                              json_values),
+        "claimed": st.one_of(st.fixed_dictionaries({"vertices": pair_lists}), json_values),
+    }),
+    json_values,
+)
+
+
+def as_file_bytes(doc_strategy):
+    return st.one_of(
+        doc_strategy.map(lambda doc: json.dumps(doc).encode()),
+        st.sampled_from([b"", b"{", b"[" * 5000, b"1" * 5000, b"\xff\xfe{", b'{"vertices": [["1"']),
+        st.binary(max_size=32),
+    )
+
+
+class TestMalformedInput:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(polygon=as_file_bytes(polygon_docs), extension=as_file_bytes(sectioned_docs))
+    def test_exit_codes_and_json_errors(self, polygon, extension):
+        with tempfile.TemporaryDirectory() as tmp:
+            poly_path, ext_path = Path(tmp) / "poly.json", Path(tmp) / "ext.json"
+            poly_path.write_bytes(polygon)
+            ext_path.write_bytes(extension)
+            for argv in (["validate", str(poly_path)], ["verify", str(ext_path)],
+                         ["factorize", str(poly_path), str(ext_path)]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2), (argv, err.getvalue())
+                if code == 0:
+                    continue
+                if argv[0] == "verify" and err.getvalue() == "":
+                    assert out.getvalue().startswith("FAIL")  # a parsed but false claim
+                    continue
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and "error" in json.loads(lines[0])

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import polysec.compose as compose_module
+import polysec.sections as sections_module
 from polysec.compose import (
     chunk_plan,
     convex_join_sections,
@@ -16,6 +18,8 @@ from polysec.heptagon import heptagon_extension
 from polysec.polygon import validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import PlanarHull, SectionedPolytope, certify, extreme_points
+
+from conftest import count_calls
 
 
 class TestLowerBound:
@@ -73,6 +77,14 @@ class TestNgon3d:
             ext = ngon_3d_extension(polygon, drop_choice=lambda p: chooser_rng.randrange(p.n))
             assert ext.certified and len(ext.vertices) <= 9
 
+    def test_certifies_once(self, rng, monkeypatch):
+        # heptagon core: standard extension, optional shear, pullback; then the result
+        sections = count_calls(monkeypatch, sections_module, "compute_section")
+        polygon = random_convex_polygon(rng, 28)
+        ext = ngon_3d_extension(polygon)
+        assert ext.certified and len(ext.vertices) <= 27
+        assert len(sections) <= 4
+
     def test_small_n_rejected(self, rng):
         with pytest.raises(DomainError):
             ngon_3d_extension(random_convex_polygon(rng, 6))
@@ -111,6 +123,19 @@ class TestConvexJoin:
         assert joined.certified
         assert joined.claimed == s.claimed
 
+    def test_three_way_join_matches_pairwise_fold(self, rng):
+        polygon = random_convex_polygon(rng, 16)
+        parts = [heptagon_extension(validate([polygon.affine(k) for k in range(7)])),
+                 heptagon_extension(validate([polygon.affine(k) for k in range(7, 14)]))]
+        tail = [polygon.affine(14), polygon.affine(15)]
+        parts.append(certify(SectionedPolytope(2, tail, PlanarHull.of(tail))))
+        joined = convex_join_sections(*parts)
+        folded = convex_join_sections(convex_join_sections(parts[0], parts[1]), parts[2])
+        assert joined.certified and joined.dim == folded.dim == 4
+        assert joined.vertices == folded.vertices
+        assert joined.claimed == folded.claimed
+        assert joined.claimed_polygon() == polygon
+
     def test_requires_certificates(self, rng):
         s = heptagon_extension(random_convex_polygon(rng, 7))
         stale = SectionedPolytope(s.dim, s.vertices, s.claimed, certified=False)
@@ -124,6 +149,12 @@ class TestNgonExtension:
         ext = ngon_extension(polygon)
         assert ext.certified and ext.dim == 4
         assert len(ext.vertices) <= 12
+
+    def test_joins_all_chunks_at_once(self, rng, monkeypatch):
+        joins = count_calls(monkeypatch, compose_module, "convex_join_sections")
+        ext = ngon_extension(random_convex_polygon(rng, 30))
+        assert ext.certified and ext.dim == 6
+        assert len(joins) == 1 and len(joins[0]) == 5
 
     def test_n7_base(self, rng):
         polygon = random_convex_polygon(rng, 7)

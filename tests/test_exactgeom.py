@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from polysec.errors import AtInfinity, DegenerateJoin, DegenerateMeet, ParseError
 from polysec.exactgeom import (
+    MAX_EXPONENT_DIGITS,
+    MAX_SCALAR_CHARS,
     ProjLine,
     ProjPoint,
     cross,
@@ -119,6 +121,20 @@ class TestScalars:
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_scalar("one half")
+
+    def test_size_caps(self):
+        # the longest "p/q" the interpreter converts, 4300 digits a part
+        fraction = "-" + "7" * 4300 + "/" + "9" * 4299 + "8"
+        assert len(fraction) <= MAX_SCALAR_CHARS
+        value = parse_scalar(fraction)
+        assert value == Fraction(-int("7" * 4300), int("9" * 4299 + "8"))
+        assert parse_scalar(format_scalar(value)) == value
+        exponent = MAX_EXPONENT_DIGITS - len("1e0000")
+        assert format_scalar(parse_scalar(f"1e{exponent}")) == "1" + "0" * exponent
+        for text in (" " + "8" * MAX_SCALAR_CHARS + "/3", f"1e{exponent + 1}",
+                     f"1e-{exponent + 1}", "1e99999999", "-1.5E+99999999"):
+            with pytest.raises(ParseError):
+                parse_scalar(text)
 
 
 point_triples = st.tuples(rationals, rationals, st.sampled_from([Fraction(1)]))

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polysec.heptagon as heptagon_module
+import polysec.sections as sections_module
 from polysec.errors import BadK, CertificationFailure, NotHeptagon
 from polysec.exactgeom import ProjLine, ProjPoint, cross, det3
 from polysec.heptagon import (
@@ -18,11 +20,11 @@ from polysec.heptagon import (
     standardize,
     std_points,
 )
-from polysec.polygon import Polygon, validate
+from polysec.polygon import Polygon, apply_map, map_line_to_infinity, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import compute_section, extreme_points
 
-from conftest import PUBLISHED_TO_CANONICAL_SHIFT, SIX_CROSSING_HEPTAGON
+from conftest import PUBLISHED_TO_CANONICAL_SHIFT, SIX_CROSSING_HEPTAGON, count_calls
 
 STD_PARAMS = dict(a=Fraction(1, 2), b=Fraction(-1, 4), c=Fraction(-1, 4),
                   d=Fraction(1, 2), lam=Fraction(1, 4), mu=Fraction(1, 4))
@@ -250,6 +252,13 @@ class TestStandardize:
             assert out.lam > 0 and out.mu > 0
             assert mapping.det != 0
 
+    def test_polygon_is_validated_once(self, monkeypatch):
+        std = standard_heptagon()
+        validations = count_calls(monkeypatch, heptagon_module, "validate")
+        assert std.polygon() is std.polygon()
+        assert std.polygon() == validate(std.vertex_list())
+        assert validations == []
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(CertificationFailure):
             StandardHeptagon(a=Fraction(1, 2), b=Fraction(-1, 4), c=Fraction(-1, 4),
@@ -323,6 +332,25 @@ class TestHeptagonExtension:
         polygon = standard_heptagon().polygon()
         ext = heptagon_extension(polygon)
         assert ext.certified and len(extreme_points(ext.vertices, 3)) == 6
+
+    def test_shear_forcing_maps_build_once(self, monkeypatch):
+        # A horizon just beyond the heptagon separates it from the shadows of
+        # the far base vertices (1+K, 0, -K), (0, 1+K, -K), so the unsheared
+        # lift of the inverse map is unbounded: one build plus one shear.
+        builds = count_calls(monkeypatch, heptagon_module, "build_standard_extension")
+        shears = count_calls(monkeypatch, sections_module, "shear_fixing_flat")
+        base = standard_heptagon().polygon()
+        for u1, u2 in ((1, 0), (0, 1), (1, 1), (2, 1), (1, -1)):
+            reach = max(u1 * x + u2 * y for x, y in base.affine_vertices())
+            for gap in (Fraction(1, 10), Fraction(1)):
+                horizon = ProjLine(u1, u2, -(reach + gap))
+                polygon = apply_map(base, map_line_to_infinity(horizon, base))
+                builds.clear()
+                shears.clear()
+                ext = heptagon_extension(polygon)
+                assert (len(builds), len(shears)) == (1, 1)
+                assert ext.certified and len(ext.vertices) <= 6
+                assert ext.claimed_polygon() == polygon
 
     def test_fuzzed_heptagons(self, rng):
         for _ in range(150):

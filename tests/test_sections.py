@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import polysec.sections as sections_module
 from polysec.errors import EmptySection, PullbackUnbounded, ScaleExceeded
 from polysec.linalg import in_convex_hull, solve_linear
 from polysec.polygon import ProjMap2, validate
@@ -16,6 +17,8 @@ from polysec.sections import (
     pullback,
     verify_section,
 )
+
+from conftest import count_calls
 
 TETRA = [(0, 0, -1), (1, 0, -1), (0, 1, -1), (0, 0, 1)]
 TETRA_SECTION = [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]
@@ -188,3 +191,11 @@ class TestPlanarHull:
     def test_polygon_round_trip(self):
         poly = validate([(0, 0), (3, 0), (0, 3)])
         assert PlanarHull.from_polygon(poly).polygon() == poly
+
+    def test_polygon_is_not_revalidated(self, monkeypatch):
+        hull = PlanarHull.of([(0, 0), (3, 0), (1, 1), (0, 3)])
+        validations = count_calls(monkeypatch, sections_module, "validate")
+        assert hull.polygon() is hull.polygon()
+        assert hull.polygon() == validate([(0, 0), (3, 0), (0, 3)])
+        assert hull == PlanarHull.from_polygon(validate([(3, 0), (0, 3), (0, 0)]))
+        assert validations == []
