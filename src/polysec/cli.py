@@ -34,7 +34,7 @@ from .jsonio import (
 from .polygon import Polygon
 from .randgen import random_convex_polygon, random_point_config
 from .sections import SectionedPolytope, certify, extreme_points, verify_section
-from .slack import factorize_from_section, slack_matrix, verify_factorization
+from .slack import factorize_from_section, slack_matrix
 from .svg import render_polygon_svg
 
 
@@ -138,9 +138,7 @@ def cmd_factorize(args) -> int:
         raise DomainError("extension file fails verification")
     if s.claimed_polygon() != polygon:
         raise DomainError("extension does not have this polygon as its section")
-    fact = factorize_from_section(polygon, s)
-    if not verify_factorization(slack_matrix(polygon), fact):
-        raise CertificationFailure("factorization failed exact verification")
+    fact = factorize_from_section(polygon, s)  # checks R * C = S once
     digest = hashlib.sha256(raw).hexdigest()
     sys.stdout.write(dumps(factorization_to_obj(fact, digest)))
     return 0

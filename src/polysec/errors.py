@@ -115,8 +115,12 @@ class IncompatibleSections(DomainError):
 
 
 # slack
-class NoExtension(CertificationFailure):
-    pass
+class NoExtension(DomainError):
+    """A facet inequality of the claimed section has no nonnegative extension.
+
+    Every valid inequality of the true section extends to the polytope (LP
+    duality), so the claimed section is false.
+    """
 
 
 class NotInPolytope(DomainError):

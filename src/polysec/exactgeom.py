@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
 
-from .errors import AtInfinity, DegenerateJoin, DegenerateMeet, ParseError
+from .errors import AtInfinity, DegenerateJoin, DegenerateMeet, ParseError, ScaleExceeded
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
@@ -67,8 +67,16 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def format_scalar(value: ScalarLike) -> str:
-    """Render a rational as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(value))
+    """Render a rational as "p/q", or "p" when the denominator is 1.
+
+    A numerator or denominator past the interpreter's int/str conversion
+    limit (4300 digits by default) raises ScaleExceeded.
+    """
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise ScaleExceeded("a rational has too many digits to write") from exc
 
 
 def _canonical_int_triple(coords: Sequence[ScalarLike]) -> tuple[int, int, int]:

@@ -34,6 +34,7 @@ __all__ = [
     "certify",
     "shear_fixing_flat",
     "bounded_pullback",
+    "distinct_points",
     "extreme_points",
     "lift_projective",
     "pullback",
@@ -119,11 +120,14 @@ def _on_flat(v: AmbientPoint) -> bool:
     return all(c == 0 for c in v[2:])
 
 
-def _segment_flat_crossing(u: AmbientPoint, v: AmbientPoint) -> Optional[tuple[Fraction, Fraction]]:
+def _segment_flat_crossing(
+    u: AmbientPoint, v: AmbientPoint
+) -> Optional[tuple[Fraction, tuple[Fraction, Fraction]]]:
     """Intersection of segment [u, v] with H, if it exists and is unique.
 
     Solves the vanishing conditions (1-t) u_j + t v_j = 0 for j >= 3; the
     segment contributes exactly when all conditions pin the same t in [0, 1].
+    Returns t and the planar point (1-t) u + t v.
     """
     t = None
     for uj, vj in zip(u[2:], v[2:]):
@@ -140,7 +144,7 @@ def _segment_flat_crossing(u: AmbientPoint, v: AmbientPoint) -> Optional[tuple[F
         return None  # both endpoints on H: no unique crossing
     if t < 0 or t > 1:
         return None
-    return (u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1]))
+    return t, (u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1]))
 
 
 def compute_section(vertices: Sequence[Sequence], dim: int) -> PlanarHull:
@@ -151,9 +155,9 @@ def compute_section(vertices: Sequence[Sequence], dim: int) -> PlanarHull:
     points = [(v[0], v[1]) for v in verts if _on_flat(v)]
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
-            p = _segment_flat_crossing(verts[i], verts[j])
-            if p is not None:
-                points.append(p)
+            crossing = _segment_flat_crossing(verts[i], verts[j])
+            if crossing is not None:
+                points.append(crossing[1])
     if not points:
         raise EmptySection("the flat does not meet the polytope")
     return PlanarHull.of(points)
@@ -183,21 +187,26 @@ def certify(s: SectionedPolytope) -> SectionedPolytope:
     return s
 
 
+def distinct_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]:
+    """The distinct points in first-occurrence order, within the input bound.
+
+    Above dimension 4 at most 64 distinct points are accepted; past that
+    the point set is refused with ScaleExceeded.
+    """
+    verts = list(dict.fromkeys(tuple(Fraction(c) for c in v) for v in vertices))
+    if dim > 4 and len(verts) > 64:
+        raise ScaleExceeded(f"{len(verts)} points in dimension {dim}")
+    return verts
+
+
 def extreme_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]:
     """The vertices not expressible as convex combinations of the others.
 
-    Duplicates are removed first; each survivor is tested by an exact linear
-    feasibility solve.  Sized for this package's constructions only.
+    Duplicates are removed first (distinct_points, which also enforces the
+    input bound); each survivor is tested by an exact linear feasibility
+    solve.
     """
-    verts = []
-    seen = set()
-    for v in vertices:
-        v = tuple(Fraction(c) for c in v)
-        if v not in seen:
-            seen.add(v)
-            verts.append(v)
-    if dim > 4 and len(verts) > 64:
-        raise ScaleExceeded(f"{len(verts)} points in dimension {dim}")
+    verts = distinct_points(vertices, dim)
     out = []
     for i, v in enumerate(verts):
         others = [w for j, w in enumerate(verts) if j != i]

@@ -1,10 +1,21 @@
 """Polygon slack matrices and exact nonnegative factorizations.
 
-A certified section gives a nonnegative factorization of the polygon's
-slack matrix: each facet inequality extends to an affine functional that is
-nonnegative on the whole polytope (row factor), and each polygon vertex is
-a convex combination of polytope vertices (column factor).  Both factors
-are found exactly and the product is verified entry by entry.
+A certified section gives a nonnegative factorization S = R * C of the
+polygon's slack matrix (Yannakakis 1991), with one inner index per distinct
+polytope vertex:
+
+- R (row factor): each facet inequality of the polygon extends, through
+  free coefficients on coordinates 3..d chosen by Fourier-Motzkin, to an
+  affine functional that is nonnegative on the whole polytope; row i holds
+  that functional's values at the polytope vertices.
+- C (column factor): each polygon vertex is a point the certified section
+  was computed from, either a polytope vertex on H or the crossing of H by
+  the segment between two polytope vertices.  Its column holds the weight
+  1, or the weights 1 - t and t of that segment, read off the crossing
+  with no search and no linear program.
+
+The product is checked exactly, once, summing only over the nonzero
+entries of each column of C.
 """
 
 from __future__ import annotations
@@ -14,10 +25,17 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import DomainError, NoExtension, NotInPolytope
-from .linalg import fourier_motzkin_point, rank, solve_linear
+from .errors import CertificationFailure, DomainError, NoExtension, NotInPolytope
+from .linalg import feasible_nonnegative_solution, fourier_motzkin_point, rank
 from .polygon import Polygon
-from .sections import SectionedPolytope, extreme_points
+from .sections import (
+    AmbientPoint,
+    SectionedPolytope,
+    _on_flat,
+    _segment_flat_crossing,
+    distinct_points,
+    extreme_points,
+)
 
 __all__ = [
     "SlackMatrix",
@@ -118,76 +136,103 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> AffineFunctiona
     return AffineFunctional(constant=b, coeffs=(-a[0], -a[1], *point))
 
 
-def _coefficients_over(
-    target: tuple[Fraction, ...], gens: Sequence[tuple[Fraction, ...]], dim: int
-) -> tuple[Fraction, ...]:
-    k_max = min(len(gens), dim + 1)
-    for size in range(1, k_max + 1):
-        for subset in combinations(range(len(gens)), size):
-            matrix = [[gens[k][coord] for k in subset] for coord in range(dim)]
-            matrix.append([Fraction(1)] * size)
-            rhs = list(target) + [Fraction(1)]
-            sol = solve_linear(matrix, rhs)
-            if sol is None or any(w < 0 for w in sol):
-                continue
-            weights = [Fraction(0)] * len(gens)
-            for k, w in zip(subset, sol):
-                weights[k] = w
-            return tuple(weights)
-    raise NotInPolytope(f"{target} is not in the polytope")
-
-
 def convex_coefficients(point: Sequence[Fraction], s: SectionedPolytope) -> tuple[Fraction, ...]:
     """Convex weights over the extreme points of s that reproduce the point.
 
-    Brute force over affinely independent vertex subsets of size at most
-    d + 1, first feasible subset in lexicographic order; deterministic.
+    One exact feasibility LP (feasible_nonnegative_solution, deterministic
+    under Bland's rule) over extreme_points(s.vertices); NotInPolytope when
+    the point lies outside the polytope.
     """
     target = tuple(Fraction(c) for c in point)
     if len(target) != s.dim:
         raise DomainError(f"point {target} is not in dimension {s.dim}")
-    return _coefficients_over(target, extreme_points(s.vertices, s.dim), s.dim)
+    gens = extreme_points(s.vertices, s.dim)
+    matrix = [[g[k] for g in gens] for k in range(s.dim)] + [[Fraction(1)] * len(gens)]
+    weights = feasible_nonnegative_solution(matrix, [*target, Fraction(1)])
+    if weights is None:
+        raise NotInPolytope(f"{target} is not in the polytope")
+    return tuple(weights)
+
+
+def _section_columns(gens: Sequence[AmbientPoint]) -> dict[tuple[Fraction, Fraction], dict]:
+    """Sparse convex column of every point that a generator or a generator
+    segment contributes to the section, keyed by its planar coordinates.
+
+    Generators on H come first (a unit column), then the unique crossings
+    of H by segments [gens[i], gens[j]] in lexicographic (i, j) order
+    (weights 1 - t and t); the first entry for a point is kept.
+    """
+    columns = {}
+    for k, g in enumerate(gens):
+        if _on_flat(g):
+            columns.setdefault(g[:2], {k: Fraction(1)})
+    for i, j in combinations(range(len(gens)), 2):
+        crossing = _segment_flat_crossing(gens[i], gens[j])
+        if crossing is not None:
+            t, point = crossing
+            columns.setdefault(point, {i: 1 - t, j: t})
+    return columns
 
 
 def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFactorization:
-    """Nonnegative factorization of the slack matrix through a certified section."""
+    """Nonnegative factorization of the slack matrix through a certified section.
+
+    The generators are the distinct vertices of s in file order, so the
+    inner dimension is their count.  Row i of R is the extended facet
+    functional of edge (i, i+1) (extend_facet_inequality) evaluated on the
+    generators.  Column j of C writes polygon vertex j as a convex
+    combination of at most two generators, read off the section
+    (_section_columns): the certified section is the hull of the
+    generators on H and of the crossings of H by generator segments, so
+    each polygon vertex is one of those points.  In the package's
+    constructions a crossing polygon vertex lies in the relative interior
+    of one edge of the polytope (in a join, of one edge of one block), so
+    exactly one generator segment passes through it and the combination is
+    unique.  On other input the first segment in lexicographic (i, j) order
+    is taken.  A polygon vertex that is neither raises NotInPolytope.
+
+    A facet with no nonnegative extension raises NoExtension: every valid
+    inequality of the true section extends to the polytope (LP duality),
+    so the claimed section is false.  The product R * C is checked against
+    the slack matrix once; a mismatch is a CertificationFailure.
+    """
     if not s.certified:
         raise DomainError("the extension must carry a verified certificate")
     if s.claimed_polygon() != polygon:
         raise DomainError("the extension's section is not this polygon")
     n = polygon.n
-    gens = extreme_points(s.vertices, s.dim)
+    gens = distinct_points(s.vertices, s.dim)
     functionals = [extend_facet_inequality(i, s) for i in range(n)]
-    r_rows = []
-    for f in functionals:
-        row = tuple(f(q) for q in gens)
-        if any(v < 0 for v in row):
-            raise NoExtension("extended functional is negative on an extreme point")
-        r_rows.append(row)
+    r_rows = tuple(tuple(f(q) for q in gens) for f in functionals)
+    columns = _section_columns(gens)
     c_cols = []
-    for j in range(n):
-        x, y = polygon.affine(j)
-        target = (x, y) + (Fraction(0),) * (s.dim - 2)
-        c_cols.append(_coefficients_over(target, gens, s.dim))
-    c_rows = tuple(tuple(col[k] for col in c_cols) for k in range(len(gens)))
-    fact = SlackFactorization(r_factor=tuple(r_rows), c_factor=c_rows)
+    for vertex in polygon.affine_vertices():
+        if vertex not in columns:
+            raise NotInPolytope(f"{vertex} is no vertex on H or crossing of H by the polytope")
+        c_cols.append(columns[vertex])
+    zero = Fraction(0)
+    c_rows = tuple(tuple(col.get(k, zero) for col in c_cols) for k in range(len(gens)))
+    fact = SlackFactorization(r_factor=r_rows, c_factor=c_rows)
     if not verify_factorization(slack_matrix(polygon), fact):
-        raise NoExtension("factor product failed to reproduce the slack matrix")
+        raise CertificationFailure("factor product failed to reproduce the slack matrix")
     return fact
 
 
 def verify_factorization(sm: SlackMatrix, fact: SlackFactorization) -> bool:
-    """Exact check: factors nonnegative and R * C equals the slack matrix."""
+    """Exact check: factors nonnegative and R * C equals the slack matrix.
+
+    Each product entry sums over the nonzero entries of its C column only,
+    which omits exactly the zero terms.
+    """
     r, c = fact.r_factor, fact.c_factor
     n = sm.n
     if len(r) != n or (r and len(c) != len(r[0])) or any(len(row) != n for row in c):
         return False
     if any(v < 0 for row in r for v in row) or any(v < 0 for row in c for v in row):
         return False
-    inner = len(c)
-    for i in range(n):
-        for j in range(n):
-            total = sum(r[i][k] * c[k][j] for k in range(inner))
-            if total != sm.entries[i][j]:
+    for j in range(n):
+        column = [(k, row[j]) for k, row in enumerate(c) if row[j]]
+        for i in range(n):
+            if sum(r[i][k] * w for k, w in column) != sm.entries[i][j]:
                 return False
     return True

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,16 @@ def count_calls(monkeypatch, module, name: str) -> list:
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_calls_everywhere(monkeypatch, module, name: str) -> list:
+    """count_calls, also through every polysec module that imported module.name."""
+    original = getattr(module, name)
+    calls = count_calls(monkeypatch, module, name)
+    for other in list(sys.modules.values()):
+        if getattr(other, "__name__", "").startswith("polysec.") and vars(other).get(name) is original:
+            monkeypatch.setattr(other, name, getattr(module, name))
     return calls
 
 

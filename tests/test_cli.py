@@ -1,21 +1,26 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from polysec import linalg, slack
 from polysec.cli import main
 from polysec.heptagon import heptagon_extension
 from polysec.jsonio import dumps, loads, polygon_to_obj, sectioned_from_obj, sectioned_to_obj
 from polysec.polygon import validate
+from polysec.randgen import random_convex_polygon, random_hexagon_params
 
-from conftest import SIX_CROSSING_HEPTAGON, SIX_VERTEX_HEXAGON
+from conftest import SIX_CROSSING_HEPTAGON, SIX_VERTEX_HEXAGON, count_calls_everywhere
 
 
 @pytest.fixture
@@ -127,15 +132,23 @@ class TestExtendVerify:
         s = sectioned_from_obj(loads(Path(out6).read_text()))
         assert all(v[2] == 0 for v in s.vertices)
 
+    def test_coordinates_past_digit_limit_refused(self, tmp_path, capsys):
+        # ~1750-character input coordinates grow past the 4300-digit limit
+        polygon = random_convex_polygon(random.Random(3), 7)
+        points = [(x + Fraction(3**1800 + i, 2**2900 + 7 * i + 1), y)
+                  for i, (x, y) in enumerate(polygon.affine_vertices())]
+        path = write_polygon(tmp_path, "big.json", validate(points).affine_vertices())
+        out = tmp_path / "big.ext.json"
+        assert main(["extend", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and loads(err)["error"] == "ScaleExceeded"
+        assert not out.exists()
+
     def test_pentagon_rejected(self, tmp_path, capsys):
         path = write_polygon(tmp_path, "penta.json", [(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)])
         assert main(["extend", path]) == 1
 
     def test_four_dimensional_join_round_trip(self, tmp_path, capsys):
-        import random
-
-        from polysec.randgen import random_convex_polygon
-
         polygon = random_convex_polygon(random.Random(14), 14)
         path = write_polygon(tmp_path, "p14.json", polygon.affine_vertices())
         out = tmp_path / "p14.ext.json"
@@ -178,6 +191,95 @@ class TestSlackFactorize:
         main(["extend", heptagon_file, "--out", str(out)])
         capsys.readouterr()
         assert main(["factorize", square, str(out)]) == 1
+
+    def test_false_claim_exits_one(self, tmp_path, capsys):
+        # the three off-plane vertices average to (5, 5) on H, which the
+        # claimed square misses; no segment between vertices crosses there
+        square = write_polygon(tmp_path, "sq.json", UNIT_SQUARE)
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps(false_square_claim([(5, 5)] * 3, (1, 0), (0, 1))))
+        assert main(["factorize", square, str(ext)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and loads(err)["error"] == "NoExtension"
+
+    def test_no_search_and_one_product_check(self, heptagon_file, tmp_path, capsys, monkeypatch):
+        polygon = random_convex_polygon(random.Random(28), 28)
+        path28 = write_polygon(tmp_path, "p28.json", polygon.affine_vertices())
+        runs = [(heptagon_file, "auto"), (path28, "join"), (path28, "3d")]
+        for k, (path, mode) in enumerate(runs):
+            assert main(["extend", path, "--mode", mode, "--out", str(tmp_path / f"{k}.json")]) == 0
+        capsys.readouterr()
+        lps = count_calls_everywhere(monkeypatch, linalg, "feasible_nonnegative_solution")
+        solves = count_calls_everywhere(monkeypatch, linalg, "solve_linear")
+        checks = count_calls_everywhere(monkeypatch, slack, "verify_factorization")
+        for k, (path, mode) in enumerate(runs):
+            assert main(["factorize", path, str(tmp_path / f"{k}.json")]) == 0
+            assert len(checks) == k + 1
+        assert lps == [] and solves == []
+
+    def test_factorize_output_unchanged(self, tmp_path, capsys):
+        digests = {}
+        for name, polygon, mode in pinned_factorize_cases():
+            path = write_polygon(tmp_path, name + ".json", polygon.affine_vertices())
+            ext = str(tmp_path / (name + ".ext.json"))
+            assert main(["extend", path, "--mode", mode, "--out", ext]) == 0
+            capsys.readouterr()
+            assert main(["factorize", path, ext]) == 0
+            digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+        assert digests == PINNED_FACTORIZE_SHA256
+
+
+UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+
+def false_square_claim(shadows, u, w) -> dict:
+    """A dim-4 file: the unit square on H plus three vertices over the given
+    planar shadows whose trailing coordinates u, w, -(u + w) sum to zero;
+    the claim is the square, which is false when the centroid misses it."""
+    tails = [u, w, (-u[0] - w[0], -u[1] - w[1])]
+    vertices = [[str(x), str(y), "0", "0"] for x, y in UNIT_SQUARE]
+    vertices += [[str(x), str(y), str(a), str(b)] for (x, y), (a, b) in zip(shadows, tails)]
+    return {"dim": 4, "vertices": vertices,
+            "claimed": {"vertices": [[str(x), str(y)] for x, y in UNIT_SQUARE]},
+            "certified": True}
+
+
+def pinned_factorize_cases() -> list:
+    """(name, polygon, extend mode) for the seeded set whose factorize output is pinned."""
+    rng = random.Random(20261017)
+    cases = [(f"heptagon-{i}", random_convex_polygon(rng, 7), "auto") for i in range(3)]
+    for i in range(2):
+        alpha, beta, gamma, x, y = random_hexagon_params(rng)
+        points = [(0, alpha), (beta * x, beta * y), (gamma, 0), (1, 0), (x, y), (0, 1)]
+        cases.append((f"hexagon5-{i}", validate(points), "auto"))
+    cases += [(f"hexagon6-{i}", random_convex_polygon(rng, 6), "auto") for i in range(2)]
+    for n in (8, 14, 21, 28, 35):
+        polygon = random_convex_polygon(rng, n)
+        cases += [(f"{n}gon-join", polygon, "join"), (f"{n}gon-3d", polygon, "3d")]
+    return cases
+
+
+# sha256 prefixes of `factorize` stdout for pinned_factorize_cases(), recorded
+# with the subset-search factorization that the section's crossings replaced
+PINNED_FACTORIZE_SHA256 = {
+    "heptagon-0": "57f497e4b493e3ec",
+    "heptagon-1": "825748889ea235c3",
+    "heptagon-2": "ea4bbe542845539e",
+    "hexagon5-0": "6c36aa80436f98a7",
+    "hexagon5-1": "6e447eb464b253a0",
+    "hexagon6-0": "1d1bec409a3b8649",
+    "hexagon6-1": "544e3bd61258a0c5",
+    "8gon-join": "e5f01eae0f674311",
+    "8gon-3d": "e5f01eae0f674311",
+    "14gon-join": "65a166685978538e",
+    "14gon-3d": "3f2e75b31a5c2d68",
+    "21gon-join": "079442e481b06e93",
+    "21gon-3d": "25c90ccae63a95d8",
+    "28gon-join": "8e8efce249604544",
+    "28gon-3d": "ce3655dc9c86fc81",
+    "35gon-join": "b8c348c77cf1e252",
+    "35gon-3d": "f396c84937bf9da4",
+}
 
 
 class TestFuzzCommand:
@@ -293,6 +395,27 @@ def as_file_bytes(doc_strategy):
     )
 
 
+def assert_clean_exits(argvs) -> None:
+    """Each command exits 0, 1 or 2; a failure prints one JSON error line
+    (or, for verify of a parsed but false claim, FAIL on stdout)."""
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        if code == 0:
+            continue
+        if argv[0] == "verify" and err.getvalue() == "":
+            assert out.getvalue().startswith("FAIL")
+            continue
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+small_vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
 class TestMalformedInput:
     @settings(max_examples=150, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -302,16 +425,16 @@ class TestMalformedInput:
             poly_path, ext_path = Path(tmp) / "poly.json", Path(tmp) / "ext.json"
             poly_path.write_bytes(polygon)
             ext_path.write_bytes(extension)
-            for argv in (["validate", str(poly_path)], ["verify", str(ext_path)],
-                         ["factorize", str(poly_path), str(ext_path)]):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv)
-                assert code in (0, 1, 2), (argv, err.getvalue())
-                if code == 0:
-                    continue
-                if argv[0] == "verify" and err.getvalue() == "":
-                    assert out.getvalue().startswith("FAIL")  # a parsed but false claim
-                    continue
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and "error" in json.loads(lines[0])
+            assert_clean_exits([["validate", str(poly_path)], ["verify", str(ext_path)],
+                                ["factorize", str(poly_path), str(ext_path)]])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(shadows=st.lists(st.tuples(small_rationals, small_rationals), min_size=3, max_size=3),
+           u=small_vectors, w=small_vectors)
+    def test_well_formed_false_claims(self, shadows, u, w):
+        with tempfile.TemporaryDirectory() as tmp:
+            square = write_polygon(Path(tmp), "sq.json", UNIT_SQUARE)
+            ext_path = Path(tmp) / "ext.json"
+            ext_path.write_text(json.dumps(false_square_claim(shadows, u, w)))
+            assert_clean_exits([["verify", str(ext_path)], ["factorize", square, str(ext_path)]])

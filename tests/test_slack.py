@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from polysec.errors import DomainError, NotInPolytope
+from polysec.errors import DomainError, NotInPolytope, ScaleExceeded
 from polysec.heptagon import StandardHeptagon, build_standard_extension, heptagon_extension
 from polysec.compose import ngon_extension
 from polysec.polygon import validate
@@ -142,6 +142,28 @@ class TestFactorize:
         assert fact.inner_dim <= 12
         assert verify_factorization(slack_matrix(polygon), fact)
 
+    def test_duplicate_and_interior_vertices(self):
+        # a box over the unit square, one corner listed twice and one point
+        # inside: every distinct vertex is a generator
+        square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
+        box = [(x, y, z) for z in (1, -1) for x, y in square.affine_vertices()]
+        inside = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))
+        ext = certify(SectionedPolytope(3, box + [box[0], inside], square))
+        fact = factorize_from_section(square, ext)
+        assert fact.inner_dim == 9
+        assert verify_factorization(slack_matrix(square), fact)
+        assert all(v == 0 for v in fact.c_factor[8])
+
+    def test_input_bound_above_dimension_four(self):
+        # 65 distinct vertices in dimension 5: the square on H and 61 points
+        # above it, none of whose segments cross H away from the square
+        square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
+        above = [(Fraction(k, 64), Fraction(1, 2), 1, 1, 1) for k in range(61)]
+        flat = [(x, y, 0, 0, 0) for x, y in square.affine_vertices()]
+        ext = certify(SectionedPolytope(5, flat + above, square))
+        with pytest.raises(ScaleExceeded, match="65 points in dimension 5"):
+            factorize_from_section(square, ext)
+
     def test_mismatched_pair_rejected(self, rng, obs_heptagon):
         other = random_convex_polygon(rng, 7)
         ext = heptagon_extension(other)
@@ -184,6 +206,24 @@ class TestVerifyFactorization:
         rows[0][0] += Fraction(1, 10**6)
         bad = SlackFactorization(r_factor=fact.r_factor, c_factor=tuple(tuple(r) for r in rows))
         assert not verify_factorization(sm, bad)
+
+    def test_structural_zero_of_c_made_nonzero_fails(self, obs_heptagon):
+        ext = heptagon_extension(obs_heptagon)
+        fact = factorize_from_section(obs_heptagon, ext)
+        rows = [list(r) for r in fact.c_factor]
+        k, j = next((k, j) for k, row in enumerate(rows) for j, v in enumerate(row) if v == 0)
+        rows[k][j] = Fraction(1, 10**6)
+        bad = SlackFactorization(r_factor=fact.r_factor, c_factor=tuple(tuple(r) for r in rows))
+        assert not verify_factorization(slack_matrix(obs_heptagon), bad)
+
+    def test_zero_of_r_made_negative_fails(self, obs_heptagon):
+        ext = heptagon_extension(obs_heptagon)
+        fact = factorize_from_section(obs_heptagon, ext)
+        rows = [list(r) for r in fact.r_factor]
+        i, k = next((i, k) for i, row in enumerate(rows) for k, v in enumerate(row) if v == 0)
+        rows[i][k] = Fraction(-1)
+        bad = SlackFactorization(r_factor=tuple(tuple(r) for r in rows), c_factor=fact.c_factor)
+        assert not verify_factorization(slack_matrix(obs_heptagon), bad)
 
     def test_shape_mismatch_fails(self, obs_heptagon):
         sm = slack_matrix(obs_heptagon)
