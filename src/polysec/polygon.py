@@ -68,6 +68,15 @@ class Polygon:
     def __init__(self, vertices: Sequence[ProjPoint]):
         self.vertices = tuple(vertices)
 
+    @classmethod
+    def from_hull(cls, hull: Sequence[AffinePair]) -> "Polygon":
+        """The canonical polygon on convex_hull_2d output of three or more points.
+
+        The hull is counterclockwise from its lexicographically smallest
+        point; the polygon keeps that point at index 0 and runs clockwise.
+        """
+        return cls([ProjPoint.from_affine(x, y) for x, y in (hull[0], *reversed(hull[1:]))])
+
     @property
     def n(self) -> int:
         return len(self.vertices)
@@ -80,6 +89,17 @@ class Polygon:
 
     def affine_vertices(self) -> list[AffinePair]:
         return [p.dehomogenize() for p in self.vertices]
+
+    def edge_inequality(self, i: int) -> tuple[AffinePair, Fraction]:
+        """Outward normal a and offset b of edge (i, i+1): a . x <= b on the polygon.
+
+        For clockwise labels the outward normal is the edge vector rotated by
+        +90 degrees.
+        """
+        x0, y0 = self.affine(i)
+        x1, y1 = self.affine(i + 1)
+        a = (-(y1 - y0), x1 - x0)
+        return a, a[0] * x0 + a[1] * y0
 
     def contains(self, x: Fraction, y: Fraction) -> bool:
         """Point-in-closed-polygon via the n edge orientation signs."""
@@ -127,10 +147,7 @@ def validate(points: Iterable[Sequence]) -> Polygon:
     diffs = {(seq[(i + 1) % n] - seq[i]) % n for i in range(n)}
     if diffs != {1} and diffs != {n - 1}:
         raise NotConvex("vertex order does not trace the convex hull")
-    clockwise = list(reversed(hull))  # monotone chain yields counterclockwise
-    start = clockwise.index(min(clockwise))
-    ordered = clockwise[start:] + clockwise[:start]
-    return Polygon([ProjPoint.from_affine(x, y) for x, y in ordered])
+    return Polygon.from_hull(hull)
 
 
 class ProjMap2:

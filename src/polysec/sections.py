@@ -1,11 +1,33 @@
 """Exact polytope-section certification engine.
 
 The flat H is always the canonical coordinate flat: a point of the ambient
-d-space lies on H when its coordinates 3..d all vanish.  A section is
-recomputed from scratch as the convex hull of (a) vertices lying on H and
-(b) the intersection points of H with segments between vertex pairs; for
-the constructions in this package that hull equals the true section, and
-every claim is verified against it vertex-for-vertex.
+d-space lies on H when its coordinates 3..d all vanish.  The off-H support
+of a point is the set of those coordinates that are nonzero.  P is the
+convex hull of the given vertices, and its section is the part of P on H.
+
+Support lemma, exact in any dimension: if u and v have different off-H
+supports, the segment [u, v] meets H at most at an endpoint that already
+lies on H.  Say u_j != 0 = v_j; then (1-t) u_j = 0 forces t = 1, the
+endpoint v.  So only segments between vertices of one nonempty support can
+cross H anywhere else, and compute_section tests only those pairs.
+
+The hull of the vertices on H and of these crossings lies in the section.
+It is the whole section when every vertex has at most one nonzero
+coordinate off H, as in 3-D and in every join this package builds.  Write
+a point of the section as a convex combination of vertices and split the
+terms by support {j}: only that block touches coordinate j, so its terms
+sum to zero there, and the block's normalized part is a point on H of the
+3-polytope conv(block).  A plane section of a 3-polytope is the hull of its
+vertices on the plane and its edge crossings, so that point is in the hull
+of the block's crossings.  verify_section compares this hull with the claim
+vertex for vertex.
+
+Any other vertex set is certified by exact linear programs (linalg): each
+claimed vertex, placed on H, lies in P, so the claim lies in the section;
+and each edge inequality a . x <= b of the claim extends to P, that is some
+mu has b - a . v[:2] - mu . v[2:] >= 0 at every vertex v, so the section
+lies in the claim.  By LP duality both hold when the claim is the section.
+A point or segment claim fails on this path.
 """
 
 from __future__ import annotations
@@ -20,8 +42,8 @@ from .errors import (
     PullbackUnbounded,
     ScaleExceeded,
 )
-from .linalg import in_convex_hull
-from .polygon import Polygon, ProjMap2, apply_map, convex_hull_2d, validate
+from .linalg import feasible_nonnegative_solution, in_convex_hull
+from .polygon import Polygon, ProjMap2, apply_map, convex_hull_2d
 
 AmbientPoint = tuple[Fraction, ...]
 
@@ -62,7 +84,7 @@ class PlanarHull:
             return cls("point", tuple(hull))
         if len(hull) == 2:
             return cls("segment", tuple(sorted(hull)))
-        return cls.from_polygon(validate(hull))
+        return cls.from_polygon(Polygon.from_hull(hull))
 
     @classmethod
     def from_polygon(cls, polygon: Polygon) -> "PlanarHull":
@@ -100,7 +122,7 @@ class SectionedPolytope:
         self.dim = dim
         verts = []
         for v in vertices:
-            v = tuple(Fraction(c) for c in v)
+            v = tuple(c if type(c) is Fraction else Fraction(c) for c in v)
             if len(v) != dim:
                 raise ValueError(f"vertex {v} does not have dimension {dim}")
             verts.append(v)
@@ -147,33 +169,90 @@ def _segment_flat_crossing(
     return t, (u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1]))
 
 
-def compute_section(vertices: Sequence[Sequence], dim: int) -> PlanarHull:
-    """Exact section of conv(vertices) with the canonical flat H."""
-    verts = [tuple(Fraction(c) for c in v) for v in vertices]
-    if any(len(v) != dim for v in verts):
-        raise ValueError("vertex dimension mismatch")
-    points = [(v[0], v[1]) for v in verts if _on_flat(v)]
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            crossing = _segment_flat_crossing(verts[i], verts[j])
+def _support(v: Sequence) -> tuple[int, ...]:
+    """The off-H support of v: indices of its nonzero coordinates 3..d."""
+    return tuple(k for k, c in enumerate(v[2:], 2) if c)
+
+
+def _flat_crossings(vertices: Sequence[Sequence]):
+    """Unique crossings of H by segments between vertices of one nonempty
+    off-H support; by the support lemma no other segment crosses H except
+    at an endpoint on H.
+
+    Yields (i, j, t, point) in lexicographic (i, j) order, i < j, with the
+    crossing at (1-t) vertices[i] + t vertices[j].
+    """
+    groups = {}
+    for k, v in enumerate(vertices):
+        support = _support(v)
+        if support:
+            groups.setdefault(support, []).append(k)
+    later = [()] * len(vertices)
+    for members in groups.values():
+        for pos, k in enumerate(members):
+            later[k] = members[pos + 1:]
+    for i, partners in enumerate(later):
+        for j in partners:
+            crossing = _segment_flat_crossing(vertices[i], vertices[j])
             if crossing is not None:
-                points.append(crossing[1])
+                yield i, j, *crossing
+
+
+def compute_section(vertices: Sequence[Sequence], dim: int) -> PlanarHull:
+    """Hull of the vertices on H and of the crossings of H by vertex segments.
+
+    Coordinates are Fractions or ints.  The hull lies in the section of
+    conv(vertices) by H and is all of it when no vertex has two nonzero
+    coordinates off H.
+    """
+    if any(len(v) != dim for v in vertices):
+        raise ValueError("vertex dimension mismatch")
+    points = [(Fraction(v[0]), Fraction(v[1])) for v in vertices if _on_flat(v)]
+    points += [point for _, _, _, point in _flat_crossings(vertices)]
     if not points:
         raise EmptySection("the flat does not meet the polytope")
     return PlanarHull.of(points)
 
 
+def _claim_is_section(s: SectionedPolytope) -> bool:
+    """Whether the claimed polygon is the section of conv(s.vertices), by exact LPs.
+
+    Each claimed vertex, placed on H, is a convex combination of the
+    vertices (in_convex_hull); each edge inequality a . x <= b extends to
+    the polytope: mu+ - mu- with a nonnegative slack per vertex solves
+    (mu+ - mu-) . v[2:] + slack_v = b - a . v[:2] (one
+    feasible_nonnegative_solution per edge).
+    """
+    if s.claimed.degenerate:
+        return False
+    gens = distinct_points(s.vertices, s.dim)
+    on_flat = (Fraction(0),) * (s.dim - 2)
+    if not all(in_convex_hull((x, y, *on_flat), gens) for x, y in s.claimed.points):
+        return False
+    matrix = [[*g[2:], *(-c for c in g[2:]), *(Fraction(int(k == m)) for k in range(len(gens)))]
+              for m, g in enumerate(gens)]
+    polygon = s.claimed.polygon()
+    for i in range(polygon.n):
+        (a1, a2), b = polygon.edge_inequality(i)
+        if feasible_nonnegative_solution(matrix, [b - a1 * g[0] - a2 * g[1] for g in gens]) is None:
+            return False
+    return True
+
+
 def verify_section(s: SectionedPolytope) -> bool:
     """Recompute the section and compare with the claim, exactly.
 
+    With at most one nonzero coordinate off H per vertex the claim must
+    equal compute_section; otherwise it is checked by _claim_is_section.
     Sets (and returns) the certificate flag.
     """
-    try:
-        actual = compute_section(s.vertices, s.dim)
-    except EmptySection:
-        s.certified = False
-        return False
-    s.certified = actual == s.claimed
+    if all(len(_support(v)) <= 1 for v in s.vertices):
+        try:
+            s.certified = compute_section(s.vertices, s.dim) == s.claimed
+        except EmptySection:
+            s.certified = False
+    else:
+        s.certified = _claim_is_section(s)
     return s.certified
 
 

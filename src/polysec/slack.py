@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .errors import CertificationFailure, DomainError, NoExtension, NotInPolytope
@@ -31,8 +30,8 @@ from .polygon import Polygon
 from .sections import (
     AmbientPoint,
     SectionedPolytope,
+    _flat_crossings,
     _on_flat,
-    _segment_flat_crossing,
     distinct_points,
     extreme_points,
 )
@@ -88,25 +87,12 @@ class AffineFunctional:
         return self.constant + sum(c * Fraction(v) for c, v in zip(self.coeffs, point))
 
 
-def _facet_inequality(polygon: Polygon, i: int) -> tuple[tuple[Fraction, Fraction], Fraction]:
-    """Outward normal and offset of edge (i, i+1): a . x <= b on the polygon.
-
-    For clockwise labels the outward normal is the edge vector rotated by
-    +90 degrees.
-    """
-    x0, y0 = polygon.affine(i)
-    x1, y1 = polygon.affine(i + 1)
-    a = (-(y1 - y0), x1 - x0)
-    b = a[0] * x0 + a[1] * y0
-    return a, b
-
-
 def slack_matrix(polygon: Polygon) -> SlackMatrix:
     n = polygon.n
     points = polygon.affine_vertices()
     rows = []
     for i in range(n):
-        a, b = _facet_inequality(polygon, i)
+        a, b = polygon.edge_inequality(i)
         rows.append(tuple(b - a[0] * x - a[1] * y for (x, y) in points))
     return SlackMatrix(entries=tuple(rows))
 
@@ -120,7 +106,7 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> AffineFunctiona
     residual interval per coordinate, eliminating in increasing index).
     """
     polygon = s.claimed_polygon()
-    a, b = _facet_inequality(polygon, facet % polygon.n)
+    a, b = polygon.edge_inequality(facet % polygon.n)
     free = s.dim - 2
     planar = [b - a[0] * v[0] - a[1] * v[1] for v in s.vertices]
     if free == 0:
@@ -160,17 +146,16 @@ def _section_columns(gens: Sequence[AmbientPoint]) -> dict[tuple[Fraction, Fract
 
     Generators on H come first (a unit column), then the unique crossings
     of H by segments [gens[i], gens[j]] in lexicographic (i, j) order
-    (weights 1 - t and t); the first entry for a point is kept.
+    (weights 1 - t and t; sections._flat_crossings, which skips the pairs
+    that can only meet H at a generator on H); the first entry for a point
+    is kept.
     """
     columns = {}
     for k, g in enumerate(gens):
         if _on_flat(g):
             columns.setdefault(g[:2], {k: Fraction(1)})
-    for i, j in combinations(range(len(gens)), 2):
-        crossing = _segment_flat_crossing(gens[i], gens[j])
-        if crossing is not None:
-            t, point = crossing
-            columns.setdefault(point, {i: 1 - t, j: t})
+    for i, j, t, point in _flat_crossings(gens):
+        columns.setdefault(point, {i: 1 - t, j: t})
     return columns
 
 
@@ -182,14 +167,16 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     functional of edge (i, i+1) (extend_facet_inequality) evaluated on the
     generators.  Column j of C writes polygon vertex j as a convex
     combination of at most two generators, read off the section
-    (_section_columns): the certified section is the hull of the
-    generators on H and of the crossings of H by generator segments, so
-    each polygon vertex is one of those points.  In the package's
+    (_section_columns): when no vertex has two nonzero coordinates off H,
+    as in every file the package writes, the certified section is the hull
+    of the generators on H and of the crossings of H by generator segments,
+    so each polygon vertex is one of those points.  In the package's
     constructions a crossing polygon vertex lies in the relative interior
     of one edge of the polytope (in a join, of one edge of one block), so
     exactly one generator segment passes through it and the combination is
     unique.  On other input the first segment in lexicographic (i, j) order
-    is taken.  A polygon vertex that is neither raises NotInPolytope.
+    is taken.  A polygon vertex that is neither, which only a section
+    certified by linear programs can have, raises NotInPolytope.
 
     A facet with no nonnegative extension raises NoExtension: every valid
     inequality of the true section extends to the polytope (LP duality),

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polysec import linalg, slack
+from polysec import linalg, sections, slack
+from polysec import polygon as polygon_module
 from polysec.cli import main
 from polysec.heptagon import heptagon_extension
 from polysec.jsonio import dumps, loads, polygon_to_obj, sectioned_from_obj, sectioned_to_obj
@@ -90,6 +91,35 @@ class TestExtendVerify:
         Path(out).write_text(json.dumps(obj))
         assert main(["verify", str(out)]) == 1
         assert capsys.readouterr().out.startswith("FAIL")
+
+    def test_false_claim_in_dimension_four_fails(self, tmp_path, capsys):
+        # the three off-plane vertices average to (5, 5) on H, outside the
+        # claimed square; no segment between two vertices crosses H there
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps(false_square_claim([(5, 5)] * 3, (1, 0), (0, 1))))
+        assert main(["verify", str(ext)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL")
+
+    def test_true_section_in_dimension_four_passes(self, tmp_path, capsys):
+        doc = false_square_claim([(5, 5)] * 3, (1, 0), (0, 1))
+        doc["claimed"]["vertices"] = [["0", "0"], ["1", "0"], ["5", "5"], ["0", "1"]]
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps(doc))
+        assert main(["verify", str(ext)]) == 0
+        assert capsys.readouterr().out == "PASS\n"
+
+    def test_verify_crosses_within_blocks_and_builds_two_hulls(self, tmp_path, capsys, monkeypatch):
+        polygon = random_convex_polygon(random.Random(28), 28)
+        path = write_polygon(tmp_path, "p28.json", polygon.affine_vertices())
+        ext = tmp_path / "p28.ext.json"
+        assert main(["extend", path, "--mode", "join", "--out", str(ext)]) == 0
+        assert loads(capsys.readouterr().out)["vertices"] == 24
+        crossings = count_calls_everywhere(monkeypatch, sections, "_segment_flat_crossing")
+        hulls = count_calls_everywhere(monkeypatch, polygon_module, "convex_hull_2d")
+        assert main(["verify", str(ext)]) == 0
+        # 4 blocks of 6 vertices: 4 * 15 pairs, not 24 * 23 / 2 = 276;
+        # one hull for the claim, one for the section
+        assert len(crossings) <= 60 and len(hulls) == 2
 
     def test_verify_non_list_vertices(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -200,9 +230,12 @@ class TestSlackFactorize:
         ext.write_text(json.dumps(false_square_claim([(5, 5)] * 3, (1, 0), (0, 1))))
         assert main(["factorize", square, str(ext)]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and loads(err)["error"] == "NoExtension"
+        assert err.count("\n") == 1
+        assert loads(err) == {"error": "DomainError",
+                              "message": "extension file fails verification"}
 
     def test_no_search_and_one_product_check(self, heptagon_file, tmp_path, capsys, monkeypatch):
+        # verify and factorize of package files never take the LP path
         polygon = random_convex_polygon(random.Random(28), 28)
         path28 = write_polygon(tmp_path, "p28.json", polygon.affine_vertices())
         runs = [(heptagon_file, "auto"), (path28, "join"), (path28, "3d")]
@@ -213,6 +246,7 @@ class TestSlackFactorize:
         solves = count_calls_everywhere(monkeypatch, linalg, "solve_linear")
         checks = count_calls_everywhere(monkeypatch, slack, "verify_factorization")
         for k, (path, mode) in enumerate(runs):
+            assert main(["verify", str(tmp_path / f"{k}.json")]) == 0
             assert main(["factorize", path, str(tmp_path / f"{k}.json")]) == 0
             assert len(checks) == k + 1
         assert lps == [] and solves == []
@@ -395,13 +429,16 @@ def as_file_bytes(doc_strategy):
     )
 
 
-def assert_clean_exits(argvs) -> None:
+def assert_clean_exits(argvs) -> list:
     """Each command exits 0, 1 or 2; a failure prints one JSON error line
-    (or, for verify of a parsed but false claim, FAIL on stdout)."""
+    (or, for verify of a parsed but false claim, FAIL on stdout).  Returns
+    the exit codes."""
+    codes = []
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        codes.append(code)
         assert code in (0, 1, 2), (argv, err.getvalue())
         if code == 0:
             continue
@@ -410,6 +447,7 @@ def assert_clean_exits(argvs) -> None:
             continue
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and "error" in json.loads(lines[0])
+    return codes
 
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
@@ -437,4 +475,10 @@ class TestMalformedInput:
             square = write_polygon(Path(tmp), "sq.json", UNIT_SQUARE)
             ext_path = Path(tmp) / "ext.json"
             ext_path.write_text(json.dumps(false_square_claim(shadows, u, w)))
-            assert_clean_exits([["verify", str(ext_path)], ["factorize", square, str(ext_path)]])
+            codes = assert_clean_exits([["verify", str(ext_path)],
+                                        ["factorize", square, str(ext_path)]])
+        # the off-plane vertices average to a point on H, which any true
+        # section contains
+        cx, cy = (sum(p[k] for p in shadows) / 3 for k in (0, 1))
+        if codes[0] == 0:
+            assert 0 <= cx <= 1 and 0 <= cy <= 1, (cx, cy)

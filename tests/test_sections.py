@@ -2,14 +2,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import polysec.polygon as polygon_module
 import polysec.sections as sections_module
 from polysec.errors import EmptySection, PullbackUnbounded, ScaleExceeded
 from polysec.linalg import in_convex_hull, solve_linear
-from polysec.polygon import ProjMap2, validate
+from polysec.polygon import ProjMap2, convex_hull_2d, validate
 from polysec.sections import (
     PlanarHull,
     SectionedPolytope,
+    _on_flat,
+    _segment_flat_crossing,
     bounded_pullback,
     compute_section,
     extreme_points,
@@ -17,8 +21,9 @@ from polysec.sections import (
     pullback,
     verify_section,
 )
+from polysec.slack import _section_columns
 
-from conftest import count_calls
+from conftest import count_calls, count_calls_everywhere
 
 TETRA = [(0, 0, -1), (1, 0, -1), (0, 1, -1), (0, 0, 1)]
 TETRA_SECTION = [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]
@@ -80,6 +85,81 @@ class TestComputeSection:
         # invertible block acting on coordinates 3 and 4 only
         mixed = [(x, y, 2 * z + w, z - w) for x, y, z, w in verts]
         assert compute_section(verts, 4) == compute_section(mixed, 4)
+
+
+def all_pairs_crossings(verts):
+    """Every vertex pair, in lexicographic order: the reference enumeration."""
+    for i, j in combinations(range(len(verts)), 2):
+        crossing = _segment_flat_crossing(verts[i], verts[j])
+        if crossing is not None:
+            yield i, j, *crossing
+
+
+def all_pairs_section(verts):
+    """(kind, points, polygon or None) of the hull of the vertices on H and
+    of all pair crossings, the polygon built by validate; None if empty."""
+    points = [v[:2] for v in verts if _on_flat(v)]
+    points += [point for _, _, _, point in all_pairs_crossings(verts)]
+    if not points:
+        return None
+    hull = convex_hull_2d(points)
+    if len(hull) < 3:
+        return ("point", "segment")[len(hull) - 1], tuple(sorted(hull)), None
+    polygon = validate(hull)
+    return "polygon", tuple(polygon.affine_vertices()), polygon
+
+
+def kind_points_polygon(hull):
+    return hull.kind, hull.points, None if hull.degenerate else hull.polygon()
+
+
+def all_pairs_columns(gens):
+    columns = {}
+    for k, g in enumerate(gens):
+        if _on_flat(g):
+            columns.setdefault(g[:2], {k: Fraction(1)})
+    for i, j, t, point in all_pairs_crossings(gens):
+        columns.setdefault(point, {i: 1 - t, j: t})
+    return columns
+
+
+OFF_FLAT = [Fraction(0)] * 4 + [Fraction(c) for c in (1, -1, 2, -2, Fraction(1, 2), -3)]
+
+
+@st.composite
+def vertex_sets(draw):
+    """Dimension 2-6; vertices with zero, one or several nonzero coordinates
+    off H (many on H), some repeated."""
+    dim = draw(st.integers(2, 6))
+    planar = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    vertex = st.tuples(planar, planar, *[st.sampled_from(OFF_FLAT)] * (dim - 2))
+    verts = draw(st.lists(vertex, min_size=1, max_size=9))
+    repeats = draw(st.lists(st.integers(0, 8), max_size=3))
+    return dim, verts + [verts[k % len(verts)] for k in repeats]
+
+
+class TestSupportBuckets:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=vertex_sets())
+    def test_matches_all_pairs_reference(self, case):
+        dim, verts = case
+        expected = all_pairs_section(verts)
+        if expected is None:
+            with pytest.raises(EmptySection):
+                compute_section(verts, dim)
+        else:
+            assert kind_points_polygon(compute_section(verts, dim)) == expected
+        assert _section_columns(verts) == all_pairs_columns(verts)
+
+    def test_pairs_tested_only_within_a_support(self, monkeypatch):
+        # two blocks of three vertices in 4-space, two vertices on H
+        verts = [(0, 0, 1, 0), (1, 0, -1, 0), (0, 1, -2, 0), (5, 5, 0, 0),
+                 (0, 0, 0, 1), (2, 0, 0, -1), (0, 2, 0, -1), (7, 7, 0, 0)]
+        calls = count_calls(monkeypatch, sections_module, "_segment_flat_crossing")
+        hull = compute_section(verts, 4)
+        assert len(calls) == 3 + 3
+        assert kind_points_polygon(hull) == all_pairs_section(verts)
 
 
 class TestVerifySection:
@@ -193,9 +273,11 @@ class TestPlanarHull:
         assert PlanarHull.from_polygon(poly).polygon() == poly
 
     def test_polygon_is_not_revalidated(self, monkeypatch):
+        # one monotone chain builds the polygon; validate would run a second
+        validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
+        hulls = count_calls_everywhere(monkeypatch, polygon_module, "convex_hull_2d")
         hull = PlanarHull.of([(0, 0), (3, 0), (1, 1), (0, 3)])
-        validations = count_calls(monkeypatch, sections_module, "validate")
         assert hull.polygon() is hull.polygon()
+        assert validations == [] and len(hulls) == 1
         assert hull.polygon() == validate([(0, 0), (3, 0), (0, 3)])
         assert hull == PlanarHull.from_polygon(validate([(3, 0), (0, 3), (0, 0)]))
-        assert validations == []

@@ -158,7 +158,7 @@ class TestFactorize:
         # 65 distinct vertices in dimension 5: the square on H and 61 points
         # above it, none of whose segments cross H away from the square
         square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
-        above = [(Fraction(k, 64), Fraction(1, 2), 1, 1, 1) for k in range(61)]
+        above = [(Fraction(k, 64), Fraction(1, 2), 1, 0, 0) for k in range(61)]
         flat = [(x, y, 0, 0, 0) for x, y in square.affine_vertices()]
         ext = certify(SectionedPolytope(5, flat + above, square))
         with pytest.raises(ScaleExceeded, match="65 points in dimension 5"):
