@@ -45,6 +45,7 @@ from .hexagon import (
     hexagon_ic,
     hexagon_normal_form,
 )
+from .linalg import convex_coefficients
 from .polygon import (
     Polygon,
     ProjMap2,
@@ -65,7 +66,6 @@ from .sections import (
 from .slack import (
     SlackFactorization,
     SlackMatrix,
-    convex_coefficients,
     extend_facet_inequality,
     factorize_from_section,
     slack_matrix,

@@ -312,7 +312,8 @@ def build_standard_extension(std: StandardHeptagon, k: Optional[Fraction] = None
 
     Three vertices sit at height -K, the remaining three strictly above the
     plane; the nine segment crossings reproduce the seven vertices plus the
-    two interior points (a, b+lam) and (c+mu, d).
+    two interior points (a, b+lam) and (c+mu, d).  The result is not
+    certified; heptagon_extension certifies the pulled-back polytope.
     """
     a, b, c, d, lam, mu = std.a, std.b, std.c, std.d, std.lam, std.mu
     k = default_extension_k(std) if k is None else Fraction(k)
@@ -328,7 +329,7 @@ def build_standard_extension(std: StandardHeptagon, k: Optional[Fraction] = None
         (a * (1 + k) / s_lam, b * (1 + k) / s_lam, lam * k / s_lam),
         (c * (1 + k) / s_mu, d * (1 + k) / s_mu, mu * k / s_mu),
     ]
-    return certify(SectionedPolytope(3, vertices, std.polygon()))
+    return SectionedPolytope(3, vertices, std.polygon())
 
 
 def heptagon_extension(polygon: Polygon) -> SectionedPolytope:
@@ -341,8 +342,6 @@ def heptagon_extension(polygon: Polygon) -> SectionedPolytope:
     _require_heptagon(polygon)
     std, total = standardize(polygon)
     result = bounded_pullback(build_standard_extension(std), total.inverse())
-    if not result.certified:
-        raise CertificationFailure(f"pullback lost the section certificate: {result!r}")
     if result.claimed_polygon() != polygon:
         raise CertificationFailure("pulled-back section does not match the input heptagon")
-    return result
+    return certify(result)

@@ -133,7 +133,7 @@ def hexagon_normal_form(polygon: Polygon, r: int) -> HexNormalForm:
         raise NoConcurrency(f"no concurrency for pairing {r}")
     if c.is_finite:
         vertices = [polygon.affine(k) for k in range(6)]
-        return _normal_form_finite(vertices, c.dehomogenize(), r, ProjMap2.identity())
+        return _read_normal_form(vertices, c.dehomogenize(), r, ProjMap2.identity())
     to_finite = _finite_reduction_map(polygon, c)
     vertices = []
     for k in range(6):
@@ -143,7 +143,7 @@ def hexagon_normal_form(polygon: Polygon, r: int) -> HexNormalForm:
     if raw_c[2] == 0:
         raise NormalFormConstraintViolated("concurrency point stayed at infinity")
     c_img = (Fraction(raw_c[0], raw_c[2]), Fraction(raw_c[1], raw_c[2]))
-    return _normal_form_finite(vertices, c_img, r, to_finite)
+    return _read_normal_form(vertices, c_img, r, to_finite)
 
 
 def _finite_reduction_map(polygon: Polygon, c: ProjPoint) -> ProjMap2:
@@ -166,36 +166,28 @@ def _tri(p, q, s) -> Fraction:
     return (q[0] - p[0]) * (s[1] - p[1]) - (q[1] - p[1]) * (s[0] - p[0])
 
 
-def _normal_form_finite(
-    vertices: list[tuple[Fraction, Fraction]],
-    c: tuple[Fraction, Fraction],
-    r: int,
-    pre_map: ProjMap2,
-) -> HexNormalForm:
-    # Valid witnesses come in two orientations: the concurrency point sits
-    # beyond either end of the diagonal, so the three anchors are assigned
-    # either label-preserving or label-reversing.  Pick by orientation, keep
-    # the other assignment as a certified fallback.
-    source_cw = _tri(vertices[0], vertices[1], vertices[2]) < 0
-    direct_first = (_tri(c, vertices[(r + 3) % 6], vertices[(r + 5) % 6]) > 0) == source_cw
-    last_error = None
-    for direct in ((True, False) if direct_first else (False, True)):
-        try:
-            return _read_normal_form(vertices, c, r, pre_map, direct)
-        except NormalFormConstraintViolated as exc:
-            last_error = exc
-    raise NormalFormConstraintViolated(
-        f"neither anchor assignment standardizes pairing {r}: {last_error}"
-    )
-
-
 def _read_normal_form(
     vertices: list[tuple[Fraction, Fraction]],
     c: tuple[Fraction, Fraction],
     r: int,
     pre_map: ProjMap2,
-    direct: bool,
 ) -> HexNormalForm:
+    """Read the normal form with the one anchor assignment the orientation allows.
+
+    The edge lines (p_r, p_{r+5}) and (p_{r+2}, p_{r+3}) meet at c outside
+    the hexagon, and each line through c meets it in a near and a far
+    vertex.  The near chain p_{r+3}, p_{r+4}, p_{r+5} gives the direct
+    assignment (c, p_{r+3}, p_{r+5} to (0,0), (1,0), (0,1)); the near chain
+    p_r, p_{r+1}, p_{r+2} the mirror one (c, p_{r+2}, p_r).  In either
+    normal form the triple (c, p_{r+3}, p_{r+5}) is counterclockwise, while
+    the label order p_r..p_{r+5} is clockwise in the direct one and runs
+    backwards in the mirrored one.  An affine map keeps or reverses all
+    orientations at once, so the direct assignment is the right one exactly
+    when, on the input, that triple turns against the label order.  A
+    failed read is an internal failure (NormalFormConstraintViolated).
+    """
+    source_cw = _tri(vertices[0], vertices[1], vertices[2]) < 0
+    direct = (_tri(c, vertices[(r + 3) % 6], vertices[(r + 5) % 6]) > 0) == source_cw
     if direct:
         anchors = (c, vertices[(r + 3) % 6], vertices[(r + 5) % 6])
         order = [(r + j) % 6 for j in range(6)]
@@ -234,7 +226,7 @@ def default_bipyramid_k(nf: HexNormalForm) -> Fraction:
 
 
 def build_bipyramid(nf: HexNormalForm, k: Fraction) -> SectionedPolytope:
-    """The 5-vertex bipyramid over the normal-form hexagon, certified."""
+    """The 5-vertex bipyramid over the normal-form hexagon, not certified."""
     alpha, beta, gamma, x, y = nf.alpha, nf.beta, nf.gamma, nf.x, nf.y
     if not k > max(alpha, beta, gamma):
         raise BadK(f"need K > max(alpha, beta, gamma), got {k}")
@@ -246,7 +238,7 @@ def build_bipyramid(nf: HexNormalForm, k: Fraction) -> SectionedPolytope:
          k * (beta - 1) / (k - beta)),
         (Fraction(0), (k - 1) * alpha / (k - alpha), k * (alpha - 1) / (k - alpha)),
     ]
-    return certify(SectionedPolytope(3, vertices, validate(normal_form_vertices(nf))))
+    return SectionedPolytope(3, vertices, validate(normal_form_vertices(nf)))
 
 
 def hexagon_extension5(polygon: Polygon) -> SectionedPolytope:
@@ -255,8 +247,7 @@ def hexagon_extension5(polygon: Polygon) -> SectionedPolytope:
     if decision.ic == 6:
         raise ComplexitySix("this hexagon is not a section of any 5-vertex polytope")
     nf = hexagon_normal_form(polygon, decision.witness)
-    ext = build_bipyramid(nf, default_bipyramid_k(nf))
-    result = bounded_pullback(ext, nf.map.inverse())
-    if not result.certified or result.claimed_polygon() != polygon:
+    result = bounded_pullback(build_bipyramid(nf, default_bipyramid_k(nf)), nf.map.inverse())
+    if result.claimed_polygon() != polygon:
         raise NormalFormConstraintViolated("pulled-back bipyramid lost its section")
-    return result
+    return certify(result)

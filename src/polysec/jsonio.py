@@ -96,7 +96,7 @@ def sectioned_from_obj(obj) -> SectionedPolytope:
         claimed = PlanarHull.from_polygon(validate(pairs))
     else:
         claimed = PlanarHull.of(pairs)
-    return SectionedPolytope(dim, vertices, claimed, certified=bool(obj.get("certified")))
+    return SectionedPolytope(dim, vertices, claimed)
 
 
 def matrix_to_obj(matrix: Sequence[Sequence[Fraction]]) -> dict:

@@ -136,15 +136,23 @@ def feasible_nonnegative_solution(
     return x
 
 
-def in_convex_hull(point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact test whether point is a convex combination of the generators."""
-    if not generators:
-        return False
-    d = len(point)
-    matrix = [[Fraction(g[k]) for g in generators] for k in range(d)]
+def convex_coefficients(
+    point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
+) -> Optional[Row]:
+    """Nonnegative weights summing to 1 with sum(w_k g_k) = point exactly,
+    or None when the point is not in the convex hull of the generators.
+
+    One feasible_nonnegative_solution, deterministic under Bland's rule.
+    """
+    matrix = [[Fraction(g[k]) for g in generators] for k in range(len(point))]
     matrix.append([Fraction(1)] * len(generators))
     rhs = [Fraction(v) for v in point] + [Fraction(1)]
-    return feasible_nonnegative_solution(matrix, rhs) is not None
+    return feasible_nonnegative_solution(matrix, rhs)
+
+
+def in_convex_hull(point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
+    """Exact test whether point is a convex combination of the generators."""
+    return convex_coefficients(point, generators) is not None
 
 
 Constraint = tuple[list[Fraction], Fraction]  # coeffs . x >= rhs

@@ -22,12 +22,16 @@ vertices on the plane and its edge crossings, so that point is in the hull
 of the block's crossings.  verify_section compares this hull with the claim
 vertex for vertex.
 
-Any other vertex set is certified by exact linear programs (linalg): each
-claimed vertex, placed on H, lies in P, so the claim lies in the section;
-and each edge inequality a . x <= b of the claim extends to P, that is some
-mu has b - a . v[:2] - mu . v[2:] >= 0 at every vertex v, so the section
+Any other vertex set is certified by exact linear programs: each claimed
+vertex, placed on H, is a convex combination of the vertices
+(linalg.convex_coefficients), so the claim lies in the section; and each
+edge inequality of the claim extends to P (edge_extension), so the section
 lies in the claim.  By LP duality both hold when the claim is the section.
-A point or segment claim fails on this path.
+A point or segment claim fails on this path.  slack factorizes such files
+through the same two programs.
+
+Only verify_section sets the certificate flag; pullback, shear_fixing_flat
+and bounded_pullback return uncertified polytopes.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .errors import (
     PullbackUnbounded,
     ScaleExceeded,
 )
-from .linalg import feasible_nonnegative_solution, in_convex_hull
+from .linalg import convex_coefficients, feasible_nonnegative_solution, in_convex_hull
 from .polygon import Polygon, ProjMap2, apply_map, convex_hull_2d
 
 AmbientPoint = tuple[Fraction, ...]
@@ -54,6 +58,7 @@ __all__ = [
     "compute_section",
     "verify_section",
     "certify",
+    "edge_extension",
     "shear_fixing_flat",
     "bounded_pullback",
     "distinct_points",
@@ -116,7 +121,7 @@ class SectionedPolytope:
 
     __slots__ = ("dim", "vertices", "claimed", "certified")
 
-    def __init__(self, dim: int, vertices: Sequence[Sequence], claimed, certified: bool = False):
+    def __init__(self, dim: int, vertices: Sequence[Sequence], claimed):
         if dim < 2:
             raise ValueError("ambient dimension must be at least 2")
         self.dim = dim
@@ -128,7 +133,7 @@ class SectionedPolytope:
             verts.append(v)
         self.vertices = tuple(verts)
         self.claimed = _coerce_hull(claimed)
-        self.certified = certified
+        self.certified = False
 
     def claimed_polygon(self) -> Polygon:
         return self.claimed.polygon()
@@ -174,6 +179,11 @@ def _support(v: Sequence) -> tuple[int, ...]:
     return tuple(k for k, c in enumerate(v[2:], 2) if c)
 
 
+def _single_supports(vertices: Sequence[Sequence]) -> bool:
+    """Whether no vertex has two nonzero coordinates off H (module docstring)."""
+    return all(len(_support(v)) <= 1 for v in vertices)
+
+
 def _flat_crossings(vertices: Sequence[Sequence]):
     """Unique crossings of H by segments between vertices of one nonempty
     off-H support; by the support lemma no other segment crosses H except
@@ -214,29 +224,39 @@ def compute_section(vertices: Sequence[Sequence], dim: int) -> PlanarHull:
     return PlanarHull.of(points)
 
 
+def edge_extension(polygon: Polygon, i: int, gens: Sequence[AmbientPoint]) -> Optional[list[Fraction]]:
+    """Extend the inequality a . x <= b of edge (i, i+1) to conv(gens).
+
+    Returns c with b - a . g[:2] + c . g[2:] >= 0 at every generator g, or
+    None when there is none: one exact LP (feasible_nonnegative_solution)
+    in mu+, mu- and a slack per generator,
+    (mu+ - mu-) . g[2:] + slack_g = b - a . g[:2], with c = mu- - mu+.
+    """
+    (a1, a2), b = polygon.edge_inequality(i)
+    matrix = [[*g[2:], *(-c for c in g[2:]), *(Fraction(int(k == m)) for k in range(len(gens)))]
+              for m, g in enumerate(gens)]
+    x = feasible_nonnegative_solution(matrix, [b - a1 * g[0] - a2 * g[1] for g in gens])
+    if x is None:
+        return None
+    free = len(gens[0]) - 2
+    return [q - p for p, q in zip(x[:free], x[free:2 * free])]
+
+
 def _claim_is_section(s: SectionedPolytope) -> bool:
     """Whether the claimed polygon is the section of conv(s.vertices), by exact LPs.
 
     Each claimed vertex, placed on H, is a convex combination of the
-    vertices (in_convex_hull); each edge inequality a . x <= b extends to
-    the polytope: mu+ - mu- with a nonnegative slack per vertex solves
-    (mu+ - mu-) . v[2:] + slack_v = b - a . v[:2] (one
-    feasible_nonnegative_solution per edge).
+    distinct vertices (convex_coefficients), and each edge inequality
+    extends to the polytope (edge_extension).
     """
     if s.claimed.degenerate:
         return False
     gens = distinct_points(s.vertices, s.dim)
     on_flat = (Fraction(0),) * (s.dim - 2)
-    if not all(in_convex_hull((x, y, *on_flat), gens) for x, y in s.claimed.points):
-        return False
-    matrix = [[*g[2:], *(-c for c in g[2:]), *(Fraction(int(k == m)) for k in range(len(gens)))]
-              for m, g in enumerate(gens)]
     polygon = s.claimed.polygon()
-    for i in range(polygon.n):
-        (a1, a2), b = polygon.edge_inequality(i)
-        if feasible_nonnegative_solution(matrix, [b - a1 * g[0] - a2 * g[1] for g in gens]) is None:
-            return False
-    return True
+    return (all(convex_coefficients((x, y, *on_flat), gens) is not None
+                for x, y in s.claimed.points)
+            and all(edge_extension(polygon, i, gens) is not None for i in range(polygon.n)))
 
 
 def verify_section(s: SectionedPolytope) -> bool:
@@ -246,7 +266,7 @@ def verify_section(s: SectionedPolytope) -> bool:
     equal compute_section; otherwise it is checked by _claim_is_section.
     Sets (and returns) the certificate flag.
     """
-    if all(len(_support(v)) <= 1 for v in s.vertices):
+    if _single_supports(s.vertices):
         try:
             s.certified = compute_section(s.vertices, s.dim) == s.claimed
         except EmptySection:
@@ -257,7 +277,7 @@ def verify_section(s: SectionedPolytope) -> bool:
 
 
 def certify(s: SectionedPolytope) -> SectionedPolytope:
-    """verify_section, raising on failure.  Used by the construction pipelines."""
+    """verify_section, raising on failure.  Each construction pipeline ends in one call."""
     if not verify_section(s):
         raise CertificationFailure(
             f"section certificate failed for {s!r}; vertices={s.vertices!r}, "
@@ -327,8 +347,8 @@ def pullback(s: SectionedPolytope, planar: ProjMap2) -> SectionedPolytope:
 
     Every vertex must land at a finite point with a consistent homogeneous
     sign, otherwise the image is unbounded and PullbackUnbounded is raised.
-    The claimed section is mapped alongside and the certificate is
-    recomputed.
+    The claimed section is mapped alongside (the lift carries H to itself);
+    the result is not certified.
     """
     tau = lift_projective(planar, s.dim)
     images = [tau.apply_raw(v) for v in s.vertices]
@@ -339,24 +359,20 @@ def pullback(s: SectionedPolytope, planar: ProjMap2) -> SectionedPolytope:
         raise PullbackUnbounded("vertices map to both sides of the horizon")
     new_vertices = [tuple(c / img[-1] for c in img[:-1]) for img in images]
     new_claimed = PlanarHull.from_polygon(apply_map(s.claimed_polygon(), planar))
-    out = SectionedPolytope(s.dim, new_vertices, new_claimed, certified=False)
-    verify_section(out)
-    return out
+    return SectionedPolytope(s.dim, new_vertices, new_claimed)
 
 
 def shear_fixing_flat(s: SectionedPolytope, u: tuple[Fraction, Fraction]) -> SectionedPolytope:
     """Apply the affine shear (x, y, z) -> (x + u1 z, y + u2 z, z).
 
-    The shear fixes H pointwise, so the section and its certificate carry
-    over unchanged; the vertex set is replaced by its image.
+    The shear fixes H pointwise, so the section carries over unchanged; the
+    vertex set is replaced by its image.  The result is not certified.
     """
     if s.dim != 3:
         raise ValueError("shear is only defined for 3-dimensional extensions")
     u1, u2 = Fraction(u[0]), Fraction(u[1])
     vertices = [(v[0] + u1 * v[2], v[1] + u2 * v[2], v[2]) for v in s.vertices]
-    out = SectionedPolytope(3, vertices, s.claimed, certified=False)
-    verify_section(out)
-    return out
+    return SectionedPolytope(3, vertices, s.claimed)
 
 
 def _shear_slope_interval(vertices, horizon) -> Optional[tuple]:
@@ -406,7 +422,7 @@ def bounded_pullback(s: SectionedPolytope, planar: ProjMap2) -> SectionedPolytop
     missing the polygon lifts to a plane through l missing P; that plane is
     not H, which meets P.  The feasible slope interval is therefore never
     empty.  PullbackUnbounded, should it still be raised, is an internal
-    failure.
+    failure.  Like pullback, it returns an uncertified polytope.
     """
     if s.dim != 3:
         return pullback(s, planar)

@@ -1,18 +1,19 @@
 """Polygon slack matrices and exact nonnegative factorizations.
 
-A certified section gives a nonnegative factorization S = R * C of the
-polygon's slack matrix (Yannakakis 1991), with one inner index per distinct
-polytope vertex:
+A polytope whose section by H is the polygon gives a nonnegative
+factorization S = R * C of the polygon's slack matrix (Yannakakis 1991),
+with one inner index per distinct polytope vertex.  The factorization is
+also the proof that the claimed polygon is the section, in any dimension:
 
 - R (row factor): each facet inequality of the polygon extends, through
-  free coefficients on coordinates 3..d chosen by Fourier-Motzkin, to an
-  affine functional that is nonnegative on the whole polytope; row i holds
-  that functional's values at the polytope vertices.
-- C (column factor): each polygon vertex is a point the certified section
-  was computed from, either a polytope vertex on H or the crossing of H by
-  the segment between two polytope vertices.  Its column holds the weight
-  1, or the weights 1 - t and t of that segment, read off the crossing
-  with no search and no linear program.
+  free coefficients on coordinates 3..d, to an affine functional that is
+  nonnegative at every polytope vertex; on H it is the facet's slack, so
+  the section lies in the polygon.  Row i holds its vertex values.
+- C (column factor): each polygon vertex is an exact convex combination
+  of polytope vertices that lands on H, so the polygon lies in the
+  section.  When no vertex has two nonzero coordinates off H it is a
+  vertex on H or the crossing of H by a vertex segment, read off with no
+  search; otherwise one linear program gives it.
 
 The product is checked exactly, once, summing only over the nonzero
 entries of each column of C.
@@ -25,15 +26,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CertificationFailure, DomainError, NoExtension, NotInPolytope
-from .linalg import feasible_nonnegative_solution, fourier_motzkin_point, rank
+from .linalg import convex_coefficients, fourier_motzkin_point, rank
 from .polygon import Polygon
 from .sections import (
     AmbientPoint,
     SectionedPolytope,
     _flat_crossings,
     _on_flat,
+    _single_supports,
     distinct_points,
-    extreme_points,
+    edge_extension,
 )
 
 __all__ = [
@@ -42,7 +44,6 @@ __all__ = [
     "AffineFunctional",
     "slack_matrix",
     "extend_facet_inequality",
-    "convex_coefficients",
     "factorize_from_section",
     "verify_factorization",
 ]
@@ -101,43 +102,24 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> AffineFunctiona
     """Extend facet slack of the claimed polygon to all of the polytope.
 
     The planar slack b - a.x already vanishes appropriately on H; the free
-    coefficients on coordinates 3..d are chosen by Fourier-Motzkin so the
-    functional is nonnegative at every polytope vertex (midpoint of the
-    residual interval per coordinate, eliminating in increasing index).
+    coefficients on coordinates 3..d make the functional nonnegative at
+    every polytope vertex.  When no vertex has two nonzero coordinates off H
+    they are chosen by Fourier-Motzkin (midpoint of the residual interval
+    per coordinate, eliminating in increasing index), otherwise by the edge
+    LP over the distinct vertices (sections.edge_extension).  NoExtension
+    when there are none.
     """
     polygon = s.claimed_polygon()
-    a, b = polygon.edge_inequality(facet % polygon.n)
-    free = s.dim - 2
-    planar = [b - a[0] * v[0] - a[1] * v[1] for v in s.vertices]
-    if free == 0:
-        if any(val < 0 for val in planar):
-            raise NoExtension(f"facet {facet} slack is negative on a vertex")
-        return AffineFunctional(constant=b, coeffs=(-a[0], -a[1]))
-    constraints = []
-    for v, val in zip(s.vertices, planar):
-        constraints.append(([Fraction(c) for c in v[2:]], -val))
-    point = fourier_motzkin_point(constraints, free)
-    if point is None:
+    facet %= polygon.n
+    a, b = polygon.edge_inequality(facet)
+    if _single_supports(s.vertices):
+        constraints = [(v[2:], a[0] * v[0] + a[1] * v[1] - b) for v in s.vertices]
+        tail = fourier_motzkin_point(constraints, s.dim - 2)
+    else:
+        tail = edge_extension(polygon, facet, distinct_points(s.vertices, s.dim))
+    if tail is None:
         raise NoExtension(f"no nonnegative extension for facet {facet}")
-    return AffineFunctional(constant=b, coeffs=(-a[0], -a[1], *point))
-
-
-def convex_coefficients(point: Sequence[Fraction], s: SectionedPolytope) -> tuple[Fraction, ...]:
-    """Convex weights over the extreme points of s that reproduce the point.
-
-    One exact feasibility LP (feasible_nonnegative_solution, deterministic
-    under Bland's rule) over extreme_points(s.vertices); NotInPolytope when
-    the point lies outside the polytope.
-    """
-    target = tuple(Fraction(c) for c in point)
-    if len(target) != s.dim:
-        raise DomainError(f"point {target} is not in dimension {s.dim}")
-    gens = extreme_points(s.vertices, s.dim)
-    matrix = [[g[k] for g in gens] for k in range(s.dim)] + [[Fraction(1)] * len(gens)]
-    weights = feasible_nonnegative_solution(matrix, [*target, Fraction(1)])
-    if weights is None:
-        raise NotInPolytope(f"{target} is not in the polytope")
-    return tuple(weights)
+    return AffineFunctional(constant=b, coeffs=(-a[0], -a[1], *tail))
 
 
 def _section_columns(gens: Sequence[AmbientPoint]) -> dict[tuple[Fraction, Fraction], dict]:
@@ -160,31 +142,33 @@ def _section_columns(gens: Sequence[AmbientPoint]) -> dict[tuple[Fraction, Fract
 
 
 def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFactorization:
-    """Nonnegative factorization of the slack matrix through a certified section.
+    """Nonnegative factorization of the slack matrix through the section of s.
+
+    s need not be certified: the factorization is the proof.  Every R entry
+    is the value at a vertex of a functional that is nonnegative at every
+    vertex, and every C column is an exact convex combination of vertices
+    that lands on H; together they prove that the polygon is the section of
+    conv(s.vertices), in any dimension (module docstring).
 
     The generators are the distinct vertices of s in file order, so the
     inner dimension is their count.  Row i of R is the extended facet
     functional of edge (i, i+1) (extend_facet_inequality) evaluated on the
-    generators.  Column j of C writes polygon vertex j as a convex
-    combination of at most two generators, read off the section
-    (_section_columns): when no vertex has two nonzero coordinates off H,
-    as in every file the package writes, the certified section is the hull
-    of the generators on H and of the crossings of H by generator segments,
-    so each polygon vertex is one of those points.  In the package's
-    constructions a crossing polygon vertex lies in the relative interior
-    of one edge of the polytope (in a join, of one edge of one block), so
-    exactly one generator segment passes through it and the combination is
-    unique.  On other input the first segment in lexicographic (i, j) order
-    is taken.  A polygon vertex that is neither, which only a section
-    certified by linear programs can have, raises NotInPolytope.
+    generators.  Column j of C is read off the section when polygon vertex
+    j is a generator on H or a crossing of H by a generator segment
+    (_section_columns), which covers every vertex of a true claim when no
+    vertex has two nonzero coordinates off H, as in every file the package
+    writes.  In the package's constructions a crossing polygon vertex lies
+    in the relative interior of one edge of the polytope (in a join, of one
+    edge of one block), so exactly one generator segment passes through it
+    and the combination is unique.  On other input the first segment in
+    lexicographic (i, j) order is taken, and any other vertex gets its
+    weights from one exact LP (linalg.convex_coefficients).
 
-    A facet with no nonnegative extension raises NoExtension: every valid
-    inequality of the true section extends to the polytope (LP duality),
-    so the claimed section is false.  The product R * C is checked against
-    the slack matrix once; a mismatch is a CertificationFailure.
+    A claim that is not the section fails: a facet with no nonnegative
+    extension raises NoExtension, a vertex outside the polytope
+    NotInPolytope.  The product R * C is checked against the slack matrix
+    once; a mismatch is a CertificationFailure.
     """
-    if not s.certified:
-        raise DomainError("the extension must carry a verified certificate")
     if s.claimed_polygon() != polygon:
         raise DomainError("the extension's section is not this polygon")
     n = polygon.n
@@ -192,10 +176,14 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     functionals = [extend_facet_inequality(i, s) for i in range(n)]
     r_rows = tuple(tuple(f(q) for q in gens) for f in functionals)
     columns = _section_columns(gens)
+    on_flat = (Fraction(0),) * (s.dim - 2)
     c_cols = []
     for vertex in polygon.affine_vertices():
         if vertex not in columns:
-            raise NotInPolytope(f"{vertex} is no vertex on H or crossing of H by the polytope")
+            weights = convex_coefficients((*vertex, *on_flat), gens)
+            if weights is None:
+                raise NotInPolytope(f"{vertex} is not in the polytope")
+            columns[vertex] = dict(enumerate(weights))
         c_cols.append(columns[vertex])
     zero = Fraction(0)
     c_rows = tuple(tuple(col.get(k, zero) for col in c_cols) for k in range(len(gens)))

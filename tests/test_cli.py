@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -18,7 +19,7 @@ from polysec import polygon as polygon_module
 from polysec.cli import main
 from polysec.heptagon import heptagon_extension
 from polysec.jsonio import dumps, loads, polygon_to_obj, sectioned_from_obj, sectioned_to_obj
-from polysec.polygon import validate
+from polysec.polygon import convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon, random_hexagon_params
 
 from conftest import SIX_CROSSING_HEPTAGON, SIX_VERTEX_HEXAGON, count_calls_everywhere
@@ -120,6 +121,12 @@ class TestExtendVerify:
         # 4 blocks of 6 vertices: 4 * 15 pairs, not 24 * 23 / 2 = 276;
         # one hull for the claim, one for the section
         assert len(crossings) <= 60 and len(hulls) == 2
+
+    def test_file_flag_is_not_trusted(self):
+        # only verify_section sets the flag; the writer still records it
+        s = sectioned_from_obj(false_square_claim([(5, 5)] * 3, (1, 0), (0, 1)))
+        assert not s.certified and sectioned_to_obj(s)["certified"] is False
+        assert sectioned_from_obj(VALID_EXTENSION).certified is False
 
     def test_verify_non_list_vertices(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -234,8 +241,41 @@ class TestSlackFactorize:
         assert loads(err) == {"error": "DomainError",
                               "message": "extension file fails verification"}
 
+    def test_true_section_off_the_crossings_factorizes(self, tmp_path, capsys):
+        # (5, 5) is the centroid of the three off-plane vertices, no crossing
+        # of H by a segment between two vertices: its column comes from an LP
+        kite = [(0, 0), (1, 0), (5, 5), (0, 1)]
+        doc = false_square_claim([(5, 5)] * 3, (1, 0), (0, 1))
+        doc["claimed"]["vertices"] = [[str(x), str(y)] for x, y in kite]
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps(doc))
+        assert main(["factorize", write_polygon(tmp_path, "kite.json", kite), str(ext)]) == 0
+        bundle = loads(capsys.readouterr().out)
+        assert bundle["r"] == 7 and bundle["C"]["shape"] == [7, 4]
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    def test_sign_pattern_files_factorize_without_fourier_motzkin(self, dim, tmp_path, capsys,
+                                                                    monkeypatch):
+        # the unit square times {-1, 1}^(dim - 2): every vertex has dim - 2
+        # nonzero coordinates off H, where Fourier-Motzkin blows up
+        def refuse(*args):
+            raise AssertionError("Fourier-Motzkin on a multi-coordinate support")
+
+        monkeypatch.setattr(linalg, "fourier_motzkin_point", refuse)
+        monkeypatch.setattr(slack, "fourier_motzkin_point", refuse)
+        signs = itertools.product(("1", "-1"), repeat=dim - 2)
+        vertices = [[str(x), str(y), *tail] for tail in signs for x, y in UNIT_SQUARE]
+        square = [[str(x), str(y)] for x, y in UNIT_SQUARE]
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps({"dim": dim, "vertices": vertices, "claimed": {"vertices": square}}))
+        assert main(["verify", str(ext)]) == 0
+        assert main(["factorize", write_polygon(tmp_path, "sq.json", UNIT_SQUARE), str(ext)]) == 0
+        bundle = loads(capsys.readouterr().out.splitlines()[-1])
+        assert bundle["r"] == 2 ** dim
+
     def test_no_search_and_one_product_check(self, heptagon_file, tmp_path, capsys, monkeypatch):
-        # verify and factorize of package files never take the LP path
+        # verify and factorize of package files never take the LP path, and
+        # factorize does not verify: its factorization is the check
         polygon = random_convex_polygon(random.Random(28), 28)
         path28 = write_polygon(tmp_path, "p28.json", polygon.affine_vertices())
         runs = [(heptagon_file, "auto"), (path28, "join"), (path28, "3d")]
@@ -245,10 +285,11 @@ class TestSlackFactorize:
         lps = count_calls_everywhere(monkeypatch, linalg, "feasible_nonnegative_solution")
         solves = count_calls_everywhere(monkeypatch, linalg, "solve_linear")
         checks = count_calls_everywhere(monkeypatch, slack, "verify_factorization")
+        verifies = count_calls_everywhere(monkeypatch, sections, "verify_section")
         for k, (path, mode) in enumerate(runs):
             assert main(["verify", str(tmp_path / f"{k}.json")]) == 0
             assert main(["factorize", path, str(tmp_path / f"{k}.json")]) == 0
-            assert len(checks) == k + 1
+            assert len(checks) == len(verifies) == k + 1
         assert lps == [] and solves == []
 
     def test_factorize_output_unchanged(self, tmp_path, capsys):
@@ -469,16 +510,22 @@ class TestMalformedInput:
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(shadows=st.lists(st.tuples(small_rationals, small_rationals), min_size=3, max_size=3),
-           u=small_vectors, w=small_vectors)
-    def test_well_formed_false_claims(self, shadows, u, w):
-        with tempfile.TemporaryDirectory() as tmp:
-            square = write_polygon(Path(tmp), "sq.json", UNIT_SQUARE)
-            ext_path = Path(tmp) / "ext.json"
-            ext_path.write_text(json.dumps(false_square_claim(shadows, u, w)))
-            codes = assert_clean_exits([["verify", str(ext_path)],
-                                        ["factorize", square, str(ext_path)]])
+           u=small_vectors, w=small_vectors, with_centroid=st.booleans())
+    def test_well_formed_false_claims(self, shadows, u, w, with_centroid):
         # the off-plane vertices average to a point on H, which any true
-        # section contains
+        # section contains; claiming the hull of the square and that point
+        # makes true claims whose extra vertex is no pairwise crossing
         cx, cy = (sum(p[k] for p in shadows) / 3 for k in (0, 1))
-        if codes[0] == 0:
+        claim = convex_hull_2d(UNIT_SQUARE + ([(cx, cy)] if with_centroid else []))
+        doc = false_square_claim(shadows, u, w)
+        doc["claimed"]["vertices"] = [[str(x), str(y)] for x, y in claim]
+        with tempfile.TemporaryDirectory() as tmp:
+            polygon = write_polygon(Path(tmp), "claim.json", claim)
+            ext_path = Path(tmp) / "ext.json"
+            ext_path.write_text(json.dumps(doc))
+            codes = assert_clean_exits([["verify", str(ext_path)],
+                                        ["factorize", polygon, str(ext_path)]])
+        if codes[0] == 0 and not with_centroid:
             assert 0 <= cx <= 1 and 0 <= cy <= 1, (cx, cy)
+        # a file verify passes factorizes, and one it fails does not
+        assert (codes[1] == 0) == (codes[0] == 0), codes

@@ -78,12 +78,12 @@ class TestNgon3d:
             assert ext.certified and len(ext.vertices) <= 9
 
     def test_certifies_once(self, rng, monkeypatch):
-        # heptagon core: standard extension, optional shear, pullback; then the result
+        # once for the heptagon core, once for the result
         sections = count_calls(monkeypatch, sections_module, "compute_section")
         polygon = random_convex_polygon(rng, 28)
         ext = ngon_3d_extension(polygon)
         assert ext.certified and len(ext.vertices) <= 27
-        assert len(sections) <= 4
+        assert len(sections) == 2
 
     def test_small_n_rejected(self, rng):
         with pytest.raises(DomainError):
@@ -138,7 +138,7 @@ class TestConvexJoin:
 
     def test_requires_certificates(self, rng):
         s = heptagon_extension(random_convex_polygon(rng, 7))
-        stale = SectionedPolytope(s.dim, s.vertices, s.claimed, certified=False)
+        stale = SectionedPolytope(s.dim, s.vertices, s.claimed)
         with pytest.raises(IncompatibleSections):
             convex_join_sections(s, stale)
 

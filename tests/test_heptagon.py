@@ -22,7 +22,7 @@ from polysec.heptagon import (
 )
 from polysec.polygon import Polygon, apply_map, map_line_to_infinity, validate
 from polysec.randgen import random_convex_polygon
-from polysec.sections import compute_section, extreme_points
+from polysec.sections import compute_section, extreme_points, verify_section
 
 from conftest import PUBLISHED_TO_CANONICAL_SHIFT, SIX_CROSSING_HEPTAGON, count_calls
 
@@ -283,7 +283,7 @@ class TestBuildStandardExtension:
             (Fraction(-3, 11), Fraction(6, 11), Fraction(2, 11)),
         ]
         assert list(ext.vertices) == expected
-        assert ext.certified
+        assert verify_section(ext)
 
     def test_three_below_three_above(self):
         ext = build_standard_extension(standard_heptagon())
@@ -336,9 +336,11 @@ class TestHeptagonExtension:
     def test_shear_forcing_maps_build_once(self, monkeypatch):
         # A horizon just beyond the heptagon separates it from the shadows of
         # the far base vertices (1+K, 0, -K), (0, 1+K, -K), so the unsheared
-        # lift of the inverse map is unbounded: one build plus one shear.
+        # lift of the inverse map is unbounded: one build plus one shear, and
+        # one section computed, for the result.
         builds = count_calls(monkeypatch, heptagon_module, "build_standard_extension")
         shears = count_calls(monkeypatch, sections_module, "shear_fixing_flat")
+        sections = count_calls(monkeypatch, sections_module, "compute_section")
         base = standard_heptagon().polygon()
         for u1, u2 in ((1, 0), (0, 1), (1, 1), (2, 1), (1, -1)):
             reach = max(u1 * x + u2 * y for x, y in base.affine_vertices())
@@ -347,10 +349,20 @@ class TestHeptagonExtension:
                 polygon = apply_map(base, map_line_to_infinity(horizon, base))
                 builds.clear()
                 shears.clear()
+                sections.clear()
                 ext = heptagon_extension(polygon)
-                assert (len(builds), len(shears)) == (1, 1)
+                assert (len(builds), len(shears), len(sections)) == (1, 1, 1)
                 assert ext.certified and len(ext.vertices) <= 6
                 assert ext.claimed_polygon() == polygon
+
+    def test_one_section_per_extension(self, rng, monkeypatch):
+        # the standard extension, the shear and the pullback are plain
+        # transforms; only the result is certified
+        sections = count_calls(monkeypatch, sections_module, "compute_section")
+        for _ in range(20):
+            sections.clear()
+            ext = heptagon_extension(random_convex_polygon(rng, 7))
+            assert ext.certified and len(sections) == 1
 
     def test_fuzzed_heptagons(self, rng):
         for _ in range(150):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import polysec.hexagon as hexagon_module
+import polysec.sections as sections_module
 from polysec.errors import ComplexitySix, NoConcurrency, NotHexagon
 from polysec.hexagon import (
     build_bipyramid,
@@ -13,9 +15,9 @@ from polysec.hexagon import (
 )
 from polysec.polygon import ProjMap2, apply_map, validate
 from polysec.randgen import random_hexagon_params
-from polysec.sections import extreme_points
+from polysec.sections import extreme_points, verify_section
 
-from conftest import SIX_VERTEX_HEXAGON
+from conftest import SIX_VERTEX_HEXAGON, count_calls
 
 # alpha = 2, beta = 5, gamma = 3, x = 1/4, y = 1/3: a hexagon whose only
 # concurrent pairing is the designed one, with a finite concurrency point
@@ -159,6 +161,33 @@ class TestNormalForm:
             assert nf.x + nf.y < 1  # convexity of the inner vertex
 
 
+class TestReadOnce:
+    def test_one_read_and_one_section_per_hexagon(self, regular_hexagon, rng, monkeypatch):
+        # the orientation test picks the anchor assignment; the other one is
+        # never tried, on mirrored witnesses and at-infinity ones alike
+        reads = count_calls(monkeypatch, hexagon_module, "_read_normal_form")
+        sections = count_calls(monkeypatch, sections_module, "compute_section")
+        hexagons = [regular_hexagon, hexagon_from_params(*ASYMMETRIC_PARAMS),
+                    mirrored_hexagon_from_params(*ASYMMETRIC_PARAMS),
+                    validate([(0, 0), (1, 0), (2, 1), (2, Fraction(5, 2)), (1, 2), (0, 1)]),
+                    hexagon_from_params(Fraction(2), Fraction(4), Fraction(2),
+                                        Fraction(1, 3), Fraction(1, 3))]
+        for _ in range(10):
+            params = random_hexagon_params(rng)
+            hexagons += [hexagon_from_params(*params), mirrored_hexagon_from_params(*params)]
+        mirrored = at_infinity = 0
+        for hexagon in hexagons:
+            r = hexagon_ic(hexagon).witness
+            reads.clear()
+            nf = hexagon_normal_form(hexagon, r)
+            assert len(reads) == 1
+            mirrored += nf.mirrored
+            at_infinity += not concurrency_point(hexagon, r).is_finite
+            sections.clear()
+            assert hexagon_extension5(hexagon).certified and len(sections) == 1
+        assert mirrored and at_infinity
+
+
 class TestBipyramid:
     def test_two_below_three_above(self):
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)
@@ -166,7 +195,7 @@ class TestBipyramid:
         ext = build_bipyramid(nf, max(nf.alpha, nf.beta, nf.gamma) + 1)
         zs = [v[2] for v in ext.vertices]
         assert sum(z < 0 for z in zs) == 2 and sum(z > 0 for z in zs) == 3
-        assert ext.certified
+        assert verify_section(ext)
 
     def test_crossings_reproduce_normal_form_vertices(self):
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)

@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from polysec.errors import DomainError, NotInPolytope, ScaleExceeded
+from polysec.errors import DomainError, ScaleExceeded
 from polysec.heptagon import StandardHeptagon, build_standard_extension, heptagon_extension
 from polysec.compose import ngon_extension
 from polysec.polygon import validate
 from polysec.randgen import random_convex_polygon
-from polysec.sections import SectionedPolytope, certify, extreme_points
+from polysec.linalg import convex_coefficients
+from polysec.sections import SectionedPolytope, certify, distinct_points
 from polysec.slack import (
     SlackFactorization,
-    convex_coefficients,
     extend_facet_inequality,
     factorize_from_section,
     slack_matrix,
@@ -83,15 +83,15 @@ class TestExtendFacetInequality:
 class TestConvexCoefficients:
     def test_vertex_gets_unit_weight(self):
         _, ext = small_standard_extension()
-        gens = extreme_points(ext.vertices, 3)
-        weights = convex_coefficients(gens[2], ext)
+        gens = distinct_points(ext.vertices, 3)
+        weights = convex_coefficients(gens[2], gens)
         assert weights[2] == 1 and sum(weights) == 1
 
     def test_midpoint_of_two_vertices(self):
         _, ext = small_standard_extension()
-        gens = extreme_points(ext.vertices, 3)
+        gens = distinct_points(ext.vertices, 3)
         mid = tuple((a + b) / 2 for a, b in zip(gens[0], gens[1]))
-        weights = convex_coefficients(mid, ext)
+        weights = convex_coefficients(mid, gens)
         assert sum(weights) == 1
         recombined = tuple(sum(w * g[k] for w, g in zip(weights, gens)) for k in range(3))
         assert recombined == mid
@@ -110,8 +110,8 @@ class TestConvexCoefficients:
 
     def test_outside_point_rejected(self):
         _, ext = small_standard_extension()
-        with pytest.raises(NotInPolytope):
-            convex_coefficients((Fraction(100), Fraction(100), Fraction(0)), ext)
+        gens = distinct_points(ext.vertices, 3)
+        assert convex_coefficients((Fraction(100), Fraction(100), Fraction(0)), gens) is None
 
 
 class TestFactorize:
