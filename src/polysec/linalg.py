@@ -158,59 +158,41 @@ def in_convex_hull(point: Sequence[Fraction], generators: Sequence[Sequence[Frac
 Constraint = tuple[list[Fraction], Fraction]  # coeffs . x >= rhs
 
 
-def fourier_motzkin_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Row]:
-    """Pick a deterministic feasible point of {x : coeffs . x >= rhs}.
+def interval_point(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
+    """Deterministic point of [lo, hi], None marking an open end: the
+    midpoint, 1 inside a single finite end, 0 when both ends are open."""
+    if lo is not None and hi is not None:
+        return (lo + hi) / 2
+    if lo is not None:
+        return lo + 1
+    return Fraction(0) if hi is None else hi - 1
 
-    Variables are eliminated in increasing index order; on back-substitution
-    each variable takes the midpoint of its residual feasible interval
-    (shifted by 1 off a single finite endpoint, 0 if fully free).
-    Returns None when the system is infeasible.
+
+def fourier_motzkin_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Row]:
+    """Pick a deterministic feasible point of a separable system
+    {x : coeffs . x >= rhs}, where no constraint has two nonzero coefficients.
+
+    Each coordinate takes interval_point of the interval its own constraints
+    give, and a constraint with no nonzero coefficient is the check
+    0 >= rhs.  Fourier-Motzkin elimination combines no two variables of such
+    a system, so this is the point it picks with midpoint back-substitution.
+    Returns None when the system is infeasible; a constraint with two
+    nonzero coefficients is a ValueError.
     """
-    system = [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in constraints]
-    eliminated: list[list[Constraint]] = []
-    for var in range(nvars):
-        lowers, uppers, rest = [], [], []
-        for coeffs, rhs in system:
-            c = coeffs[var]
-            if c > 0:
-                lowers.append((coeffs, rhs))
-            elif c < 0:
-                uppers.append((coeffs, rhs))
-            else:
-                rest.append((coeffs, rhs))
-        eliminated.append(lowers + uppers)
-        new_system = rest
-        for lc, lr in lowers:
-            for uc, ur in uppers:
-                # combine to remove var: scale by |coefficients|
-                a, b = lc[var], -uc[var]
-                coeffs = [b * lv + a * uv for lv, uv in zip(lc, uc)]
-                new_system.append((coeffs, b * lr + a * ur))
-        system = new_system
-    for coeffs, rhs in system:
-        if rhs > 0:  # 0 >= rhs must fail
-            return None
-    x = [Fraction(0)] * nvars
-    for var in range(nvars - 1, -1, -1):
-        lo = hi = None
-        for coeffs, rhs in eliminated[var]:
-            acc = rhs
-            for j in range(var + 1, nvars):
-                acc -= coeffs[j] * x[j]
-            c = coeffs[var]
-            bound = acc / c
-            if c > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is not None and hi is not None:
-            if lo > hi:
-                return None
-            x[var] = (lo + hi) / 2
-        elif lo is not None:
-            x[var] = lo + 1
-        elif hi is not None:
-            x[var] = hi - 1
+    lowers: list[list[Fraction]] = [[] for _ in range(nvars)]
+    uppers: list[list[Fraction]] = [[] for _ in range(nvars)]
+    feasible = True
+    for coeffs, rhs in constraints:
+        nonzero = [j for j, c in enumerate(coeffs) if c]
+        if len(nonzero) > 1:
+            raise ValueError(f"constraint couples coordinates {nonzero[0]} and {nonzero[1]}")
+        if nonzero:
+            c = coeffs[nonzero[0]]
+            (lowers if c > 0 else uppers)[nonzero[0]].append(Fraction(rhs) / c)
         else:
-            x[var] = Fraction(0)
-    return x
+            feasible = feasible and rhs <= 0
+    lo = [max(bounds, default=None) for bounds in lowers]
+    hi = [min(bounds, default=None) for bounds in uppers]
+    if not feasible or any(a is not None and b is not None and a > b for a, b in zip(lo, hi)):
+        return None
+    return [interval_point(a, b) for a, b in zip(lo, hi)]

@@ -9,7 +9,8 @@ Support lemma, exact in any dimension: if u and v have different off-H
 supports, the segment [u, v] meets H at most at an endpoint that already
 lies on H.  Say u_j != 0 = v_j; then (1-t) u_j = 0 forces t = 1, the
 endpoint v.  So only segments between vertices of one nonempty support can
-cross H anywhere else, and compute_section tests only those pairs.
+cross H anywhere else, and compute_section tests only those pairs, at most
+MAX_PAIR_TESTS of them (past it, ScaleExceeded before the first test).
 
 The hull of the vertices on H and of these crossings lies in the section.
 It is the whole section when every vertex has at most one nonzero
@@ -22,13 +23,14 @@ vertices on the plane and its edge crossings, so that point is in the hull
 of the block's crossings.  verify_section compares this hull with the claim
 vertex for vertex.
 
-Any other vertex set is certified by exact linear programs: each claimed
-vertex, placed on H, is a convex combination of the vertices
-(linalg.convex_coefficients), so the claim lies in the section; and each
-edge inequality of the claim extends to P (edge_extension), so the section
-lies in the claim.  By LP duality both hold when the claim is the section.
-A point or segment claim fails on this path.  slack factorizes such files
-through the same two programs.
+Any other vertex set is certified by exact linear programs over at most
+64 distinct vertices (distinct_points): each claimed vertex, placed on H,
+is a convex combination of the vertices, so the claim lies in the section;
+and each edge inequality of the claim extends to P (edge_extension), so the
+section lies in the claim.  By LP duality both hold when the claim is the
+section.  The combination of a claimed vertex on H or at a crossing is
+read off with no LP (_claim_columns).  A point or segment claim fails on
+this path.  slack factorizes every file through the same two routines.
 
 Only verify_section sets the certificate flag; pullback, shear_fixing_flat
 and bounded_pullback return uncertified polytopes.
@@ -46,7 +48,12 @@ from .errors import (
     PullbackUnbounded,
     ScaleExceeded,
 )
-from .linalg import convex_coefficients, feasible_nonnegative_solution, in_convex_hull
+from .linalg import (
+    convex_coefficients,
+    feasible_nonnegative_solution,
+    in_convex_hull,
+    interval_point,
+)
 from .polygon import Polygon, ProjMap2, apply_map, convex_hull_2d
 
 AmbientPoint = tuple[Fraction, ...]
@@ -184,19 +191,26 @@ def _single_supports(vertices: Sequence[Sequence]) -> bool:
     return all(len(_support(v)) <= 1 for v in vertices)
 
 
+MAX_PAIR_TESTS = 100_000  # about 2 s of crossing tests; package files make a few hundred
+
+
 def _flat_crossings(vertices: Sequence[Sequence]):
     """Unique crossings of H by segments between vertices of one nonempty
     off-H support; by the support lemma no other segment crosses H except
     at an endpoint on H.
 
     Yields (i, j, t, point) in lexicographic (i, j) order, i < j, with the
-    crossing at (1-t) vertices[i] + t vertices[j].
+    crossing at (1-t) vertices[i] + t vertices[j].  ScaleExceeded, before
+    any test, past MAX_PAIR_TESTS pairs.
     """
     groups = {}
     for k, v in enumerate(vertices):
         support = _support(v)
         if support:
             groups.setdefault(support, []).append(k)
+    pairs = sum(len(members) * (len(members) - 1) // 2 for members in groups.values())
+    if pairs > MAX_PAIR_TESTS:
+        raise ScaleExceeded(f"{pairs} vertex pairs to cross with the flat")
     later = [()] * len(vertices)
     for members in groups.values():
         for pos, k in enumerate(members):
@@ -206,6 +220,43 @@ def _flat_crossings(vertices: Sequence[Sequence]):
             crossing = _segment_flat_crossing(vertices[i], vertices[j])
             if crossing is not None:
                 yield i, j, *crossing
+
+
+def _section_columns(gens: Sequence[AmbientPoint]) -> dict[tuple[Fraction, Fraction], dict]:
+    """Sparse convex column of every point that a generator or a generator
+    segment contributes to the section, keyed by its planar coordinates.
+
+    Generators on H come first (a unit column), then the unique crossings
+    of H by segments [gens[i], gens[j]] in lexicographic (i, j) order
+    (weights 1 - t and t; _flat_crossings); the first entry for a point is
+    kept.
+    """
+    columns = {}
+    for k, g in enumerate(gens):
+        if _on_flat(g):
+            columns.setdefault(g[:2], {k: Fraction(1)})
+    for i, j, t, point in _flat_crossings(gens):
+        columns.setdefault(point, {i: 1 - t, j: t})
+    return columns
+
+
+def _claim_columns(points: Sequence[tuple[Fraction, Fraction]], gens: Sequence[AmbientPoint],
+                   dim: int) -> Optional[list[dict]]:
+    """Sparse convex column over gens of each point placed on H: looked up
+    in _section_columns, else one exact LP (convex_coefficients); None when
+    a point is outside conv(gens)."""
+    columns = _section_columns(gens)
+    on_flat = (Fraction(0),) * (dim - 2)
+    out = []
+    for point in points:
+        column = columns.get(point)
+        if column is None:
+            weights = convex_coefficients((*point, *on_flat), gens)
+            if weights is None:
+                return None
+            column = dict(enumerate(weights))
+        out.append(column)
+    return out
 
 
 def compute_section(vertices: Sequence[Sequence], dim: int) -> PlanarHull:
@@ -246,16 +297,14 @@ def _claim_is_section(s: SectionedPolytope) -> bool:
     """Whether the claimed polygon is the section of conv(s.vertices), by exact LPs.
 
     Each claimed vertex, placed on H, is a convex combination of the
-    distinct vertices (convex_coefficients), and each edge inequality
-    extends to the polytope (edge_extension).
+    distinct vertices (_claim_columns), and each edge inequality extends to
+    the polytope (edge_extension).
     """
     if s.claimed.degenerate:
         return False
     gens = distinct_points(s.vertices, s.dim)
-    on_flat = (Fraction(0),) * (s.dim - 2)
     polygon = s.claimed.polygon()
-    return (all(convex_coefficients((x, y, *on_flat), gens) is not None
-                for x, y in s.claimed.points)
+    return (_claim_columns(s.claimed.points, gens, s.dim) is not None
             and all(edge_extension(polygon, i, gens) is not None for i in range(polygon.n)))
 
 
@@ -289,11 +338,11 @@ def certify(s: SectionedPolytope) -> SectionedPolytope:
 def distinct_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]:
     """The distinct points in first-occurrence order, within the input bound.
 
-    Above dimension 4 at most 64 distinct points are accepted; past that
+    From dimension 4 on at most 64 distinct points are accepted; past that
     the point set is refused with ScaleExceeded.
     """
     verts = list(dict.fromkeys(tuple(Fraction(c) for c in v) for v in vertices))
-    if dim > 4 and len(verts) > 64:
+    if dim >= 4 and len(verts) > 64:
         raise ScaleExceeded(f"{len(verts)} points in dimension {dim}")
     return verts
 
@@ -433,12 +482,7 @@ def bounded_pullback(s: SectionedPolytope, planar: ProjMap2) -> SectionedPolytop
     lo, hi = interval
     if (lo is None or lo < 0) and (hi is None or hi > 0):
         return pullback(s, planar)
-    if lo is not None and hi is not None:
-        rho = (lo + hi) / 2
-    elif lo is not None:
-        rho = lo + 1
-    else:
-        rho = hi - 1
+    rho = interval_point(lo, hi)
     h1, h2, _ = horizon
     if h1 != 0:
         u = (rho / h1, Fraction(0))

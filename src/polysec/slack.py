@@ -8,12 +8,14 @@ also the proof that the claimed polygon is the section, in any dimension:
 - R (row factor): each facet inequality of the polygon extends, through
   free coefficients on coordinates 3..d, to an affine functional that is
   nonnegative at every polytope vertex; on H it is the facet's slack, so
-  the section lies in the polygon.  Row i holds its vertex values.
+  the section lies in the polygon.  Row i holds its vertex values; each
+  free coefficient is the midpoint of its own interval, or, when a vertex
+  has two nonzero coordinates off H, one linear program gives them.
 - C (column factor): each polygon vertex is an exact convex combination
   of polytope vertices that lands on H, so the polygon lies in the
-  section.  When no vertex has two nonzero coordinates off H it is a
-  vertex on H or the crossing of H by a vertex segment, read off with no
-  search; otherwise one linear program gives it.
+  section.  A vertex on H or a crossing of H by a vertex segment is read
+  off with no search, any other polygon vertex by one linear program
+  (sections._claim_columns, which verify uses too).
 
 The product is checked exactly, once, summing only over the nonzero
 entries of each column of C.
@@ -26,13 +28,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CertificationFailure, DomainError, NoExtension, NotInPolytope
-from .linalg import convex_coefficients, fourier_motzkin_point, rank
+from .linalg import fourier_motzkin_point, rank
 from .polygon import Polygon
 from .sections import (
-    AmbientPoint,
     SectionedPolytope,
-    _flat_crossings,
-    _on_flat,
+    _claim_columns,
     _single_supports,
     distinct_points,
     edge_extension,
@@ -85,7 +85,7 @@ class AffineFunctional:
     coeffs: tuple[Fraction, ...]
 
     def __call__(self, point: Sequence[Fraction]) -> Fraction:
-        return self.constant + sum(c * Fraction(v) for c, v in zip(self.coeffs, point))
+        return self.constant + sum(c * v for c, v in zip(self.coeffs, point) if v)
 
 
 def slack_matrix(polygon: Polygon) -> SlackMatrix:
@@ -104,10 +104,10 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> AffineFunctiona
     The planar slack b - a.x already vanishes appropriately on H; the free
     coefficients on coordinates 3..d make the functional nonnegative at
     every polytope vertex.  When no vertex has two nonzero coordinates off H
-    they are chosen by Fourier-Motzkin (midpoint of the residual interval
-    per coordinate, eliminating in increasing index), otherwise by the edge
-    LP over the distinct vertices (sections.edge_extension).  NoExtension
-    when there are none.
+    each vertex constrains one free coefficient, the one of its support, and
+    fourier_motzkin_point takes the midpoint of each coefficient's interval;
+    otherwise they come from the edge LP over the distinct vertices
+    (sections.edge_extension).  NoExtension when there are none.
     """
     polygon = s.claimed_polygon()
     facet %= polygon.n
@@ -122,25 +122,6 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> AffineFunctiona
     return AffineFunctional(constant=b, coeffs=(-a[0], -a[1], *tail))
 
 
-def _section_columns(gens: Sequence[AmbientPoint]) -> dict[tuple[Fraction, Fraction], dict]:
-    """Sparse convex column of every point that a generator or a generator
-    segment contributes to the section, keyed by its planar coordinates.
-
-    Generators on H come first (a unit column), then the unique crossings
-    of H by segments [gens[i], gens[j]] in lexicographic (i, j) order
-    (weights 1 - t and t; sections._flat_crossings, which skips the pairs
-    that can only meet H at a generator on H); the first entry for a point
-    is kept.
-    """
-    columns = {}
-    for k, g in enumerate(gens):
-        if _on_flat(g):
-            columns.setdefault(g[:2], {k: Fraction(1)})
-    for i, j, t, point in _flat_crossings(gens):
-        columns.setdefault(point, {i: 1 - t, j: t})
-    return columns
-
-
 def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFactorization:
     """Nonnegative factorization of the slack matrix through the section of s.
 
@@ -151,18 +132,19 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     conv(s.vertices), in any dimension (module docstring).
 
     The generators are the distinct vertices of s in file order, so the
-    inner dimension is their count.  Row i of R is the extended facet
-    functional of edge (i, i+1) (extend_facet_inequality) evaluated on the
-    generators.  Column j of C is read off the section when polygon vertex
-    j is a generator on H or a crossing of H by a generator segment
-    (_section_columns), which covers every vertex of a true claim when no
-    vertex has two nonzero coordinates off H, as in every file the package
-    writes.  In the package's constructions a crossing polygon vertex lies
-    in the relative interior of one edge of the polytope (in a join, of one
-    edge of one block), so exactly one generator segment passes through it
-    and the combination is unique.  On other input the first segment in
-    lexicographic (i, j) order is taken, and any other vertex gets its
-    weights from one exact LP (linalg.convex_coefficients).
+    inner dimension is their count.  C comes first, from the columns verify
+    uses (sections._claim_columns), so a file past the pair bound is
+    refused before any row of R.  Column j is read off the section when
+    polygon vertex j is a generator on H or a crossing of H by a generator
+    segment, as every vertex of a true claim is when no vertex has two
+    nonzero coordinates off H.  In the package's constructions a crossing
+    polygon vertex lies in the relative interior of one edge of the
+    polytope (in a join, of one edge of one block), so exactly one
+    generator segment passes through it and the combination is unique.  On
+    other input the first segment in lexicographic (i, j) order is taken,
+    and any other vertex costs one exact LP.  Row i of R is the extended
+    facet functional of edge (i, i+1) (extend_facet_inequality) evaluated
+    on the generators.
 
     A claim that is not the section fails: a facet with no nonnegative
     extension raises NoExtension, a vertex outside the polytope
@@ -171,20 +153,12 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     """
     if s.claimed_polygon() != polygon:
         raise DomainError("the extension's section is not this polygon")
-    n = polygon.n
     gens = distinct_points(s.vertices, s.dim)
-    functionals = [extend_facet_inequality(i, s) for i in range(n)]
+    c_cols = _claim_columns(polygon.affine_vertices(), gens, s.dim)
+    if c_cols is None:
+        raise NotInPolytope("a vertex of the polygon is not in the polytope")
+    functionals = [extend_facet_inequality(i, s) for i in range(polygon.n)]
     r_rows = tuple(tuple(f(q) for q in gens) for f in functionals)
-    columns = _section_columns(gens)
-    on_flat = (Fraction(0),) * (s.dim - 2)
-    c_cols = []
-    for vertex in polygon.affine_vertices():
-        if vertex not in columns:
-            weights = convex_coefficients((*vertex, *on_flat), gens)
-            if weights is None:
-                raise NotInPolytope(f"{vertex} is not in the polytope")
-            columns[vertex] = dict(enumerate(weights))
-        c_cols.append(columns[vertex])
     zero = Fraction(0)
     c_rows = tuple(tuple(col.get(k, zero) for col in c_cols) for k in range(len(gens)))
     fact = SlackFactorization(r_factor=r_rows, c_factor=c_rows)

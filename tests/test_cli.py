@@ -241,6 +241,14 @@ class TestSlackFactorize:
         assert loads(err) == {"error": "DomainError",
                               "message": "extension file fails verification"}
 
+    def test_no_vertices_exits_one(self, tmp_path, capsys):
+        square = [[str(x), str(y)] for x, y in UNIT_SQUARE]
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps({"dim": 3, "vertices": [], "claimed": {"vertices": square}}))
+        assert main(["factorize", write_polygon(tmp_path, "sq.json", UNIT_SQUARE), str(ext)]) == 1
+        assert loads(capsys.readouterr().err) == {"error": "DomainError",
+                                                  "message": "extension file fails verification"}
+
     def test_true_section_off_the_crossings_factorizes(self, tmp_path, capsys):
         # (5, 5) is the centroid of the three off-plane vertices, no crossing
         # of H by a segment between two vertices: its column comes from an LP
@@ -257,19 +265,25 @@ class TestSlackFactorize:
     def test_sign_pattern_files_factorize_without_fourier_motzkin(self, dim, tmp_path, capsys,
                                                                     monkeypatch):
         # the unit square times {-1, 1}^(dim - 2): every vertex has dim - 2
-        # nonzero coordinates off H, where Fourier-Motzkin blows up
+        # nonzero coordinates off H, where Fourier-Motzkin blows up; each
+        # square vertex is the crossing of two antipodal vertices, so both
+        # commands solve one edge LP per edge and no convex-combination LP
         def refuse(*args):
             raise AssertionError("Fourier-Motzkin on a multi-coordinate support")
 
         monkeypatch.setattr(linalg, "fourier_motzkin_point", refuse)
         monkeypatch.setattr(slack, "fourier_motzkin_point", refuse)
+        lps = count_calls_everywhere(monkeypatch, linalg, "feasible_nonnegative_solution")
+        columns = count_calls_everywhere(monkeypatch, linalg, "convex_coefficients")
         signs = itertools.product(("1", "-1"), repeat=dim - 2)
         vertices = [[str(x), str(y), *tail] for tail in signs for x, y in UNIT_SQUARE]
         square = [[str(x), str(y)] for x, y in UNIT_SQUARE]
         ext = tmp_path / "ext.json"
         ext.write_text(json.dumps({"dim": dim, "vertices": vertices, "claimed": {"vertices": square}}))
         assert main(["verify", str(ext)]) == 0
+        assert len(lps) == 4 and columns == []
         assert main(["factorize", write_polygon(tmp_path, "sq.json", UNIT_SQUARE), str(ext)]) == 0
+        assert len(lps) == 8 and columns == []
         bundle = loads(capsys.readouterr().out.splitlines()[-1])
         assert bundle["r"] == 2 ** dim
 
@@ -305,6 +319,41 @@ class TestSlackFactorize:
 
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+SQUARE_PM1 = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+
+
+def oversized_file(dim: int) -> dict:
+    """A file past the work bound, claiming the square [-1, 1]^2, with
+    integer planar coordinates in [-100, 100].  Dim 3: 2000 vertices
+    alternately at z = 1 and z = -1, one support with about 2e6 pairs.
+    Dim 4: 1500 vertices with off-H coordinates (+-1, +-1), plus (0,0,1,1)
+    and (0,0,-1,-1), which take the LP path over 1502 distinct points."""
+    rng = random.Random(dim)
+    if dim == 3:
+        tails = [(1,), (-1,)] * 1000
+    else:
+        tails = list(itertools.islice(itertools.cycle(itertools.product((1, -1), repeat=2)), 1500))
+    vertices = [(rng.randint(-100, 100), rng.randint(-100, 100), *tail) for tail in tails]
+    if dim == 4:
+        vertices += [(0, 0, 1, 1), (0, 0, -1, -1)]
+    return {"dim": dim, "vertices": [[str(c) for c in v] for v in vertices],
+            "claimed": {"vertices": [[str(x), str(y)] for x, y in SQUARE_PM1]}}
+
+
+class TestWorkBound:
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_refused_before_any_crossing_or_lp(self, dim, tmp_path, capsys, monkeypatch):
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps(oversized_file(dim)))
+        square = write_polygon(tmp_path, "sq.json", SQUARE_PM1)
+        crossings = count_calls_everywhere(monkeypatch, sections, "_segment_flat_crossing")
+        lps = count_calls_everywhere(monkeypatch, linalg, "feasible_nonnegative_solution")
+        for argv in (["verify", str(ext)], ["factorize", square, str(ext)]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert loads(err)["error"] == "ScaleExceeded"
+        assert crossings == [] and lps == []
 
 
 def false_square_claim(shadows, u, w) -> dict:

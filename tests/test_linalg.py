@@ -1,6 +1,9 @@
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from polysec.linalg import (
     feasible_nonnegative_solution,
     fourier_motzkin_point,
@@ -66,6 +69,59 @@ class TestSimplexFeasibility:
             assert fast == slow
 
 
+def reference_fourier_motzkin(constraints, nvars):
+    """General Fourier-Motzkin: eliminate in increasing index, then give each
+    variable the midpoint of its residual interval on back-substitution
+    (shifted by 1 off a single finite endpoint, 0 if free); None if infeasible."""
+    system = [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in constraints]
+    eliminated = []
+    for var in range(nvars):
+        lowers = [(c, r) for c, r in system if c[var] > 0]
+        uppers = [(c, r) for c, r in system if c[var] < 0]
+        eliminated.append(lowers + uppers)
+        system = [(c, r) for c, r in system if c[var] == 0]
+        for lc, lr in lowers:
+            for uc, ur in uppers:
+                a, b = lc[var], -uc[var]
+                system.append(([b * lv + a * uv for lv, uv in zip(lc, uc)], b * lr + a * ur))
+    if any(rhs > 0 for _, rhs in system):
+        return None
+    x = [Fraction(0)] * nvars
+    for var in range(nvars - 1, -1, -1):
+        lo = hi = None
+        for coeffs, rhs in eliminated[var]:
+            bound = (rhs - sum(coeffs[j] * x[j] for j in range(var + 1, nvars))) / coeffs[var]
+            if coeffs[var] > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is not None and hi is not None:
+            if lo > hi:
+                return None
+            x[var] = (lo + hi) / 2
+        elif lo is not None:
+            x[var] = lo + 1
+        elif hi is not None:
+            x[var] = hi - 1
+    return x
+
+
+@st.composite
+def separable_systems(draw):
+    """Up to 4 variables; each row has one nonzero coefficient or none (a
+    constant check), so some coordinates are free, some one-sided, and some
+    intervals empty."""
+    nvars = draw(st.integers(0, 4))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    constraints = []
+    for _ in range(draw(st.integers(0, 8))):
+        coeffs = [Fraction(0)] * nvars
+        if nvars and draw(st.integers(0, 7)):
+            coeffs[draw(st.integers(0, nvars - 1))] = draw(small.filter(bool))
+        constraints.append((coeffs, draw(small)))
+    return constraints, nvars
+
+
 class TestFourierMotzkin:
     def test_interval_midpoint(self):
         # 1 <= x <= 3 picks x = 2
@@ -84,14 +140,22 @@ class TestFourierMotzkin:
         assert fourier_motzkin_point(constraints, 1) is None
 
     def test_two_variables_feasible_point(self, rng):
+        # a separable system gets a feasible point; a coupled row is refused
         for _ in range(30):
             constraints = []
             for _ in range(6):
-                coeffs = [Fraction(rng.randrange(-4, 5)) for _ in range(2)]
-                rhs = Fraction(rng.randrange(-8, 3))
-                constraints.append((coeffs, rhs))
+                coeffs = [F(0), F(0)]
+                coeffs[rng.randrange(2)] = F(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+                constraints.append((coeffs, F(rng.randrange(-8, 3))))
             point = fourier_motzkin_point(constraints, 2)
-            if point is None:
-                continue
-            for coeffs, rhs in constraints:
-                assert sum(c * v for c, v in zip(coeffs, point)) >= rhs
+            if point is not None:
+                for coeffs, rhs in constraints:
+                    assert sum(c * v for c, v in zip(coeffs, point)) >= rhs
+            with pytest.raises(ValueError, match="couples coordinates 0 and 1"):
+                fourier_motzkin_point(constraints + [([F(1), F(-1)], F(0))], 2)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(system=separable_systems())
+    def test_matches_general_elimination(self, system):
+        constraints, nvars = system
+        assert fourier_motzkin_point(constraints, nvars) == reference_fourier_motzkin(constraints, nvars)

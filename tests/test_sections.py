@@ -13,6 +13,7 @@ from polysec.sections import (
     PlanarHull,
     SectionedPolytope,
     _on_flat,
+    _section_columns,
     _segment_flat_crossing,
     bounded_pullback,
     compute_section,
@@ -21,7 +22,6 @@ from polysec.sections import (
     pullback,
     verify_section,
 )
-from polysec.slack import _section_columns
 
 from conftest import count_calls, count_calls_everywhere
 
