@@ -19,9 +19,7 @@ from .exactgeom import (
     ProjLine,
     ProjPoint,
     Scalar,
-    dehomogenize,
     det3,
-    is_finite,
     join,
     meet,
 )
@@ -59,7 +57,6 @@ from .sections import (
     SectionedPolytope,
     compute_section,
     extreme_points,
-    lift_projective,
     pullback,
     verify_section,
 )

@@ -82,7 +82,7 @@ def _extend(polygon: Polygon, mode: str) -> tuple[SectionedPolytope, int]:
         decision = hexagon_ic(polygon)
         if decision.ic == 5:
             return hexagon_extension5(polygon), 5
-        flat = [(x, y, 0) for x, y in polygon.affine_vertices()]
+        flat = [(x, y, 0) for x, y in polygon.vertices]
         return certify(SectionedPolytope(3, flat, polygon)), 6
     if n == 7:
         return heptagon_extension(polygon), 6

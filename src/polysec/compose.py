@@ -55,8 +55,8 @@ def ngon_3d_extension(
     dropped = []
     while core.n > 7:
         index = core.n - 1 if drop_choice is None else drop_choice(core) % core.n
-        dropped.append(core.affine(index))
-        core = validate([core.affine(k) for k in range(core.n) if k != index])
+        dropped.append(core.vertices[index])
+        core = validate([v for k, v in enumerate(core.vertices) if k != index])
     inner = heptagon_extension(core)
     if not dropped:
         return inner
@@ -119,7 +119,7 @@ def ngon_extension(polygon: Polygon) -> SectionedPolytope:
     plan = chunk_plan(n)
     parts = []
     for chunk in plan.chunks:
-        pts = [polygon.affine(k) for k in chunk]
+        pts = [polygon.vertices[k] for k in chunk]
         if len(chunk) == 7:
             parts.append(heptagon_extension(validate(pts)))
         else:

@@ -1,11 +1,16 @@
-"""Exact projective-plane kernel.
+"""Exact projective-plane kernel, and rational scalars as text.
 
-Points and lines of the projective plane are stored as integer homogeneous
-triples.  Any rational triple can be scaled to a canonical integer
-representative (denominators cleared, gcd reduced, sign fixed), so all
-predicates below are exact and representative-independent.  The sign
-convention puts finite points at w > 0; for points/lines at infinity the
-first nonzero coordinate is positive.
+Points and lines of the projective plane are integer homogeneous triples.
+Any rational triple can be scaled to a canonical integer representative
+(denominators cleared, gcd reduced, sign fixed), so all predicates below
+are exact and representative-independent.  The sign convention puts
+finite points at w > 0; for points/lines at infinity the first nonzero
+coordinate is positive.
+
+Stored coordinates are affine rational pairs (polygon.Polygon); this
+kernel serves where lines are formed: the crossing classification of
+standardization lines, hexagon concurrency, map_line_to_infinity and the
+svg rendering.
 
 No floating point is used anywhere in this module.  All values are
 immutable and all operations are pure, so they are safe to share across
@@ -31,8 +36,6 @@ __all__ = [
     "meet",
     "det3",
     "cross",
-    "is_finite",
-    "dehomogenize",
     "parse_scalar",
     "format_scalar",
 ]
@@ -79,20 +82,29 @@ def format_scalar(value: ScalarLike) -> str:
         raise ScaleExceeded("a rational has too many digits to write") from exc
 
 
-def _canonical_int_triple(coords: Sequence[ScalarLike]) -> tuple[int, int, int]:
-    if len(coords) != 3:
-        raise ValueError("homogeneous coordinates need exactly 3 entries")
-    fracs = [c if isinstance(c, int) else Fraction(c) for c in coords]
-    if all(v == 0 for v in fracs):
-        raise ValueError("all three homogeneous coordinates are zero")
+def _primitive_ints(values: Sequence[ScalarLike]) -> list[int]:
+    """The rationals scaled by one positive factor to coprime integers.
+
+    Denominators are cleared by their lcm and the common gcd is divided out;
+    signs are kept, and all zeros stay zeros.
+    """
+    fracs = [v if isinstance(v, int) else Fraction(v) for v in values]
     denom_lcm = 1
     for v in fracs:
         if not isinstance(v, int):
             d = v.denominator
             denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
     ints = [int(v * denom_lcm) for v in fracs]
-    g = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
-    ints = [v // g for v in ints]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _canonical_int_triple(coords: Sequence[ScalarLike]) -> tuple[int, int, int]:
+    if len(coords) != 3:
+        raise ValueError("homogeneous coordinates need exactly 3 entries")
+    ints = _primitive_ints(coords)
+    if not any(ints):
+        raise ValueError("all three homogeneous coordinates are zero")
     # sign: w > 0 for finite, else first nonzero positive
     if ints[2] != 0:
         if ints[2] < 0:
@@ -208,10 +220,3 @@ def det3(a: PointLike, b: PointLike, c: PointLike):
         + ra[2] * (rb[0] * rc[1] - rb[1] * rc[0])
     )
 
-
-def is_finite(p: ProjPoint) -> bool:
-    return p.is_finite
-
-
-def dehomogenize(p: ProjPoint) -> tuple[Fraction, Fraction]:
-    return p.dehomogenize()

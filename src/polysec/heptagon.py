@@ -26,7 +26,14 @@ from .errors import (
     NotHeptagon,
 )
 from .exactgeom import ProjLine, ProjPoint, det3, join, meet
-from .polygon import Polygon, ProjMap2, affine_through_three, map_line_to_infinity, validate
+from .polygon import (
+    Polygon,
+    ProjMap2,
+    _orient,
+    affine_through_three,
+    map_line_to_infinity,
+    validate,
+)
 from .sections import SectionedPolytope, bounded_pullback, certify
 
 __all__ = [
@@ -150,7 +157,7 @@ def find_noncrossing(polygon: Polygon) -> int:
             return i
     raise NoneFound(
         "no non-crossing standardization line; this refutes a theorem -- "
-        f"reproducible input: {polygon.affine_vertices()!r}"
+        f"reproducible input: {list(polygon.vertices)!r}"
     )
 
 
@@ -237,9 +244,9 @@ class StandardHeptagon:
             )
         if not (1 - self.a - self.b - self.lam > 0 and 1 - self.c - self.d - self.mu > 0):
             raise CertificationFailure("convexity margins violated")
-        pts = [ProjPoint.from_affine(x, y) for x, y in self.vertex_list()]
+        pts = self.vertex_list()
         for i in range(7):
-            if det3(pts[(i + 2) % 7], pts[(i + 1) % 7], pts[i]) <= 0:
+            if _orient(pts[(i + 2) % 7], pts[(i + 1) % 7], pts[i]) <= 0:
                 raise CertificationFailure("vertex list is not convex clockwise")
         # full validation, raises on any remaining defect
         object.__setattr__(self, "_polygon", validate(self.vertex_list()))
@@ -274,24 +281,14 @@ def standardize(polygon: Polygon) -> tuple[StandardHeptagon, ProjMap2]:
     i = find_noncrossing(polygon)
     sp = std_points(polygon, i)
     to_infinity = map_line_to_infinity(sp.line, polygon)
-
-    def image(k: int) -> tuple[Fraction, Fraction]:
-        raw = to_infinity.apply_raw(polygon.vertex(i + k))
-        if raw[2] == 0:
-            raise DegenerateConstruction("standardization sent a vertex to infinity")
-        return (Fraction(raw[0], raw[2]), Fraction(raw[1], raw[2]))
-
+    ring = [polygon.vertices[(i + k) % 7] for k in range(7)]
+    anchors, _ = to_infinity.apply_affine((ring[0], ring[3], ring[4]))
     anchor = affine_through_three(
-        (image(0), image(3), image(4)),
+        anchors,
         ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
     )
     total = anchor.compose(to_infinity)
-    v = []
-    for k in range(7):
-        raw = total.apply_raw(polygon.vertex(i + k))
-        if raw[2] == 0:
-            raise DegenerateConstruction("standardization sent a vertex to infinity")
-        v.append((Fraction(raw[0], raw[2]), Fraction(raw[1], raw[2])))
+    v, _ = total.apply_affine(ring)
     if v[1][0] != v[2][0] or v[5][1] != v[6][1]:
         raise CertificationFailure("parallelism conditions failed after standardization")
     std = StandardHeptagon(
@@ -335,13 +332,14 @@ def build_standard_extension(std: StandardHeptagon, k: Optional[Fraction] = None
 def heptagon_extension(polygon: Polygon) -> SectionedPolytope:
     """Certified 3-dimensional extension of a heptagon with at most 6 vertices.
 
-    The standard extension at the default K is pulled back once; an H-fixing
-    shear bounds the pullback when the canonical lift alone would not, and
-    bounded_pullback explains why such a shear always exists.
+    The vertices of the standard extension at the default K are pulled back
+    once; an H-fixing shear bounds the pullback when the canonical lift
+    alone would not, and bounded_pullback explains why such a shear always
+    exists.  The pullback carries the standard heptagon back to the input,
+    so the result claims the input heptagon, and certify checks that claim
+    against the recomputed section.
     """
     _require_heptagon(polygon)
     std, total = standardize(polygon)
-    result = bounded_pullback(build_standard_extension(std), total.inverse())
-    if result.claimed_polygon() != polygon:
-        raise CertificationFailure("pulled-back section does not match the input heptagon")
-    return certify(result)
+    vertices = bounded_pullback(build_standard_extension(std).vertices, total.inverse())
+    return certify(SectionedPolytope(3, vertices, polygon))

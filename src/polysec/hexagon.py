@@ -24,6 +24,7 @@ from .exactgeom import ProjLine, ProjPoint, det3, join, meet
 from .polygon import (
     Polygon,
     ProjMap2,
+    _orient,
     affine_through_three,
     map_line_to_infinity,
     validate,
@@ -132,18 +133,11 @@ def hexagon_normal_form(polygon: Polygon, r: int) -> HexNormalForm:
     if c is None:
         raise NoConcurrency(f"no concurrency for pairing {r}")
     if c.is_finite:
-        vertices = [polygon.affine(k) for k in range(6)]
-        return _read_normal_form(vertices, c.dehomogenize(), r, ProjMap2.identity())
+        return _read_normal_form(list(polygon.vertices), c.dehomogenize(), r, ProjMap2.identity())
     to_finite = _finite_reduction_map(polygon, c)
-    vertices = []
-    for k in range(6):
-        raw = to_finite.apply_raw(polygon.vertex(k))
-        vertices.append((Fraction(raw[0], raw[2]), Fraction(raw[1], raw[2])))
-    raw_c = to_finite.apply_raw(c)
-    if raw_c[2] == 0:
-        raise NormalFormConstraintViolated("concurrency point stayed at infinity")
-    c_img = (Fraction(raw_c[0], raw_c[2]), Fraction(raw_c[1], raw_c[2]))
-    return _read_normal_form(vertices, c_img, r, to_finite)
+    vertices, _ = to_finite.apply_affine(polygon.vertices)
+    # c is off the line sent to infinity (_finite_reduction_map), so it is finite now
+    return _read_normal_form(vertices, to_finite.apply(c).dehomogenize(), r, to_finite)
 
 
 def _finite_reduction_map(polygon: Polygon, c: ProjPoint) -> ProjMap2:
@@ -155,15 +149,11 @@ def _finite_reduction_map(polygon: Polygon, c: ProjPoint) -> ProjMap2:
     clear of the new horizon.
     """
     vx, vy, _ = c.h
-    values = [vx * x + vy * y for x, y in (p.dehomogenize() for p in polygon.vertices)]
+    values = [vx * x + vy * y for x, y in polygon.vertices]
     spread = max(values) - min(values)
     m = max(values) + spread + 1
     line = ProjLine(vx, vy, -m)
     return map_line_to_infinity(line, polygon)
-
-
-def _tri(p, q, s) -> Fraction:
-    return (q[0] - p[0]) * (s[1] - p[1]) - (q[1] - p[1]) * (s[0] - p[0])
 
 
 def _read_normal_form(
@@ -186,8 +176,8 @@ def _read_normal_form(
     when, on the input, that triple turns against the label order.  A
     failed read is an internal failure (NormalFormConstraintViolated).
     """
-    source_cw = _tri(vertices[0], vertices[1], vertices[2]) < 0
-    direct = (_tri(c, vertices[(r + 3) % 6], vertices[(r + 5) % 6]) > 0) == source_cw
+    source_cw = _orient(vertices[0], vertices[1], vertices[2]) < 0
+    direct = (_orient(c, vertices[(r + 3) % 6], vertices[(r + 5) % 6]) > 0) == source_cw
     if direct:
         anchors = (c, vertices[(r + 3) % 6], vertices[(r + 5) % 6])
         order = [(r + j) % 6 for j in range(6)]
@@ -195,11 +185,7 @@ def _read_normal_form(
         anchors = (c, vertices[(r + 2) % 6], vertices[r % 6])
         order = [(r + 5 - j) % 6 for j in range(6)]
     affine = affine_through_three(anchors, _TARGET)
-    img = []
-    for k in order:
-        raw = affine.apply_raw(ProjPoint.from_affine(*vertices[k]))
-        img.append((Fraction(raw[0], raw[2]), Fraction(raw[1], raw[2])))
-    v0, v1, v2, v3, v4, v5 = img
+    (v0, v1, v2, v3, v4, v5), _ = affine.apply_affine([vertices[k] for k in order])
     if v3 != (1, 0) or v5 != (0, 1):
         raise NormalFormConstraintViolated("anchor vertices moved")
     if v0[0] != 0 or v2[1] != 0:
@@ -242,12 +228,17 @@ def build_bipyramid(nf: HexNormalForm, k: Fraction) -> SectionedPolytope:
 
 
 def hexagon_extension5(polygon: Polygon) -> SectionedPolytope:
-    """Certified 5-vertex extension of a hexagon, when one exists."""
+    """Certified 5-vertex extension of a hexagon, when one exists.
+
+    The vertices of the bipyramid over the normal form are pulled back
+    (bounded_pullback); the normalizing map carries the input to the normal
+    form, so the result claims the input hexagon, and certify checks that
+    claim against the recomputed section.
+    """
     decision = hexagon_ic(polygon)
     if decision.ic == 6:
         raise ComplexitySix("this hexagon is not a section of any 5-vertex polytope")
     nf = hexagon_normal_form(polygon, decision.witness)
-    result = bounded_pullback(build_bipyramid(nf, default_bipyramid_k(nf)), nf.map.inverse())
-    if result.claimed_polygon() != polygon:
-        raise NormalFormConstraintViolated("pulled-back bipyramid lost its section")
-    return certify(result)
+    bipyramid = build_bipyramid(nf, default_bipyramid_k(nf))
+    vertices = bounded_pullback(bipyramid.vertices, nf.map.inverse())
+    return certify(SectionedPolytope(3, vertices, polygon))

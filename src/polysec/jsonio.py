@@ -41,7 +41,7 @@ def loads(text: str):
 def polygon_to_obj(polygon: Polygon) -> dict:
     return {
         "vertices": [[format_scalar(x), format_scalar(y)]
-                     for x, y in polygon.affine_vertices()]
+                     for x, y in polygon.vertices]
     }
 
 

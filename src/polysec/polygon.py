@@ -1,16 +1,21 @@
 """Convex polygons with clockwise cyclic labeling, and planar maps.
 
-The canonical labeling is produced by validate(): clockwise orientation
-(the triangle (p_{i+2}, p_{i+1}, p_i) is positively oriented for every i)
-and the lexicographically smallest vertex at index 0.  Operations that need
-a specific index alignment take their own index parameter instead of
-relying on the canonical rotation.
+A Polygon stores its vertices as affine pairs of Fractions, the one
+planar coordinate of the package.  The canonical labeling is produced by
+validate(): clockwise orientation (the triangle (p_{i+2}, p_{i+1}, p_i) is
+positively oriented for every i) and the lexicographically smallest vertex
+at index 0.  Operations that need a specific index alignment take their own
+index parameter instead of relying on the canonical rotation.
+
+Planar maps are projective (ProjMap2), and act on affine points in one
+place, ProjMap2.apply_affine, which refuses points on or across the line
+the map sends to infinity.  Polygon.vertex serves the projective kernel
+(exactgeom) the same vertices as integer homogeneous triples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -22,7 +27,7 @@ from .errors import (
     NotConvex,
     TooFewVertices,
 )
-from .exactgeom import ProjLine, ProjPoint, det3
+from .exactgeom import ProjLine, ProjPoint, _primitive_ints, det3
 
 AffinePair = tuple[Fraction, Fraction]
 
@@ -30,9 +35,10 @@ __all__ = ["Polygon", "ProjMap2", "validate", "apply_map", "map_line_to_infinity
            "affine_through_three", "convex_hull_2d"]
 
 
-def _orient(a: AffinePair, b: AffinePair, c: AffinePair) -> int:
-    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (v > 0) - (v < 0)
+def _orient(a: AffinePair, b: AffinePair, c: AffinePair) -> Fraction:
+    """Twice the signed area of the triangle (a, b, c): positive when it
+    turns counterclockwise."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 def convex_hull_2d(points: Iterable[AffinePair]) -> list[AffinePair]:
@@ -61,12 +67,13 @@ def convex_hull_2d(points: Iterable[AffinePair]) -> list[AffinePair]:
 
 
 class Polygon:
-    """Strictly convex polygon, vertices cyclically clockwise labeled."""
+    """Strictly convex polygon, affine vertices cyclically clockwise labeled."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_points")
 
-    def __init__(self, vertices: Sequence[ProjPoint]):
+    def __init__(self, vertices: Sequence[AffinePair]):
         self.vertices = tuple(vertices)
+        self._points = None
 
     @classmethod
     def from_hull(cls, hull: Sequence[AffinePair]) -> "Polygon":
@@ -75,20 +82,18 @@ class Polygon:
         The hull is counterclockwise from its lexicographically smallest
         point; the polygon keeps that point at index 0 and runs clockwise.
         """
-        return cls([ProjPoint.from_affine(x, y) for x, y in (hull[0], *reversed(hull[1:]))])
+        return cls((hull[0], *reversed(hull[1:])))
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     def vertex(self, i: int) -> ProjPoint:
-        return self.vertices[i % len(self.vertices)]
-
-    def affine(self, i: int) -> AffinePair:
-        return self.vertex(i).dehomogenize()
-
-    def affine_vertices(self) -> list[AffinePair]:
-        return [p.dehomogenize() for p in self.vertices]
+        """Vertex i, cyclically, as a projective point for the projective
+        kernel; the points are built once, on first use."""
+        if self._points is None:
+            self._points = tuple(ProjPoint.from_affine(x, y) for x, y in self.vertices)
+        return self._points[i % len(self._points)]
 
     def edge_inequality(self, i: int) -> tuple[AffinePair, Fraction]:
         """Outward normal a and offset b of edge (i, i+1): a . x <= b on the polygon.
@@ -96,20 +101,21 @@ class Polygon:
         For clockwise labels the outward normal is the edge vector rotated by
         +90 degrees.
         """
-        x0, y0 = self.affine(i)
-        x1, y1 = self.affine(i + 1)
+        n = len(self.vertices)
+        x0, y0 = self.vertices[i % n]
+        x1, y1 = self.vertices[(i + 1) % n]
         a = (-(y1 - y0), x1 - x0)
         return a, a[0] * x0 + a[1] * y0
 
     def contains(self, x: Fraction, y: Fraction) -> bool:
         """Point-in-closed-polygon via the n edge orientation signs."""
-        pts = self.affine_vertices()
+        pts = self.vertices
         n = len(pts)
         # clockwise labels: interior is where every (p_i, p_{i+1}, q) turn is <= 0
         return all(_orient(pts[i], pts[(i + 1) % n], (x, y)) <= 0 for i in range(n))
 
     def strictly_contains(self, x: Fraction, y: Fraction) -> bool:
-        pts = self.affine_vertices()
+        pts = self.vertices
         n = len(pts)
         return all(_orient(pts[i], pts[(i + 1) % n], (x, y)) < 0 for i in range(n))
 
@@ -120,7 +126,7 @@ class Polygon:
         return hash(self.vertices)
 
     def __repr__(self):
-        coords = ", ".join(f"({x},{y})" for x, y in self.affine_vertices())
+        coords = ", ".join(f"({x},{y})" for x, y in self.vertices)
         return f"Polygon[{coords}]"
 
 
@@ -156,8 +162,8 @@ class ProjMap2:
     __slots__ = ("m",)
 
     def __init__(self, rows: Sequence[Sequence]):
-        scaled = _scale_matrix_to_int(rows)
-        self.m = tuple(tuple(r) for r in scaled)
+        ints = _primitive_ints([v for row in rows for v in row])
+        self.m = tuple(tuple(ints[k:k + 3]) for k in (0, 3, 6))
         if self.det == 0:
             raise DegenerateTriple("projective map must be invertible")
 
@@ -169,12 +175,28 @@ class ProjMap2:
     def identity(cls) -> "ProjMap2":
         return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
-    def apply_raw(self, p: ProjPoint) -> tuple[int, int, int]:
-        x, y, w = p.h
-        return tuple(r[0] * x + r[1] * y + r[2] * w for r in self.m)
-
     def apply(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint(*self.apply_raw(p))
+        x, y, w = p.h
+        return ProjPoint(*(r[0] * x + r[1] * y + r[2] * w for r in self.m))
+
+    def apply_affine(self, points: Sequence[Sequence]) -> tuple[list[AffinePair], list[Fraction]]:
+        """Affine images of points (x, y, ...), only x and y read, and the
+        weight w = m[2] . (x, y, 1) of each; the image is
+        (m[0] . (x, y, 1), m[1] . (x, y, 1)) / w.
+
+        The horizon, the line the map sends to infinity, must leave all
+        points strictly on one side: MapsVertexToInfinity for a point on it,
+        ImageNotConvex when it separates two of them.
+        """
+        (a, b, c), (d, e, f), (g, h, i) = self.m
+        weights = [Fraction(g * p[0] + h * p[1] + i) for p in points]
+        if any(w == 0 for w in weights):
+            raise MapsVertexToInfinity("a point maps to the line at infinity")
+        if not (all(w > 0 for w in weights) or all(w < 0 for w in weights)):
+            raise ImageNotConvex("the line sent to infinity separates the points")
+        images = [((a * p[0] + b * p[1] + c) / w, (d * p[0] + e * p[1] + f) / w)
+                  for p, w in zip(points, weights)]
+        return images, weights
 
     def compose(self, inner: "ProjMap2") -> "ProjMap2":
         """self after inner: (self.compose(inner))(p) = self(inner(p))."""
@@ -201,39 +223,14 @@ class ProjMap2:
         return f"ProjMap2{self.m}"
 
 
-def _scale_matrix_to_int(rows: Sequence[Sequence]) -> list[list[int]]:
-    fracs = [[Fraction(v) for v in row] for row in rows]
-    denom_lcm = 1
-    for row in fracs:
-        for v in row:
-            d = v.denominator
-            denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-    ints = [[int(v * denom_lcm) for v in row] for row in fracs]
-    g = 0
-    for row in ints:
-        for v in row:
-            g = gcd(g, abs(v))
-    if g > 1:
-        ints = [[v // g for v in row] for row in ints]
-    return ints
-
-
 def apply_map(polygon: Polygon, t: ProjMap2) -> Polygon:
     """Vertexwise image of the polygon, revalidated.
 
-    The images must all be finite with a consistent homogeneous sign, which
-    is exactly the condition that the line t sends to infinity misses the
-    polygon.
+    The line t sends to infinity must miss the polygon (ProjMap2.apply_affine).
     """
-    raws = [t.apply_raw(p) for p in polygon.vertices]
-    ws = [r[2] for r in raws]
-    if any(w == 0 for w in ws):
-        raise MapsVertexToInfinity("a vertex maps to the line at infinity")
-    if not (all(w > 0 for w in ws) or all(w < 0 for w in ws)):
-        raise ImageNotConvex("the line sent to infinity crosses the polygon")
-    pairs = [(Fraction(r[0], r[2]), Fraction(r[1], r[2])) for r in raws]
+    images, _ = t.apply_affine(polygon.vertices)
     try:
-        return validate(pairs)
+        return validate(images)
     except (NotConvex, DuplicateVertex, TooFewVertices) as exc:
         raise ImageNotConvex(str(exc)) from exc
 
@@ -246,7 +243,7 @@ def map_line_to_infinity(line: ProjLine, polygon: Polygon) -> ProjMap2:
     standard basis rows away from the line's pivot coordinate.  Requires the
     line to miss the polygon.
     """
-    sides = {line.side(p) for p in polygon.vertices}
+    sides = {line.side(polygon.vertex(k)) for k in range(polygon.n)}
     if 0 in sides or len(sides) != 1:
         raise LineMeetsPolygon(f"line {line!r} meets the polygon")
     sign = sides.pop()
@@ -258,31 +255,19 @@ def map_line_to_infinity(line: ProjLine, polygon: Polygon) -> ProjMap2:
 
 def affine_through_three(src: Sequence, dst: Sequence) -> ProjMap2:
     """The unique affine map carrying three independent points to three others."""
-    s = [_as_affine(p) for p in src]
-    d = [_as_affine(p) for p in dst]
+    s = [(Fraction(p[0]), Fraction(p[1])) for p in src]
+    d = [(Fraction(p[0]), Fraction(p[1])) for p in dst]
     if len(s) != 3 or len(d) != 3:
         raise DegenerateTriple("need exactly three source and target points")
-    det_src = _orient_det(s)
-    if det_src == 0:
+    if _orient(*s) == 0:
         raise DegenerateTriple("source points are collinear")
-    if _orient_det(d) == 0:
+    if _orient(*d) == 0:
         raise DegenerateTriple("target points are collinear")
     # solve two 3x3 systems for the rows (m11 m12 m13), (m21 m22 m23)
     rows = []
     for coord in range(2):
         rows.append(_solve3(s, [d[k][coord] for k in range(3)]))
     return ProjMap2((rows[0], rows[1], (0, 0, 1)))
-
-
-def _as_affine(p) -> AffinePair:
-    if isinstance(p, ProjPoint):
-        return p.dehomogenize()
-    return (Fraction(p[0]), Fraction(p[1]))
-
-
-def _orient_det(pts: Sequence[AffinePair]) -> Fraction:
-    (x0, y0), (x1, y1), (x2, y2) = pts
-    return (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
 
 
 def _solve3(pts: Sequence[AffinePair], rhs: Sequence[Fraction]) -> tuple:

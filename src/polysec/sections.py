@@ -32,8 +32,10 @@ section.  The combination of a claimed vertex on H or at a crossing is
 read off with no LP (_claim_columns).  A point or segment claim fails on
 this path.  slack factorizes every file through the same two routines.
 
-Only verify_section sets the certificate flag; pullback, shear_fixing_flat
-and bounded_pullback return uncertified polytopes.
+Only verify_section sets the certificate flag.  pullback, shear_fixing_flat
+and bounded_pullback map vertex lists only: each fixes H as a set, so the
+section of the image is the planar image of the section, and the caller
+states that claim and certifies it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from typing import Optional, Sequence
 from .errors import (
     CertificationFailure,
     EmptySection,
+    ImageNotConvex,
+    MapsVertexToInfinity,
     PullbackUnbounded,
     ScaleExceeded,
 )
@@ -54,14 +58,13 @@ from .linalg import (
     in_convex_hull,
     interval_point,
 )
-from .polygon import Polygon, ProjMap2, apply_map, convex_hull_2d
+from .polygon import Polygon, ProjMap2, convex_hull_2d
 
 AmbientPoint = tuple[Fraction, ...]
 
 __all__ = [
     "PlanarHull",
     "SectionedPolytope",
-    "MapD",
     "compute_section",
     "verify_section",
     "certify",
@@ -70,7 +73,6 @@ __all__ = [
     "bounded_pullback",
     "distinct_points",
     "extreme_points",
-    "lift_projective",
     "pullback",
 ]
 
@@ -100,7 +102,7 @@ class PlanarHull:
 
     @classmethod
     def from_polygon(cls, polygon: Polygon) -> "PlanarHull":
-        return cls("polygon", tuple(polygon.affine_vertices()), polygon)
+        return cls("polygon", polygon.vertices, polygon)
 
     @property
     def degenerate(self) -> bool:
@@ -200,19 +202,24 @@ def _flat_crossings(vertices: Sequence[Sequence]):
     at an endpoint on H.
 
     Yields (i, j, t, point) in lexicographic (i, j) order, i < j, with the
-    crossing at (1-t) vertices[i] + t vertices[j].  ScaleExceeded, before
-    any test, past MAX_PAIR_TESTS pairs.
+    crossing at (1-t) vertices[i] + t vertices[j].  A repeated vertex is
+    crossed at its first index only: its later copies add no crossing
+    point, and no earlier pair.  ScaleExceeded, before any test, past
+    MAX_PAIR_TESTS pairs of distinct vertices.
     """
     groups = {}
     for k, v in enumerate(vertices):
         support = _support(v)
         if support:
-            groups.setdefault(support, []).append(k)
+            # within one support, x, y and the support coordinates fix v
+            key = (v[0], v[1], *(v[j] for j in support))
+            groups.setdefault(support, {}).setdefault(key, k)
     pairs = sum(len(members) * (len(members) - 1) // 2 for members in groups.values())
     if pairs > MAX_PAIR_TESTS:
         raise ScaleExceeded(f"{pairs} vertex pairs to cross with the flat")
     later = [()] * len(vertices)
     for members in groups.values():
+        members = list(members.values())
         for pos, k in enumerate(members):
             later[k] = members[pos + 1:]
     for i, partners in enumerate(later):
@@ -363,65 +370,30 @@ def extreme_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]
     return out
 
 
-class MapD:
-    """Projective map of d-space that restricts to a planar map on H.
+def pullback(vertices: Sequence[Sequence], planar: ProjMap2) -> list[AmbientPoint]:
+    """The vertices carried through the lift of a planar map to d-space.
 
-    Acts as the planar map on homogeneous coordinates (x1, x2, w), as the
-    identity on coordinates 3..d (scaled by the shared homogenizing row), so
-    H and the directions orthogonal to it are carried to themselves.
+    The lift applies the planar map to (x, y) and divides coordinates 3..d
+    by the same weight w (ProjMap2.apply_affine), so it carries H to itself.
+    Every vertex must land at a finite point with one sign of w, otherwise
+    the image is unbounded and PullbackUnbounded is raised.
     """
-
-    __slots__ = ("dim", "planar")
-
-    def __init__(self, planar: ProjMap2, dim: int):
-        self.planar = planar
-        self.dim = dim
-
-    def apply_raw(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Image of an affine d-point in homogeneous (d+1)-coordinates."""
-        m = self.planar.m
-        x1, x2 = v[0], v[1]
-        w = m[2][0] * x1 + m[2][1] * x2 + m[2][2]
-        y1 = m[0][0] * x1 + m[0][1] * x2 + m[0][2]
-        y2 = m[1][0] * x1 + m[1][1] * x2 + m[1][2]
-        return (y1, y2, *v[2:], w)
+    try:
+        images, weights = planar.apply_affine(vertices)
+    except (MapsVertexToInfinity, ImageNotConvex) as exc:
+        raise PullbackUnbounded(f"the pullback is unbounded: {exc}") from exc
+    return [(*image, *(c / w for c in v[2:])) for image, w, v in zip(images, weights, vertices)]
 
 
-def lift_projective(planar: ProjMap2, dim: int) -> MapD:
-    return MapD(planar, dim)
+def shear_fixing_flat(
+    vertices: Sequence[Sequence], u: tuple[Fraction, Fraction]
+) -> list[AmbientPoint]:
+    """Apply the affine shear (x, y, z) -> (x + u1 z, y + u2 z, z) to 3-D vertices.
 
-
-def pullback(s: SectionedPolytope, planar: ProjMap2) -> SectionedPolytope:
-    """Carry a sectioned polytope through the lift of a planar map.
-
-    Every vertex must land at a finite point with a consistent homogeneous
-    sign, otherwise the image is unbounded and PullbackUnbounded is raised.
-    The claimed section is mapped alongside (the lift carries H to itself);
-    the result is not certified.
+    The shear fixes H pointwise, so the section carries over unchanged.
     """
-    tau = lift_projective(planar, s.dim)
-    images = [tau.apply_raw(v) for v in s.vertices]
-    ws = [img[-1] for img in images]
-    if any(w == 0 for w in ws):
-        raise PullbackUnbounded("a vertex maps to the hyperplane at infinity")
-    if not (all(w > 0 for w in ws) or all(w < 0 for w in ws)):
-        raise PullbackUnbounded("vertices map to both sides of the horizon")
-    new_vertices = [tuple(c / img[-1] for c in img[:-1]) for img in images]
-    new_claimed = PlanarHull.from_polygon(apply_map(s.claimed_polygon(), planar))
-    return SectionedPolytope(s.dim, new_vertices, new_claimed)
-
-
-def shear_fixing_flat(s: SectionedPolytope, u: tuple[Fraction, Fraction]) -> SectionedPolytope:
-    """Apply the affine shear (x, y, z) -> (x + u1 z, y + u2 z, z).
-
-    The shear fixes H pointwise, so the section carries over unchanged; the
-    vertex set is replaced by its image.  The result is not certified.
-    """
-    if s.dim != 3:
-        raise ValueError("shear is only defined for 3-dimensional extensions")
     u1, u2 = Fraction(u[0]), Fraction(u[1])
-    vertices = [(v[0] + u1 * v[2], v[1] + u2 * v[2], v[2]) for v in s.vertices]
-    return SectionedPolytope(3, vertices, s.claimed)
+    return [(x + u1 * z, y + u2 * z, z) for x, y, z in vertices]
 
 
 def _shear_slope_interval(vertices, horizon) -> Optional[tuple]:
@@ -453,8 +425,9 @@ def _shear_slope_interval(vertices, horizon) -> Optional[tuple]:
     return None
 
 
-def bounded_pullback(s: SectionedPolytope, planar: ProjMap2) -> SectionedPolytope:
-    """Pullback of a 3-dimensional extension, shearing first if necessary.
+def bounded_pullback(vertices: Sequence[Sequence], planar: ProjMap2) -> list[AmbientPoint]:
+    """Pullback of the vertices of a 3-dimensional extension, shearing
+    first if necessary.
 
     Any shear fixing H pointwise yields another valid extension of the same
     section, and shifts each vertex's horizon value by a slope times its
@@ -471,17 +444,18 @@ def bounded_pullback(s: SectionedPolytope, planar: ProjMap2) -> SectionedPolytop
     missing the polygon lifts to a plane through l missing P; that plane is
     not H, which meets P.  The feasible slope interval is therefore never
     empty.  PullbackUnbounded, should it still be raised, is an internal
-    failure.  Like pullback, it returns an uncertified polytope.
+    failure.  Like pullback, it maps vertices only; the section of the
+    image is the planar image of the section.
     """
-    if s.dim != 3:
-        return pullback(s, planar)
+    if len(vertices[0]) != 3:
+        return pullback(vertices, planar)
     horizon = planar.m[2]
-    interval = _shear_slope_interval(s.vertices, horizon)
+    interval = _shear_slope_interval(vertices, horizon)
     if interval is None:
         raise PullbackUnbounded("no H-fixing shear bounds the pullback")
     lo, hi = interval
     if (lo is None or lo < 0) and (hi is None or hi > 0):
-        return pullback(s, planar)
+        return pullback(vertices, planar)
     rho = interval_point(lo, hi)
     h1, h2, _ = horizon
     if h1 != 0:
@@ -489,5 +463,5 @@ def bounded_pullback(s: SectionedPolytope, planar: ProjMap2) -> SectionedPolytop
     elif h2 != 0:
         u = (Fraction(0), rho / h2)
     else:
-        return pullback(s, planar)  # horizon is the line at infinity: affine map
-    return pullback(shear_fixing_flat(s, u), planar)
+        return pullback(vertices, planar)  # horizon is the line at infinity: affine map
+    return pullback(shear_fixing_flat(vertices, u), planar)

@@ -90,7 +90,7 @@ class AffineFunctional:
 
 def slack_matrix(polygon: Polygon) -> SlackMatrix:
     n = polygon.n
-    points = polygon.affine_vertices()
+    points = polygon.vertices
     rows = []
     for i in range(n):
         a, b = polygon.edge_inequality(i)
@@ -154,7 +154,7 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     if s.claimed_polygon() != polygon:
         raise DomainError("the extension's section is not this polygon")
     gens = distinct_points(s.vertices, s.dim)
-    c_cols = _claim_columns(polygon.affine_vertices(), gens, s.dim)
+    c_cols = _claim_columns(polygon.vertices, gens, s.dim)
     if c_cols is None:
         raise NotInPolytope("a vertex of the polygon is not in the polytope")
     functionals = [extend_facet_inequality(i, s) for i in range(polygon.n)]

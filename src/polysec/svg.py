@@ -48,7 +48,7 @@ def _clip_line_to_box(line, x0, y0, x1, y1):
 
 
 def render_polygon_svg(polygon: Polygon, std_lines: bool = False, labels: bool = False) -> str:
-    pts = polygon.affine_vertices()
+    pts = polygon.vertices
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     span = max(max(xs) - min(xs), max(ys) - min(ys), Fraction(1))

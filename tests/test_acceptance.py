@@ -118,7 +118,7 @@ def test_criterion_5_hexagon_dichotomy():
     u, v = pair
     direction = (v[0] - u[0], v[1] - u[1], v[2] - u[2])
     assert direction[2] == 0
-    pts = regular.affine_vertices()
+    pts = regular.vertices
     edge_dirs = [(pts[(i + 1) % 6][0] - pts[i][0], pts[(i + 1) % 6][1] - pts[i][1])
                  for i in range(6)]
     assert any(direction[0] * ey - direction[1] * ex == 0 for ex, ey in edge_dirs)

@@ -17,12 +17,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from polysec import linalg, sections, slack
 from polysec import polygon as polygon_module
 from polysec.cli import main
+from polysec.exactgeom import ProjPoint
 from polysec.heptagon import heptagon_extension
 from polysec.jsonio import dumps, loads, polygon_to_obj, sectioned_from_obj, sectioned_to_obj
 from polysec.polygon import convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon, random_hexagon_params
 
-from conftest import SIX_CROSSING_HEPTAGON, SIX_VERTEX_HEXAGON, count_calls_everywhere
+from conftest import SIX_CROSSING_HEPTAGON, SIX_VERTEX_HEXAGON, count_calls, count_calls_everywhere
 
 
 @pytest.fixture
@@ -111,7 +112,7 @@ class TestExtendVerify:
 
     def test_verify_crosses_within_blocks_and_builds_two_hulls(self, tmp_path, capsys, monkeypatch):
         polygon = random_convex_polygon(random.Random(28), 28)
-        path = write_polygon(tmp_path, "p28.json", polygon.affine_vertices())
+        path = write_polygon(tmp_path, "p28.json", polygon.vertices)
         ext = tmp_path / "p28.ext.json"
         assert main(["extend", path, "--mode", "join", "--out", str(ext)]) == 0
         assert loads(capsys.readouterr().out)["vertices"] == 24
@@ -173,8 +174,8 @@ class TestExtendVerify:
         # ~1750-character input coordinates grow past the 4300-digit limit
         polygon = random_convex_polygon(random.Random(3), 7)
         points = [(x + Fraction(3**1800 + i, 2**2900 + 7 * i + 1), y)
-                  for i, (x, y) in enumerate(polygon.affine_vertices())]
-        path = write_polygon(tmp_path, "big.json", validate(points).affine_vertices())
+                  for i, (x, y) in enumerate(polygon.vertices)]
+        path = write_polygon(tmp_path, "big.json", validate(points).vertices)
         out = tmp_path / "big.ext.json"
         assert main(["extend", path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -187,7 +188,7 @@ class TestExtendVerify:
 
     def test_four_dimensional_join_round_trip(self, tmp_path, capsys):
         polygon = random_convex_polygon(random.Random(14), 14)
-        path = write_polygon(tmp_path, "p14.json", polygon.affine_vertices())
+        path = write_polygon(tmp_path, "p14.json", polygon.vertices)
         out = tmp_path / "p14.ext.json"
         assert main(["extend", path, "--mode", "join", "--out", str(out)]) == 0
         summary = loads(capsys.readouterr().out)
@@ -289,9 +290,10 @@ class TestSlackFactorize:
 
     def test_no_search_and_one_product_check(self, heptagon_file, tmp_path, capsys, monkeypatch):
         # verify and factorize of package files never take the LP path, and
-        # factorize does not verify: its factorization is the check
+        # factorize does not verify: its factorization is the check; both
+        # read affine coordinates and build no projective point
         polygon = random_convex_polygon(random.Random(28), 28)
-        path28 = write_polygon(tmp_path, "p28.json", polygon.affine_vertices())
+        path28 = write_polygon(tmp_path, "p28.json", polygon.vertices)
         runs = [(heptagon_file, "auto"), (path28, "join"), (path28, "3d")]
         for k, (path, mode) in enumerate(runs):
             assert main(["extend", path, "--mode", mode, "--out", str(tmp_path / f"{k}.json")]) == 0
@@ -300,16 +302,17 @@ class TestSlackFactorize:
         solves = count_calls_everywhere(monkeypatch, linalg, "solve_linear")
         checks = count_calls_everywhere(monkeypatch, slack, "verify_factorization")
         verifies = count_calls_everywhere(monkeypatch, sections, "verify_section")
+        points = count_calls(monkeypatch, ProjPoint, "__init__")
         for k, (path, mode) in enumerate(runs):
             assert main(["verify", str(tmp_path / f"{k}.json")]) == 0
             assert main(["factorize", path, str(tmp_path / f"{k}.json")]) == 0
             assert len(checks) == len(verifies) == k + 1
-        assert lps == [] and solves == []
+        assert lps == [] and solves == [] and points == []
 
     def test_factorize_output_unchanged(self, tmp_path, capsys):
         digests = {}
         for name, polygon, mode in pinned_factorize_cases():
-            path = write_polygon(tmp_path, name + ".json", polygon.affine_vertices())
+            path = write_polygon(tmp_path, name + ".json", polygon.vertices)
             ext = str(tmp_path / (name + ".ext.json"))
             assert main(["extend", path, "--mode", mode, "--out", ext]) == 0
             capsys.readouterr()
@@ -354,6 +357,23 @@ class TestWorkBound:
             assert out == "" and err.count("\n") == 1
             assert loads(err)["error"] == "ScaleExceeded"
         assert crossings == [] and lps == []
+
+    def test_repeated_vertex_counts_once(self, tmp_path, capsys, monkeypatch):
+        # a triangle on H and one vertex above it written 500 times: the
+        # copies make 124 750 pairs, but only distinct vertices are crossed
+        triangle = [(-1, -1), (2, -1), (0, 2)]
+        doc = {"dim": 3,
+               "vertices": [[str(x), str(y), "0"] for x, y in triangle] + [["1", "0", "1"]] * 500,
+               "claimed": {"vertices": [[str(x), str(y)] for x, y in triangle]}}
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps(doc))
+        path = write_polygon(tmp_path, "triangle.json", triangle)
+        crossings = count_calls_everywhere(monkeypatch, sections, "_segment_flat_crossing")
+        assert main(["verify", str(ext)]) == 0
+        assert capsys.readouterr().out == "PASS\n"
+        tested = len(crossings)
+        assert main(["factorize", path, str(ext)]) == 0
+        assert len(crossings) == 2 * tested
 
 
 def false_square_claim(shadows, u, w) -> dict:

@@ -110,8 +110,8 @@ class TestConvexJoin:
 
     def test_two_heptagon_chunks_of_a_14gon(self, rng):
         polygon = random_convex_polygon(rng, 14)
-        first = validate([polygon.affine(k) for k in range(7)])
-        second = validate([polygon.affine(k) for k in range(7, 14)])
+        first = validate([polygon.vertices[k] for k in range(7)])
+        second = validate([polygon.vertices[k] for k in range(7, 14)])
         joined = convex_join_sections(heptagon_extension(first), heptagon_extension(second))
         assert joined.certified and joined.dim == 4
         assert len(joined.vertices) <= 12
@@ -125,9 +125,9 @@ class TestConvexJoin:
 
     def test_three_way_join_matches_pairwise_fold(self, rng):
         polygon = random_convex_polygon(rng, 16)
-        parts = [heptagon_extension(validate([polygon.affine(k) for k in range(7)])),
-                 heptagon_extension(validate([polygon.affine(k) for k in range(7, 14)]))]
-        tail = [polygon.affine(14), polygon.affine(15)]
+        parts = [heptagon_extension(validate([polygon.vertices[k] for k in range(7)])),
+                 heptagon_extension(validate([polygon.vertices[k] for k in range(7, 14)]))]
+        tail = [polygon.vertices[14], polygon.vertices[15]]
         parts.append(certify(SectionedPolytope(2, tail, PlanarHull.of(tail))))
         joined = convex_join_sections(*parts)
         folded = convex_join_sections(convex_join_sections(parts[0], parts[1]), parts[2])

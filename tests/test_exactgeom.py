@@ -10,10 +10,8 @@ from polysec.exactgeom import (
     ProjLine,
     ProjPoint,
     cross,
-    dehomogenize,
     det3,
     format_scalar,
-    is_finite,
     join,
     meet,
     parse_scalar,
@@ -51,7 +49,7 @@ class TestJoinMeet:
         l0 = join(pt(0, 0), pt(1, 0))
         l1 = join(pt(0, 1), pt(1, 1))
         p = meet(l0, l1)
-        assert not is_finite(p)
+        assert not p.is_finite
         assert p == ProjPoint(1, 0, 0)
 
     def test_meet_solves_two_by_two_system(self):
@@ -90,17 +88,17 @@ class TestDet3:
 
 class TestDehomogenize:
     def test_scales_out(self):
-        assert dehomogenize(ProjPoint(2, 4, 2)) == (1, 2)
+        assert ProjPoint(2, 4, 2).dehomogenize() == (1, 2)
 
     def test_infinite_point(self):
         p = ProjPoint(1, 0, 0)
-        assert not is_finite(p)
+        assert not p.is_finite
         with pytest.raises(AtInfinity):
-            dehomogenize(p)
+            p.dehomogenize()
 
     def test_fractional_weight(self):
         p = ProjPoint(Fraction(3, 2), -5, Fraction(1, 2))
-        assert dehomogenize(p) == (3, -10)
+        assert p.dehomogenize() == (3, -10)
 
     def test_negative_weight_normalized_on_construction(self):
         assert ProjPoint(-1, -2, -1) == pt(1, 2)
@@ -171,4 +169,4 @@ class TestIdentities:
         p = ProjPoint(2, 4, 2)
         q = ProjPoint(Fraction(1), Fraction(2), Fraction(1))
         assert p == q and hash(p) == hash(q)
-        assert is_finite(p) == is_finite(q)
+        assert p.is_finite == q.is_finite

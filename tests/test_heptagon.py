@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polysec.heptagon as heptagon_module
+import polysec.polygon as polygon_module
 import polysec.sections as sections_module
 from polysec.errors import BadK, CertificationFailure, NotHeptagon
 from polysec.exactgeom import ProjLine, ProjPoint, cross, det3
@@ -24,7 +25,12 @@ from polysec.polygon import Polygon, apply_map, map_line_to_infinity, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import compute_section, extreme_points, verify_section
 
-from conftest import PUBLISHED_TO_CANONICAL_SHIFT, SIX_CROSSING_HEPTAGON, count_calls
+from conftest import (
+    PUBLISHED_TO_CANONICAL_SHIFT,
+    SIX_CROSSING_HEPTAGON,
+    count_calls,
+    count_calls_everywhere,
+)
 
 STD_PARAMS = dict(a=Fraction(1, 2), b=Fraction(-1, 4), c=Fraction(-1, 4),
                   d=Fraction(1, 2), lam=Fraction(1, 4), mu=Fraction(1, 4))
@@ -64,8 +70,8 @@ class TestStdPoints:
         def line_coeffs(p, q):
             (x0, y0), (x1, y1) = p, q
             return (y0 - y1, x1 - x0, x0 * y1 - x1 * y0)  # ax + by + c = 0
-        l1 = line_coeffs(polygon.affine(i + 1), polygon.affine(i + 2))
-        l2 = line_coeffs(polygon.affine(i + 0), polygon.affine(i + 3))
+        l1 = line_coeffs(polygon.vertices[(i + 1) % 7], polygon.vertices[(i + 2) % 7])
+        l2 = line_coeffs(polygon.vertices[i], polygon.vertices[(i + 3) % 7])
         det = l1[0] * l2[1] - l2[0] * l1[1]
         assert det != 0
         x = (-l1[2] * l2[1] + l2[2] * l1[1]) / det
@@ -148,10 +154,10 @@ class TestClassifyLine:
         base = standard_heptagon().vertex_list()
         moved = list(base)
         moved[1] = (base[1][0] - Fraction(3, 44), base[1][1])
-        pts = [ProjPoint.from_affine(x, y) for x, y in moved]
+        polygon = Polygon(moved)
         for k in range(7):
-            assert det3(pts[(k + 2) % 7], pts[(k + 1) % 7], pts[k]) > 0  # still convex cw
-        polygon = Polygon(pts)
+            # still convex clockwise
+            assert det3(polygon.vertex(k + 2), polygon.vertex(k + 1), polygon.vertex(k)) > 0
         from polysec.heptagon import _crossing_expressions
 
         plus_expr, minus_expr = _crossing_expressions(polygon, 2)
@@ -343,7 +349,7 @@ class TestHeptagonExtension:
         sections = count_calls(monkeypatch, sections_module, "compute_section")
         base = standard_heptagon().polygon()
         for u1, u2 in ((1, 0), (0, 1), (1, 1), (2, 1), (1, -1)):
-            reach = max(u1 * x + u2 * y for x, y in base.affine_vertices())
+            reach = max(u1 * x + u2 * y for x, y in base.vertices)
             for gap in (Fraction(1, 10), Fraction(1)):
                 horizon = ProjLine(u1, u2, -(reach + gap))
                 polygon = apply_map(base, map_line_to_infinity(horizon, base))
@@ -363,6 +369,20 @@ class TestHeptagonExtension:
             sections.clear()
             ext = heptagon_extension(random_convex_polygon(rng, 7))
             assert ext.certified and len(sections) == 1
+
+    def test_seven_conversions_and_one_validation(self, rng, monkeypatch):
+        # the input's vertices become projective points once, for the
+        # crossing classification; the only validation is the standard
+        # heptagon's, since the pullback maps vertices and the result claims
+        # the input
+        conversions = count_calls(monkeypatch, ProjPoint, "from_affine")
+        validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
+        for _ in range(20):
+            polygon = random_convex_polygon(rng, 7)
+            conversions.clear()
+            validations.clear()
+            assert heptagon_extension(polygon).claimed_polygon() is polygon
+            assert len(conversions) <= 7 and len(validations) == 1
 
     def test_fuzzed_heptagons(self, rng):
         for _ in range(150):

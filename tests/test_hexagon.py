@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import polysec.hexagon as hexagon_module
+import polysec.polygon as polygon_module
 import polysec.sections as sections_module
 from polysec.errors import ComplexitySix, NoConcurrency, NotHexagon
 from polysec.hexagon import (
@@ -17,7 +18,7 @@ from polysec.polygon import ProjMap2, apply_map, validate
 from polysec.randgen import random_hexagon_params
 from polysec.sections import extreme_points, verify_section
 
-from conftest import SIX_VERTEX_HEXAGON, count_calls
+from conftest import SIX_VERTEX_HEXAGON, count_calls, count_calls_everywhere
 
 # alpha = 2, beta = 5, gamma = 3, x = 1/4, y = 1/3: a hexagon whose only
 # concurrent pairing is the designed one, with a finite concurrency point
@@ -164,9 +165,12 @@ class TestNormalForm:
 class TestReadOnce:
     def test_one_read_and_one_section_per_hexagon(self, regular_hexagon, rng, monkeypatch):
         # the orientation test picks the anchor assignment; the other one is
-        # never tried, on mirrored witnesses and at-infinity ones alike
+        # never tried, on mirrored witnesses and at-infinity ones alike.  The
+        # only validation is of the normal form: the pullback maps vertices
+        # only, and the result claims the input hexagon
         reads = count_calls(monkeypatch, hexagon_module, "_read_normal_form")
         sections = count_calls(monkeypatch, sections_module, "compute_section")
+        validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
         hexagons = [regular_hexagon, hexagon_from_params(*ASYMMETRIC_PARAMS),
                     mirrored_hexagon_from_params(*ASYMMETRIC_PARAMS),
                     validate([(0, 0), (1, 0), (2, 1), (2, Fraction(5, 2)), (1, 2), (0, 1)]),
@@ -184,7 +188,9 @@ class TestReadOnce:
             mirrored += nf.mirrored
             at_infinity += not concurrency_point(hexagon, r).is_finite
             sections.clear()
+            validations.clear()
             assert hexagon_extension5(hexagon).certified and len(sections) == 1
+            assert len(validations) == 1
         assert mirrored and at_infinity
 
 
@@ -233,7 +239,7 @@ class TestExtension5:
         u, v = pair
         direction = (v[0] - u[0], v[1] - u[1], v[2] - u[2])
         assert direction[2] == 0  # parallel to the section plane
-        pts = regular_hexagon.affine_vertices()
+        pts = regular_hexagon.vertices
         edge_dirs = [(pts[(i + 1) % 6][0] - pts[i][0], pts[(i + 1) % 6][1] - pts[i][1])
                      for i in range(6)]
         assert any(direction[0] * ey - direction[1] * ex == 0 for ex, ey in edge_dirs)
@@ -265,7 +271,7 @@ class TestExtension5:
         for _ in range(15):
             params = random_hexagon_params(rng)
             hexagon = hexagon_from_params(*params)
-            far = 3 + max(abs(x) for p in hexagon.affine_vertices() for x in p)
+            far = 3 + max(abs(x) for p in hexagon.vertices for x in p)
             line = ProjLine(rng.randrange(1, 4), rng.randrange(0, 4), -far * 4)
             try:
                 image = apply_map(hexagon, map_line_to_infinity(line, hexagon))
@@ -291,4 +297,4 @@ class TestExtension5:
                     continue
                 t = u[2] / (u[2] - v[2])
                 crossings.add((u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1])))
-        assert crossings == set(hexagon.affine_vertices())
+        assert crossings == set(hexagon.vertices)

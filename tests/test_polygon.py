@@ -34,7 +34,7 @@ class TestValidate:
     def test_triangle_relabeled_clockwise(self):
         t = validate([(0, 0), (1, 0), (0, 1)])
         assert t.n == 3
-        assert t.affine(0) == (0, 0)  # lexicographically smallest first
+        assert t.vertices[0] == (0, 0)  # lexicographically smallest first
         assert clockwise_everywhere(t)
 
     def test_collinear_rejected(self):
@@ -48,7 +48,7 @@ class TestValidate:
     def test_self_crossing_order_rejected(self):
         # convex-position points traced in pentagram order
         pentagon = validate([(0, 0), (4, 1), (5, 3), (2, 5), (0, 3)])
-        ring = pentagon.affine_vertices()
+        ring = pentagon.vertices
         star = [ring[0], ring[2], ring[4], ring[1], ring[3]]
         with pytest.raises(NotConvex):
             validate(star)
@@ -65,7 +65,7 @@ class TestValidate:
         p = validate(SIX_CROSSING_HEPTAGON)
         assert p.n == 7
         assert clockwise_everywhere(p)
-        assert p.affine(0) == (0, 0)
+        assert p.vertices[0] == (0, 0)
 
     def test_counterclockwise_input_flipped(self):
         cw = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -88,7 +88,7 @@ class TestApplyMap:
         p = validate([(0, 0), (1, 0), (0, 1)])
         t = ProjMap2(((1, 0, 1), (0, 1, 2), (0, 0, 1)))
         q = apply_map(p, t)
-        assert sorted(q.affine_vertices()) == [(1, 2), (1, 3), (2, 2)]
+        assert sorted(q.vertices) == [(1, 2), (1, 3), (2, 2)]
 
     def test_line_through_interior_breaks_image(self):
         p = validate([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -115,10 +115,10 @@ class TestMapLineToInfinity:
         p = validate([(1, 0), (2, 0), (1, 1)])
         line = ProjLine(1, 0, 1)  # x = -1
         t = map_line_to_infinity(line, p)
-        for v in p.vertices:
-            assert t.apply_raw(v)[2] > 0
-        on_line = ProjPoint.from_affine(-1, 5)
-        assert t.apply_raw(on_line)[2] == 0
+        _, weights = t.apply_affine(p.vertices)
+        assert all(w > 0 for w in weights)
+        with pytest.raises(MapsVertexToInfinity):
+            t.apply_affine([(-1, 5)])  # on the line
 
     def test_crossing_line_rejected(self):
         p = validate([(0, 0), (2, 0), (2, 2), (0, 2)])

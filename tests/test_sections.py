@@ -8,7 +8,7 @@ import polysec.polygon as polygon_module
 import polysec.sections as sections_module
 from polysec.errors import EmptySection, PullbackUnbounded, ScaleExceeded
 from polysec.linalg import in_convex_hull, solve_linear
-from polysec.polygon import ProjMap2, convex_hull_2d, validate
+from polysec.polygon import ProjMap2, apply_map, convex_hull_2d, validate
 from polysec.sections import (
     PlanarHull,
     SectionedPolytope,
@@ -18,7 +18,6 @@ from polysec.sections import (
     bounded_pullback,
     compute_section,
     extreme_points,
-    lift_projective,
     pullback,
     verify_section,
 )
@@ -106,7 +105,7 @@ def all_pairs_section(verts):
     if len(hull) < 3:
         return ("point", "segment")[len(hull) - 1], tuple(sorted(hull)), None
     polygon = validate(hull)
-    return "polygon", tuple(polygon.affine_vertices()), polygon
+    return "polygon", tuple(polygon.vertices), polygon
 
 
 def kind_points_polygon(hull):
@@ -220,26 +219,25 @@ class TestExtremePoints:
 
 class TestLiftAndPullback:
     def test_identity_lift(self):
-        tau = lift_projective(ProjMap2.identity(), 4)
-        assert tau.apply_raw((Fraction(3), Fraction(4), Fraction(5), Fraction(6))) == (3, 4, 5, 6, 1)
+        point = (Fraction(3), Fraction(4), Fraction(5), Fraction(6))
+        assert pullback([point], ProjMap2.identity()) == [(3, 4, 5, 6)]
 
     def test_translation_lift_fixes_transverse_coords(self):
         t = ProjMap2(((1, 0, 5), (0, 1, -2), (0, 0, 1)))
-        tau = lift_projective(t, 3)
-        assert tau.apply_raw((Fraction(1), Fraction(1), Fraction(9))) == (6, -1, 9, 1)
+        assert pullback([(Fraction(1), Fraction(1), Fraction(9))], t) == [(6, -1, 9)]
 
     def test_horizon_hazard(self):
         # the map sending x = -1 to infinity kills points with x = -1 at any height
         t = ProjMap2(((0, 1, 0), (0, 0, 1), (1, 0, 1)))
-        tau = lift_projective(t, 3)
-        image = tau.apply_raw((Fraction(-1), Fraction(2), Fraction(5)))
-        assert image[-1] == 0
+        with pytest.raises(PullbackUnbounded):
+            pullback([(Fraction(-1), Fraction(2), Fraction(5))], t)
 
     def test_affine_pullback_always_succeeds(self):
-        s = SectionedPolytope(3, TETRA, validate(TETRA_SECTION))
+        section = validate(TETRA_SECTION)
+        s = SectionedPolytope(3, TETRA, section)
         verify_section(s)
         t = ProjMap2(((2, 0, 1), (0, 2, -3), (0, 0, 1)))
-        out = pullback(s, t)
+        out = SectionedPolytope(3, pullback(s.vertices, t), apply_map(section, t))
         assert verify_section(out) and out.dim == 3 and len(out.vertices) == 4
 
     def test_adversarial_pullback_unbounded(self):
@@ -249,17 +247,18 @@ class TestLiftAndPullback:
         # but shift it so the horizon cuts it first
         bad = ProjMap2(((0, 1, 0), (0, 0, 1), (2, 0, -1)))  # horizon x = 1/2
         with pytest.raises(PullbackUnbounded):
-            pullback(s, bad)
+            pullback(s.vertices, bad)
 
     def test_bounded_pullback_rescues_with_shear(self):
         # horizon x = 3/4 clips the base vertex (1,0,-1) but not the section
         # (x <= 1/2 there); a shear with slope in (-3, -1) fixes every sign
-        s = SectionedPolytope(3, TETRA, validate(TETRA_SECTION))
+        section = validate(TETRA_SECTION)
+        s = SectionedPolytope(3, TETRA, section)
         verify_section(s)
         bad = ProjMap2(((0, 1, 0), (0, 0, 1), (-4, 0, 3)))
         with pytest.raises(PullbackUnbounded):
-            pullback(s, bad)
-        out = bounded_pullback(s, bad)
+            pullback(s.vertices, bad)
+        out = SectionedPolytope(3, bounded_pullback(s.vertices, bad), apply_map(section, bad))
         assert verify_section(out)
 
 

@@ -69,7 +69,7 @@ class TestExtendFacetInequality:
         for i in range(7):
             functional = extend_facet_inequality(i, ext)
             for j in range(7):
-                x, y = polygon.affine(j)
+                x, y = polygon.vertices[j]
                 assert functional((x, y, Fraction(0))) == sm.entries[i][j]
 
     def test_codimension_two_feasible(self, rng):
@@ -127,7 +127,7 @@ class TestFactorize:
 
     def test_square_as_its_own_section(self):
         square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
-        flat = [(x, y, Fraction(0)) for x, y in square.affine_vertices()]
+        flat = [(x, y, Fraction(0)) for x, y in square.vertices]
         ext = certify(SectionedPolytope(3, flat, square))
         fact = factorize_from_section(square, ext)
         sm = slack_matrix(square)
@@ -146,7 +146,7 @@ class TestFactorize:
         # a box over the unit square, one corner listed twice and one point
         # inside: every distinct vertex is a generator
         square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
-        box = [(x, y, z) for z in (1, -1) for x, y in square.affine_vertices()]
+        box = [(x, y, z) for z in (1, -1) for x, y in square.vertices]
         inside = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))
         ext = certify(SectionedPolytope(3, box + [box[0], inside], square))
         fact = factorize_from_section(square, ext)
@@ -159,7 +159,7 @@ class TestFactorize:
         # above it, none of whose segments cross H away from the square
         square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
         above = [(Fraction(k, 64), Fraction(1, 2), 1, 0, 0) for k in range(61)]
-        flat = [(x, y, 0, 0, 0) for x, y in square.affine_vertices()]
+        flat = [(x, y, 0, 0, 0) for x, y in square.vertices]
         ext = certify(SectionedPolytope(5, flat + above, square))
         with pytest.raises(ScaleExceeded, match="65 points in dimension 5"):
             factorize_from_section(square, ext)
