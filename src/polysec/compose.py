@@ -1,11 +1,12 @@
 """Extensions of general n-gons built from heptagon pieces.
 
 Three constructions: a 3-dimensional extension with at most n-1 vertices
-(peel vertices down to a heptagon, re-add each at height zero), the convex
-join of any number of sectioned polytopes (which adds dimensions but keeps
-vertex counts additive), and the chunked construction giving a
-(2 + floor(n/7))-dimensional extension with at most ceil(6n/7) vertices.
-Each construction certifies its result once, from scratch.
+(extend the first seven vertices as a heptagon, keep the others at height
+zero), the convex join of any number of sectioned polytopes (which adds
+dimensions but keeps vertex counts additive), and the chunked construction
+giving a (2 + floor(n/7))-dimensional extension with at most ceil(6n/7)
+vertices.  Each construction builds its vertex list from uncertified parts
+and certifies the result once, from scratch.
 optimal_even_gon realizes the matching lower-bound witness: a 2m-gon cut
 out of a stacked polytope with m + 2 vertices.
 """
@@ -14,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
-from .errors import CertificationFailure, DomainError, IncompatibleSections
-from .heptagon import heptagon_extension
+from .errors import CertificationFailure, DomainError
+from .heptagon import heptagon_vertices
 from .polygon import Polygon, validate
 from .sections import PlanarHull, SectionedPolytope, certify
 
@@ -39,28 +39,18 @@ def lower_bound_3d(n: int) -> int:
     return -((n + 4) // -2)  # ceil((n + 4) / 2)
 
 
-def ngon_3d_extension(
-    polygon: Polygon,
-    drop_choice: Optional[Callable[[Polygon], int]] = None,
-) -> SectionedPolytope:
+def ngon_3d_extension(polygon: Polygon) -> SectionedPolytope:
     """Certified 3-dimensional extension of an n-gon with at most n-1 vertices.
 
-    Removes one vertex at a time (the highest canonical index unless a
-    chooser is supplied) until a heptagon remains, extends the heptagon,
-    re-adds the removed vertices at height zero and certifies the result.
+    The first seven vertices of a canonical polygon are a canonical heptagon
+    (index 0 stays the lexicographic minimum, the order stays clockwise).
+    Its six-vertex extension together with the other n - 7 vertices at
+    height zero is the polytope, certified once.
     """
     if polygon.n < 7:
         raise DomainError(f"need n >= 7, got {polygon.n}")
-    core = polygon
-    dropped = []
-    while core.n > 7:
-        index = core.n - 1 if drop_choice is None else drop_choice(core) % core.n
-        dropped.append(core.vertices[index])
-        core = validate([v for k, v in enumerate(core.vertices) if k != index])
-    inner = heptagon_extension(core)
-    if not dropped:
-        return inner
-    vertices = list(inner.vertices) + [(x, y, Fraction(0)) for x, y in reversed(dropped)]
+    vertices = heptagon_vertices(Polygon(polygon.vertices[:7]))
+    vertices += [(x, y, Fraction(0)) for x, y in polygon.vertices[7:]]
     return certify(SectionedPolytope(3, vertices, polygon))
 
 
@@ -69,10 +59,10 @@ def convex_join_sections(*parts: SectionedPolytope) -> SectionedPolytope:
 
     Extra coordinates of the polytopes are placed in disjoint blocks, in
     argument order, so the result lives in dimension 2 + sum(d_i - 2) and
-    uses no more vertices than all inputs together.  It is certified once.
+    uses no more vertices than all inputs together.  The parts need not be
+    certified: the result, claiming the hull of the parts' claims, is
+    certified once from scratch.
     """
-    if not all(s.certified for s in parts):
-        raise IncompatibleSections("all inputs must carry a verified certificate")
     dim = 2 + sum(s.dim - 2 for s in parts)
     vertices = {}  # insertion-ordered, drops repeats
     before = 0
@@ -106,24 +96,21 @@ def chunk_plan(n: int) -> ChunkPlan:
     return ChunkPlan(n=n, chunks=tuple(chunks))
 
 
-def _trivial_planar_section(points: list[tuple[Fraction, Fraction]]) -> SectionedPolytope:
-    """A planar point set as its own section (ambient dimension 2)."""
-    hull = PlanarHull.of(points)
-    return certify(SectionedPolytope(2, list(hull.points), hull))
-
-
 def ngon_extension(polygon: Polygon) -> SectionedPolytope:
     """Certified extension in dimension 2 + floor(n/7) with 6*floor(n/7) +
-    (n mod 7) <= ceil(6n/7) vertices."""
+    (n mod 7) <= ceil(6n/7) vertices: the join of one heptagon extension
+    per full chunk of 7 and the remainder chunk on the plane, certified once
+    by the join."""
     n = polygon.n
-    plan = chunk_plan(n)
     parts = []
-    for chunk in plan.chunks:
+    for chunk in chunk_plan(n).chunks:
         pts = [polygon.vertices[k] for k in chunk]
         if len(chunk) == 7:
-            parts.append(heptagon_extension(validate(pts)))
+            core = validate(pts)
+            parts.append(SectionedPolytope(3, heptagon_vertices(core), core))
         else:
-            parts.append(_trivial_planar_section(pts))
+            hull = PlanarHull.of(pts)  # a point, a segment or a polygon
+            parts.append(SectionedPolytope(2, hull.points, hull))
     result = convex_join_sections(*parts)
     expected_dim = 2 + n // 7
     bound = -((6 * n) // -7)

@@ -110,10 +110,6 @@ class PullbackUnbounded(PolysecError):
     """A lifted map sends some vertex to the hyperplane at infinity or beyond."""
 
 
-class IncompatibleSections(DomainError):
-    pass
-
-
 # slack
 class NoExtension(DomainError):
     """A facet inequality of the claimed section has no nonnegative extension.

@@ -34,7 +34,7 @@ from .polygon import (
     map_line_to_infinity,
     validate,
 )
-from .sections import SectionedPolytope, bounded_pullback, certify
+from .sections import AmbientPoint, SectionedPolytope, bounded_pullback, certify
 
 __all__ = [
     "StdPoints",
@@ -49,6 +49,7 @@ __all__ = [
     "invariant_sum",
     "standardize",
     "build_standard_extension",
+    "heptagon_vertices",
     "heptagon_extension",
 ]
 
@@ -112,32 +113,33 @@ def std_points(polygon: Polygon, i: int) -> StdPoints:
     return StdPoints(index=i % 7, plus=plus, minus=minus, line=join(plus, minus))
 
 
-def _crossing_expressions(polygon: Polygon, i: int) -> tuple:
-    """The two sign expressions deciding +-/- crossing for index i.
-
-    Each is a difference of determinant products over the same six vertices,
-    so the sign is independent of the homogeneous representatives.
-    """
-    p = polygon.vertex
+def _octuple(rows: Sequence, i: int) -> DetOctuple:
+    """Determinant octuple at index i of seven homogeneous rows; e = b and
+    h = c by definition, so six determinants are computed."""
 
     def d(x: int, y: int, z: int):
-        return det3(p(i + x), p(i + y), p(i + z))
+        return det3(rows[(i + x) % 7], rows[(i + y) % 7], rows[(i + z) % 7])
 
-    a = d(-1, -2, -3)
     b = d(2, 1, 0)
     c = d(-1, -2, 0)
-    dd = d(2, 1, -3)
-    f = d(-1, -2, 3)
-    g = d(2, 1, 3)
-    plus_expr = a * b - c * dd
-    minus_expr = g * c - b * f  # e = b and h = c by definition
-    return plus_expr, minus_expr
+    return DetOctuple(
+        a=d(-1, -2, -3), b=b, c=c, d=d(2, 1, -3),
+        e=b, f=d(-1, -2, 3), g=d(2, 1, 3), h=c,
+    )
 
 
 def classify_line(polygon: Polygon, i: int) -> Crossing:
-    """Classify the i-th standardization line; ties (= 0) count as crossing."""
+    """Classify the i-th standardization line; ties (= 0) count as crossing.
+
+    The signs of a*b - c*d (+-crossing) and g*h - e*f (--crossing) decide.
+    Each is a difference of determinant products over the same six
+    vertices, so the integer triples of Polygon.vertex give the signs of
+    the affine lifts.
+    """
     _require_heptagon(polygon)
-    plus_expr, minus_expr = _crossing_expressions(polygon, i)
+    o = _octuple([polygon.vertex(k).h for k in range(7)], i)
+    plus_expr = o.a * o.b - o.c * o.d
+    minus_expr = o.g * o.h - o.e * o.f
     if plus_expr >= 0 and minus_expr >= 0:
         raise DegenerateConstruction(
             f"index {i} classifies as both +-crossing and --crossing on {polygon!r}"
@@ -161,36 +163,16 @@ def find_noncrossing(polygon: Polygon) -> int:
     )
 
 
-def _affine_lifts(points: Sequence) -> list[tuple[Fraction, Fraction, Fraction]]:
-    lifts = []
-    for p in points:
-        if isinstance(p, ProjPoint):
-            x, y = p.dehomogenize()
-        else:
-            x, y = Fraction(p[0]), Fraction(p[1])
-        lifts.append((x, y, Fraction(1)))
-    return lifts
-
-
 def det_octuple(points: Sequence, i: int) -> DetOctuple:
-    """Determinant octuple at index i, evaluated on the w = 1 affine lifts.
+    """Determinant octuple at index i, evaluated on the w = 1 lifts of
+    seven affine points.
 
     The identities below are affine statements: they hold for the unit lifts,
     not for arbitrary rescalings of individual points.
     """
     if len(points) != 7:
         raise ValueError("need exactly 7 points")
-    lifts = _affine_lifts(points)
-
-    def d(x: int, y: int, z: int) -> Fraction:
-        return det3(lifts[(i + x) % 7], lifts[(i + y) % 7], lifts[(i + z) % 7])
-
-    b = d(2, 1, 0)
-    c = d(-1, -2, 0)
-    return DetOctuple(
-        a=d(-1, -2, -3), b=b, c=c, d=d(2, 1, -3),
-        e=b, f=d(-1, -2, 3), g=d(2, 1, 3), h=c,
-    )
+    return _octuple([(Fraction(x), Fraction(y), Fraction(1)) for x, y in points], i)
 
 
 def invariant_sum(points: Sequence) -> InvariantSums:
@@ -329,17 +311,21 @@ def build_standard_extension(std: StandardHeptagon, k: Optional[Fraction] = None
     return SectionedPolytope(3, vertices, std.polygon())
 
 
-def heptagon_extension(polygon: Polygon) -> SectionedPolytope:
-    """Certified 3-dimensional extension of a heptagon with at most 6 vertices.
+def heptagon_vertices(polygon: Polygon) -> list[AmbientPoint]:
+    """The six vertices of a 3-polytope whose section on H is the heptagon.
 
     The vertices of the standard extension at the default K are pulled back
     once; an H-fixing shear bounds the pullback when the canonical lift
     alone would not, and bounded_pullback explains why such a shear always
-    exists.  The pullback carries the standard heptagon back to the input,
-    so the result claims the input heptagon, and certify checks that claim
-    against the recomputed section.
+    exists.  The pullback carries the standard heptagon back to the input.
+    Nothing is certified here.
     """
     _require_heptagon(polygon)
     std, total = standardize(polygon)
-    vertices = bounded_pullback(build_standard_extension(std).vertices, total.inverse())
-    return certify(SectionedPolytope(3, vertices, polygon))
+    return bounded_pullback(build_standard_extension(std).vertices, total.inverse())
+
+
+def heptagon_extension(polygon: Polygon) -> SectionedPolytope:
+    """Certified 3-dimensional extension of a heptagon with at most 6 vertices:
+    heptagon_vertices, claiming the input heptagon, certified once."""
+    return certify(SectionedPolytope(3, heptagon_vertices(polygon), polygon))

@@ -13,8 +13,8 @@ from .polygon import Polygon
 
 __all__ = ["render_polygon_svg"]
 
-_SIZE = 640.0
-_MARGIN = 48.0
+_SIZE = 640
+_MARGIN = 48
 
 _COLORS = {
     Crossing.NON_CROSSING: "#2a9d2a",
@@ -55,13 +55,13 @@ def render_polygon_svg(polygon: Polygon, std_lines: bool = False, labels: bool =
     pad = span / 2
     x0, x1 = min(xs) - pad, max(xs) + pad
     y0, y1 = min(ys) - pad, max(ys) + pad
-    scale = (_SIZE - 2 * _MARGIN) / float(max(x1 - x0, y1 - y0))
+    scale = (_SIZE - 2 * _MARGIN) / max(x1 - x0, y1 - y0)
 
     def sx(x) -> float:
-        return _MARGIN + (float(x) - float(x0)) * scale
+        return float(_MARGIN + (x - x0) * scale)
 
     def sy(y) -> float:
-        return _SIZE - _MARGIN - (float(y) - float(y0)) * scale
+        return float(_SIZE - _MARGIN - (y - y0) * scale)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -181,6 +182,13 @@ class TestExtendVerify:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and loads(err)["error"] == "ScaleExceeded"
         assert not out.exists()
+
+    def test_out_into_missing_directory(self, heptagon_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "ext.json"
+        assert main(["extend", heptagon_file, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert loads(captured.err)["error"] == "DomainError"
 
     def test_pentagon_rejected(self, tmp_path, capsys):
         path = write_polygon(tmp_path, "penta.json", [(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)])
@@ -397,7 +405,7 @@ def pinned_factorize_cases() -> list:
         points = [(0, alpha), (beta * x, beta * y), (gamma, 0), (1, 0), (x, y), (0, 1)]
         cases.append((f"hexagon5-{i}", validate(points), "auto"))
     cases += [(f"hexagon6-{i}", random_convex_polygon(rng, 6), "auto") for i in range(2)]
-    for n in (8, 14, 21, 28, 35):
+    for n in (8, 14, 21, 28, 35, 9, 10, 13):
         polygon = random_convex_polygon(rng, n)
         cases += [(f"{n}gon-join", polygon, "join"), (f"{n}gon-3d", polygon, "3d")]
     return cases
@@ -423,6 +431,14 @@ PINNED_FACTORIZE_SHA256 = {
     "28gon-3d": "ce3655dc9c86fc81",
     "35gon-join": "b8c348c77cf1e252",
     "35gon-3d": "f396c84937bf9da4",
+    # remainder chunks of 2, 3 and 6 points, recorded while each chunk of a
+    # join was still certified on its own
+    "9gon-join": "e68b3e6884547f96",
+    "9gon-3d": "05c1cff186d951ef",
+    "10gon-join": "8ef0ccbead1ff88c",
+    "10gon-3d": "ba4f2ae87c5c1848",
+    "13gon-join": "2782dcd0f26f1fca",
+    "13gon-3d": "5e0b0d98caefb0cf",
 }
 
 
@@ -476,6 +492,22 @@ class TestSvgCommand:
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         assert main(["svg", str(tmp_path / "none.json")]) == 1
+
+    def test_huge_coordinates_map_into_the_viewport(self, tmp_path, capsys):
+        # coordinates past the float range; only the pixel values become floats
+        path = write_polygon(tmp_path, "big.json", [(0, 0), ("1e400", 0), (0, "1e400")])
+        assert main(["svg", path, "--labels"]) == 0
+        text = capsys.readouterr().out
+        pixels = re.findall(r'(?:cx|cy)="([^"]+)"', text)
+        pixels += re.search(r'<path d="([^"]*) Z"', text).group(1).replace("M", "").replace("L", "").split()
+        assert len(pixels) == 12
+        assert all(0 <= float(p) <= 640 for p in pixels)
+
+    def test_out_into_missing_directory(self, heptagon_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "fig.svg"
+        assert main(["svg", heptagon_file, "--out", str(out)]) == 1
+        _, err = capsys.readouterr()
+        assert err.count("\n") == 1 and loads(err)["error"] == "DomainError"
 
 
 # Malformed and oversized input for the commands that read files.

@@ -1,9 +1,9 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 import polysec.compose as compose_module
+import polysec.polygon as polygon_module
 import polysec.sections as sections_module
 from polysec.compose import (
     chunk_plan,
@@ -13,13 +13,13 @@ from polysec.compose import (
     ngon_extension,
     optimal_even_gon,
 )
-from polysec.errors import DomainError, IncompatibleSections
-from polysec.heptagon import heptagon_extension
+from polysec.errors import DomainError
+from polysec.heptagon import heptagon_extension, heptagon_vertices
 from polysec.polygon import validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import PlanarHull, SectionedPolytope, certify, extreme_points
 
-from conftest import count_calls
+from conftest import count_calls, count_calls_everywhere
 
 
 class TestLowerBound:
@@ -70,20 +70,23 @@ class TestNgon3d:
         ext = ngon_3d_extension(polygon)
         assert ext.certified and len(extreme_points(ext.vertices, 3)) <= 7
 
-    def test_drop_order_does_not_matter(self, rng):
-        polygon = random_convex_polygon(rng, 10)
-        for seed in range(5):
-            chooser_rng = random.Random(seed)
-            ext = ngon_3d_extension(polygon, drop_choice=lambda p: chooser_rng.randrange(p.n))
-            assert ext.certified and len(ext.vertices) <= 9
-
     def test_certifies_once(self, rng, monkeypatch):
-        # once for the heptagon core, once for the result
+        # the heptagon core is extended uncertified; only the result is certified
         sections = count_calls(monkeypatch, sections_module, "compute_section")
         polygon = random_convex_polygon(rng, 28)
         ext = ngon_3d_extension(polygon)
         assert ext.certified and len(ext.vertices) <= 27
-        assert len(sections) == 2
+        assert len(sections) == 1
+
+    def test_no_validation_per_vertex(self, rng, monkeypatch):
+        # the first seven canonical vertices are already a canonical heptagon,
+        # so no vertex but theirs needs a polygon validated
+        validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
+        polygon = random_convex_polygon(rng, 28)
+        validations.clear()
+        ext = ngon_3d_extension(polygon)
+        assert ext.claimed_polygon() is polygon
+        assert len(validations) <= 2
 
     def test_small_n_rejected(self, rng):
         with pytest.raises(DomainError):
@@ -136,11 +139,17 @@ class TestConvexJoin:
         assert joined.claimed == folded.claimed
         assert joined.claimed_polygon() == polygon
 
-    def test_requires_certificates(self, rng):
-        s = heptagon_extension(random_convex_polygon(rng, 7))
-        stale = SectionedPolytope(s.dim, s.vertices, s.claimed)
-        with pytest.raises(IncompatibleSections):
-            convex_join_sections(s, stale)
+    def test_uncertified_parts_certified_once(self, rng, monkeypatch):
+        polygon = random_convex_polygon(rng, 9)
+        core = validate(polygon.vertices[:7])
+        tail = polygon.vertices[7:]
+        parts = [SectionedPolytope(3, heptagon_vertices(core), core),
+                 SectionedPolytope(2, tail, PlanarHull.of(tail))]
+        sections = count_calls(monkeypatch, sections_module, "compute_section")
+        joined = convex_join_sections(*parts)
+        assert not any(s.certified for s in parts)
+        assert joined.certified and joined.claimed_polygon() == polygon
+        assert len(sections) == 1
 
 
 class TestNgonExtension:
@@ -155,6 +164,13 @@ class TestNgonExtension:
         ext = ngon_extension(random_convex_polygon(rng, 30))
         assert ext.certified and ext.dim == 6
         assert len(joins) == 1 and len(joins[0]) == 5
+
+    @pytest.mark.parametrize("n", [9, 16, 28])
+    def test_certifies_once(self, n, rng, monkeypatch):
+        # the chunks are plain parts; the join's certificate is the only one
+        sections = count_calls(monkeypatch, sections_module, "compute_section")
+        ext = ngon_extension(random_convex_polygon(rng, n))
+        assert ext.certified and len(sections) == 1
 
     def test_n7_base(self, rng):
         polygon = random_convex_polygon(rng, 7)

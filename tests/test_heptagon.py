@@ -158,10 +158,8 @@ class TestClassifyLine:
         for k in range(7):
             # still convex clockwise
             assert det3(polygon.vertex(k + 2), polygon.vertex(k + 1), polygon.vertex(k)) > 0
-        from polysec.heptagon import _crossing_expressions
-
-        plus_expr, minus_expr = _crossing_expressions(polygon, 2)
-        assert plus_expr == 0 and minus_expr < 0
+        o = det_octuple(polygon.vertices, 2)
+        assert o.a * o.b - o.c * o.d == 0 and o.g * o.h - o.e * o.f < 0
         assert classify_line(polygon, 2) is Crossing.PLUS_CROSSING
         line = std_points(polygon, 2).line
         assert line_meets_polygon_oracle(line, polygon)
@@ -227,10 +225,6 @@ class TestInvariantSum:
             assert octs[i].c == octs[(i - 2) % 7].e
             assert octs[i].d + octs[(i - 3) % 7].c == \
                 octs[(i - 2) % 7].f + octs[(i + 1) % 7].e
-
-    def test_works_on_proj_points(self):
-        pts = [ProjPoint.from_affine(k, k * k) for k in range(7)]
-        assert invariant_sum(pts).total == 0
 
 
 class TestStandardize:
