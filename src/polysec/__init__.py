@@ -53,7 +53,6 @@ from .polygon import (
     validate,
 )
 from .sections import (
-    PlanarHull,
     SectionedPolytope,
     compute_section,
     extreme_points,

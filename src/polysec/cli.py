@@ -188,8 +188,6 @@ def cmd_fuzz(args) -> int:
         "heptagon": _fuzz_heptagon,
         "ngon": _fuzz_ngon,
     }
-    if args.target not in targets:
-        raise DomainError(f"unknown fuzz target {args.target!r}")
     rng = random.Random(args.seed)
     start = time.monotonic()
 
@@ -209,6 +207,13 @@ def cmd_svg(args) -> int:
     polygon = _load_polygon(args.path)
     _emit(render_polygon_svg(polygon, std_lines=args.std_lines, labels=args.labels), args.out)
     return 0
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="seeded property fuzzing")
     p.add_argument("target", choices=("invariant", "heptagon", "ngon"))
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_nonnegative_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fuzz)
 

@@ -5,8 +5,8 @@ Three constructions: a 3-dimensional extension with at most n-1 vertices
 zero), the convex join of any number of sectioned polytopes (which adds
 dimensions but keeps vertex counts additive), and the chunked construction
 giving a (2 + floor(n/7))-dimensional extension with at most ceil(6n/7)
-vertices.  Each construction builds its vertex list from uncertified parts
-and certifies the result once, from scratch.
+vertices.  Each construction builds its vertex list from uncertified parts,
+claims its input polygon and certifies the result once, from scratch.
 optimal_even_gon realizes the matching lower-bound witness: a 2m-gon cut
 out of a stacked polytope with m + 2 vertices.
 """
@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .errors import CertificationFailure, DomainError
 from .heptagon import heptagon_vertices
-from .polygon import Polygon, validate
-from .sections import PlanarHull, SectionedPolytope, certify
+from .polygon import Polygon, canonical_hull, validate
+from .sections import SectionedPolytope, certify
 
 __all__ = [
     "ChunkPlan",
@@ -54,25 +54,33 @@ def ngon_3d_extension(polygon: Polygon) -> SectionedPolytope:
     return certify(SectionedPolytope(3, vertices, polygon))
 
 
+def _join_vertices(blocks) -> tuple[int, list]:
+    """Dimension 2 + sum(d_i - 2) and vertices of the convex join of vertex
+    blocks over one plane: the coordinates past (x, y) of each block go to
+    their own coordinates, in block order; repeated vertices are kept once."""
+    widths = [len(block[0]) - 2 for block in blocks]
+    dim = 2 + sum(widths)
+    vertices = {}  # insertion-ordered, drops repeats
+    before = 0
+    for block, width in zip(blocks, widths):
+        after = dim - 2 - before - width
+        for v in block:
+            vertices[(*v[:2], *[Fraction(0)] * before, *v[2:], *[Fraction(0)] * after)] = None
+        before += width
+    return dim, list(vertices)
+
+
 def convex_join_sections(*parts: SectionedPolytope) -> SectionedPolytope:
     """Combine sections over the same plane into one for the joint hull.
 
-    Extra coordinates of the polytopes are placed in disjoint blocks, in
-    argument order, so the result lives in dimension 2 + sum(d_i - 2) and
-    uses no more vertices than all inputs together.  The parts need not be
-    certified: the result, claiming the hull of the parts' claims, is
-    certified once from scratch.
+    The parts' vertices are joined by _join_vertices; a part with no
+    vertices adds none.  The parts need not be certified: the result,
+    claiming the hull of the parts' claimed polygons, is certified once
+    from scratch.
     """
-    dim = 2 + sum(s.dim - 2 for s in parts)
-    vertices = {}  # insertion-ordered, drops repeats
-    before = 0
-    for s in parts:
-        after = dim - s.dim - before
-        for v in s.vertices:
-            vertices[(*v[:2], *[Fraction(0)] * before, *v[2:], *[Fraction(0)] * after)] = None
-        before += s.dim - 2
-    claimed = PlanarHull.of([p for s in parts for p in s.claimed.points])
-    return certify(SectionedPolytope(dim, list(vertices), claimed))
+    dim, vertices = _join_vertices([s.vertices for s in parts if s.vertices])
+    claimed = Polygon(canonical_hull(p for s in parts for p in s.claimed.vertices))
+    return certify(SectionedPolytope(dim, vertices, claimed))
 
 
 @dataclass(frozen=True)
@@ -98,33 +106,22 @@ def chunk_plan(n: int) -> ChunkPlan:
 
 def ngon_extension(polygon: Polygon) -> SectionedPolytope:
     """Certified extension in dimension 2 + floor(n/7) with 6*floor(n/7) +
-    (n mod 7) <= ceil(6n/7) vertices: the join of one heptagon extension
-    per full chunk of 7 and the remainder chunk on the plane, certified once
-    by the join."""
+    (n mod 7) <= ceil(6n/7) vertices: the join (_join_vertices) of the
+    vertices of one heptagon extension per full chunk of 7 and of the
+    remainder chunk on the plane, claiming the polygon and certified once."""
     n = polygon.n
-    parts = []
+    blocks = []
     for chunk in chunk_plan(n).chunks:
         pts = [polygon.vertices[k] for k in chunk]
-        if len(chunk) == 7:
-            core = validate(pts)
-            parts.append(SectionedPolytope(3, heptagon_vertices(core), core))
-        else:
-            hull = PlanarHull.of(pts)  # a point, a segment or a polygon
-            parts.append(SectionedPolytope(2, hull.points, hull))
-    result = convex_join_sections(*parts)
+        blocks.append(heptagon_vertices(validate(pts)) if len(chunk) == 7 else canonical_hull(pts))
+    dim, vertices = _join_vertices(blocks)
     expected_dim = 2 + n // 7
     bound = -((6 * n) // -7)
-    if result.dim != expected_dim:
-        raise CertificationFailure(
-            f"join dimension {result.dim} differs from expected {expected_dim}"
-        )
-    if len(result.vertices) > bound:
-        raise CertificationFailure(
-            f"{len(result.vertices)} vertices exceed the bound {bound}"
-        )
-    if result.claimed_polygon() != polygon:
-        raise CertificationFailure("joined section does not reproduce the polygon")
-    return result
+    if dim != expected_dim:
+        raise CertificationFailure(f"join dimension {dim} differs from expected {expected_dim}")
+    if len(vertices) > bound:
+        raise CertificationFailure(f"{len(vertices)} vertices exceed the bound {bound}")
+    return certify(SectionedPolytope(dim, vertices, polygon))
 
 
 def optimal_even_gon(m: int) -> SectionedPolytope:

@@ -9,7 +9,7 @@ from typing import Sequence
 from .errors import ParseError
 from .exactgeom import format_scalar, parse_scalar
 from .polygon import Polygon, validate
-from .sections import PlanarHull, SectionedPolytope
+from .sections import SectionedPolytope
 from .slack import SlackFactorization, SlackMatrix
 
 __all__ = [
@@ -67,7 +67,7 @@ def sectioned_to_obj(s: SectionedPolytope) -> dict:
         "dim": s.dim,
         "vertices": [[format_scalar(c) for c in v] for v in s.vertices],
         "claimed": {"vertices": [[format_scalar(x), format_scalar(y)]
-                                 for x, y in s.claimed.points]},
+                                 for x, y in s.claimed.vertices]},
         "certified": bool(s.certified),
     }
 
@@ -91,12 +91,7 @@ def sectioned_from_obj(obj) -> SectionedPolytope:
     claimed_obj = obj["claimed"]
     if not isinstance(claimed_obj, dict) or "vertices" not in claimed_obj:
         raise ParseError("claimed section needs a 'vertices' field")
-    pairs = _parse_pairs(claimed_obj["vertices"])
-    if len(pairs) >= 3:
-        claimed = PlanarHull.from_polygon(validate(pairs))
-    else:
-        claimed = PlanarHull.of(pairs)
-    return SectionedPolytope(dim, vertices, claimed)
+    return SectionedPolytope(dim, vertices, validate(_parse_pairs(claimed_obj["vertices"])))
 
 
 def matrix_to_obj(matrix: Sequence[Sequence[Fraction]]) -> dict:

@@ -1,10 +1,10 @@
 """Convex polygons with clockwise cyclic labeling, and planar maps.
 
 A Polygon stores its vertices as affine pairs of Fractions, the one
-planar coordinate of the package.  The canonical labeling is produced by
-validate(): clockwise orientation (the triangle (p_{i+2}, p_{i+1}, p_i) is
-positively oriented for every i) and the lexicographically smallest vertex
-at index 0.  Operations that need a specific index alignment take their own
+planar coordinate of the package.  The canonical labeling, the order of
+canonical_hull that validate() ends in, is clockwise (the triangle
+(p_{i+2}, p_{i+1}, p_i) is positively oriented for every i) with the
+lexicographically smallest vertex at index 0.  Operations that need a specific index alignment take their own
 index parameter instead of relying on the canonical rotation.
 
 Planar maps are projective (ProjMap2), and act on affine points in one
@@ -32,7 +32,7 @@ from .exactgeom import ProjLine, ProjPoint, _primitive_ints, det3
 AffinePair = tuple[Fraction, Fraction]
 
 __all__ = ["Polygon", "ProjMap2", "validate", "apply_map", "map_line_to_infinity",
-           "affine_through_three", "convex_hull_2d"]
+           "affine_through_three", "convex_hull_2d", "canonical_hull"]
 
 
 def _orient(a: AffinePair, b: AffinePair, c: AffinePair) -> Fraction:
@@ -66,6 +66,14 @@ def convex_hull_2d(points: Iterable[AffinePair]) -> list[AffinePair]:
     return hull
 
 
+def canonical_hull(points: Iterable[AffinePair]) -> tuple[AffinePair, ...]:
+    """The strict convex hull in canonical order: the lexicographically
+    smallest point first, then clockwise.  One point gives (p,), two the
+    sorted pair, and three or more the vertices of the canonical Polygon."""
+    hull = convex_hull_2d(points)
+    return tuple(hull[:1] + hull[:0:-1])
+
+
 class Polygon:
     """Strictly convex polygon, affine vertices cyclically clockwise labeled."""
 
@@ -74,15 +82,6 @@ class Polygon:
     def __init__(self, vertices: Sequence[AffinePair]):
         self.vertices = tuple(vertices)
         self._points = None
-
-    @classmethod
-    def from_hull(cls, hull: Sequence[AffinePair]) -> "Polygon":
-        """The canonical polygon on convex_hull_2d output of three or more points.
-
-        The hull is counterclockwise from its lexicographically smallest
-        point; the polygon keeps that point at index 0 and runs clockwise.
-        """
-        return cls((hull[0], *reversed(hull[1:])))
 
     @property
     def n(self) -> int:
@@ -133,16 +132,15 @@ class Polygon:
 def validate(points: Iterable[Sequence]) -> Polygon:
     """Build the canonical Polygon from affine rational pairs.
 
-    Rejects duplicates, collinear triples and non-convex orderings; flips
-    counterclockwise input to clockwise; rotates the lexicographically
-    smallest vertex to index 0.
+    Rejects duplicates, collinear triples and non-convex orderings; the
+    vertices are then put in canonical_hull order.
     """
     pts = [(Fraction(p[0]), Fraction(p[1])) for p in points]
     if len(pts) < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {len(pts)}")
     if len(set(pts)) != len(pts):
         raise DuplicateVertex("duplicate vertices in input")
-    hull = convex_hull_2d(pts)
+    hull = canonical_hull(pts)
     if len(hull) != len(pts):
         raise NotConvex("input contains collinear or interior points")
     # the input cyclic order must agree with the hull cyclic order, up to
@@ -153,7 +151,7 @@ def validate(points: Iterable[Sequence]) -> Polygon:
     diffs = {(seq[(i + 1) % n] - seq[i]) % n for i in range(n)}
     if diffs != {1} and diffs != {n - 1}:
         raise NotConvex("vertex order does not trace the convex hull")
-    return Polygon.from_hull(hull)
+    return Polygon(hull)
 
 
 class ProjMap2:
@@ -215,9 +213,6 @@ class ProjMap2:
             (d * h - e * g, b * g - a * h, a * e - b * d),
         )
         return ProjMap2(adj)
-
-    def is_affine(self) -> bool:
-        return self.m[2][0] == 0 and self.m[2][1] == 0
 
     def __repr__(self):
         return f"ProjMap2{self.m}"

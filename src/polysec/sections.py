@@ -12,7 +12,9 @@ endpoint v.  So only segments between vertices of one nonempty support can
 cross H anywhere else, and compute_section tests only those pairs, at most
 MAX_PAIR_TESTS of them (past it, ScaleExceeded before the first test).
 
-The hull of the vertices on H and of these crossings lies in the section.
+The hull of the vertices on H and of these crossings lies in the section;
+compute_section lists both with the routine that gives verify and
+factorize their convex columns (_section_columns).
 It is the whole section when every vertex has at most one nonzero
 coordinate off H, as in 3-D and in every join this package builds.  Write
 a point of the section as a convex combination of vertices and split the
@@ -29,8 +31,8 @@ is a convex combination of the vertices, so the claim lies in the section;
 and each edge inequality of the claim extends to P (edge_extension), so the
 section lies in the claim.  By LP duality both hold when the claim is the
 section.  The combination of a claimed vertex on H or at a crossing is
-read off with no LP (_claim_columns).  A point or segment claim fails on
-this path.  slack factorizes every file through the same two routines.
+read off with no LP (_claim_columns).  slack factorizes every file
+through the same two routines.
 
 Only verify_section sets the certificate flag.  pullback, shear_fixing_flat
 and bounded_pullback map vertex lists only: each fixes H as a set, so the
@@ -40,7 +42,6 @@ states that claim and certifies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -58,12 +59,11 @@ from .linalg import (
     in_convex_hull,
     interval_point,
 )
-from .polygon import Polygon, ProjMap2, convex_hull_2d
+from .polygon import AffinePair, Polygon, ProjMap2, canonical_hull
 
 AmbientPoint = tuple[Fraction, ...]
 
 __all__ = [
-    "PlanarHull",
     "SectionedPolytope",
     "compute_section",
     "verify_section",
@@ -77,60 +77,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PlanarHull:
-    """Canonical planar hull: a polygon, or a flagged degenerate (point/segment).
-
-    A polygon hull keeps the validated Polygon it was built from; equality
-    compares kind and points only.
-    """
-
-    kind: str  # "point" | "segment" | "polygon"
-    points: tuple[tuple[Fraction, Fraction], ...]
-    _polygon: Optional[Polygon] = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def of(cls, points: Sequence[tuple[Fraction, Fraction]]) -> "PlanarHull":
-        hull = convex_hull_2d(points)
-        if not hull:
-            raise EmptySection("no points")
-        if len(hull) == 1:
-            return cls("point", tuple(hull))
-        if len(hull) == 2:
-            return cls("segment", tuple(sorted(hull)))
-        return cls.from_polygon(Polygon.from_hull(hull))
-
-    @classmethod
-    def from_polygon(cls, polygon: Polygon) -> "PlanarHull":
-        return cls("polygon", polygon.vertices, polygon)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.kind != "polygon"
-
-    def polygon(self) -> Polygon:
-        if self.kind != "polygon":
-            raise EmptySection(f"section is a {self.kind}, not a polygon")
-        return self._polygon
-
-
-def _coerce_hull(claimed) -> PlanarHull:
-    if isinstance(claimed, PlanarHull):
-        return claimed
-    if isinstance(claimed, Polygon):
-        return PlanarHull.from_polygon(claimed)
-    raise TypeError(f"cannot interpret {claimed!r} as a planar section")
-
-
 class SectionedPolytope:
-    """A vertex-described polytope with a claimed planar section on H.
+    """A vertex-described polytope with a claimed planar section on H, a Polygon.
 
     The certificate flag is only ever set by verify_section.
     """
 
     __slots__ = ("dim", "vertices", "claimed", "certified")
 
-    def __init__(self, dim: int, vertices: Sequence[Sequence], claimed):
+    def __init__(self, dim: int, vertices: Sequence[Sequence], claimed: Polygon):
         if dim < 2:
             raise ValueError("ambient dimension must be at least 2")
         self.dim = dim
@@ -141,11 +96,10 @@ class SectionedPolytope:
                 raise ValueError(f"vertex {v} does not have dimension {dim}")
             verts.append(v)
         self.vertices = tuple(verts)
-        self.claimed = _coerce_hull(claimed)
+        if not isinstance(claimed, Polygon):
+            raise TypeError(f"cannot interpret {claimed!r} as a planar section")
+        self.claimed = claimed
         self.certified = False
-
-    def claimed_polygon(self) -> Polygon:
-        return self.claimed.polygon()
 
     def __repr__(self):
         return (f"SectionedPolytope(dim={self.dim}, vertices={len(self.vertices)}, "
@@ -229,7 +183,7 @@ def _flat_crossings(vertices: Sequence[Sequence]):
                 yield i, j, *crossing
 
 
-def _section_columns(gens: Sequence[AmbientPoint]) -> dict[tuple[Fraction, Fraction], dict]:
+def _section_columns(gens: Sequence[AmbientPoint]) -> dict[AffinePair, dict]:
     """Sparse convex column of every point that a generator or a generator
     segment contributes to the section, keyed by its planar coordinates.
 
@@ -241,7 +195,7 @@ def _section_columns(gens: Sequence[AmbientPoint]) -> dict[tuple[Fraction, Fract
     columns = {}
     for k, g in enumerate(gens):
         if _on_flat(g):
-            columns.setdefault(g[:2], {k: Fraction(1)})
+            columns.setdefault(tuple(g[:2]), {k: Fraction(1)})
     for i, j, t, point in _flat_crossings(gens):
         columns.setdefault(point, {i: 1 - t, j: t})
     return columns
@@ -266,8 +220,10 @@ def _claim_columns(points: Sequence[tuple[Fraction, Fraction]], gens: Sequence[A
     return out
 
 
-def compute_section(vertices: Sequence[Sequence], dim: int) -> PlanarHull:
-    """Hull of the vertices on H and of the crossings of H by vertex segments.
+def compute_section(vertices: Sequence[Sequence], dim: int) -> tuple[AffinePair, ...]:
+    """Hull of the vertices on H and of the crossings of H by vertex segments,
+    in canonical_hull order: one point, a sorted pair, or the vertices of
+    the canonical Polygon.
 
     Coordinates are Fractions or ints.  The hull lies in the section of
     conv(vertices) by H and is all of it when no vertex has two nonzero
@@ -275,11 +231,10 @@ def compute_section(vertices: Sequence[Sequence], dim: int) -> PlanarHull:
     """
     if any(len(v) != dim for v in vertices):
         raise ValueError("vertex dimension mismatch")
-    points = [(Fraction(v[0]), Fraction(v[1])) for v in vertices if _on_flat(v)]
-    points += [point for _, _, _, point in _flat_crossings(vertices)]
-    if not points:
+    hull = canonical_hull(_section_columns(vertices))
+    if not hull:
         raise EmptySection("the flat does not meet the polytope")
-    return PlanarHull.of(points)
+    return hull
 
 
 def edge_extension(polygon: Polygon, i: int, gens: Sequence[AmbientPoint]) -> Optional[list[Fraction]]:
@@ -307,11 +262,9 @@ def _claim_is_section(s: SectionedPolytope) -> bool:
     distinct vertices (_claim_columns), and each edge inequality extends to
     the polytope (edge_extension).
     """
-    if s.claimed.degenerate:
-        return False
     gens = distinct_points(s.vertices, s.dim)
-    polygon = s.claimed.polygon()
-    return (_claim_columns(s.claimed.points, gens, s.dim) is not None
+    polygon = s.claimed
+    return (_claim_columns(polygon.vertices, gens, s.dim) is not None
             and all(edge_extension(polygon, i, gens) is not None for i in range(polygon.n)))
 
 
@@ -324,7 +277,7 @@ def verify_section(s: SectionedPolytope) -> bool:
     """
     if _single_supports(s.vertices):
         try:
-            s.certified = compute_section(s.vertices, s.dim) == s.claimed
+            s.certified = compute_section(s.vertices, s.dim) == s.claimed.vertices
         except EmptySection:
             s.certified = False
     else:

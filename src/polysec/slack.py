@@ -109,7 +109,7 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> AffineFunctiona
     otherwise they come from the edge LP over the distinct vertices
     (sections.edge_extension).  NoExtension when there are none.
     """
-    polygon = s.claimed_polygon()
+    polygon = s.claimed
     facet %= polygon.n
     a, b = polygon.edge_inequality(facet)
     if _single_supports(s.vertices):
@@ -151,7 +151,7 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     NotInPolytope.  The product R * C is checked against the slack matrix
     once; a mismatch is a CertificationFailure.
     """
-    if s.claimed_polygon() != polygon:
+    if s.claimed != polygon:
         raise DomainError("the extension's section is not this polygon")
     gens = distinct_points(s.vertices, s.dim)
     c_cols = _claim_columns(polygon.vertices, gens, s.dim)

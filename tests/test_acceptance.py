@@ -46,7 +46,7 @@ def test_criterion_1_heptagon_intersection_complexity(heptagon_pool):
     for polygon in heptagon_pool:
         ext = heptagon_extension(polygon)
         assert ext.certified and ext.dim == 3
-        assert ext.claimed_polygon() == polygon
+        assert ext.claimed == polygon
         assert len(extreme_points(ext.vertices, 3)) <= 6
     report(f"criterion 1: {HEPTAGON_COUNT} heptagons -> certified 3D extensions "
            "with <= 6 extreme points (lower bound 6: complexity is exactly 6)")
@@ -158,12 +158,12 @@ def test_criterion_6_general_ngon_bounds():
         flat = ngon_3d_extension(polygon)
         assert flat.certified and flat.dim == 3
         assert len(extreme_points(flat.vertices, 3)) <= n - 1
-        assert flat.claimed_polygon() == polygon
+        assert flat.claimed == polygon
         joined = ngon_extension(polygon)
         assert joined.certified
         assert joined.dim == 2 + n // 7
         assert len(joined.vertices) <= -((6 * n) // -7)
-        assert joined.claimed_polygon() == polygon
+        assert joined.claimed == polygon
         if n == 14:
             assert joined.dim == 4 and len(joined.vertices) <= 12
         if n == 21:
@@ -177,7 +177,7 @@ def test_criterion_7_lower_bound_tightness():
     for m in range(2, 7):
         s = optimal_even_gon(m)
         assert s.certified
-        assert s.claimed_polygon().n == 2 * m
+        assert s.claimed.n == 2 * m
         count = len(extreme_points(s.vertices, 3))
         assert count == m + 2 == lower_bound_3d(2 * m)
     report("criterion 7: optimal even-gon witnesses for m = 2..6 match the "

@@ -318,14 +318,15 @@ class TestSlackFactorize:
         assert lps == [] and solves == [] and points == []
 
     def test_factorize_output_unchanged(self, tmp_path, capsys):
-        digests = {}
+        summaries, digests = {}, {}
         for name, polygon, mode in pinned_factorize_cases():
             path = write_polygon(tmp_path, name + ".json", polygon.vertices)
             ext = str(tmp_path / (name + ".ext.json"))
             assert main(["extend", path, "--mode", mode, "--out", ext]) == 0
-            capsys.readouterr()
+            summaries[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
             assert main(["factorize", path, ext]) == 0
             digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+        assert summaries == PINNED_EXTEND_SHA256
         assert digests == PINNED_FACTORIZE_SHA256
 
 
@@ -441,6 +442,65 @@ PINNED_FACTORIZE_SHA256 = {
     "13gon-3d": "5e0b0d98caefb0cf",
 }
 
+# sha256 prefixes of `extend --out` stdout, the summary with its extreme
+# point count, for pinned_factorize_cases(); recorded before a claim had to
+# be a Polygon
+PINNED_EXTEND_SHA256 = {
+    "heptagon-0": "9a10bb1b10192ad2",
+    "heptagon-1": "9a10bb1b10192ad2",
+    "heptagon-2": "9a10bb1b10192ad2",
+    "hexagon5-0": "3b4bde578183d6f8",
+    "hexagon5-1": "3b4bde578183d6f8",
+    "hexagon6-0": "dd40d57b55b441e2",
+    "hexagon6-1": "dd40d57b55b441e2",
+    "8gon-join": "8be285f339607f01",
+    "8gon-3d": "8be285f339607f01",
+    "14gon-join": "b7443f866a08983c",
+    "14gon-3d": "299caf75a17c8f0e",
+    "21gon-join": "01c8e249a2b3527f",
+    "21gon-3d": "46a5b8ea48f681b8",
+    "28gon-join": "cd9ce38fcc12c199",
+    "28gon-3d": "e2efb26fab12c414",
+    "35gon-join": "a9512975e99ec90f",
+    "35gon-3d": "30c9640e01ff681a",
+    "9gon-join": "06db75364f97c891",
+    "9gon-3d": "06db75364f97c891",
+    "10gon-join": "236561d10048c4d3",
+    "10gon-3d": "236561d10048c4d3",
+    "13gon-join": "c7182a6a997d74e5",
+    "13gon-3d": "c7182a6a997d74e5",
+}
+
+
+def segment_file(dim: int, claim: list) -> dict:
+    """The segment (0,0)-(2,0) as the section of a polytope with vertices
+    (0,0) and (2,0) lifted to every sign pattern off H, claiming claim."""
+    tails = list(itertools.product(("1", "-1"), repeat=dim - 2))
+    return {"dim": dim, "vertices": [[x, "0", *tail] for x in ("0", "2") for tail in tails],
+            "claimed": {"vertices": [[str(x), str(y)] for x, y in claim]}}
+
+
+class TestDegenerateClaims:
+    # a claim is a polygon in every dimension: a true segment claim gets the
+    # same answer in 3-D, where verify compares hulls, and in 4-D, where it
+    # runs LPs; so do a point claim and an empty one
+    @pytest.mark.parametrize("doc", [
+        segment_file(3, [(0, 0), (2, 0)]),
+        segment_file(4, [(0, 0), (2, 0)]),
+        {"dim": 3, "vertices": [["0", "0", "1"], ["0", "0", "-1"]],
+         "claimed": {"vertices": [["0", "0"]]}},
+        segment_file(3, []),
+    ], ids=["segment-3d", "segment-4d", "point-3d", "empty-3d"])
+    def test_too_few_vertices_in_every_dimension(self, doc, tmp_path, capsys):
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps(doc))
+        square = write_polygon(tmp_path, "sq.json", UNIT_SQUARE)
+        for argv in (["verify", str(ext)], ["factorize", square, str(ext)]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert loads(err)["error"] == "TooFewVertices"
+
 
 class TestFuzzCommand:
     def test_invariant_target(self, capsys):
@@ -460,6 +520,11 @@ class TestFuzzCommand:
         main(["fuzz", "ngon", "--count", "3", "--seed", "8"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_negative_count_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "invariant", "--count", "-3"])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 class TestUsageAndEnvironment:

@@ -1,8 +1,5 @@
-from fractions import Fraction
-
 import pytest
 
-import polysec.compose as compose_module
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
 from polysec.compose import (
@@ -15,9 +12,9 @@ from polysec.compose import (
 )
 from polysec.errors import DomainError
 from polysec.heptagon import heptagon_extension, heptagon_vertices
-from polysec.polygon import validate
+from polysec.polygon import canonical_hull, validate
 from polysec.randgen import random_convex_polygon
-from polysec.sections import PlanarHull, SectionedPolytope, certify, extreme_points
+from polysec.sections import SectionedPolytope, certify, extreme_points
 
 from conftest import count_calls, count_calls_everywhere
 
@@ -63,7 +60,7 @@ class TestNgon3d:
         ext = ngon_3d_extension(polygon)
         assert ext.certified and ext.dim == 3
         assert len(ext.vertices) <= 9
-        assert ext.claimed_polygon() == polygon
+        assert ext.claimed == polygon
 
     def test_octagon(self, rng):
         polygon = random_convex_polygon(rng, 8)
@@ -85,7 +82,7 @@ class TestNgon3d:
         polygon = random_convex_polygon(rng, 28)
         validations.clear()
         ext = ngon_3d_extension(polygon)
-        assert ext.claimed_polygon() is polygon
+        assert ext.claimed is polygon
         assert len(validations) <= 2
 
     def test_small_n_rejected(self, rng):
@@ -101,15 +98,16 @@ class TestNgon3d:
 
 
 class TestConvexJoin:
-    def test_single_point_chunk(self, rng):
+    def test_planar_triangle_chunk(self, rng):
         heptagon = random_convex_polygon(rng, 7)
         s1 = heptagon_extension(heptagon)
-        outside = (Fraction(5), Fraction(5))
-        s2 = certify(SectionedPolytope(2, [outside], PlanarHull.of([outside])))
+        outside = validate([(5, 5), (6, 5), (5, 6)])
+        s2 = certify(SectionedPolytope(2, outside.vertices, outside))
         joined = convex_join_sections(s1, s2)
         assert joined.certified
         assert joined.dim == s1.dim
-        assert len(joined.vertices) == len(s1.vertices) + 1
+        assert len(joined.vertices) == len(s1.vertices) + 3
+        assert joined.claimed.vertices == canonical_hull([*heptagon.vertices, *outside.vertices])
 
     def test_two_heptagon_chunks_of_a_14gon(self, rng):
         polygon = random_convex_polygon(rng, 14)
@@ -118,7 +116,7 @@ class TestConvexJoin:
         joined = convex_join_sections(heptagon_extension(first), heptagon_extension(second))
         assert joined.certified and joined.dim == 4
         assert len(joined.vertices) <= 12
-        assert joined.claimed_polygon() == polygon
+        assert joined.claimed == polygon
 
     def test_join_with_itself(self, rng):
         s = heptagon_extension(random_convex_polygon(rng, 7))
@@ -127,28 +125,28 @@ class TestConvexJoin:
         assert joined.claimed == s.claimed
 
     def test_three_way_join_matches_pairwise_fold(self, rng):
-        polygon = random_convex_polygon(rng, 16)
+        polygon = random_convex_polygon(rng, 17)
         parts = [heptagon_extension(validate([polygon.vertices[k] for k in range(7)])),
                  heptagon_extension(validate([polygon.vertices[k] for k in range(7, 14)]))]
-        tail = [polygon.vertices[14], polygon.vertices[15]]
-        parts.append(certify(SectionedPolytope(2, tail, PlanarHull.of(tail))))
+        tail = validate(polygon.vertices[14:])
+        parts.append(certify(SectionedPolytope(2, tail.vertices, tail)))
         joined = convex_join_sections(*parts)
         folded = convex_join_sections(convex_join_sections(parts[0], parts[1]), parts[2])
         assert joined.certified and joined.dim == folded.dim == 4
         assert joined.vertices == folded.vertices
         assert joined.claimed == folded.claimed
-        assert joined.claimed_polygon() == polygon
+        assert joined.claimed == polygon
 
     def test_uncertified_parts_certified_once(self, rng, monkeypatch):
-        polygon = random_convex_polygon(rng, 9)
+        polygon = random_convex_polygon(rng, 10)
         core = validate(polygon.vertices[:7])
-        tail = polygon.vertices[7:]
+        tail = validate(polygon.vertices[7:])
         parts = [SectionedPolytope(3, heptagon_vertices(core), core),
-                 SectionedPolytope(2, tail, PlanarHull.of(tail))]
+                 SectionedPolytope(2, tail.vertices, tail)]
         sections = count_calls(monkeypatch, sections_module, "compute_section")
         joined = convex_join_sections(*parts)
         assert not any(s.certified for s in parts)
-        assert joined.certified and joined.claimed_polygon() == polygon
+        assert joined.certified and joined.claimed == polygon
         assert len(sections) == 1
 
 
@@ -159,11 +157,16 @@ class TestNgonExtension:
         assert ext.certified and ext.dim == 4
         assert len(ext.vertices) <= 12
 
-    def test_joins_all_chunks_at_once(self, rng, monkeypatch):
-        joins = count_calls(monkeypatch, compose_module, "convex_join_sections")
-        ext = ngon_extension(random_convex_polygon(rng, 30))
-        assert ext.certified and ext.dim == 6
-        assert len(joins) == 1 and len(joins[0]) == 5
+    def test_joins_all_chunks_at_once(self, rng):
+        # the extension is the join of its chunks' parts: heptagon
+        # extensions of the full chunks, the remainder chunk on the plane
+        polygon = random_convex_polygon(rng, 17)
+        chunks = [validate(polygon.vertices[k:k + 7]) for k in (0, 7, 14)]
+        parts = [SectionedPolytope(3, heptagon_vertices(c), c) for c in chunks[:2]]
+        parts.append(SectionedPolytope(2, chunks[2].vertices, chunks[2]))
+        ext = ngon_extension(polygon)
+        assert ext.certified and ext.dim == 4
+        assert ext.vertices == convex_join_sections(*parts).vertices
 
     @pytest.mark.parametrize("n", [9, 16, 28])
     def test_certifies_once(self, n, rng, monkeypatch):
@@ -205,7 +208,7 @@ class TestNgonExtension:
             ext = ngon_extension(polygon)
             assert ext.certified and ext.dim == 4
             assert len(ext.vertices) == 12 + n % 7
-            assert ext.claimed_polygon() == polygon
+            assert ext.claimed == polygon
 
 
 class TestOptimalEvenGon:
@@ -213,18 +216,18 @@ class TestOptimalEvenGon:
         s = optimal_even_gon(2)
         assert s.certified
         assert len(extreme_points(s.vertices, 3)) == 4
-        assert s.claimed_polygon().n == 4
+        assert s.claimed.n == 4
 
     def test_hexagon_from_five_vertices(self):
         s = optimal_even_gon(3)
         assert s.certified
         assert len(extreme_points(s.vertices, 3)) == 5
-        assert s.claimed_polygon().n == 6
+        assert s.claimed.n == 6
 
     def test_decagon_meets_lower_bound(self):
         s = optimal_even_gon(5)
         count = len(extreme_points(s.vertices, 3))
-        assert s.certified and s.claimed_polygon().n == 10
+        assert s.certified and s.claimed.n == 10
         assert count == 7 == lower_bound_3d(10)
 
     def test_range_of_sizes(self):
@@ -232,7 +235,7 @@ class TestOptimalEvenGon:
             s = optimal_even_gon(m)
             assert s.certified
             assert len(extreme_points(s.vertices, 3)) == m + 2 == lower_bound_3d(2 * m)
-            assert s.claimed_polygon().n == 2 * m
+            assert s.claimed.n == 2 * m
 
     def test_m_too_small(self):
         with pytest.raises(DomainError):

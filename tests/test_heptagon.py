@@ -306,7 +306,7 @@ class TestBuildStandardExtension:
                 t = u[2] / (u[2] - v[2])
                 crossings.add((u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1])))
         assert crossings == set(std.vertex_list()) | {(a, b + lam), (c + mu, d)}
-        assert hull.polygon() == std.polygon()
+        assert hull == std.polygon().vertices
         # the two non-vertex crossing points lie strictly inside
         assert std.polygon().strictly_contains(a, b + lam)
         assert std.polygon().strictly_contains(c + mu, d)
@@ -326,7 +326,7 @@ class TestHeptagonExtension:
         ext = heptagon_extension(obs_heptagon)
         assert ext.certified and ext.dim == 3
         assert len(extreme_points(ext.vertices, 3)) <= 6
-        assert ext.claimed_polygon() == obs_heptagon
+        assert ext.claimed == obs_heptagon
 
     def test_already_standard_affine_pullback(self):
         polygon = standard_heptagon().polygon()
@@ -353,7 +353,7 @@ class TestHeptagonExtension:
                 ext = heptagon_extension(polygon)
                 assert (len(builds), len(shears), len(sections)) == (1, 1, 1)
                 assert ext.certified and len(ext.vertices) <= 6
-                assert ext.claimed_polygon() == polygon
+                assert ext.claimed == polygon
 
     def test_one_section_per_extension(self, rng, monkeypatch):
         # the standard extension, the shear and the pullback are plain
@@ -375,7 +375,7 @@ class TestHeptagonExtension:
             polygon = random_convex_polygon(rng, 7)
             conversions.clear()
             validations.clear()
-            assert heptagon_extension(polygon).claimed_polygon() is polygon
+            assert heptagon_extension(polygon).claimed is polygon
             assert len(conversions) <= 7 and len(validations) == 1
 
     def test_fuzzed_heptagons(self, rng):

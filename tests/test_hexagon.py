@@ -225,7 +225,7 @@ class TestExtension5:
         ext = hexagon_extension5(regular_hexagon)
         assert ext.certified and ext.dim == 3
         assert len(extreme_points(ext.vertices, 3)) == 5
-        assert ext.claimed_polygon() == regular_hexagon
+        assert ext.claimed == regular_hexagon
 
     def test_affine_regular_apex_edge_parallel_to_an_edge(self, regular_hexagon):
         # the bipyramid edge on the 2-vertex side of the plane meets the
@@ -259,7 +259,7 @@ class TestExtension5:
             ext = hexagon_extension5(hexagon)
             assert ext.certified
             assert len(extreme_points(ext.vertices, 3)) == 5
-            assert ext.claimed_polygon() == hexagon
+            assert ext.claimed == hexagon
 
     def test_projective_images_still_certify(self, rng):
         # push witness hexagons through maps sending a far line to infinity;

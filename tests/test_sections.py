@@ -8,9 +8,8 @@ import polysec.polygon as polygon_module
 import polysec.sections as sections_module
 from polysec.errors import EmptySection, PullbackUnbounded, ScaleExceeded
 from polysec.linalg import in_convex_hull, solve_linear
-from polysec.polygon import ProjMap2, apply_map, convex_hull_2d, validate
+from polysec.polygon import ProjMap2, apply_map, canonical_hull, convex_hull_2d, validate
 from polysec.sections import (
-    PlanarHull,
     SectionedPolytope,
     _on_flat,
     _section_columns,
@@ -30,9 +29,7 @@ TETRA_SECTION = [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]
 
 class TestComputeSection:
     def test_tetrahedron_midplane_triangle(self):
-        hull = compute_section(TETRA, 3)
-        assert hull.kind == "polygon"
-        assert hull.polygon() == validate(TETRA_SECTION)
+        assert compute_section(TETRA, 3) == validate(TETRA_SECTION).vertices
 
     def test_all_vertices_above_is_empty(self):
         with pytest.raises(EmptySection):
@@ -40,14 +37,15 @@ class TestComputeSection:
 
     def test_vertex_on_flat_is_picked_up(self):
         verts = [(5, 5, 0), (0, 0, -1), (0, 0, 1)]
-        hull = compute_section(verts, 3)
-        assert hull.kind == "segment"
-        assert set(hull.points) == {(0, 0), (5, 5)}
+        assert compute_section(verts, 3) == ((0, 0), (5, 5))
 
     def test_point_section_flagged_degenerate(self):
-        hull = compute_section([(0, 0, -1), (0, 0, 2)], 3)
-        assert hull.kind == "point" and hull.degenerate
-        assert hull.points == ((0, 0),)
+        assert compute_section([(0, 0, -1), (0, 0, 2)], 3) == ((0, 0),)
+
+    def test_list_vertices_accepted(self):
+        # (0, 0, 0) is on H: its key is a tuple even when the vertex is a list
+        verts = [list(v) for v in [*TETRA, (0, 0, 0)]]
+        assert compute_section(verts, 3) == validate(TETRA_SECTION).vertices
 
     def test_codimension_two_crossings(self):
         # a segment crossing the flat in 4-space needs both extra coordinates
@@ -55,12 +53,11 @@ class TestComputeSection:
         verts = [(0, 0, -1, -2), (0, 0, 1, 2), (1, 1, -1, -1), (2, 2, 3, 3)]
         hull = compute_section(verts, 4)
         # pair 1: t = 1/2 on both coordinates -> (0,0); pair 2: t = 1/4 -> crossing
-        assert (0, 0) in hull.points
+        assert (0, 0) in hull
 
     def test_inconsistent_vanishing_no_crossing(self):
         verts = [(0, 0, -1, -1), (1, 1, 1, 2), (7, 7, 0, 0)]
-        hull = compute_section(verts, 4)
-        assert hull.kind == "point" and hull.points == ((7, 7),)
+        assert compute_section(verts, 4) == ((7, 7),)
 
     def test_soundness_returned_points_inside(self, rng):
         for _ in range(20):
@@ -70,7 +67,7 @@ class TestComputeSection:
                 hull = compute_section(verts, 3)
             except EmptySection:
                 continue
-            for x, y in hull.points:
+            for x, y in hull:
                 assert in_convex_hull((x, y, Fraction(0)), verts)
 
     def test_invariant_under_flat_fixing_block_map(self):
@@ -95,21 +92,15 @@ def all_pairs_crossings(verts):
 
 
 def all_pairs_section(verts):
-    """(kind, points, polygon or None) of the hull of the vertices on H and
-    of all pair crossings, the polygon built by validate; None if empty."""
+    """The hull of the vertices on H and of all pair crossings: the polygon
+    vertices built by validate, or the sorted one or two points; None if
+    empty."""
     points = [v[:2] for v in verts if _on_flat(v)]
     points += [point for _, _, _, point in all_pairs_crossings(verts)]
     if not points:
         return None
     hull = convex_hull_2d(points)
-    if len(hull) < 3:
-        return ("point", "segment")[len(hull) - 1], tuple(sorted(hull)), None
-    polygon = validate(hull)
-    return "polygon", tuple(polygon.vertices), polygon
-
-
-def kind_points_polygon(hull):
-    return hull.kind, hull.points, None if hull.degenerate else hull.polygon()
+    return tuple(sorted(hull)) if len(hull) < 3 else validate(hull).vertices
 
 
 def all_pairs_columns(gens):
@@ -148,7 +139,7 @@ class TestSupportBuckets:
             with pytest.raises(EmptySection):
                 compute_section(verts, dim)
         else:
-            assert kind_points_polygon(compute_section(verts, dim)) == expected
+            assert compute_section(verts, dim) == expected
         assert _section_columns(verts) == all_pairs_columns(verts)
 
     def test_pairs_tested_only_within_a_support(self, monkeypatch):
@@ -158,7 +149,7 @@ class TestSupportBuckets:
         calls = count_calls(monkeypatch, sections_module, "_segment_flat_crossing")
         hull = compute_section(verts, 4)
         assert len(calls) == 3 + 3
-        assert kind_points_polygon(hull) == all_pairs_section(verts)
+        assert hull == all_pairs_section(verts)
 
 
 class TestVerifySection:
@@ -262,21 +253,19 @@ class TestLiftAndPullback:
         assert verify_section(out)
 
 
-class TestPlanarHull:
+class TestCanonicalHull:
     def test_three_collinear_points_make_segment(self):
-        hull = PlanarHull.of([(0, 0), (1, 1), (2, 2)])
-        assert hull.kind == "segment" and hull.points == ((0, 0), (2, 2))
+        assert canonical_hull([(2, 2), (1, 1), (0, 0)]) == ((0, 0), (2, 2))
 
     def test_polygon_round_trip(self):
         poly = validate([(0, 0), (3, 0), (0, 3)])
-        assert PlanarHull.from_polygon(poly).polygon() == poly
+        assert canonical_hull(poly.vertices) == poly.vertices
+        assert canonical_hull([(3, 0), (0, 0), (1, 1), (0, 3)]) == poly.vertices
 
     def test_polygon_is_not_revalidated(self, monkeypatch):
-        # one monotone chain builds the polygon; validate would run a second
+        # one monotone chain per section; validate would run a second
         validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
         hulls = count_calls_everywhere(monkeypatch, polygon_module, "convex_hull_2d")
-        hull = PlanarHull.of([(0, 0), (3, 0), (1, 1), (0, 3)])
-        assert hull.polygon() is hull.polygon()
+        hull = compute_section([(0, 0, 0), (3, 0, 0), (1, 1, -1), (1, 1, 1), (0, 3, 0)], 3)
         assert validations == [] and len(hulls) == 1
-        assert hull.polygon() == validate([(0, 0), (3, 0), (0, 3)])
-        assert hull == PlanarHull.from_polygon(validate([(3, 0), (0, 3), (0, 0)]))
+        assert hull == validate([(3, 0), (0, 3), (0, 0)]).vertices

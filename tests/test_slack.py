@@ -64,7 +64,7 @@ class TestExtendFacetInequality:
 
     def test_restriction_reproduces_column_slacks(self):
         std, ext = small_standard_extension()
-        polygon = ext.claimed_polygon()
+        polygon = ext.claimed
         sm = slack_matrix(polygon)
         for i in range(7):
             functional = extend_facet_inequality(i, ext)
