@@ -54,13 +54,18 @@ MAX_EXPONENT_DIGITS = 4000
 def parse_scalar(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational.
 
+    ASCII "[-]digits" and "[-]digits/digits" are read with int(); any other
+    text goes to Fraction(str), which accepts and rejects the same texts.
     Text longer than MAX_SCALAR_CHARS, or with a decimal exponent that
     takes it past MAX_EXPONENT_DIGITS, is rejected with ParseError.
     """
     s = str(text).strip()
     if len(s) > MAX_SCALAR_CHARS:
         raise ParseError(f"rational text longer than {MAX_SCALAR_CHARS} characters")
+    num, slash, den = s.partition("/")
     try:
+        if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         exponent = s.lower().partition("e")[2]
         if exponent and len(s) + abs(int(exponent)) > MAX_EXPONENT_DIGITS:
             raise ParseError(f"exponent of {s[:40]!r} too large")

@@ -30,8 +30,10 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
+    """Decode JSON; a float literal stays its own text, so that parse_scalar
+    reads it exactly."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=str)
     # ValueError covers JSONDecodeError and integers past the interpreter's
     # digit limit; RecursionError covers nesting too deep to decode
     except (ValueError, RecursionError) as exc:

@@ -4,8 +4,17 @@ A Polygon stores its vertices as affine pairs of Fractions, the one
 planar coordinate of the package.  The canonical labeling, the order of
 canonical_hull that validate() ends in, is clockwise (the triangle
 (p_{i+2}, p_{i+1}, p_i) is positively oriented for every i) with the
-lexicographically smallest vertex at index 0.  Operations that need a specific index alignment take their own
-index parameter instead of relying on the canonical rotation.
+lexicographically smallest vertex at index 0.  Operations that need a
+specific index alignment take their own index parameter instead of
+relying on the canonical rotation.
+
+Orientation is an integer determinant sign.  An affine point (x, y) is
+lifted to the integer triple (x.num y.den, y.num x.den, x.den y.den),
+whose weight is positive, so the sign of the 3x3 determinant of three
+lifts is the sign of their turn.  convex_hull_2d lifts each distinct point
+once and runs the monotone chain on those signs; validate reads
+duplicates and the cyclic order off the sorted order, and no Fraction is
+hashed.
 
 Planar maps are projective (ProjMap2), and act on affine points in one
 place, ProjMap2.apply_affine, which refuses points on or across the line
@@ -35,35 +44,49 @@ __all__ = ["Polygon", "ProjMap2", "validate", "apply_map", "map_line_to_infinity
            "affine_through_three", "convex_hull_2d", "canonical_hull"]
 
 
-def _orient(a: AffinePair, b: AffinePair, c: AffinePair) -> Fraction:
-    """Twice the signed area of the triangle (a, b, c): positive when it
-    turns counterclockwise."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _lift(p: AffinePair) -> tuple[int, int, int]:
+    """The integer homogeneous triple (x.num y.den, y.num x.den, x.den y.den)
+    of an affine rational point; its weight is positive."""
+    x, y = p
+    return x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator
+
+
+def _turn(a: tuple[int, int, int], b: tuple[int, int, int], c: tuple[int, int, int]) -> int:
+    """Sign of the turn through three lifts: 1 counterclockwise, -1 clockwise,
+    0 collinear.  The weights are positive, so the sign of the integer
+    determinant is the sign of the rational one."""
+    d = det3(a, b, c)
+    return (d > 0) - (d < 0)
+
+
+def _orient(a: AffinePair, b: AffinePair, c: AffinePair) -> int:
+    """Sign of the turn (a, b, c) of affine points: positive when it turns
+    counterclockwise."""
+    return _turn(_lift(a), _lift(b), _lift(c))
 
 
 def convex_hull_2d(points: Iterable[AffinePair]) -> list[AffinePair]:
     """Strict convex hull (collinear boundary points dropped), counterclockwise.
 
-    Monotone chain over exact rationals with lexicographic ordering; the
-    first hull vertex is the lexicographically smallest point.
+    Monotone chain over the sorted distinct points, each lifted once to
+    integers, on integer determinant signs; the first hull vertex is the
+    lexicographically smallest point.
     """
-    pts = sorted(set(points))
-    if len(pts) <= 2:
+    pts = sorted(points)
+    pts = [p for k, p in enumerate(pts) if k == 0 or p != pts[k - 1]]
+    n = len(pts)
+    if n <= 2:
         return pts
-    lower: list[AffinePair] = []
-    for p in pts:
-        while len(lower) >= 2 and _orient(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[AffinePair] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _orient(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        return hull[:1]
-    return hull
+    lifts = [_lift(p) for p in pts]
+    hull: list[int] = []
+    for order in (range(n), range(n - 1, -1, -1)):
+        base = len(hull)
+        for k in order:
+            while len(hull) >= base + 2 and _turn(lifts[hull[-2]], lifts[hull[-1]], lifts[k]) <= 0:
+                hull.pop()
+            hull.append(k)
+        hull.pop()  # each half ends where the other begins
+    return [pts[k] for k in hull]
 
 
 def canonical_hull(points: Iterable[AffinePair]) -> tuple[AffinePair, ...]:
@@ -138,18 +161,17 @@ def validate(points: Iterable[Sequence]) -> Polygon:
     pts = [(Fraction(p[0]), Fraction(p[1])) for p in points]
     if len(pts) < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {len(pts)}")
-    if len(set(pts)) != len(pts):
+    ordered = sorted(pts)
+    if any(p == q for p, q in zip(ordered, ordered[1:])):
         raise DuplicateVertex("duplicate vertices in input")
-    hull = canonical_hull(pts)
+    hull = canonical_hull(ordered)
     if len(hull) != len(pts):
         raise NotConvex("input contains collinear or interior points")
-    # the input cyclic order must agree with the hull cyclic order, up to
-    # rotation and reversal (rules out convex-position but self-crossing orders)
-    index_of = {p: k for k, p in enumerate(hull)}
-    seq = [index_of[p] for p in pts]
-    n = len(pts)
-    diffs = {(seq[(i + 1) % n] - seq[i]) % n for i in range(n)}
-    if diffs != {1} and diffs != {n - 1}:
+    # the input cyclic order must be the hull's, up to reversal (rules out
+    # convex-position but self-crossing orders); both start at the smallest point
+    start = pts.index(hull[0])
+    cycle = pts[start:] + pts[:start]
+    if tuple(cycle) != hull and tuple(cycle[:1] + cycle[:0:-1]) != hull:
         raise NotConvex("vertex order does not trace the convex hull")
     return Polygon(hull)
 

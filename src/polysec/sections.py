@@ -11,6 +11,11 @@ lies on H.  Say u_j != 0 = v_j; then (1-t) u_j = 0 forces t = 1, the
 endpoint v.  So only segments between vertices of one nonempty support can
 cross H anywhere else, and compute_section tests only those pairs, at most
 MAX_PAIR_TESTS of them (past it, ScaleExceeded before the first test).
+verify_section computes the supports once and passes them down.  Within a
+support every support coordinate is nonzero at both ends, so a pair
+crosses H exactly when the first support coordinates have opposite signs
+and the support coordinates are proportional: integer tests on numerators
+and denominators, with no other coordinate read (_segment_flat_crossing).
 
 The hull of the vertices on H and of these crossings lies in the section;
 compute_section lists both with the routine that gives verify and
@@ -106,34 +111,30 @@ class SectionedPolytope:
                 f"certified={self.certified})")
 
 
-def _on_flat(v: AmbientPoint) -> bool:
-    return all(c == 0 for c in v[2:])
-
-
 def _segment_flat_crossing(
-    u: AmbientPoint, v: AmbientPoint
+    u: AmbientPoint, v: AmbientPoint, support: Sequence[int]
 ) -> Optional[tuple[Fraction, tuple[Fraction, Fraction]]]:
-    """Intersection of segment [u, v] with H, if it exists and is unique.
+    """Intersection of segment [u, v] with H, if it exists and is unique,
+    for two vertices of the same nonempty off-H support.
 
-    Solves the vanishing conditions (1-t) u_j + t v_j = 0 for j >= 3; the
-    segment contributes exactly when all conditions pin the same t in [0, 1].
+    Only the support coordinates are read; all of them are nonzero at both
+    ends.  (1-t) u_j + t v_j = 0 pins t = u_j / (u_j - v_j), which lies in
+    [0, 1] exactly when u_j and v_j have opposite signs, and every support
+    coordinate pins the same t exactly when (u_j, v_j) and (u_k, v_k) are
+    proportional; both tests run on integer numerators and denominators.
     Returns t and the planar point (1-t) u + t v.
     """
-    t = None
-    for uj, vj in zip(u[2:], v[2:]):
-        if uj == vj:
-            if uj != 0:
-                return None
-            continue
-        tj = Fraction(uj, uj - vj)
-        if t is None:
-            t = tj
-        elif t != tj:
-            return None
-    if t is None:
-        return None  # both endpoints on H: no unique crossing
-    if t < 0 or t > 1:
+    j, *rest = support
+    a, b = u[j], v[j]
+    if (a.numerator > 0) == (b.numerator > 0):
         return None
+    for k in rest:
+        # a v_k == b u_k, cross-multiplied
+        c, d = u[k], v[k]
+        if (a.numerator * d.numerator * b.denominator * c.denominator
+                != b.numerator * c.numerator * a.denominator * d.denominator):
+            return None
+    t = Fraction(a, a - b)
     return t, (u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1]))
 
 
@@ -150,10 +151,10 @@ def _single_supports(vertices: Sequence[Sequence]) -> bool:
 MAX_PAIR_TESTS = 100_000  # about 2 s of crossing tests; package files make a few hundred
 
 
-def _flat_crossings(vertices: Sequence[Sequence]):
+def _flat_crossings(vertices: Sequence[Sequence], supports: Sequence[tuple[int, ...]]):
     """Unique crossings of H by segments between vertices of one nonempty
-    off-H support; by the support lemma no other segment crosses H except
-    at an endpoint on H.
+    off-H support (supports[k] is that of vertices[k]); by the support
+    lemma no other segment crosses H except at an endpoint on H.
 
     Yields (i, j, t, point) in lexicographic (i, j) order, i < j, with the
     crossing at (1-t) vertices[i] + t vertices[j].  A repeated vertex is
@@ -162,8 +163,7 @@ def _flat_crossings(vertices: Sequence[Sequence]):
     MAX_PAIR_TESTS pairs of distinct vertices.
     """
     groups = {}
-    for k, v in enumerate(vertices):
-        support = _support(v)
+    for k, (v, support) in enumerate(zip(vertices, supports)):
         if support:
             # within one support, x, y and the support coordinates fix v
             key = (v[0], v[1], *(v[j] for j in support))
@@ -178,25 +178,29 @@ def _flat_crossings(vertices: Sequence[Sequence]):
             later[k] = members[pos + 1:]
     for i, partners in enumerate(later):
         for j in partners:
-            crossing = _segment_flat_crossing(vertices[i], vertices[j])
+            crossing = _segment_flat_crossing(vertices[i], vertices[j], supports[i])
             if crossing is not None:
                 yield i, j, *crossing
 
 
-def _section_columns(gens: Sequence[AmbientPoint]) -> dict[AffinePair, dict]:
+def _section_columns(gens: Sequence[AmbientPoint],
+                     supports: Optional[Sequence[tuple[int, ...]]] = None) -> dict[AffinePair, dict]:
     """Sparse convex column of every point that a generator or a generator
     segment contributes to the section, keyed by its planar coordinates.
 
     Generators on H come first (a unit column), then the unique crossings
     of H by segments [gens[i], gens[j]] in lexicographic (i, j) order
     (weights 1 - t and t; _flat_crossings); the first entry for a point is
-    kept.
+    kept.  supports holds the off-H support of each generator, computed
+    here when not given.
     """
+    if supports is None:
+        supports = [_support(g) for g in gens]
     columns = {}
     for k, g in enumerate(gens):
-        if _on_flat(g):
+        if not supports[k]:
             columns.setdefault(tuple(g[:2]), {k: Fraction(1)})
-    for i, j, t, point in _flat_crossings(gens):
+    for i, j, t, point in _flat_crossings(gens, supports):
         columns.setdefault(point, {i: 1 - t, j: t})
     return columns
 
@@ -220,18 +224,20 @@ def _claim_columns(points: Sequence[tuple[Fraction, Fraction]], gens: Sequence[A
     return out
 
 
-def compute_section(vertices: Sequence[Sequence], dim: int) -> tuple[AffinePair, ...]:
+def compute_section(vertices: Sequence[Sequence], dim: int,
+                    supports: Optional[Sequence[tuple[int, ...]]] = None) -> tuple[AffinePair, ...]:
     """Hull of the vertices on H and of the crossings of H by vertex segments,
     in canonical_hull order: one point, a sorted pair, or the vertices of
     the canonical Polygon.
 
     Coordinates are Fractions or ints.  The hull lies in the section of
     conv(vertices) by H and is all of it when no vertex has two nonzero
-    coordinates off H.
+    coordinates off H.  supports, the off-H support of each vertex, is
+    computed when not given.
     """
     if any(len(v) != dim for v in vertices):
         raise ValueError("vertex dimension mismatch")
-    hull = canonical_hull(_section_columns(vertices))
+    hull = canonical_hull(_section_columns(vertices, supports))
     if not hull:
         raise EmptySection("the flat does not meet the polytope")
     return hull
@@ -275,9 +281,10 @@ def verify_section(s: SectionedPolytope) -> bool:
     equal compute_section; otherwise it is checked by _claim_is_section.
     Sets (and returns) the certificate flag.
     """
-    if _single_supports(s.vertices):
+    supports = [_support(v) for v in s.vertices]
+    if all(len(support) <= 1 for support in supports):
         try:
-            s.certified = compute_section(s.vertices, s.dim) == s.claimed.vertices
+            s.certified = compute_section(s.vertices, s.dim, supports) == s.claimed.vertices
         except EmptySection:
             s.certified = False
     else:

@@ -75,6 +75,43 @@ class TestValidateCommand:
         assert loads(proc.stderr)["error"] == "ParseError"
 
 
+class TestJsonNumberLiterals:
+    """A JSON float literal is read as its own decimal text, exactly."""
+
+    def validated(self, tmp_path, capsys, y_literal):
+        path = tmp_path / "triangle.json"
+        path.write_text('{"vertices": [["0", "0"], ["1", "0"], [0, %s]]}' % y_literal)
+        code = main(["validate", str(path)])
+        out, err = capsys.readouterr()
+        return code, (loads(out) if code == 0 else loads(err))
+
+    def test_digits_past_double_precision(self, tmp_path, capsys):
+        code, out = self.validated(tmp_path, capsys, "0.30000000000000001")
+        assert code == 0 and out["vertices"][1] == ["0", "30000000000000001/100000000000000000"]
+
+    def test_integer_valued_float_past_double_precision(self, tmp_path, capsys):
+        code, out = self.validated(tmp_path, capsys, "12345678901234567891.0")
+        assert code == 0 and out["vertices"][1] == ["0", "12345678901234567891"]
+
+    def test_exponent_below_double_range(self, tmp_path, capsys):
+        # read as a double this is 0, and (0, 0) a duplicate vertex
+        code, out = self.validated(tmp_path, capsys, "1e-400")
+        assert code == 0 and out["vertices"][1] == ["0", "1/1" + "0" * 400]
+
+    @pytest.mark.parametrize("literal", ["1e99999999", "1" * 10_001 + ".0"])
+    def test_caps_still_apply(self, tmp_path, capsys, literal):
+        code, err = self.validated(tmp_path, capsys, literal)
+        assert code == 1 and err["error"] == "ParseError"
+
+    def test_float_dimension_rejected(self, tmp_path, capsys):
+        doc = json.dumps(VALID_EXTENSION)
+        assert '"dim": 3,' in doc
+        path = tmp_path / "ext.json"
+        path.write_text(doc.replace('"dim": 3,', '"dim": 3.0,'))
+        assert main(["verify", str(path)]) == 1
+        assert loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
 class TestExtendVerify:
     def test_heptagon_round_trip(self, heptagon_file, tmp_path, capsys):
         out = tmp_path / "ext.json"

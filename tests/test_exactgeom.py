@@ -135,6 +135,48 @@ class TestScalars:
                 parse_scalar(text)
 
 
+def fraction_parse(text):
+    """parse_scalar through Fraction(str) alone, under the same caps: the
+    reference for its int() fast path."""
+    s = str(text).strip()
+    if len(s) > MAX_SCALAR_CHARS:
+        raise ParseError("too long")
+    try:
+        exponent = s.lower().partition("e")[2]
+        if exponent and len(s) + abs(int(exponent)) > MAX_EXPONENT_DIGITS:
+            raise ParseError("exponent too large")
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError("invalid") from exc
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
+
+
+PARITY_TEXTS = [
+    "+3", " -0 ", "-0/5", "3/0", "4/6", "007", "1_0", "\u0661\u0662", "-", "/5", "5/", "--3",
+    "-3/-4", "3/+4", "3 /4", "1/2/3", "0.5", "1e3", "\u00b2", "-" + "7" * 4300 + "/" + "9" * 4300,
+    *("1" + "0" * (MAX_SCALAR_CHARS + d) for d in (-2, -1, 0)),
+    *("1/" + "3" * (MAX_SCALAR_CHARS + d) for d in (-3, -2, -1)),
+    *(" " * 5 + "1" * (MAX_SCALAR_CHARS + d) for d in (-1, 0, 1)),
+]
+
+
+class TestParseScalarFastPath:
+    @pytest.mark.parametrize("text", PARITY_TEXTS, ids=range(len(PARITY_TEXTS)))
+    def test_same_value_or_same_error_as_fraction(self, text):
+        assert outcome(parse_scalar, text) == outcome(fraction_parse, text)
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="0123456789-+/ ._e\u0661", max_size=12) | st.integers())
+    def test_random_texts(self, text):
+        assert outcome(parse_scalar, text) == outcome(fraction_parse, text)
+
+
 point_triples = st.tuples(rationals, rationals, st.sampled_from([Fraction(1)]))
 
 

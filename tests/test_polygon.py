@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polysec.errors import (
     DegenerateTriple,
@@ -17,6 +19,7 @@ from polysec.polygon import (
     ProjMap2,
     affine_through_three,
     apply_map,
+    convex_hull_2d,
     map_line_to_infinity,
     validate,
 )
@@ -166,3 +169,110 @@ class TestAffineThroughThree:
             assert t.det != 0 and t.m[2][:2] == (0, 0)
             for s, d in zip(src, dst):
                 assert t.apply(ProjPoint.from_affine(*s)).dehomogenize() == d
+
+
+def fraction_orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def fraction_monotone_chain(points):
+    """The strict counterclockwise hull by the monotone chain on Fraction
+    orientations: the reference for the integer-sign convex_hull_2d."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    halves = []
+    for order in (pts, pts[::-1]):
+        half = []
+        for p in order:
+            while len(half) >= 2 and fraction_orient(half[-2], half[-1], p) <= 0:
+                half.pop()
+            half.append(p)
+        halves.append(half[:-1])
+    return halves[0] + halves[1]
+
+
+def fraction_validate(points):
+    """(error class, None) or (None, canonical vertices), as validate
+    decided them on Fraction orientations, a set and a dict of Fractions."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    if len(pts) < 3:
+        return TooFewVertices, None
+    if len(set(pts)) != len(pts):
+        return DuplicateVertex, None
+    hull = fraction_monotone_chain(pts)
+    if len(hull) != len(pts):
+        return NotConvex, None
+    index_of = {p: k for k, p in enumerate(hull)}
+    n = len(pts)
+    diffs = {(index_of[pts[(i + 1) % n]] - index_of[pts[i]]) % n for i in range(n)}
+    if diffs != {1} and diffs != {n - 1}:
+        return NotConvex, None
+    return None, tuple(hull[:1] + hull[:0:-1])
+
+
+small_coords = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+# numerators and denominators of about 300 bits
+huge_coords = st.builds(Fraction, st.integers(-2**301, 2**301), st.integers(2**299, 2**300))
+planar_points = st.tuples(st.one_of(small_coords, huge_coords), st.one_of(small_coords, huge_coords))
+
+
+@st.composite
+def point_clouds(draw):
+    """Up to a dozen points, including none, with collinear runs along
+    random directions (vertical ones too) and repeated points."""
+    pts = draw(st.lists(planar_points, max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        (bx, by), (dx, dy) = draw(planar_points), draw(planar_points)
+        steps = draw(st.lists(st.integers(-3, 3), max_size=5))
+        pts += [(bx + k * dx, by + k * dy) for k in steps]
+    if pts:
+        pts += [pts[k % len(pts)] for k in draw(st.lists(st.integers(0, 99), max_size=4))]
+    return draw(st.permutations(pts))
+
+
+@st.composite
+def polygon_inputs(draw):
+    """A convex polygon in some cyclic order, scaled by a large rational,
+    then possibly spoiled: a repeated vertex, an edge midpoint, an interior
+    point, two vertices swapped, or vertices dropped."""
+    n = draw(st.integers(3, 9))
+    polygon = random_convex_polygon(random.Random(draw(st.integers(0, 2**32))), n)
+    scale = draw(st.one_of(st.just(Fraction(1)), huge_coords.filter(bool)))
+    pts = [(x * scale, y * scale) for x, y in polygon.vertices]
+    r = draw(st.integers(0, n - 1))
+    pts = pts[r:] + pts[:r]
+    if draw(st.booleans()):
+        pts.reverse()
+    i, j = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, len(pts) - 1))
+    a, b = pts[i], pts[(i + 1) % len(pts)]
+    spoil = draw(st.sampled_from(["none", "repeat", "midpoint", "interior", "swap", "drop"]))
+    if spoil == "repeat":
+        pts.insert(j, pts[i])
+    elif spoil == "midpoint":
+        pts.insert(i + 1, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
+    elif spoil == "interior":
+        c = pts[(i + 2) % len(pts)]
+        pts.insert(j, ((a[0] + b[0] + c[0]) / 3, (a[1] + b[1] + c[1]) / 3))
+    elif spoil == "swap":
+        pts[i], pts[j] = pts[j], pts[i]
+    elif spoil == "drop":
+        pts = pts[:draw(st.integers(0, len(pts)))]
+    return pts
+
+
+class TestIntegerHullOracle:
+    @settings(max_examples=300)
+    @given(points=point_clouds())
+    def test_hull_matches_fraction_chain(self, points):
+        assert convex_hull_2d(points) == fraction_monotone_chain(points)
+
+    @settings(max_examples=300)
+    @given(points=polygon_inputs())
+    def test_validate_matches_fraction_validate(self, points):
+        error, vertices = fraction_validate(points)
+        if error is None:
+            assert validate(points).vertices == vertices
+        else:
+            with pytest.raises(error):
+                validate(points)

@@ -11,9 +11,9 @@ from polysec.linalg import in_convex_hull, solve_linear
 from polysec.polygon import ProjMap2, apply_map, canonical_hull, convex_hull_2d, validate
 from polysec.sections import (
     SectionedPolytope,
-    _on_flat,
+    _flat_crossings,
     _section_columns,
-    _segment_flat_crossing,
+    _support,
     bounded_pullback,
     compute_section,
     extreme_points,
@@ -83,10 +83,34 @@ class TestComputeSection:
         assert compute_section(verts, 4) == compute_section(mixed, 4)
 
 
+def _on_flat(v):
+    return all(c == 0 for c in v[2:])
+
+
+def all_coordinate_crossing(u, v):
+    """The crossing (t, point) of [u, v] with H, read off every coordinate
+    3..d in Fractions, or None: the reference for the support-only,
+    integer-sign _segment_flat_crossing."""
+    t = None
+    for uj, vj in zip(u[2:], v[2:]):
+        if uj == vj:
+            if uj != 0:
+                return None
+            continue
+        tj = Fraction(uj, uj - vj)
+        if t is None:
+            t = tj
+        elif t != tj:
+            return None
+    if t is None or t < 0 or t > 1:
+        return None
+    return t, (u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1]))
+
+
 def all_pairs_crossings(verts):
     """Every vertex pair, in lexicographic order: the reference enumeration."""
     for i, j in combinations(range(len(verts)), 2):
-        crossing = _segment_flat_crossing(verts[i], verts[j])
+        crossing = all_coordinate_crossing(verts[i], verts[j])
         if crossing is not None:
             yield i, j, *crossing
 
@@ -150,6 +174,52 @@ class TestSupportBuckets:
         hull = compute_section(verts, 4)
         assert len(calls) == 3 + 3
         assert hull == all_pairs_section(verts)
+
+
+def first_copies_crossings(verts):
+    """All-coordinate crossings of the pairs i < j of first copies of equal
+    vertices with one common nonempty support, in lexicographic order."""
+    firsts = [k for k, v in enumerate(verts) if all(tuple(v) != tuple(w) for w in verts[:k])]
+    for i, j in combinations(firsts, 2):
+        if _support(verts[i]) == _support(verts[j]) != ():
+            crossing = all_coordinate_crossing(verts[i], verts[j])
+            if crossing is not None:
+                yield i, j, *crossing
+
+
+# about 300-bit numerators and denominators, beside small values
+OFF_FLAT_HUGE = [Fraction(2**300 + 1, 3**190), Fraction(-(2**301) + 5, 7**107)]
+
+
+@st.composite
+def support_files(draw, single: bool):
+    """Dimension 3-6: vertices with at most one nonzero coordinate off H
+    when single, else any number; proportional tails, so that several
+    support coordinates pin one crossing, and repeated vertices."""
+    dim = draw(st.integers(3, 6))
+    planar = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    value = st.sampled_from(OFF_FLAT[4:] + OFF_FLAT_HUGE)
+    verts = []
+    for _ in range(draw(st.integers(1, 10))):
+        tail = [Fraction(0)] * (dim - 2)
+        if single:
+            tail[draw(st.integers(0, dim - 3))] = draw(st.sampled_from([Fraction(0)]) | value)
+        elif verts and draw(st.booleans()):
+            scale = draw(st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(3)]))
+            tail = [c * scale for c in draw(st.sampled_from(verts))[2:]]
+        else:
+            tail = [draw(st.sampled_from([Fraction(0), draw(value)])) for _ in tail]
+        verts.append((draw(planar), draw(planar), *tail))
+    repeats = draw(st.lists(st.integers(0, 9), max_size=3))
+    return verts + [verts[k % len(verts)] for k in repeats]
+
+
+class TestFlatCrossingsOracle:
+    @settings(max_examples=200)
+    @given(verts=st.one_of(support_files(single=True), support_files(single=False)))
+    def test_matches_all_coordinate_reference(self, verts):
+        supports = [_support(v) for v in verts]
+        assert list(_flat_crossings(verts, supports)) == list(first_copies_crossings(verts))
 
 
 class TestVerifySection:
