@@ -11,8 +11,7 @@ lies on H.  Say u_j != 0 = v_j; then (1-t) u_j = 0 forces t = 1, the
 endpoint v.  So only segments between vertices of one nonempty support can
 cross H anywhere else, and compute_section tests only those pairs, at most
 MAX_PAIR_TESTS of them (past it, ScaleExceeded before the first test).
-verify_section computes the supports once and passes them down.  Within a
-support every support coordinate is nonzero at both ends, so a pair
+Within a support every support coordinate is nonzero at both ends, so a pair
 crosses H exactly when the first support coordinates have opposite signs
 and the support coordinates are proportional: integer tests on numerators
 and denominators, with no other coordinate read (_segment_flat_crossing).
@@ -183,19 +182,16 @@ def _flat_crossings(vertices: Sequence[Sequence], supports: Sequence[tuple[int, 
                 yield i, j, *crossing
 
 
-def _section_columns(gens: Sequence[AmbientPoint],
-                     supports: Optional[Sequence[tuple[int, ...]]] = None) -> dict[AffinePair, dict]:
+def _section_columns(gens: Sequence[AmbientPoint]) -> dict[AffinePair, dict]:
     """Sparse convex column of every point that a generator or a generator
     segment contributes to the section, keyed by its planar coordinates.
 
     Generators on H come first (a unit column), then the unique crossings
     of H by segments [gens[i], gens[j]] in lexicographic (i, j) order
     (weights 1 - t and t; _flat_crossings); the first entry for a point is
-    kept.  supports holds the off-H support of each generator, computed
-    here when not given.
+    kept.
     """
-    if supports is None:
-        supports = [_support(g) for g in gens]
+    supports = [_support(g) for g in gens]
     columns = {}
     for k, g in enumerate(gens):
         if not supports[k]:
@@ -224,20 +220,18 @@ def _claim_columns(points: Sequence[tuple[Fraction, Fraction]], gens: Sequence[A
     return out
 
 
-def compute_section(vertices: Sequence[Sequence], dim: int,
-                    supports: Optional[Sequence[tuple[int, ...]]] = None) -> tuple[AffinePair, ...]:
+def compute_section(vertices: Sequence[Sequence], dim: int) -> tuple[AffinePair, ...]:
     """Hull of the vertices on H and of the crossings of H by vertex segments,
     in canonical_hull order: one point, a sorted pair, or the vertices of
     the canonical Polygon.
 
     Coordinates are Fractions or ints.  The hull lies in the section of
     conv(vertices) by H and is all of it when no vertex has two nonzero
-    coordinates off H.  supports, the off-H support of each vertex, is
-    computed when not given.
+    coordinates off H.
     """
     if any(len(v) != dim for v in vertices):
         raise ValueError("vertex dimension mismatch")
-    hull = canonical_hull(_section_columns(vertices, supports))
+    hull = canonical_hull(_section_columns(vertices))
     if not hull:
         raise EmptySection("the flat does not meet the polytope")
     return hull
@@ -281,10 +275,9 @@ def verify_section(s: SectionedPolytope) -> bool:
     equal compute_section; otherwise it is checked by _claim_is_section.
     Sets (and returns) the certificate flag.
     """
-    supports = [_support(v) for v in s.vertices]
-    if all(len(support) <= 1 for support in supports):
+    if _single_supports(s.vertices):
         try:
-            s.certified = compute_section(s.vertices, s.dim, supports) == s.claimed.vertices
+            s.certified = compute_section(s.vertices, s.dim) == s.claimed.vertices
         except EmptySection:
             s.certified = False
     else:
