@@ -50,6 +50,10 @@ MAX_SCALAR_CHARS = 10_000
 # without it "1e99999999" makes Fraction build a 10^8-digit integer.
 MAX_EXPONENT_DIGITS = 4000
 
+# the value of the text "0", shared by every such coordinate: dense files
+# are mostly zeros, and a Fraction is immutable
+_ZERO = Fraction(0)
+
 
 def parse_scalar(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational.
@@ -57,8 +61,11 @@ def parse_scalar(text: str) -> Fraction:
     ASCII "[-]digits" and "[-]digits/digits" are read with int(); any other
     text goes to Fraction(str), which accepts and rejects the same texts.
     Text longer than MAX_SCALAR_CHARS, or with a decimal exponent that
-    takes it past MAX_EXPONENT_DIGITS, is rejected with ParseError.
+    takes it past MAX_EXPONENT_DIGITS, is rejected with ParseError.  The
+    text "0" gives one shared Fraction(0).
     """
+    if text == "0":
+        return _ZERO
     s = str(text).strip()
     if len(s) > MAX_SCALAR_CHARS:
         raise ParseError(f"rational text longer than {MAX_SCALAR_CHARS} characters")

@@ -121,7 +121,12 @@ def _segment_flat_crossing(
     [0, 1] exactly when u_j and v_j have opposite signs, and every support
     coordinate pins the same t exactly when (u_j, v_j) and (u_k, v_k) are
     proportional; both tests run on integer numerators and denominators.
-    Returns t and the planar point (1-t) u + t v.
+    Returns t and the planar point (1-t) u + t v, each value one Fraction
+    formed from integer numerators and denominators and normalized once.
+    With a = u_j, b = v_j, p = a.num b.den and q = -b.num a.den (nonzero,
+    of one sign): t = p / (p + q), 1 - t = q / (p + q), and
+    x = (q u_x.num v_x.den + p v_x.num u_x.den) / ((p + q) u_x.den v_x.den),
+    y likewise.
     """
     j, *rest = support
     a, b = u[j], v[j]
@@ -133,8 +138,15 @@ def _segment_flat_crossing(
         if (a.numerator * d.numerator * b.denominator * c.denominator
                 != b.numerator * c.numerator * a.denominator * d.denominator):
             return None
-    t = Fraction(a, a - b)
-    return t, (u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1]))
+    p = a.numerator * b.denominator
+    q = -b.numerator * a.denominator
+    s = p + q
+
+    def at_t(c, d):
+        return Fraction(q * c.numerator * d.denominator + p * d.numerator * c.denominator,
+                        s * c.denominator * d.denominator)
+
+    return Fraction(p, s), (at_t(u[0], v[0]), at_t(u[1], v[1]))
 
 
 def _support(v: Sequence) -> tuple[int, ...]:
@@ -164,8 +176,10 @@ def _flat_crossings(vertices: Sequence[Sequence], supports: Sequence[tuple[int, 
     groups = {}
     for k, (v, support) in enumerate(zip(vertices, supports)):
         if support:
-            # within one support, x, y and the support coordinates fix v
-            key = (v[0], v[1], *(v[j] for j in support))
+            # within one support, x, y and the support coordinates fix v;
+            # integer pairs hash without the modular inverse of a Fraction
+            key = tuple((c.numerator, c.denominator)
+                        for c in (v[0], v[1], *(v[j] for j in support)))
             groups.setdefault(support, {}).setdefault(key, k)
     pairs = sum(len(members) * (len(members) - 1) // 2 for members in groups.values())
     if pairs > MAX_PAIR_TESTS:

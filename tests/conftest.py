@@ -1,11 +1,13 @@
 import random
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
 from polysec import validate
+from polysec.heptagon import DetOctuple, _octuple
 
 # every property test draws the same examples on every run
 settings.register_profile("derandomized", derandomize=True, deadline=None)
@@ -78,3 +80,80 @@ def count_calls_everywhere(monkeypatch, module, name: str) -> list:
 def rational_grid_point(r: random.Random, spread: int = 200, denom: int = 32):
     return (Fraction(r.randrange(-spread, spread + 1), denom),
             Fraction(r.randrange(-spread, spread + 1), denom))
+
+
+class Poly:
+    """An integer polynomial: a dict from monomials (sorted tuples of variable
+    names, repeated by degree) to nonzero int coefficients, with +, - and *
+    against Polys and ints, and evaluation at a dict of values."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    @staticmethod
+    def lift(value) -> "Poly":
+        return value if isinstance(value, Poly) else Poly({(): value})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for m, c in Poly.lift(other).terms.items():
+            terms[m] = terms.get(m, 0) + c
+        return Poly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Poly.lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in Poly.lift(other).terms.items():
+                m = tuple(sorted(m1 + m2))
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return Poly(terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return self.terms == Poly.lift(other).terms
+
+    def __call__(self, values: dict):
+        total = 0
+        for m, c in self.terms.items():
+            for name in m:
+                c *= values[name]
+            total += c
+        return total
+
+
+def symbolic_octuples() -> list:
+    """The determinant octuples at indices 0..6 of seven generic affine points
+    (x0, y0), ..., (x6, y6), built by the shipped _octuple and det3 on Polys."""
+    rows = [(Poly({(f"x{k}",): 1}), Poly({(f"y{k}",): 1}), 1) for k in range(7)]
+    return [_octuple(rows, i) for i in range(7)]
+
+
+def octuple_at(octuple, values: dict) -> DetOctuple:
+    """A symbolic octuple evaluated at values."""
+    return DetOctuple(*(getattr(octuple, f.name)(values) for f in fields(DetOctuple)))
+
+
+def octuple_sums(octs) -> tuple:
+    """sum(AB), sum(CD), sum(EF) and sum(GH) over seven octuples, the partial
+    sums of invariant_sum."""
+    return (sum(o.a * o.b for o in octs), sum(o.c * o.d for o in octs),
+            sum(o.e * o.f for o in octs), sum(o.g * o.h for o in octs))
+
+
+def point_values(points) -> dict:
+    """The values of x0, y0, ..., x6, y6 at seven affine points."""
+    return {f"{axis}{k}": Fraction(c) for k, p in enumerate(points) for axis, c in zip("xy", p)}

@@ -103,6 +103,22 @@ class TestJsonNumberLiterals:
         code, err = self.validated(tmp_path, capsys, literal)
         assert code == 1 and err["error"] == "ParseError"
 
+    @pytest.mark.parametrize("zero, code", [('"0"', 0), ("0", 0), ("false", 1)])
+    def test_zero_coordinates(self, tmp_path, capsys, zero, code):
+        # the off-H zeros decide the supports; false is no number, and
+        # False == "0" is false
+        rows = [["Z", "Z", "-1", "Z"], ["1", "Z", "-1", "Z"], ["Z", "1", "-1", "Z"], ["Z", "Z", "1", "Z"]]
+        claim = [["0", "0"], ["1/2", "0"], ["0", "1/2"]]
+        path = tmp_path / "ext.json"
+        path.write_text(json.dumps({"dim": 4, "vertices": rows, "claimed": {"vertices": claim}})
+                        .replace('"Z"', zero))
+        assert main(["verify", str(path)]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out.strip() == "PASS"
+        else:
+            assert loads(err)["error"] == "ParseError"
+
     def test_float_dimension_rejected(self, tmp_path, capsys):
         doc = json.dumps(VALID_EXTENSION)
         assert '"dim": 3,' in doc

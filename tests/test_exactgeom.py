@@ -160,6 +160,7 @@ def outcome(parse, text):
 PARITY_TEXTS = [
     "+3", " -0 ", "-0/5", "3/0", "4/6", "007", "1_0", "\u0661\u0662", "-", "/5", "5/", "--3",
     "-3/-4", "3/+4", "3 /4", "1/2/3", "0.5", "1e3", "\u00b2", "-" + "7" * 4300 + "/" + "9" * 4300,
+    "0", " 0", "0 ", "-0", "+0", "00", "0/1", "0/0", "0.0", "0e5", "\u0660",
     *("1" + "0" * (MAX_SCALAR_CHARS + d) for d in (-2, -1, 0)),
     *("1/" + "3" * (MAX_SCALAR_CHARS + d) for d in (-3, -2, -1)),
     *(" " * 5 + "1" * (MAX_SCALAR_CHARS + d) for d in (-1, 0, 1)),

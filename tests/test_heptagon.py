@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import polysec.heptagon as heptagon_module
 import polysec.polygon as polygon_module
@@ -30,6 +29,11 @@ from conftest import (
     SIX_CROSSING_HEPTAGON,
     count_calls,
     count_calls_everywhere,
+    octuple_at,
+    octuple_sums,
+    point_values,
+    rational_grid_point,
+    symbolic_octuples,
 )
 
 STD_PARAMS = dict(a=Fraction(1, 2), b=Fraction(-1, 4), c=Fraction(-1, 4),
@@ -192,10 +196,6 @@ class TestFindNoncrossing:
             assert 0 <= find_noncrossing(polygon) < 7
 
 
-rational = st.fractions(min_value=-20, max_value=20, max_denominator=8)
-config7 = st.lists(st.tuples(rational, rational), min_size=7, max_size=7)
-
-
 class TestInvariantSum:
     def test_seven_equal_points(self):
         sums = invariant_sum([(1, 2)] * 7)
@@ -207,24 +207,33 @@ class TestInvariantSum:
         assert sums.total == 0
         assert sums.sum_ab == sums.sum_gh == sums.sum_ef == sums.sum_cd == 0
 
-    @given(config7)
-    @settings(max_examples=300, deadline=None)
-    def test_identity_and_halves_vanish(self, pts):
-        sums = invariant_sum(pts)
-        assert sums.total == 0
-        assert sums.sum_ab == sums.sum_gh
-        assert sums.sum_ef == sums.sum_cd
+    def test_identity_and_halves_vanish(self, rng):
+        # proved: polynomials in the 14 coordinates, none of the halves zero
+        sum_ab, sum_cd, sum_ef, sum_gh = octuple_sums(symbolic_octuples())
+        assert sum_ab - sum_cd + sum_ef - sum_gh == 0
+        assert sum_ab == sum_gh != 0 and sum_ef == sum_cd != 0
+        # and they are the sums that invariant_sum adds
+        for _ in range(5):
+            pts = [rational_grid_point(rng) for _ in range(7)]
+            values = point_values(pts)
+            sums = invariant_sum(pts)
+            assert sums.total == 0
+            assert (sums.sum_ab, sums.sum_cd, sums.sum_ef, sums.sum_gh) == \
+                tuple(p(values) for p in (sum_ab, sum_cd, sum_ef, sum_gh))
 
-    @given(config7)
-    @settings(max_examples=150, deadline=None)
-    def test_octuple_index_identities(self, pts):
-        octs = [det_octuple(pts, i) for i in range(7)]
+    def test_octuple_index_identities(self, rng):
+        octs = symbolic_octuples()
         for i in range(7):
             assert octs[i].b == octs[i].e
             assert octs[i].c == octs[i].h
             assert octs[i].c == octs[(i - 2) % 7].e
             assert octs[i].d + octs[(i - 3) % 7].c == \
                 octs[(i - 2) % 7].f + octs[(i + 1) % 7].e
+        for _ in range(5):
+            pts = [rational_grid_point(rng) for _ in range(7)]
+            values = point_values(pts)
+            for i, o in enumerate(octs):
+                assert det_octuple(pts, i) == octuple_at(o, values)
 
 
 class TestStandardize:

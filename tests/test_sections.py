@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
+from polysec.compose import ngon_extension
 from polysec.errors import EmptySection, PullbackUnbounded, ScaleExceeded
 from polysec.linalg import in_convex_hull, solve_linear
 from polysec.polygon import ProjMap2, apply_map, canonical_hull, convex_hull_2d, validate
+from polysec.randgen import random_convex_polygon
 from polysec.sections import (
     SectionedPolytope,
     _flat_crossings,
@@ -195,10 +198,13 @@ OFF_FLAT_HUGE = [Fraction(2**300 + 1, 3**190), Fraction(-(2**301) + 5, 7**107)]
 def support_files(draw, single: bool):
     """Dimension 3-6: vertices with at most one nonzero coordinate off H
     when single, else any number; proportional tails, so that several
-    support coordinates pin one crossing, and repeated vertices."""
+    support coordinates pin one crossing, and repeated vertices.  Planar
+    coordinates are small fractions, ints or about 300 bits, as the crossing
+    point multiplies their denominators; off-H ones Fractions or ints."""
     dim = draw(st.integers(3, 6))
-    planar = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-    value = st.sampled_from(OFF_FLAT[4:] + OFF_FLAT_HUGE)
+    planar = (st.fractions(min_value=-4, max_value=4, max_denominator=3)
+              | st.integers(-4, 4) | st.sampled_from(OFF_FLAT_HUGE))
+    value = st.sampled_from(OFF_FLAT[4:] + OFF_FLAT_HUGE + [1, -2])
     verts = []
     for _ in range(draw(st.integers(1, 10))):
         tail = [Fraction(0)] * (dim - 2)
@@ -214,12 +220,28 @@ def support_files(draw, single: bool):
     return verts + [verts[k % len(verts)] for k in repeats]
 
 
+# one segment crossing H, with ~300-bit planar coordinates and a mix of int
+# and Fraction coordinates, in each order: a < 0 < b, then a > 0 > b
+HUGE_PAIR = [(OFF_FLAT_HUGE[0], 3, -2, 4), (-1, OFF_FLAT_HUGE[1], Fraction(5, 7), Fraction(-10, 7))]
+
+
 class TestFlatCrossingsOracle:
     @settings(max_examples=200)
     @given(verts=st.one_of(support_files(single=True), support_files(single=False)))
+    @example(verts=HUGE_PAIR)
+    @example(verts=HUGE_PAIR[::-1])
     def test_matches_all_coordinate_reference(self, verts):
         supports = [_support(v) for v in verts]
         assert list(_flat_crossings(verts, supports)) == list(first_copies_crossings(verts))
+
+    def test_no_fraction_hashing(self, monkeypatch):
+        # the repeated-vertex key is integers: hashing a Fraction costs a
+        # modular inverse
+        verts = ngon_extension(random_convex_polygon(random.Random(28), 28)).vertices
+        supports = [_support(v) for v in verts]
+        hashes = count_calls(monkeypatch, Fraction, "__hash__")
+        crossings = list(_flat_crossings(verts, supports))
+        assert crossings and hashes == []
 
 
 class TestVerifySection:
