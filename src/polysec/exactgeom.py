@@ -165,9 +165,6 @@ class ProjPoint(_HomogeneousTriple):
 class ProjLine(_HomogeneousTriple):
     """A line in dual homogeneous coordinates; (0, 0, 1) is the line at infinity."""
 
-    def incident(self, p: ProjPoint) -> bool:
-        return _dot(self.h, p.h) == 0
-
     def side(self, p: ProjPoint) -> int:
         """Sign of <line, point> for the canonical representatives.
 
@@ -225,10 +222,12 @@ def det3(a: PointLike, b: PointLike, c: PointLike):
     (a, b, c).  The sign is representative-independent under the w > 0
     convention; the magnitude scales with the chosen representatives.
     """
-    ra, rb, rc = _raw(a), _raw(b), _raw(c)
+    if type(a) is not tuple or type(b) is not tuple or type(c) is not tuple:
+        a, b, c = _raw(a), _raw(b), _raw(c)  # tuples, such as the hull's lifts, are rows
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a, b, c
     return (
-        ra[0] * (rb[1] * rc[2] - rb[2] * rc[1])
-        - ra[1] * (rb[0] * rc[2] - rb[2] * rc[0])
-        + ra[2] * (rb[0] * rc[1] - rb[1] * rc[0])
+        a0 * (b1 * c2 - b2 * c1)
+        - a1 * (b0 * c2 - b2 * c0)
+        + a2 * (b0 * c1 - b1 * c0)
     )
 

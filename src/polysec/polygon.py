@@ -8,13 +8,19 @@ lexicographically smallest vertex at index 0.  Operations that need a
 specific index alignment take their own index parameter instead of
 relying on the canonical rotation.
 
+Points are ordered by exact integer keys.  When every denominator of a
+set of rationals is below 2^(s/2), the key (a << s) // b of x = a/b is
+floor(x 2^s), and two distinct values a1/b1 != a2/b2 differ by at least
+1/(b1 b2) > 2^-s, so their keys differ and keep their order, while equal
+values give equal keys.  Sorting and deduplication compare ints only.
+
 Orientation is an integer determinant sign.  An affine point (x, y) is
 lifted to the integer triple (x.num y.den, y.num x.den, x.den y.den),
 whose weight is positive, so the sign of the 3x3 determinant of three
 lifts is the sign of their turn.  convex_hull_2d lifts each distinct point
 once and runs the monotone chain on those signs; validate reads
-duplicates and the cyclic order off the sorted order, and no Fraction is
-hashed.
+duplicates off the keys and the cyclic order off integer hull positions,
+and no Fraction is compared or hashed.
 
 Planar maps are projective (ProjMap2), and act on affine points in one
 place, ProjMap2.apply_affine, which refuses points on or across the line
@@ -44,6 +50,12 @@ __all__ = ["Polygon", "ProjMap2", "validate", "apply_map", "map_line_to_infinity
            "affine_through_three", "convex_hull_2d", "canonical_hull"]
 
 
+def _fraction(c) -> Fraction:
+    """c as a Fraction; a Fraction is kept, as converting it again costs
+    an abstract-base-class check."""
+    return c if type(c) is Fraction else Fraction(c)
+
+
 def _lift(p: AffinePair) -> tuple[int, int, int]:
     """The integer homogeneous triple (x.num y.den, y.num x.den, x.den y.den)
     of an affine rational point; its weight is positive."""
@@ -65,23 +77,38 @@ def _orient(a: AffinePair, b: AffinePair, c: AffinePair) -> int:
     return _turn(_lift(a), _lift(b), _lift(c))
 
 
+def _sort_keys(points: Sequence[AffinePair]) -> list[tuple[int, int]]:
+    """The exact integer key pair of every point: (a << s) // b for each
+    coordinate a/b, with s twice the largest denominator bit length, so
+    that every denominator is below 2^(s/2) (module docstring)."""
+    s = 2 * max((c.denominator for p in points for c in p), default=1).bit_length()
+    return [((x.numerator << s) // x.denominator, (y.numerator << s) // y.denominator)
+            for x, y in points]
+
+
 def convex_hull_2d(points: Iterable[AffinePair]) -> list[AffinePair]:
     """Strict convex hull (collinear boundary points dropped), counterclockwise.
 
-    Monotone chain over the sorted distinct points, each lifted once to
-    integers, on integer determinant signs; the first hull vertex is the
-    lexicographically smallest point.
+    The points are sorted and deduplicated on their exact integer keys
+    (_sort_keys: floor(x 2^s) and floor(y 2^s) with every denominator below
+    2^(s/2), so distinct values, at least 2^-s apart, never share a key);
+    the monotone chain then runs over the distinct points, each lifted once
+    to integers, on integer determinant signs.  The first hull vertex is the
+    lexicographically smallest point.  The hull holds the given pair objects
+    themselves, the first given of equal points.
     """
-    pts = sorted(points)
-    pts = [p for k, p in enumerate(pts) if k == 0 or p != pts[k - 1]]
+    pts = list(points)
+    keys = _sort_keys(pts)
+    order = sorted(range(len(pts)), key=keys.__getitem__)
+    pts = [pts[k] for pos, k in enumerate(order) if pos == 0 or keys[k] != keys[order[pos - 1]]]
     n = len(pts)
     if n <= 2:
         return pts
     lifts = [_lift(p) for p in pts]
     hull: list[int] = []
-    for order in (range(n), range(n - 1, -1, -1)):
+    for chain in (range(n), range(n - 1, -1, -1)):
         base = len(hull)
-        for k in order:
+        for k in chain:
             while len(hull) >= base + 2 and _turn(lifts[hull[-2]], lifts[hull[-1]], lifts[k]) <= 0:
                 hull.pop()
             hull.append(k)
@@ -129,18 +156,6 @@ class Polygon:
         a = (-(y1 - y0), x1 - x0)
         return a, a[0] * x0 + a[1] * y0
 
-    def contains(self, x: Fraction, y: Fraction) -> bool:
-        """Point-in-closed-polygon via the n edge orientation signs."""
-        pts = self.vertices
-        n = len(pts)
-        # clockwise labels: interior is where every (p_i, p_{i+1}, q) turn is <= 0
-        return all(_orient(pts[i], pts[(i + 1) % n], (x, y)) <= 0 for i in range(n))
-
-    def strictly_contains(self, x: Fraction, y: Fraction) -> bool:
-        pts = self.vertices
-        n = len(pts)
-        return all(_orient(pts[i], pts[(i + 1) % n], (x, y)) < 0 for i in range(n))
-
     def __eq__(self, other):
         return isinstance(other, Polygon) and self.vertices == other.vertices
 
@@ -156,24 +171,28 @@ def validate(points: Iterable[Sequence]) -> Polygon:
     """Build the canonical Polygon from affine rational pairs.
 
     Rejects duplicates, collinear triples and non-convex orderings; the
-    vertices are then put in canonical_hull order.
+    vertices are then put in canonical_hull order.  One keyed sort, the
+    hull's, decides all of it.
     """
-    pts = [(Fraction(p[0]), Fraction(p[1])) for p in points]
-    if len(pts) < 3:
-        raise TooFewVertices(f"need at least 3 vertices, got {len(pts)}")
-    ordered = sorted(pts)
-    if any(p == q for p, q in zip(ordered, ordered[1:])):
-        raise DuplicateVertex("duplicate vertices in input")
-    hull = canonical_hull(ordered)
-    if len(hull) != len(pts):
+    pts = [(_fraction(p[0]), _fraction(p[1])) for p in points]
+    n = len(pts)
+    if n < 3:
+        raise TooFewVertices(f"need at least 3 vertices, got {n}")
+    hull = convex_hull_2d(pts)
+    if len(hull) != n:
+        # the keys are exact: equal keys are equal points
+        if len(set(_sort_keys(pts))) != n:
+            raise DuplicateVertex("duplicate vertices in input")
         raise NotConvex("input contains collinear or interior points")
-    # the input cyclic order must be the hull's, up to reversal (rules out
-    # convex-position but self-crossing orders); both start at the smallest point
-    start = pts.index(hull[0])
-    cycle = pts[start:] + pts[:start]
-    if tuple(cycle) != hull and tuple(cycle[:1] + cycle[:0:-1]) != hull:
+    # every input pair is a hull vertex, and the hull holds the pairs
+    # themselves; the input cyclic order must step through the hull
+    # positions by +1 throughout or by -1 throughout (rules out
+    # convex-position but self-crossing orders)
+    position = {id(p): k for k, p in enumerate(hull)}
+    steps = {(position[id(q)] - position[id(p)]) % n for p, q in zip(pts, pts[1:] + pts[:1])}
+    if steps != {1} and steps != {n - 1}:
         raise NotConvex("vertex order does not trace the convex hull")
-    return Polygon(hull)
+    return Polygon(hull[:1] + hull[:0:-1])
 
 
 class ProjMap2:

@@ -17,8 +17,9 @@ and the support coordinates are proportional: integer tests on numerators
 and denominators, with no other coordinate read (_segment_flat_crossing).
 
 The hull of the vertices on H and of these crossings lies in the section;
-compute_section lists both with the routine that gives verify and
-factorize their convex columns (_section_columns).
+compute_section hulls both point lists directly, with no convex column
+and no Fraction hashed (the columns, keyed by point in _section_columns,
+serve only _claim_columns: the LP check and factorize).
 It is the whole section when every vertex has at most one nonzero
 coordinate off H, as in 3-D and in every join this package builds.  Write
 a point of the section as a convex combination of vertices and split the
@@ -27,7 +28,8 @@ sum to zero there, and the block's normalized part is a point on H of the
 3-polytope conv(block).  A plane section of a 3-polytope is the hull of its
 vertices on the plane and its edge crossings, so that point is in the hull
 of the block's crossings.  verify_section compares this hull with the claim
-vertex for vertex.
+vertex for vertex; SectionedPolytope.single_support decides, once per
+polytope, whether a file takes this path.
 
 Any other vertex set is certified by exact linear programs over at most
 64 distinct vertices (distinct_points): each claimed vertex, placed on H,
@@ -87,7 +89,7 @@ class SectionedPolytope:
     The certificate flag is only ever set by verify_section.
     """
 
-    __slots__ = ("dim", "vertices", "claimed", "certified")
+    __slots__ = ("dim", "vertices", "claimed", "certified", "_single")
 
     def __init__(self, dim: int, vertices: Sequence[Sequence], claimed: Polygon):
         if dim < 2:
@@ -104,6 +106,15 @@ class SectionedPolytope:
             raise TypeError(f"cannot interpret {claimed!r} as a planar section")
         self.claimed = claimed
         self.certified = False
+        self._single = None
+
+    @property
+    def single_support(self) -> bool:
+        """Whether no vertex has two nonzero coordinates off H (module
+        docstring); decided on first use, the vertices being a tuple."""
+        if self._single is None:
+            self._single = _single_supports(self.vertices)
+        return self._single
 
     def __repr__(self):
         return (f"SectionedPolytope(dim={self.dim}, vertices={len(self.vertices)}, "
@@ -245,7 +256,10 @@ def compute_section(vertices: Sequence[Sequence], dim: int) -> tuple[AffinePair,
     """
     if any(len(v) != dim for v in vertices):
         raise ValueError("vertex dimension mismatch")
-    hull = canonical_hull(_section_columns(vertices))
+    supports = [_support(v) for v in vertices]
+    points = [(v[0], v[1]) for v, support in zip(vertices, supports) if not support]
+    points += [point for _, _, _, point in _flat_crossings(vertices, supports)]
+    hull = canonical_hull(points)
     if not hull:
         raise EmptySection("the flat does not meet the polytope")
     return hull
@@ -289,7 +303,7 @@ def verify_section(s: SectionedPolytope) -> bool:
     equal compute_section; otherwise it is checked by _claim_is_section.
     Sets (and returns) the certificate flag.
     """
-    if _single_supports(s.vertices):
+    if s.single_support:
         try:
             s.certified = compute_section(s.vertices, s.dim) == s.claimed.vertices
         except EmptySection:

@@ -33,7 +33,6 @@ from .polygon import Polygon
 from .sections import (
     SectionedPolytope,
     _claim_columns,
-    _single_supports,
     distinct_points,
     edge_extension,
 )
@@ -104,7 +103,8 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> AffineFunctiona
     The planar slack b - a.x already vanishes appropriately on H; the free
     coefficients on coordinates 3..d make the functional nonnegative at
     every polytope vertex.  When no vertex has two nonzero coordinates off H
-    each vertex constrains one free coefficient, the one of its support, and
+    (SectionedPolytope.single_support, decided once per polytope) each
+    vertex constrains one free coefficient, the one of its support, and
     fourier_motzkin_point takes the midpoint of each coefficient's interval;
     otherwise they come from the edge LP over the distinct vertices
     (sections.edge_extension).  NoExtension when there are none.
@@ -112,7 +112,7 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> AffineFunctiona
     polygon = s.claimed
     facet %= polygon.n
     a, b = polygon.edge_inequality(facet)
-    if _single_supports(s.vertices):
+    if s.single_support:
         constraints = [(v[2:], a[0] * v[0] + a[1] * v[1] - b) for v in s.vertices]
         tail = fourier_motzkin_point(constraints, s.dim - 2)
     else:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import settings
 
 from polysec import validate
+from polysec.exactgeom import ProjLine, ProjPoint, det3
 from polysec.heptagon import DetOctuple, _octuple
+from polysec.polygon import Polygon
 
 # every property test draws the same examples on every run
 settings.register_profile("derandomized", derandomize=True, deadline=None)
@@ -75,6 +77,28 @@ def count_calls_everywhere(monkeypatch, module, name: str) -> list:
         if getattr(other, "__name__", "").startswith("polysec.") and vars(other).get(name) is original:
             monkeypatch.setattr(other, name, getattr(module, name))
     return calls
+
+
+def incident(line: ProjLine, point: ProjPoint) -> bool:
+    """Whether the point lies on the line: their homogeneous product is zero."""
+    return sum(a * b for a, b in zip(line.h, point.h)) == 0
+
+
+def edge_turns(polygon: Polygon, x, y) -> list:
+    """The determinant of (p_i, p_{i+1}, (x, y)) along every edge; all
+    points have w > 0, so each is the sign of that turn."""
+    q = ProjPoint.from_affine(x, y)
+    return [det3(polygon.vertex(i), polygon.vertex(i + 1), q) for i in range(polygon.n)]
+
+
+def contains(polygon: Polygon, x, y) -> bool:
+    """Point in the closed polygon: clockwise labels put the interior where
+    every edge turn is <= 0."""
+    return all(d <= 0 for d in edge_turns(polygon, x, y))
+
+
+def strictly_contains(polygon: Polygon, x, y) -> bool:
+    return all(d < 0 for d in edge_turns(polygon, x, y))
 
 
 def rational_grid_point(r: random.Random, spread: int = 200, denom: int = 32):

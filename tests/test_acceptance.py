@@ -28,6 +28,7 @@ from conftest import (
     AFFINE_REGULAR_HEXAGON,
     SIX_CROSSING_HEPTAGON,
     SIX_VERTEX_HEXAGON,
+    incident,
     octuple_at,
     octuple_sums,
     point_values,
@@ -245,8 +246,8 @@ def test_criterion_9_kernel_identities():
         if pa == pb or pa == pc:
             continue
         line = join(pa, pb)
-        assert line.incident(pa) and line.incident(pb)
-        assert (det3(pa, pb, pc) == 0) == line.incident(pc)
+        assert incident(line, pa) and incident(line, pb)
+        assert (det3(pa, pb, pc) == 0) == incident(line, pc)
         if det3(pa, pb, pc) != 0:
             assert meet(join(pa, pb), join(pa, pc)) == pa
         checked += 1

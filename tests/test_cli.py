@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from polysec import linalg, sections, slack
 from polysec import polygon as polygon_module
 from polysec.cli import main
+from polysec.compose import ngon_extension
 from polysec.exactgeom import ProjPoint
 from polysec.heptagon import heptagon_extension
 from polysec.jsonio import dumps, loads, polygon_to_obj, sectioned_from_obj, sectioned_to_obj
@@ -176,6 +177,22 @@ class TestExtendVerify:
         # 4 blocks of 6 vertices: 4 * 15 pairs, not 24 * 23 / 2 = 276;
         # one hull for the claim, one for the section
         assert len(crossings) <= 60 and len(hulls) == 2
+
+    def test_140gon_join_soundness(self, tmp_path, capsys):
+        # a join at benchmark scale passes; a claim one vertex of which is
+        # moved outward by 2^-600, or dropped, is still a convex polygon and
+        # fails
+        polygon = random_convex_polygon(random.Random(140), 140)
+        doc = sectioned_to_obj(ngon_extension(polygon))
+        claim = doc["claimed"]["vertices"]
+        x0, y0 = (Fraction(c) for c in claim[0])  # the leftmost vertex
+        moved = [[str(x0 - Fraction(1, 2**600)), str(y0)], *claim[1:]]
+        for vertices, code, out in ((claim, 0, "PASS"), (moved, 1, "FAIL"), (claim[1:], 1, "FAIL")):
+            assert validate([(Fraction(x), Fraction(y)) for x, y in vertices]).n == len(vertices)
+            path = tmp_path / "join.json"
+            path.write_text(dumps({**doc, "claimed": {"vertices": vertices}}))
+            assert main(["verify", str(path)]) == code
+            assert capsys.readouterr().out.startswith(out)
 
     def test_file_flag_is_not_trusted(self):
         # only verify_section sets the flag; the writer still records it

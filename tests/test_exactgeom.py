@@ -17,6 +17,8 @@ from polysec.exactgeom import (
     parse_scalar,
 )
 
+from conftest import incident
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 
 
@@ -197,8 +199,8 @@ class TestIdentities:
         if pa == pb:
             return
         line = join(pa, pb)
-        assert line.incident(pa) and line.incident(pb)
-        assert (det3(pa, pb, pc) == 0) == line.incident(pc)
+        assert incident(line, pa) and incident(line, pb)
+        assert (det3(pa, pb, pc) == 0) == incident(line, pc)
 
     @given(point_triples, point_triples, point_triples)
     @settings(max_examples=200, deadline=None)

@@ -27,12 +27,14 @@ from polysec.sections import compute_section, extreme_points, verify_section
 from conftest import (
     PUBLISHED_TO_CANONICAL_SHIFT,
     SIX_CROSSING_HEPTAGON,
+    contains,
     count_calls,
     count_calls_everywhere,
     octuple_at,
     octuple_sums,
     point_values,
     rational_grid_point,
+    strictly_contains,
     symbolic_octuples,
 )
 
@@ -91,7 +93,7 @@ class TestStdPoints:
                 for point in (sp.plus, sp.minus):
                     if point.is_finite:
                         x, y = point.dehomogenize()
-                        assert not polygon.contains(x, y)
+                        assert not contains(polygon, x, y)
 
     def test_standard_heptagon_line0_at_infinity(self):
         std = standard_heptagon()
@@ -317,8 +319,8 @@ class TestBuildStandardExtension:
         assert crossings == set(std.vertex_list()) | {(a, b + lam), (c + mu, d)}
         assert hull == std.polygon().vertices
         # the two non-vertex crossing points lie strictly inside
-        assert std.polygon().strictly_contains(a, b + lam)
-        assert std.polygon().strictly_contains(c + mu, d)
+        assert strictly_contains(std.polygon(), a, b + lam)
+        assert strictly_contains(std.polygon(), c + mu, d)
 
     def test_default_k_keeps_denominators_positive(self):
         std = standard_heptagon()

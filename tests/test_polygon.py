@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polysec.errors import (
     DegenerateTriple,
@@ -25,7 +25,7 @@ from polysec.polygon import (
 )
 from polysec.randgen import random_convex_polygon
 
-from conftest import SIX_CROSSING_HEPTAGON
+from conftest import SIX_CROSSING_HEPTAGON, contains, strictly_contains
 
 
 def clockwise_everywhere(p: Polygon) -> bool:
@@ -77,9 +77,10 @@ class TestValidate:
 
     def test_point_in_polygon(self):
         sq = validate([(0, 0), (2, 0), (2, 2), (0, 2)])
-        assert sq.strictly_contains(Fraction(1), Fraction(1))
-        assert sq.contains(Fraction(0), Fraction(1))
-        assert not sq.contains(Fraction(3), Fraction(0))
+        assert strictly_contains(sq, Fraction(1), Fraction(1))
+        assert contains(sq, Fraction(0), Fraction(1))
+        assert not strictly_contains(sq, Fraction(0), Fraction(1))
+        assert not contains(sq, Fraction(3), Fraction(0))
 
 
 class TestApplyMap:
@@ -261,14 +262,50 @@ def polygon_inputs(draw):
     return pts
 
 
+# coprime denominators of 301 bits, just below 2^301; m - 1/B2 exceeds
+# m - 1/B1 by exactly 1/(B1 B2), the smallest gap between two values with
+# these denominators, just above the 2^-602 resolution of the hull's
+# integer sort keys
+B1, B2 = 2**301 - 2, 2**301 - 1
+
+
+def gap_pair(m: int) -> tuple[Fraction, Fraction]:
+    return Fraction(m * B1 - 1, B1), Fraction(m * B2 - 1, B2)
+
+
+X1, X2 = gap_pair(-3)  # negative numerators
+P1, P2 = gap_pair(2)
+# x one gap apart, then y one gap apart at equal x; int and Fraction mixed
+GAP_X = [(X1, 0), (X2, Fraction(0)), (X1, 1)]
+GAP_Y = [(0, X1), (Fraction(0), X2), (1, X1)]
+GAP_POSITIVE = [(P2, Fraction(1, 3)), (P1, Fraction(1, 3)), (P2, -5)]
+# B lies one gap right of the line x = X1 through A and C
+GAP_QUAD = [(X1, 0), (X2, 1), (X1, 2), (X1 - 1, Fraction(1))]
+
+
 class TestIntegerHullOracle:
     @settings(max_examples=300)
     @given(points=point_clouds())
+    @example(points=GAP_X)
+    @example(points=GAP_X[::-1])
+    @example(points=GAP_Y)
+    @example(points=GAP_Y[::-1])
+    @example(points=GAP_POSITIVE)
+    @example(points=GAP_POSITIVE[::-1])
+    @example(points=GAP_QUAD)
     def test_hull_matches_fraction_chain(self, points):
         assert convex_hull_2d(points) == fraction_monotone_chain(points)
 
     @settings(max_examples=300)
     @given(points=polygon_inputs())
+    @example(points=GAP_X)
+    @example(points=GAP_X[::-1])
+    @example(points=GAP_Y)
+    @example(points=GAP_Y[::-1])
+    @example(points=GAP_POSITIVE[::-1])
+    @example(points=GAP_QUAD)
+    @example(points=GAP_QUAD[::-1])
+    @example(points=GAP_QUAD + GAP_QUAD[1:2])
     def test_validate_matches_fraction_validate(self, points):
         error, vertices = fraction_validate(points)
         if error is None:

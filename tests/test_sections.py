@@ -79,6 +79,19 @@ class TestComputeSection:
         scaled = [(x, y, 2 * z) for x, y, z in verts]
         assert compute_section(verts, 3) == compute_section(scaled, 3)
 
+    def test_no_fraction_comparison_or_hashing(self, monkeypatch):
+        # the read path sorts, deduplicates and decides on integers: a
+        # Fraction comparison is a cross-multiplication, a hash a modular
+        # inverse
+        verts = ngon_extension(random_convex_polygon(random.Random(28), 28)).vertices
+        polygon = random_convex_polygon(random.Random(140), 140)
+        calls = [count_calls(monkeypatch, Fraction, name)
+                 for name in ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")]
+        hull = compute_section(verts, len(verts[0]))
+        validated = validate(polygon.vertices)
+        assert calls == [[]] * 6
+        assert len(hull) == 28 and validated == polygon
+
     def test_invariant_under_transverse_mixing_in_4d(self):
         verts = [(0, 0, -1, -2), (0, 0, 1, 2), (1, 1, -1, -1), (2, 2, 3, 3)]
         # invertible block acting on coordinates 3 and 4 only

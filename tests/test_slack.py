@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import polysec.sections as sections_module
 from polysec.errors import DomainError, ScaleExceeded
 from polysec.heptagon import StandardHeptagon, build_standard_extension, heptagon_extension
 from polysec.compose import ngon_extension
 from polysec.polygon import validate
 from polysec.randgen import random_convex_polygon
 from polysec.linalg import convex_coefficients
-from polysec.sections import SectionedPolytope, certify, distinct_points
+from polysec.sections import SectionedPolytope, certify, distinct_points, verify_section
 from polysec.slack import (
     SlackFactorization,
     extend_facet_inequality,
@@ -16,6 +18,8 @@ from polysec.slack import (
     slack_matrix,
     verify_factorization,
 )
+
+from conftest import count_calls_everywhere
 
 
 
@@ -141,6 +145,16 @@ class TestFactorize:
         fact = factorize_from_section(polygon, ext)
         assert fact.inner_dim <= 12
         assert verify_factorization(slack_matrix(polygon), fact)
+
+    def test_one_support_scan_per_polytope(self, monkeypatch):
+        # the path is decided once per polytope, not once per facet
+        polygon = random_convex_polygon(random.Random(28), 28)
+        built = ngon_extension(polygon)
+        ext = SectionedPolytope(built.dim, built.vertices, built.claimed)
+        scans = count_calls_everywhere(monkeypatch, sections_module, "_single_supports")
+        fact = factorize_from_section(polygon, ext)
+        assert len(scans) == 1 and fact.inner_dim == len(built.vertices)
+        assert verify_section(ext) and len(scans) == 1
 
     def test_duplicate_and_interior_vertices(self):
         # a box over the unit square, one corner listed twice and one point
