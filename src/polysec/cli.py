@@ -10,6 +10,7 @@ stderr so reports stay byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import random
 import sys
@@ -226,48 +227,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="canonicalize a polygon JSON file")
     p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("extend", help="construct a certified extension")
     p.add_argument("path")
     p.add_argument("--mode", choices=("auto", "3d", "join"), default="auto")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("verify", help="re-verify a sectioned polytope file")
     p.add_argument("path")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("slack", help="slack matrix of a polygon")
     p.add_argument("path")
-    p.set_defaults(func=cmd_slack)
 
     p = sub.add_parser("factorize", help="nonnegative slack factorization from an extension")
     p.add_argument("path")
     p.add_argument("extension")
-    p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("fuzz", help="seeded property fuzzing")
     p.add_argument("target", choices=("invariant", "heptagon", "ngon"))
     p.add_argument("--count", type=_nonnegative_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("svg", help="render a polygon (with standardization lines) to SVG")
     p.add_argument("path")
     p.add_argument("--std-lines", action="store_true")
     p.add_argument("--labels", action="store_true")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_svg)
 
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the parser is built on the first call and reused.
+
+    The command is looked up by name at call time, so a cmd_* rebound in
+    this module (a test double, a tracing wrapper) is the one that runs.
+    """
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except PolysecError as exc:  # a ParseError is a DomainError
         sys.stderr.write(dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1 if isinstance(exc, DomainError) else 3

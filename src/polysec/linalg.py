@@ -142,11 +142,20 @@ def convex_coefficients(
     """Nonnegative weights summing to 1 with sum(w_k g_k) = point exactly,
     or None when the point is not in the convex hull of the generators.
 
-    One feasible_nonnegative_solution, deterministic under Bland's rule.
+    One feasible_nonnegative_solution, deterministic under Bland's rule,
+    over the coordinates where the point or some generator is nonzero.  A
+    coordinate where all are zero is the row 0 = 0, whose artificial
+    variable keeps reduced cost 0 and whose row never has a positive
+    entry in an entering column, so it never pivots: dropping it leaves
+    every pivot, hence the weights, unchanged, and keeps the LP from
+    growing with the square of the dimension.  No generators: None.
     """
-    matrix = [[Fraction(g[k]) for g in generators] for k in range(len(point))]
+    if not generators:
+        return None
+    rows = [k for k, v in enumerate(point) if v or any(g[k] for g in generators)]
+    matrix = [[Fraction(g[k]) for g in generators] for k in rows]
     matrix.append([Fraction(1)] * len(generators))
-    rhs = [Fraction(v) for v in point] + [Fraction(1)]
+    rhs = [Fraction(point[k]) for k in rows] + [Fraction(1)]
     return feasible_nonnegative_solution(matrix, rhs)
 
 

@@ -13,8 +13,11 @@ cross H anywhere else, and compute_section tests only those pairs, at most
 MAX_PAIR_TESTS of them (past it, ScaleExceeded before the first test).
 Within a support every support coordinate is nonzero at both ends, so a pair
 crosses H exactly when the first support coordinates have opposite signs
-and the support coordinates are proportional: integer tests on numerators
-and denominators, with no other coordinate read (_segment_flat_crossing).
+and the support coordinates are proportional.  Each vertex is read once,
+into its integer key: the (numerator, denominator) pairs of x, y and its
+support coordinates.  The crossings are tested and computed on these keys
+(_segment_flat_crossing), which yields the planar point only: only
+_section_columns forms the parameter t of a crossing.
 
 The hull of the vertices on H and of these crossings lies in the section;
 compute_section hulls both point lists directly, with no convex column
@@ -121,43 +124,37 @@ class SectionedPolytope:
                 f"certified={self.certified})")
 
 
-def _segment_flat_crossing(
-    u: AmbientPoint, v: AmbientPoint, support: Sequence[int]
-) -> Optional[tuple[Fraction, tuple[Fraction, Fraction]]]:
-    """Intersection of segment [u, v] with H, if it exists and is unique,
-    for two vertices of the same nonempty off-H support.
+def _segment_flat_crossing(u: tuple, v: tuple) -> Optional[AffinePair]:
+    """Planar point where segment [u, v] meets H, if it meets H at one
+    point, for two vertices of the same nonempty off-H support.
 
-    Only the support coordinates are read; all of them are nonzero at both
-    ends.  (1-t) u_j + t v_j = 0 pins t = u_j / (u_j - v_j), which lies in
-    [0, 1] exactly when u_j and v_j have opposite signs, and every support
-    coordinate pins the same t exactly when (u_j, v_j) and (u_k, v_k) are
-    proportional; both tests run on integer numerators and denominators.
-    Returns t and the planar point (1-t) u + t v, each value one Fraction
-    formed from integer numerators and denominators and normalized once.
-    With a = u_j, b = v_j, p = a.num b.den and q = -b.num a.den (nonzero,
-    of one sign): t = p / (p + q), 1 - t = q / (p + q), and
+    u and v are the vertices' integer keys (_flat_crossings): one
+    (numerator, denominator) pair for each of x, y and the support
+    coordinates, which are nonzero at both ends.  (1-t) u_j + t v_j = 0
+    pins t = u_j / (u_j - v_j), which lies in [0, 1] exactly when u_j and
+    v_j have opposite signs, and every support coordinate pins the same t
+    exactly when (u_j, v_j) and (u_k, v_k) are proportional; both tests
+    run on the integers.  t itself is not formed (only _section_columns
+    needs it): with a = u_j, b = v_j, p = a.num b.den and q = -b.num a.den
+    (nonzero, of one sign), t = p / (p + q), 1 - t = q / (p + q) and
     x = (q u_x.num v_x.den + p v_x.num u_x.den) / ((p + q) u_x.den v_x.den),
-    y likewise.
+    y likewise, each one Fraction normalized once.
     """
-    j, *rest = support
-    a, b = u[j], v[j]
-    if (a.numerator > 0) == (b.numerator > 0):
+    (an, ad), (bn, bd) = u[2], v[2]
+    if (an > 0) == (bn > 0):
         return None
-    for k in rest:
+    for k in range(3, len(u)):
         # a v_k == b u_k, cross-multiplied
-        c, d = u[k], v[k]
-        if (a.numerator * d.numerator * b.denominator * c.denominator
-                != b.numerator * c.numerator * a.denominator * d.denominator):
+        (cn, cd), (dn, dd) = u[k], v[k]
+        if an * dn * bd * cd != bn * cn * ad * dd:
             return None
-    p = a.numerator * b.denominator
-    q = -b.numerator * a.denominator
+    p = an * bd
+    q = -bn * ad
     s = p + q
-
-    def at_t(c, d):
-        return Fraction(q * c.numerator * d.denominator + p * d.numerator * c.denominator,
-                        s * c.denominator * d.denominator)
-
-    return Fraction(p, s), (at_t(u[0], v[0]), at_t(u[1], v[1]))
+    (xn, xd), (yn, yd) = u[0], u[1]
+    (zn, zd), (wn, wd) = v[0], v[1]
+    return (Fraction(q * xn * zd + p * zn * xd, s * xd * zd),
+            Fraction(q * yn * wd + p * wn * yd, s * yd * wd))
 
 
 def _support(v: Sequence) -> tuple[int, ...]:
@@ -178,19 +175,22 @@ def _flat_crossings(vertices: Sequence[Sequence], supports: Sequence[tuple[int, 
     off-H support (supports[k] is that of vertices[k]); by the support
     lemma no other segment crosses H except at an endpoint on H.
 
-    Yields (i, j, t, point) in lexicographic (i, j) order, i < j, with the
-    crossing at (1-t) vertices[i] + t vertices[j].  A repeated vertex is
-    crossed at its first index only: its later copies add no crossing
-    point, and no earlier pair.  ScaleExceeded, before any test, past
+    Yields (i, j, point) in lexicographic (i, j) order, i < j, with point
+    the planar crossing of [vertices[i], vertices[j]].  Each vertex is read
+    once, into its integer key: the (numerator, denominator) pairs of x, y
+    and its support coordinates, which within one support fix the vertex.
+    The keys find repeated vertices, crossed at their first index only (a
+    later copy adds no crossing point, and no earlier pair), and are what
+    _segment_flat_crossing crosses.  ScaleExceeded, before any test, past
     MAX_PAIR_TESTS pairs of distinct vertices.
     """
     groups = {}
+    keys = [None] * len(vertices)
     for k, (v, support) in enumerate(zip(vertices, supports)):
         if support:
-            # within one support, x, y and the support coordinates fix v;
             # integer pairs hash without the modular inverse of a Fraction
-            key = tuple((c.numerator, c.denominator)
-                        for c in (v[0], v[1], *(v[j] for j in support)))
+            keys[k] = key = tuple((c.numerator, c.denominator)
+                                  for c in (v[0], v[1], *(v[j] for j in support)))
             groups.setdefault(support, {}).setdefault(key, k)
     pairs = sum(len(members) * (len(members) - 1) // 2 for members in groups.values())
     if pairs > MAX_PAIR_TESTS:
@@ -202,9 +202,9 @@ def _flat_crossings(vertices: Sequence[Sequence], supports: Sequence[tuple[int, 
             later[k] = members[pos + 1:]
     for i, partners in enumerate(later):
         for j in partners:
-            crossing = _segment_flat_crossing(vertices[i], vertices[j], supports[i])
-            if crossing is not None:
-                yield i, j, *crossing
+            point = _segment_flat_crossing(keys[i], keys[j])
+            if point is not None:
+                yield i, j, point
 
 
 def _section_columns(gens: Sequence[AmbientPoint]) -> dict[AffinePair, dict]:
@@ -213,16 +213,21 @@ def _section_columns(gens: Sequence[AmbientPoint]) -> dict[AffinePair, dict]:
 
     Generators on H come first (a unit column), then the unique crossings
     of H by segments [gens[i], gens[j]] in lexicographic (i, j) order
-    (weights 1 - t and t; _flat_crossings); the first entry for a point is
-    kept.
+    (_flat_crossings), with weights 1 - t and t for t = a / (a - b) on the
+    first support coordinate, a at gens[i] and b at gens[j]; the first
+    entry for a point is kept.
     """
     supports = [_support(g) for g in gens]
     columns = {}
     for k, g in enumerate(gens):
         if not supports[k]:
             columns.setdefault(tuple(g[:2]), {k: Fraction(1)})
-    for i, j, t, point in _flat_crossings(gens, supports):
-        columns.setdefault(point, {i: 1 - t, j: t})
+    for i, j, point in _flat_crossings(gens, supports):
+        if point not in columns:
+            first = supports[i][0]
+            a, b = gens[i][first], gens[j][first]
+            t = a / (a - b)
+            columns[point] = {i: 1 - t, j: t}
     return columns
 
 
@@ -258,7 +263,7 @@ def compute_section(vertices: Sequence[Sequence], dim: int) -> tuple[AffinePair,
         raise ValueError("vertex dimension mismatch")
     supports = [_support(v) for v in vertices]
     points = [(v[0], v[1]) for v, support in zip(vertices, supports) if not support]
-    points += [point for _, _, _, point in _flat_crossings(vertices, supports)]
+    points += [point for _, _, point in _flat_crossings(vertices, supports)]
     hull = canonical_hull(points)
     if not hull:
         raise EmptySection("the flat does not meet the polytope")

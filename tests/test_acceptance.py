@@ -50,6 +50,7 @@ def report(criterion: str):
     print(f"PASS {criterion}")
 
 
+@pytest.mark.slow
 def test_criterion_1_heptagon_intersection_complexity(heptagon_pool):
     """Every heptagon is a certified section of a 3-polytope with <= 6 vertices."""
     assert lower_bound_3d(7) == 6

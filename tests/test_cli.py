@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polysec import linalg, sections, slack
+from polysec import cli, linalg, sections, slack
 from polysec import polygon as polygon_module
 from polysec.cli import main
 from polysec.compose import ngon_extension
@@ -40,6 +40,14 @@ def write_polygon(tmp_path, name, points):
     payload = {"vertices": [[str(x), str(y)] for x, y in points]}
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_cli_process(argv: list) -> subprocess.CompletedProcess:
+    """Run the CLI on argv in a fresh interpreter, on this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "polysec.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
 
 
 class TestValidateCommand:
@@ -68,10 +76,7 @@ class TestValidateCommand:
     def test_huge_exponent_rejected_without_hanging(self, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text('{"vertices": [["1e99999999", "0"], ["1", "0"], ["0", "1"]]}')
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-m", "polysec.cli", "validate", str(path)],
-                              capture_output=True, text=True, timeout=60, env=env)
+        proc = run_cli_process(["validate", str(path)])
         assert proc.returncode == 1
         assert loads(proc.stderr)["error"] == "ParseError"
 
@@ -328,6 +333,18 @@ class TestSlackFactorize:
         assert loads(capsys.readouterr().err) == {"error": "DomainError",
                                                   "message": "extension file fails verification"}
 
+    def test_vertexless_file_in_huge_dimension_exits_one(self, tmp_path, capsys, monkeypatch):
+        # with no vertices no point is a convex combination: refused before
+        # an LP whose tableau would grow with the square of the dimension
+        square = [[str(x), str(y)] for x, y in UNIT_SQUARE]
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps({"dim": 10**6, "vertices": [], "claimed": {"vertices": square}}))
+        lps = count_calls_everywhere(monkeypatch, linalg, "feasible_nonnegative_solution")
+        assert main(["factorize", write_polygon(tmp_path, "sq.json", UNIT_SQUARE), str(ext)]) == 1
+        assert loads(capsys.readouterr().err) == {"error": "DomainError",
+                                                  "message": "extension file fails verification"}
+        assert lps == []
+
     def test_true_section_off_the_crossings_factorizes(self, tmp_path, capsys):
         # (5, 5) is the centroid of the three off-plane vertices, no crossing
         # of H by a segment between two vertices: its column comes from an LP
@@ -387,6 +404,7 @@ class TestSlackFactorize:
             assert len(checks) == len(verifies) == k + 1
         assert lps == [] and solves == [] and points == []
 
+    @pytest.mark.slow
     def test_factorize_output_unchanged(self, tmp_path, capsys):
         summaries, digests = {}, {}
         for name, polygon, mode in pinned_factorize_cases():
@@ -607,6 +625,52 @@ class TestUsageAndEnvironment:
         with pytest.raises(SystemExit) as exc:
             main(["extend"])
         assert exc.value.code == 2
+
+
+class TestRepeatedMain:
+    """main builds its parser once per process and reuses it."""
+
+    def test_successive_commands_match_separate_processes(self, heptagon_file, tmp_path, capsys):
+        ext = str(tmp_path / "ext.json")
+        assert main(["extend", heptagon_file, "--out", ext]) == 0
+        capsys.readouterr()
+        argvs = [["validate", heptagon_file], ["verify", ext], ["slack", heptagon_file],
+                 ["factorize", heptagon_file, ext], ["verify", str(tmp_path / "absent.json")],
+                 ["fuzz", "invariant", "--count", "3", "--seed", "5"], ["verify", ext]]
+        in_process = []
+        for argv in argvs:
+            code = main(argv)
+            in_process.append((code, capsys.readouterr().out))
+        separate = [(proc.returncode, proc.stdout) for proc in map(run_cli_process, argvs)]
+        assert in_process == separate
+        assert [code for code, _ in in_process] == [0, 0, 0, 0, 1, 0, 0]
+
+    def test_usage_error_then_valid_command(self, heptagon_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["extend"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["validate", heptagon_file]) == 0
+        assert capsys.readouterr().out == dumps(polygon_to_obj(validate(SIX_CROSSING_HEPTAGON)))
+
+    def test_version_after_a_command(self, heptagon_file, capsys):
+        assert main(["validate", heptagon_file]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0 and capsys.readouterr().out == "polysec 0.1.0\n"
+
+    def test_rebound_command_is_the_one_that_runs(self, heptagon_file, capsys, monkeypatch):
+        assert main(["validate", heptagon_file]) == 0  # the parser exists before the rebinding
+        seen = []
+
+        def fake_verify(args):
+            seen.append(args.path)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_verify", fake_verify)
+        assert main(["verify", "some.json"]) == 7
+        assert seen == ["some.json"]
 
 
 class TestSvgCommand:

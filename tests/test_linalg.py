@@ -4,13 +4,17 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polysec import linalg
 from polysec.linalg import (
+    convex_coefficients,
     feasible_nonnegative_solution,
     fourier_motzkin_point,
     in_convex_hull,
     rank,
     solve_linear,
 )
+
+from conftest import count_calls
 
 
 def F(a, b=1):
@@ -67,6 +71,57 @@ class TestSimplexFeasibility:
                 if slow:
                     break
             assert fast == slow
+
+
+@st.composite
+def padded_hull_queries(draw):
+    """A point and 1-5 generators in dimension 1-3 with small integer
+    coordinates (the point a convex combination of the generators half the
+    time), and the slots before which a zero coordinate is padded in."""
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3).map(Fraction)
+    gens = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens))
+                       .filter(any))
+        point = tuple(sum(w * g[k] for w, g in zip(weights, gens)) / sum(weights)
+                      for k in range(dim))
+    else:
+        point = draw(st.tuples(*[coord] * dim))
+    return point, gens, draw(st.lists(st.integers(0, dim), max_size=4))
+
+
+def zero_padded(v, slots):
+    out = list(v)
+    for slot in sorted(slots, reverse=True):
+        out.insert(slot, Fraction(0))
+    return tuple(out)
+
+
+class TestConvexCoefficients:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(query=padded_hull_queries())
+    def test_zero_coordinates_leave_weights_unchanged(self, query):
+        # a coordinate where the point and every generator are zero is a
+        # 0 = 0 row, which never pivots under Bland's rule
+        point, gens, slots = query
+        padded = convex_coefficients(zero_padded(point, slots),
+                                     [zero_padded(g, slots) for g in gens])
+        assert padded == convex_coefficients(point, gens)
+
+    def test_no_generators(self):
+        assert convex_coefficients((Fraction(0),) * 5, []) is None
+
+    def test_lp_skips_coordinates_zero_everywhere(self, monkeypatch):
+        # only x is nonzero somewhere: the LP has its row and the sum row,
+        # not 3001 rows and as many artificial columns
+        lps = count_calls(monkeypatch, linalg, "feasible_nonnegative_solution")
+        zeros = (Fraction(0),) * 3000
+        point = (Fraction(1, 2), *zeros)
+        gens = [(Fraction(0), *zeros), (Fraction(1), *zeros)]
+        assert convex_coefficients(point, gens) == [Fraction(1, 2), Fraction(1, 2)]
+        [(matrix, rhs)] = lps
+        assert len(matrix) == len(rhs) == 2
 
 
 def reference_fourier_motzkin(constraints, nvars):
@@ -154,6 +209,7 @@ class TestFourierMotzkin:
             with pytest.raises(ValueError, match="couples coordinates 0 and 1"):
                 fourier_motzkin_point(constraints + [([F(1), F(-1)], F(0))], 2)
 
+    @pytest.mark.slow
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(system=separable_systems())
     def test_matches_general_elimination(self, system):

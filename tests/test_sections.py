@@ -236,6 +236,10 @@ def support_files(draw, single: bool):
 # one segment crossing H, with ~300-bit planar coordinates and a mix of int
 # and Fraction coordinates, in each order: a < 0 < b, then a > 0 > b
 HUGE_PAIR = [(OFF_FLAT_HUGE[0], 3, -2, 4), (-1, OFF_FLAT_HUGE[1], Fraction(5, 7), Fraction(-10, 7))]
+# one segment crossing H on a two-coordinate support, proportional with a
+# negative ratio, in each sign order of the first support coordinate
+TWO_SUPPORT_PAIR = [(Fraction(1, 3), 2, 0, Fraction(-3, 2), 6),
+                    (Fraction(-5, 2), Fraction(7, 4), 0, Fraction(1, 2), -2)]
 
 
 class TestFlatCrossingsOracle:
@@ -243,9 +247,12 @@ class TestFlatCrossingsOracle:
     @given(verts=st.one_of(support_files(single=True), support_files(single=False)))
     @example(verts=HUGE_PAIR)
     @example(verts=HUGE_PAIR[::-1])
+    @example(verts=TWO_SUPPORT_PAIR)
+    @example(verts=TWO_SUPPORT_PAIR[::-1])
     def test_matches_all_coordinate_reference(self, verts):
         supports = [_support(v) for v in verts]
-        assert list(_flat_crossings(verts, supports)) == list(first_copies_crossings(verts))
+        expected = [(i, j, point) for i, j, _, point in first_copies_crossings(verts)]
+        assert list(_flat_crossings(verts, supports)) == expected
 
     def test_no_fraction_hashing(self, monkeypatch):
         # the repeated-vertex key is integers: hashing a Fraction costs a
@@ -255,6 +262,16 @@ class TestFlatCrossingsOracle:
         hashes = count_calls(monkeypatch, Fraction, "__hash__")
         crossings = list(_flat_crossings(verts, supports))
         assert crossings and hashes == []
+
+    def test_two_fractions_per_crossing_point(self, monkeypatch):
+        # compute_section forms each crossing point's two coordinates and no
+        # parameter t, which only the columns of factorize and the LP path use
+        verts = ngon_extension(random_convex_polygon(random.Random(28), 28)).vertices
+        supports = [_support(v) for v in verts]
+        crossings = len(list(_flat_crossings(verts, supports)))
+        made = count_calls(monkeypatch, sections_module, "Fraction")
+        compute_section(verts, len(verts[0]))
+        assert crossings > 0 and len(made) == 2 * crossings
 
 
 class TestVerifySection:
