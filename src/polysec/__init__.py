@@ -7,8 +7,6 @@ matching nonnegative factorization of the polygon's slack matrix.
 """
 
 from .compose import (
-    ChunkPlan,
-    chunk_plan,
     convex_join_sections,
     lower_bound_3d,
     ngon_3d_extension,

@@ -5,15 +5,15 @@ Three constructions: a 3-dimensional extension with at most n-1 vertices
 zero), the convex join of any number of sectioned polytopes (which adds
 dimensions but keeps vertex counts additive), and the chunked construction
 giving a (2 + floor(n/7))-dimensional extension with at most ceil(6n/7)
-vertices.  Each construction builds its vertex list from uncertified parts,
-claims its input polygon and certifies the result once, from scratch.
+vertices.  Each construction builds its vertex list from plain vertex
+lists (heptagon_vertices, the polygon's own vertices), claims its input
+polygon and certifies the result once, from scratch.
 optimal_even_gon realizes the matching lower-bound witness: a 2m-gon cut
 out of a stacked polytope with m + 2 vertices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificationFailure, DomainError
@@ -22,13 +22,11 @@ from .polygon import Polygon, canonical_hull, validate
 from .sections import SectionedPolytope, certify
 
 __all__ = [
-    "ChunkPlan",
     "lower_bound_3d",
     "ngon_3d_extension",
     "convex_join_sections",
     "ngon_extension",
     "optimal_even_gon",
-    "chunk_plan",
 ]
 
 
@@ -83,37 +81,19 @@ def convex_join_sections(*parts: SectionedPolytope) -> SectionedPolytope:
     return certify(SectionedPolytope(dim, vertices, claimed))
 
 
-@dataclass(frozen=True)
-class ChunkPlan:
-    """Consecutive index intervals covering 0..n-1: full chunks of 7, plus
-    at most one remainder chunk of size n mod 7."""
-
-    n: int
-    chunks: tuple[tuple[int, ...], ...]
-
-
-def chunk_plan(n: int) -> ChunkPlan:
-    if n < 7:
-        raise DomainError(f"need n >= 7, got {n}")
-    chunks = []
-    full = n // 7
-    for q in range(full):
-        chunks.append(tuple(range(7 * q, 7 * q + 7)))
-    if n % 7:
-        chunks.append(tuple(range(7 * full, n)))
-    return ChunkPlan(n=n, chunks=tuple(chunks))
-
-
 def ngon_extension(polygon: Polygon) -> SectionedPolytope:
     """Certified extension in dimension 2 + floor(n/7) with 6*floor(n/7) +
     (n mod 7) <= ceil(6n/7) vertices: the join (_join_vertices) of the
-    vertices of one heptagon extension per full chunk of 7 and of the
-    remainder chunk on the plane, claiming the polygon and certified once."""
+    vertices of one heptagon extension per full chunk vertices[k:k + 7] and
+    of the remainder chunk on the plane, claiming the polygon and certified
+    once."""
     n = polygon.n
+    if n < 7:
+        raise DomainError(f"need n >= 7, got {n}")
     blocks = []
-    for chunk in chunk_plan(n).chunks:
-        pts = [polygon.vertices[k] for k in chunk]
-        blocks.append(heptagon_vertices(validate(pts)) if len(chunk) == 7 else canonical_hull(pts))
+    for k in range(0, n, 7):
+        pts = polygon.vertices[k:k + 7]
+        blocks.append(heptagon_vertices(validate(pts)) if len(pts) == 7 else canonical_hull(pts))
     dim, vertices = _join_vertices(blocks)
     expected_dim = 2 + n // 7
     bound = -((6 * n) // -7)

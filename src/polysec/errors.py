@@ -93,10 +93,6 @@ class NoneFound(CertificationFailure):
     """A guaranteed non-crossing standardization line was not found."""
 
 
-class BadK(DomainError):
-    pass
-
-
 # sections
 class EmptySection(DomainError):
     pass

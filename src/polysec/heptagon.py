@@ -4,7 +4,9 @@ The pipeline: every heptagon has at least one standardization line that
 misses it; sending that line to infinity (plus an affine normalization)
 yields a standard heptagon, which carries an explicit 6-vertex extension;
 pulling the extension back gives a certified 6-vertex extension of the
-original heptagon.
+original heptagon.  The construction helpers (standardize,
+build_standard_extension, heptagon_vertices) return plain values and vertex
+lists; only heptagon_extension returns a certified SectionedPolytope.
 
 Crossing classification is purely algebraic, through products of vertex
 determinants; a brute-force edge-intersection oracle is kept in the test
@@ -14,17 +16,11 @@ suite only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import (
-    BadK,
-    CertificationFailure,
-    DegenerateConstruction,
-    NoneFound,
-    NotHeptagon,
-)
+from .errors import CertificationFailure, DegenerateConstruction, NoneFound, NotHeptagon
 from .exactgeom import ProjLine, ProjPoint, det3, join, meet
 from .polygon import (
     Polygon,
@@ -203,8 +199,7 @@ class StandardHeptagon:
     (p_1, p_2) vertical and the edge (p_-1, p_-2) horizontal.
 
     Parameters satisfy b, c < 0 < a, d, lam, mu, and the vertex list is a
-    convex clockwise heptagon; the constructor certifies all of it and keeps
-    the validated polygon.
+    convex clockwise heptagon; the constructor certifies all of it.
     """
 
     a: Fraction
@@ -213,7 +208,6 @@ class StandardHeptagon:
     d: Fraction
     lam: Fraction
     mu: Fraction
-    _polygon: Polygon = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d", "lam", "mu"):
@@ -230,8 +224,7 @@ class StandardHeptagon:
         for i in range(7):
             if _orient(pts[(i + 2) % 7], pts[(i + 1) % 7], pts[i]) <= 0:
                 raise CertificationFailure("vertex list is not convex clockwise")
-        # full validation, raises on any remaining defect
-        object.__setattr__(self, "_polygon", validate(self.vertex_list()))
+        validate(pts)  # full validation, raises on any remaining defect
 
     def vertex_list(self) -> list[tuple[Fraction, Fraction]]:
         """Vertices in index order 0..6 (indices -1, -2, -3 are 6, 5, 4)."""
@@ -246,9 +239,6 @@ class StandardHeptagon:
             (a, b),
         ]
 
-    def polygon(self) -> Polygon:
-        return self._polygon
-
 
 def standardize(polygon: Polygon) -> tuple[StandardHeptagon, ProjMap2]:
     """Projective standardization of a heptagon.
@@ -256,10 +246,11 @@ def standardize(polygon: Polygon) -> tuple[StandardHeptagon, ProjMap2]:
     Sends the first non-crossing standardization line to infinity, then
     applies the affine map taking (p_i, p_{i+3}, p_{i-3}) to
     ((0,0), (0,1), (1,0)).  The two parallelism conditions hold in the image
-    because p_i^+ and p_i^- were sent to infinity; the parameter sign
-    constraints are certified by the StandardHeptagon constructor.
+    because p_i^+ and p_i^- were sent to infinity; they hold exactly when the
+    image equals the vertex list of the parameters read from it, which is
+    checked, and the parameter sign constraints are certified by the
+    StandardHeptagon constructor.
     """
-    _require_heptagon(polygon)
     i = find_noncrossing(polygon)
     sp = std_points(polygon, i)
     to_infinity = map_line_to_infinity(sp.line, polygon)
@@ -271,8 +262,6 @@ def standardize(polygon: Polygon) -> tuple[StandardHeptagon, ProjMap2]:
     )
     total = anchor.compose(to_infinity)
     v, _ = total.apply_affine(ring)
-    if v[1][0] != v[2][0] or v[5][1] != v[6][1]:
-        raise CertificationFailure("parallelism conditions failed after standardization")
     std = StandardHeptagon(
         a=v[6][0], b=v[6][1], c=v[1][0], d=v[1][1],
         lam=v[5][0] - v[6][0], mu=v[2][1] - v[1][1],
@@ -283,24 +272,24 @@ def standardize(polygon: Polygon) -> tuple[StandardHeptagon, ProjMap2]:
 
 
 def default_extension_k(std: StandardHeptagon) -> Fraction:
+    """K = max(lam - 1, mu - 1, 1) + 1, which exceeds lam - 1, mu - 1 and 0."""
     return max(std.lam - 1, std.mu - 1, Fraction(1)) + 1
 
 
-def build_standard_extension(std: StandardHeptagon, k: Optional[Fraction] = None) -> SectionedPolytope:
-    """The explicit six-vertex extension of a standard heptagon.
+def build_standard_extension(std: StandardHeptagon) -> list[AmbientPoint]:
+    """The six vertices of the explicit extension of a standard heptagon.
 
-    Three vertices sit at height -K, the remaining three strictly above the
-    plane; the nine segment crossings reproduce the seven vertices plus the
-    two interior points (a, b+lam) and (c+mu, d).  The result is not
-    certified; heptagon_extension certifies the pulled-back polytope.
+    Three vertices sit at height -K, K = default_extension_k(std), the
+    remaining three strictly above the plane; the nine segment crossings
+    reproduce the seven vertices plus the two interior points (a, b+lam) and
+    (c+mu, d).  Nothing is certified; heptagon_extension certifies the
+    pulled-back polytope.
     """
     a, b, c, d, lam, mu = std.a, std.b, std.c, std.d, std.lam, std.mu
-    k = default_extension_k(std) if k is None else Fraction(k)
-    if not (k > lam - 1 and k > mu - 1 and k > 0):
-        raise BadK(f"need K > max(lam-1, mu-1, 0), got {k}")
+    k = default_extension_k(std)
     s_lam = (1 + k) - lam
     s_mu = (1 + k) - mu
-    vertices = [
+    return [
         (Fraction(0), Fraction(0), Fraction(1)),
         (Fraction(0), Fraction(0), -k),
         (1 + k, Fraction(0), -k),
@@ -308,7 +297,6 @@ def build_standard_extension(std: StandardHeptagon, k: Optional[Fraction] = None
         (a * (1 + k) / s_lam, b * (1 + k) / s_lam, lam * k / s_lam),
         (c * (1 + k) / s_mu, d * (1 + k) / s_mu, mu * k / s_mu),
     ]
-    return SectionedPolytope(3, vertices, std.polygon())
 
 
 def heptagon_vertices(polygon: Polygon) -> list[AmbientPoint]:
@@ -320,9 +308,8 @@ def heptagon_vertices(polygon: Polygon) -> list[AmbientPoint]:
     exists.  The pullback carries the standard heptagon back to the input.
     Nothing is certified here.
     """
-    _require_heptagon(polygon)
     std, total = standardize(polygon)
-    return bounded_pullback(build_standard_extension(std).vertices, total.inverse())
+    return bounded_pullback(build_standard_extension(std), total.inverse())
 
 
 def heptagon_extension(polygon: Polygon) -> SectionedPolytope:

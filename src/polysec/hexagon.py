@@ -4,7 +4,8 @@ A hexagon is a section of a triangular bipyramid with 5 vertices exactly
 when the two opposite edge lines (p_r, p_{r+5}), (p_{r+2}, p_{r+3}) and the
 diagonal (p_{r+1}, p_{r+4}) are concurrent for one of the three pairings
 r = 0, 1, 2; otherwise six vertices are needed and the hexagon is its own
-cheapest section.
+cheapest section.  build_bipyramid returns the bipyramid's vertex list;
+only hexagon_extension5 returns a certified SectionedPolytope.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import (
-    BadK,
-    ComplexitySix,
-    NoConcurrency,
-    NormalFormConstraintViolated,
-    NotHexagon,
-)
+from .errors import ComplexitySix, NoConcurrency, NormalFormConstraintViolated, NotHexagon
 from .exactgeom import ProjLine, ProjPoint, det3, join, meet
 from .polygon import (
     Polygon,
@@ -27,9 +22,8 @@ from .polygon import (
     _orient,
     affine_through_three,
     map_line_to_infinity,
-    validate,
 )
-from .sections import SectionedPolytope, bounded_pullback, certify
+from .sections import AmbientPoint, SectionedPolytope, bounded_pullback, certify
 
 __all__ = [
     "HexNormalForm",
@@ -208,15 +202,17 @@ def _read_normal_form(
 
 
 def default_bipyramid_k(nf: HexNormalForm) -> Fraction:
+    """K = max(alpha, beta, gamma) + 1, which exceeds alpha, beta and gamma."""
     return max(nf.alpha, nf.beta, nf.gamma) + 1
 
 
-def build_bipyramid(nf: HexNormalForm, k: Fraction) -> SectionedPolytope:
-    """The 5-vertex bipyramid over the normal-form hexagon, not certified."""
+def build_bipyramid(nf: HexNormalForm) -> list[AmbientPoint]:
+    """The five vertices of the bipyramid over the normal-form hexagon at
+    K = default_bipyramid_k(nf); its section on H is normal_form_vertices(nf).
+    Nothing is certified here."""
     alpha, beta, gamma, x, y = nf.alpha, nf.beta, nf.gamma, nf.x, nf.y
-    if not k > max(alpha, beta, gamma):
-        raise BadK(f"need K > max(alpha, beta, gamma), got {k}")
-    vertices = [
+    k = default_bipyramid_k(nf)
+    return [
         (Fraction(0), Fraction(0), -k),
         (Fraction(0), Fraction(0), Fraction(-1)),
         ((k - 1) * gamma / (k - gamma), Fraction(0), k * (gamma - 1) / (k - gamma)),
@@ -224,7 +220,6 @@ def build_bipyramid(nf: HexNormalForm, k: Fraction) -> SectionedPolytope:
          k * (beta - 1) / (k - beta)),
         (Fraction(0), (k - 1) * alpha / (k - alpha), k * (alpha - 1) / (k - alpha)),
     ]
-    return SectionedPolytope(3, vertices, validate(normal_form_vertices(nf)))
 
 
 def hexagon_extension5(polygon: Polygon) -> SectionedPolytope:
@@ -239,6 +234,5 @@ def hexagon_extension5(polygon: Polygon) -> SectionedPolytope:
     if decision.ic == 6:
         raise ComplexitySix("this hexagon is not a section of any 5-vertex polytope")
     nf = hexagon_normal_form(polygon, decision.witness)
-    bipyramid = build_bipyramid(nf, default_bipyramid_k(nf))
-    vertices = bounded_pullback(bipyramid.vertices, nf.map.inverse())
+    vertices = bounded_pullback(build_bipyramid(nf), nf.map.inverse())
     return certify(SectionedPolytope(3, vertices, polygon))

@@ -232,6 +232,17 @@ class TestExtendVerify:
         summary = loads(capsys.readouterr().out)
         assert summary["dim"] == 3 and summary["vertices"] <= 9  # ceil(60/7) = 9
 
+    @pytest.mark.parametrize("n", [8, 15])
+    def test_auto_routes_ngons_to_the_join(self, n, tmp_path, capsys):
+        path = write_polygon(tmp_path, "p.json", random_convex_polygon(random.Random(n), n).vertices)
+        outputs = []
+        for mode in ("auto", "join"):
+            out = tmp_path / f"{mode}.json"
+            assert main(["extend", path, "--mode", mode, "--out", str(out)]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert loads(outputs[0][0])["dim"] == 2 + n // 7
+
     def test_hexagon_auto_routes(self, tmp_path, capsys):
         hexfile = write_polygon(tmp_path, "hex.json", [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
         out = tmp_path / "hex.ext.json"

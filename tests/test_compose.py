@@ -1,9 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
 from polysec.compose import (
-    chunk_plan,
     convex_join_sections,
     lower_bound_3d,
     ngon_3d_extension,
@@ -34,20 +35,40 @@ class TestLowerBound:
             lower_bound_3d(2)
 
 
+def on_plane(ext) -> list:
+    """The (x, y) of the vertices with every coordinate past (x, y) zero."""
+    return [v[:2] for v in ext.vertices if not any(v[2:])]
+
+
 class TestChunkPlan:
-    def test_multiples_of_seven(self):
-        plan = chunk_plan(14)
-        assert plan.chunks == (tuple(range(7)), tuple(range(7, 14)))
+    # ngon_extension joins one heptagon extension per full chunk of 7
+    # consecutive vertices, each in its own coordinate past (x, y), and puts
+    # the remainder chunk of n mod 7 vertices on the plane
+    def test_multiples_of_seven(self, rng):
+        ext = ngon_extension(random_convex_polygon(rng, 14))
+        assert ext.dim == 2 + 2 and len(ext.vertices) == 6 * 2
+        assert on_plane(ext) == []
 
-    def test_remainder(self):
-        plan = chunk_plan(16)
-        assert len(plan.chunks) == 3 and plan.chunks[-1] == (14, 15)
+    def test_remainder(self, rng):
+        polygon = random_convex_polygon(rng, 16)
+        ext = ngon_extension(polygon)
+        assert ext.dim == 2 + 2 and len(ext.vertices) == 6 * 2 + 2
+        assert on_plane(ext) == list(canonical_hull(polygon.vertices[14:16]))
 
-    def test_covering_partition(self):
-        for n in (7, 8, 13, 20, 23):
-            plan = chunk_plan(n)
-            flat = [i for chunk in plan.chunks for i in chunk]
-            assert flat == list(range(n))
+    def test_covering_partition(self, rng):
+        polygon = random_convex_polygon(rng, 20)
+        ext = ngon_extension(polygon)
+        assert ext.dim == 2 + 2 and len(ext.vertices) == 6 * 2 + 6
+        for q in (0, 1):
+            block = [v for v in ext.vertices if v[2 + q]]
+            assert len(block) == 6 and not any(v[2 + (1 - q)] for v in block)
+            assert block == [(*v[:2], *[Fraction(0)] * q, *v[2:], *[Fraction(0)] * (1 - q))
+                             for v in heptagon_vertices(validate(polygon.vertices[7 * q:7 * q + 7]))]
+        assert on_plane(ext) == list(canonical_hull(polygon.vertices[14:20]))
+
+    def test_rejects_hexagon(self, rng):
+        with pytest.raises(DomainError):
+            ngon_extension(random_convex_polygon(rng, 6))
 
 
 class TestNgon3d:

@@ -5,7 +5,7 @@ import pytest
 import polysec.heptagon as heptagon_module
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
-from polysec.errors import BadK, CertificationFailure, NotHeptagon
+from polysec.errors import CertificationFailure, NotHeptagon
 from polysec.exactgeom import ProjLine, ProjPoint, cross, det3
 from polysec.heptagon import (
     Crossing,
@@ -22,7 +22,7 @@ from polysec.heptagon import (
 )
 from polysec.polygon import Polygon, apply_map, map_line_to_infinity, validate
 from polysec.randgen import random_convex_polygon
-from polysec.sections import compute_section, extreme_points, verify_section
+from polysec.sections import SectionedPolytope, certify, compute_section, extreme_points
 
 from conftest import (
     PUBLISHED_TO_CANONICAL_SHIFT,
@@ -44,6 +44,10 @@ STD_PARAMS = dict(a=Fraction(1, 2), b=Fraction(-1, 4), c=Fraction(-1, 4),
 
 def standard_heptagon() -> StandardHeptagon:
     return StandardHeptagon(**STD_PARAMS)
+
+
+def standard_polygon() -> Polygon:
+    return validate(standard_heptagon().vertex_list())
 
 
 def line_meets_polygon_oracle(line: ProjLine, polygon: Polygon) -> bool:
@@ -96,8 +100,7 @@ class TestStdPoints:
                         assert not contains(polygon, x, y)
 
     def test_standard_heptagon_line0_at_infinity(self):
-        std = standard_heptagon()
-        polygon = std.polygon()
+        polygon = standard_polygon()
         # the canonical rotation puts the standard index 0 at canonical 6
         sp = std_points(polygon, 6)
         assert not sp.plus.is_finite and not sp.minus.is_finite
@@ -126,7 +129,7 @@ class TestClassifyLine:
             assert cross(la, lb) != (0, 0, 0)
 
     def test_standard_heptagon_index0_noncrossing(self):
-        polygon = standard_heptagon().polygon()
+        polygon = standard_polygon()
         assert classify_line(polygon, 6) is Crossing.NON_CROSSING
 
     def test_agrees_with_edge_intersection_oracle(self, rng):
@@ -185,7 +188,7 @@ class TestClassifyLine:
 
 class TestFindNoncrossing:
     def test_standard_heptagon(self):
-        polygon = standard_heptagon().polygon()
+        polygon = standard_polygon()
         assert find_noncrossing(polygon) == 6
 
     def test_six_crossing_heptagon_unique_index(self, obs_heptagon):
@@ -241,7 +244,7 @@ class TestInvariantSum:
 class TestStandardize:
     def test_already_standard_echoes_parameters(self):
         std = standard_heptagon()
-        out, mapping = standardize(std.polygon())
+        out, mapping = standardize(validate(std.vertex_list()))
         assert (out.a, out.b, out.c, out.d, out.lam, out.mu) == \
             (std.a, std.b, std.c, std.d, std.lam, std.mu)
         # identity up to the canonical relabeling rotation
@@ -264,11 +267,11 @@ class TestStandardize:
             assert mapping.det != 0
 
     def test_polygon_is_validated_once(self, monkeypatch):
+        # the constructor validates the vertex list once and keeps nothing
+        validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
         std = standard_heptagon()
-        validations = count_calls(monkeypatch, heptagon_module, "validate")
-        assert std.polygon() is std.polygon()
-        assert std.polygon() == validate(std.vertex_list())
-        assert validations == []
+        assert len(validations) == 1
+        assert list(validations[0][0]) == std.vertex_list()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(CertificationFailure):
@@ -283,7 +286,8 @@ class TestStandardize:
 class TestBuildStandardExtension:
     def test_explicit_vertices_at_k2(self):
         std = standard_heptagon()
-        ext = build_standard_extension(std, Fraction(2))
+        assert default_extension_k(std) == 2
+        vertices = build_standard_extension(std)
         # frozen from the displayed formulas: s = 3 - 1/4 = 11/4
         expected = [
             (Fraction(0), Fraction(0), Fraction(1)),
@@ -293,22 +297,20 @@ class TestBuildStandardExtension:
             (Fraction(6, 11), Fraction(-3, 11), Fraction(2, 11)),
             (Fraction(-3, 11), Fraction(6, 11), Fraction(2, 11)),
         ]
-        assert list(ext.vertices) == expected
-        assert verify_section(ext)
+        assert vertices == expected
+        assert certify(SectionedPolytope(3, vertices, validate(std.vertex_list()))).certified
 
     def test_three_below_three_above(self):
-        ext = build_standard_extension(standard_heptagon())
-        zs = [v[2] for v in ext.vertices]
+        zs = [v[2] for v in build_standard_extension(standard_heptagon())]
         assert sum(z < 0 for z in zs) == 3 and sum(z > 0 for z in zs) == 3
 
     def test_section_reproduces_nine_crossing_points(self):
         std = standard_heptagon()
-        ext = build_standard_extension(std, Fraction(2))
-        hull = compute_section(ext.vertices, 3)
+        verts = build_standard_extension(std)
+        hull = compute_section(verts, 3)
         a, b, lam = std.a, std.b, std.lam
         c, d, mu = std.c, std.d, std.mu
         crossings = set()
-        verts = list(ext.vertices)
         for i in range(6):
             for j in range(i + 1, 6):
                 u, v = verts[i], verts[j]
@@ -317,19 +319,16 @@ class TestBuildStandardExtension:
                 t = u[2] / (u[2] - v[2])
                 crossings.add((u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1])))
         assert crossings == set(std.vertex_list()) | {(a, b + lam), (c + mu, d)}
-        assert hull == std.polygon().vertices
+        polygon = validate(std.vertex_list())
+        assert hull == polygon.vertices
         # the two non-vertex crossing points lie strictly inside
-        assert strictly_contains(std.polygon(), a, b + lam)
-        assert strictly_contains(std.polygon(), c + mu, d)
+        assert strictly_contains(polygon, a, b + lam)
+        assert strictly_contains(polygon, c + mu, d)
 
     def test_default_k_keeps_denominators_positive(self):
         std = standard_heptagon()
         k = default_extension_k(std)
         assert (1 + k) - std.lam > 0 and (1 + k) - std.mu > 0
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(BadK):
-            build_standard_extension(standard_heptagon(), Fraction(-1))
 
 
 class TestHeptagonExtension:
@@ -340,7 +339,7 @@ class TestHeptagonExtension:
         assert ext.claimed == obs_heptagon
 
     def test_already_standard_affine_pullback(self):
-        polygon = standard_heptagon().polygon()
+        polygon = standard_polygon()
         ext = heptagon_extension(polygon)
         assert ext.certified and len(extreme_points(ext.vertices, 3)) == 6
 
@@ -352,7 +351,7 @@ class TestHeptagonExtension:
         builds = count_calls(monkeypatch, heptagon_module, "build_standard_extension")
         shears = count_calls(monkeypatch, sections_module, "shear_fixing_flat")
         sections = count_calls(monkeypatch, sections_module, "compute_section")
-        base = standard_heptagon().polygon()
+        base = standard_polygon()
         for u1, u2 in ((1, 0), (0, 1), (1, 1), (2, 1), (1, -1)):
             reach = max(u1 * x + u2 * y for x, y in base.vertices)
             for gap in (Fraction(1, 10), Fraction(1)):

@@ -9,6 +9,7 @@ from polysec.errors import ComplexitySix, NoConcurrency, NotHexagon
 from polysec.hexagon import (
     build_bipyramid,
     concurrency_point,
+    default_bipyramid_k,
     hexagon_extension5,
     hexagon_ic,
     hexagon_normal_form,
@@ -16,7 +17,7 @@ from polysec.hexagon import (
 )
 from polysec.polygon import ProjMap2, apply_map, validate
 from polysec.randgen import random_hexagon_params
-from polysec.sections import extreme_points, verify_section
+from polysec.sections import SectionedPolytope, certify, extreme_points
 
 from conftest import SIX_VERTEX_HEXAGON, count_calls, count_calls_everywhere
 
@@ -165,9 +166,9 @@ class TestNormalForm:
 class TestReadOnce:
     def test_one_read_and_one_section_per_hexagon(self, regular_hexagon, rng, monkeypatch):
         # the orientation test picks the anchor assignment; the other one is
-        # never tried, on mirrored witnesses and at-infinity ones alike.  The
-        # only validation is of the normal form: the pullback maps vertices
-        # only, and the result claims the input hexagon
+        # never tried, on mirrored witnesses and at-infinity ones alike.  No
+        # polygon is validated: the bipyramid is a vertex list, the pullback
+        # maps vertices only, and the result claims the input hexagon
         reads = count_calls(monkeypatch, hexagon_module, "_read_normal_form")
         sections = count_calls(monkeypatch, sections_module, "compute_section")
         validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
@@ -190,7 +191,7 @@ class TestReadOnce:
             sections.clear()
             validations.clear()
             assert hexagon_extension5(hexagon).certified and len(sections) == 1
-            assert len(validations) == 1
+            assert len(validations) == 0
         assert mirrored and at_infinity
 
 
@@ -198,17 +199,17 @@ class TestBipyramid:
     def test_two_below_three_above(self):
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)
         nf = hexagon_normal_form(hexagon, hexagon_ic(hexagon).witness)
-        ext = build_bipyramid(nf, max(nf.alpha, nf.beta, nf.gamma) + 1)
-        zs = [v[2] for v in ext.vertices]
+        assert default_bipyramid_k(nf) == max(nf.alpha, nf.beta, nf.gamma) + 1
+        vertices = build_bipyramid(nf)
+        zs = [v[2] for v in vertices]
         assert sum(z < 0 for z in zs) == 2 and sum(z > 0 for z in zs) == 3
-        assert verify_section(ext)
+        claimed = validate(normal_form_vertices(nf))
+        assert certify(SectionedPolytope(3, vertices, claimed)).certified
 
     def test_crossings_reproduce_normal_form_vertices(self):
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)
         nf = hexagon_normal_form(hexagon, hexagon_ic(hexagon).witness)
-        k = max(nf.alpha, nf.beta, nf.gamma) + 2
-        ext = build_bipyramid(nf, k)
-        verts = list(ext.vertices)
+        verts = build_bipyramid(nf)
         crossings = set()
         for i in range(5):
             for j in range(i + 1, 5):

@@ -56,7 +56,7 @@ class TestSlackMatrix:
 def small_standard_extension():
     std = StandardHeptagon(a=Fraction(1, 2), b=Fraction(-1, 4), c=Fraction(-1, 4),
                            d=Fraction(1, 2), lam=Fraction(1, 4), mu=Fraction(1, 4))
-    return std, build_standard_extension(std, Fraction(2))
+    return std, SectionedPolytope(3, build_standard_extension(std), validate(std.vertex_list()))
 
 
 class TestExtendFacetInequality:
