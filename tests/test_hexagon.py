@@ -13,7 +13,6 @@ from polysec.hexagon import (
     hexagon_extension5,
     hexagon_ic,
     hexagon_normal_form,
-    normal_form_vertices,
 )
 from polysec.polygon import ProjMap2, apply_map, validate
 from polysec.randgen import random_hexagon_params
@@ -29,6 +28,11 @@ ASYMMETRIC_PARAMS = (Fraction(2), Fraction(5), Fraction(3), Fraction(1, 4), Frac
 def hexagon_from_params(alpha, beta, gamma, x, y):
     return validate([(0, alpha), (beta * x, beta * y), (gamma, 0),
                      (1, 0), (x, y), (0, 1)])
+
+
+def normal_form_hexagon(nf):
+    """The hexagon of nf's six normal-form vertices (HexNormalForm)."""
+    return hexagon_from_params(nf.alpha, nf.beta, nf.gamma, nf.x, nf.y)
 
 
 def mirrored_hexagon_from_params(alpha, beta, gamma, x, y):
@@ -137,7 +141,7 @@ class TestNormalForm:
         assert nf.mirrored
         assert nf.alpha > 1 and nf.beta > 1 and nf.gamma > 1 and nf.x > 0 and nf.y > 0
         image = apply_map(symmetric, nf.map)
-        assert image == validate(normal_form_vertices(nf))
+        assert image == normal_form_hexagon(nf)
 
     def test_parallel_case_composite_map(self, regular_hexagon):
         nf = hexagon_normal_form(regular_hexagon, 0)
@@ -146,7 +150,7 @@ class TestNormalForm:
         assert nf.map.m != ProjMap2.identity().m
         # the recorded map really carries the hexagon onto the normal form
         image = apply_map(regular_hexagon, nf.map)
-        assert image == validate(normal_form_vertices(nf))
+        assert image == normal_form_hexagon(nf)
 
     def test_no_concurrency_raises(self, ic6_hexagon):
         with pytest.raises(NoConcurrency):
@@ -203,7 +207,7 @@ class TestBipyramid:
         vertices = build_bipyramid(nf)
         zs = [v[2] for v in vertices]
         assert sum(z < 0 for z in zs) == 2 and sum(z > 0 for z in zs) == 3
-        claimed = validate(normal_form_vertices(nf))
+        claimed = normal_form_hexagon(nf)
         assert certify(SectionedPolytope(3, vertices, claimed)).certified
 
     def test_crossings_reproduce_normal_form_vertices(self):
@@ -218,7 +222,7 @@ class TestBipyramid:
                     continue
                 t = u[2] / (u[2] - v[2])
                 crossings.add((u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1])))
-        assert crossings == set(normal_form_vertices(nf))
+        assert crossings == set(normal_form_hexagon(nf).vertices)
 
 
 class TestExtension5:

@@ -163,55 +163,67 @@ def reference_fourier_motzkin(constraints, nvars):
 
 @st.composite
 def separable_systems(draw):
-    """Up to 4 variables; each row has one nonzero coefficient or none (a
-    constant check), so some coordinates are free, some one-sided, and some
-    intervals empty."""
+    """Up to 4 variables and up to 8 triples (j, c, rhs), one in eight of
+    them (when there are variables) a constant check (None, 0, rhs), so some
+    coordinates are free, some one-sided, and some intervals empty."""
     nvars = draw(st.integers(0, 4))
     small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    constraints = []
+    triples = []
     for _ in range(draw(st.integers(0, 8))):
-        coeffs = [Fraction(0)] * nvars
         if nvars and draw(st.integers(0, 7)):
-            coeffs[draw(st.integers(0, nvars - 1))] = draw(small.filter(bool))
-        constraints.append((coeffs, draw(small)))
-    return constraints, nvars
+            j, c = draw(st.integers(0, nvars - 1)), draw(small.filter(bool))
+        else:
+            j, c = None, Fraction(0)
+        triples.append((j, c, draw(small)))
+    return triples, nvars
+
+
+def dense_rows(triples, nvars):
+    """The rows (coeffs, rhs) of coeffs . x >= rhs that the triples state."""
+    rows = []
+    for j, c, rhs in triples:
+        coeffs = [Fraction(0)] * nvars
+        if j is not None:
+            coeffs[j] = c
+        rows.append((coeffs, rhs))
+    return rows
 
 
 class TestFourierMotzkin:
     def test_interval_midpoint(self):
         # 1 <= x <= 3 picks x = 2
-        point = fourier_motzkin_point([([F(1)], F(1)), ([F(-1)], F(-3))], 1)
+        point = fourier_motzkin_point([(0, F(1), F(1)), (0, F(-1), F(-3))], 1)
         assert point == [2]
 
     def test_one_sided(self):
-        assert fourier_motzkin_point([([F(1)], F(5))], 1) == [6]
-        assert fourier_motzkin_point([([F(-1)], F(-5))], 1) == [4]
+        assert fourier_motzkin_point([(0, F(1), F(5))], 1) == [6]
+        assert fourier_motzkin_point([(0, F(-1), F(-5))], 1) == [4]
 
     def test_free_variable_defaults_to_zero(self):
         assert fourier_motzkin_point([], 1) == [0]
+        assert fourier_motzkin_point([(None, F(0), F(0))], 1) == [0]
 
     def test_infeasible(self):
-        constraints = [([F(1)], F(3)), ([F(-1)], F(0))]  # x >= 3 and x <= 0
+        constraints = [(0, F(1), F(3)), (0, F(-1), F(0))]  # x >= 3 and x <= 0
         assert fourier_motzkin_point(constraints, 1) is None
+        assert fourier_motzkin_point([(None, F(0), F(1))], 1) is None  # 0 >= 1
 
     def test_two_variables_feasible_point(self, rng):
-        # a separable system gets a feasible point; a coupled row is refused
+        # a separable system gets a point that meets every constraint
+        feasible = 0
         for _ in range(30):
-            constraints = []
-            for _ in range(6):
-                coeffs = [F(0), F(0)]
-                coeffs[rng.randrange(2)] = F(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
-                constraints.append((coeffs, F(rng.randrange(-8, 3))))
+            constraints = [(rng.randrange(2), F(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])),
+                            F(rng.randrange(-8, 3))) for _ in range(6)]
             point = fourier_motzkin_point(constraints, 2)
             if point is not None:
-                for coeffs, rhs in constraints:
-                    assert sum(c * v for c, v in zip(coeffs, point)) >= rhs
-            with pytest.raises(ValueError, match="couples coordinates 0 and 1"):
-                fourier_motzkin_point(constraints + [([F(1), F(-1)], F(0))], 2)
+                feasible += 1
+                assert all(c * point[j] >= rhs for j, c, rhs in constraints)
+        assert feasible
 
     @pytest.mark.slow
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(system=separable_systems())
     def test_matches_general_elimination(self, system):
-        constraints, nvars = system
-        assert fourier_motzkin_point(constraints, nvars) == reference_fourier_motzkin(constraints, nvars)
+        triples, nvars = system
+        assert fourier_motzkin_point(triples, nvars) == reference_fourier_motzkin(
+            dense_rows(triples, nvars), nvars)

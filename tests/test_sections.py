@@ -284,6 +284,24 @@ class TestVerifySection:
         s = SectionedPolytope(3, TETRA, validate(wrong))
         assert not verify_section(s) and not s.certified
 
+    def test_blocks_pick_the_path(self, monkeypatch):
+        # the unit square on H, at the ends of two segments in blocks 2 and
+        # 3: blocks holds each vertex's off-H coordinate and verify reads the
+        # section.  Once a vertex has two nonzero coordinates off H, blocks is
+        # None and verify solves LPs
+        square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
+        flat = [(0, 0, 0, 0), (1, 0, 0, 0)]
+        sections = count_calls(monkeypatch, sections_module, "compute_section")
+        lps = count_calls(monkeypatch, sections_module, "_claim_is_section")
+        s = SectionedPolytope(4, flat + [(1, 1, 1, 0), (1, 1, -1, 0), (0, 1, 0, 1), (0, 1, 0, -1)],
+                              square)
+        assert s.blocks == (None, None, 2, 2, 3, 3)
+        assert verify_section(s) and len(sections) == 1 and lps == []
+        s = SectionedPolytope(4, flat + [(1, 1, 1, 0), (1, 1, -1, 0), (0, 1, 1, 1), (0, 1, -1, -1)],
+                              square)
+        assert s.blocks is None
+        assert verify_section(s) and len(sections) == 1 and len(lps) == 1
+
     def test_relabeled_claim_still_verifies(self):
         relabeled = [TETRA_SECTION[2], TETRA_SECTION[0], TETRA_SECTION[1]]
         s = SectionedPolytope(3, TETRA, validate(relabeled))

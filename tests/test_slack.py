@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-import polysec.sections as sections_module
-from polysec.errors import DomainError, ScaleExceeded
+from polysec.errors import DomainError, NoExtension, ScaleExceeded
 from polysec.heptagon import StandardHeptagon, build_standard_extension, heptagon_extension
 from polysec.compose import ngon_extension
 from polysec.polygon import validate
@@ -19,7 +18,7 @@ from polysec.slack import (
     verify_factorization,
 )
 
-from conftest import count_calls_everywhere
+from conftest import count_calls
 
 
 
@@ -75,6 +74,23 @@ class TestExtendFacetInequality:
             for j in range(7):
                 x, y = polygon.vertices[j]
                 assert functional((x, y, Fraction(0))) == sm.entries[i][j]
+
+    def test_vertex_on_flat_cut_off(self):
+        # a box over the unit square plus a vertex on H right of it: the
+        # claim's edge x <= 1 cuts that vertex off, and no free coefficient
+        # can help where every off-H coordinate is zero
+        square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
+        box = [(x, y, z) for z in (1, -1) for x, y in square.vertices]
+        ext = SectionedPolytope(3, box + [(2, Fraction(1, 2), 0)], square)
+        assert ext.blocks == (2,) * 8 + (None,)
+        for i in range(4):
+            if square.edge_inequality(i) == ((1, 0), 1):
+                with pytest.raises(NoExtension):
+                    extend_facet_inequality(i, ext)
+            else:
+                assert extend_facet_inequality(i, ext)((2, Fraction(1, 2), 0)) >= 0
+        with pytest.raises(NoExtension):
+            factorize_from_section(square, ext)
 
     def test_codimension_two_feasible(self, rng):
         polygon = random_convex_polygon(rng, 14)
@@ -147,14 +163,14 @@ class TestFactorize:
         assert verify_factorization(slack_matrix(polygon), fact)
 
     def test_one_support_scan_per_polytope(self, monkeypatch):
-        # the path is decided once per polytope, not once per facet
+        # the block decomposition is filled once per polytope, not once per facet
         polygon = random_convex_polygon(random.Random(28), 28)
         built = ngon_extension(polygon)
         ext = SectionedPolytope(built.dim, built.vertices, built.claimed)
-        scans = count_calls_everywhere(monkeypatch, sections_module, "_single_supports")
+        fills = count_calls(monkeypatch, SectionedPolytope, "__getattr__")
         fact = factorize_from_section(polygon, ext)
-        assert len(scans) == 1 and fact.inner_dim == len(built.vertices)
-        assert verify_section(ext) and len(scans) == 1
+        assert fills == [(ext, "blocks")] and fact.inner_dim == len(built.vertices)
+        assert verify_section(ext) and len(fills) == 1
 
     def test_duplicate_and_interior_vertices(self):
         # a box over the unit square, one corner listed twice and one point
