@@ -46,7 +46,6 @@ from .polygon import (
     Polygon,
     ProjMap2,
     affine_through_three,
-    apply_map,
     map_line_to_infinity,
     validate,
 )

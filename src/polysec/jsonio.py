@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParseError
-from .exactgeom import format_scalar, parse_scalar
+from .exactgeom import _ZERO, format_scalar, parse_scalar
 from .polygon import Polygon, validate
 from .sections import SectionedPolytope
 from .slack import SlackFactorization, SlackMatrix
@@ -89,7 +89,8 @@ def sectioned_from_obj(obj) -> SectionedPolytope:
     for raw in obj["vertices"]:
         if not isinstance(raw, list) or len(raw) != dim:
             raise ParseError(f"vertex {raw!r} must have {dim} coordinates")
-        vertices.append(tuple(parse_scalar(c) for c in raw))
+        # a dense file is mostly "0": the shared zero, with no call
+        vertices.append(tuple([_ZERO if c == "0" else parse_scalar(c) for c in raw]))
     claimed_obj = obj["claimed"]
     if not isinstance(claimed_obj, dict) or "vertices" not in claimed_obj:
         raise ParseError("claimed section needs a 'vertices' field")

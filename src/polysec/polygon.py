@@ -18,9 +18,20 @@ Orientation is an integer determinant sign.  An affine point (x, y) is
 lifted to the integer triple (x.num y.den, y.num x.den, x.den y.den),
 whose weight is positive, so the sign of the 3x3 determinant of three
 lifts is the sign of their turn.  convex_hull_2d lifts each distinct point
-once and runs the monotone chain on those signs; validate reads
-duplicates off the keys and the cyclic order off integer hull positions,
-and no Fraction is compared or hashed.
+once and runs the monotone chain on those signs, and no Fraction is
+compared or hashed.
+
+validate accepts in linear time, with no sort and no hull, when the n
+cyclic turns have one strict sign and, from the smallest key, the keys
+rise strictly to the largest and then fall strictly.  Proof: the rising
+chain is lexicographically monotone, so its edge directions lie in one
+half-open half-turn, and turning one way they rotate monotonically in it:
+the chain is a strictly convex or concave graph, vertical end edges
+allowed, strictly on one side of the chord from the minimum to the
+maximum.  The falling chain runs back turning the same way, so it lies
+strictly on the other side.  Together they bound a strictly convex polygon
+with the input points as vertices, each once, in cyclic order.  Every such
+polygon passes both tests, so the hull only names a rejected input's defect.
 
 Planar maps are projective (ProjMap2), and act on affine points in one
 place, ProjMap2.apply_affine, which refuses points on or across the line
@@ -46,7 +57,7 @@ from .exactgeom import ProjLine, ProjPoint, _primitive_ints, det3
 
 AffinePair = tuple[Fraction, Fraction]
 
-__all__ = ["Polygon", "ProjMap2", "validate", "apply_map", "map_line_to_infinity",
+__all__ = ["Polygon", "ProjMap2", "validate", "map_line_to_infinity",
            "affine_through_three", "convex_hull_2d", "canonical_hull"]
 
 
@@ -170,29 +181,31 @@ class Polygon:
 def validate(points: Iterable[Sequence]) -> Polygon:
     """Build the canonical Polygon from affine rational pairs.
 
-    Rejects duplicates, collinear triples and non-convex orderings; the
-    vertices are then put in canonical_hull order.  One keyed sort, the
-    hull's, decides all of it.
+    Accepts exactly the strictly convex polygons in cyclic order, in linear
+    time (module docstring), and returns the input pairs rotated to the
+    lexicographic minimum, reversed when they turn counterclockwise.
+    Rejects repeated points (DuplicateVertex), collinear or interior points,
+    and convex-position points out of cyclic order (NotConvex).
     """
     pts = [(_fraction(p[0]), _fraction(p[1])) for p in points]
     n = len(pts)
     if n < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {n}")
-    hull = convex_hull_2d(pts)
-    if len(hull) != n:
-        # the keys are exact: equal keys are equal points
-        if len(set(_sort_keys(pts))) != n:
-            raise DuplicateVertex("duplicate vertices in input")
+    keys = _sort_keys(pts)
+    lifts = [_lift(p) for p in pts]
+    turns = {_turn(lifts[k - 2], lifts[k - 1], lifts[k]) for k in range(n)}
+    rises = [keys[k - 1] < keys[k] for k in range(n)]
+    if len(turns) == 1 and 0 not in turns and sum(rises[k - 1] != rises[k] for k in range(n)) == 2:
+        m = keys.index(min(keys))
+        if turns == {-1}:
+            return Polygon(pts[m:] + pts[:m])
+        return Polygon([pts[m - k] for k in range(n)])
+    # the keys are exact: equal keys are equal points
+    if len(set(keys)) != n:
+        raise DuplicateVertex("duplicate vertices in input")
+    if len(convex_hull_2d(pts)) != n:
         raise NotConvex("input contains collinear or interior points")
-    # every input pair is a hull vertex, and the hull holds the pairs
-    # themselves; the input cyclic order must step through the hull
-    # positions by +1 throughout or by -1 throughout (rules out
-    # convex-position but self-crossing orders)
-    position = {id(p): k for k, p in enumerate(hull)}
-    steps = {(position[id(q)] - position[id(p)]) % n for p, q in zip(pts, pts[1:] + pts[:1])}
-    if steps != {1} and steps != {n - 1}:
-        raise NotConvex("vertex order does not trace the convex hull")
-    return Polygon(hull[:1] + hull[:0:-1])
+    raise NotConvex("vertex order does not trace the convex hull")
 
 
 class ProjMap2:
@@ -257,18 +270,6 @@ class ProjMap2:
 
     def __repr__(self):
         return f"ProjMap2{self.m}"
-
-
-def apply_map(polygon: Polygon, t: ProjMap2) -> Polygon:
-    """Vertexwise image of the polygon, revalidated.
-
-    The line t sends to infinity must miss the polygon (ProjMap2.apply_affine).
-    """
-    images, _ = t.apply_affine(polygon.vertices)
-    try:
-        return validate(images)
-    except (NotConvex, DuplicateVertex, TooFewVertices) as exc:
-        raise ImageNotConvex(str(exc)) from exc
 
 
 def map_line_to_infinity(line: ProjLine, polygon: Polygon) -> ProjMap2:

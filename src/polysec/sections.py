@@ -64,6 +64,7 @@ from .errors import (
     PullbackUnbounded,
     ScaleExceeded,
 )
+from .exactgeom import _ZERO
 from .linalg import (
     convex_coefficients,
     feasible_nonnegative_solution,
@@ -103,7 +104,11 @@ class SectionedPolytope:
         self.dim = dim
         verts = []
         for v in vertices:
-            v = tuple(c if type(c) is Fraction else Fraction(c) for c in v)
+            v = tuple(v)
+            # one C-level type test per vertex: only a vertex holding a
+            # non-Fraction is converted
+            if set(map(type, v)) != {Fraction}:
+                v = tuple(c if type(c) is Fraction else Fraction(c) for c in v)
             if len(v) != dim:
                 raise ValueError(f"vertex {v} does not have dimension {dim}")
             verts.append(v)
@@ -162,7 +167,8 @@ def _segment_flat_crossing(u: tuple, v: tuple) -> Optional[AffinePair]:
 
 def _support(v: Sequence) -> tuple[int, ...]:
     """The off-H support of v: indices of its nonzero coordinates 3..d."""
-    return tuple(k for k, c in enumerate(v[2:], 2) if c)
+    # the shared zero of parsed files is settled without Fraction.__bool__
+    return tuple(k for k, c in enumerate(v[2:], 2) if c is not _ZERO and c)
 
 
 MAX_PAIR_TESTS = 100_000  # about 2 s of crossing tests; package files make a few hundred

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import settings
 
 from polysec import validate
+from polysec.errors import DuplicateVertex, ImageNotConvex, NotConvex, TooFewVertices
 from polysec.exactgeom import ProjLine, ProjPoint, det3
 from polysec.heptagon import DetOctuple, _octuple
-from polysec.polygon import Polygon
+from polysec.polygon import Polygon, ProjMap2
 
 # every property test draws the same examples on every run
 settings.register_profile("derandomized", derandomize=True, deadline=None)
@@ -77,6 +78,18 @@ def count_calls_everywhere(monkeypatch, module, name: str) -> list:
         if getattr(other, "__name__", "").startswith("polysec.") and vars(other).get(name) is original:
             monkeypatch.setattr(other, name, getattr(module, name))
     return calls
+
+
+def apply_map(polygon: Polygon, t: ProjMap2) -> Polygon:
+    """Vertexwise image of the polygon, revalidated.
+
+    The line t sends to infinity must miss the polygon (ProjMap2.apply_affine).
+    """
+    images, _ = t.apply_affine(polygon.vertices)
+    try:
+        return validate(images)
+    except (NotConvex, DuplicateVertex, TooFewVertices) as exc:
+        raise ImageNotConvex(str(exc)) from exc
 
 
 def incident(line: ProjLine, point: ProjPoint) -> bool:

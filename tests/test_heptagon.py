@@ -20,13 +20,14 @@ from polysec.heptagon import (
     standardize,
     std_points,
 )
-from polysec.polygon import Polygon, apply_map, map_line_to_infinity, validate
+from polysec.polygon import Polygon, map_line_to_infinity, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import SectionedPolytope, certify, compute_section, extreme_points
 
 from conftest import (
     PUBLISHED_TO_CANONICAL_SHIFT,
     SIX_CROSSING_HEPTAGON,
+    apply_map,
     contains,
     count_calls,
     count_calls_everywhere,

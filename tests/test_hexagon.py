@@ -14,11 +14,11 @@ from polysec.hexagon import (
     hexagon_ic,
     hexagon_normal_form,
 )
-from polysec.polygon import ProjMap2, apply_map, validate
+from polysec.polygon import ProjMap2, validate
 from polysec.randgen import random_hexagon_params
 from polysec.sections import SectionedPolytope, certify, extreme_points
 
-from conftest import SIX_VERTEX_HEXAGON, count_calls, count_calls_everywhere
+from conftest import SIX_VERTEX_HEXAGON, apply_map, count_calls, count_calls_everywhere
 
 # alpha = 2, beta = 5, gamma = 3, x = 1/4, y = 1/3: a hexagon whose only
 # concurrent pairing is the designed one, with a finite concurrency point

@@ -18,14 +18,13 @@ from polysec.polygon import (
     Polygon,
     ProjMap2,
     affine_through_three,
-    apply_map,
     convex_hull_2d,
     map_line_to_infinity,
     validate,
 )
 from polysec.randgen import random_convex_polygon
 
-from conftest import SIX_CROSSING_HEPTAGON, contains, strictly_contains
+from conftest import SIX_CROSSING_HEPTAGON, apply_map, contains, strictly_contains
 
 
 def clockwise_everywhere(p: Polygon) -> bool:
@@ -194,21 +193,21 @@ def fraction_monotone_chain(points):
 
 
 def fraction_validate(points):
-    """(error class, None) or (None, canonical vertices), as validate
+    """(error class, message) or (None, canonical vertices), as validate
     decided them on Fraction orientations, a set and a dict of Fractions."""
     pts = [(Fraction(x), Fraction(y)) for x, y in points]
     if len(pts) < 3:
-        return TooFewVertices, None
+        return TooFewVertices, f"need at least 3 vertices, got {len(pts)}"
     if len(set(pts)) != len(pts):
-        return DuplicateVertex, None
+        return DuplicateVertex, "duplicate vertices in input"
     hull = fraction_monotone_chain(pts)
     if len(hull) != len(pts):
-        return NotConvex, None
+        return NotConvex, "input contains collinear or interior points"
     index_of = {p: k for k, p in enumerate(hull)}
     n = len(pts)
     diffs = {(index_of[pts[(i + 1) % n]] - index_of[pts[i]]) % n for i in range(n)}
     if diffs != {1} and diffs != {n - 1}:
-        return NotConvex, None
+        return NotConvex, "vertex order does not trace the convex hull"
     return None, tuple(hull[:1] + hull[:0:-1])
 
 
@@ -282,6 +281,16 @@ GAP_POSITIVE = [(P2, Fraction(1, 3)), (P1, Fraction(1, 3)), (P2, -5)]
 # B lies one gap right of the line x = X1 through A and C
 GAP_QUAD = [(X1, 0), (X2, 1), (X1, 2), (X1 - 1, Fraction(1))]
 
+# star orders of convex polygons: every turn has one sign, as any three
+# points in convex position turn the polygon's way in cyclic order, but the
+# cycle winds twice
+PENTAGON = [(0, 0), (4, -1), (6, 2), (3, 5), (-1, 3)]
+PENTAGRAM = [PENTAGON[2 * k % 5] for k in range(5)]
+HEPTAGRAM = [SIX_CROSSING_HEPTAGON[2 * k % 7] for k in range(7)]
+# vertical edges at the lexicographic minimum and maximum
+VERTICAL_ENDS_SQUARE = [(0, 0), (0, 1), (1, 1), (1, 0)]
+VERTICAL_ENDS_HEXAGON = [(0, 0), (0, 1), (1, 2), (2, 1), (2, 0), (1, -1)]
+
 
 class TestIntegerHullOracle:
     @settings(max_examples=300)
@@ -306,10 +315,20 @@ class TestIntegerHullOracle:
     @example(points=GAP_QUAD)
     @example(points=GAP_QUAD[::-1])
     @example(points=GAP_QUAD + GAP_QUAD[1:2])
+    @example(points=PENTAGRAM)
+    @example(points=PENTAGRAM[::-1])
+    @example(points=HEPTAGRAM)
+    @example(points=HEPTAGRAM[::-1])
+    @example(points=PENTAGON + PENTAGON)
+    @example(points=VERTICAL_ENDS_SQUARE)
+    @example(points=VERTICAL_ENDS_HEXAGON)
+    @example(points=VERTICAL_ENDS_HEXAGON[::-1])
+    @example(points=VERTICAL_ENDS_HEXAGON[1:] + VERTICAL_ENDS_HEXAGON[:1])
     def test_validate_matches_fraction_validate(self, points):
-        error, vertices = fraction_validate(points)
+        error, outcome = fraction_validate(points)
         if error is None:
-            assert validate(points).vertices == vertices
+            assert validate(points).vertices == outcome
         else:
-            with pytest.raises(error):
+            with pytest.raises(error) as raised:
                 validate(points)
+            assert str(raised.value) == outcome

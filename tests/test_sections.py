@@ -3,14 +3,22 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
 from polysec.compose import ngon_extension
-from polysec.errors import EmptySection, PullbackUnbounded, ScaleExceeded
+from polysec.errors import (
+    EmptySection,
+    NoExtension,
+    NotConvex,
+    NotInPolytope,
+    PullbackUnbounded,
+    ScaleExceeded,
+    TooFewVertices,
+)
 from polysec.linalg import in_convex_hull, solve_linear
-from polysec.polygon import ProjMap2, apply_map, canonical_hull, convex_hull_2d, validate
+from polysec.polygon import ProjMap2, canonical_hull, convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import (
     SectionedPolytope,
@@ -23,8 +31,9 @@ from polysec.sections import (
     pullback,
     verify_section,
 )
+from polysec.slack import factorize_from_section
 
-from conftest import count_calls, count_calls_everywhere
+from conftest import apply_map, count_calls, count_calls_everywhere
 
 TETRA = [(0, 0, -1), (1, 0, -1), (0, 1, -1), (0, 0, 1)]
 TETRA_SECTION = [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]
@@ -306,6 +315,78 @@ class TestVerifySection:
         relabeled = [TETRA_SECTION[2], TETRA_SECTION[0], TETRA_SECTION[1]]
         s = SectionedPolytope(3, TETRA, validate(relabeled))
         assert verify_section(s)
+
+
+def brute_force_section(verts, dim):
+    """The section of conv(verts) by H as a canonical vertex tuple, or None
+    when empty, by the reference enumeration for the LP path: a vertex of the
+    section lies in the relative interior of a face whose affine hull meets
+    H in that point alone, so that face has dimension at most dim - 2, and
+    by Caratheodory the point is the unique convex combination of at most
+    dim - 1 affinely independent vertices that lands on H.  Every subset of
+    that size is solved for weights summing to 1 that vanish off H
+    (solve_linear); unique nonnegative solutions are points of the section,
+    and their hull is all of it."""
+    distinct = list(dict.fromkeys(verts))
+    points = []
+    for size in range(1, dim):
+        for subset in combinations(distinct, size):
+            rows = [[1] * size] + [[v[c] for v in subset] for c in range(2, dim)]
+            weights = solve_linear(rows, [1] + [0] * (dim - 2))
+            if weights is not None and all(w >= 0 for w in weights):
+                points.append(tuple(sum(w * v[c] for w, v in zip(weights, subset)) for c in (0, 1)))
+    return canonical_hull(points) if points else None
+
+
+@st.composite
+def lp_path_files(draw):
+    """Dimension 4-6 and 5-8 vertices with integer coordinates in -3..3.
+    The first vertex has two nonzero coordinates off H, so verify takes the
+    LP path; a later vertex often carries the negated tail of an earlier
+    one, so that their segment crosses H."""
+    dim = draw(st.integers(4, 6))
+    coord = st.integers(-3, 3)
+    tail = draw(st.lists(coord, min_size=dim - 2, max_size=dim - 2))
+    for j in draw(st.lists(st.integers(0, dim - 3), min_size=2, max_size=2, unique=True)):
+        tail[j] = tail[j] or draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    verts = [(draw(coord), draw(coord), *tail)]
+    for _ in range(draw(st.integers(4, 7))):
+        if draw(st.booleans()):
+            tail = [-c for c in draw(st.sampled_from(verts))[2:]]
+        else:
+            tail = draw(st.lists(coord, min_size=dim - 2, max_size=dim - 2))
+        verts.append((draw(coord), draw(coord), *tail))
+    return dim, verts
+
+
+class TestLpPathOracle:
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(case=lp_path_files())
+    def test_verify_and_factorize_match_brute_force(self, case):
+        # the true section, the section with one vertex dropped, and with its
+        # lexicographically smallest vertex moved out by 1/7: verify accepts
+        # exactly the true claim, and factorize succeeds exactly on it
+        dim, verts = case
+        section = brute_force_section(verts, dim)
+        assume(section is not None and len(section) >= 3)
+        (x0, y0), rest = section[0], section[1:]
+        claims = []
+        for points in (section, rest, [(x0 - Fraction(1, 7), y0), *rest]):
+            try:
+                claims.append(validate(points))
+            except (NotConvex, TooFewVertices):
+                continue
+        for claim in claims:
+            s = SectionedPolytope(dim, verts, claim)
+            assert s.blocks is None
+            true = claim.vertices == section
+            assert verify_section(s) == true
+            try:
+                factorize_from_section(claim, s)
+            except (NoExtension, NotInPolytope):
+                assert not true
+            else:
+                assert true
 
 
 class TestExtremePoints:
