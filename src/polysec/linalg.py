@@ -105,6 +105,7 @@ def feasible_nonnegative_solution(
         entering = next((j for j in range(total) if cost[j] < 0), None)
         if entering is None:
             break
+        # Phase I is bounded below by 0, so some entry of the entering column is positive
         leaving = None
         best = None
         for i in range(m):
@@ -113,8 +114,6 @@ def feasible_nonnegative_solution(
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
                     best = ratio
                     leaving = i
-        if leaving is None:
-            break  # unbounded never happens for Phase I, defensive
         pv = tab[leaving][entering]
         tab[leaving] = [v / pv for v in tab[leaving]]
         for i in range(m):
@@ -128,12 +127,11 @@ def feasible_nonnegative_solution(
     objective = -cost[total]
     if objective != 0:
         return None
+    # objective 0 forces every artificial variable, basic ones too, to 0
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
             x[var] = tab[i][total]
-        elif tab[i][total] != 0:
-            return None  # degenerate artificial stuck at nonzero, defensive
     return x
 
 
@@ -158,11 +156,6 @@ def convex_coefficients(
     matrix.append([Fraction(1)] * len(generators))
     rhs = [Fraction(point[k]) for k in rows] + [Fraction(1)]
     return feasible_nonnegative_solution(matrix, rhs)
-
-
-def in_convex_hull(point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact test whether point is a convex combination of the generators."""
-    return convex_coefficients(point, generators) is not None
 
 
 Constraint = tuple[Optional[int], Fraction, Fraction]  # (j, c, rhs): c x_j >= rhs, or 0 >= rhs

@@ -32,7 +32,7 @@ sum to zero there, and the block's normalized part is a point on H of the
 vertices on the plane and its edge crossings, so that point is in the hull
 of the block's crossings.  verify_section compares this hull with the claim
 vertex for vertex.  SectionedPolytope.blocks, the block decomposition
-computed once per polytope, decides whether a file takes this path (and
+computed at construction, decides whether a file takes this path (and
 serves slack): for each vertex the index j of its one nonzero coordinate
 off H, None on H; or None when some vertex has two.
 
@@ -68,7 +68,6 @@ from .exactgeom import _ZERO
 from .linalg import (
     convex_coefficients,
     feasible_nonnegative_solution,
-    in_convex_hull,
     interval_point,
 )
 from .polygon import AffinePair, Polygon, ProjMap2, canonical_hull
@@ -93,7 +92,7 @@ class SectionedPolytope:
     """A vertex-described polytope with a claimed planar section on H, a Polygon.
 
     The certificate flag is only ever set by verify_section.  blocks, the
-    block decomposition (module docstring), is filled on first use.
+    block decomposition (module docstring), is computed at construction.
     """
 
     __slots__ = ("dim", "vertices", "claimed", "certified", "blocks")
@@ -103,6 +102,7 @@ class SectionedPolytope:
             raise ValueError("ambient dimension must be at least 2")
         self.dim = dim
         verts = []
+        supports = []
         for v in vertices:
             v = tuple(v)
             # one C-level type test per vertex: only a vertex holding a
@@ -112,20 +112,14 @@ class SectionedPolytope:
             if len(v) != dim:
                 raise ValueError(f"vertex {v} does not have dimension {dim}")
             verts.append(v)
+            supports.append(_support(v))
         self.vertices = tuple(verts)
+        self.blocks = (None if any(len(support) > 1 for support in supports)
+                       else tuple(support[0] if support else None for support in supports))
         if not isinstance(claimed, Polygon):
             raise TypeError(f"cannot interpret {claimed!r} as a planar section")
         self.claimed = claimed
         self.certified = False
-
-    def __getattr__(self, name):
-        # reached when lookup fails: for blocks, which __init__ leaves unset, once
-        if name != "blocks":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        supports = [_support(v) for v in self.vertices]
-        self.blocks = (None if any(len(support) > 1 for support in supports)
-                       else tuple(support[0] if support else None for support in supports))
-        return self.blocks
 
     def __repr__(self):
         return (f"SectionedPolytope(dim={self.dim}, vertices={len(self.vertices)}, "
@@ -355,7 +349,7 @@ def extreme_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]
     out = []
     for i, v in enumerate(verts):
         others = [w for j, w in enumerate(verts) if j != i]
-        if not in_convex_hull(v, others):
+        if convex_coefficients(v, others) is None:
             out.append(v)
     return out
 

@@ -5,13 +5,16 @@ factorization S = R * C of the polygon's slack matrix (Yannakakis 1991),
 with one inner index per distinct polytope vertex.  The factorization is
 also the proof that the claimed polygon is the section, in any dimension:
 
-- R (row factor): each facet inequality of the polygon extends, through
-  free coefficients on coordinates 3..d, to an affine functional that is
-  nonnegative at every polytope vertex; on H it is the facet's slack, so
-  the section lies in the polygon.  Row i holds its vertex values; each
-  free coefficient is the midpoint of the interval that the vertices of
-  its block bound (SectionedPolytope.blocks), or, when a vertex has two
-  nonzero coordinates off H, one linear program gives them.
+- R (row factor): each facet inequality b - a . x >= 0 of the polygon
+  extends, through free coefficients c on coordinates 3..d, to the affine
+  functional b - a . x[:2] + c . x[2:], nonnegative at every polytope
+  vertex; on H it is the facet's slack, so the section lies in the
+  polygon.  Each free coefficient is the midpoint of the interval that
+  the vertices of its block bound (SectionedPolytope.blocks), or, when a
+  vertex has two nonzero coordinates off H, one linear program gives
+  them.  R is read off each generator's off-H support: entry (i, k) is
+  the planar slack of generator g plus c_i[j - 2] g[j] over the nonzero
+  coordinates g[j] off H, one formula on both paths.
 - C (column factor): each polygon vertex is an exact convex combination
   of polytope vertices that lands on H, so the polygon lies in the
   section.  A vertex on H or a crossing of H by a vertex segment is read
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import CertificationFailure, DomainError, NoExtension, NotInPolytope
 from .linalg import fourier_motzkin_point, rank
@@ -34,6 +36,7 @@ from .polygon import Polygon
 from .sections import (
     SectionedPolytope,
     _claim_columns,
+    _support,
     distinct_points,
     edge_extension,
 )
@@ -41,7 +44,6 @@ from .sections import (
 __all__ = [
     "SlackMatrix",
     "SlackFactorization",
-    "AffineFunctional",
     "slack_matrix",
     "extend_facet_inequality",
     "factorize_from_section",
@@ -77,17 +79,6 @@ class SlackFactorization:
         return len(self.r_factor[0]) if self.r_factor else 0
 
 
-@dataclass(frozen=True)
-class AffineFunctional:
-    """constant + sum(coeffs[k] * x[k]), over ambient d-space."""
-
-    constant: Fraction
-    coeffs: tuple[Fraction, ...]
-
-    def __call__(self, point: Sequence[Fraction]) -> Fraction:
-        return self.constant + sum(c * v for c, v in zip(self.coeffs, point) if v)
-
-
 def slack_matrix(polygon: Polygon) -> SlackMatrix:
     n = polygon.n
     points = polygon.vertices
@@ -98,18 +89,20 @@ def slack_matrix(polygon: Polygon) -> SlackMatrix:
     return SlackMatrix(entries=tuple(rows))
 
 
-def extend_facet_inequality(facet: int, s: SectionedPolytope) -> AffineFunctional:
-    """Extend facet slack of the claimed polygon to all of the polytope.
+def extend_facet_inequality(facet: int, s: SectionedPolytope) -> tuple[Fraction, ...]:
+    """Free coefficients c on coordinates 3..d that extend the facet slack
+    of the claimed polygon to all of the polytope, a tuple of s.dim - 2.
 
-    The planar slack b - a.x already vanishes appropriately on H; the free
-    coefficients on coordinates 3..d make the functional nonnegative at
-    every polytope vertex.  When no vertex has two nonzero coordinates off H
-    (s.blocks is not None), vertex v of block j bounds coefficient j alone:
-    fourier_motzkin_point takes the triple (j - 2, v[j], a . v[:2] - b), or
-    (None, 0, a . v[:2] - b) for v on H, and the midpoint of each
-    coefficient's interval; otherwise they come from the edge LP over the
-    distinct vertices (sections.edge_extension).  NoExtension when there
-    are none.
+    For the facet inequality a . x <= b, the functional
+    b - a . x[:2] + c . x[2:] is the planar slack on H and is nonnegative
+    at every polytope vertex; factorize_from_section reads it off each
+    generator's off-H support.  When no vertex has two nonzero coordinates
+    off H (s.blocks is not None), vertex v of block j bounds coefficient j
+    alone: fourier_motzkin_point takes the triple (j - 2, v[j],
+    a . v[:2] - b), or (None, 0, a . v[:2] - b) for v on H, and the
+    midpoint of each coefficient's interval; otherwise they come from the
+    edge LP over the distinct vertices (sections.edge_extension).
+    NoExtension when there are none.
     """
     polygon = s.claimed
     facet %= polygon.n
@@ -124,7 +117,7 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> AffineFunctiona
         tail = edge_extension(polygon, facet, distinct_points(s.vertices, s.dim))
     if tail is None:
         raise NoExtension(f"no nonnegative extension for facet {facet}")
-    return AffineFunctional(constant=b, coeffs=(-a[0], -a[1], *tail))
+    return tuple(tail)
 
 
 def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFactorization:
@@ -147,9 +140,10 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     polytope (in a join, of one edge of one block), so exactly one
     generator segment passes through it and the combination is unique.  On
     other input the first segment in lexicographic (i, j) order is taken,
-    and any other vertex costs one exact LP.  Row i of R is the extended
-    facet functional of edge (i, i+1) (extend_facet_inequality) evaluated
-    on the generators.
+    and any other vertex costs one exact LP.  Row i of R is read off each
+    generator's off-H support (taken once per call) from the free
+    coefficients c of edge (i, i+1) (extend_facet_inequality): the entry
+    at generator g is b - a . g[:2] plus c[j - 2] g[j] over that support.
 
     A claim that is not the section fails: a facet with no nonnegative
     extension raises NoExtension, a vertex outside the polytope
@@ -162,11 +156,16 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     c_cols = _claim_columns(polygon.vertices, gens, s.dim)
     if c_cols is None:
         raise NotInPolytope("a vertex of the polygon is not in the polytope")
-    functionals = [extend_facet_inequality(i, s) for i in range(polygon.n)]
-    r_rows = tuple(tuple(f(q) for q in gens) for f in functionals)
+    supports = [_support(g) for g in gens]
+    r_rows = []
+    for i in range(polygon.n):
+        c = extend_facet_inequality(i, s)
+        (a0, a1), b = polygon.edge_inequality(i)
+        r_rows.append(tuple(b - a0 * g[0] - a1 * g[1] + sum(c[j - 2] * g[j] for j in support)
+                            for g, support in zip(gens, supports)))
     zero = Fraction(0)
     c_rows = tuple(tuple(col.get(k, zero) for col in c_cols) for k in range(len(gens)))
-    fact = SlackFactorization(r_factor=r_rows, c_factor=c_rows)
+    fact = SlackFactorization(r_factor=tuple(r_rows), c_factor=c_rows)
     if not verify_factorization(slack_matrix(polygon), fact):
         raise CertificationFailure("factor product failed to reproduce the slack matrix")
     return fact

@@ -640,6 +640,13 @@ class TestUsageAndEnvironment:
             main(["extend"])
         assert exc.value.code == 2
 
+    def test_readme_library_example_runs(self):
+        # the python block under "## Library" in README.md is the documented API
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        library = readme[readme.index("\n## Library\n"):]
+        block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+
 
 class TestRepeatedMain:
     """main builds its parser once per process and reuses it."""

@@ -17,7 +17,7 @@ from polysec.errors import (
     ScaleExceeded,
     TooFewVertices,
 )
-from polysec.linalg import in_convex_hull, solve_linear
+from polysec.linalg import convex_coefficients, solve_linear
 from polysec.polygon import ProjMap2, canonical_hull, convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import (
@@ -80,7 +80,7 @@ class TestComputeSection:
             except EmptySection:
                 continue
             for x, y in hull:
-                assert in_convex_hull((x, y, Fraction(0)), verts)
+                assert convex_coefficients((x, y, Fraction(0)), verts) is not None
 
     def test_invariant_under_flat_fixing_block_map(self):
         # doubling the transverse coordinate never changes the section

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from polysec import sections
 from polysec.errors import DomainError, NoExtension, ScaleExceeded
 from polysec.heptagon import StandardHeptagon, build_standard_extension, heptagon_extension
-from polysec.compose import ngon_extension
+from polysec.compose import ngon_3d_extension, ngon_extension
 from polysec.polygon import validate
 from polysec.randgen import random_convex_polygon
 from polysec.linalg import convex_coefficients
-from polysec.sections import SectionedPolytope, certify, distinct_points, verify_section
+from polysec.sections import SectionedPolytope, certify, distinct_points
 from polysec.slack import (
     SlackFactorization,
     extend_facet_inequality,
@@ -18,8 +19,7 @@ from polysec.slack import (
     verify_factorization,
 )
 
-from conftest import count_calls
-
+from conftest import count_calls_everywhere
 
 
 class TestSlackMatrix:
@@ -52,6 +52,23 @@ class TestSlackMatrix:
                     assert sm.entries[i][j] > 0
 
 
+def extended(facet, c, ext, v):
+    """The dense value at v of the extension of facet with free coefficients c."""
+    a, b = ext.claimed.edge_inequality(facet)
+    return b - a[0] * v[0] - a[1] * v[1] + sum(ck * vk for ck, vk in zip(c, v[2:]))
+
+
+def lp_path_square():
+    """A 4-D file whose section is the unit square, on the LP path: every
+    vertex has two nonzero coordinates off H, one corner is listed twice,
+    and the vertex (2, 1/2, 1, 2) outside the square forces nonzero free
+    coefficients on both off-H coordinates for the edge x <= 1."""
+    square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
+    box = [(x, y, z, z) for z in (1, -1) for x, y in square.vertices]
+    far = (2, Fraction(1, 2), 1, 2)
+    return SectionedPolytope(4, box + [box[0], far], square)
+
+
 def small_standard_extension():
     std = StandardHeptagon(a=Fraction(1, 2), b=Fraction(-1, 4), c=Fraction(-1, 4),
                            d=Fraction(1, 2), lam=Fraction(1, 4), mu=Fraction(1, 4))
@@ -62,18 +79,18 @@ class TestExtendFacetInequality:
     def test_nonnegative_on_all_vertices_every_facet(self):
         std, ext = small_standard_extension()
         for i in range(7):
-            functional = extend_facet_inequality(i, ext)
-            assert all(functional(v) >= 0 for v in ext.vertices)
+            c = extend_facet_inequality(i, ext)
+            assert all(extended(i, c, ext, v) >= 0 for v in ext.vertices)
 
     def test_restriction_reproduces_column_slacks(self):
         std, ext = small_standard_extension()
         polygon = ext.claimed
         sm = slack_matrix(polygon)
         for i in range(7):
-            functional = extend_facet_inequality(i, ext)
+            c = extend_facet_inequality(i, ext)
             for j in range(7):
                 x, y = polygon.vertices[j]
-                assert functional((x, y, Fraction(0))) == sm.entries[i][j]
+                assert extended(i, c, ext, (x, y, Fraction(0))) == sm.entries[i][j]
 
     def test_vertex_on_flat_cut_off(self):
         # a box over the unit square plus a vertex on H right of it: the
@@ -88,7 +105,7 @@ class TestExtendFacetInequality:
                 with pytest.raises(NoExtension):
                     extend_facet_inequality(i, ext)
             else:
-                assert extend_facet_inequality(i, ext)((2, Fraction(1, 2), 0)) >= 0
+                assert extended(i, extend_facet_inequality(i, ext), ext, (2, Fraction(1, 2), 0)) >= 0
         with pytest.raises(NoExtension):
             factorize_from_section(square, ext)
 
@@ -96,8 +113,29 @@ class TestExtendFacetInequality:
         polygon = random_convex_polygon(rng, 14)
         ext = ngon_extension(polygon)
         for i in range(14):
-            functional = extend_facet_inequality(i, ext)
-            assert all(functional(v) >= 0 for v in ext.vertices)
+            c = extend_facet_inequality(i, ext)
+            assert all(extended(i, c, ext, v) >= 0 for v in ext.vertices)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ngon_extension(random_convex_polygon(random.Random(28), 28)),
+        lambda: ngon_3d_extension(random_convex_polygon(random.Random(28), 28)),
+        lp_path_square,
+    ], ids=["join-28", "3d-28", "lp-path"])
+    def test_r_entries_are_dense_values_of_the_coefficients(self, build):
+        # R is summed over each generator's off-H support only; it must agree
+        # with the dense value of the returned coefficients at every generator
+        ext = build()
+        polygon = ext.claimed
+        fact = factorize_from_section(polygon, ext)
+        gens = distinct_points(ext.vertices, ext.dim)
+        off_flat = 0
+        for i, row in enumerate(fact.r_factor):
+            c = extend_facet_inequality(i, ext)
+            assert len(c) == ext.dim - 2 and all(type(ck) is Fraction for ck in c)
+            assert row == tuple(extended(i, c, ext, g) for g in gens)
+            off_flat += sum(1 for g in gens if sum(ck * gk for ck, gk in zip(c, g[2:])))
+        # the free coefficients reach R, so a dropped coordinate would show
+        assert off_flat > 0
 
 
 class TestConvexCoefficients:
@@ -163,14 +201,21 @@ class TestFactorize:
         assert verify_factorization(slack_matrix(polygon), fact)
 
     def test_one_support_scan_per_polytope(self, monkeypatch):
-        # the block decomposition is filled once per polytope, not once per facet
-        polygon = random_convex_polygon(random.Random(28), 28)
-        built = ngon_extension(polygon)
-        ext = SectionedPolytope(built.dim, built.vertices, built.claimed)
-        fills = count_calls(monkeypatch, SectionedPolytope, "__getattr__")
-        fact = factorize_from_section(polygon, ext)
-        assert fills == [(ext, "blocks")] and fact.inner_dim == len(built.vertices)
-        assert verify_section(ext) and len(fills) == 1
+        # the block decomposition is computed once per polytope, at
+        # construction, and factorize scans supports a number of times that
+        # does not grow with the number of facets
+        scans = count_calls_everywhere(monkeypatch, sections, "_support")
+        counts = []
+        for n in (14, 28):
+            built = ngon_extension(random_convex_polygon(random.Random(n), n))
+            scans.clear()
+            ext = SectionedPolytope(built.dim, built.vertices, built.claimed)
+            assert len(scans) == len(built.vertices) and ext.blocks is not None
+            scans.clear()
+            fact = factorize_from_section(built.claimed, ext)
+            assert fact.inner_dim == len(built.vertices)
+            counts.append(len(scans) / len(built.vertices))
+        assert counts[0] == counts[1]
 
     def test_duplicate_and_interior_vertices(self):
         # a box over the unit square, one corner listed twice and one point
