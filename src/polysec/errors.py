@@ -55,10 +55,6 @@ class ImageNotConvex(DomainError):
     pass
 
 
-class LineMeetsPolygon(DomainError):
-    pass
-
-
 class DegenerateTriple(DomainError):
     pass
 

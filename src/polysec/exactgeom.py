@@ -9,7 +9,7 @@ coordinate is positive.
 
 Stored coordinates are affine rational pairs (polygon.Polygon); this
 kernel serves where lines are formed: the crossing classification of
-standardization lines, hexagon concurrency, map_line_to_infinity and the
+standardization lines, hexagon concurrency, polygon.frame_map and the
 svg rendering.
 
 No floating point is used anywhere in this module.  All values are

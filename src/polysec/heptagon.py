@@ -1,12 +1,13 @@
 """Heptagons as sections of 3-polytopes with six vertices.
 
 The pipeline: every heptagon has at least one standardization line that
-misses it; sending that line to infinity (plus an affine normalization)
-yields a standard heptagon, which carries an explicit 6-vertex extension;
-pulling the extension back gives a certified 6-vertex extension of the
-original heptagon.  The construction helpers (standardize,
-build_standard_extension, heptagon_vertices) return plain values and vertex
-lists; only heptagon_extension returns a certified SectionedPolytope.
+misses it; one projective map, fixed by that line and three vertices
+(polygon.frame_map), sends it to infinity and yields a standard heptagon,
+which carries an explicit 6-vertex extension; pulling the extension back
+gives a certified 6-vertex extension of the original heptagon.  The
+construction helpers (standardize, build_standard_extension,
+heptagon_vertices) return plain values and vertex lists; only
+heptagon_extension returns a certified SectionedPolytope.
 
 Crossing classification is purely algebraic, through products of vertex
 determinants; a brute-force edge-intersection oracle is kept in the test
@@ -22,14 +23,7 @@ from typing import Sequence
 
 from .errors import CertificationFailure, DegenerateConstruction, NoneFound, NotHeptagon
 from .exactgeom import ProjLine, ProjPoint, det3, join, meet
-from .polygon import (
-    Polygon,
-    ProjMap2,
-    _orient,
-    affine_through_three,
-    map_line_to_infinity,
-    validate,
-)
+from .polygon import Polygon, ProjMap2, _orient, frame_map, validate
 from .sections import AmbientPoint, SectionedPolytope, bounded_pullback, certify
 
 __all__ = [
@@ -243,25 +237,20 @@ class StandardHeptagon:
 def standardize(polygon: Polygon) -> tuple[StandardHeptagon, ProjMap2]:
     """Projective standardization of a heptagon.
 
-    Sends the first non-crossing standardization line to infinity, then
-    applies the affine map taking (p_i, p_{i+3}, p_{i-3}) to
-    ((0,0), (0,1), (1,0)).  The two parallelism conditions hold in the image
-    because p_i^+ and p_i^- were sent to infinity; they hold exactly when the
-    image equals the vertex list of the parameters read from it, which is
-    checked, and the parameter sign constraints are certified by the
-    StandardHeptagon constructor.
+    One map, built from its frame (frame_map): it sends the first
+    non-crossing standardization line to infinity and (p_i, p_{i-3},
+    p_{i+3}) to ((0,0), (1,0), (0,1)).  Three points and a line fix a
+    projective map, so this is the map the construction needs.  The two
+    parallelism conditions hold in the image because p_i^+ and p_i^- were
+    sent to infinity; they hold exactly when the image equals the vertex
+    list of the parameters read from it, which is checked, and the
+    parameter sign constraints are certified by the StandardHeptagon
+    constructor.
     """
     i = find_noncrossing(polygon)
-    sp = std_points(polygon, i)
-    to_infinity = map_line_to_infinity(sp.line, polygon)
-    ring = [polygon.vertices[(i + k) % 7] for k in range(7)]
-    anchors, _ = to_infinity.apply_affine((ring[0], ring[3], ring[4]))
-    anchor = affine_through_three(
-        anchors,
-        ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
-    )
-    total = anchor.compose(to_infinity)
-    v, _ = total.apply_affine(ring)
+    p = polygon.vertex
+    total = frame_map(p(i), p(i - 3), p(i + 3), std_points(polygon, i).line)
+    v, _ = total.apply_affine([polygon.vertices[(i + k) % 7] for k in range(7)])
     std = StandardHeptagon(
         a=v[6][0], b=v[6][1], c=v[1][0], d=v[1][1],
         lam=v[5][0] - v[6][0], mu=v[2][1] - v[1][1],

@@ -4,8 +4,11 @@ A hexagon is a section of a triangular bipyramid with 5 vertices exactly
 when the two opposite edge lines (p_r, p_{r+5}), (p_{r+2}, p_{r+3}) and the
 diagonal (p_{r+1}, p_{r+4}) are concurrent for one of the three pairings
 r = 0, 1, 2; otherwise six vertices are needed and the hexagon is its own
-cheapest section.  build_bipyramid returns the bipyramid's vertex list;
-only hexagon_extension5 returns a certified SectionedPolytope.
+cheapest section.  hexagon_normal_form brings a witness to its normal form
+by one projective map, built from its frame (polygon.frame_map): the
+concurrency point, two vertices and a horizon.  build_bipyramid returns the
+bipyramid's vertex list; only hexagon_extension5 returns a certified
+SectionedPolytope.
 """
 
 from __future__ import annotations
@@ -16,13 +19,7 @@ from typing import NamedTuple, Optional
 
 from .errors import ComplexitySix, NoConcurrency, NormalFormConstraintViolated, NotHexagon
 from .exactgeom import ProjLine, ProjPoint, det3, join, meet
-from .polygon import (
-    Polygon,
-    ProjMap2,
-    _orient,
-    affine_through_three,
-    map_line_to_infinity,
-)
+from .polygon import Polygon, ProjMap2, frame_map
 from .sections import AmbientPoint, SectionedPolytope, bounded_pullback, certify
 
 __all__ = [
@@ -97,96 +94,70 @@ class HexNormalForm:
     map: ProjMap2
 
 
-_TARGET = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-
 def hexagon_normal_form(polygon: Polygon, r: int) -> HexNormalForm:
-    """Normalize a hexagon whose r-th line triple is concurrent.
+    """Normalize a hexagon whose r-th line triple is concurrent, by one map.
 
-    A finite concurrency point goes to the origin by the affine map sending
-    (c, p_{r+3}, p_{r+5}) -- or the mirror assignment (c, p_{r+2}, p_r) when
-    the witness has the opposite orientation -- to ((0,0), (1,0), (0,1)).
-    A concurrency point at infinity is first made finite by sending a far
-    line orthogonal to the common direction to infinity; the composite map
-    is recorded.
+    The map is built from its frame (frame_map): the concurrency point c
+    and two vertices go to (0,0), (1,0) and (0,1), and a horizon to
+    infinity.  Three points and a line fix a projective map, so this is the
+    normalizing map.  The horizon is the line at infinity when c is finite;
+    when c is at infinity it is a far line (_far_line) that c is not on, so
+    c still goes to the origin.
+
+    The edge lines (p_r, p_{r+5}) and (p_{r+2}, p_{r+3}) meet at c outside
+    the hexagon, and each line through c meets it in a near and a far
+    vertex.  The near chain p_{r+3}, p_{r+4}, p_{r+5} gives the direct
+    frame (c, p_{r+3}, p_{r+5}); the near chain p_r, p_{r+1}, p_{r+2} the
+    mirrored one (c, p_{r+2}, p_r).  In either normal form the triple
+    (c, p_{r+3}, p_{r+5}) is counterclockwise, while the label order
+    p_r..p_{r+5} is clockwise in the direct one and runs backwards in the
+    mirrored one.  A projective map keeps or reverses all orientations of
+    points on one side of its horizon at once, so the direct frame is the
+    right one exactly when that triple turns against the label order; c's
+    triple is negated first when it lies across the horizon from the
+    vertices.  A failed read is an internal failure
+    (NormalFormConstraintViolated).
     """
     _require_hexagon(polygon)
     c = concurrency_point(polygon, r)
     if c is None:
         raise NoConcurrency(f"no concurrency for pairing {r}")
-    if c.is_finite:
-        return _read_normal_form(list(polygon.vertices), c.dehomogenize(), r, ProjMap2.identity())
-    to_finite = _finite_reduction_map(polygon, c)
-    vertices, _ = to_finite.apply_affine(polygon.vertices)
-    # c is off the line sent to infinity (_finite_reduction_map), so it is finite now
-    return _read_normal_form(vertices, to_finite.apply(c).dehomogenize(), r, to_finite)
-
-
-def _finite_reduction_map(polygon: Polygon, c: ProjPoint) -> ProjMap2:
-    """Send a far line, normal to the direction c, to infinity.
-
-    The line {v . x = M} with v the common direction does not contain c, so
-    the parallel line triple becomes a finite concurrency; M sits one full
-    functional spread beyond the farthest vertex, keeping the hexagon well
-    clear of the new horizon.
-    """
-    vx, vy, _ = c.h
-    values = [vx * x + vy * y for x, y in polygon.vertices]
-    spread = max(values) - min(values)
-    m = max(values) + spread + 1
-    line = ProjLine(vx, vy, -m)
-    return map_line_to_infinity(line, polygon)
-
-
-def _read_normal_form(
-    vertices: list[tuple[Fraction, Fraction]],
-    c: tuple[Fraction, Fraction],
-    r: int,
-    pre_map: ProjMap2,
-) -> HexNormalForm:
-    """Read the normal form with the one anchor assignment the orientation allows.
-
-    The edge lines (p_r, p_{r+5}) and (p_{r+2}, p_{r+3}) meet at c outside
-    the hexagon, and each line through c meets it in a near and a far
-    vertex.  The near chain p_{r+3}, p_{r+4}, p_{r+5} gives the direct
-    assignment (c, p_{r+3}, p_{r+5} to (0,0), (1,0), (0,1)); the near chain
-    p_r, p_{r+1}, p_{r+2} the mirror one (c, p_{r+2}, p_r).  In either
-    normal form the triple (c, p_{r+3}, p_{r+5}) is counterclockwise, while
-    the label order p_r..p_{r+5} is clockwise in the direct one and runs
-    backwards in the mirrored one.  An affine map keeps or reverses all
-    orientations at once, so the direct assignment is the right one exactly
-    when, on the input, that triple turns against the label order.  A
-    failed read is an internal failure (NormalFormConstraintViolated).
-    """
-    source_cw = _orient(vertices[0], vertices[1], vertices[2]) < 0
-    direct = (_orient(c, vertices[(r + 3) % 6], vertices[(r + 5) % 6]) > 0) == source_cw
+    horizon = ProjLine(0, 0, 1) if c.is_finite else _far_line(polygon, c)
+    p = polygon.vertex
+    c_row = c.h if horizon.side(c) == horizon.side(p(r)) else tuple(-v for v in c.h)
+    direct = (det3(c_row, p(r + 3), p(r + 5)) > 0) == (det3(p(0), p(1), p(2)) < 0)
     if direct:
-        anchors = (c, vertices[(r + 3) % 6], vertices[(r + 5) % 6])
+        normalize = frame_map(c, p(r + 3), p(r + 5), horizon)
         order = [(r + j) % 6 for j in range(6)]
     else:
-        anchors = (c, vertices[(r + 2) % 6], vertices[r % 6])
+        normalize = frame_map(c, p(r + 2), p(r), horizon)
         order = [(r + 5 - j) % 6 for j in range(6)]
-    affine = affine_through_three(anchors, _TARGET)
-    (v0, v1, v2, v3, v4, v5), _ = affine.apply_affine([vertices[k] for k in order])
-    if v3 != (1, 0) or v5 != (0, 1):
-        raise NormalFormConstraintViolated("anchor vertices moved")
-    if v0[0] != 0 or v2[1] != 0:
-        raise NormalFormConstraintViolated("axis alignment failed")
+    (v0, v1, v2, _, v4, _), _ = normalize.apply_affine([polygon.vertices[k] for k in order])
     x, y = v4
     if not (x > 0 and y > 0):
         raise NormalFormConstraintViolated(f"need x, y > 0, got ({x}, {y})")
-    alpha, gamma = v0[1], v2[0]
-    if v1[0] * y != v1[1] * x:
-        raise NormalFormConstraintViolated("inner diagonal vertex left the ray")
-    beta = v1[0] / x if x != 0 else v1[1] / y
+    alpha, beta, gamma = v0[1], v1[0] / x, v2[0]
     if not (alpha > 1 and beta > 1 and gamma > 1):
         raise NormalFormConstraintViolated(
             f"need alpha, beta, gamma > 1, got {alpha}, {beta}, {gamma}"
         )
     return HexNormalForm(
         alpha=alpha, beta=beta, gamma=gamma, x=x, y=y,
-        rotation=r, mirrored=not direct, map=affine.compose(pre_map),
+        rotation=r, mirrored=not direct, map=normalize,
     )
+
+
+def _far_line(polygon: Polygon, c: ProjPoint) -> ProjLine:
+    """A far line normal to the direction c, a point at infinity.
+
+    The line {v . x = M} with v the common direction does not contain c;
+    M sits one full functional spread beyond the farthest vertex, keeping
+    the hexagon well clear of it.
+    """
+    vx, vy, _ = c.h
+    values = [vx * x + vy * y for x, y in polygon.vertices]
+    spread = max(values) - min(values)
+    return ProjLine(vx, vy, -(max(values) + spread + 1))
 
 
 def default_bipyramid_k(nf: HexNormalForm) -> Fraction:

@@ -33,10 +33,13 @@ strictly on the other side.  Together they bound a strictly convex polygon
 with the input points as vertices, each once, in cyclic order.  Every such
 polygon passes both tests, so the hull only names a rejected input's defect.
 
-Planar maps are projective (ProjMap2), and act on affine points in one
-place, ProjMap2.apply_affine, which refuses points on or across the line
-the map sends to infinity.  Polygon.vertex serves the projective kernel
-(exactgeom) the same vertices as integer homogeneous triples.
+Planar maps are projective (ProjMap2).  frame_map builds each
+normalization map from its frame, three points sent to (0, 0), (1, 0) and
+(0, 1) and a line sent to infinity, as integer rows in one step.  Maps act
+on affine points in one place, ProjMap2.apply_affine, which refuses points
+on or across the line the map sends to infinity.  Polygon.vertex serves
+the projective kernel (exactgeom) the same vertices as integer homogeneous
+triples.
 """
 
 from __future__ import annotations
@@ -48,17 +51,15 @@ from .errors import (
     DegenerateTriple,
     DuplicateVertex,
     ImageNotConvex,
-    LineMeetsPolygon,
     MapsVertexToInfinity,
     NotConvex,
     TooFewVertices,
 )
-from .exactgeom import ProjLine, ProjPoint, _primitive_ints, det3
+from .exactgeom import ProjLine, ProjPoint, _dot, _primitive_ints, det3, join
 
 AffinePair = tuple[Fraction, Fraction]
 
-__all__ = ["Polygon", "ProjMap2", "validate", "map_line_to_infinity",
-           "affine_through_three", "convex_hull_2d", "canonical_hull"]
+__all__ = ["Polygon", "ProjMap2", "validate", "frame_map", "convex_hull_2d", "canonical_hull"]
 
 
 def _fraction(c) -> Fraction:
@@ -223,14 +224,6 @@ class ProjMap2:
     def det(self) -> int:
         return det3(self.m[0], self.m[1], self.m[2])
 
-    @classmethod
-    def identity(cls) -> "ProjMap2":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-    def apply(self, p: ProjPoint) -> ProjPoint:
-        x, y, w = p.h
-        return ProjPoint(*(r[0] * x + r[1] * y + r[2] * w for r in self.m))
-
     def apply_affine(self, points: Sequence[Sequence]) -> tuple[list[AffinePair], list[Fraction]]:
         """Affine images of points (x, y, ...), only x and y read, and the
         weight w = m[2] . (x, y, 1) of each; the image is
@@ -250,15 +243,6 @@ class ProjMap2:
                   for p, w in zip(points, weights)]
         return images, weights
 
-    def compose(self, inner: "ProjMap2") -> "ProjMap2":
-        """self after inner: (self.compose(inner))(p) = self(inner(p))."""
-        a, b = self.m, inner.m
-        rows = [
-            [sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-        return ProjMap2(rows)
-
     def inverse(self) -> "ProjMap2":
         (a, b, c), (d, e, f), (g, h, i) = self.m
         adj = (
@@ -272,49 +256,23 @@ class ProjMap2:
         return f"ProjMap2{self.m}"
 
 
-def map_line_to_infinity(line: ProjLine, polygon: Polygon) -> ProjMap2:
-    """An invertible map sending the given line to the line at infinity.
+def frame_map(origin: ProjPoint, x_unit: ProjPoint, y_unit: ProjPoint, horizon: ProjLine) -> ProjMap2:
+    """The map sending origin, x_unit and y_unit to (0, 0), (1, 0) and (0, 1),
+    and the horizon to the line at infinity.
 
-    The third row is proportional to the line's coordinates, with the sign
-    chosen so every polygon vertex maps to w > 0; the other two rows are the
-    standard basis rows away from the line's pivot coordinate.  Requires the
-    line to miss the polygon.
+    Three points and a line are eight conditions, so the frame fixes the
+    map up to scale.  Its rows are the line through origin and y_unit (the
+    image's x), the line through origin and x_unit (its y) and the horizon
+    (its weight), each scaled by integer dot products so that x_unit and
+    y_unit land at x = w and y = w; the sign gives origin a positive
+    weight.  A collinear frame, equal units included, or a frame point on
+    the horizon gives a singular matrix (DegenerateTriple); a unit equal to
+    the origin a degenerate join (DegenerateJoin).
     """
-    sides = {line.side(polygon.vertex(k)) for k in range(polygon.n)}
-    if 0 in sides or len(sides) != 1:
-        raise LineMeetsPolygon(f"line {line!r} meets the polygon")
-    sign = sides.pop()
-    l = tuple(sign * v for v in line.h)
-    pivot = next(k for k in range(3) if l[k] != 0)
-    basis_rows = [row for k, row in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))) if k != pivot]
-    return ProjMap2((basis_rows[0], basis_rows[1], l))
-
-
-def affine_through_three(src: Sequence, dst: Sequence) -> ProjMap2:
-    """The unique affine map carrying three independent points to three others."""
-    s = [(Fraction(p[0]), Fraction(p[1])) for p in src]
-    d = [(Fraction(p[0]), Fraction(p[1])) for p in dst]
-    if len(s) != 3 or len(d) != 3:
-        raise DegenerateTriple("need exactly three source and target points")
-    if _orient(*s) == 0:
-        raise DegenerateTriple("source points are collinear")
-    if _orient(*d) == 0:
-        raise DegenerateTriple("target points are collinear")
-    # solve two 3x3 systems for the rows (m11 m12 m13), (m21 m22 m23)
-    rows = []
-    for coord in range(2):
-        rows.append(_solve3(s, [d[k][coord] for k in range(3)]))
-    return ProjMap2((rows[0], rows[1], (0, 0, 1)))
-
-
-def _solve3(pts: Sequence[AffinePair], rhs: Sequence[Fraction]) -> tuple:
-    """Solve sum(m1*x_k + m2*y_k + m3) = rhs_k by Cramer's rule."""
-    a = [[pts[k][0], pts[k][1], Fraction(1)] for k in range(3)]
-    det = det3(a[0], a[1], a[2])
-    out = []
-    for col in range(3):
-        mod = [list(row) for row in a]
-        for k in range(3):
-            mod[k][col] = rhs[k]
-        out.append(det3(mod[0], mod[1], mod[2]) / det)
-    return tuple(out)
+    ly, lx, h = join(origin, y_unit).h, join(origin, x_unit).h, horizon.h
+    at_x, at_y = _dot(ly, x_unit.h), _dot(lx, y_unit.h)
+    s3 = at_x * at_y
+    sign = -1 if s3 * _dot(h, origin.h) < 0 else 1
+    s1 = sign * _dot(h, x_unit.h) * at_y
+    s2 = sign * _dot(h, y_unit.h) * at_x
+    return ProjMap2(([s1 * v for v in ly], [s2 * v for v in lx], [sign * s3 * v for v in h]))

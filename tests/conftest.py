@@ -92,6 +92,25 @@ def apply_map(polygon: Polygon, t: ProjMap2) -> Polygon:
         raise ImageNotConvex(str(exc)) from exc
 
 
+def map_line_to_infinity(line: ProjLine, polygon: Polygon) -> ProjMap2:
+    """An invertible map sending the given line to the line at infinity,
+    for building projective images of test polygons.
+
+    The third row is proportional to the line's coordinates, with the sign
+    chosen so every polygon vertex maps to w > 0; the other two rows are the
+    standard basis rows away from the line's pivot coordinate.  Requires the
+    line to miss the polygon (ValueError otherwise).
+    """
+    sides = {line.side(polygon.vertex(k)) for k in range(polygon.n)}
+    if 0 in sides or len(sides) != 1:
+        raise ValueError(f"line {line!r} meets the polygon")
+    sign = sides.pop()
+    l = tuple(sign * v for v in line.h)
+    pivot = next(k for k in range(3) if l[k] != 0)
+    basis_rows = [row for k, row in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))) if k != pivot]
+    return ProjMap2((basis_rows[0], basis_rows[1], l))
+
+
 def incident(line: ProjLine, point: ProjPoint) -> bool:
     """Whether the point lies on the line: their homogeneous product is zero."""
     return sum(a * b for a, b in zip(line.h, point.h)) == 0

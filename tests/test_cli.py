@@ -22,7 +22,7 @@ from polysec.compose import ngon_extension
 from polysec.exactgeom import ProjPoint
 from polysec.heptagon import heptagon_extension
 from polysec.jsonio import dumps, loads, polygon_to_obj, sectioned_from_obj, sectioned_to_obj
-from polysec.polygon import convex_hull_2d, validate
+from polysec.polygon import Polygon, ProjMap2, convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon, random_hexagon_params
 
 from conftest import SIX_CROSSING_HEPTAGON, SIX_VERTEX_HEXAGON, count_calls, count_calls_everywhere
@@ -511,7 +511,28 @@ def pinned_factorize_cases() -> list:
     for n in (8, 14, 21, 28, 35, 9, 10, 13):
         polygon = random_convex_polygon(rng, n)
         cases += [(f"{n}gon-join", polygon, "join"), (f"{n}gon-3d", polygon, "3d")]
+    # normalization maps that are not the identity: a witness hexagon
+    # reflected (y -> -y), so its anchors are the mirrored ones; one whose
+    # concurrency point is at infinity; the image of a witness hexagon whose
+    # third row sends x + 2y = 20 to infinity; and the image of a standard
+    # heptagon whose third row sends x = 11/10, just right of it, to
+    # infinity, so that its pullback takes the shear
+    alpha, beta, gamma, x, y = Fraction(2), Fraction(5), Fraction(3), Fraction(1, 4), Fraction(1, 3)
+    witness = [(0, alpha), (beta * x, beta * y), (gamma, 0), (1, 0), (x, y), (0, 1)]
+    standard = [(0, 0), (Fraction(-1, 4), Fraction(1, 2)), (Fraction(-1, 4), Fraction(3, 4)), (0, 1),
+                (1, 0), (Fraction(3, 4), Fraction(-1, 4)), (Fraction(1, 2), Fraction(-1, 4))]
+    cases += [
+        ("hexagon5-mirrored", validate([(px, -py) for px, py in witness]), "auto"),
+        ("hexagon5-infinity", validate([(0, 0), (1, 0), (2, 1), (2, Fraction(5, 2)), (1, 2), (0, 1)]), "auto"),
+        ("hexagon5-projective", projective_image(witness, ((0, 1, 0), (0, 0, 1), (-1, -2, 20))), "auto"),
+        ("heptagon-shear", projective_image(standard, ((0, 1, 0), (0, 0, 1), (-10, 0, 11))), "auto"),
+    ]
     return cases
+
+
+def projective_image(points, rows) -> Polygon:
+    """The polygon of the images of points under the map with these rows."""
+    return validate(ProjMap2(rows).apply_affine(points)[0])
 
 
 # sha256 prefixes of `factorize` stdout for pinned_factorize_cases(), recorded
@@ -542,6 +563,12 @@ PINNED_FACTORIZE_SHA256 = {
     "10gon-3d": "ba4f2ae87c5c1848",
     "13gon-join": "2782dcd0f26f1fca",
     "13gon-3d": "5e0b0d98caefb0cf",
+    # recorded while the normalization maps were composed from a
+    # line-to-infinity map and an affine map through three points
+    "hexagon5-mirrored": "534e8ba501e3590a",
+    "hexagon5-infinity": "4cde93a41161d1e2",
+    "hexagon5-projective": "bf68c0cf23027b27",
+    "heptagon-shear": "0f7d2f834d1e5cbc",
 }
 
 # sha256 prefixes of `extend --out` stdout, the summary with its extreme
@@ -571,6 +598,10 @@ PINNED_EXTEND_SHA256 = {
     "10gon-3d": "236561d10048c4d3",
     "13gon-join": "c7182a6a997d74e5",
     "13gon-3d": "c7182a6a997d74e5",
+    "hexagon5-mirrored": "3b4bde578183d6f8",
+    "hexagon5-infinity": "3b4bde578183d6f8",
+    "hexagon5-projective": "3b4bde578183d6f8",
+    "heptagon-shear": "9a10bb1b10192ad2",
 }
 
 

@@ -20,7 +20,7 @@ from polysec.heptagon import (
     standardize,
     std_points,
 )
-from polysec.polygon import Polygon, map_line_to_infinity, validate
+from polysec.polygon import Polygon, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import SectionedPolytope, certify, compute_section, extreme_points
 
@@ -31,6 +31,7 @@ from conftest import (
     contains,
     count_calls,
     count_calls_everywhere,
+    map_line_to_infinity,
     octuple_at,
     octuple_sums,
     point_values,

@@ -18,7 +18,13 @@ from polysec.polygon import ProjMap2, validate
 from polysec.randgen import random_hexagon_params
 from polysec.sections import SectionedPolytope, certify, extreme_points
 
-from conftest import SIX_VERTEX_HEXAGON, apply_map, count_calls, count_calls_everywhere
+from conftest import (
+    SIX_VERTEX_HEXAGON,
+    apply_map,
+    count_calls,
+    count_calls_everywhere,
+    map_line_to_infinity,
+)
 
 # alpha = 2, beta = 5, gamma = 3, x = 1/4, y = 1/3: a hexagon whose only
 # concurrent pairing is the designed one, with a finite concurrency point
@@ -115,7 +121,7 @@ class TestNormalForm:
         nf = hexagon_normal_form(hexagon, decision.witness)
         assert (nf.alpha, nf.beta, nf.gamma, nf.x, nf.y) == (alpha, beta, gamma, x, y)
         assert not nf.mirrored
-        assert nf.map.m == ProjMap2.identity().m
+        assert nf.map.m == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_mirrored_point_set_standardizes(self):
         # swapping the two coordinates relabels the witness; the canonical
@@ -147,7 +153,7 @@ class TestNormalForm:
         nf = hexagon_normal_form(regular_hexagon, 0)
         assert nf.alpha > 1 and nf.beta > 1 and nf.gamma > 1
         assert nf.x > 0 and nf.y > 0
-        assert nf.map.m != ProjMap2.identity().m
+        assert nf.map.m != ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         # the recorded map really carries the hexagon onto the normal form
         image = apply_map(regular_hexagon, nf.map)
         assert image == normal_form_hexagon(nf)
@@ -169,11 +175,12 @@ class TestNormalForm:
 
 class TestReadOnce:
     def test_one_read_and_one_section_per_hexagon(self, regular_hexagon, rng, monkeypatch):
-        # the orientation test picks the anchor assignment; the other one is
-        # never tried, on mirrored witnesses and at-infinity ones alike.  No
-        # polygon is validated: the bipyramid is a vertex list, the pullback
-        # maps vertices only, and the result claims the input hexagon
-        reads = count_calls(monkeypatch, hexagon_module, "_read_normal_form")
+        # the orientation test picks the frame before any map is built: one
+        # frame_map per normal form, on mirrored witnesses and at-infinity
+        # ones alike.  No polygon is validated: the bipyramid is a vertex
+        # list, the pullback maps vertices only, and the result claims the
+        # input hexagon
+        frames = count_calls(monkeypatch, hexagon_module, "frame_map")
         sections = count_calls(monkeypatch, sections_module, "compute_section")
         validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
         hexagons = [regular_hexagon, hexagon_from_params(*ASYMMETRIC_PARAMS),
@@ -187,9 +194,9 @@ class TestReadOnce:
         mirrored = at_infinity = 0
         for hexagon in hexagons:
             r = hexagon_ic(hexagon).witness
-            reads.clear()
+            frames.clear()
             nf = hexagon_normal_form(hexagon, r)
-            assert len(reads) == 1
+            assert len(frames) == 1
             mirrored += nf.mirrored
             at_infinity += not concurrency_point(hexagon, r).is_finite
             sections.clear()
@@ -271,7 +278,6 @@ class TestExtension5:
         # concurrency is an incidence condition, so the decision survives and
         # the bipyramid construction must still certify
         from polysec.exactgeom import ProjLine
-        from polysec.polygon import map_line_to_infinity
 
         for _ in range(15):
             params = random_hexagon_params(rng)

@@ -5,26 +5,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polysec.errors import (
+    DegenerateJoin,
     DegenerateTriple,
     DuplicateVertex,
     ImageNotConvex,
-    LineMeetsPolygon,
     MapsVertexToInfinity,
     NotConvex,
     TooFewVertices,
 )
 from polysec.exactgeom import ProjLine, ProjPoint, det3, join
-from polysec.polygon import (
-    Polygon,
-    ProjMap2,
-    affine_through_three,
-    convex_hull_2d,
-    map_line_to_infinity,
-    validate,
-)
+from polysec.polygon import Polygon, ProjMap2, convex_hull_2d, frame_map, validate
 from polysec.randgen import random_convex_polygon
 
-from conftest import SIX_CROSSING_HEPTAGON, apply_map, contains, strictly_contains
+from conftest import SIX_CROSSING_HEPTAGON, apply_map, contains, rational_grid_point, strictly_contains
 
 
 def clockwise_everywhere(p: Polygon) -> bool:
@@ -82,10 +75,23 @@ class TestValidate:
         assert not contains(sq, Fraction(3), Fraction(0))
 
 
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+AT_INFINITY = ProjLine(0, 0, 1)
+
+
+def affine(x, y) -> ProjPoint:
+    return ProjPoint.from_affine(x, y)
+
+
+def image(t: ProjMap2, point: ProjPoint) -> ProjPoint:
+    """The image of a point, as the matrix times its triple."""
+    return ProjPoint(*(sum(a * b for a, b in zip(row, point.h)) for row in t.m))
+
+
 class TestApplyMap:
     def test_identity(self):
         p = validate(SIX_CROSSING_HEPTAGON)
-        assert apply_map(p, ProjMap2.identity()) == p
+        assert apply_map(p, ProjMap2(IDENTITY)) == p
 
     def test_translation(self):
         p = validate([(0, 0), (1, 0), (0, 1)])
@@ -109,66 +115,106 @@ class TestApplyMap:
 
 
 class TestMapLineToInfinity:
+    """frame_map in its horizon role: the given line goes to infinity."""
+
     def test_line_at_infinity_gives_identity(self):
-        p = validate([(0, 0), (1, 0), (0, 1)])
-        t = map_line_to_infinity(ProjLine(0, 0, 1), p)
-        assert t.m == ProjMap2.identity().m
+        t = frame_map(affine(0, 0), affine(1, 0), affine(0, 1), AT_INFINITY)
+        assert t.m == IDENTITY
 
     def test_vertical_line_left_of_polygon(self):
+        # x = -1 misses the triangle: one weight sign on it, and a point of
+        # the line has weight 0
         p = validate([(1, 0), (2, 0), (1, 1)])
-        line = ProjLine(1, 0, 1)  # x = -1
-        t = map_line_to_infinity(line, p)
+        line = ProjLine(1, 0, 1)
+        t = frame_map(p.vertex(0), p.vertex(1), p.vertex(2), line)
         _, weights = t.apply_affine(p.vertices)
         assert all(w > 0 for w in weights)
         with pytest.raises(MapsVertexToInfinity):
-            t.apply_affine([(-1, 5)])  # on the line
+            t.apply_affine([(-1, 5)])
 
     def test_crossing_line_rejected(self):
+        # the vertical line x = 1 crosses the square: the map built with it
+        # as horizon separates the vertices
         p = validate([(0, 0), (2, 0), (2, 2), (0, 2)])
-        with pytest.raises(LineMeetsPolygon):
-            map_line_to_infinity(join(ProjPoint.from_affine(1, -1), ProjPoint.from_affine(1, 3)), p)
+        horizon = join(affine(1, -1), affine(1, 3))
+        t = frame_map(affine(0, 0), affine(0, 2), affine(2, 0), horizon)
+        with pytest.raises(ImageNotConvex):
+            t.apply_affine(p.vertices)
+        with pytest.raises(MapsVertexToInfinity):
+            t.apply_affine([(1, 0)])
 
     def test_composition_yields_bounded_polygon(self, rng):
         for _ in range(25):
             p = random_convex_polygon(rng, 7)
             # a line strictly right of the polygon (circle points have x <= 1)
             line = ProjLine(1, 0, -3)  # x = 3
-            t = map_line_to_infinity(line, p)
+            t = frame_map(p.vertex(0), p.vertex(3), p.vertex(5), line)
             q = apply_map(p, t)
             assert q.n == 7 and clockwise_everywhere(q)
 
+    def test_horizon_sent_to_infinity(self, rng):
+        for _ in range(25):
+            a, b = rational_grid_point(rng), rational_grid_point(rng)
+            if a == b:
+                continue
+            horizon = join(affine(*a), affine(*b))
+            frame = [affine(*rational_grid_point(rng)) for _ in range(3)]
+            if any(horizon.side(q) == 0 for q in frame) or det3(*frame) == 0:
+                continue
+            t = frame_map(*frame, horizon)
+            for q in (affine(*a), affine(*b)):
+                assert image(t, q).h[2] == 0
+            assert [image(t, q) for q in frame] == [affine(0, 0), affine(1, 0), affine(0, 1)]
+
+    def test_origin_at_infinity(self):
+        # the direction (1, 1) goes to the origin when the horizon is a
+        # finite line that misses it
+        origin = ProjPoint(1, 1, 0)
+        t = frame_map(origin, affine(0, 1), affine(1, 0), ProjLine(1, 1, -5))
+        assert image(t, origin) == affine(0, 0)
+        assert image(t, affine(0, 1)) == affine(1, 0)
+        assert image(t, affine(1, 0)) == affine(0, 1)
+        assert image(t, affine(5, 0)).h[2] == 0
+        # (1, 2) lies on the line through the origin's direction and (0, 1)
+        assert image(t, affine(1, 2)).h[1] == 0
+
 
 class TestAffineThroughThree:
+    """frame_map with the line at infinity as horizon: the affine map that
+    sends three points to (0, 0), (1, 0) and (0, 1)."""
+
     def test_identity(self):
-        src = [(0, 0), (1, 0), (0, 1)]
-        t = affine_through_three(src, src)
-        assert t.m == ProjMap2.identity().m
+        t = frame_map(affine(0, 0), affine(1, 0), affine(0, 1), AT_INFINITY)
+        assert t.m == IDENTITY
 
     def test_doubling(self):
-        t = affine_through_three([(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 0), (0, 2)])
-        img = t.apply(ProjPoint.from_affine(3, 5))
-        assert img.dehomogenize() == (6, 10)
+        half = Fraction(1, 2)
+        t = frame_map(affine(0, 0), affine(half, 0), affine(0, half), AT_INFINITY)
+        assert image(t, affine(3, 5)).dehomogenize() == (6, 10)
 
     def test_degenerate_triple(self):
         with pytest.raises(DegenerateTriple):
-            affine_through_three([(0, 0), (1, 1), (2, 2)], [(0, 0), (1, 0), (0, 1)])
+            frame_map(affine(0, 0), affine(1, 1), affine(2, 2), AT_INFINITY)
         with pytest.raises(DegenerateTriple):
-            affine_through_three([(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 1), (2, 2)])
+            # a frame point on the horizon
+            frame_map(affine(0, 0), affine(1, 0), affine(0, 1), ProjLine(1, 0, -1))
+        with pytest.raises(DegenerateTriple):
+            # equal units are collinear with the origin
+            frame_map(affine(0, 0), affine(1, 0), affine(1, 0), AT_INFINITY)
+        with pytest.raises(DegenerateJoin):
+            frame_map(affine(0, 0), affine(0, 0), affine(0, 1), AT_INFINITY)
+        with pytest.raises(DegenerateJoin):
+            frame_map(affine(0, 0), affine(1, 0), affine(0, 0), AT_INFINITY)
 
     def test_exact_interpolation_fuzz(self, rng):
         for _ in range(50):
-            src = [(Fraction(rng.randrange(-40, 40), 8), Fraction(rng.randrange(-40, 40), 8))
-                   for _ in range(3)]
-            dst = [(Fraction(rng.randrange(-40, 40), 8), Fraction(rng.randrange(-40, 40), 8))
-                   for _ in range(3)]
-            def area(p):
-                return (p[1][0] - p[0][0]) * (p[2][1] - p[0][1]) - (p[1][1] - p[0][1]) * (p[2][0] - p[0][0])
-            if area(src) == 0 or area(dst) == 0:
+            frame = [affine(Fraction(rng.randrange(-40, 40), 8), Fraction(rng.randrange(-40, 40), 8))
+                     for _ in range(3)]
+            if det3(*frame) == 0:
                 continue
-            t = affine_through_three(src, dst)
-            assert t.det != 0 and t.m[2][:2] == (0, 0)
-            for s, d in zip(src, dst):
-                assert t.apply(ProjPoint.from_affine(*s)).dehomogenize() == d
+            t = frame_map(*frame, AT_INFINITY)
+            assert t.det != 0 and t.m[2][:2] == (0, 0) and t.m[2][2] > 0
+            assert [image(t, q) for q in frame] == [affine(0, 0), affine(1, 0), affine(0, 1)]
 
 
 def fraction_orient(a, b, c):

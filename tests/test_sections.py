@@ -432,7 +432,7 @@ class TestExtremePoints:
 class TestLiftAndPullback:
     def test_identity_lift(self):
         point = (Fraction(3), Fraction(4), Fraction(5), Fraction(6))
-        assert pullback([point], ProjMap2.identity()) == [(3, 4, 5, 6)]
+        assert pullback([point], ProjMap2(((1, 0, 0), (0, 1, 0), (0, 0, 1)))) == [(3, 4, 5, 6)]
 
     def test_translation_lift_fixes_transverse_coords(self):
         t = ProjMap2(((1, 0, 5), (0, 1, -2), (0, 0, 1)))
