@@ -16,7 +16,6 @@ from .compose import (
 from .exactgeom import (
     ProjLine,
     ProjPoint,
-    Scalar,
     det3,
     join,
     meet,
@@ -57,7 +56,6 @@ from .sections import (
 )
 from .slack import (
     SlackFactorization,
-    SlackMatrix,
     extend_facet_inequality,
     factorize_from_section,
     slack_matrix,

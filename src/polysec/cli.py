@@ -27,11 +27,11 @@ from .jsonio import (
     dumps,
     factorization_to_obj,
     loads,
+    matrix_to_obj,
     polygon_from_obj,
     polygon_to_obj,
     sectioned_from_obj,
     sectioned_to_obj,
-    slack_to_obj,
 )
 from .polygon import Polygon
 from .randgen import random_convex_polygon, random_point_config
@@ -129,7 +129,7 @@ def cmd_verify(args) -> int:
 
 def cmd_slack(args) -> int:
     polygon = _load_polygon(args.path)
-    sys.stdout.write(dumps(slack_to_obj(slack_matrix(polygon))))
+    sys.stdout.write(dumps(matrix_to_obj(slack_matrix(polygon))))
     return 0
 
 

@@ -30,10 +30,6 @@ class DegenerateMeet(DomainError):
     pass
 
 
-class AtInfinity(DomainError):
-    pass
-
-
 # polygon
 class NotConvex(DomainError):
     pass

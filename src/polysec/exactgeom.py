@@ -23,13 +23,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
 
-from .errors import AtInfinity, DegenerateJoin, DegenerateMeet, ParseError, ScaleExceeded
+from .errors import DegenerateJoin, DegenerateMeet, ParseError, ScaleExceeded
 
-Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
 __all__ = [
-    "Scalar",
     "ProjPoint",
     "ProjLine",
     "join",
@@ -154,12 +152,6 @@ class ProjPoint(_HomogeneousTriple):
     @property
     def is_finite(self) -> bool:
         return self.h[2] != 0
-
-    def dehomogenize(self) -> tuple[Fraction, Fraction]:
-        x, y, w = self.h
-        if w == 0:
-            raise AtInfinity(f"point at infinity {self.h} has no affine coordinates")
-        return Fraction(x, w), Fraction(y, w)
 
 
 class ProjLine(_HomogeneousTriple):

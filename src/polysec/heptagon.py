@@ -59,7 +59,6 @@ class Crossing(enum.Enum):
 class StdPoints:
     """The i-th standardization construction: p_i^+, p_i^-, and their join."""
 
-    index: int
     plus: ProjPoint
     minus: ProjPoint
     line: ProjLine
@@ -100,7 +99,7 @@ def std_points(polygon: Polygon, i: int) -> StdPoints:
     minus = meet(line(-1, -2), line(0, -3))
     if plus == minus:
         raise DegenerateConstruction(f"p_{i}^+ equals p_{i}^- on {polygon!r}")
-    return StdPoints(index=i % 7, plus=plus, minus=minus, line=join(plus, minus))
+    return StdPoints(plus=plus, minus=minus, line=join(plus, minus))
 
 
 def _octuple(rows: Sequence, i: int) -> DetOctuple:
@@ -212,8 +211,6 @@ class StandardHeptagon:
             raise CertificationFailure(
                 f"need a, d, lam, mu > 0, got {self.a}, {self.d}, {self.lam}, {self.mu}"
             )
-        if not (1 - self.a - self.b - self.lam > 0 and 1 - self.c - self.d - self.mu > 0):
-            raise CertificationFailure("convexity margins violated")
         pts = self.vertex_list()
         for i in range(7):
             if _orient(pts[(i + 2) % 7], pts[(i + 1) % 7], pts[i]) <= 0:

@@ -89,7 +89,6 @@ class HexNormalForm:
     gamma: Fraction
     x: Fraction
     y: Fraction
-    rotation: int
     mirrored: bool
     map: ProjMap2
 
@@ -141,10 +140,8 @@ def hexagon_normal_form(polygon: Polygon, r: int) -> HexNormalForm:
         raise NormalFormConstraintViolated(
             f"need alpha, beta, gamma > 1, got {alpha}, {beta}, {gamma}"
         )
-    return HexNormalForm(
-        alpha=alpha, beta=beta, gamma=gamma, x=x, y=y,
-        rotation=r, mirrored=not direct, map=normalize,
-    )
+    return HexNormalForm(alpha=alpha, beta=beta, gamma=gamma, x=x, y=y,
+                         mirrored=not direct, map=normalize)
 
 
 def _far_line(polygon: Polygon, c: ProjPoint) -> ProjLine:

@@ -10,7 +10,7 @@ from .errors import ParseError
 from .exactgeom import _ZERO, format_scalar, parse_scalar
 from .polygon import Polygon, validate
 from .sections import SectionedPolytope
-from .slack import SlackFactorization, SlackMatrix
+from .slack import SlackFactorization
 
 __all__ = [
     "polygon_to_obj",
@@ -18,7 +18,6 @@ __all__ = [
     "sectioned_to_obj",
     "sectioned_from_obj",
     "matrix_to_obj",
-    "slack_to_obj",
     "factorization_to_obj",
     "dumps",
     "loads",
@@ -68,8 +67,7 @@ def sectioned_to_obj(s: SectionedPolytope) -> dict:
     return {
         "dim": s.dim,
         "vertices": [[format_scalar(c) for c in v] for v in s.vertices],
-        "claimed": {"vertices": [[format_scalar(x), format_scalar(y)]
-                                 for x, y in s.claimed.vertices]},
+        "claimed": polygon_to_obj(s.claimed),
         "certified": bool(s.certified),
     }
 
@@ -100,10 +98,6 @@ def sectioned_from_obj(obj) -> SectionedPolytope:
 def matrix_to_obj(matrix: Sequence[Sequence[Fraction]]) -> dict:
     rows = [[format_scalar(v) for v in row] for row in matrix]
     return {"shape": [len(rows), len(rows[0]) if rows else 0], "entries": rows}
-
-
-def slack_to_obj(sm: SlackMatrix) -> dict:
-    return matrix_to_obj(sm.entries)
 
 
 def factorization_to_obj(fact: SlackFactorization, extension_sha256: str) -> dict:

@@ -52,29 +52,6 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
     return x
 
 
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    rows = [list(map(Fraction, row)) for row in matrix]
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    rk = 0
-    for col in range(n):
-        pivot = next((i for i in range(rk, m) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        pv = rows[rk][col]
-        for i in range(rk + 1, m):
-            if rows[i][col] != 0:
-                f = rows[i][col] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
-        rk += 1
-        if rk == m:
-            break
-    return rk
-
-
 def feasible_nonnegative_solution(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> Optional[Row]:

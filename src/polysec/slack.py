@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificationFailure, DomainError, NoExtension, NotInPolytope
-from .linalg import fourier_motzkin_point, rank
+from .linalg import fourier_motzkin_point
 from .polygon import Polygon
 from .sections import (
     SectionedPolytope,
@@ -42,7 +42,6 @@ from .sections import (
 )
 
 __all__ = [
-    "SlackMatrix",
     "SlackFactorization",
     "slack_matrix",
     "extend_facet_inequality",
@@ -51,20 +50,6 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
-class SlackMatrix:
-    """S[i][j] = slack of vertex j in the inequality of edge (i, i+1)."""
-
-    entries: Matrix
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def rank(self) -> int:
-        return rank(self.entries)
 
 
 @dataclass(frozen=True)
@@ -79,14 +64,14 @@ class SlackFactorization:
         return len(self.r_factor[0]) if self.r_factor else 0
 
 
-def slack_matrix(polygon: Polygon) -> SlackMatrix:
-    n = polygon.n
+def slack_matrix(polygon: Polygon) -> Matrix:
+    """Row i holds the slack of each vertex in the inequality of edge (i, i+1)."""
     points = polygon.vertices
     rows = []
-    for i in range(n):
+    for i in range(polygon.n):
         a, b = polygon.edge_inequality(i)
         rows.append(tuple(b - a[0] * x - a[1] * y for (x, y) in points))
-    return SlackMatrix(entries=tuple(rows))
+    return tuple(rows)
 
 
 def extend_facet_inequality(facet: int, s: SectionedPolytope) -> tuple[Fraction, ...]:
@@ -171,14 +156,14 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     return fact
 
 
-def verify_factorization(sm: SlackMatrix, fact: SlackFactorization) -> bool:
+def verify_factorization(sm: Matrix, fact: SlackFactorization) -> bool:
     """Exact check: factors nonnegative and R * C equals the slack matrix.
 
     Each product entry sums over the nonzero entries of its C column only,
     which omits exactly the zero terms.
     """
     r, c = fact.r_factor, fact.c_factor
-    n = sm.n
+    n = len(sm)
     if len(r) != n or (r and len(c) != len(r[0])) or any(len(row) != n for row in c):
         return False
     if any(v < 0 for row in r for v in row) or any(v < 0 for row in c for v in row):
@@ -186,6 +171,6 @@ def verify_factorization(sm: SlackMatrix, fact: SlackFactorization) -> bool:
     for j in range(n):
         column = [(k, row[j]) for k, row in enumerate(c) if row[j]]
         for i in range(n):
-            if sum(r[i][k] * w for k, w in column) != sm.entries[i][j]:
+            if sum(r[i][k] * w for k, w in column) != sm[i][j]:
                 return False
     return True

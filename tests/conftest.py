@@ -2,6 +2,7 @@ import random
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import settings
@@ -109,6 +110,29 @@ def map_line_to_infinity(line: ProjLine, polygon: Polygon) -> ProjMap2:
     pivot = next(k for k in range(3) if l[k] != 0)
     basis_rows = [row for k, row in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))) if k != pivot]
     return ProjMap2((basis_rows[0], basis_rows[1], l))
+
+
+def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
+    rows = [list(map(Fraction, row)) for row in matrix]
+    m = len(rows)
+    if m == 0:
+        return 0
+    n = len(rows[0])
+    rk = 0
+    for col in range(n):
+        pivot = next((i for i in range(rk, m) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        pv = rows[rk][col]
+        for i in range(rk + 1, m):
+            if rows[i][col] != 0:
+                f = rows[i][col] / pv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
+        rk += 1
+        if rk == m:
+            break
+    return rk
 
 
 def incident(line: ProjLine, point: ProjPoint) -> bool:

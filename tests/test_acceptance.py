@@ -29,6 +29,7 @@ from conftest import (
     SIX_CROSSING_HEPTAGON,
     SIX_VERTEX_HEXAGON,
     incident,
+    rank,
     octuple_at,
     octuple_sums,
     point_values,
@@ -211,7 +212,7 @@ def test_criterion_8_nonnegative_rank():
     for _ in range(100):
         polygon = random_convex_polygon(rng, 7)
         sm = slack_matrix(polygon)
-        assert sm.rank() == 3
+        assert rank(sm) == 3
         ext = heptagon_extension(polygon)
         fact = factorize_from_section(polygon, ext)
         assert fact.inner_dim <= 6
@@ -219,7 +220,7 @@ def test_criterion_8_nonnegative_rank():
     for n in (14, 16):
         polygon = random_convex_polygon(rng, n)
         sm = slack_matrix(polygon)
-        assert sm.rank() == 3
+        assert rank(sm) == 3
         ext = ngon_extension(polygon)
         fact = factorize_from_section(polygon, ext)
         assert fact.inner_dim <= -((6 * n) // -7)

@@ -305,6 +305,15 @@ class TestSlackFactorize:
         assert out["shape"] == [7, 7]
         assert out["entries"][0][0] == "0"
 
+    def test_slack_output_unchanged(self, tmp_path, capsys):
+        cases = {"triangle": [(0, 0), (1, 0), (0, 1)], "heptagon": SIX_CROSSING_HEPTAGON,
+                 "14gon": random_convex_polygon(random.Random(20261019), 14).vertices}
+        digests = {}
+        for name, points in cases.items():
+            assert main(["slack", write_polygon(tmp_path, name + ".json", points)]) == 0
+            digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+        assert digests == PINNED_SLACK_SHA256
+
     def test_factorize_bundle(self, heptagon_file, tmp_path, capsys):
         out = tmp_path / "ext.json"
         main(["extend", heptagon_file, "--out", str(out)])
@@ -602,6 +611,15 @@ PINNED_EXTEND_SHA256 = {
     "hexagon5-infinity": "3b4bde578183d6f8",
     "hexagon5-projective": "3b4bde578183d6f8",
     "heptagon-shear": "9a10bb1b10192ad2",
+}
+
+
+# sha256 prefixes of `slack` stdout in test_slack_output_unchanged, recorded
+# while the slack matrix was wrapped in a class
+PINNED_SLACK_SHA256 = {
+    "triangle": "6080a4b96e1af0f6",
+    "heptagon": "32a039a75bf83bf3",
+    "14gon": "9fb3b4e4da43d0ec",
 }
 
 

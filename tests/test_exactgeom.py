@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polysec.errors import AtInfinity, DegenerateJoin, DegenerateMeet, ParseError
+from polysec.errors import DegenerateJoin, DegenerateMeet, ParseError
 from polysec.exactgeom import (
     MAX_EXPONENT_DIGITS,
     MAX_SCALAR_CHARS,
@@ -58,7 +58,7 @@ class TestJoinMeet:
         # x + y = 1 and x - y = 0 meet at (1/2, 1/2)
         l1 = ProjLine(1, 1, -1)
         l2 = ProjLine(1, -1, 0)
-        assert meet(l1, l2).dehomogenize() == (Fraction(1, 2), Fraction(1, 2))
+        assert meet(l1, l2) == ProjPoint.from_affine(Fraction(1, 2), Fraction(1, 2))
 
     def test_meet_equal_lines_degenerate(self):
         with pytest.raises(DegenerateMeet):
@@ -90,17 +90,14 @@ class TestDet3:
 
 class TestDehomogenize:
     def test_scales_out(self):
-        assert ProjPoint(2, 4, 2).dehomogenize() == (1, 2)
+        assert ProjPoint(2, 4, 2).h == (1, 2, 1)
 
     def test_infinite_point(self):
         p = ProjPoint(1, 0, 0)
         assert not p.is_finite
-        with pytest.raises(AtInfinity):
-            p.dehomogenize()
 
     def test_fractional_weight(self):
-        p = ProjPoint(Fraction(3, 2), -5, Fraction(1, 2))
-        assert p.dehomogenize() == (3, -10)
+        assert ProjPoint(Fraction(3, 2), -5, Fraction(1, 2)) == ProjPoint.from_affine(3, -10)
 
     def test_negative_weight_normalized_on_construction(self):
         assert ProjPoint(-1, -2, -1) == pt(1, 2)

@@ -88,7 +88,7 @@ class TestStdPoints:
         assert det != 0
         x = (-l1[2] * l2[1] + l2[2] * l1[1]) / det
         y = (-l1[0] * l2[2] + l2[0] * l1[2]) / det
-        assert sp.plus.dehomogenize() == (x, y)
+        assert sp.plus == ProjPoint.from_affine(x, y)
 
     def test_plus_minus_outside_polygon(self, rng):
         for _ in range(30):
@@ -98,8 +98,8 @@ class TestStdPoints:
                 assert sp.plus != sp.minus
                 for point in (sp.plus, sp.minus):
                     if point.is_finite:
-                        x, y = point.dehomogenize()
-                        assert not contains(polygon, x, y)
+                        x, y, w = point.h
+                        assert not contains(polygon, Fraction(x, w), Fraction(y, w))
 
     def test_standard_heptagon_line0_at_infinity(self):
         polygon = standard_polygon()

@@ -9,11 +9,10 @@ from polysec.linalg import (
     convex_coefficients,
     feasible_nonnegative_solution,
     fourier_motzkin_point,
-    rank,
     solve_linear,
 )
 
-from conftest import count_calls
+from conftest import count_calls, rank
 
 
 def F(a, b=1):

@@ -190,7 +190,7 @@ class TestAffineThroughThree:
     def test_doubling(self):
         half = Fraction(1, 2)
         t = frame_map(affine(0, 0), affine(half, 0), affine(0, half), AT_INFINITY)
-        assert image(t, affine(3, 5)).dehomogenize() == (6, 10)
+        assert image(t, affine(3, 5)) == affine(6, 10)
 
     def test_degenerate_triple(self):
         with pytest.raises(DegenerateTriple):
