@@ -61,17 +61,23 @@ def concurrency_point(polygon: Polygon, r: int) -> Optional[ProjPoint]:
 
 
 class HexDecision(NamedTuple):
+    """The intersection complexity, and for 5 the witness pairing r with
+    its concurrency point, which hexagon_normal_form takes as found."""
+
     ic: int
     witness: Optional[int]
+    point: Optional[ProjPoint]
 
 
 def hexagon_ic(polygon: Polygon) -> HexDecision:
-    """Intersection complexity of a hexagon: (5, witness r) or (6, None)."""
+    """Intersection complexity of a hexagon: (5, witness r, its concurrency
+    point) or (6, None, None)."""
     _require_hexagon(polygon)
     for r in range(3):
-        if concurrency_point(polygon, r) is not None:
-            return HexDecision(5, r)
-    return HexDecision(6, None)
+        c = concurrency_point(polygon, r)
+        if c is not None:
+            return HexDecision(5, r, c)
+    return HexDecision(6, None, None)
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,10 @@ class HexNormalForm:
     map: ProjMap2
 
 
-def hexagon_normal_form(polygon: Polygon, r: int) -> HexNormalForm:
-    """Normalize a hexagon whose r-th line triple is concurrent, by one map.
+def hexagon_normal_form(polygon: Polygon, decision: HexDecision) -> HexNormalForm:
+    """Normalize a hexagon by one map, from its decision (hexagon_ic): the
+    witness r, whose line triple is concurrent, and that concurrency point
+    c, not looked for again.  NoConcurrency for a hexagon of complexity 6.
 
     The map is built from its frame (frame_map): the concurrency point c
     and two vertices go to (0,0), (1,0) and (0,1), and a horizon to
@@ -118,9 +126,9 @@ def hexagon_normal_form(polygon: Polygon, r: int) -> HexNormalForm:
     (NormalFormConstraintViolated).
     """
     _require_hexagon(polygon)
-    c = concurrency_point(polygon, r)
+    r, c = decision.witness, decision.point
     if c is None:
-        raise NoConcurrency(f"no concurrency for pairing {r}")
+        raise NoConcurrency("no pairing of this hexagon is concurrent")
     horizon = ProjLine(0, 0, 1) if c.is_finite else _far_line(polygon, c)
     p = polygon.vertex
     c_row = c.h if horizon.side(c) == horizon.side(p(r)) else tuple(-v for v in c.h)
@@ -189,6 +197,6 @@ def hexagon_extension5(polygon: Polygon) -> SectionedPolytope:
     decision = hexagon_ic(polygon)
     if decision.ic == 6:
         raise ComplexitySix("this hexagon is not a section of any 5-vertex polytope")
-    nf = hexagon_normal_form(polygon, decision.witness)
+    nf = hexagon_normal_form(polygon, decision)
     vertices = bounded_pullback(build_bipyramid(nf), nf.map.inverse())
     return certify(SectionedPolytope(3, vertices, polygon))

@@ -8,18 +8,19 @@ lexicographically smallest vertex at index 0.  Operations that need a
 specific index alignment take their own index parameter instead of
 relying on the canonical rotation.
 
-Points are ordered by exact integer keys.  When every denominator of a
-set of rationals is below 2^(s/2), the key (a << s) // b of x = a/b is
-floor(x 2^s), and two distinct values a1/b1 != a2/b2 differ by at least
-1/(b1 b2) > 2^-s, so their keys differ and keep their order, while equal
-values give equal keys.  Sorting and deduplication compare ints only.
-
 Orientation is an integer determinant sign.  An affine point (x, y) is
 lifted to the integer triple (x.num y.den, y.num x.den, x.den y.den),
 whose weight is positive, so the sign of the 3x3 determinant of three
-lifts is the sign of their turn.  convex_hull_2d lifts each distinct point
-once and runs the monotone chain on those signs, and no Fraction is
-compared or hashed.
+lifts is the sign of their turn.
+
+Points are ordered by exact integer keys, read off the lifts (_lift_keys).
+A lift (X, Y, W) is the point (X/W, Y/W).  When every weight of a set of
+lifts is below 2^(s/2), the key (X << s) // W of X/W is floor(x 2^s), and
+two distinct values X1/W1 != X2/W2 differ by at least 1/(W1 W2) > 2^-s,
+so their keys differ and keep their order, while equal values give equal
+keys.  Sorting and deduplication compare ints only.  convex_hull_2d lifts
+each point once, sorts on the keys and runs the monotone chain on the turn
+signs, and no Fraction is compared or hashed.
 
 validate accepts in linear time, with no sort and no hull, when the n
 cyclic turns have one strict sign and, from the smallest key, the keys
@@ -44,6 +45,7 @@ triples.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -89,36 +91,78 @@ def _orient(a: AffinePair, b: AffinePair, c: AffinePair) -> int:
     return _turn(_lift(a), _lift(b), _lift(c))
 
 
-def _sort_keys(points: Sequence[AffinePair]) -> list[tuple[int, int]]:
-    """The exact integer key pair of every point: (a << s) // b for each
-    coordinate a/b, with s twice the largest denominator bit length, so
-    that every denominator is below 2^(s/2) (module docstring)."""
-    s = 2 * max((c.denominator for p in points for c in p), default=1).bit_length()
-    return [((x.numerator << s) // x.denominator, (y.numerator << s) // y.denominator)
-            for x, y in points]
+def _lift_keys(lifts: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """The exact integer key pair of every lifted point: (X << s) // W and
+    (Y << s) // W, with s twice the largest weight bit length, so that
+    every weight is below 2^(s/2) (module docstring)."""
+    s = 2 * max((w for _, _, w in lifts), default=1).bit_length()
+    return [((x << s) // w, (y << s) // w) for x, y, w in lifts]
+
+
+def _convex_cycle(lifts: Sequence[tuple[int, int, int]], keys: Sequence[tuple[int, int]]) -> int:
+    """The turn sign, -1 clockwise or 1 counterclockwise, of points that in
+    their given cyclic order are the vertices of a strictly convex polygon,
+    each once; 0 for any other points (fewer than three included).  Linear
+    (module docstring): the cyclic turns of the lifts have one strict sign,
+    and from the smallest exact key (_lift_keys) the keys rise strictly to
+    the largest and then fall strictly."""
+    n = len(lifts)
+    turns = {_turn(lifts[k - 2], lifts[k - 1], lifts[k]) for k in range(n)}
+    rises = [keys[k - 1] < keys[k] for k in range(n)]
+    if len(turns) == 1 and sum(rises[k - 1] != rises[k] for k in range(n)) == 2:
+        return turns.pop()
+    return 0
+
+
+def _encloses(lifts: Sequence[tuple[int, int, int]], keys: Sequence[tuple[int, int]],
+              point_lifts: Sequence[tuple[int, int, int]], point_keys: Sequence[tuple[int, int]]) -> bool:
+    """Whether every given point lies in the closed strictly convex polygon
+    whose vertices run clockwise from the smallest key (_convex_cycle gives
+    -1, and keys[0] is the minimum); all keys are of one _lift_keys call.
+
+    The keys rise along the upper chain, from vertex 0 to the largest key
+    at vertex m, and fall along the lower chain back to vertex 0.  Only the
+    upper chain can start with a vertical edge (up from vertex 0), and only
+    the lower one (down from vertex m).  A point between the smallest and
+    the largest x lies in the polygon exactly when it is on or right of the
+    non-vertical edge of each chain over its x, that is at or below the
+    upper chain and at or above the lower one.  Those edges are found by
+    bisection on the x keys, so each point costs two turns.
+    """
+    m = keys.index(max(keys))
+    lower = [0, *range(len(keys) - 1, m - 1, -1)]
+    upper_x = [key[0] for key in keys[:m + 1]]
+    lower_x = [keys[k][0] for k in lower]
+    for p, (x, _) in zip(point_lifts, point_keys):
+        if not upper_x[0] <= x <= upper_x[-1]:
+            return False
+        j = min(bisect_right(upper_x, x), m)
+        i = max(bisect_left(lower_x, x), 1)
+        if _turn(lifts[j - 1], lifts[j], p) > 0 or _turn(lifts[lower[i]], lifts[lower[i - 1]], p) > 0:
+            return False
+    return True
 
 
 def convex_hull_2d(points: Iterable[AffinePair]) -> list[AffinePair]:
     """Strict convex hull (collinear boundary points dropped), counterclockwise.
 
-    The points are sorted and deduplicated on their exact integer keys
-    (_sort_keys: floor(x 2^s) and floor(y 2^s) with every denominator below
-    2^(s/2), so distinct values, at least 2^-s apart, never share a key);
-    the monotone chain then runs over the distinct points, each lifted once
-    to integers, on integer determinant signs.  The first hull vertex is the
-    lexicographically smallest point.  The hull holds the given pair objects
+    Each point is lifted once to integers, and the points are sorted and
+    deduplicated on the exact integer keys of their lifts (_lift_keys:
+    floor(x 2^s) and floor(y 2^s) with every weight below 2^(s/2), so
+    distinct values, at least 2^-s apart, never share a key); the monotone
+    chain then runs over the distinct points on integer determinant signs.
+    The first hull vertex is the lexicographically smallest point.  The hull holds the given pair objects
     themselves, the first given of equal points.
     """
     pts = list(points)
-    keys = _sort_keys(pts)
-    order = sorted(range(len(pts)), key=keys.__getitem__)
-    pts = [pts[k] for pos, k in enumerate(order) if pos == 0 or keys[k] != keys[order[pos - 1]]]
-    n = len(pts)
-    if n <= 2:
-        return pts
     lifts = [_lift(p) for p in pts]
+    keys = _lift_keys(lifts)
+    order = sorted(range(len(pts)), key=keys.__getitem__)
+    order = [k for pos, k in enumerate(order) if pos == 0 or keys[k] != keys[order[pos - 1]]]
+    if len(order) <= 2:
+        return [pts[k] for k in order]
     hull: list[int] = []
-    for chain in (range(n), range(n - 1, -1, -1)):
+    for chain in (order, order[::-1]):
         base = len(hull)
         for k in chain:
             while len(hull) >= base + 2 and _turn(lifts[hull[-2]], lifts[hull[-1]], lifts[k]) <= 0:
@@ -192,13 +236,12 @@ def validate(points: Iterable[Sequence]) -> Polygon:
     n = len(pts)
     if n < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {n}")
-    keys = _sort_keys(pts)
     lifts = [_lift(p) for p in pts]
-    turns = {_turn(lifts[k - 2], lifts[k - 1], lifts[k]) for k in range(n)}
-    rises = [keys[k - 1] < keys[k] for k in range(n)]
-    if len(turns) == 1 and 0 not in turns and sum(rises[k - 1] != rises[k] for k in range(n)) == 2:
+    keys = _lift_keys(lifts)
+    turn = _convex_cycle(lifts, keys)
+    if turn:
         m = keys.index(min(keys))
-        if turns == {-1}:
+        if turn < 0:
             return Polygon(pts[m:] + pts[:m])
         return Polygon([pts[m - k] for k in range(n)])
     # the keys are exact: equal keys are equal points

@@ -9,20 +9,20 @@ Support lemma, exact in any dimension: if u and v have different off-H
 supports, the segment [u, v] meets H at most at an endpoint that already
 lies on H.  Say u_j != 0 = v_j; then (1-t) u_j = 0 forces t = 1, the
 endpoint v.  So only segments between vertices of one nonempty support can
-cross H anywhere else, and compute_section tests only those pairs, at most
-MAX_PAIR_TESTS of them (past it, ScaleExceeded before the first test).
-Within a support every support coordinate is nonzero at both ends, so a pair
-crosses H exactly when the first support coordinates have opposite signs
-and the support coordinates are proportional.  Each vertex is read once,
-into its integer key: the (numerator, denominator) pairs of x, y and its
-support coordinates.  The crossings are tested and computed on these keys
-(_segment_flat_crossing), which yields the planar point only: only
+cross H anywhere else, and only those pairs are tested (_flat_crossings),
+at most MAX_PAIR_TESTS of them (past it, ScaleExceeded before the first
+test).  Within a support every support coordinate is nonzero at both ends,
+so a pair crosses H exactly when the first support coordinates have
+opposite signs and the support coordinates are proportional.  Each vertex
+is read once, into its integer key: the (numerator, denominator) pairs of
+x, y and its support coordinates.  The crossings are tested and computed on
+these keys (_segment_flat_crossing), which yields the planar point only,
+as its point key (x.num, x.den, y.num, y.den) in lowest terms with positive
+denominators, one gcd per coordinate: the key of a Fraction pair, so equal
+points have equal keys, and no Fraction is formed or hashed.  Only
 _section_columns forms the parameter t of a crossing.
 
-The hull of the vertices on H and of these crossings lies in the section;
-compute_section hulls both point lists directly, with no convex column
-and no Fraction hashed (the columns, keyed by point in _section_columns,
-serve only _claim_columns: the LP check and factorize).
+The hull of the vertices on H and of these crossings lies in the section.
 It is the whole section when every vertex has at most one nonzero
 coordinate off H, as in 3-D and in every join this package builds.  Write
 a point of the section as a convex combination of vertices and split the
@@ -30,11 +30,26 @@ terms by support {j}: only that block touches coordinate j, so its terms
 sum to zero there, and the block's normalized part is a point on H of the
 3-polytope conv(block).  A plane section of a 3-polytope is the hull of its
 vertices on the plane and its edge crossings, so that point is in the hull
-of the block's crossings.  verify_section compares this hull with the claim
-vertex for vertex.  SectionedPolytope.blocks, the block decomposition
-computed at construction, decides whether a file takes this path (and
-serves slack): for each vertex the index j of its one nonzero coordinate
-off H, None on H; or None when some vertex has two.
+of the block's crossings.  SectionedPolytope.blocks, the block
+decomposition computed at construction, decides whether a file takes this
+path (and serves slack): for each vertex the index j of its one nonzero
+coordinate off H, None on H; or None when some vertex has two.  It also
+gives the supports crossed, so the off-H coordinates are scanned once.
+
+On this path verify_section matches the claim against the point keys, with
+no hull.  The claim passes when (1) it is strictly convex in canonical
+order: validate's linear test (polygon._convex_cycle) turns clockwise, from
+the lexicographic minimum at index 0; (2) every claimed vertex is one of
+the points; and (3) every other point lies in the closed claimed polygon
+(polygon._encloses: two turns per point, at the edges over its x that a
+bisection on the exact keys finds).  Then the hull of the points is the
+claimed polygon: (3) puts the points inside it and (2) its vertices among
+them, and the vertices of a strictly convex polygon are the vertices of
+its hull, so the claim is the hull vertex for vertex, in canonical order.
+Conversely the hull of the points, when it is a polygon, passes all three.
+compute_section, which hulls the points, is the reference the tests
+compare this with.  A claim of fewer than three vertices is no polygon
+and fails, where compute_section gives one point or a segment.
 
 Any other vertex set is certified by exact linear programs over at most
 64 distinct vertices (distinct_points): each claimed vertex, placed on H,
@@ -54,6 +69,7 @@ states that claim and certifies it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import (
@@ -70,9 +86,18 @@ from .linalg import (
     feasible_nonnegative_solution,
     interval_point,
 )
-from .polygon import AffinePair, Polygon, ProjMap2, canonical_hull
+from .polygon import (
+    AffinePair,
+    Polygon,
+    ProjMap2,
+    _convex_cycle,
+    _encloses,
+    _lift_keys,
+    canonical_hull,
+)
 
 AmbientPoint = tuple[Fraction, ...]
+PointKey = tuple[int, int, int, int]
 
 __all__ = [
     "SectionedPolytope",
@@ -126,9 +151,16 @@ class SectionedPolytope:
                 f"certified={self.certified})")
 
 
-def _segment_flat_crossing(u: tuple, v: tuple) -> Optional[AffinePair]:
-    """Planar point where segment [u, v] meets H, if it meets H at one
-    point, for two vertices of the same nonempty off-H support.
+def _point_key(x, y) -> PointKey:
+    """The point key (x.num, x.den, y.num, y.den) of a planar point of ints
+    or Fractions: equal points, equal keys."""
+    return x.numerator, x.denominator, y.numerator, y.denominator
+
+
+def _segment_flat_crossing(u: tuple, v: tuple) -> Optional[PointKey]:
+    """Point key of the planar point where segment [u, v] meets H, if it
+    meets H at one point, for two vertices of the same nonempty off-H
+    support.
 
     u and v are the vertices' integer keys (_flat_crossings): one
     (numerator, denominator) pair for each of x, y and the support
@@ -137,10 +169,11 @@ def _segment_flat_crossing(u: tuple, v: tuple) -> Optional[AffinePair]:
     v_j have opposite signs, and every support coordinate pins the same t
     exactly when (u_j, v_j) and (u_k, v_k) are proportional; both tests
     run on the integers.  t itself is not formed (only _section_columns
-    needs it): with a = u_j, b = v_j, p = a.num b.den and q = -b.num a.den
-    (nonzero, of one sign), t = p / (p + q), 1 - t = q / (p + q) and
-    x = (q u_x.num v_x.den + p v_x.num u_x.den) / ((p + q) u_x.den v_x.den),
-    y likewise, each one Fraction normalized once.
+    needs it): with a = u_j, b = v_j, p = |a.num| b.den and
+    q = |b.num| a.den (both positive), t = p / (p + q), 1 - t = q / (p + q)
+    and x = (q u_x.num v_x.den + p v_x.num u_x.den) / ((p + q) u_x.den v_x.den),
+    y likewise, each brought to lowest terms by one gcd; the denominators
+    are positive, so the key is that of the Fractions.
     """
     (an, ad), (bn, bd) = u[2], v[2]
     if (an > 0) == (bn > 0):
@@ -150,13 +183,14 @@ def _segment_flat_crossing(u: tuple, v: tuple) -> Optional[AffinePair]:
         (cn, cd), (dn, dd) = u[k], v[k]
         if an * dn * bd * cd != bn * cn * ad * dd:
             return None
-    p = an * bd
-    q = -bn * ad
+    p, q = (an * bd, -bn * ad) if an > 0 else (-an * bd, bn * ad)
     s = p + q
     (xn, xd), (yn, yd) = u[0], u[1]
     (zn, zd), (wn, wd) = v[0], v[1]
-    return (Fraction(q * xn * zd + p * zn * xd, s * xd * zd),
-            Fraction(q * yn * wd + p * wn * yd, s * yd * wd))
+    x, x_den = q * xn * zd + p * zn * xd, s * xd * zd
+    y, y_den = q * yn * wd + p * wn * yd, s * yd * wd
+    g, h = gcd(x, x_den), gcd(y, y_den)
+    return x // g, x_den // g, y // h, y_den // h
 
 
 def _support(v: Sequence) -> tuple[int, ...]:
@@ -173,13 +207,13 @@ def _flat_crossings(vertices: Sequence[Sequence], supports: Sequence[tuple[int, 
     off-H support (supports[k] is that of vertices[k]); by the support
     lemma no other segment crosses H except at an endpoint on H.
 
-    Yields (i, j, point) in lexicographic (i, j) order, i < j, with point
-    the planar crossing of [vertices[i], vertices[j]].  Each vertex is read
-    once, into its integer key: the (numerator, denominator) pairs of x, y
-    and its support coordinates, which within one support fix the vertex.
-    The keys find repeated vertices, crossed at their first index only (a
-    later copy adds no crossing point, and no earlier pair), and are what
-    _segment_flat_crossing crosses.  ScaleExceeded, before any test, past
+    Yields (i, j, key) in lexicographic (i, j) order, i < j, with key the
+    point key of the planar crossing of [vertices[i], vertices[j]].  Each
+    vertex is read once, into its integer key: the (numerator, denominator)
+    pairs of x, y and its support coordinates, which within one support fix
+    the vertex.  The keys find repeated vertices, crossed at their first
+    index only (a later copy adds no crossing point, and no earlier pair),
+    and are what _segment_flat_crossing crosses.  ScaleExceeded, before any test, past
     MAX_PAIR_TESTS pairs of distinct vertices.
     """
     groups = {}
@@ -205,9 +239,9 @@ def _flat_crossings(vertices: Sequence[Sequence], supports: Sequence[tuple[int, 
                 yield i, j, point
 
 
-def _section_columns(gens: Sequence[AmbientPoint]) -> dict[AffinePair, dict]:
+def _section_columns(gens: Sequence[AmbientPoint]) -> dict[PointKey, dict]:
     """Sparse convex column of every point that a generator or a generator
-    segment contributes to the section, keyed by its planar coordinates.
+    segment contributes to the section, keyed by its point key.
 
     Generators on H come first (a unit column), then the unique crossings
     of H by segments [gens[i], gens[j]] in lexicographic (i, j) order
@@ -219,26 +253,26 @@ def _section_columns(gens: Sequence[AmbientPoint]) -> dict[AffinePair, dict]:
     columns = {}
     for k, g in enumerate(gens):
         if not supports[k]:
-            columns.setdefault(tuple(g[:2]), {k: Fraction(1)})
-    for i, j, point in _flat_crossings(gens, supports):
-        if point not in columns:
+            columns.setdefault(_point_key(g[0], g[1]), {k: Fraction(1)})
+    for i, j, key in _flat_crossings(gens, supports):
+        if key not in columns:
             first = supports[i][0]
             a, b = gens[i][first], gens[j][first]
             t = a / (a - b)
-            columns[point] = {i: 1 - t, j: t}
+            columns[key] = {i: 1 - t, j: t}
     return columns
 
 
 def _claim_columns(points: Sequence[tuple[Fraction, Fraction]], gens: Sequence[AmbientPoint],
                    dim: int) -> Optional[list[dict]]:
     """Sparse convex column over gens of each point placed on H: looked up
-    in _section_columns, else one exact LP (convex_coefficients); None when
-    a point is outside conv(gens)."""
+    by its point key in _section_columns, else one exact LP
+    (convex_coefficients); None when a point is outside conv(gens)."""
     columns = _section_columns(gens)
     on_flat = (Fraction(0),) * (dim - 2)
     out = []
     for point in points:
-        column = columns.get(point)
+        column = columns.get(_point_key(*point))
         if column is None:
             weights = convex_coefficients((*point, *on_flat), gens)
             if weights is None:
@@ -255,13 +289,15 @@ def compute_section(vertices: Sequence[Sequence], dim: int) -> tuple[AffinePair,
 
     Coordinates are Fractions or ints.  The hull lies in the section of
     conv(vertices) by H and is all of it when no vertex has two nonzero
-    coordinates off H.
+    coordinates off H.  verify_section matches a claim against the same
+    points with no hull (module docstring); this is its reference.
     """
     if any(len(v) != dim for v in vertices):
         raise ValueError("vertex dimension mismatch")
     supports = [_support(v) for v in vertices]
     points = [(v[0], v[1]) for v, support in zip(vertices, supports) if not support]
-    points += [point for _, _, point in _flat_crossings(vertices, supports)]
+    points += [(Fraction(xn, xd), Fraction(yn, yd))
+               for _, _, (xn, xd, yn, yd) in _flat_crossings(vertices, supports)]
     hull = canonical_hull(points)
     if not hull:
         raise EmptySection("the flat does not meet the polytope")
@@ -299,20 +335,39 @@ def _claim_is_section(s: SectionedPolytope) -> bool:
             and all(edge_extension(polygon, i, gens) is not None for i in range(polygon.n)))
 
 
+def _claim_matches_crossings(s: SectionedPolytope) -> bool:
+    """Whether the claimed polygon is the hull of the vertices on H and of
+    the crossings, for a file with blocks, matched on point keys with no
+    hull (module docstring).  The supports crossed are read off s.blocks."""
+    points = {_point_key(v[0], v[1]) for v, j in zip(s.vertices, s.blocks) if j is None}
+    supports = [() if j is None else (j,) for j in s.blocks]
+    points.update(key for _, _, key in _flat_crossings(s.vertices, supports))
+    keys = [_point_key(x, y) for x, y in s.claimed.vertices]
+    if not points.issuperset(keys):
+        return False
+    # the claim first, then the other points; one set of exact sort keys
+    lifts = [(xn * yd, yn * xd, xd * yd) for xn, xd, yn, yd in (*keys, *points.difference(keys))]
+    order = _lift_keys(lifts)
+    n = len(keys)
+    claim_lifts, claim_order = lifts[:n], order[:n]
+    if _convex_cycle(claim_lifts, claim_order) != -1 or min(claim_order) != claim_order[0]:
+        return False
+    return _encloses(claim_lifts, claim_order, lifts[n:], order[n:])
+
+
 def verify_section(s: SectionedPolytope) -> bool:
-    """Recompute the section and compare with the claim, exactly.
+    """Check the claim against the section, exactly.
 
     With at most one nonzero coordinate off H per vertex (s.blocks is not
-    None) the claim must equal compute_section; otherwise it is checked by
-    _claim_is_section.  Sets (and returns) the certificate flag.
+    None) the section is the hull of the vertices on H and of the
+    crossings, and the claim must be that hull, canonical vertex for
+    vertex: a strictly convex polygon in canonical order whose vertices are
+    among those points and which contains the rest
+    (_claim_matches_crossings; module docstring).  Otherwise the claim is
+    checked by exact LPs (_claim_is_section).  Sets (and returns) the
+    certificate flag.
     """
-    if s.blocks is not None:
-        try:
-            s.certified = compute_section(s.vertices, s.dim) == s.claimed.vertices
-        except EmptySection:
-            s.certified = False
-    else:
-        s.certified = _claim_is_section(s)
+    s.certified = _claim_matches_crossings(s) if s.blocks is not None else _claim_is_section(s)
     return s.certified
 
 

@@ -29,11 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import CertificationFailure, DomainError, NoExtension, NotInPolytope
 from .linalg import fourier_motzkin_point
 from .polygon import Polygon
 from .sections import (
+    AmbientPoint,
     SectionedPolytope,
     _claim_columns,
     _support,
@@ -74,9 +76,12 @@ def slack_matrix(polygon: Polygon) -> Matrix:
     return tuple(rows)
 
 
-def extend_facet_inequality(facet: int, s: SectionedPolytope) -> tuple[Fraction, ...]:
+def extend_facet_inequality(facet: int, s: SectionedPolytope,
+                            gens: Sequence[AmbientPoint]) -> tuple[Fraction, ...]:
     """Free coefficients c on coordinates 3..d that extend the facet slack
     of the claimed polygon to all of the polytope, a tuple of s.dim - 2.
+    gens are the distinct vertices of s (distinct_points), built once by
+    the caller for all facets.
 
     For the facet inequality a . x <= b, the functional
     b - a . x[:2] + c . x[2:] is the planar slack on H and is nonnegative
@@ -86,7 +91,7 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> tuple[Fraction,
     alone: fourier_motzkin_point takes the triple (j - 2, v[j],
     a . v[:2] - b), or (None, 0, a . v[:2] - b) for v on H, and the
     midpoint of each coefficient's interval; otherwise they come from the
-    edge LP over the distinct vertices (sections.edge_extension).
+    edge LP over gens (sections.edge_extension).
     NoExtension when there are none.
     """
     polygon = s.claimed
@@ -99,7 +104,7 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> tuple[Fraction,
             constraints.append((None, 0, rhs) if j is None else (j - 2, v[j], rhs))
         tail = fourier_motzkin_point(constraints, s.dim - 2)
     else:
-        tail = edge_extension(polygon, facet, distinct_points(s.vertices, s.dim))
+        tail = edge_extension(polygon, facet, gens)
     if tail is None:
         raise NoExtension(f"no nonnegative extension for facet {facet}")
     return tuple(tail)
@@ -144,7 +149,7 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     supports = [_support(g) for g in gens]
     r_rows = []
     for i in range(polygon.n):
-        c = extend_facet_inequality(i, s)
+        c = extend_facet_inequality(i, s, gens)
         (a0, a1), b = polygon.edge_inequality(i)
         r_rows.append(tuple(b - a0 * g[0] - a1 * g[1] + sum(c[j - 2] * g[j] for j in support)
                             for g, support in zip(gens, supports)))

@@ -170,7 +170,7 @@ class TestExtendVerify:
         assert main(["verify", str(ext)]) == 0
         assert capsys.readouterr().out == "PASS\n"
 
-    def test_verify_crosses_within_blocks_and_builds_one_hull(self, tmp_path, capsys, monkeypatch):
+    def test_verify_crosses_within_blocks_and_builds_no_hull(self, tmp_path, capsys, monkeypatch):
         polygon = random_convex_polygon(random.Random(28), 28)
         path = write_polygon(tmp_path, "p28.json", polygon.vertices)
         ext = tmp_path / "p28.ext.json"
@@ -180,8 +180,9 @@ class TestExtendVerify:
         hulls = count_calls_everywhere(monkeypatch, polygon_module, "convex_hull_2d")
         assert main(["verify", str(ext)]) == 0
         # 4 blocks of 6 vertices: 4 * 15 pairs, not 24 * 23 / 2 = 276;
-        # one hull, the section's: validate accepts the claim without one
-        assert len(crossings) <= 60 and len(hulls) == 1
+        # no hull: validate accepts the claim without one, and verify
+        # matches the claim against the crossings
+        assert len(crossings) <= 60 and hulls == []
 
     def test_140gon_join_soundness(self, tmp_path, capsys, monkeypatch):
         # a join at benchmark scale passes; a claim one vertex of which is

@@ -90,7 +90,7 @@ class TestNgon3d:
 
     def test_certifies_once(self, rng, monkeypatch):
         # the heptagon core is extended uncertified; only the result is certified
-        sections = count_calls(monkeypatch, sections_module, "compute_section")
+        sections = count_calls(monkeypatch, sections_module, "verify_section")
         polygon = random_convex_polygon(rng, 28)
         ext = ngon_3d_extension(polygon)
         assert ext.certified and len(ext.vertices) <= 27
@@ -164,7 +164,7 @@ class TestConvexJoin:
         tail = validate(polygon.vertices[7:])
         parts = [SectionedPolytope(3, heptagon_vertices(core), core),
                  SectionedPolytope(2, tail.vertices, tail)]
-        sections = count_calls(monkeypatch, sections_module, "compute_section")
+        sections = count_calls(monkeypatch, sections_module, "verify_section")
         joined = convex_join_sections(*parts)
         assert not any(s.certified for s in parts)
         assert joined.certified and joined.claimed == polygon
@@ -192,7 +192,7 @@ class TestNgonExtension:
     @pytest.mark.parametrize("n", [9, 16, 28])
     def test_certifies_once(self, n, rng, monkeypatch):
         # the chunks are plain parts; the join's certificate is the only one
-        sections = count_calls(monkeypatch, sections_module, "compute_section")
+        sections = count_calls(monkeypatch, sections_module, "verify_section")
         ext = ngon_extension(random_convex_polygon(rng, n))
         assert ext.certified and len(sections) == 1
 

@@ -352,7 +352,7 @@ class TestHeptagonExtension:
         # one section computed, for the result.
         builds = count_calls(monkeypatch, heptagon_module, "build_standard_extension")
         shears = count_calls(monkeypatch, sections_module, "shear_fixing_flat")
-        sections = count_calls(monkeypatch, sections_module, "compute_section")
+        sections = count_calls(monkeypatch, sections_module, "verify_section")
         base = standard_polygon()
         for u1, u2 in ((1, 0), (0, 1), (1, 1), (2, 1), (1, -1)):
             reach = max(u1 * x + u2 * y for x, y in base.vertices)
@@ -370,7 +370,7 @@ class TestHeptagonExtension:
     def test_one_section_per_extension(self, rng, monkeypatch):
         # the standard extension, the shear and the pullback are plain
         # transforms; only the result is certified
-        sections = count_calls(monkeypatch, sections_module, "compute_section")
+        sections = count_calls(monkeypatch, sections_module, "verify_section")
         for _ in range(20):
             sections.clear()
             ext = heptagon_extension(random_convex_polygon(rng, 7))

@@ -78,10 +78,10 @@ class TestConcurrencyPoint:
 
 class TestHexagonIc:
     def test_affine_regular_is_five_with_witness_zero(self, regular_hexagon):
-        assert hexagon_ic(regular_hexagon) == (5, 0)
+        assert hexagon_ic(regular_hexagon)[:2] == (5, 0)
 
     def test_generic_perturbation_is_six(self, ic6_hexagon):
-        assert hexagon_ic(ic6_hexagon) == (6, None)
+        assert hexagon_ic(ic6_hexagon) == (6, None, None)
 
     def test_normal_form_round_trip_is_five(self, rng):
         for _ in range(20):
@@ -118,7 +118,7 @@ class TestNormalForm:
         alpha, beta, gamma, x, y = ASYMMETRIC_PARAMS
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)
         decision = hexagon_ic(hexagon)
-        nf = hexagon_normal_form(hexagon, decision.witness)
+        nf = hexagon_normal_form(hexagon, decision)
         assert (nf.alpha, nf.beta, nf.gamma, nf.x, nf.y) == (alpha, beta, gamma, x, y)
         assert not nf.mirrored
         assert nf.map.m == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -130,7 +130,7 @@ class TestNormalForm:
         mirrored = mirrored_hexagon_from_params(*ASYMMETRIC_PARAMS)
         decision = hexagon_ic(mirrored)
         assert decision.ic == 5
-        nf = hexagon_normal_form(mirrored, decision.witness)
+        nf = hexagon_normal_form(mirrored, decision)
         alpha, beta, gamma, x, y = ASYMMETRIC_PARAMS
         assert nf.beta == beta
         assert {nf.alpha, nf.gamma} == {alpha, gamma}
@@ -142,15 +142,15 @@ class TestNormalForm:
         symmetric = hexagon_from_params(Fraction(2), Fraction(4), Fraction(2),
                                         Fraction(1, 3), Fraction(1, 3))
         decision = hexagon_ic(symmetric)
-        assert decision == (5, 0)
-        nf = hexagon_normal_form(symmetric, 0)
+        assert decision[:2] == (5, 0)
+        nf = hexagon_normal_form(symmetric, decision)
         assert nf.mirrored
         assert nf.alpha > 1 and nf.beta > 1 and nf.gamma > 1 and nf.x > 0 and nf.y > 0
         image = apply_map(symmetric, nf.map)
         assert image == normal_form_hexagon(nf)
 
     def test_parallel_case_composite_map(self, regular_hexagon):
-        nf = hexagon_normal_form(regular_hexagon, 0)
+        nf = hexagon_normal_form(regular_hexagon, hexagon_ic(regular_hexagon))
         assert nf.alpha > 1 and nf.beta > 1 and nf.gamma > 1
         assert nf.x > 0 and nf.y > 0
         assert nf.map.m != ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -160,20 +160,29 @@ class TestNormalForm:
 
     def test_no_concurrency_raises(self, ic6_hexagon):
         with pytest.raises(NoConcurrency):
-            hexagon_normal_form(ic6_hexagon, 0)
+            hexagon_normal_form(ic6_hexagon, hexagon_ic(ic6_hexagon))
 
     def test_constraints_respected_on_fuzz(self, rng):
         for _ in range(25):
             params = random_hexagon_params(rng)
             hexagon = hexagon_from_params(*params)
             decision = hexagon_ic(hexagon)
-            nf = hexagon_normal_form(hexagon, decision.witness)
+            nf = hexagon_normal_form(hexagon, decision)
             assert nf.x > 0 and nf.y > 0
             assert nf.alpha > 1 and nf.beta > 1 and nf.gamma > 1
             assert nf.x + nf.y < 1  # convexity of the inner vertex
 
 
 class TestReadOnce:
+    def test_concurrency_point_found_once(self, monkeypatch):
+        # pairing 0 is not concurrent and pairing 1 is: the normal form takes
+        # the point hexagon_ic found instead of meeting the lines again
+        hexagon = hexagon_from_params(Fraction(2), Fraction(5), Fraction(3),
+                                      Fraction(1, 4), Fraction(1, 3))
+        calls = count_calls(monkeypatch, hexagon_module, "concurrency_point")
+        assert hexagon_extension5(hexagon).certified
+        assert [r for _, r in calls] == [0, 1]
+
     def test_one_read_and_one_section_per_hexagon(self, regular_hexagon, rng, monkeypatch):
         # the orientation test picks the frame before any map is built: one
         # frame_map per normal form, on mirrored witnesses and at-infinity
@@ -181,7 +190,7 @@ class TestReadOnce:
         # list, the pullback maps vertices only, and the result claims the
         # input hexagon
         frames = count_calls(monkeypatch, hexagon_module, "frame_map")
-        sections = count_calls(monkeypatch, sections_module, "compute_section")
+        sections = count_calls(monkeypatch, sections_module, "verify_section")
         validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
         hexagons = [regular_hexagon, hexagon_from_params(*ASYMMETRIC_PARAMS),
                     mirrored_hexagon_from_params(*ASYMMETRIC_PARAMS),
@@ -193,12 +202,12 @@ class TestReadOnce:
             hexagons += [hexagon_from_params(*params), mirrored_hexagon_from_params(*params)]
         mirrored = at_infinity = 0
         for hexagon in hexagons:
-            r = hexagon_ic(hexagon).witness
+            decision = hexagon_ic(hexagon)
             frames.clear()
-            nf = hexagon_normal_form(hexagon, r)
+            nf = hexagon_normal_form(hexagon, decision)
             assert len(frames) == 1
             mirrored += nf.mirrored
-            at_infinity += not concurrency_point(hexagon, r).is_finite
+            at_infinity += not decision.point.is_finite
             sections.clear()
             validations.clear()
             assert hexagon_extension5(hexagon).certified and len(sections) == 1
@@ -209,7 +218,7 @@ class TestReadOnce:
 class TestBipyramid:
     def test_two_below_three_above(self):
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)
-        nf = hexagon_normal_form(hexagon, hexagon_ic(hexagon).witness)
+        nf = hexagon_normal_form(hexagon, hexagon_ic(hexagon))
         assert default_bipyramid_k(nf) == max(nf.alpha, nf.beta, nf.gamma) + 1
         vertices = build_bipyramid(nf)
         zs = [v[2] for v in vertices]
@@ -219,7 +228,7 @@ class TestBipyramid:
 
     def test_crossings_reproduce_normal_form_vertices(self):
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)
-        nf = hexagon_normal_form(hexagon, hexagon_ic(hexagon).witness)
+        nf = hexagon_normal_form(hexagon, hexagon_ic(hexagon))
         verts = build_bipyramid(nf)
         crossings = set()
         for i in range(5):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polysec.errors import (
     DegenerateJoin,
@@ -14,7 +14,7 @@ from polysec.errors import (
     TooFewVertices,
 )
 from polysec.exactgeom import ProjLine, ProjPoint, det3, join
-from polysec.polygon import Polygon, ProjMap2, convex_hull_2d, frame_map, validate
+from polysec.polygon import Polygon, ProjMap2, _encloses, _lift, _lift_keys, convex_hull_2d, frame_map, validate
 from polysec.randgen import random_convex_polygon
 
 from conftest import SIX_CROSSING_HEPTAGON, apply_map, contains, rational_grid_point, strictly_contains
@@ -378,3 +378,25 @@ class TestIntegerHullOracle:
             with pytest.raises(error) as raised:
                 validate(points)
             assert str(raised.value) == outcome
+
+
+# the half-integer grid around the clouds: points on edges, on the lines of
+# edges past their ends, at vertices and beside them
+HALF_GRID = [(Fraction(x, 2), Fraction(y, 2)) for x in range(-8, 9) for y in range(-8, 9)]
+
+
+class TestEncloses:
+    @settings(max_examples=80, derandomize=True)
+    @given(cloud=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=10))
+    @example(cloud=VERTICAL_ENDS_SQUARE)
+    @example(cloud=VERTICAL_ENDS_HEXAGON)
+    def test_matches_every_edge_turn(self, cloud):
+        # small integer clouds have vertical edges at either end often
+        hull = convex_hull_2d([(Fraction(x), Fraction(y)) for x, y in cloud])
+        assume(len(hull) >= 3)
+        polygon = validate(hull)
+        n = polygon.n
+        lifts = [_lift(p) for p in (*polygon.vertices, *HALF_GRID)]
+        keys = _lift_keys(lifts)
+        for k, (x, y) in enumerate(HALF_GRID, n):
+            assert _encloses(lifts[:n], keys[:n], [lifts[k]], [keys[k]]) == contains(polygon, x, y)

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
-from polysec.compose import ngon_extension
+from polysec.compose import ngon_3d_extension, ngon_extension
 from polysec.errors import (
     EmptySection,
     NoExtension,
@@ -18,7 +18,8 @@ from polysec.errors import (
     TooFewVertices,
 )
 from polysec.linalg import convex_coefficients, solve_linear
-from polysec.polygon import ProjMap2, canonical_hull, convex_hull_2d, validate
+from polysec.heptagon import heptagon_extension
+from polysec.polygon import Polygon, ProjMap2, canonical_hull, convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import (
     SectionedPolytope,
@@ -152,13 +153,19 @@ def all_pairs_section(verts):
     return tuple(sorted(hull)) if len(hull) < 3 else validate(hull).vertices
 
 
+def point_key(point):
+    """(x.num, x.den, y.num, y.den) of a planar point, through Fraction."""
+    x, y = (Fraction(c) for c in point)
+    return x.numerator, x.denominator, y.numerator, y.denominator
+
+
 def all_pairs_columns(gens):
     columns = {}
     for k, g in enumerate(gens):
         if _on_flat(g):
-            columns.setdefault(g[:2], {k: Fraction(1)})
+            columns.setdefault(point_key(g[:2]), {k: Fraction(1)})
     for i, j, t, point in all_pairs_crossings(gens):
-        columns.setdefault(point, {i: 1 - t, j: t})
+        columns.setdefault(point_key(point), {i: 1 - t, j: t})
     return columns
 
 
@@ -260,7 +267,7 @@ class TestFlatCrossingsOracle:
     @example(verts=TWO_SUPPORT_PAIR[::-1])
     def test_matches_all_coordinate_reference(self, verts):
         supports = [_support(v) for v in verts]
-        expected = [(i, j, point) for i, j, _, point in first_copies_crossings(verts)]
+        expected = [(i, j, point_key(point)) for i, j, _, point in first_copies_crossings(verts)]
         assert list(_flat_crossings(verts, supports)) == expected
 
     def test_no_fraction_hashing(self, monkeypatch):
@@ -295,12 +302,12 @@ class TestVerifySection:
 
     def test_blocks_pick_the_path(self, monkeypatch):
         # the unit square on H, at the ends of two segments in blocks 2 and
-        # 3: blocks holds each vertex's off-H coordinate and verify reads the
-        # section.  Once a vertex has two nonzero coordinates off H, blocks is
-        # None and verify solves LPs
+        # 3: blocks holds each vertex's off-H coordinate and verify matches
+        # the claim against the crossings.  Once a vertex has two nonzero
+        # coordinates off H, blocks is None and verify solves LPs
         square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
         flat = [(0, 0, 0, 0), (1, 0, 0, 0)]
-        sections = count_calls(monkeypatch, sections_module, "compute_section")
+        sections = count_calls(monkeypatch, sections_module, "_claim_matches_crossings")
         lps = count_calls(monkeypatch, sections_module, "_claim_is_section")
         s = SectionedPolytope(4, flat + [(1, 1, 1, 0), (1, 1, -1, 0), (0, 1, 0, 1), (0, 1, 0, -1)],
                               square)
@@ -315,6 +322,98 @@ class TestVerifySection:
         relabeled = [TETRA_SECTION[2], TETRA_SECTION[0], TETRA_SECTION[1]]
         s = SectionedPolytope(3, TETRA, validate(relabeled))
         assert verify_section(s)
+
+
+def crossing_points(verts):
+    """The planar crossings of a file of at most one nonzero coordinate
+    off H per vertex, as Fraction pairs (compute_section's points off H)."""
+    supports = [_support(v) for v in verts]
+    return {(Fraction(xn, xd), Fraction(yn, yd)) for _, _, (xn, xd, yn, yd) in _flat_crossings(verts, supports)}
+
+
+# a pentagon on H, and a vertical segment through an interior point of it
+PENTAGON = [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)]
+PENTAGON_FILE = [(x, y, 0) for x, y in PENTAGON] + [(1, 1, 1), (1, 1, -1)]
+
+
+def heptagon_file():
+    """A heptagon extension, whose nine crossings include two that are no
+    vertex of the section, and its section."""
+    ext = heptagon_extension(random_convex_polygon(random.Random(7), 7))
+    return ext.vertices, ext.claimed.vertices
+
+
+def matches(verts, claim) -> bool:
+    """verify_section of a claim built as a Polygon directly, not validated."""
+    return verify_section(SectionedPolytope(len(verts[0]), verts, Polygon(claim)))
+
+
+class TestMatchingSoundness:
+    # verify matches the claim against the crossings with no hull; a claim
+    # that is not the section in canonical order must still fail when it
+    # never went through validate
+    def test_counterclockwise_section_fails(self):
+        # the tetrahedron's crossings are all vertices of its section
+        files = [heptagon_file(), (PENTAGON_FILE, validate(PENTAGON).vertices),
+                 (TETRA, validate(TETRA_SECTION).vertices)]
+        for verts, section in files:
+            assert matches(verts, section)
+            assert not matches(verts, (section[0], *section[:0:-1]))
+
+    def test_star_order_fails(self):
+        # every turn of a star polygon has one sign; its keys rise and fall
+        # more than once.  Index 0 is the lexicographic minimum.  The flat
+        # pentagon has no point besides its vertices
+        section = validate(PENTAGON).vertices
+        for verts in (PENTAGON_FILE, PENTAGON_FILE[:5]):
+            assert matches(verts, section)
+            assert not matches(verts, [section[2 * k % 5] for k in range(5)])
+        verts, section = heptagon_file()
+        for step in (2, 3):
+            assert not matches(verts, [section[step * k % 7] for k in range(7)])
+
+    @pytest.mark.parametrize("case", ["heptagon", "pentagon"])
+    def test_section_plus_inner_crossing_fails(self, case):
+        verts, section = heptagon_file() if case == "heptagon" else (PENTAGON_FILE, validate(PENTAGON).vertices)
+        inner = crossing_points(verts) - set(section)
+        assert inner and compute_section(verts, len(verts[0])) == section
+        for point in inner:
+            for k in range(len(section) + 1):
+                assert not matches(verts, [*section[:k], point, *section[k:]])
+
+
+@st.composite
+def claimed_files(draw):
+    """A join or 3-D extension of a 7- to 28-gon, with its true claim, the
+    claim with a vertex dropped, rotated or moved radially by 1/7 or 1e-9
+    either way; validated when that succeeds, else a Polygon as built."""
+    n = draw(st.integers(7, 28))
+    polygon = random_convex_polygon(random.Random(draw(st.integers(0, 2**32))), n)
+    ext = draw(st.sampled_from([ngon_extension, ngon_3d_extension]))(polygon)
+    points = list(ext.claimed.vertices)
+    k = draw(st.integers(0, n - 1))
+    change = draw(st.sampled_from(["none", "drop", "rotate", "move"]))
+    if change == "drop":
+        del points[k]
+    elif change == "rotate":
+        points = points[k:] + points[:k]
+    elif change == "move":
+        scale = 1 + draw(st.sampled_from([Fraction(1, 7), Fraction(-1, 7), Fraction(1, 10**9), Fraction(-1, 10**9)]))
+        points[k] = (points[k][0] * scale, points[k][1] * scale)
+    try:
+        claim = validate(points) if change != "rotate" else Polygon(points)
+    except (NotConvex, TooFewVertices):
+        claim = Polygon(points)
+    return SectionedPolytope(ext.dim, ext.vertices, claim)
+
+
+class TestMatchingAgreesWithHull:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(s=claimed_files())
+    def test_matches_compute_section(self, s):
+        assert s.blocks is not None
+        assert verify_section(s) == (compute_section(s.vertices, s.dim) == s.claimed.vertices)
 
 
 def brute_force_section(verts, dim):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from polysec import sections
+from polysec import sections, slack
 from polysec.errors import DomainError, NoExtension, ScaleExceeded
 from polysec.heptagon import StandardHeptagon, build_standard_extension, heptagon_extension
 from polysec.compose import ngon_3d_extension, ngon_extension
@@ -19,7 +19,7 @@ from polysec.slack import (
     verify_factorization,
 )
 
-from conftest import count_calls_everywhere, rank
+from conftest import count_calls, count_calls_everywhere, rank
 
 
 class TestSlackMatrix:
@@ -78,16 +78,18 @@ def small_standard_extension():
 class TestExtendFacetInequality:
     def test_nonnegative_on_all_vertices_every_facet(self):
         std, ext = small_standard_extension()
+        gens = distinct_points(ext.vertices, ext.dim)
         for i in range(7):
-            c = extend_facet_inequality(i, ext)
+            c = extend_facet_inequality(i, ext, gens)
             assert all(extended(i, c, ext, v) >= 0 for v in ext.vertices)
 
     def test_restriction_reproduces_column_slacks(self):
         std, ext = small_standard_extension()
         polygon = ext.claimed
         sm = slack_matrix(polygon)
+        gens = distinct_points(ext.vertices, ext.dim)
         for i in range(7):
-            c = extend_facet_inequality(i, ext)
+            c = extend_facet_inequality(i, ext, gens)
             for j in range(7):
                 x, y = polygon.vertices[j]
                 assert extended(i, c, ext, (x, y, Fraction(0))) == sm[i][j]
@@ -100,20 +102,23 @@ class TestExtendFacetInequality:
         box = [(x, y, z) for z in (1, -1) for x, y in square.vertices]
         ext = SectionedPolytope(3, box + [(2, Fraction(1, 2), 0)], square)
         assert ext.blocks == (2,) * 8 + (None,)
+        gens = distinct_points(ext.vertices, ext.dim)
         for i in range(4):
             if square.edge_inequality(i) == ((1, 0), 1):
                 with pytest.raises(NoExtension):
-                    extend_facet_inequality(i, ext)
+                    extend_facet_inequality(i, ext, gens)
             else:
-                assert extended(i, extend_facet_inequality(i, ext), ext, (2, Fraction(1, 2), 0)) >= 0
+                c = extend_facet_inequality(i, ext, gens)
+                assert extended(i, c, ext, (2, Fraction(1, 2), 0)) >= 0
         with pytest.raises(NoExtension):
             factorize_from_section(square, ext)
 
     def test_codimension_two_feasible(self, rng):
         polygon = random_convex_polygon(rng, 14)
         ext = ngon_extension(polygon)
+        gens = distinct_points(ext.vertices, ext.dim)
         for i in range(14):
-            c = extend_facet_inequality(i, ext)
+            c = extend_facet_inequality(i, ext, gens)
             assert all(extended(i, c, ext, v) >= 0 for v in ext.vertices)
 
     @pytest.mark.parametrize("build", [
@@ -130,7 +135,7 @@ class TestExtendFacetInequality:
         gens = distinct_points(ext.vertices, ext.dim)
         off_flat = 0
         for i, row in enumerate(fact.r_factor):
-            c = extend_facet_inequality(i, ext)
+            c = extend_facet_inequality(i, ext, gens)
             assert len(c) == ext.dim - 2 and all(type(ck) is Fraction for ck in c)
             assert row == tuple(extended(i, c, ext, g) for g in gens)
             off_flat += sum(1 for g in gens if sum(ck * gk for ck, gk in zip(c, g[2:])))
@@ -216,6 +221,15 @@ class TestFactorize:
             assert fact.inner_dim == len(built.vertices)
             counts.append(len(scans) / len(built.vertices))
         assert counts[0] == counts[1]
+
+    def test_lp_path_builds_the_generators_once(self, monkeypatch):
+        # every facet's edge LP runs over the one generator list that
+        # factorize builds, not over a list rebuilt per facet
+        ext = lp_path_square()
+        assert ext.blocks is None
+        builds = count_calls(monkeypatch, slack, "distinct_points")
+        fact = factorize_from_section(ext.claimed, ext)
+        assert len(builds) == 1 and fact.inner_dim == 9
 
     def test_duplicate_and_interior_vertices(self):
         # a box over the unit square, one corner listed twice and one point
