@@ -85,7 +85,7 @@ def _extend(polygon: Polygon, mode: str) -> tuple[SectionedPolytope, int]:
     if n == 6:
         decision = hexagon_ic(polygon)
         if decision.ic == 5:
-            return hexagon_extension5(polygon), 5
+            return hexagon_extension5(polygon, decision), 5
         flat = [(x, y, 0) for x, y in polygon.vertices]
         return certify(SectionedPolytope(3, flat, polygon)), 6
     if n == 7:
@@ -165,7 +165,7 @@ def _fuzz_heptagon(rng: random.Random, count: int, emit) -> None:
         polygon = random_convex_polygon(rng, 7)
         ext = heptagon_extension(polygon)
         n_ext = len(extreme_points(ext.vertices, 3))
-        ok = n_ext <= 6
+        ok = n_ext == 6
         emit({"index": index, "ok": ok, "extreme_points": n_ext})
         if not ok:
             raise CertificationFailure(f"heptagon pipeline failed on {polygon!r}")
@@ -175,8 +175,7 @@ def _fuzz_ngon(rng: random.Random, count: int, emit) -> None:
     for index in range(count):
         n = rng.randrange(8, 15)
         polygon = random_convex_polygon(rng, n)
-        ext = ngon_extension(polygon)
-        bound = -((6 * n) // -7)
+        ext, bound = _extend(polygon, "join")
         ok = len(ext.vertices) <= bound and ext.dim == 2 + n // 7
         emit({"index": index, "n": n, "ok": ok, "vertices": len(ext.vertices)})
         if not ok:

@@ -64,10 +64,6 @@ class NoConcurrency(DomainError):
     pass
 
 
-class ComplexitySix(DomainError):
-    pass
-
-
 class NormalFormConstraintViolated(CertificationFailure):
     pass
 

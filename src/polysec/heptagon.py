@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import CertificationFailure, DegenerateConstruction, NoneFound, NotHeptagon
 from .exactgeom import ProjLine, ProjPoint, det3, join, meet
-from .polygon import Polygon, ProjMap2, _orient, frame_map, validate
+from .polygon import Polygon, ProjMap2, _convex_cycle, _lift, _lift_keys, frame_map
 from .sections import AmbientPoint, SectionedPolytope, bounded_pullback, certify
 
 __all__ = [
@@ -211,11 +211,9 @@ class StandardHeptagon:
             raise CertificationFailure(
                 f"need a, d, lam, mu > 0, got {self.a}, {self.d}, {self.lam}, {self.mu}"
             )
-        pts = self.vertex_list()
-        for i in range(7):
-            if _orient(pts[(i + 2) % 7], pts[(i + 1) % 7], pts[i]) <= 0:
-                raise CertificationFailure("vertex list is not convex clockwise")
-        validate(pts)  # full validation, raises on any remaining defect
+        lifts = [_lift(p) for p in self.vertex_list()]
+        if _convex_cycle(lifts, _lift_keys(lifts)) != -1:
+            raise CertificationFailure("vertex list is not a strictly convex clockwise heptagon")
 
     def vertex_list(self) -> list[tuple[Fraction, Fraction]]:
         """Vertices in index order 0..6 (indices -1, -2, -3 are 6, 5, 4)."""

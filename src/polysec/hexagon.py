@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import ComplexitySix, NoConcurrency, NormalFormConstraintViolated, NotHexagon
+from .errors import NoConcurrency, NormalFormConstraintViolated, NotHexagon
 from .exactgeom import ProjLine, ProjPoint, det3, join, meet
 from .polygon import Polygon, ProjMap2, frame_map
 from .sections import AmbientPoint, SectionedPolytope, bounded_pullback, certify
@@ -186,17 +186,15 @@ def build_bipyramid(nf: HexNormalForm) -> list[AmbientPoint]:
     ]
 
 
-def hexagon_extension5(polygon: Polygon) -> SectionedPolytope:
-    """Certified 5-vertex extension of a hexagon, when one exists.
+def hexagon_extension5(polygon: Polygon, decision: HexDecision) -> SectionedPolytope:
+    """Certified 5-vertex extension of a hexagon, from its decision
+    (hexagon_ic); NoConcurrency (hexagon_normal_form) for complexity 6.
 
     The vertices of the bipyramid over the normal form are pulled back
     (bounded_pullback); the normalizing map carries the input to the normal
     form, so the result claims the input hexagon, and certify checks that
     claim against the recomputed section.
     """
-    decision = hexagon_ic(polygon)
-    if decision.ic == 6:
-        raise ComplexitySix("this hexagon is not a section of any 5-vertex polytope")
     nf = hexagon_normal_form(polygon, decision)
     vertices = bounded_pullback(build_bipyramid(nf), nf.map.inverse())
     return certify(SectionedPolytope(3, vertices, polygon))

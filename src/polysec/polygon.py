@@ -85,12 +85,6 @@ def _turn(a: tuple[int, int, int], b: tuple[int, int, int], c: tuple[int, int, i
     return (d > 0) - (d < 0)
 
 
-def _orient(a: AffinePair, b: AffinePair, c: AffinePair) -> int:
-    """Sign of the turn (a, b, c) of affine points: positive when it turns
-    counterclockwise."""
-    return _turn(_lift(a), _lift(b), _lift(c))
-
-
 def _lift_keys(lifts: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
     """The exact integer key pair of every lifted point: (X << s) // W and
     (Y << s) // W, with s twice the largest weight bit length, so that

@@ -435,20 +435,17 @@ def shear_fixing_flat(
     return [(x + u1 * z, y + u2 * z, z) for x, y, z in vertices]
 
 
-def _shear_slope_interval(vertices, horizon) -> Optional[tuple]:
-    """Feasible slopes rho with (h . shadow_k) + rho * z_k of one strict sign.
+def _shear_slope_interval(weights, heights) -> Optional[tuple]:
+    """Feasible slopes rho with weight_k + rho * height_k of one strict sign.
 
     Returns (lo, hi) with None for an unbounded end, or None if infeasible
     for both signs.
     """
-    h1, h2, h3 = horizon
-    olds = [h1 * v[0] + h2 * v[1] + h3 for v in vertices]
-    zs = [v[2] for v in vertices]
     for sign in (1, -1):
         lo = hi = None
         ok = True
-        for old, z in zip(olds, zs):
-            o, zz = sign * old, sign * z
+        for w, z in zip(weights, heights):
+            o, zz = sign * w, sign * z
             if zz == 0:
                 if o <= 0:
                     ok = False
@@ -465,8 +462,9 @@ def _shear_slope_interval(vertices, horizon) -> Optional[tuple]:
 
 
 def bounded_pullback(vertices: Sequence[Sequence], planar: ProjMap2) -> list[AmbientPoint]:
-    """Pullback of the vertices of a 3-dimensional extension, shearing
-    first if necessary.
+    """Pullback of the vertices of a 3-dimensional extension: the plain
+    lift when the weights h . (x, y, 1) of the vertices, h the horizon row
+    of the planar map, have one strict sign, and otherwise a sheared one.
 
     Any shear fixing H pointwise yields another valid extension of the same
     section, and shifts each vertex's horizon value by a slope times its
@@ -486,21 +484,14 @@ def bounded_pullback(vertices: Sequence[Sequence], planar: ProjMap2) -> list[Amb
     failure.  Like pullback, it maps vertices only; the section of the
     image is the planar image of the section.
     """
-    if len(vertices[0]) != 3:
+    h1, h2, h3 = planar.m[2]
+    weights = [h1 * x + h2 * y + h3 for x, y, _ in vertices]
+    if all(w > 0 for w in weights) or all(w < 0 for w in weights):
         return pullback(vertices, planar)
-    horizon = planar.m[2]
-    interval = _shear_slope_interval(vertices, horizon)
+    interval = _shear_slope_interval(weights, [z for _, _, z in vertices])
     if interval is None:
         raise PullbackUnbounded("no H-fixing shear bounds the pullback")
-    lo, hi = interval
-    if (lo is None or lo < 0) and (hi is None or hi > 0):
-        return pullback(vertices, planar)
-    rho = interval_point(lo, hi)
-    h1, h2, _ = horizon
-    if h1 != 0:
-        u = (rho / h1, Fraction(0))
-    elif h2 != 0:
-        u = (Fraction(0), rho / h2)
-    else:
-        return pullback(vertices, planar)  # horizon is the line at infinity: affine map
+    rho = interval_point(*interval)
+    # h1 = h2 = 0 gives the weights h3, of one strict sign: returned above
+    u = (rho / h1, Fraction(0)) if h1 != 0 else (Fraction(0), rho / h2)
     return pullback(shear_fixing_flat(vertices, u), planar)

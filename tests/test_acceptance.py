@@ -131,7 +131,7 @@ def test_criterion_5_hexagon_dichotomy():
     regular = validate(AFFINE_REGULAR_HEXAGON)
     decision = hexagon_ic(regular)
     assert decision.ic == 5
-    ext = hexagon_extension5(regular)
+    ext = hexagon_extension5(regular, decision)
     assert ext.certified and len(extreme_points(ext.vertices, 3)) == 5
     below = [v for v in ext.vertices if v[2] < 0]
     above = [v for v in ext.vertices if v[2] > 0]
@@ -159,7 +159,7 @@ def test_criterion_5_hexagon_dichotomy():
         assert decision.ic in (5, 6)
         if decision.ic == 5:
             fives += 1
-            ext = hexagon_extension5(polygon)
+            ext = hexagon_extension5(polygon, decision)
             assert ext.certified
             assert len(extreme_points(ext.vertices, 3)) == 5
         else:

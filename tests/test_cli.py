@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polysec import cli, linalg, sections, slack
+from polysec import hexagon as hexagon_module
 from polysec import polygon as polygon_module
 from polysec.cli import main
 from polysec.compose import ngon_extension
@@ -25,7 +26,13 @@ from polysec.jsonio import dumps, loads, polygon_to_obj, sectioned_from_obj, sec
 from polysec.polygon import Polygon, ProjMap2, convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon, random_hexagon_params
 
-from conftest import SIX_CROSSING_HEPTAGON, SIX_VERTEX_HEXAGON, count_calls, count_calls_everywhere
+from conftest import (
+    AFFINE_REGULAR_HEXAGON,
+    SIX_CROSSING_HEPTAGON,
+    SIX_VERTEX_HEXAGON,
+    count_calls,
+    count_calls_everywhere,
+)
 
 
 @pytest.fixture
@@ -143,6 +150,14 @@ class TestExtendVerify:
         assert summary["vertex_bound"] == 6 and summary["lower_bound_3d"] == 6
         assert main(["verify", str(out)]) == 0
         assert capsys.readouterr().out.strip() == "PASS"
+
+    def test_hexagon_decided_once(self, tmp_path, capsys, monkeypatch):
+        # the decision _extend takes is the one hexagon_extension5 builds from
+        decisions = count_calls_everywhere(monkeypatch, hexagon_module, "hexagon_ic")
+        path = write_polygon(tmp_path, "hexagon.json", AFFINE_REGULAR_HEXAGON)
+        assert main(["extend", str(path), "--out", str(tmp_path / "ext.json")]) == 0
+        assert loads(capsys.readouterr().out)["vertices"] == 5
+        assert len(decisions) == 1
 
     def test_tampered_extension_fails_verification(self, heptagon_file, tmp_path, capsys):
         out = tmp_path / "ext.json"
@@ -665,6 +680,15 @@ class TestFuzzCommand:
         assert main(["fuzz", "heptagon", "--count", "5", "--seed", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(loads(line).get("ok", True) for line in lines)
+
+    def test_heptagon_target_fails_below_six_extreme_points(self, capsys, monkeypatch):
+        # a heptagon extension has exactly 6 extreme points: 5 points, a
+        # above and b below H, cross H in at most a * b <= 6 < 7 points
+        monkeypatch.setattr(cli, "extreme_points", lambda vertices, dim: vertices[:5])
+        assert main(["fuzz", "heptagon", "--count", "1"]) == 3
+        captured = capsys.readouterr()
+        assert loads(captured.out.splitlines()[0])["ok"] is False
+        assert loads(captured.err)["error"] == "CertificationFailure"
 
     def test_seed_repetition_identical_report(self, capsys):
         main(["fuzz", "ngon", "--count", "3", "--seed", "8"])

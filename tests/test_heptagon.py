@@ -20,7 +20,7 @@ from polysec.heptagon import (
     standardize,
     std_points,
 )
-from polysec.polygon import Polygon, validate
+from polysec.polygon import Polygon, _lift, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import SectionedPolytope, certify, compute_section, extreme_points
 
@@ -269,11 +269,12 @@ class TestStandardize:
             assert mapping.det != 0
 
     def test_polygon_is_validated_once(self, monkeypatch):
-        # the constructor validates the vertex list once and keeps nothing
-        validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
+        # the constructor tests the convexity of the vertex list's lifts once
+        # and keeps nothing
+        cycles = count_calls_everywhere(monkeypatch, polygon_module, "_convex_cycle")
         std = standard_heptagon()
-        assert len(validations) == 1
-        assert list(validations[0][0]) == std.vertex_list()
+        assert len(cycles) == 1
+        assert list(cycles[0][0]) == [_lift(p) for p in std.vertex_list()]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(CertificationFailure):
@@ -376,11 +377,11 @@ class TestHeptagonExtension:
             ext = heptagon_extension(random_convex_polygon(rng, 7))
             assert ext.certified and len(sections) == 1
 
-    def test_seven_conversions_and_one_validation(self, rng, monkeypatch):
+    def test_seven_conversions_and_no_validation(self, rng, monkeypatch):
         # the input's vertices become projective points once, for the
-        # crossing classification; the only validation is the standard
-        # heptagon's, since the pullback maps vertices and the result claims
-        # the input
+        # crossing classification; nothing is validated, since the standard
+        # heptagon tests its own convexity, the pullback maps vertices and
+        # the result claims the input
         conversions = count_calls(monkeypatch, ProjPoint, "from_affine")
         validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
         for _ in range(20):
@@ -388,7 +389,7 @@ class TestHeptagonExtension:
             conversions.clear()
             validations.clear()
             assert heptagon_extension(polygon).claimed is polygon
-            assert len(conversions) <= 7 and len(validations) == 1
+            assert len(conversions) <= 7 and validations == []
 
     def test_fuzzed_heptagons(self, rng):
         for _ in range(150):

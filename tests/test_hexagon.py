@@ -5,7 +5,7 @@ import pytest
 import polysec.hexagon as hexagon_module
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
-from polysec.errors import ComplexitySix, NoConcurrency, NotHexagon
+from polysec.errors import NoConcurrency, NotHexagon
 from polysec.hexagon import (
     build_bipyramid,
     concurrency_point,
@@ -180,7 +180,7 @@ class TestReadOnce:
         hexagon = hexagon_from_params(Fraction(2), Fraction(5), Fraction(3),
                                       Fraction(1, 4), Fraction(1, 3))
         calls = count_calls(monkeypatch, hexagon_module, "concurrency_point")
-        assert hexagon_extension5(hexagon).certified
+        assert hexagon_extension5(hexagon, hexagon_ic(hexagon)).certified
         assert [r for _, r in calls] == [0, 1]
 
     def test_one_read_and_one_section_per_hexagon(self, regular_hexagon, rng, monkeypatch):
@@ -210,7 +210,7 @@ class TestReadOnce:
             at_infinity += not decision.point.is_finite
             sections.clear()
             validations.clear()
-            assert hexagon_extension5(hexagon).certified and len(sections) == 1
+            assert hexagon_extension5(hexagon, decision).certified and len(sections) == 1
             assert len(validations) == 0
         assert mirrored and at_infinity
 
@@ -243,7 +243,7 @@ class TestBipyramid:
 
 class TestExtension5:
     def test_affine_regular_certified(self, regular_hexagon):
-        ext = hexagon_extension5(regular_hexagon)
+        ext = hexagon_extension5(regular_hexagon, hexagon_ic(regular_hexagon))
         assert ext.certified and ext.dim == 3
         assert len(extreme_points(ext.vertices, 3)) == 5
         assert ext.claimed == regular_hexagon
@@ -252,7 +252,7 @@ class TestExtension5:
         # the bipyramid edge on the 2-vertex side of the plane meets the
         # section plane at the concurrency point; here that point is at
         # infinity, so the edge is parallel to an edge direction of the hexagon
-        ext = hexagon_extension5(regular_hexagon)
+        ext = hexagon_extension5(regular_hexagon, hexagon_ic(regular_hexagon))
         below = [v for v in ext.vertices if v[2] < 0]
         above = [v for v in ext.vertices if v[2] > 0]
         pair = below if len(below) == 2 else above
@@ -266,18 +266,19 @@ class TestExtension5:
         assert any(direction[0] * ey - direction[1] * ex == 0 for ex, ey in edge_dirs)
 
     def test_ic6_raises(self, ic6_hexagon):
-        with pytest.raises(ComplexitySix):
-            hexagon_extension5(ic6_hexagon)
+        with pytest.raises(NoConcurrency):
+            hexagon_extension5(ic6_hexagon, hexagon_ic(ic6_hexagon))
 
     def test_mirrored_certified(self):
-        ext = hexagon_extension5(mirrored_hexagon_from_params(*ASYMMETRIC_PARAMS))
+        hexagon = mirrored_hexagon_from_params(*ASYMMETRIC_PARAMS)
+        ext = hexagon_extension5(hexagon, hexagon_ic(hexagon))
         assert ext.certified and len(extreme_points(ext.vertices, 3)) == 5
 
     def test_fuzzed_five_extensions(self, rng):
         for _ in range(30):
             params = random_hexagon_params(rng)
             hexagon = hexagon_from_params(*params)
-            ext = hexagon_extension5(hexagon)
+            ext = hexagon_extension5(hexagon, hexagon_ic(hexagon))
             assert ext.certified
             assert len(extreme_points(ext.vertices, 3)) == 5
             assert ext.claimed == hexagon
@@ -297,8 +298,9 @@ class TestExtension5:
                 image = apply_map(hexagon, map_line_to_infinity(line, hexagon))
             except Exception:
                 continue
-            assert hexagon_ic(image).ic == 5
-            ext = hexagon_extension5(image)
+            decision = hexagon_ic(image)
+            assert decision.ic == 5
+            ext = hexagon_extension5(image, decision)
             assert ext.certified
             assert len(extreme_points(ext.vertices, 3)) == 5
 
@@ -307,7 +309,7 @@ class TestExtension5:
         # the hexagon's vertices
         params = random_hexagon_params(rng)
         hexagon = hexagon_from_params(*params)
-        ext = hexagon_extension5(hexagon)
+        ext = hexagon_extension5(hexagon, hexagon_ic(hexagon))
         verts = list(ext.vertices)
         crossings = set()
         for i in range(len(verts)):

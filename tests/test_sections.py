@@ -572,6 +572,23 @@ class TestLiftAndPullback:
         out = SectionedPolytope(3, bounded_pullback(s.vertices, bad), apply_map(section, bad))
         assert verify_section(out)
 
+    def test_one_signed_weights_take_the_plain_lift(self, monkeypatch):
+        # every weight h . (x, y, 1) of one strict sign: the plain lift,
+        # whatever the heights, and no shear; the weight row (0, 0, -1) with
+        # heights of one sign is the affine case
+        shears = count_calls(monkeypatch, sections_module, "shear_fixing_flat")
+        above = [(Fraction(0), Fraction(0), Fraction(1)), (Fraction(1), Fraction(0), Fraction(2)),
+                 (Fraction(0), Fraction(1), Fraction(3))]
+        cases = [
+            (TETRA, ProjMap2(((2, 0, 1), (0, 2, -3), (0, 0, 1)))),
+            (above, ProjMap2(((1, 0, 0), (0, 1, 0), (0, 0, -1)))),
+            (TETRA, ProjMap2(((0, 1, 0), (0, 0, 1), (-4, 0, -1)))),
+            (above, ProjMap2(((0, 1, 0), (0, 0, 1), (-4, 0, -1)))),
+        ]
+        for vertices, planar in cases:
+            assert bounded_pullback(vertices, planar) == pullback(vertices, planar)
+        assert shears == []
+
 
 class TestCanonicalHull:
     def test_three_collinear_points_make_segment(self):
