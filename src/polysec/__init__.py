@@ -14,8 +14,6 @@ from .compose import (
     optimal_even_gon,
 )
 from .exactgeom import (
-    ProjLine,
-    ProjPoint,
     det3,
     join,
     meet,

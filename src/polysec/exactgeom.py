@@ -1,16 +1,17 @@
 """Exact projective-plane kernel, and rational scalars as text.
 
-Points and lines of the projective plane are integer homogeneous triples.
-Any rational triple can be scaled to a canonical integer representative
-(denominators cleared, gcd reduced, sign fixed), so all predicates below
-are exact and representative-independent.  The sign convention puts
-finite points at w > 0; for points/lines at infinity the first nonzero
-coordinate is positive.
+Points and lines of the projective plane are integer homogeneous triples,
+plain tuples; a triple and its nonzero multiples are one point or line.
+join and meet take any representatives, since a cross product only scales
+with its inputs, and return the canonical one (denominators cleared, gcd
+reduced, sign fixed): finite points at w > 0, and for points and lines at
+infinity the first nonzero coordinate positive.
 
-Stored coordinates are affine rational pairs (polygon.Polygon); this
-kernel serves where lines are formed: the crossing classification of
-standardization lines, hexagon concurrency, polygon.frame_map and the
-svg rendering.
+Stored coordinates are affine rational pairs (polygon.Polygon);
+Polygon.vertex lifts them to the positive-weight integer triples that the
+hull also uses.  This kernel serves where lines are formed: the crossing
+classification of standardization lines, hexagon concurrency,
+polygon.frame_map and the svg rendering.
 
 No floating point is used anywhere in this module.  All values are
 immutable and all operations are pure, so they are safe to share across
@@ -26,10 +27,9 @@ from typing import Iterable, Sequence, Union
 from .errors import DegenerateJoin, DegenerateMeet, ParseError, ScaleExceeded
 
 ScalarLike = Union[Fraction, int, str]
+Triple = tuple[int, int, int]
 
 __all__ = [
-    "ProjPoint",
-    "ProjLine",
     "join",
     "meet",
     "det3",
@@ -109,7 +109,7 @@ def _primitive_ints(values: Sequence[ScalarLike]) -> list[int]:
     return [v // g for v in ints] if g > 1 else ints
 
 
-def _canonical_int_triple(coords: Sequence[ScalarLike]) -> tuple[int, int, int]:
+def _canonical_int_triple(coords: Sequence[ScalarLike]) -> Triple:
     if len(coords) != 3:
         raise ValueError("homogeneous coordinates need exactly 3 entries")
     ints = _primitive_ints(coords)
@@ -126,96 +126,43 @@ def _canonical_int_triple(coords: Sequence[ScalarLike]) -> tuple[int, int, int]:
     return (ints[0], ints[1], ints[2])
 
 
-class _HomogeneousTriple:
-    __slots__ = ("h",)
-
-    def __init__(self, x: ScalarLike, y: ScalarLike, w: ScalarLike):
-        self.h = _canonical_int_triple((x, y, w))
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.h == other.h
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.h))
-
-    def __repr__(self):
-        return f"{type(self).__name__}{self.h}"
-
-
-class ProjPoint(_HomogeneousTriple):
-    """A point of the projective plane; w = 0 encodes a point at infinity."""
-
-    @classmethod
-    def from_affine(cls, x: ScalarLike, y: ScalarLike) -> "ProjPoint":
-        return cls(x, y, 1)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.h[2] != 0
-
-
-class ProjLine(_HomogeneousTriple):
-    """A line in dual homogeneous coordinates; (0, 0, 1) is the line at infinity."""
-
-    def side(self, p: ProjPoint) -> int:
-        """Sign of <line, point> for the canonical representatives.
-
-        Zero means incident; the two nonzero signs distinguish the sides
-        consistently for finite points in the w > 0 lift.
-        """
-        d = _dot(self.h, p.h)
-        return (d > 0) - (d < 0)
-
-
-Triple = tuple[int, int, int]
-PointLike = Union[ProjPoint, ProjLine, Sequence[ScalarLike]]
-
-
-def _raw(p: PointLike) -> tuple:
-    if isinstance(p, _HomogeneousTriple):
-        return p.h
-    return tuple(p)
-
-
 def _dot(u: Iterable, v: Iterable) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def cross(u: PointLike, v: PointLike) -> tuple:
+def cross(u: Sequence, v: Sequence) -> tuple:
     """Cross product of two homogeneous triples, as a raw triple."""
-    a, b = _raw(u), _raw(v)
     return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
     )
 
 
-def join(p: ProjPoint, q: ProjPoint) -> ProjLine:
-    """The line through two distinct points."""
+def join(p: Sequence, q: Sequence) -> Triple:
+    """The canonical line through two distinct points."""
     c = cross(p, q)
     if c == (0, 0, 0):
         raise DegenerateJoin(f"join of equal points {p!r}")
-    return ProjLine(*c)
+    return _canonical_int_triple(c)
 
 
-def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    """The intersection point of two distinct lines (possibly at infinity)."""
+def meet(l1: Sequence, l2: Sequence) -> Triple:
+    """The canonical intersection point of two distinct lines (possibly at
+    infinity)."""
     c = cross(l1, l2)
     if c == (0, 0, 0):
         raise DegenerateMeet(f"meet of equal lines {l1!r}")
-    return ProjPoint(*c)
+    return _canonical_int_triple(c)
 
 
-def det3(a: PointLike, b: PointLike, c: PointLike):
+def det3(a: Sequence, b: Sequence, c: Sequence):
     """Signed determinant of three homogeneous coordinate rows.
 
     For w = 1 representatives this is twice the signed area of the triangle
-    (a, b, c).  The sign is representative-independent under the w > 0
-    convention; the magnitude scales with the chosen representatives.
+    (a, b, c).  The sign is representative-independent for rows of positive
+    weight; the magnitude scales with the chosen representatives.
     """
-    if type(a) is not tuple or type(b) is not tuple or type(c) is not tuple:
-        a, b, c = _raw(a), _raw(b), _raw(c)  # tuples, such as the hull's lifts, are rows
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a, b, c
     return (
         a0 * (b1 * c2 - b2 * c1)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CertificationFailure, DegenerateConstruction, NoneFound, NotHeptagon
-from .exactgeom import ProjLine, ProjPoint, det3, join, meet
+from .exactgeom import Triple, det3, join, meet
 from .polygon import Polygon, ProjMap2, _convex_cycle, _lift, _lift_keys, frame_map
 from .sections import AmbientPoint, SectionedPolytope, bounded_pullback, certify
 
@@ -59,9 +59,9 @@ class Crossing(enum.Enum):
 class StdPoints:
     """The i-th standardization construction: p_i^+, p_i^-, and their join."""
 
-    plus: ProjPoint
-    minus: ProjPoint
-    line: ProjLine
+    plus: Triple
+    minus: Triple
+    line: Triple
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def std_points(polygon: Polygon, i: int) -> StdPoints:
     _require_heptagon(polygon)
     p = polygon.vertex
 
-    def line(a: int, b: int) -> ProjLine:
+    def line(a: int, b: int) -> Triple:
         return join(p(i + a), p(i + b))
 
     plus = meet(line(1, 2), line(0, 3))
@@ -121,12 +121,12 @@ def classify_line(polygon: Polygon, i: int) -> Crossing:
     """Classify the i-th standardization line; ties (= 0) count as crossing.
 
     The signs of a*b - c*d (+-crossing) and g*h - e*f (--crossing) decide.
-    Each is a difference of determinant products over the same six
-    vertices, so the integer triples of Polygon.vertex give the signs of
-    the affine lifts.
+    Both products of a difference take each of the same six vertices
+    once, so a vertex scaled by a positive factor scales them alike: the
+    lifts of Polygon.vertex give the signs of the unit lifts.
     """
     _require_heptagon(polygon)
-    o = _octuple([polygon.vertex(k).h for k in range(7)], i)
+    o = _octuple([polygon.vertex(k) for k in range(7)], i)
     plus_expr = o.a * o.b - o.c * o.d
     minus_expr = o.g * o.h - o.e * o.f
     if plus_expr >= 0 and minus_expr >= 0:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import NoConcurrency, NormalFormConstraintViolated, NotHexagon
-from .exactgeom import ProjLine, ProjPoint, det3, join, meet
+from .exactgeom import Triple, _dot, det3, join, meet
 from .polygon import Polygon, ProjMap2, frame_map
 from .sections import AmbientPoint, SectionedPolytope, bounded_pullback, certify
 
@@ -37,7 +37,7 @@ def _require_hexagon(polygon: Polygon) -> None:
         raise NotHexagon(f"expected a hexagon, got {polygon.n} vertices")
 
 
-def _pairing_lines(polygon: Polygon, r: int) -> tuple[ProjLine, ProjLine, ProjLine]:
+def _pairing_lines(polygon: Polygon, r: int) -> tuple[Triple, Triple, Triple]:
     p = polygon.vertex
     return (
         join(p(r), p(r + 5)),
@@ -46,7 +46,7 @@ def _pairing_lines(polygon: Polygon, r: int) -> tuple[ProjLine, ProjLine, ProjLi
     )
 
 
-def concurrency_point(polygon: Polygon, r: int) -> Optional[ProjPoint]:
+def concurrency_point(polygon: Polygon, r: int) -> Optional[Triple]:
     """Common point of the r-th line triple, or None if not concurrent.
 
     The returned point may lie at infinity (mutually parallel lines).
@@ -66,7 +66,7 @@ class HexDecision(NamedTuple):
 
     ic: int
     witness: Optional[int]
-    point: Optional[ProjPoint]
+    point: Optional[Triple]
 
 
 def hexagon_ic(polygon: Polygon) -> HexDecision:
@@ -129,9 +129,9 @@ def hexagon_normal_form(polygon: Polygon, decision: HexDecision) -> HexNormalFor
     r, c = decision.witness, decision.point
     if c is None:
         raise NoConcurrency("no pairing of this hexagon is concurrent")
-    horizon = ProjLine(0, 0, 1) if c.is_finite else _far_line(polygon, c)
+    horizon = (0, 0, 1) if c[2] != 0 else _far_line(polygon, c)
     p = polygon.vertex
-    c_row = c.h if horizon.side(c) == horizon.side(p(r)) else tuple(-v for v in c.h)
+    c_row = c if _dot(horizon, c) * _dot(horizon, p(r)) > 0 else tuple(-v for v in c)
     direct = (det3(c_row, p(r + 3), p(r + 5)) > 0) == (det3(p(0), p(1), p(2)) < 0)
     if direct:
         normalize = frame_map(c, p(r + 3), p(r + 5), horizon)
@@ -152,17 +152,17 @@ def hexagon_normal_form(polygon: Polygon, decision: HexDecision) -> HexNormalFor
                          mirrored=not direct, map=normalize)
 
 
-def _far_line(polygon: Polygon, c: ProjPoint) -> ProjLine:
-    """A far line normal to the direction c, a point at infinity.
+def _far_line(polygon: Polygon, c: Triple) -> tuple:
+    """A far line, a rational triple, normal to the direction c, a point at infinity.
 
     The line {v . x = M} with v the common direction does not contain c;
     M sits one full functional spread beyond the farthest vertex, keeping
     the hexagon well clear of it.
     """
-    vx, vy, _ = c.h
+    vx, vy, _ = c
     values = [vx * x + vy * y for x, y in polygon.vertices]
     spread = max(values) - min(values)
-    return ProjLine(vx, vy, -(max(values) + spread + 1))
+    return (vx, vy, -(max(values) + spread + 1))
 
 
 def default_bipyramid_k(nf: HexNormalForm) -> Fraction:

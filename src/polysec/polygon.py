@@ -39,8 +39,8 @@ normalization map from its frame, three points sent to (0, 0), (1, 0) and
 (0, 1) and a line sent to infinity, as integer rows in one step.  Maps act
 on affine points in one place, ProjMap2.apply_affine, which refuses points
 on or across the line the map sends to infinity.  Polygon.vertex serves
-the projective kernel (exactgeom) the same vertices as integer homogeneous
-triples.
+the projective kernel (exactgeom) the same vertices as their positive-weight
+lifts, the integer triples that the hull and validate use.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .errors import (
     NotConvex,
     TooFewVertices,
 )
-from .exactgeom import ProjLine, ProjPoint, _dot, _primitive_ints, det3, join
+from .exactgeom import Triple, _dot, _primitive_ints, det3, join
 
 AffinePair = tuple[Fraction, Fraction]
 
@@ -177,22 +177,22 @@ def canonical_hull(points: Iterable[AffinePair]) -> tuple[AffinePair, ...]:
 class Polygon:
     """Strictly convex polygon, affine vertices cyclically clockwise labeled."""
 
-    __slots__ = ("vertices", "_points")
+    __slots__ = ("vertices", "_lifts")
 
     def __init__(self, vertices: Sequence[AffinePair]):
         self.vertices = tuple(vertices)
-        self._points = None
+        self._lifts = None
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
-    def vertex(self, i: int) -> ProjPoint:
-        """Vertex i, cyclically, as a projective point for the projective
-        kernel; the points are built once, on first use."""
-        if self._points is None:
-            self._points = tuple(ProjPoint.from_affine(x, y) for x, y in self.vertices)
-        return self._points[i % len(self._points)]
+    def vertex(self, i: int) -> Triple:
+        """Vertex i, cyclically, as its integer lift (_lift) for the
+        projective kernel; the lifts are built once, on first use."""
+        if self._lifts is None:
+            self._lifts = tuple(map(_lift, self.vertices))
+        return self._lifts[i % len(self._lifts)]
 
     def edge_inequality(self, i: int) -> tuple[AffinePair, Fraction]:
         """Outward normal a and offset b of edge (i, i+1): a . x <= b on the polygon.
@@ -293,23 +293,24 @@ class ProjMap2:
         return f"ProjMap2{self.m}"
 
 
-def frame_map(origin: ProjPoint, x_unit: ProjPoint, y_unit: ProjPoint, horizon: ProjLine) -> ProjMap2:
+def frame_map(origin: Triple, x_unit: Triple, y_unit: Triple, horizon: Triple) -> ProjMap2:
     """The map sending origin, x_unit and y_unit to (0, 0), (1, 0) and (0, 1),
     and the horizon to the line at infinity.
 
     Three points and a line are eight conditions, so the frame fixes the
     map up to scale.  Its rows are the line through origin and y_unit (the
     image's x), the line through origin and x_unit (its y) and the horizon
-    (its weight), each scaled by integer dot products so that x_unit and
-    y_unit land at x = w and y = w; the sign gives origin a positive
-    weight.  A collinear frame, equal units included, or a frame point on
-    the horizon gives a singular matrix (DegenerateTriple); a unit equal to
-    the origin a degenerate join (DegenerateJoin).
+    (its weight), each scaled by dot products so that x_unit and y_unit
+    land at x = w and y = w; the sign gives origin a positive weight, so
+    of all representatives only a negated origin changes the matrix, to
+    its negative.  A collinear frame, equal units included, or a frame
+    point on the horizon gives a singular matrix (DegenerateTriple); a unit
+    equal to the origin a degenerate join (DegenerateJoin).
     """
-    ly, lx, h = join(origin, y_unit).h, join(origin, x_unit).h, horizon.h
-    at_x, at_y = _dot(ly, x_unit.h), _dot(lx, y_unit.h)
+    ly, lx = join(origin, y_unit), join(origin, x_unit)
+    at_x, at_y = _dot(ly, x_unit), _dot(lx, y_unit)
     s3 = at_x * at_y
-    sign = -1 if s3 * _dot(h, origin.h) < 0 else 1
-    s1 = sign * _dot(h, x_unit.h) * at_y
-    s2 = sign * _dot(h, y_unit.h) * at_x
-    return ProjMap2(([s1 * v for v in ly], [s2 * v for v in lx], [sign * s3 * v for v in h]))
+    sign = -1 if s3 * _dot(horizon, origin) < 0 else 1
+    s1 = sign * _dot(horizon, x_unit) * at_y
+    s2 = sign * _dot(horizon, y_unit) * at_x
+    return ProjMap2(([s1 * v for v in ly], [s2 * v for v in lx], [sign * s3 * v for v in horizon]))

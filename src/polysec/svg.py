@@ -25,7 +25,7 @@ _COLORS = {
 
 def _clip_line_to_box(line, x0, y0, x1, y1):
     """Endpoints of a projective line clipped to a rational bounding box."""
-    a, b, c = line.h  # a x + b y + c = 0
+    a, b, c = line  # a x + b y + c = 0
     pts = []
     if b != 0:
         for x in (x0, x1):

@@ -9,7 +9,7 @@ from hypothesis import settings
 
 from polysec import validate
 from polysec.errors import DuplicateVertex, ImageNotConvex, NotConvex, TooFewVertices
-from polysec.exactgeom import ProjLine, ProjPoint, det3
+from polysec.exactgeom import _canonical_int_triple, det3
 from polysec.heptagon import DetOctuple, _octuple
 from polysec.polygon import Polygon, ProjMap2
 
@@ -93,7 +93,21 @@ def apply_map(polygon: Polygon, t: ProjMap2) -> Polygon:
         raise ImageNotConvex(str(exc)) from exc
 
 
-def map_line_to_infinity(line: ProjLine, polygon: Polygon) -> ProjMap2:
+def point(*coords) -> tuple:
+    """The canonical integer triple of the affine point (x, y), or of the
+    homogeneous triple (x, y, w)."""
+    return _canonical_int_triple(coords if len(coords) == 3 else (*coords, 1))
+
+
+def side(line, p) -> int:
+    """Sign of the homogeneous product of a line and a point: 0 when the
+    point is on the line, and one nonzero sign per side for points of
+    positive weight, such as the lifts of Polygon.vertex."""
+    d = sum(a * b for a, b in zip(line, p))
+    return (d > 0) - (d < 0)
+
+
+def map_line_to_infinity(line, polygon: Polygon) -> ProjMap2:
     """An invertible map sending the given line to the line at infinity,
     for building projective images of test polygons.
 
@@ -102,11 +116,11 @@ def map_line_to_infinity(line: ProjLine, polygon: Polygon) -> ProjMap2:
     standard basis rows away from the line's pivot coordinate.  Requires the
     line to miss the polygon (ValueError otherwise).
     """
-    sides = {line.side(polygon.vertex(k)) for k in range(polygon.n)}
+    sides = {side(line, polygon.vertex(k)) for k in range(polygon.n)}
     if 0 in sides or len(sides) != 1:
         raise ValueError(f"line {line!r} meets the polygon")
     sign = sides.pop()
-    l = tuple(sign * v for v in line.h)
+    l = tuple(sign * v for v in line)
     pivot = next(k for k in range(3) if l[k] != 0)
     basis_rows = [row for k, row in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))) if k != pivot]
     return ProjMap2((basis_rows[0], basis_rows[1], l))
@@ -135,15 +149,15 @@ def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     return rk
 
 
-def incident(line: ProjLine, point: ProjPoint) -> bool:
+def incident(line, p) -> bool:
     """Whether the point lies on the line: their homogeneous product is zero."""
-    return sum(a * b for a, b in zip(line.h, point.h)) == 0
+    return side(line, p) == 0
 
 
 def edge_turns(polygon: Polygon, x, y) -> list:
     """The determinant of (p_i, p_{i+1}, (x, y)) along every edge; all
     points have w > 0, so each is the sign of that turn."""
-    q = ProjPoint.from_affine(x, y)
+    q = point(x, y)
     return [det3(polygon.vertex(i), polygon.vertex(i + 1), q) for i in range(polygon.n)]
 
 

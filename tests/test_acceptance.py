@@ -9,7 +9,7 @@ import random
 import pytest
 
 from polysec.compose import lower_bound_3d, ngon_3d_extension, ngon_extension, optimal_even_gon
-from polysec.exactgeom import ProjPoint, cross, det3, join, meet
+from polysec.exactgeom import cross, det3, join, meet
 from polysec.heptagon import (
     Crossing,
     classify_line,
@@ -32,6 +32,7 @@ from conftest import (
     rank,
     octuple_at,
     octuple_sums,
+    point,
     point_values,
     symbolic_octuples,
 )
@@ -244,7 +245,7 @@ def test_criterion_9_kernel_identities():
 
     checked = 0
     while checked < 10000:
-        pa, pb, pc = (ProjPoint(*raw_point()) for _ in range(3))
+        pa, pb, pc = (point(*raw_point()) for _ in range(3))
         if pa == pb or pa == pc:
             continue
         line = join(pa, pb)

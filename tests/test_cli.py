@@ -15,12 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polysec import cli, linalg, sections, slack
+from polysec import cli, exactgeom, linalg, sections, slack
 from polysec import hexagon as hexagon_module
 from polysec import polygon as polygon_module
 from polysec.cli import main
 from polysec.compose import ngon_extension
-from polysec.exactgeom import ProjPoint
 from polysec.heptagon import heptagon_extension
 from polysec.jsonio import dumps, loads, polygon_to_obj, sectioned_from_obj, sectioned_to_obj
 from polysec.polygon import Polygon, ProjMap2, convex_hull_2d, validate
@@ -425,7 +424,7 @@ class TestSlackFactorize:
     def test_no_search_and_one_product_check(self, heptagon_file, tmp_path, capsys, monkeypatch):
         # verify and factorize of package files never take the LP path, and
         # factorize does not verify: its factorization is the check; both
-        # read affine coordinates and build no projective point
+        # read affine coordinates and form no point or line
         polygon = random_convex_polygon(random.Random(28), 28)
         path28 = write_polygon(tmp_path, "p28.json", polygon.vertices)
         runs = [(heptagon_file, "auto"), (path28, "join"), (path28, "3d")]
@@ -436,12 +435,13 @@ class TestSlackFactorize:
         solves = count_calls_everywhere(monkeypatch, linalg, "solve_linear")
         checks = count_calls_everywhere(monkeypatch, slack, "verify_factorization")
         verifies = count_calls_everywhere(monkeypatch, sections, "verify_section")
-        points = count_calls(monkeypatch, ProjPoint, "__init__")
+        kernel = [count_calls_everywhere(monkeypatch, exactgeom, name) for name in ("join", "meet")]
+        kernel.append(count_calls(monkeypatch, Polygon, "vertex"))
         for k, (path, mode) in enumerate(runs):
             assert main(["verify", str(tmp_path / f"{k}.json")]) == 0
             assert main(["factorize", path, str(tmp_path / f"{k}.json")]) == 0
             assert len(checks) == len(verifies) == k + 1
-        assert lps == [] and solves == [] and points == []
+        assert lps == [] and solves == [] and kernel == [[], [], []]
 
     @pytest.mark.slow
     def test_factorize_output_unchanged(self, tmp_path, capsys):
@@ -524,6 +524,12 @@ def false_square_claim(shadows, u, w) -> dict:
             "certified": True}
 
 
+# a standard heptagon (heptagon.StandardHeptagon) in its index order; its
+# standardization line 0 is the line at infinity
+STANDARD_HEPTAGON = [(0, 0), (Fraction(-1, 4), Fraction(1, 2)), (Fraction(-1, 4), Fraction(3, 4)), (0, 1),
+                     (1, 0), (Fraction(3, 4), Fraction(-1, 4)), (Fraction(1, 2), Fraction(-1, 4))]
+
+
 def pinned_factorize_cases() -> list:
     """(name, polygon, extend mode) for the seeded set whose factorize output is pinned."""
     rng = random.Random(20261017)
@@ -544,13 +550,11 @@ def pinned_factorize_cases() -> list:
     # infinity, so that its pullback takes the shear
     alpha, beta, gamma, x, y = Fraction(2), Fraction(5), Fraction(3), Fraction(1, 4), Fraction(1, 3)
     witness = [(0, alpha), (beta * x, beta * y), (gamma, 0), (1, 0), (x, y), (0, 1)]
-    standard = [(0, 0), (Fraction(-1, 4), Fraction(1, 2)), (Fraction(-1, 4), Fraction(3, 4)), (0, 1),
-                (1, 0), (Fraction(3, 4), Fraction(-1, 4)), (Fraction(1, 2), Fraction(-1, 4))]
     cases += [
         ("hexagon5-mirrored", validate([(px, -py) for px, py in witness]), "auto"),
         ("hexagon5-infinity", validate([(0, 0), (1, 0), (2, 1), (2, Fraction(5, 2)), (1, 2), (0, 1)]), "auto"),
         ("hexagon5-projective", projective_image(witness, ((0, 1, 0), (0, 0, 1), (-1, -2, 20))), "auto"),
-        ("heptagon-shear", projective_image(standard, ((0, 1, 0), (0, 0, 1), (-10, 0, 11))), "auto"),
+        ("heptagon-shear", projective_image(STANDARD_HEPTAGON, ((0, 1, 0), (0, 0, 1), (-10, 0, 11))), "auto"),
     ]
     return cases
 
@@ -636,6 +640,18 @@ PINNED_SLACK_SHA256 = {
     "triangle": "6080a4b96e1af0f6",
     "heptagon": "32a039a75bf83bf3",
     "14gon": "9fb3b4e4da43d0ec",
+}
+
+
+# sha256 prefixes of `svg --std-lines --labels` stdout in
+# TestSvgCommand.test_output_unchanged, recorded while points and lines of
+# the projective kernel were wrapped in classes
+PINNED_SVG_SHA256 = {
+    "fixture": "0652722f9448dd39",
+    "standard": "d344d038ed3cb8ae",
+    "heptagon-0": "f415d1ecb3879dfa",
+    "heptagon-1": "dc7e7876fb498270",
+    "heptagon-2": "69de92a267631f51",
 }
 
 
@@ -796,6 +812,21 @@ class TestSvgCommand:
         pixels += re.search(r'<path d="([^"]*) Z"', text).group(1).replace("M", "").replace("L", "").split()
         assert len(pixels) == 12
         assert all(0 <= float(p) <= 640 for p in pixels)
+
+    def test_output_unchanged(self, heptagon_file, tmp_path, capsys):
+        paths = {"fixture": heptagon_file,
+                 "standard": write_polygon(tmp_path, "standard.json", STANDARD_HEPTAGON)}
+        for name, polygon, _ in pinned_factorize_cases():
+            if name in ("heptagon-0", "heptagon-1", "heptagon-2"):
+                paths[name] = write_polygon(tmp_path, name + ".json", polygon.vertices)
+        digests, lines = {}, {}
+        for name, path in paths.items():
+            assert main(["svg", path, "--std-lines", "--labels"]) == 0
+            out = capsys.readouterr().out
+            digests[name] = hashlib.sha256(out.encode()).hexdigest()[:16]
+            lines[name] = out.count("<line")
+        assert lines["standard"] == 6  # its line at infinity is skipped
+        assert digests == PINNED_SVG_SHA256
 
     def test_out_into_missing_directory(self, heptagon_file, tmp_path, capsys):
         out = tmp_path / "missing" / "fig.svg"

@@ -7,8 +7,7 @@ from polysec.errors import DegenerateJoin, DegenerateMeet, ParseError
 from polysec.exactgeom import (
     MAX_EXPONENT_DIGITS,
     MAX_SCALAR_CHARS,
-    ProjLine,
-    ProjPoint,
+    _canonical_int_triple,
     cross,
     det3,
     format_scalar,
@@ -17,52 +16,44 @@ from polysec.exactgeom import (
     parse_scalar,
 )
 
-from conftest import incident
+from conftest import incident, point
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 
 
-def pt(x, y):
-    return ProjPoint.from_affine(Fraction(x), Fraction(y))
-
-
 class TestJoinMeet:
     def test_join_x_axis(self):
-        line = join(pt(0, 0), pt(1, 0))
-        assert line == ProjLine(0, -1, 0) == ProjLine(0, 1, 0)
+        line = join(point(0, 0), point(1, 0))
+        assert line == _canonical_int_triple((0, -1, 0)) == (0, 1, 0)
 
     def test_join_y_axis(self):
-        assert join(pt(0, 0), pt(0, 1)) == ProjLine(1, 0, 0)
+        assert join(point(0, 0), point(0, 1)) == (1, 0, 0)
 
     def test_join_diagonal(self):
         # cross product of (1,0,1) and (0,1,1) worked out by hand
-        assert join(pt(1, 0), pt(0, 1)) == ProjLine(-1, -1, 1)
+        assert join(point(1, 0), point(0, 1)) == (-1, -1, 1)
 
     def test_join_equal_points_degenerate(self):
         with pytest.raises(DegenerateJoin):
-            join(pt(2, 3), ProjPoint(4, 6, 2))
+            join(point(2, 3), (4, 6, 2))
 
     def test_meet_axes_at_origin(self):
-        x_axis = join(pt(0, 0), pt(1, 0))
-        y_axis = join(pt(0, 0), pt(0, 1))
-        assert meet(x_axis, y_axis) == pt(0, 0)
+        x_axis = join(point(0, 0), point(1, 0))
+        y_axis = join(point(0, 0), point(0, 1))
+        assert meet(x_axis, y_axis) == point(0, 0)
 
     def test_meet_parallels_at_infinity(self):
-        l0 = join(pt(0, 0), pt(1, 0))
-        l1 = join(pt(0, 1), pt(1, 1))
-        p = meet(l0, l1)
-        assert not p.is_finite
-        assert p == ProjPoint(1, 0, 0)
+        l0 = join(point(0, 0), point(1, 0))
+        l1 = join(point(0, 1), point(1, 1))
+        assert meet(l0, l1) == (1, 0, 0)
 
     def test_meet_solves_two_by_two_system(self):
         # x + y = 1 and x - y = 0 meet at (1/2, 1/2)
-        l1 = ProjLine(1, 1, -1)
-        l2 = ProjLine(1, -1, 0)
-        assert meet(l1, l2) == ProjPoint.from_affine(Fraction(1, 2), Fraction(1, 2))
+        assert meet((1, 1, -1), (1, -1, 0)) == point(Fraction(1, 2), Fraction(1, 2)) == (1, 1, 2)
 
     def test_meet_equal_lines_degenerate(self):
         with pytest.raises(DegenerateMeet):
-            meet(ProjLine(1, 2, 3), ProjLine(2, 4, 6))
+            meet((1, 2, 3), (2, 4, 6))
 
 
 class TestDet3:
@@ -88,19 +79,20 @@ class TestDet3:
         assert det3(a, a, c) == 0
 
 
-class TestDehomogenize:
+class TestCanonicalTriple:
     def test_scales_out(self):
-        assert ProjPoint(2, 4, 2).h == (1, 2, 1)
+        assert _canonical_int_triple((2, 4, 2)) == (1, 2, 1)
 
     def test_infinite_point(self):
-        p = ProjPoint(1, 0, 0)
-        assert not p.is_finite
+        # at infinity the first nonzero coordinate is positive
+        assert _canonical_int_triple((-2, 0, 0)) == (1, 0, 0)
+        assert _canonical_int_triple((0, -3, 0)) == (0, 1, 0)
 
     def test_fractional_weight(self):
-        assert ProjPoint(Fraction(3, 2), -5, Fraction(1, 2)) == ProjPoint.from_affine(3, -10)
+        assert _canonical_int_triple((Fraction(3, 2), -5, Fraction(1, 2))) == point(3, -10)
 
     def test_negative_weight_normalized_on_construction(self):
-        assert ProjPoint(-1, -2, -1) == pt(1, 2)
+        assert _canonical_int_triple((-1, -2, -1)) == point(1, 2)
 
 
 class TestScalars:
@@ -192,7 +184,7 @@ class TestIdentities:
     @given(point_triples, point_triples, point_triples)
     @settings(max_examples=200, deadline=None)
     def test_incidence(self, a, b, c):
-        pa, pb, pc = (ProjPoint(*v) for v in (a, b, c))
+        pa, pb, pc = (point(*v) for v in (a, b, c))
         if pa == pb:
             return
         line = join(pa, pb)
@@ -202,13 +194,14 @@ class TestIdentities:
     @given(point_triples, point_triples, point_triples)
     @settings(max_examples=200, deadline=None)
     def test_meet_of_joins_recovers_common_point(self, a, b, c):
-        pa, pb, pc = (ProjPoint(*v) for v in (a, b, c))
+        pa, pb, pc = (point(*v) for v in (a, b, c))
         if pa == pb or pa == pc or det3(pa, pb, pc) == 0:
             return
         assert meet(join(pa, pb), join(pa, pc)) == pa
 
     def test_representative_independent_predicates(self):
-        p = ProjPoint(2, 4, 2)
-        q = ProjPoint(Fraction(1), Fraction(2), Fraction(1))
-        assert p == q and hash(p) == hash(q)
-        assert p.is_finite == q.is_finite
+        p, q, r = (2, 4, 2), (Fraction(1), Fraction(2), Fraction(1)), (3, -1, 1)
+        line = join(p, r)
+        assert line == join(q, r) == join((-1, -2, -1), r) == (-3, -2, 7)
+        assert meet(line, (0, 0, 1)) == meet(line, (0, 0, -5)) == (2, -3, 0)
+

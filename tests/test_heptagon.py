@@ -6,7 +6,7 @@ import polysec.heptagon as heptagon_module
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
 from polysec.errors import CertificationFailure, NotHeptagon
-from polysec.exactgeom import ProjLine, ProjPoint, cross, det3
+from polysec.exactgeom import cross, det3
 from polysec.heptagon import (
     Crossing,
     StandardHeptagon,
@@ -34,8 +34,10 @@ from conftest import (
     map_line_to_infinity,
     octuple_at,
     octuple_sums,
+    point,
     point_values,
     rational_grid_point,
+    side,
     strictly_contains,
     symbolic_octuples,
 )
@@ -52,16 +54,16 @@ def standard_polygon() -> Polygon:
     return validate(standard_heptagon().vertex_list())
 
 
-def line_meets_polygon_oracle(line: ProjLine, polygon: Polygon) -> bool:
+def line_meets_polygon_oracle(line, polygon: Polygon) -> bool:
     """Edge-by-edge crossing test: the line meets the closed polygon iff some
     edge has endpoints on opposite sides or touching it."""
     n = polygon.n
-    sides = [line.side(polygon.vertex(i)) for i in range(n)]
+    sides = [side(line, polygon.vertex(i)) for i in range(n)]
     return any(sides[i] == 0 or sides[i] * sides[(i + 1) % n] <= 0 for i in range(n))
 
 
-def separated_pair_oracle(line: ProjLine, polygon: Polygon, i: int) -> str:
-    sides = [line.side(polygon.vertex(i + k)) for k in range(7)]
+def separated_pair_oracle(line, polygon: Polygon, i: int) -> str:
+    sides = [side(line, polygon.vertex(i + k)) for k in range(7)]
     plus_pair = {sides[1], sides[2]}
     rest_plus = {sides[0], sides[3], sides[4], sides[5], sides[6]}
     minus_pair = {sides[5], sides[6]}
@@ -88,7 +90,7 @@ class TestStdPoints:
         assert det != 0
         x = (-l1[2] * l2[1] + l2[2] * l1[1]) / det
         y = (-l1[0] * l2[2] + l2[0] * l1[2]) / det
-        assert sp.plus == ProjPoint.from_affine(x, y)
+        assert sp.plus == point(x, y)
 
     def test_plus_minus_outside_polygon(self, rng):
         for _ in range(30):
@@ -96,17 +98,16 @@ class TestStdPoints:
             for i in range(7):
                 sp = std_points(polygon, i)
                 assert sp.plus != sp.minus
-                for point in (sp.plus, sp.minus):
-                    if point.is_finite:
-                        x, y, w = point.h
+                for x, y, w in (sp.plus, sp.minus):
+                    if w != 0:
                         assert not contains(polygon, Fraction(x, w), Fraction(y, w))
 
     def test_standard_heptagon_line0_at_infinity(self):
         polygon = standard_polygon()
         # the canonical rotation puts the standard index 0 at canonical 6
         sp = std_points(polygon, 6)
-        assert not sp.plus.is_finite and not sp.minus.is_finite
-        assert sp.line == ProjLine(0, 0, 1)
+        assert sp.plus[2] == sp.minus[2] == 0
+        assert sp.line == (0, 0, 1)
 
     def test_rejects_non_heptagon(self):
         with pytest.raises(NotHeptagon):
@@ -174,7 +175,7 @@ class TestClassifyLine:
         assert classify_line(polygon, 2) is Crossing.PLUS_CROSSING
         line = std_points(polygon, 2).line
         assert line_meets_polygon_oracle(line, polygon)
-        assert any(line.side(polygon.vertex(k)) == 0 for k in range(7))
+        assert any(side(line, polygon.vertex(k)) == 0 for k in range(7))
 
     def test_compatibility_lemma(self, rng):
         # a +-crossing at i forbids a --crossing at i - 3, and dually
@@ -358,7 +359,7 @@ class TestHeptagonExtension:
         for u1, u2 in ((1, 0), (0, 1), (1, 1), (2, 1), (1, -1)):
             reach = max(u1 * x + u2 * y for x, y in base.vertices)
             for gap in (Fraction(1, 10), Fraction(1)):
-                horizon = ProjLine(u1, u2, -(reach + gap))
+                horizon = (u1, u2, -(reach + gap))
                 polygon = apply_map(base, map_line_to_infinity(horizon, base))
                 builds.clear()
                 shears.clear()
@@ -378,11 +379,11 @@ class TestHeptagonExtension:
             assert ext.certified and len(sections) == 1
 
     def test_seven_conversions_and_no_validation(self, rng, monkeypatch):
-        # the input's vertices become projective points once, for the
+        # the input's vertices are lifted to integer triples once, for the
         # crossing classification; nothing is validated, since the standard
         # heptagon tests its own convexity, the pullback maps vertices and
         # the result claims the input
-        conversions = count_calls(monkeypatch, ProjPoint, "from_affine")
+        conversions = count_calls(monkeypatch, polygon_module, "_lift")
         validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
         for _ in range(20):
             polygon = random_convex_polygon(rng, 7)

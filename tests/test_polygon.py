@@ -13,11 +13,19 @@ from polysec.errors import (
     NotConvex,
     TooFewVertices,
 )
-from polysec.exactgeom import ProjLine, ProjPoint, det3, join
+from polysec.exactgeom import det3, join, meet
 from polysec.polygon import Polygon, ProjMap2, _encloses, _lift, _lift_keys, convex_hull_2d, frame_map, validate
 from polysec.randgen import random_convex_polygon
 
-from conftest import SIX_CROSSING_HEPTAGON, apply_map, contains, rational_grid_point, strictly_contains
+from conftest import (
+    SIX_CROSSING_HEPTAGON,
+    apply_map,
+    contains,
+    point,
+    rational_grid_point,
+    side,
+    strictly_contains,
+)
 
 
 def clockwise_everywhere(p: Polygon) -> bool:
@@ -76,16 +84,12 @@ class TestValidate:
 
 
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-AT_INFINITY = ProjLine(0, 0, 1)
+AT_INFINITY = (0, 0, 1)
 
 
-def affine(x, y) -> ProjPoint:
-    return ProjPoint.from_affine(x, y)
-
-
-def image(t: ProjMap2, point: ProjPoint) -> ProjPoint:
-    """The image of a point, as the matrix times its triple."""
-    return ProjPoint(*(sum(a * b for a, b in zip(row, point.h)) for row in t.m))
+def image(t: ProjMap2, p) -> tuple:
+    """The canonical image of a point, the matrix times its triple."""
+    return point(*(sum(a * b for a, b in zip(row, p)) for row in t.m))
 
 
 class TestApplyMap:
@@ -118,14 +122,14 @@ class TestMapLineToInfinity:
     """frame_map in its horizon role: the given line goes to infinity."""
 
     def test_line_at_infinity_gives_identity(self):
-        t = frame_map(affine(0, 0), affine(1, 0), affine(0, 1), AT_INFINITY)
+        t = frame_map(point(0, 0), point(1, 0), point(0, 1), AT_INFINITY)
         assert t.m == IDENTITY
 
     def test_vertical_line_left_of_polygon(self):
         # x = -1 misses the triangle: one weight sign on it, and a point of
         # the line has weight 0
         p = validate([(1, 0), (2, 0), (1, 1)])
-        line = ProjLine(1, 0, 1)
+        line = (1, 0, 1)
         t = frame_map(p.vertex(0), p.vertex(1), p.vertex(2), line)
         _, weights = t.apply_affine(p.vertices)
         assert all(w > 0 for w in weights)
@@ -136,8 +140,8 @@ class TestMapLineToInfinity:
         # the vertical line x = 1 crosses the square: the map built with it
         # as horizon separates the vertices
         p = validate([(0, 0), (2, 0), (2, 2), (0, 2)])
-        horizon = join(affine(1, -1), affine(1, 3))
-        t = frame_map(affine(0, 0), affine(0, 2), affine(2, 0), horizon)
+        horizon = join(point(1, -1), point(1, 3))
+        t = frame_map(point(0, 0), point(0, 2), point(2, 0), horizon)
         with pytest.raises(ImageNotConvex):
             t.apply_affine(p.vertices)
         with pytest.raises(MapsVertexToInfinity):
@@ -147,7 +151,7 @@ class TestMapLineToInfinity:
         for _ in range(25):
             p = random_convex_polygon(rng, 7)
             # a line strictly right of the polygon (circle points have x <= 1)
-            line = ProjLine(1, 0, -3)  # x = 3
+            line = (1, 0, -3)  # x = 3
             t = frame_map(p.vertex(0), p.vertex(3), p.vertex(5), line)
             q = apply_map(p, t)
             assert q.n == 7 and clockwise_everywhere(q)
@@ -157,26 +161,26 @@ class TestMapLineToInfinity:
             a, b = rational_grid_point(rng), rational_grid_point(rng)
             if a == b:
                 continue
-            horizon = join(affine(*a), affine(*b))
-            frame = [affine(*rational_grid_point(rng)) for _ in range(3)]
-            if any(horizon.side(q) == 0 for q in frame) or det3(*frame) == 0:
+            horizon = join(point(*a), point(*b))
+            frame = [point(*rational_grid_point(rng)) for _ in range(3)]
+            if any(side(horizon, q) == 0 for q in frame) or det3(*frame) == 0:
                 continue
             t = frame_map(*frame, horizon)
-            for q in (affine(*a), affine(*b)):
-                assert image(t, q).h[2] == 0
-            assert [image(t, q) for q in frame] == [affine(0, 0), affine(1, 0), affine(0, 1)]
+            for q in (point(*a), point(*b)):
+                assert image(t, q)[2] == 0
+            assert [image(t, q) for q in frame] == [point(0, 0), point(1, 0), point(0, 1)]
 
     def test_origin_at_infinity(self):
         # the direction (1, 1) goes to the origin when the horizon is a
         # finite line that misses it
-        origin = ProjPoint(1, 1, 0)
-        t = frame_map(origin, affine(0, 1), affine(1, 0), ProjLine(1, 1, -5))
-        assert image(t, origin) == affine(0, 0)
-        assert image(t, affine(0, 1)) == affine(1, 0)
-        assert image(t, affine(1, 0)) == affine(0, 1)
-        assert image(t, affine(5, 0)).h[2] == 0
+        origin = (1, 1, 0)
+        t = frame_map(origin, point(0, 1), point(1, 0), (1, 1, -5))
+        assert image(t, origin) == point(0, 0)
+        assert image(t, point(0, 1)) == point(1, 0)
+        assert image(t, point(1, 0)) == point(0, 1)
+        assert image(t, point(5, 0))[2] == 0
         # (1, 2) lies on the line through the origin's direction and (0, 1)
-        assert image(t, affine(1, 2)).h[1] == 0
+        assert image(t, point(1, 2))[1] == 0
 
 
 class TestAffineThroughThree:
@@ -184,37 +188,83 @@ class TestAffineThroughThree:
     sends three points to (0, 0), (1, 0) and (0, 1)."""
 
     def test_identity(self):
-        t = frame_map(affine(0, 0), affine(1, 0), affine(0, 1), AT_INFINITY)
+        t = frame_map(point(0, 0), point(1, 0), point(0, 1), AT_INFINITY)
         assert t.m == IDENTITY
 
     def test_doubling(self):
         half = Fraction(1, 2)
-        t = frame_map(affine(0, 0), affine(half, 0), affine(0, half), AT_INFINITY)
-        assert image(t, affine(3, 5)) == affine(6, 10)
+        t = frame_map(point(0, 0), point(half, 0), point(0, half), AT_INFINITY)
+        assert image(t, point(3, 5)) == point(6, 10)
 
     def test_degenerate_triple(self):
         with pytest.raises(DegenerateTriple):
-            frame_map(affine(0, 0), affine(1, 1), affine(2, 2), AT_INFINITY)
+            frame_map(point(0, 0), point(1, 1), point(2, 2), AT_INFINITY)
         with pytest.raises(DegenerateTriple):
             # a frame point on the horizon
-            frame_map(affine(0, 0), affine(1, 0), affine(0, 1), ProjLine(1, 0, -1))
+            frame_map(point(0, 0), point(1, 0), point(0, 1), (1, 0, -1))
         with pytest.raises(DegenerateTriple):
             # equal units are collinear with the origin
-            frame_map(affine(0, 0), affine(1, 0), affine(1, 0), AT_INFINITY)
+            frame_map(point(0, 0), point(1, 0), point(1, 0), AT_INFINITY)
         with pytest.raises(DegenerateJoin):
-            frame_map(affine(0, 0), affine(0, 0), affine(0, 1), AT_INFINITY)
+            frame_map(point(0, 0), point(0, 0), point(0, 1), AT_INFINITY)
         with pytest.raises(DegenerateJoin):
-            frame_map(affine(0, 0), affine(1, 0), affine(0, 0), AT_INFINITY)
+            frame_map(point(0, 0), point(1, 0), point(0, 0), AT_INFINITY)
 
     def test_exact_interpolation_fuzz(self, rng):
         for _ in range(50):
-            frame = [affine(Fraction(rng.randrange(-40, 40), 8), Fraction(rng.randrange(-40, 40), 8))
+            frame = [point(Fraction(rng.randrange(-40, 40), 8), Fraction(rng.randrange(-40, 40), 8))
                      for _ in range(3)]
             if det3(*frame) == 0:
                 continue
             t = frame_map(*frame, AT_INFINITY)
             assert t.det != 0 and t.m[2][:2] == (0, 0) and t.m[2][2] > 0
-            assert [image(t, q) for q in frame] == [affine(0, 0), affine(1, 0), affine(0, 1)]
+            assert [image(t, q) for q in frame] == [point(0, 0), point(1, 0), point(0, 1)]
+
+
+def scaled(triple, c) -> tuple:
+    return tuple(c * v for v in triple)
+
+
+seeds = st.integers(0, 2**32)
+nonzero = st.integers(-30, 30).filter(bool)
+positive = st.integers(1, 30)
+
+
+class TestRepresentatives:
+    """Polygon.vertex hands the projective kernel the hull's lifts, not the
+    canonical triples: join, meet and frame_map give the same results for
+    any multiples of their inputs, except that a negated frame origin
+    negates the map's matrix, the one sign that matters."""
+
+    @given(seeds, st.integers(3, 9))
+    def test_vertex_is_a_positive_multiple_of_the_canonical_triple(self, seed, n):
+        polygon = random_convex_polygon(random.Random(seed), n)
+        for k, (x, y) in enumerate(polygon.vertices):
+            lift, canonical = polygon.vertex(k), point(x, y)
+            scale = Fraction(lift[2], canonical[2])
+            assert scale > 0 and scale.denominator == 1 and lift == scaled(canonical, scale)
+
+    @given(seeds, nonzero, nonzero, nonzero, nonzero)
+    def test_join_and_meet_ignore_scaling(self, seed, s, t, u, v):
+        p = random_convex_polygon(random.Random(seed), 7).vertex
+        l1, l2 = join(p(0), p(3)), join(p(1), p(5))
+        assert join(scaled(p(0), s), scaled(p(3), t)) == l1 == join(point(*p(0)), point(*p(3)))
+        assert meet(scaled(l1, u), scaled(l2, v)) == meet(l1, l2)
+        # a meet at infinity keeps its canonical direction
+        x_axis, y_one = join(point(0, 0), point(1, 0)), join(point(0, 1), point(1, 1))
+        assert meet(scaled(x_axis, u), scaled(y_one, v)) == (1, 0, 0)
+
+    @given(seeds, positive, nonzero, nonzero, nonzero)
+    def test_frame_map_ignores_scaling_but_the_origin_sign(self, seed, a, b, c, d):
+        polygon = random_convex_polygon(random.Random(seed), 7)
+        p = polygon.vertex
+        origin, x_unit, y_unit, horizon = p(0), p(2), p(5), join(p(1), p(4))
+        m = frame_map(origin, x_unit, y_unit, horizon).m
+        canonical = [point(*polygon.vertices[k]) for k in (0, 2, 5)]
+        assert frame_map(*canonical, horizon).m == m
+        assert frame_map(scaled(origin, a), scaled(x_unit, b), scaled(y_unit, c), scaled(horizon, d)).m == m
+        negated = frame_map(scaled(origin, -a), x_unit, y_unit, horizon).m
+        assert negated == tuple(scaled(row, -1) for row in m)
 
 
 def fraction_orient(a, b, c):
