@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .heptagon import heptagon_vertices
-from .polygon import Polygon, canonical_hull, validate
+from .polygon import Polygon, convex_hull_2d, validate
 from .sections import SectionedPolytope, certify
 
 __all__ = [
@@ -47,7 +47,7 @@ def ngon_3d_extension(polygon: Polygon) -> SectionedPolytope:
     """
     if polygon.n < 7:
         raise DomainError(f"need n >= 7, got {polygon.n}")
-    vertices = heptagon_vertices(Polygon(polygon.vertices[:7]))
+    vertices = heptagon_vertices(Polygon(polygon.vertices[:7], [polygon.vertex(k) for k in range(7)]))
     vertices += [(x, y, Fraction(0)) for x, y in polygon.vertices[7:]]
     return certify(SectionedPolytope(3, vertices, polygon))
 
@@ -77,7 +77,7 @@ def convex_join_sections(*parts: SectionedPolytope) -> SectionedPolytope:
     from scratch.
     """
     dim, vertices = _join_vertices([s.vertices for s in parts if s.vertices])
-    claimed = Polygon(canonical_hull(p for s in parts for p in s.claimed.vertices))
+    claimed = validate(convex_hull_2d(p for s in parts for p in s.claimed.vertices))
     return certify(SectionedPolytope(dim, vertices, claimed))
 
 
@@ -93,7 +93,7 @@ def ngon_extension(polygon: Polygon) -> SectionedPolytope:
     blocks = []
     for k in range(0, n, 7):
         pts = polygon.vertices[k:k + 7]
-        blocks.append(heptagon_vertices(validate(pts)) if len(pts) == 7 else canonical_hull(pts))
+        blocks.append(heptagon_vertices(validate(pts)) if len(pts) == 7 else convex_hull_2d(pts))
     dim, vertices = _join_vertices(blocks)
     return certify(SectionedPolytope(dim, vertices, polygon))
 

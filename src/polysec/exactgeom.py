@@ -1,15 +1,15 @@
 """Exact projective-plane kernel, and rational scalars as text.
 
 Points and lines of the projective plane are integer homogeneous triples,
-plain tuples; a triple and its nonzero multiples are one point or line.
-join and meet take any representatives, since a cross product only scales
-with its inputs, and return the canonical one (denominators cleared, gcd
-reduced, sign fixed): finite points at w > 0, and for points and lines at
-infinity the first nonzero coordinate positive.
+plain tuples of ints only; a triple and its nonzero multiples are one point
+or line.  join and meet take any representatives, since a cross product
+only scales with its inputs, and return the canonical one (gcd reduced,
+sign fixed): finite points at w > 0, and for points and lines at infinity
+the first nonzero coordinate positive.
 
-Stored coordinates are affine rational pairs (polygon.Polygon);
-Polygon.vertex lifts them to the positive-weight integer triples that the
-hull also uses.  This kernel serves where lines are formed: the crossing
+Stored coordinates are affine rational pairs (polygon.Polygon), and
+Polygon.vertex serves their positive-weight integer lifts, made once by
+validate.  This kernel serves where lines are formed: the crossing
 classification of standardization lines, hexagon concurrency,
 polygon.frame_map and the svg rendering.
 
@@ -92,38 +92,20 @@ def format_scalar(value: ScalarLike) -> str:
         raise ScaleExceeded("a rational has too many digits to write") from exc
 
 
-def _primitive_ints(values: Sequence[ScalarLike]) -> list[int]:
-    """The rationals scaled by one positive factor to coprime integers.
-
-    Denominators are cleared by their lcm and the common gcd is divided out;
-    signs are kept, and all zeros stay zeros.
-    """
-    fracs = [v if isinstance(v, int) else Fraction(v) for v in values]
-    denom_lcm = 1
-    for v in fracs:
-        if not isinstance(v, int):
-            d = v.denominator
-            denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-    ints = [int(v * denom_lcm) for v in fracs]
-    g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+def _primitive_ints(values: Sequence[int]) -> list[int]:
+    """The integers divided by their gcd; signs are kept, and all zeros
+    stay zeros."""
+    g = gcd(*values)
+    return [v // g for v in values] if g > 1 else list(values)
 
 
-def _canonical_int_triple(coords: Sequence[ScalarLike]) -> Triple:
-    if len(coords) != 3:
-        raise ValueError("homogeneous coordinates need exactly 3 entries")
-    ints = _primitive_ints(coords)
-    if not any(ints):
-        raise ValueError("all three homogeneous coordinates are zero")
-    # sign: w > 0 for finite, else first nonzero positive
-    if ints[2] != 0:
-        if ints[2] < 0:
-            ints = [-v for v in ints]
-    else:
-        lead = ints[0] if ints[0] != 0 else ints[1]
-        if lead < 0:
-            ints = [-v for v in ints]
-    return (ints[0], ints[1], ints[2])
+def _canonical_int_triple(coords: Sequence[int]) -> Triple:
+    """The primitive representative of a nonzero integer triple: w > 0
+    for finite points, else the first nonzero coordinate positive."""
+    x, y, w = _primitive_ints(coords)
+    if (w or x or y) < 0:
+        return -x, -y, -w
+    return x, y, w
 
 
 def _dot(u: Iterable, v: Iterable) -> int:

@@ -152,17 +152,18 @@ def hexagon_normal_form(polygon: Polygon, decision: HexDecision) -> HexNormalFor
                          mirrored=not direct, map=normalize)
 
 
-def _far_line(polygon: Polygon, c: Triple) -> tuple:
-    """A far line, a rational triple, normal to the direction c, a point at infinity.
+def _far_line(polygon: Polygon, c: Triple) -> Triple:
+    """A far line, an integer triple, normal to the direction c, a point at infinity.
 
     The line {v . x = M} with v the common direction does not contain c;
-    M sits one full functional spread beyond the farthest vertex, keeping
-    the hexagon well clear of it.
+    M = 2 max - min + 1 of v . x over the vertices sits one full functional
+    spread beyond the farthest vertex, keeping the hexagon well clear of
+    it.  The triple is (v, -M) times the denominator of M.
     """
     vx, vy, _ = c
     values = [vx * x + vy * y for x, y in polygon.vertices]
-    spread = max(values) - min(values)
-    return (vx, vy, -(max(values) + spread + 1))
+    m = 2 * max(values) - min(values) + 1
+    return vx * m.denominator, vy * m.denominator, -m.numerator
 
 
 def default_bipyramid_k(nf: HexNormalForm) -> Fraction:

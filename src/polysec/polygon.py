@@ -1,8 +1,9 @@
 """Convex polygons with clockwise cyclic labeling, and planar maps.
 
 A Polygon stores its vertices as affine pairs of Fractions, the one
-planar coordinate of the package.  The canonical labeling, the order of
-canonical_hull that validate() ends in, is clockwise (the triangle
+planar coordinate of the package, and the integer lift of each, both made
+by validate().  The canonical labeling, the order that convex_hull_2d
+returns and validate() ends in, is clockwise (the triangle
 (p_{i+2}, p_{i+1}, p_i) is positively oriented for every i) with the
 lexicographically smallest vertex at index 0.  Operations that need a
 specific index alignment take their own index parameter instead of
@@ -34,13 +35,12 @@ strictly on the other side.  Together they bound a strictly convex polygon
 with the input points as vertices, each once, in cyclic order.  Every such
 polygon passes both tests, so the hull only names a rejected input's defect.
 
-Planar maps are projective (ProjMap2).  frame_map builds each
-normalization map from its frame, three points sent to (0, 0), (1, 0) and
-(0, 1) and a line sent to infinity, as integer rows in one step.  Maps act
-on affine points in one place, ProjMap2.apply_affine, which refuses points
-on or across the line the map sends to infinity.  Polygon.vertex serves
-the projective kernel (exactgeom) the same vertices as their positive-weight
-lifts, the integer triples that the hull and validate use.
+Planar maps are projective (ProjMap2), integer rows.  frame_map builds
+each normalization map from its frame, three points sent to (0, 0), (1, 0)
+and (0, 1) and a line sent to infinity, in one step.  Maps act on affine
+points in one place, ProjMap2.apply_affine, which refuses points on or
+across the line the map sends to infinity.  Polygon.vertex serves the
+projective kernel (exactgeom) the lifts that validate's convexity test made.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .exactgeom import Triple, _dot, _primitive_ints, det3, join
 
 AffinePair = tuple[Fraction, Fraction]
 
-__all__ = ["Polygon", "ProjMap2", "validate", "frame_map", "convex_hull_2d", "canonical_hull"]
+__all__ = ["Polygon", "ProjMap2", "validate", "frame_map", "convex_hull_2d"]
 
 
 def _fraction(c) -> Fraction:
@@ -137,16 +137,19 @@ def _encloses(lifts: Sequence[tuple[int, int, int]], keys: Sequence[tuple[int, i
     return True
 
 
-def convex_hull_2d(points: Iterable[AffinePair]) -> list[AffinePair]:
-    """Strict convex hull (collinear boundary points dropped), counterclockwise.
+def convex_hull_2d(points: Iterable[AffinePair]) -> tuple[AffinePair, ...]:
+    """Strict convex hull (collinear boundary points dropped) in canonical
+    order: the lexicographically smallest point first, then clockwise.  One
+    point gives (p,), two the sorted pair, and three or more the vertices
+    of the canonical Polygon.
 
     Each point is lifted once to integers, and the points are sorted and
     deduplicated on the exact integer keys of their lifts (_lift_keys:
     floor(x 2^s) and floor(y 2^s) with every weight below 2^(s/2), so
     distinct values, at least 2^-s apart, never share a key); the monotone
-    chain then runs over the distinct points on integer determinant signs.
-    The first hull vertex is the lexicographically smallest point.  The hull holds the given pair objects
-    themselves, the first given of equal points.
+    chain then runs over the distinct points on integer determinant signs,
+    turning clockwise.  The hull holds the given pair objects themselves,
+    the first given of equal points.
     """
     pts = list(points)
     lifts = [_lift(p) for p in pts]
@@ -154,34 +157,27 @@ def convex_hull_2d(points: Iterable[AffinePair]) -> list[AffinePair]:
     order = sorted(range(len(pts)), key=keys.__getitem__)
     order = [k for pos, k in enumerate(order) if pos == 0 or keys[k] != keys[order[pos - 1]]]
     if len(order) <= 2:
-        return [pts[k] for k in order]
+        return tuple(pts[k] for k in order)
     hull: list[int] = []
     for chain in (order, order[::-1]):
         base = len(hull)
         for k in chain:
-            while len(hull) >= base + 2 and _turn(lifts[hull[-2]], lifts[hull[-1]], lifts[k]) <= 0:
+            while len(hull) >= base + 2 and _turn(lifts[hull[-2]], lifts[hull[-1]], lifts[k]) >= 0:
                 hull.pop()
             hull.append(k)
         hull.pop()  # each half ends where the other begins
-    return [pts[k] for k in hull]
-
-
-def canonical_hull(points: Iterable[AffinePair]) -> tuple[AffinePair, ...]:
-    """The strict convex hull in canonical order: the lexicographically
-    smallest point first, then clockwise.  One point gives (p,), two the
-    sorted pair, and three or more the vertices of the canonical Polygon."""
-    hull = convex_hull_2d(points)
-    return tuple(hull[:1] + hull[:0:-1])
+    return tuple(pts[k] for k in hull)
 
 
 class Polygon:
-    """Strictly convex polygon, affine vertices cyclically clockwise labeled."""
+    """Strictly convex polygon, affine vertices cyclically clockwise labeled,
+    with lifts[i] = _lift(vertices[i]); validate builds every Polygon."""
 
     __slots__ = ("vertices", "_lifts")
 
-    def __init__(self, vertices: Sequence[AffinePair]):
+    def __init__(self, vertices: Sequence[AffinePair], lifts: Sequence[Triple]):
         self.vertices = tuple(vertices)
-        self._lifts = None
+        self._lifts = tuple(lifts)
 
     @property
     def n(self) -> int:
@@ -189,9 +185,7 @@ class Polygon:
 
     def vertex(self, i: int) -> Triple:
         """Vertex i, cyclically, as its integer lift (_lift) for the
-        projective kernel; the lifts are built once, on first use."""
-        if self._lifts is None:
-            self._lifts = tuple(map(_lift, self.vertices))
+        projective kernel."""
         return self._lifts[i % len(self._lifts)]
 
     def edge_inequality(self, i: int) -> tuple[AffinePair, Fraction]:
@@ -222,7 +216,8 @@ def validate(points: Iterable[Sequence]) -> Polygon:
 
     Accepts exactly the strictly convex polygons in cyclic order, in linear
     time (module docstring), and returns the input pairs rotated to the
-    lexicographic minimum, reversed when they turn counterclockwise.
+    lexicographic minimum, reversed when they turn counterclockwise, with
+    the lifts that the convexity test made.
     Rejects repeated points (DuplicateVertex), collinear or interior points,
     and convex-position points out of cyclic order (NotConvex).
     """
@@ -235,9 +230,8 @@ def validate(points: Iterable[Sequence]) -> Polygon:
     turn = _convex_cycle(lifts, keys)
     if turn:
         m = keys.index(min(keys))
-        if turn < 0:
-            return Polygon(pts[m:] + pts[:m])
-        return Polygon([pts[m - k] for k in range(n)])
+        order = [(m - turn * k) % n for k in range(n)]
+        return Polygon([pts[k] for k in order], [lifts[k] for k in order])
     # the keys are exact: equal keys are equal points
     if len(set(keys)) != n:
         raise DuplicateVertex("duplicate vertices in input")
@@ -251,7 +245,7 @@ class ProjMap2:
 
     __slots__ = ("m",)
 
-    def __init__(self, rows: Sequence[Sequence]):
+    def __init__(self, rows: Sequence[Sequence[int]]):
         ints = _primitive_ints([v for row in rows for v in row])
         self.m = tuple(tuple(ints[k:k + 3]) for k in (0, 3, 6))
         if self.det == 0:

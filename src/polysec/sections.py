@@ -93,7 +93,7 @@ from .polygon import (
     _convex_cycle,
     _encloses,
     _lift_keys,
-    canonical_hull,
+    convex_hull_2d,
 )
 
 AmbientPoint = tuple[Fraction, ...]
@@ -284,8 +284,8 @@ def _claim_columns(points: Sequence[tuple[Fraction, Fraction]], gens: Sequence[A
 
 def compute_section(vertices: Sequence[Sequence], dim: int) -> tuple[AffinePair, ...]:
     """Hull of the vertices on H and of the crossings of H by vertex segments,
-    in canonical_hull order: one point, a sorted pair, or the vertices of
-    the canonical Polygon.
+    in canonical order (convex_hull_2d): one point, a sorted pair, or the
+    vertices of the canonical Polygon.
 
     Coordinates are Fractions or ints.  The hull lies in the section of
     conv(vertices) by H and is all of it when no vertex has two nonzero
@@ -298,7 +298,7 @@ def compute_section(vertices: Sequence[Sequence], dim: int) -> tuple[AffinePair,
     points = [(v[0], v[1]) for v, support in zip(vertices, supports) if not support]
     points += [(Fraction(xn, xd), Fraction(yn, yd))
                for _, _, (xn, xd, yn, yd) in _flat_crossings(vertices, supports)]
-    hull = canonical_hull(points)
+    hull = convex_hull_2d(points)
     if not hull:
         raise EmptySection("the flat does not meet the polytope")
     return hull

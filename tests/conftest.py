@@ -2,6 +2,7 @@ import random
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import pytest
@@ -11,7 +12,7 @@ from polysec import validate
 from polysec.errors import DuplicateVertex, ImageNotConvex, NotConvex, TooFewVertices
 from polysec.exactgeom import _canonical_int_triple, det3
 from polysec.heptagon import DetOctuple, _octuple
-from polysec.polygon import Polygon, ProjMap2
+from polysec.polygon import Polygon, ProjMap2, _lift
 
 # every property test draws the same examples on every run
 settings.register_profile("derandomized", derandomize=True, deadline=None)
@@ -95,8 +96,15 @@ def apply_map(polygon: Polygon, t: ProjMap2) -> Polygon:
 
 def point(*coords) -> tuple:
     """The canonical integer triple of the affine point (x, y), or of the
-    homogeneous triple (x, y, w)."""
-    return _canonical_int_triple(coords if len(coords) == 3 else (*coords, 1))
+    homogeneous triple (x, y, w), rational coordinates allowed."""
+    coords = [Fraction(c) for c in (coords if len(coords) == 3 else (*coords, 1))]
+    scale = lcm(*(c.denominator for c in coords))
+    return _canonical_int_triple([int(c * scale) for c in coords])
+
+
+def raw_polygon(points) -> Polygon:
+    """A Polygon of the given pairs as they are, not validated."""
+    return Polygon(points, [_lift(p) for p in points])
 
 
 def side(line, p) -> int:

@@ -13,7 +13,7 @@ from polysec.compose import (
 )
 from polysec.errors import DomainError
 from polysec.heptagon import heptagon_extension, heptagon_vertices
-from polysec.polygon import canonical_hull, validate
+from polysec.polygon import convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import SectionedPolytope, certify, extreme_points
 
@@ -53,7 +53,7 @@ class TestChunkPlan:
         polygon = random_convex_polygon(rng, 16)
         ext = ngon_extension(polygon)
         assert ext.dim == 2 + 2 and len(ext.vertices) == 6 * 2 + 2
-        assert on_plane(ext) == list(canonical_hull(polygon.vertices[14:16]))
+        assert on_plane(ext) == list(convex_hull_2d(polygon.vertices[14:16]))
 
     def test_covering_partition(self, rng):
         polygon = random_convex_polygon(rng, 20)
@@ -64,7 +64,7 @@ class TestChunkPlan:
             assert len(block) == 6 and not any(v[2 + (1 - q)] for v in block)
             assert block == [(*v[:2], *[Fraction(0)] * q, *v[2:], *[Fraction(0)] * (1 - q))
                              for v in heptagon_vertices(validate(polygon.vertices[7 * q:7 * q + 7]))]
-        assert on_plane(ext) == list(canonical_hull(polygon.vertices[14:20]))
+        assert on_plane(ext) == list(convex_hull_2d(polygon.vertices[14:20]))
 
     def test_rejects_hexagon(self, rng):
         with pytest.raises(DomainError):
@@ -128,7 +128,7 @@ class TestConvexJoin:
         assert joined.certified
         assert joined.dim == s1.dim
         assert len(joined.vertices) == len(s1.vertices) + 3
-        assert joined.claimed.vertices == canonical_hull([*heptagon.vertices, *outside.vertices])
+        assert joined.claimed.vertices == convex_hull_2d([*heptagon.vertices, *outside.vertices])
 
     def test_two_heptagon_chunks_of_a_14gon(self, rng):
         polygon = random_convex_polygon(rng, 14)

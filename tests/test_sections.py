@@ -19,7 +19,7 @@ from polysec.errors import (
 )
 from polysec.linalg import convex_coefficients, solve_linear
 from polysec.heptagon import heptagon_extension
-from polysec.polygon import Polygon, ProjMap2, canonical_hull, convex_hull_2d, validate
+from polysec.polygon import ProjMap2, convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import (
     SectionedPolytope,
@@ -34,7 +34,7 @@ from polysec.sections import (
 )
 from polysec.slack import factorize_from_section
 
-from conftest import apply_map, count_calls, count_calls_everywhere
+from conftest import apply_map, count_calls, count_calls_everywhere, raw_polygon
 
 TETRA = [(0, 0, -1), (1, 0, -1), (0, 1, -1), (0, 0, 1)]
 TETRA_SECTION = [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]
@@ -344,8 +344,8 @@ def heptagon_file():
 
 
 def matches(verts, claim) -> bool:
-    """verify_section of a claim built as a Polygon directly, not validated."""
-    return verify_section(SectionedPolytope(len(verts[0]), verts, Polygon(claim)))
+    """verify_section of a claim built as a Polygon directly (raw_polygon), not validated."""
+    return verify_section(SectionedPolytope(len(verts[0]), verts, raw_polygon(claim)))
 
 
 class TestMatchingSoundness:
@@ -401,9 +401,9 @@ def claimed_files(draw):
         scale = 1 + draw(st.sampled_from([Fraction(1, 7), Fraction(-1, 7), Fraction(1, 10**9), Fraction(-1, 10**9)]))
         points[k] = (points[k][0] * scale, points[k][1] * scale)
     try:
-        claim = validate(points) if change != "rotate" else Polygon(points)
+        claim = validate(points) if change != "rotate" else raw_polygon(points)
     except (NotConvex, TooFewVertices):
-        claim = Polygon(points)
+        claim = raw_polygon(points)
     return SectionedPolytope(ext.dim, ext.vertices, claim)
 
 
@@ -434,7 +434,7 @@ def brute_force_section(verts, dim):
             weights = solve_linear(rows, [1] + [0] * (dim - 2))
             if weights is not None and all(w >= 0 for w in weights):
                 points.append(tuple(sum(w * v[c] for w, v in zip(weights, subset)) for c in (0, 1)))
-    return canonical_hull(points) if points else None
+    return convex_hull_2d(points) if points else None
 
 
 @st.composite
@@ -592,12 +592,12 @@ class TestLiftAndPullback:
 
 class TestCanonicalHull:
     def test_three_collinear_points_make_segment(self):
-        assert canonical_hull([(2, 2), (1, 1), (0, 0)]) == ((0, 0), (2, 2))
+        assert convex_hull_2d([(2, 2), (1, 1), (0, 0)]) == ((0, 0), (2, 2))
 
     def test_polygon_round_trip(self):
         poly = validate([(0, 0), (3, 0), (0, 3)])
-        assert canonical_hull(poly.vertices) == poly.vertices
-        assert canonical_hull([(3, 0), (0, 0), (1, 1), (0, 3)]) == poly.vertices
+        assert convex_hull_2d(poly.vertices) == poly.vertices
+        assert convex_hull_2d([(3, 0), (0, 0), (1, 1), (0, 3)]) == poly.vertices
 
     def test_polygon_is_not_revalidated(self, monkeypatch):
         # one monotone chain per section; validate would run a second
