@@ -47,7 +47,7 @@ def ngon_3d_extension(polygon: Polygon) -> SectionedPolytope:
     """
     if polygon.n < 7:
         raise DomainError(f"need n >= 7, got {polygon.n}")
-    vertices = heptagon_vertices(Polygon(polygon.vertices[:7], [polygon.vertex(k) for k in range(7)]))
+    vertices = heptagon_vertices(Polygon(polygon.vertices[:7], polygon.lifts[:7]))
     vertices += [(x, y, Fraction(0)) for x, y in polygon.vertices[7:]]
     return certify(SectionedPolytope(3, vertices, polygon))
 

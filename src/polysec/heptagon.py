@@ -122,11 +122,11 @@ def classify_line(polygon: Polygon, i: int) -> Crossing:
 
     The signs of a*b - c*d (+-crossing) and g*h - e*f (--crossing) decide.
     Both products of a difference take each of the same six vertices
-    once, so a vertex scaled by a positive factor scales them alike: the
-    lifts of Polygon.vertex give the signs of the unit lifts.
+    once, so a vertex scaled by a positive factor scales them alike:
+    Polygon.lifts give the signs of the unit lifts.
     """
     _require_heptagon(polygon)
-    o = _octuple([polygon.vertex(k) for k in range(7)], i)
+    o = _octuple(polygon.lifts, i)
     plus_expr = o.a * o.b - o.c * o.d
     minus_expr = o.g * o.h - o.e * o.f
     if plus_expr >= 0 and minus_expr >= 0:

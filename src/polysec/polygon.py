@@ -39,8 +39,8 @@ Planar maps are projective (ProjMap2), integer rows.  frame_map builds
 each normalization map from its frame, three points sent to (0, 0), (1, 0)
 and (0, 1) and a line sent to infinity, in one step.  Maps act on affine
 points in one place, ProjMap2.apply_affine, which refuses points on or
-across the line the map sends to infinity.  Polygon.vertex serves the
-projective kernel (exactgeom) the lifts that validate's convexity test made.
+across the line the map sends to infinity.  Polygon.lifts holds the lifts
+that validate's convexity test made, for exactgeom and sections.
 """
 
 from __future__ import annotations
@@ -173,11 +173,11 @@ class Polygon:
     """Strictly convex polygon, affine vertices cyclically clockwise labeled,
     with lifts[i] = _lift(vertices[i]); validate builds every Polygon."""
 
-    __slots__ = ("vertices", "_lifts")
+    __slots__ = ("vertices", "lifts")
 
     def __init__(self, vertices: Sequence[AffinePair], lifts: Sequence[Triple]):
         self.vertices = tuple(vertices)
-        self._lifts = tuple(lifts)
+        self.lifts = tuple(lifts)
 
     @property
     def n(self) -> int:
@@ -186,7 +186,7 @@ class Polygon:
     def vertex(self, i: int) -> Triple:
         """Vertex i, cyclically, as its integer lift (_lift) for the
         projective kernel."""
-        return self._lifts[i % len(self._lifts)]
+        return self.lifts[i % len(self.lifts)]
 
     def edge_inequality(self, i: int) -> tuple[AffinePair, Fraction]:
         """Outward normal a and offset b of edge (i, i+1): a . x <= b on the polygon.

@@ -9,18 +9,18 @@ Support lemma, exact in any dimension: if u and v have different off-H
 supports, the segment [u, v] meets H at most at an endpoint that already
 lies on H.  Say u_j != 0 = v_j; then (1-t) u_j = 0 forces t = 1, the
 endpoint v.  So only segments between vertices of one nonempty support can
-cross H anywhere else, and only those pairs are tested (_flat_crossings),
+cross H anywhere else, and only those pairs are tested (_section_points),
 at most MAX_PAIR_TESTS of them (past it, ScaleExceeded before the first
 test).  Within a support every support coordinate is nonzero at both ends,
 so a pair crosses H exactly when the first support coordinates have
 opposite signs and the support coordinates are proportional.  Each vertex
-is read once, into its integer key: the (numerator, denominator) pairs of
-x, y and its support coordinates.  The crossings are tested and computed on
-these keys (_segment_flat_crossing), which yields the planar point only,
-as its point key (x.num, x.den, y.num, y.den) in lowest terms with positive
-denominators, one gcd per coordinate: the key of a Fraction pair, so equal
-points have equal keys, and no Fraction is formed or hashed.  Only
-_section_columns forms the parameter t of a crossing.
+off H is read once, into its integer key: the (numerator, denominator)
+pairs of x, y and its support coordinates.  The crossings are tested and
+computed on these keys (_segment_flat_crossing), which yields the planar
+point only, as polygon._lift of its Fraction pair (one gcd per coordinate),
+so equal points have equal lifts, and no Fraction is formed or hashed.
+Every reader takes them, after the vertices on H, from _section_points;
+only _section_columns forms the parameter t of a crossing.
 
 The hull of the vertices on H and of these crossings lies in the section.
 It is the whole section when every vertex has at most one nonzero
@@ -36,14 +36,15 @@ path (and serves slack): for each vertex the index j of its one nonzero
 coordinate off H, None on H; or None when some vertex has two.  It also
 gives the supports crossed, so the off-H coordinates are scanned once.
 
-On this path verify_section matches the claim against the point keys, with
-no hull.  The claim passes when (1) it is strictly convex in canonical
-order: validate's linear test (polygon._convex_cycle) turns clockwise, from
-the lexicographic minimum at index 0; (2) every claimed vertex is one of
-the points; and (3) every other point lies in the closed claimed polygon
-(polygon._encloses: two turns per point, at the edges over its x that a
-bisection on the exact keys finds).  Then the hull of the points is the
-claimed polygon: (3) puts the points inside it and (2) its vertices among
+On this path verify_section matches the claim's lifts (Polygon.lifts, made
+by validate) against the points, with no hull.  The claim passes when (1)
+it is strictly convex in canonical order: validate's linear test
+(polygon._convex_cycle) turns clockwise, from the lexicographic minimum at
+index 0; (2) every claimed vertex is one of the points; and (3) every
+other point lies in the closed claimed polygon (polygon._encloses: two
+turns per point, at the edges over its x that a bisection on the exact
+sort keys finds).  Then the hull of the points is the claimed polygon:
+(3) puts the points inside it and (2) its vertices among
 them, and the vertices of a strictly convex polygon are the vertices of
 its hull, so the claim is the hull vertex for vertex, in canonical order.
 Conversely the hull of the points, when it is a polygon, passes all three.
@@ -80,7 +81,7 @@ from .errors import (
     PullbackUnbounded,
     ScaleExceeded,
 )
-from .exactgeom import _ZERO
+from .exactgeom import _ZERO, Triple
 from .linalg import (
     convex_coefficients,
     feasible_nonnegative_solution,
@@ -92,12 +93,12 @@ from .polygon import (
     ProjMap2,
     _convex_cycle,
     _encloses,
+    _lift,
     _lift_keys,
     convex_hull_2d,
 )
 
 AmbientPoint = tuple[Fraction, ...]
-PointKey = tuple[int, int, int, int]
 
 __all__ = [
     "SectionedPolytope",
@@ -151,18 +152,11 @@ class SectionedPolytope:
                 f"certified={self.certified})")
 
 
-def _point_key(x, y) -> PointKey:
-    """The point key (x.num, x.den, y.num, y.den) of a planar point of ints
-    or Fractions: equal points, equal keys."""
-    return x.numerator, x.denominator, y.numerator, y.denominator
+def _segment_flat_crossing(u: tuple, v: tuple) -> Optional[Triple]:
+    """Lift of the planar point where segment [u, v] meets H, if it meets
+    H at one point, for two vertices of the same nonempty off-H support.
 
-
-def _segment_flat_crossing(u: tuple, v: tuple) -> Optional[PointKey]:
-    """Point key of the planar point where segment [u, v] meets H, if it
-    meets H at one point, for two vertices of the same nonempty off-H
-    support.
-
-    u and v are the vertices' integer keys (_flat_crossings): one
+    u and v are the vertices' integer keys (_section_points): one
     (numerator, denominator) pair for each of x, y and the support
     coordinates, which are nonzero at both ends.  (1-t) u_j + t v_j = 0
     pins t = u_j / (u_j - v_j), which lies in [0, 1] exactly when u_j and
@@ -173,7 +167,7 @@ def _segment_flat_crossing(u: tuple, v: tuple) -> Optional[PointKey]:
     q = |b.num| a.den (both positive), t = p / (p + q), 1 - t = q / (p + q)
     and x = (q u_x.num v_x.den + p v_x.num u_x.den) / ((p + q) u_x.den v_x.den),
     y likewise, each brought to lowest terms by one gcd; the denominators
-    are positive, so the key is that of the Fractions.
+    are positive, so the lift is polygon._lift of the Fractions.
     """
     (an, ad), (bn, bd) = u[2], v[2]
     if (an > 0) == (bn > 0):
@@ -190,7 +184,8 @@ def _segment_flat_crossing(u: tuple, v: tuple) -> Optional[PointKey]:
     x, x_den = q * xn * zd + p * zn * xd, s * xd * zd
     y, y_den = q * yn * wd + p * wn * yd, s * yd * wd
     g, h = gcd(x, x_den), gcd(y, y_den)
-    return x // g, x_den // g, y // h, y_den // h
+    x, x_den, y, y_den = x // g, x_den // g, y // h, y_den // h
+    return x * y_den, y * x_den, x_den * y_den
 
 
 def _support(v: Sequence) -> tuple[int, ...]:
@@ -202,20 +197,25 @@ def _support(v: Sequence) -> tuple[int, ...]:
 MAX_PAIR_TESTS = 100_000  # about 2 s of crossing tests; package files make a few hundred
 
 
-def _flat_crossings(vertices: Sequence[Sequence], supports: Sequence[tuple[int, ...]]):
-    """Unique crossings of H by segments between vertices of one nonempty
-    off-H support (supports[k] is that of vertices[k]); by the support
-    lemma no other segment crosses H except at an endpoint on H.
+def _section_points(vertices: Sequence[Sequence], supports: Sequence[tuple[int, ...]]):
+    """The section's points (module docstring) as planar lifts
+    (polygon._lift); supports[k] is the off-H support of vertices[k].
 
-    Yields (i, j, key) in lexicographic (i, j) order, i < j, with key the
-    point key of the planar crossing of [vertices[i], vertices[j]].  Each
-    vertex is read once, into its integer key: the (numerator, denominator)
-    pairs of x, y and its support coordinates, which within one support fix
-    the vertex.  The keys find repeated vertices, crossed at their first
-    index only (a later copy adds no crossing point, and no earlier pair),
-    and are what _segment_flat_crossing crosses.  ScaleExceeded, before any test, past
-    MAX_PAIR_TESTS pairs of distinct vertices.
+    Yields (k, None, lift) for each vertex k on H, in index order, then the
+    unique crossings of H by segments between vertices of one nonempty
+    support, (i, j, lift) in lexicographic (i, j) order, i < j; by the
+    support lemma no other segment crosses H except at an endpoint on H.
+    Each vertex off H is read once, into its integer key: the (numerator,
+    denominator) pairs of x, y and its support coordinates, which within
+    one support fix the vertex.  The keys find repeated vertices, crossed
+    at their first index only (a later copy adds no crossing point, and no
+    earlier pair), and are what _segment_flat_crossing crosses.
+    ScaleExceeded, before any crossing test, past MAX_PAIR_TESTS pairs of
+    distinct vertices.
     """
+    for k, (v, support) in enumerate(zip(vertices, supports)):
+        if not support:
+            yield k, None, _lift(v[:2])
     groups = {}
     keys = [None] * len(vertices)
     for k, (v, support) in enumerate(zip(vertices, supports)):
@@ -239,40 +239,37 @@ def _flat_crossings(vertices: Sequence[Sequence], supports: Sequence[tuple[int, 
                 yield i, j, point
 
 
-def _section_columns(gens: Sequence[AmbientPoint]) -> dict[PointKey, dict]:
+def _section_columns(gens: Sequence[AmbientPoint]) -> dict[Triple, dict]:
     """Sparse convex column of every point that a generator or a generator
-    segment contributes to the section, keyed by its point key.
+    segment contributes to the section, keyed by its lift.
 
-    Generators on H come first (a unit column), then the unique crossings
-    of H by segments [gens[i], gens[j]] in lexicographic (i, j) order
-    (_flat_crossings), with weights 1 - t and t for t = a / (a - b) on the
-    first support coordinate, a at gens[i] and b at gens[j]; the first
-    entry for a point is kept.
+    One entry per point of _section_points, the first kept: a unit column
+    for a generator on H, and for the crossing of [gens[i], gens[j]] the
+    weights 1 - t and t for t = a / (a - b) on the first support
+    coordinate, a at gens[i] and b at gens[j].
     """
     supports = [_support(g) for g in gens]
     columns = {}
-    for k, g in enumerate(gens):
-        if not supports[k]:
-            columns.setdefault(_point_key(g[0], g[1]), {k: Fraction(1)})
-    for i, j, key in _flat_crossings(gens, supports):
-        if key not in columns:
+    for i, j, point in _section_points(gens, supports):
+        if j is None:
+            columns.setdefault(point, {i: Fraction(1)})
+        elif point not in columns:
             first = supports[i][0]
             a, b = gens[i][first], gens[j][first]
             t = a / (a - b)
-            columns[key] = {i: 1 - t, j: t}
+            columns[point] = {i: 1 - t, j: t}
     return columns
 
 
-def _claim_columns(points: Sequence[tuple[Fraction, Fraction]], gens: Sequence[AmbientPoint],
-                   dim: int) -> Optional[list[dict]]:
-    """Sparse convex column over gens of each point placed on H: looked up
-    by its point key in _section_columns, else one exact LP
-    (convex_coefficients); None when a point is outside conv(gens)."""
+def _claim_columns(polygon: Polygon, gens: Sequence[AmbientPoint], dim: int) -> Optional[list[dict]]:
+    """Sparse convex column over gens of each polygon vertex placed on H: its
+    lift (Polygon.lifts) looked up in _section_columns, else one exact LP
+    (convex_coefficients); None when a vertex is outside conv(gens)."""
     columns = _section_columns(gens)
     on_flat = (Fraction(0),) * (dim - 2)
     out = []
-    for point in points:
-        column = columns.get(_point_key(*point))
+    for point, lift in zip(polygon.vertices, polygon.lifts):
+        column = columns.get(lift)
         if column is None:
             weights = convex_coefficients((*point, *on_flat), gens)
             if weights is None:
@@ -295,10 +292,8 @@ def compute_section(vertices: Sequence[Sequence], dim: int) -> tuple[AffinePair,
     if any(len(v) != dim for v in vertices):
         raise ValueError("vertex dimension mismatch")
     supports = [_support(v) for v in vertices]
-    points = [(v[0], v[1]) for v, support in zip(vertices, supports) if not support]
-    points += [(Fraction(xn, xd), Fraction(yn, yd))
-               for _, _, (xn, xd, yn, yd) in _flat_crossings(vertices, supports)]
-    hull = convex_hull_2d(points)
+    hull = convex_hull_2d((Fraction(x, w), Fraction(y, w))
+                          for _, _, (x, y, w) in _section_points(vertices, supports))
     if not hull:
         raise EmptySection("the flat does not meet the polytope")
     return hull
@@ -331,24 +326,23 @@ def _claim_is_section(s: SectionedPolytope) -> bool:
     """
     gens = distinct_points(s.vertices, s.dim)
     polygon = s.claimed
-    return (_claim_columns(polygon.vertices, gens, s.dim) is not None
+    return (_claim_columns(polygon, gens, s.dim) is not None
             and all(edge_extension(polygon, i, gens) is not None for i in range(polygon.n)))
 
 
 def _claim_matches_crossings(s: SectionedPolytope) -> bool:
     """Whether the claimed polygon is the hull of the vertices on H and of
-    the crossings, for a file with blocks, matched on point keys with no
-    hull (module docstring).  The supports crossed are read off s.blocks."""
-    points = {_point_key(v[0], v[1]) for v, j in zip(s.vertices, s.blocks) if j is None}
+    the crossings, for a file with blocks, matched on lifts with no hull
+    (module docstring).  The supports crossed are read off s.blocks."""
     supports = [() if j is None else (j,) for j in s.blocks]
-    points.update(key for _, _, key in _flat_crossings(s.vertices, supports))
-    keys = [_point_key(x, y) for x, y in s.claimed.vertices]
-    if not points.issuperset(keys):
+    points = {point for _, _, point in _section_points(s.vertices, supports)}
+    claim = s.claimed.lifts
+    if not points.issuperset(claim):
         return False
     # the claim first, then the other points; one set of exact sort keys
-    lifts = [(xn * yd, yn * xd, xd * yd) for xn, xd, yn, yd in (*keys, *points.difference(keys))]
+    lifts = [*claim, *points.difference(claim)]
     order = _lift_keys(lifts)
-    n = len(keys)
+    n = len(claim)
     claim_lifts, claim_order = lifts[:n], order[:n]
     if _convex_cycle(claim_lifts, claim_order) != -1 or min(claim_order) != claim_order[0]:
         return False

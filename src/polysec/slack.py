@@ -12,9 +12,9 @@ also the proof that the claimed polygon is the section, in any dimension:
   polygon.  Each free coefficient is the midpoint of the interval that
   the vertices of its block bound (SectionedPolytope.blocks), or, when a
   vertex has two nonzero coordinates off H, one linear program gives
-  them.  R is read off each generator's off-H support: entry (i, k) is
-  the planar slack of generator g plus c_i[j - 2] g[j] over the nonzero
-  coordinates g[j] off H, one formula on both paths.
+  them.  Entry (i, k) of R is that functional at generator g: the planar
+  slack of g plus c_i[j - 2] g[j] over the nonzero coordinates g[j] off
+  H, one formula on both paths.
 - C (column factor): each polygon vertex is an exact convex combination
   of polytope vertices that lands on H, so the polygon lies in the
   section.  A vertex on H or a crossing of H by a vertex segment is read
@@ -38,7 +38,6 @@ from .sections import (
     AmbientPoint,
     SectionedPolytope,
     _claim_columns,
-    _support,
     distinct_points,
     edge_extension,
 )
@@ -85,9 +84,9 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope,
 
     For the facet inequality a . x <= b, the functional
     b - a . x[:2] + c . x[2:] is the planar slack on H and is nonnegative
-    at every polytope vertex; factorize_from_section reads it off each
-    generator's off-H support.  When no vertex has two nonzero coordinates
-    off H (s.blocks is not None), vertex v of block j bounds coefficient j
+    at every polytope vertex; factorize_from_section evaluates it at each
+    generator.  When no vertex has two nonzero coordinates off H
+    (s.blocks is not None), vertex v of block j bounds coefficient j
     alone: fourier_motzkin_point takes the triple (j - 2, v[j],
     a . v[:2] - b), or (None, 0, a . v[:2] - b) for v on H, and the
     midpoint of each coefficient's interval; otherwise they come from the
@@ -130,10 +129,10 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     polytope (in a join, of one edge of one block), so exactly one
     generator segment passes through it and the combination is unique.  On
     other input the first segment in lexicographic (i, j) order is taken,
-    and any other vertex costs one exact LP.  Row i of R is read off each
-    generator's off-H support (taken once per call) from the free
-    coefficients c of edge (i, i+1) (extend_facet_inequality): the entry
-    at generator g is b - a . g[:2] plus c[j - 2] g[j] over that support.
+    and any other vertex costs one exact LP.  Row i of R is the extended
+    functional of edge (i, i+1), with free coefficients c
+    (extend_facet_inequality), at each generator g: b - a . g[:2] plus
+    c[j - 2] g[j] over the nonzero coordinates g[j] off H.
 
     A claim that is not the section fails: a facet with no nonnegative
     extension raises NoExtension, a vertex outside the polytope
@@ -143,16 +142,15 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     if s.claimed != polygon:
         raise DomainError("the extension's section is not this polygon")
     gens = distinct_points(s.vertices, s.dim)
-    c_cols = _claim_columns(polygon.vertices, gens, s.dim)
+    c_cols = _claim_columns(polygon, gens, s.dim)
     if c_cols is None:
         raise NotInPolytope("a vertex of the polygon is not in the polytope")
-    supports = [_support(g) for g in gens]
     r_rows = []
     for i in range(polygon.n):
         c = extend_facet_inequality(i, s, gens)
         (a0, a1), b = polygon.edge_inequality(i)
-        r_rows.append(tuple(b - a0 * g[0] - a1 * g[1] + sum(c[j - 2] * g[j] for j in support)
-                            for g, support in zip(gens, supports)))
+        r_rows.append(tuple(b - a0 * g[0] - a1 * g[1] + sum(ck * gk for ck, gk in zip(c, g[2:]) if gk)
+                            for g in gens))
     zero = Fraction(0)
     c_rows = tuple(tuple(col.get(k, zero) for col in c_cols) for k in range(len(gens)))
     fact = SlackFactorization(r_factor=tuple(r_rows), c_factor=c_rows)

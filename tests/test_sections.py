@@ -19,12 +19,12 @@ from polysec.errors import (
 )
 from polysec.linalg import convex_coefficients, solve_linear
 from polysec.heptagon import heptagon_extension
-from polysec.polygon import ProjMap2, convex_hull_2d, validate
+from polysec.polygon import ProjMap2, _lift, convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import (
     SectionedPolytope,
-    _flat_crossings,
     _section_columns,
+    _section_points,
     _support,
     bounded_pullback,
     compute_section,
@@ -154,9 +154,8 @@ def all_pairs_section(verts):
 
 
 def point_key(point):
-    """(x.num, x.den, y.num, y.den) of a planar point, through Fraction."""
-    x, y = (Fraction(c) for c in point)
-    return x.numerator, x.denominator, y.numerator, y.denominator
+    """The lift of a planar point, through its Fraction pair."""
+    return _lift(tuple(Fraction(c) for c in point))
 
 
 def all_pairs_columns(gens):
@@ -268,7 +267,18 @@ class TestFlatCrossingsOracle:
     def test_matches_all_coordinate_reference(self, verts):
         supports = [_support(v) for v in verts]
         expected = [(i, j, point_key(point)) for i, j, _, point in first_copies_crossings(verts)]
-        assert list(_flat_crossings(verts, supports)) == expected
+        assert [entry for entry in _section_points(verts, supports) if entry[1] is not None] == expected
+
+    def test_vertices_on_flat_come_first(self):
+        # the vertices on H, lifted, in index order, then the crossings;
+        # a repeated vertex on H is listed at each index
+        verts = [(0, 0, 1), (Fraction(1, 2), 3, 0), (2, 0, -1), (0, 2, -1),
+                 (-1, Fraction(-2, 3), 0), (Fraction(1, 2), 3, 0)]
+        supports = [_support(v) for v in verts]
+        points = list(_section_points(verts, supports))
+        on_flat = [(k, None, point_key(v[:2])) for k, v in enumerate(verts) if not supports[k]]
+        assert points[:3] == on_flat and len(on_flat) == 3
+        assert points[3:] == [(0, 2, point_key((1, 0))), (0, 3, point_key((0, 1)))]
 
     def test_no_fraction_hashing(self, monkeypatch):
         # the repeated-vertex key is integers: hashing a Fraction costs a
@@ -276,18 +286,19 @@ class TestFlatCrossingsOracle:
         verts = ngon_extension(random_convex_polygon(random.Random(28), 28)).vertices
         supports = [_support(v) for v in verts]
         hashes = count_calls(monkeypatch, Fraction, "__hash__")
-        crossings = list(_flat_crossings(verts, supports))
-        assert crossings and hashes == []
+        points = list(_section_points(verts, supports))
+        assert any(j is not None for _, j, _ in points) and hashes == []
 
     def test_two_fractions_per_crossing_point(self, monkeypatch):
-        # compute_section forms each crossing point's two coordinates and no
-        # parameter t, which only the columns of factorize and the LP path use
+        # compute_section forms the two coordinates of each section point
+        # (a vertex on H or a crossing) and no parameter t, which only the
+        # columns of factorize and the LP path use
         verts = ngon_extension(random_convex_polygon(random.Random(28), 28)).vertices
         supports = [_support(v) for v in verts]
-        crossings = len(list(_flat_crossings(verts, supports)))
+        points = list(_section_points(verts, supports))
         made = count_calls(monkeypatch, sections_module, "Fraction")
         compute_section(verts, len(verts[0]))
-        assert crossings > 0 and len(made) == 2 * crossings
+        assert any(j is not None for _, j, _ in points) and len(made) == 2 * len(points)
 
 
 class TestVerifySection:
@@ -328,7 +339,8 @@ def crossing_points(verts):
     """The planar crossings of a file of at most one nonzero coordinate
     off H per vertex, as Fraction pairs (compute_section's points off H)."""
     supports = [_support(v) for v in verts]
-    return {(Fraction(xn, xd), Fraction(yn, yd)) for _, _, (xn, xd, yn, yd) in _flat_crossings(verts, supports)}
+    return {(Fraction(x, w), Fraction(y, w))
+            for _, j, (x, y, w) in _section_points(verts, supports) if j is not None}
 
 
 # a pentagon on H, and a vertical segment through an interior point of it

@@ -127,7 +127,7 @@ class TestExtendFacetInequality:
         lp_path_square,
     ], ids=["join-28", "3d-28", "lp-path"])
     def test_r_entries_are_dense_values_of_the_coefficients(self, build):
-        # R is summed over each generator's off-H support only; it must agree
+        # R skips the zero coordinates off H of each generator; it must agree
         # with the dense value of the returned coefficients at every generator
         ext = build()
         polygon = ext.claimed
@@ -207,20 +207,18 @@ class TestFactorize:
 
     def test_one_support_scan_per_polytope(self, monkeypatch):
         # the block decomposition is computed once per polytope, at
-        # construction, and factorize scans supports a number of times that
-        # does not grow with the number of facets
+        # construction, and factorize scans each distinct generator's
+        # support once, for its section columns; R needs no support
         scans = count_calls_everywhere(monkeypatch, sections, "_support")
-        counts = []
         for n in (14, 28):
-            built = ngon_extension(random_convex_polygon(random.Random(n), n))
-            scans.clear()
-            ext = SectionedPolytope(built.dim, built.vertices, built.claimed)
-            assert len(scans) == len(built.vertices) and ext.blocks is not None
-            scans.clear()
-            fact = factorize_from_section(built.claimed, ext)
-            assert fact.inner_dim == len(built.vertices)
-            counts.append(len(scans) / len(built.vertices))
-        assert counts[0] == counts[1]
+            for build in (ngon_extension, ngon_3d_extension):
+                built = build(random_convex_polygon(random.Random(n), n))
+                scans.clear()
+                ext = SectionedPolytope(built.dim, built.vertices, built.claimed)
+                assert len(scans) == len(built.vertices) and ext.blocks is not None
+                scans.clear()
+                fact = factorize_from_section(built.claimed, ext)
+                assert fact.inner_dim == len(built.vertices) == len(scans)
 
     def test_lp_path_builds_the_generators_once(self, monkeypatch):
         # every facet's edge LP runs over the one generator list that
