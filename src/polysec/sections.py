@@ -36,6 +36,24 @@ path (and serves slack): for each vertex the index j of its one nonzero
 coordinate off H, None on H; or None when some vertex has two.  It also
 gives the supports crossed, so the off-H coordinates are scanned once.
 
+The same split decides extreme points block by block (extreme_points).
+Call the vertices on H the plane block, and call the planar points of a
+block its own vertices for the plane block and its crossings for block k.
+A vertex g of block j is not extreme exactly when its projection to
+(x, y, z_j), or to (x, y) when g is on H, lies in the hull of the
+projections of the other vertices of block j and of the planar points of
+every other block, placed at z_j = 0.  If g is a convex combination of
+the other vertices, split the terms by block: the part from a block
+k != j sums to zero in coordinate k, where g is zero, so its normalized
+part lies in conv(block k) on H, the hull of its crossings; the part from
+the plane block is planar already; and the rest are vertices of block j,
+which with g are zero off (x, y, z_j).  Conversely every planar point of
+another block is a convex combination of that block's vertices, none of
+them g, so a combination of the projections lifts to a convex
+combination of the other vertices, which equals g because both are zero
+off the projected coordinates.  A crossing equal to a vertex g on H rightly
+makes g not extreme: g lies inside a segment between two other vertices.
+
 On this path verify_section matches the claim's lifts (Polygon.lifts, made
 by validate) against the points, with no hull.  The claim passes when (1)
 it is strictly convex in canonical order: validate's linear test
@@ -388,17 +406,38 @@ def distinct_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint
 
 
 def extreme_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]:
-    """The vertices not expressible as convex combinations of the others.
+    """The distinct vertices, in first-occurrence order, that are not convex
+    combinations of the others.
 
     Duplicates are removed first (distinct_points, which also enforces the
-    input bound); each survivor is tested by an exact linear feasibility
-    solve.
+    input bound, before any crossing or LP); then each distinct vertex is
+    decided by one exact LP (convex_coefficients).  When some vertex has
+    two nonzero coordinates off H, the LP is over all the other vertices,
+    in the full dimension.  Otherwise it is the block rule of the module
+    docstring: a vertex of block j is tested in (x, y, z_j), a vertex on H
+    in (x, y), against the other vertices of its block and the planar
+    points of every other block (the vertices on H, or a block's
+    crossings, from one _section_points enumeration; ScaleExceeded past
+    MAX_PAIR_TESTS pairs).  With a single block there are no other blocks
+    and no enumeration, and the LPs are those over all the other vertices.
     """
     verts = distinct_points(vertices, dim)
+    supports = [_support(v) for v in verts]
+    if any(len(support) > 1 for support in supports):
+        return [v for i, v in enumerate(verts)
+                if convex_coefficients(v, verts[:i] + verts[i + 1:]) is None]
+    blocks = [support[0] if support else None for support in supports]
+    planar = {}
+    if len(set(blocks)) > 1:
+        for i, _, (x, y, w) in _section_points(verts, supports):
+            planar.setdefault(blocks[i], []).append((Fraction(x, w), Fraction(y, w)))
     out = []
-    for i, v in enumerate(verts):
-        others = [w for j, w in enumerate(verts) if j != i]
-        if convex_coefficients(v, others) is None:
+    for i, (v, j) in enumerate(zip(verts, blocks)):
+        # the block's own coordinates, and the zero of z_j at the other blocks' points
+        axes, pad = ((0, 1), ()) if j is None else ((0, 1, j), (_ZERO,))
+        gens = [tuple(u[k] for k in axes) for m, u in enumerate(verts) if m != i and blocks[m] == j]
+        gens += [(*p, *pad) for k, points in planar.items() if k != j for p in points]
+        if convex_coefficients(tuple(v[k] for k in axes), gens) is None:
             out.append(v)
     return out
 

@@ -19,6 +19,7 @@ from polysec.errors import (
 )
 from polysec.linalg import convex_coefficients, solve_linear
 from polysec.heptagon import heptagon_extension
+from polysec.hexagon import hexagon_extension5, hexagon_ic
 from polysec.polygon import ProjMap2, _lift, convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import (
@@ -28,13 +29,14 @@ from polysec.sections import (
     _support,
     bounded_pullback,
     compute_section,
+    distinct_points,
     extreme_points,
     pullback,
     verify_section,
 )
 from polysec.slack import factorize_from_section
 
-from conftest import apply_map, count_calls, count_calls_everywhere, raw_polygon
+from conftest import SIX_CROSSING_HEPTAGON, apply_map, count_calls, count_calls_everywhere, raw_polygon
 
 TETRA = [(0, 0, -1), (1, 0, -1), (0, 1, -1), (0, 0, 1)]
 TETRA_SECTION = [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]
@@ -500,6 +502,60 @@ class TestLpPathOracle:
                 assert true
 
 
+def brute_force_extreme(pts, dim):
+    """The points that no subset of at most dim + 1 others, an affinely
+    independent one by Caratheodory, holds as a convex combination: one
+    exact linear solve per subset, in first-occurrence order."""
+    out = []
+    for i, p in enumerate(pts):
+        others = [q for j, q in enumerate(pts) if j != i]
+        inside = False
+        for size in range(1, dim + 2):
+            for sub in combinations(others, size):
+                matrix = [[g[k] for g in sub] for k in range(dim)]
+                matrix.append([Fraction(1)] * size)
+                sol = solve_linear(matrix, list(p) + [Fraction(1)])
+                if sol is not None and all(w >= 0 for w in sol):
+                    inside = True
+                    break
+            if inside:
+                break
+        if not inside:
+            out.append(p)
+    return out
+
+
+def lp_over_all_others(vertices, dim):
+    """The rule that multi-support sets keep, run on any set: one LP per
+    distinct point over all the others, in the full dimension."""
+    verts = distinct_points(vertices, dim)
+    return [v for i, v in enumerate(verts) if convex_coefficients(v, verts[:i] + verts[i + 1:]) is None]
+
+
+def single_support_set(rng, dim):
+    """A random single-support set with points on H and at least two
+    blocks off H; when two random points of it are in one block or one is
+    on H, their midpoint, which is not extreme, is added; then two of its
+    points are repeated at random places."""
+    while True:
+        pts = []
+        for _ in range(rng.randrange(5, 9)):
+            point = [Fraction(rng.randrange(-4, 5)), Fraction(rng.randrange(-4, 5))] + [Fraction(0)] * (dim - 2)
+            block = rng.choice([None, *range(2, dim)])
+            if block is not None:
+                point[block] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+            pts.append(tuple(point))
+        supports = {_support(p) for p in pts}
+        if () in supports and len(supports) > 2:
+            break
+    u, v = rng.sample(pts, 2)
+    if len(set(_support(u) + _support(v))) < 2:
+        pts.insert(rng.randrange(len(pts) + 1), tuple((a + b) / 2 for a, b in zip(u, v)))
+    for p in rng.sample(pts, 2):
+        pts.insert(rng.randrange(len(pts) + 1), p)
+    return pts
+
+
 class TestExtremePoints:
     def test_square_corners_plus_center(self):
         pts = [(0, 0), (1, 0), (1, 1), (0, 1), (Fraction(1, 2), Fraction(1, 2))]
@@ -515,29 +571,86 @@ class TestExtremePoints:
         for _ in range(15):
             pts = [tuple(Fraction(rng.randrange(-6, 7)) for _ in range(3)) for _ in range(7)]
             pts = list(dict.fromkeys(pts))
-            fast = set(extreme_points(pts, 3))
-            slow = set()
-            for i, p in enumerate(pts):
-                others = [q for j, q in enumerate(pts) if j != i]
-                inside = False
-                for size in range(1, 5):
-                    for sub in combinations(others, size):
-                        matrix = [[g[k] for g in sub] for k in range(3)]
-                        matrix.append([Fraction(1)] * size)
-                        sol = solve_linear(matrix, list(p) + [Fraction(1)])
-                        if sol is not None and all(w >= 0 for w in sol):
-                            inside = True
-                            break
-                    if inside:
-                        break
-                if not inside:
-                    slow.add(p)
-            assert fast == slow
+            assert set(extreme_points(pts, 3)) == set(brute_force_extreme(pts, 3))
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_single_support_sets_match_bruteforce_oracle(self, rng, dim):
+        # several blocks, points on H and duplicates: the block rule against
+        # the subset oracle, in first-occurrence order
+        for _ in range(12):
+            pts = single_support_set(rng, dim)
+            assert extreme_points(pts, dim) == brute_force_extreme(list(dict.fromkeys(pts)), dim)
+
+    def test_crossing_through_a_vertex_on_the_flat(self):
+        # block 2's segment from (0, 0, 1, 0) to (2, 0, -1, 0) crosses H at
+        # the vertex (1, 0) on H, which is therefore not extreme
+        pts = [(0, 0, 1, 0), (2, 0, -1, 0), (1, 0, 0, 0), (0, 3, 0, 1), (3, 3, 0, -1), (3, -1, 0, 0)]
+        pts = [tuple(map(Fraction, p)) for p in pts]
+        out = extreme_points(pts, 4)
+        assert out == [p for p in pts if p != (1, 0, 0, 0)] == brute_force_extreme(pts, 4)
+
+    def test_block_with_one_vertex(self):
+        # block 3 is the single vertex (1, 1, 0, 1), which crosses nothing
+        # and is extreme; (1, 1, 1, 0) lies inside block 2's segment and
+        # (1, 2) on H inside the triangle on H
+        pts = [(0, 0, 0, 0), (4, 0, 0, 0), (0, 4, 0, 0), (1, 1, 2, 0), (1, 1, -1, 0), (1, 1, 0, 1),
+               (1, 1, 1, 0), (1, 2, 0, 0)]
+        pts = [tuple(map(Fraction, p)) for p in pts]
+        out = extreme_points(pts, 4)
+        assert out == pts[:6] == brute_force_extreme(pts, 4)
+
+    def test_join_with_a_midpoint_of_one_block(self):
+        ext = ngon_extension(random_convex_polygon(random.Random(14), 14))
+        u, v = [w for w in ext.vertices if _support(w) == (2,)][:2]
+        midpoint = tuple((a + b) / 2 for a, b in zip(u, v))
+        out = extreme_points([*ext.vertices, midpoint], ext.dim)
+        assert out == list(ext.vertices) == lp_over_all_others(ext.vertices, ext.dim)
+
+    def test_package_heptagons_and_hexagons_match_all_vertex_lp(self, rng, ic6_hexagon, regular_hexagon):
+        polytopes = [heptagon_extension(validate(SIX_CROSSING_HEPTAGON))]
+        polytopes += [heptagon_extension(random_convex_polygon(rng, 7)) for _ in range(4)]
+        polytopes.append(hexagon_extension5(regular_hexagon, hexagon_ic(regular_hexagon)))
+        polytopes.append(SectionedPolytope(3, [(x, y, 0) for x, y in ic6_hexagon.vertices], ic6_hexagon))
+        for s in polytopes:
+            assert extreme_points(s.vertices, s.dim) == lp_over_all_others(s.vertices, s.dim)
+
+    @pytest.mark.parametrize("n", range(8, 36, 3))
+    def test_package_ngons_match_all_vertex_lp(self, n):
+        # every remainder n mod 7 from 0 to 6, in both constructions
+        polygon = random_convex_polygon(random.Random(n), n)
+        for s in (ngon_extension(polygon), ngon_3d_extension(polygon)):
+            assert extreme_points(s.vertices, s.dim) == lp_over_all_others(s.vertices, s.dim)
+
+    def test_join_lps_are_block_sized(self, monkeypatch):
+        # one LP per distinct vertex, each in its block's (x, y, z_j);
+        # over all the other vertices each point would have 6 coordinates
+        ext = ngon_extension(random_convex_polygon(random.Random(1), 28))
+        calls = count_calls(monkeypatch, sections_module, "convex_coefficients")
+        extreme_points(ext.vertices, ext.dim)
+        assert ext.dim == 6 and len(calls) == 24
+        assert all(len(point) <= 3 for point, _ in calls)
+
+    def test_one_block_is_not_crossed(self, monkeypatch, rng):
+        ext = heptagon_extension(random_convex_polygon(rng, 7))
+        crossings = count_calls(monkeypatch, sections_module, "_section_points")
+        lps = count_calls(monkeypatch, sections_module, "convex_coefficients")
+        assert len(extreme_points(ext.vertices, 3)) == 6
+        assert crossings == [] and len(lps) == 6
 
     def test_scale_guard(self):
         pts = [tuple(Fraction(k + j) for j in range(5)) for k in range(65)]
         with pytest.raises(ScaleExceeded):
             extreme_points(pts, 5)
+
+    def test_single_support_refusal_comes_first(self, monkeypatch):
+        # the 120 vertices of a 140-gon join are refused before any
+        # crossing or LP, as CLI extend refuses them
+        ext = ngon_extension(random_convex_polygon(random.Random(1), 140))
+        crossings = count_calls(monkeypatch, sections_module, "_section_points")
+        lps = count_calls(monkeypatch, sections_module, "convex_coefficients")
+        with pytest.raises(ScaleExceeded):
+            extreme_points(ext.vertices, ext.dim)
+        assert crossings == [] and lps == []
 
 
 class TestLiftAndPullback:
