@@ -3,11 +3,20 @@
 Everything here works over Fraction and is deterministic: fixed pivoting
 order, Bland's rule in the simplex, lexicographic tie-breaks.  A separable
 system is one triple per constraint, naming its one coordinate.
+
+Convex combinations run on integer columns: mu >= 0 with
+sum mu_k (W_k g_k, W_k) = (W_p p, W_p) for positive scales gives the weights
+w_k = mu_k W_k / W_p.  Scaling column j by D_j > 0 and the right-hand side by
+s > 0 multiplies each reduced cost d_j by D_j (the Phase-I costs sit on the
+unscaled artificials) and each ratio in entering column j by s / D_j, so
+Bland's rule makes every choice as before.  Scaling a row reweighs its
+artificial in the Phase-I objective, which can change the pivots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 Row = list[Fraction]
@@ -115,24 +124,27 @@ def feasible_nonnegative_solution(
 def convex_coefficients(
     point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
 ) -> Optional[Row]:
-    """Nonnegative weights summing to 1 with sum(w_k g_k) = point exactly,
-    or None when the point is not in the convex hull of the generators.
-
-    One feasible_nonnegative_solution, deterministic under Bland's rule,
-    over the coordinates where the point or some generator is nonzero.  A
-    coordinate where all are zero is the row 0 = 0, whose artificial
-    variable keeps reduced cost 0 and whose row never has a positive
-    entry in an entering column, so it never pivots: dropping it leaves
-    every pivot, hence the weights, unchanged, and keeps the LP from
-    growing with the square of the dimension.  No generators: None.
-    """
+    """Nonnegative weights summing to 1 with sum(w_k g_k) = point exactly, or
+    None outside conv(generators): one _nonnegative_combination (module
+    docstring), each vector times the lcm W of its denominators, then W."""
     if not generators:
         return None
-    rows = [k for k, v in enumerate(point) if v or any(g[k] for g in generators)]
-    matrix = [[Fraction(g[k]) for g in generators] for k in rows]
-    matrix.append([Fraction(1)] * len(generators))
-    rhs = [Fraction(point[k]) for k in rows] + [Fraction(1)]
-    return feasible_nonnegative_solution(matrix, rhs)
+    vectors = [[Fraction(c) for c in v] for v in (point, *generators)]
+    scales = [lcm(*[c.denominator for c in v]) for v in vectors]
+    p, *gens = [[*(c.numerator * (w // c.denominator) for c in v), w] for v, w in zip(vectors, scales)]
+    mu = _nonnegative_combination(p, gens)
+    return None if mu is None else [m * g[-1] / p[-1] for m, g in zip(mu, gens)]
+
+
+def _nonnegative_combination(point: Sequence[int], columns: Sequence[Sequence[int]]) -> Optional[Row]:
+    """mu >= 0 with sum(mu_k columns[k]) = point, or None, for integer vectors,
+    positive weight last: one feasible_nonnegative_solution without entries
+    zero in all, rows 0 = 0 whose artificial keeps reduced cost 0 and which
+    never pivot.  No column: None."""
+    if not columns:
+        return None
+    rows = [k for k, v in enumerate(point) if v or any(c[k] for c in columns)]
+    return feasible_nonnegative_solution([[c[k] for c in columns] for k in rows], [point[k] for k in rows])
 
 
 Constraint = tuple[Optional[int], Fraction, Fraction]  # (j, c, rhs): c x_j >= rhs, or 0 >= rhs
@@ -151,7 +163,7 @@ def interval_point(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
 def fourier_motzkin_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Row]:
     """Pick a deterministic feasible point of a separable system, given as
     triples (j, c, rhs): the constraint c x_j >= rhs with c nonzero, or,
-    when j is None, the check 0 >= rhs.  The entries are Fractions.
+    when j is None, the check 0 >= rhs.  The entries are Fractions or ints.
 
     Each coordinate takes interval_point of the interval its own constraints
     give.  Fourier-Motzkin elimination combines no two variables of such a
@@ -162,7 +174,7 @@ def fourier_motzkin_point(constraints: Sequence[Constraint], nvars: int) -> Opti
     uppers: list[list[Fraction]] = [[] for _ in range(nvars)]
     for j, c, rhs in constraints:
         if j is not None:
-            (lowers if c > 0 else uppers)[j].append(rhs / c)
+            (lowers if c > 0 else uppers)[j].append(Fraction(rhs, c))
         elif rhs > 0:
             return None
     lo = [max(bounds, default=None) for bounds in lowers]

@@ -13,14 +13,18 @@ cross H anywhere else, and only those pairs are tested (_section_points),
 at most MAX_PAIR_TESTS of them (past it, ScaleExceeded before the first
 test).  Within a support every support coordinate is nonzero at both ends,
 so a pair crosses H exactly when the first support coordinates have
-opposite signs and the support coordinates are proportional.  Each vertex
-off H is read once, into its integer key: the (numerator, denominator)
-pairs of x, y and its support coordinates.  The crossings are tested and
-computed on these keys (_segment_flat_crossing), which yields the planar
-point only, as polygon._lift of its Fraction pair (one gcd per coordinate),
-so equal points have equal lifts, and no Fraction is formed or hashed.
-Every reader takes them, after the vertices on H, from _section_points;
-only _section_columns forms the parameter t of a crossing.
+opposite signs and the support coordinates are proportional.
+
+Each vertex is read once, at construction, into its row
+(SectionedPolytope.rows): the primitive integer (X, Y, Z_3, ..., Z_d, W),
+W > 0 the lcm of the denominators of x, y and the support coordinates, 0
+off them.  Equal points have equal rows, the keys of repeated vertices.
+Rows u, v of one support, first support coordinate j, cross H when Z_u,j
+and Z_v,j have opposite signs and Z_u,k Z_v,j = Z_v,k Z_u,j on the rest of
+the support (W cancels), at |Z_v,j| (X_u, Y_u, W_u) + |Z_u,j| (X_v, Y_v, W_v)
+in polygon._lift form, one gcd per coordinate (_segment_flat_crossing), and
+no Fraction is formed or hashed.  Every reader takes the points, after the
+vertices on H, from _section_points.
 
 The hull of the vertices on H and of these crossings lies in the section.
 It is the whole section when every vertex has at most one nonzero
@@ -88,7 +92,7 @@ states that claim and certifies it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -101,6 +105,7 @@ from .errors import (
 )
 from .exactgeom import _ZERO, Triple
 from .linalg import (
+    _nonnegative_combination,
     convex_coefficients,
     feasible_nonnegative_solution,
     interval_point,
@@ -111,12 +116,13 @@ from .polygon import (
     ProjMap2,
     _convex_cycle,
     _encloses,
-    _lift,
+    _fraction,
     _lift_keys,
     convex_hull_2d,
 )
 
 AmbientPoint = tuple[Fraction, ...]
+Row = tuple[int, ...]  # (X, Y, Z_3, ..., Z_d, W), module docstring
 
 __all__ = [
     "SectionedPolytope",
@@ -135,18 +141,17 @@ __all__ = [
 class SectionedPolytope:
     """A vertex-described polytope with a claimed planar section on H, a Polygon.
 
-    The certificate flag is only ever set by verify_section.  blocks, the
-    block decomposition (module docstring), is computed at construction.
+    The certificate flag is only ever set by verify_section.  rows and
+    blocks (module docstring) are computed at construction.
     """
 
-    __slots__ = ("dim", "vertices", "claimed", "certified", "blocks")
+    __slots__ = ("dim", "vertices", "rows", "claimed", "certified", "blocks")
 
     def __init__(self, dim: int, vertices: Sequence[Sequence], claimed: Polygon):
         if dim < 2:
             raise ValueError("ambient dimension must be at least 2")
         self.dim = dim
-        verts = []
-        supports = []
+        verts, supports, rows = [], [], []
         for v in vertices:
             v = tuple(v)
             # one C-level type test per vertex: only a vertex holding a
@@ -157,7 +162,9 @@ class SectionedPolytope:
                 raise ValueError(f"vertex {v} does not have dimension {dim}")
             verts.append(v)
             supports.append(_support(v))
+            rows.append(_row(v, supports[-1]))
         self.vertices = tuple(verts)
+        self.rows = tuple(rows)
         self.blocks = (None if any(len(support) > 1 for support in supports)
                        else tuple(support[0] if support else None for support in supports))
         if not isinstance(claimed, Polygon):
@@ -170,40 +177,32 @@ class SectionedPolytope:
                 f"certified={self.certified})")
 
 
-def _segment_flat_crossing(u: tuple, v: tuple) -> Optional[Triple]:
-    """Lift of the planar point where segment [u, v] meets H, if it meets
-    H at one point, for two vertices of the same nonempty off-H support.
+def _row(v: Sequence, support: tuple[int, ...]) -> Row:
+    """The row of a vertex of Fractions or ints (module docstring), primitive:
+    a prime misses the entry whose denominator holds its full power in W."""
+    w = lcm(v[0].denominator, v[1].denominator, *[v[k].denominator for k in support])
+    row = [0] * len(v) + [w]
+    for k in (0, 1, *support):
+        row[k] = v[k].numerator * (w // v[k].denominator)
+    return tuple(row)
 
-    u and v are the vertices' integer keys (_section_points): one
-    (numerator, denominator) pair for each of x, y and the support
-    coordinates, which are nonzero at both ends.  (1-t) u_j + t v_j = 0
-    pins t = u_j / (u_j - v_j), which lies in [0, 1] exactly when u_j and
-    v_j have opposite signs, and every support coordinate pins the same t
-    exactly when (u_j, v_j) and (u_k, v_k) are proportional; both tests
-    run on the integers.  t itself is not formed (only _section_columns
-    needs it): with a = u_j, b = v_j, p = |a.num| b.den and
-    q = |b.num| a.den (both positive), t = p / (p + q), 1 - t = q / (p + q)
-    and x = (q u_x.num v_x.den + p v_x.num u_x.den) / ((p + q) u_x.den v_x.den),
-    y likewise, each brought to lowest terms by one gcd; the denominators
-    are positive, so the lift is polygon._lift of the Fractions.
-    """
-    (an, ad), (bn, bd) = u[2], v[2]
-    if (an > 0) == (bn > 0):
+
+def _planar_lift(x: int, y: int, w: int) -> Triple:
+    """polygon._lift of the point (x/w, y/w), w > 0, by one gcd per coordinate."""
+    g, h = gcd(x, w), gcd(y, w)
+    return x // g * (w // h), y // h * (w // g), (w // g) * (w // h)
+
+
+def _segment_flat_crossing(u: Row, v: Row, support: tuple[int, ...]) -> Optional[Triple]:
+    """Lift of the planar point where segment [u, v] meets H, if it meets
+    H at one point, for the rows of two vertices of the same nonempty
+    off-H support (module docstring)."""
+    j = support[0]
+    a, b = u[j], v[j]
+    if (a > 0) == (b > 0) or len(support) > 1 and any(u[k] * b != v[k] * a for k in support[1:]):
         return None
-    for k in range(3, len(u)):
-        # a v_k == b u_k, cross-multiplied
-        (cn, cd), (dn, dd) = u[k], v[k]
-        if an * dn * bd * cd != bn * cn * ad * dd:
-            return None
-    p, q = (an * bd, -bn * ad) if an > 0 else (-an * bd, bn * ad)
-    s = p + q
-    (xn, xd), (yn, yd) = u[0], u[1]
-    (zn, zd), (wn, wd) = v[0], v[1]
-    x, x_den = q * xn * zd + p * zn * xd, s * xd * zd
-    y, y_den = q * yn * wd + p * wn * yd, s * yd * wd
-    g, h = gcd(x, x_den), gcd(y, y_den)
-    x, x_den, y, y_den = x // g, x_den // g, y // h, y_den // h
-    return x * y_den, y * x_den, x_den * y_den
+    p, q = abs(b), abs(a)
+    return _planar_lift(p * u[0] + q * v[0], p * u[1] + q * v[1], p * u[-1] + q * v[-1])
 
 
 def _support(v: Sequence) -> tuple[int, ...]:
@@ -215,75 +214,66 @@ def _support(v: Sequence) -> tuple[int, ...]:
 MAX_PAIR_TESTS = 100_000  # about 2 s of crossing tests; package files make a few hundred
 
 
-def _section_points(vertices: Sequence[Sequence], supports: Sequence[tuple[int, ...]]):
+def _section_points(rows: Sequence[Row], supports: Sequence[tuple[int, ...]]):
     """The section's points (module docstring) as planar lifts
-    (polygon._lift); supports[k] is the off-H support of vertices[k].
+    (polygon._lift); supports[k] is the off-H support of rows[k].
 
     Yields (k, None, lift) for each vertex k on H, in index order, then the
     unique crossings of H by segments between vertices of one nonempty
     support, (i, j, lift) in lexicographic (i, j) order, i < j; by the
     support lemma no other segment crosses H except at an endpoint on H.
-    Each vertex off H is read once, into its integer key: the (numerator,
-    denominator) pairs of x, y and its support coordinates, which within
-    one support fix the vertex.  The keys find repeated vertices, crossed
-    at their first index only (a later copy adds no crossing point, and no
-    earlier pair), and are what _segment_flat_crossing crosses.
+    Equal rows are equal vertices, crossed at their first index only (a
+    later copy adds no crossing point, and no earlier pair).
     ScaleExceeded, before any crossing test, past MAX_PAIR_TESTS pairs of
     distinct vertices.
     """
-    for k, (v, support) in enumerate(zip(vertices, supports)):
+    for k, (row, support) in enumerate(zip(rows, supports)):
         if not support:
-            yield k, None, _lift(v[:2])
+            yield k, None, _planar_lift(row[0], row[1], row[-1])
     groups = {}
-    keys = [None] * len(vertices)
-    for k, (v, support) in enumerate(zip(vertices, supports)):
+    for k, (row, support) in enumerate(zip(rows, supports)):
         if support:
-            # integer pairs hash without the modular inverse of a Fraction
-            keys[k] = key = tuple((c.numerator, c.denominator)
-                                  for c in (v[0], v[1], *(v[j] for j in support)))
-            groups.setdefault(support, {}).setdefault(key, k)
+            groups.setdefault(support, {}).setdefault(row, k)
     pairs = sum(len(members) * (len(members) - 1) // 2 for members in groups.values())
     if pairs > MAX_PAIR_TESTS:
         raise ScaleExceeded(f"{pairs} vertex pairs to cross with the flat")
-    later = [()] * len(vertices)
+    later = [()] * len(rows)
     for members in groups.values():
         members = list(members.values())
         for pos, k in enumerate(members):
             later[k] = members[pos + 1:]
     for i, partners in enumerate(later):
         for j in partners:
-            point = _segment_flat_crossing(keys[i], keys[j])
+            point = _segment_flat_crossing(rows[i], rows[j], supports[i])
             if point is not None:
                 yield i, j, point
 
 
-def _section_columns(gens: Sequence[AmbientPoint]) -> dict[Triple, dict]:
+def _section_columns(gens: Sequence[AmbientPoint], rows: Sequence[Row]) -> dict[Triple, dict]:
     """Sparse convex column of every point that a generator or a generator
     segment contributes to the section, keyed by its lift.
 
     One entry per point of _section_points, the first kept: a unit column
-    for a generator on H, and for the crossing of [gens[i], gens[j]] the
-    weights 1 - t and t for t = a / (a - b) on the first support
-    coordinate, a at gens[i] and b at gens[j].
+    for a generator on H, and for the crossing of [gens[i], gens[j]], of
+    rows u and v, the weights |Z_v,j| W_u and |Z_u,j| W_v over their sum.
     """
     supports = [_support(g) for g in gens]
     columns = {}
-    for i, j, point in _section_points(gens, supports):
+    for i, j, point in _section_points(rows, supports):
         if j is None:
             columns.setdefault(point, {i: Fraction(1)})
         elif point not in columns:
             first = supports[i][0]
-            a, b = gens[i][first], gens[j][first]
-            t = a / (a - b)
-            columns[point] = {i: 1 - t, j: t}
+            p, q = abs(rows[j][first]) * rows[i][-1], abs(rows[i][first]) * rows[j][-1]
+            columns[point] = {i: Fraction(p, p + q), j: Fraction(q, p + q)}
     return columns
 
 
-def _claim_columns(polygon: Polygon, gens: Sequence[AmbientPoint], dim: int) -> Optional[list[dict]]:
-    """Sparse convex column over gens of each polygon vertex placed on H: its
-    lift (Polygon.lifts) looked up in _section_columns, else one exact LP
-    (convex_coefficients); None when a vertex is outside conv(gens)."""
-    columns = _section_columns(gens)
+def _claim_columns(polygon: Polygon, gens: Sequence, rows: Sequence[Row], dim: int) -> Optional[list[dict]]:
+    """Sparse convex column over gens (of rows rows) of each polygon vertex
+    placed on H: its lift (Polygon.lifts) looked up in _section_columns,
+    else one exact LP (convex_coefficients); None outside conv(gens)."""
+    columns = _section_columns(gens, rows)
     on_flat = (Fraction(0),) * (dim - 2)
     out = []
     for point, lift in zip(polygon.vertices, polygon.lifts):
@@ -310,8 +300,9 @@ def compute_section(vertices: Sequence[Sequence], dim: int) -> tuple[AffinePair,
     if any(len(v) != dim for v in vertices):
         raise ValueError("vertex dimension mismatch")
     supports = [_support(v) for v in vertices]
+    rows = [_row(v, support) for v, support in zip(vertices, supports)]
     hull = convex_hull_2d((Fraction(x, w), Fraction(y, w))
-                          for _, _, (x, y, w) in _section_points(vertices, supports))
+                          for _, _, (x, y, w) in _section_points(rows, supports))
     if not hull:
         raise EmptySection("the flat does not meet the polytope")
     return hull
@@ -342,9 +333,9 @@ def _claim_is_section(s: SectionedPolytope) -> bool:
     distinct vertices (_claim_columns), and each edge inequality extends to
     the polytope (edge_extension).
     """
-    gens = distinct_points(s.vertices, s.dim)
+    gens, rows = _distinct_rows(s.vertices, s.dim, s.rows)
     polygon = s.claimed
-    return (_claim_columns(polygon, gens, s.dim) is not None
+    return (_claim_columns(polygon, gens, rows, s.dim) is not None
             and all(edge_extension(polygon, i, gens) is not None for i in range(polygon.n)))
 
 
@@ -353,7 +344,7 @@ def _claim_matches_crossings(s: SectionedPolytope) -> bool:
     the crossings, for a file with blocks, matched on lifts with no hull
     (module docstring).  The supports crossed are read off s.blocks."""
     supports = [() if j is None else (j,) for j in s.blocks]
-    points = {point for _, _, point in _section_points(s.vertices, supports)}
+    points = {point for _, _, point in _section_points(s.rows, supports)}
     claim = s.claimed.lifts
     if not points.issuperset(claim):
         return False
@@ -394,15 +385,21 @@ def certify(s: SectionedPolytope) -> SectionedPolytope:
 
 
 def distinct_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]:
-    """The distinct points in first-occurrence order, within the input bound.
+    """The distinct points in first-occurrence order, within the input bound:
+    from dimension 4 on, more than 64 are refused with ScaleExceeded."""
+    return _distinct_rows(vertices, dim)[0]
 
-    From dimension 4 on at most 64 distinct points are accepted; past that
-    the point set is refused with ScaleExceeded.
-    """
-    verts = list(dict.fromkeys(tuple(Fraction(c) for c in v) for v in vertices))
-    if dim >= 4 and len(verts) > 64:
-        raise ScaleExceeded(f"{len(verts)} points in dimension {dim}")
-    return verts
+
+def _distinct_rows(vertices: Sequence, dim: int, rows: Optional[Sequence[Row]] = None) -> tuple[list, list]:
+    """distinct_points on rows, with their rows; the rows are made unless
+    given with Fraction vertices (SectionedPolytope.rows)."""
+    if rows is None:
+        vertices = [tuple(map(_fraction, v)) for v in vertices]
+        rows = [_row(v, _support(v)) for v in vertices]
+    distinct = dict(zip(rows, vertices))  # equal rows, equal points
+    if dim >= 4 and len(distinct) > 64:
+        raise ScaleExceeded(f"{len(distinct)} points in dimension {dim}")
+    return list(distinct.values()), list(distinct)
 
 
 def extreme_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]:
@@ -411,7 +408,8 @@ def extreme_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]
 
     Duplicates are removed first (distinct_points, which also enforces the
     input bound, before any crossing or LP); then each distinct vertex is
-    decided by one exact LP (convex_coefficients).  When some vertex has
+    decided by one exact LP on integer columns, rows or planar lifts with
+    the weight last (linalg._nonnegative_combination).  When some vertex has
     two nonzero coordinates off H, the LP is over all the other vertices,
     in the full dimension.  Otherwise it is the block rule of the module
     docstring: a vertex of block j is tested in (x, y, z_j), a vertex on H
@@ -421,23 +419,23 @@ def extreme_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]
     MAX_PAIR_TESTS pairs).  With a single block there are no other blocks
     and no enumeration, and the LPs are those over all the other vertices.
     """
-    verts = distinct_points(vertices, dim)
+    verts, rows = _distinct_rows(vertices, dim)
     supports = [_support(v) for v in verts]
     if any(len(support) > 1 for support in supports):
         return [v for i, v in enumerate(verts)
-                if convex_coefficients(v, verts[:i] + verts[i + 1:]) is None]
+                if _nonnegative_combination(rows[i], rows[:i] + rows[i + 1:]) is None]
     blocks = [support[0] if support else None for support in supports]
     planar = {}
     if len(set(blocks)) > 1:
-        for i, _, (x, y, w) in _section_points(verts, supports):
-            planar.setdefault(blocks[i], []).append((Fraction(x, w), Fraction(y, w)))
+        for i, _, lift in _section_points(rows, supports):
+            planar.setdefault(blocks[i], []).append(lift)
     out = []
     for i, (v, j) in enumerate(zip(verts, blocks)):
-        # the block's own coordinates, and the zero of z_j at the other blocks' points
-        axes, pad = ((0, 1), ()) if j is None else ((0, 1, j), (_ZERO,))
-        gens = [tuple(u[k] for k in axes) for m, u in enumerate(verts) if m != i and blocks[m] == j]
-        gens += [(*p, *pad) for k, points in planar.items() if k != j for p in points]
-        if convex_coefficients(tuple(v[k] for k in axes), gens) is None:
+        # the block's own coordinates and W, and z_j = 0 at the other blocks' points
+        axes, pad = ((0, 1, -1), ()) if j is None else ((0, 1, j, -1), (0,))
+        gens = [tuple(r[k] for k in axes) for m, r in enumerate(rows) if m != i and blocks[m] == j]
+        gens += [(x, y, *pad, w) for k, points in planar.items() if k != j for x, y, w in points]
+        if _nonnegative_combination(tuple(rows[i][k] for k in axes), gens) is None:
             out.append(v)
     return out
 

@@ -12,9 +12,13 @@ also the proof that the claimed polygon is the section, in any dimension:
   polygon.  Each free coefficient is the midpoint of the interval that
   the vertices of its block bound (SectionedPolytope.blocks), or, when a
   vertex has two nonzero coordinates off H, one linear program gives
-  them.  Entry (i, k) of R is that functional at generator g: the planar
-  slack of g plus c_i[j - 2] g[j] over the nonzero coordinates g[j] off
-  H, one formula on both paths.
+  them.  Entry (i, k) of R is that functional at generator k.  With
+  L_i = (X_i, Y_i, W_i) the polygon's lifts (Polygon.lifts) and
+  l_i = cross(L_i, L_{i+1}), l_i . (x, y, 1) = det(L_i, L_{i+1}, (x, y, 1)),
+  so S_ij = -l_i . L_j / (W_i W_{i+1} W_j), and at the row (X, Y, Z, W) of
+  generator k (SectionedPolytope.rows), D the lcm of the denominators of
+  c_i, R_ik = (W_i W_{i+1} D c_i . Z - D l_i . (X, Y, W)) / (D W_i W_{i+1} W):
+  one integer expression over one denominator, as each Fourier-Motzkin bound.
 - C (column factor): each polygon vertex is an exact convex combination
   of polytope vertices that lands on H, so the polygon lies in the
   section.  A vertex on H or a crossing of H by a vertex segment is read
@@ -29,16 +33,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import CertificationFailure, DomainError, NoExtension, NotInPolytope
+from .exactgeom import cross
 from .linalg import fourier_motzkin_point
 from .polygon import Polygon
 from .sections import (
     AmbientPoint,
     SectionedPolytope,
     _claim_columns,
-    distinct_points,
+    _distinct_rows,
     edge_extension,
 )
 
@@ -65,14 +71,19 @@ class SlackFactorization:
         return len(self.r_factor[0]) if self.r_factor else 0
 
 
+def _edge_values(polygon: Polygon, i: int, points: Sequence[tuple], tail: Sequence[Fraction] = ()) -> tuple:
+    """R_ik (module docstring) at each point, a row or a lift, with tail as c_i."""
+    p, q = polygon.lifts[i], polygon.lifts[(i + 1) % polygon.n]
+    (a, b, c), m = cross(p, q), p[2] * q[2]
+    d = lcm(*[ck.denominator for ck in tail])
+    tail = [ck.numerator * (d // ck.denominator) for ck in tail]
+    return tuple(Fraction(m * sum(ck * zk for ck, zk in zip(tail, g[2:-1]) if zk)
+                          - d * (a * g[0] + b * g[1] + c * g[-1]), d * m * g[-1]) for g in points)
+
+
 def slack_matrix(polygon: Polygon) -> Matrix:
     """Row i holds the slack of each vertex in the inequality of edge (i, i+1)."""
-    points = polygon.vertices
-    rows = []
-    for i in range(polygon.n):
-        a, b = polygon.edge_inequality(i)
-        rows.append(tuple(b - a[0] * x - a[1] * y for (x, y) in points))
-    return tuple(rows)
+    return tuple(_edge_values(polygon, i, polygon.lifts) for i in range(polygon.n))
 
 
 def extend_facet_inequality(facet: int, s: SectionedPolytope,
@@ -87,20 +98,22 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope,
     at every polytope vertex; factorize_from_section evaluates it at each
     generator.  When no vertex has two nonzero coordinates off H
     (s.blocks is not None), vertex v of block j bounds coefficient j
-    alone: fourier_motzkin_point takes the triple (j - 2, v[j],
-    a . v[:2] - b), or (None, 0, a . v[:2] - b) for v on H, and the
-    midpoint of each coefficient's interval; otherwise they come from the
-    edge LP over gens (sections.edge_extension).
+    alone: fourier_motzkin_point takes the integer triple
+    (j - 2, W_f W_{f+1} Z_j, l_f . (X, Y, W)) of its row (module
+    docstring), or (None, 0, l_f . (X, Y, W)) on H, and the midpoint of
+    each coefficient's interval; otherwise they come from the edge LP over
+    gens (sections.edge_extension).
     NoExtension when there are none.
     """
     polygon = s.claimed
     facet %= polygon.n
-    a, b = polygon.edge_inequality(facet)
     if s.blocks is not None:
+        p, q = polygon.lifts[facet], polygon.lifts[(facet + 1) % polygon.n]
+        (a, b, c), m = cross(p, q), p[2] * q[2]
         constraints = []
-        for v, j in zip(s.vertices, s.blocks):
-            rhs = a[0] * v[0] + a[1] * v[1] - b
-            constraints.append((None, 0, rhs) if j is None else (j - 2, v[j], rhs))
+        for row, j in zip(s.rows, s.blocks):
+            rhs = a * row[0] + b * row[1] + c * row[-1]
+            constraints.append((None, 0, rhs) if j is None else (j - 2, m * row[j], rhs))
         tail = fourier_motzkin_point(constraints, s.dim - 2)
     else:
         tail = edge_extension(polygon, facet, gens)
@@ -132,7 +145,7 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     and any other vertex costs one exact LP.  Row i of R is the extended
     functional of edge (i, i+1), with free coefficients c
     (extend_facet_inequality), at each generator g: b - a . g[:2] plus
-    c[j - 2] g[j] over the nonzero coordinates g[j] off H.
+    c . g[2:] (module docstring).
 
     A claim that is not the section fails: a facet with no nonnegative
     extension raises NoExtension, a vertex outside the polytope
@@ -141,19 +154,15 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     """
     if s.claimed != polygon:
         raise DomainError("the extension's section is not this polygon")
-    gens = distinct_points(s.vertices, s.dim)
-    c_cols = _claim_columns(polygon, gens, s.dim)
+    gens, rows = _distinct_rows(s.vertices, s.dim, s.rows)
+    c_cols = _claim_columns(polygon, gens, rows, s.dim)
     if c_cols is None:
         raise NotInPolytope("a vertex of the polygon is not in the polytope")
-    r_rows = []
-    for i in range(polygon.n):
-        c = extend_facet_inequality(i, s, gens)
-        (a0, a1), b = polygon.edge_inequality(i)
-        r_rows.append(tuple(b - a0 * g[0] - a1 * g[1] + sum(ck * gk for ck, gk in zip(c, g[2:]) if gk)
-                            for g in gens))
+    r_rows = tuple(_edge_values(polygon, i, rows, extend_facet_inequality(i, s, gens))
+                   for i in range(polygon.n))
     zero = Fraction(0)
     c_rows = tuple(tuple(col.get(k, zero) for col in c_cols) for k in range(len(gens)))
-    fact = SlackFactorization(r_factor=tuple(r_rows), c_factor=c_rows)
+    fact = SlackFactorization(r_factor=r_rows, c_factor=c_rows)
     if not verify_factorization(slack_matrix(polygon), fact):
         raise CertificationFailure("factor product failed to reproduce the slack matrix")
     return fact

@@ -12,6 +12,7 @@ from polysec import validate
 from polysec.errors import DuplicateVertex, ImageNotConvex, NotConvex, TooFewVertices
 from polysec.exactgeom import _canonical_int_triple, det3
 from polysec.heptagon import DetOctuple, _octuple
+from polysec.linalg import feasible_nonnegative_solution
 from polysec.polygon import Polygon, ProjMap2, _lift
 
 # every property test draws the same examples on every run
@@ -80,6 +81,20 @@ def count_calls_everywhere(monkeypatch, module, name: str) -> list:
         if getattr(other, "__name__", "").startswith("polysec.") and vars(other).get(name) is original:
             monkeypatch.setattr(other, name, getattr(module, name))
     return calls
+
+
+def reference_convex_coefficients(point, generators):
+    """convex_coefficients on Fraction columns: the coordinates of the point
+    and of the generators where one of them is nonzero, and a row of ones,
+    as one rational LP.  The integer columns of convex_coefficients must
+    give these weights exactly."""
+    if not generators:
+        return None
+    rows = [k for k, v in enumerate(point) if v or any(g[k] for g in generators)]
+    matrix = [[Fraction(g[k]) for g in generators] for k in rows]
+    matrix.append([Fraction(1)] * len(generators))
+    rhs = [Fraction(point[k]) for k in rows] + [Fraction(1)]
+    return feasible_nonnegative_solution(matrix, rhs)
 
 
 def apply_map(polygon: Polygon, t: ProjMap2) -> Polygon:

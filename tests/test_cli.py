@@ -424,7 +424,8 @@ class TestSlackFactorize:
     def test_no_search_and_one_product_check(self, heptagon_file, tmp_path, capsys, monkeypatch):
         # verify and factorize of package files never take the LP path, and
         # factorize does not verify: its factorization is the check; both
-        # read affine coordinates and form no point or line
+        # read rows and lifts, with no canonical point or line (join, meet)
+        # and no Polygon.vertex
         polygon = random_convex_polygon(random.Random(28), 28)
         path28 = write_polygon(tmp_path, "p28.json", polygon.vertices)
         runs = [(heptagon_file, "auto"), (path28, "join"), (path28, "3d")]
@@ -510,6 +511,30 @@ class TestWorkBound:
         tested = len(crossings)
         assert main(["factorize", path, str(ext)]) == 0
         assert len(crossings) == 2 * tested
+
+    def test_unreduced_repeat_is_one_vertex(self, tmp_path, capsys, monkeypatch):
+        # a 16-gon join with a vertex off H written again, numerators and
+        # denominators doubled: its row is the first copy's, so verify
+        # passes with no further crossing test and factorize prints the
+        # same inner dimension
+        polygon = random_convex_polygon(random.Random(16), 16)
+        path = write_polygon(tmp_path, "p16.json", polygon.vertices)
+        doc = sectioned_to_obj(ngon_extension(polygon))
+        vertex = next(v for v in doc["vertices"] if any(c != "0" for c in v[2:]))
+        doc["vertices"].append([f"{2 * Fraction(c).numerator}/{2 * Fraction(c).denominator}" for c in vertex])
+        clean, repeated = tmp_path / "clean.json", tmp_path / "repeated.json"
+        clean.write_text(dumps(sectioned_to_obj(ngon_extension(polygon))))
+        repeated.write_text(json.dumps(doc))
+        crossings = count_calls_everywhere(monkeypatch, sections, "_segment_flat_crossing")
+        tested, inner = [], []
+        for ext in (clean, repeated):
+            crossings.clear()
+            assert main(["verify", str(ext)]) == 0
+            assert capsys.readouterr().out == "PASS\n"
+            tested.append(len(crossings))
+            assert main(["factorize", path, str(ext)]) == 0
+            inner.append(loads(capsys.readouterr().out)["r"])
+        assert tested[0] == tested[1] > 0 and inner == [len(doc["vertices"]) - 1] * 2
 
 
 def false_square_claim(shadows, u, w) -> dict:

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polysec import linalg
 from polysec.linalg import (
@@ -12,7 +12,7 @@ from polysec.linalg import (
     solve_linear,
 )
 
-from conftest import count_calls, rank
+from conftest import count_calls, rank, reference_convex_coefficients
 
 
 def F(a, b=1):
@@ -120,6 +120,70 @@ class TestConvexCoefficients:
         assert convex_coefficients(point, gens) == [Fraction(1, 2), Fraction(1, 2)]
         [(matrix, rhs)] = lps
         assert len(matrix) == len(rhs) == 2
+
+
+# small fractions of either sign, zero, and a wide value, so that columns
+# get very different positive scales and right-hand sides turn negative
+SCALAR = st.fractions(min_value=-3, max_value=3, max_denominator=3) | st.sampled_from(
+    [Fraction(0), Fraction(2**70 + 1, 3**45), Fraction(-7)])
+
+
+@st.composite
+def hull_queries(draw):
+    """A point and 1-8 generators in dimension 1-4, drawn from a short list
+    so that generators repeat and ratio tests tie; coordinate slots that
+    are zero in every vector; the point a convex combination of the
+    generators with positive weights half the time, else often outside
+    their hull."""
+    dim = draw(st.integers(1, 4))
+    zero = draw(st.sets(st.integers(0, dim - 1), max_size=dim - 1))
+    vector = st.lists(SCALAR, min_size=dim, max_size=dim).map(
+        lambda v: tuple(Fraction(0) if k in zero else c for k, c in enumerate(v)))
+    pool = draw(st.lists(vector, min_size=1, max_size=4))
+    gens = draw(st.lists(st.sampled_from(pool) | vector, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        # every weight positive: many weightings reach the point when the
+        # generators outnumber dim + 1, so the pivots decide which is found
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(gens), max_size=len(gens)))
+        point = tuple(sum(w * g[k] for w, g in zip(weights, gens)) / sum(weights) for k in range(dim))
+    else:
+        point = draw(vector)
+    return point, gens
+
+
+# a point that several weightings reach, whose weights move when each row
+# is cleared of its own denominators (a row scaling, which reweighs the
+# Phase-I objective): Bland's rule then ends at (9/20, 0, 11/20)
+ROW_SCALING_MOVES = ((F(1, 4),), [(F(-2, 3),), (F(-1, 2),), (F(1),)])
+# a negative right-hand side; a coordinate zero everywhere; a point outside
+NEGATIVE_RHS = ((F(-1, 2), F(-3)), [(F(-1), F(-2)), (F(0), F(-4)), (F(-2, 3), F(-1))])
+ZERO_ROW = ((F(1, 3), F(0), F(2, 3)), [(F(0), F(0), F(1)), (F(1), F(0), F(0)), (F(1, 2), F(0), F(1, 2))])
+OUTSIDE = ((F(3), F(-7, 2)), [(F(0), F(0)), (F(1, 3), F(0)), (F(0), F(1, 5))])
+
+
+class TestIntegerColumns:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(query=hull_queries())
+    @example(query=ROW_SCALING_MOVES)
+    @example(query=NEGATIVE_RHS)
+    @example(query=ZERO_ROW)
+    @example(query=OUTSIDE)
+    def test_same_weights_as_fraction_columns(self, query):
+        # positive column scaling with one scale for the right-hand side
+        # keeps every Bland pivot: the same weights, not only the same
+        # feasibility
+        point, gens = query
+        weights = convex_coefficients(point, gens)
+        assert weights == reference_convex_coefficients(point, gens)
+        if weights is not None:
+            assert sum(weights) == 1 and all(w >= 0 for w in weights)
+            assert all(sum(w * g[k] for w, g in zip(weights, gens)) == c for k, c in enumerate(point))
+
+    def test_examples_cover_each_case(self):
+        assert convex_coefficients(*ROW_SCALING_MOVES) == [F(0), F(1, 2), F(1, 2)]
+        assert convex_coefficients(*NEGATIVE_RHS) is not None
+        assert convex_coefficients(*ZERO_ROW) is not None
+        assert convex_coefficients(*OUTSIDE) is None
 
 
 def reference_fourier_motzkin(constraints, nvars):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -20,10 +21,12 @@ from polysec.errors import (
 from polysec.linalg import convex_coefficients, solve_linear
 from polysec.heptagon import heptagon_extension
 from polysec.hexagon import hexagon_extension5, hexagon_ic
+from polysec.jsonio import sectioned_from_obj
 from polysec.polygon import ProjMap2, _lift, convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import (
     SectionedPolytope,
+    _row,
     _section_columns,
     _section_points,
     _support,
@@ -109,6 +112,13 @@ class TestComputeSection:
         # invertible block acting on coordinates 3 and 4 only
         mixed = [(x, y, 2 * z + w, z - w) for x, y, z, w in verts]
         assert compute_section(verts, 4) == compute_section(mixed, 4)
+
+
+def rows_and_supports(verts):
+    """The rows of the vertices, as SectionedPolytope makes them, and their
+    off-H supports: the arguments of _section_points."""
+    supports = [_support(v) for v in verts]
+    return [_row(v, support) for v, support in zip(verts, supports)], supports
 
 
 def _on_flat(v):
@@ -197,7 +207,7 @@ class TestSupportBuckets:
                 compute_section(verts, dim)
         else:
             assert compute_section(verts, dim) == expected
-        assert _section_columns(verts) == all_pairs_columns(verts)
+        assert _section_columns(verts, rows_and_supports(verts)[0]) == all_pairs_columns(verts)
 
     def test_pairs_tested_only_within_a_support(self, monkeypatch):
         # two blocks of three vertices in 4-space, two vertices on H
@@ -267,28 +277,27 @@ class TestFlatCrossingsOracle:
     @example(verts=TWO_SUPPORT_PAIR)
     @example(verts=TWO_SUPPORT_PAIR[::-1])
     def test_matches_all_coordinate_reference(self, verts):
-        supports = [_support(v) for v in verts]
         expected = [(i, j, point_key(point)) for i, j, _, point in first_copies_crossings(verts)]
-        assert [entry for entry in _section_points(verts, supports) if entry[1] is not None] == expected
+        crossings = _section_points(*rows_and_supports(verts))
+        assert [entry for entry in crossings if entry[1] is not None] == expected
 
     def test_vertices_on_flat_come_first(self):
         # the vertices on H, lifted, in index order, then the crossings;
         # a repeated vertex on H is listed at each index
         verts = [(0, 0, 1), (Fraction(1, 2), 3, 0), (2, 0, -1), (0, 2, -1),
                  (-1, Fraction(-2, 3), 0), (Fraction(1, 2), 3, 0)]
-        supports = [_support(v) for v in verts]
-        points = list(_section_points(verts, supports))
+        rows, supports = rows_and_supports(verts)
+        points = list(_section_points(rows, supports))
         on_flat = [(k, None, point_key(v[:2])) for k, v in enumerate(verts) if not supports[k]]
         assert points[:3] == on_flat and len(on_flat) == 3
         assert points[3:] == [(0, 2, point_key((1, 0))), (0, 3, point_key((0, 1)))]
 
     def test_no_fraction_hashing(self, monkeypatch):
-        # the repeated-vertex key is integers: hashing a Fraction costs a
-        # modular inverse
+        # the repeated-vertex key is the integer row: hashing a Fraction
+        # costs a modular inverse
         verts = ngon_extension(random_convex_polygon(random.Random(28), 28)).vertices
-        supports = [_support(v) for v in verts]
         hashes = count_calls(monkeypatch, Fraction, "__hash__")
-        points = list(_section_points(verts, supports))
+        points = list(_section_points(*rows_and_supports(verts)))
         assert any(j is not None for _, j, _ in points) and hashes == []
 
     def test_two_fractions_per_crossing_point(self, monkeypatch):
@@ -296,8 +305,7 @@ class TestFlatCrossingsOracle:
         # (a vertex on H or a crossing) and no parameter t, which only the
         # columns of factorize and the LP path use
         verts = ngon_extension(random_convex_polygon(random.Random(28), 28)).vertices
-        supports = [_support(v) for v in verts]
-        points = list(_section_points(verts, supports))
+        points = list(_section_points(*rows_and_supports(verts)))
         made = count_calls(monkeypatch, sections_module, "Fraction")
         compute_section(verts, len(verts[0]))
         assert any(j is not None for _, j, _ in points) and len(made) == 2 * len(points)
@@ -340,9 +348,8 @@ class TestVerifySection:
 def crossing_points(verts):
     """The planar crossings of a file of at most one nonzero coordinate
     off H per vertex, as Fraction pairs (compute_section's points off H)."""
-    supports = [_support(v) for v in verts]
     return {(Fraction(x, w), Fraction(y, w))
-            for _, j, (x, y, w) in _section_points(verts, supports) if j is not None}
+            for _, j, (x, y, w) in _section_points(*rows_and_supports(verts)) if j is not None}
 
 
 # a pentagon on H, and a vertical segment through an interior point of it
@@ -622,18 +629,19 @@ class TestExtremePoints:
             assert extreme_points(s.vertices, s.dim) == lp_over_all_others(s.vertices, s.dim)
 
     def test_join_lps_are_block_sized(self, monkeypatch):
-        # one LP per distinct vertex, each in its block's (x, y, z_j);
-        # over all the other vertices each point would have 6 coordinates
+        # one LP per distinct vertex, each in its block's (x, y, z_j) and
+        # the weight; over all the other vertices each integer point would
+        # have 6 coordinates and the weight
         ext = ngon_extension(random_convex_polygon(random.Random(1), 28))
-        calls = count_calls(monkeypatch, sections_module, "convex_coefficients")
+        calls = count_calls(monkeypatch, sections_module, "_nonnegative_combination")
         extreme_points(ext.vertices, ext.dim)
         assert ext.dim == 6 and len(calls) == 24
-        assert all(len(point) <= 3 for point, _ in calls)
+        assert all(len(point) <= 4 for point, _ in calls)
 
     def test_one_block_is_not_crossed(self, monkeypatch, rng):
         ext = heptagon_extension(random_convex_polygon(rng, 7))
         crossings = count_calls(monkeypatch, sections_module, "_section_points")
-        lps = count_calls(monkeypatch, sections_module, "convex_coefficients")
+        lps = count_calls(monkeypatch, sections_module, "_nonnegative_combination")
         assert len(extreme_points(ext.vertices, 3)) == 6
         assert crossings == [] and len(lps) == 6
 
@@ -647,10 +655,45 @@ class TestExtremePoints:
         # crossing or LP, as CLI extend refuses them
         ext = ngon_extension(random_convex_polygon(random.Random(1), 140))
         crossings = count_calls(monkeypatch, sections_module, "_section_points")
-        lps = count_calls(monkeypatch, sections_module, "convex_coefficients")
+        lps = count_calls(monkeypatch, sections_module, "_nonnegative_combination")
         with pytest.raises(ScaleExceeded):
             extreme_points(ext.vertices, ext.dim)
         assert crossings == [] and lps == []
+
+
+TRIANGLE = validate([(0, 0), (1, 0), (0, 1)])
+
+
+@st.composite
+def ambient_vectors(draw):
+    """A vector of dimension 2-6 of ints, Fractions with small or wide
+    denominators, negative values and zeros."""
+    scalar = (st.integers(-9, 9) | st.just(Fraction(0))
+              | st.fractions(min_value=-20, max_value=20, max_denominator=60)
+              | st.sampled_from(OFF_FLAT_HUGE))
+    return tuple(draw(st.lists(scalar, min_size=2, max_size=6)))
+
+
+class TestRows:
+    def test_equal_points_written_differently_get_equal_rows(self):
+        # (1/2, 2, 0, -3/4): W = 4
+        forms = [(Fraction(1, 2), 2, 0, Fraction(-3, 4)), ("2/4", "4/2", "-0", "-6/8"),
+                 ("0.5", Fraction(2), "0", "-0.75"), (Fraction(2, 4), Fraction(6, 3), Fraction(0), "-3/4")]
+        rows = SectionedPolytope(4, forms, TRIANGLE).rows
+        doc = {"dim": 4, "claimed": {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},
+               "vertices": [["2/4", "4/2", "-0", "-6/8"], ["0.5", "2", "0", "-0.75"], ["1/2", "2", "0", "-3/4"]]}
+        parsed = sectioned_from_obj(doc).rows
+        assert set(rows) == set(parsed) == {(2, 8, 0, -3, 4)}
+        assert SectionedPolytope(3, [(0, 0, 0), ("-0", "0/5", "0.0")], TRIANGLE).rows == ((0, 0, 0, 1),) * 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=ambient_vectors())
+    def test_rows_are_primitive_with_positive_weight(self, v):
+        (row,) = SectionedPolytope(len(v), [v], TRIANGLE).rows
+        w = row[-1]
+        assert w > 0 and gcd(*row) == 1 and len(row) == len(v) + 1
+        assert all(Fraction(r, w) == c for r, c in zip(row, v))
+        assert w == lcm(*(Fraction(c).denominator for c in v))
 
 
 class TestLiftAndPullback:

@@ -222,10 +222,10 @@ class TestFactorize:
 
     def test_lp_path_builds_the_generators_once(self, monkeypatch):
         # every facet's edge LP runs over the one generator list that
-        # factorize builds, not over a list rebuilt per facet
+        # factorize builds from the rows, not over a list rebuilt per facet
         ext = lp_path_square()
         assert ext.blocks is None
-        builds = count_calls(monkeypatch, slack, "distinct_points")
+        builds = count_calls(monkeypatch, slack, "_distinct_rows")
         fact = factorize_from_section(ext.claimed, ext)
         assert len(builds) == 1 and fact.inner_dim == 9
 
