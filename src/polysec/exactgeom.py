@@ -13,6 +13,9 @@ validate.  This kernel serves where lines are formed: the crossing
 classification of standardization lines, hexagon concurrency,
 polygon.frame_map and the svg rendering.
 
+Coordinate text has one reader, _ratio, giving integers (p, q): Fractions
+for parse_scalar, and an extension file's integer rows for jsonio.
+
 No floating point is used anywhere in this module.  All values are
 immutable and all operations are pure, so they are safe to share across
 any number of workers.
@@ -53,30 +56,37 @@ MAX_EXPONENT_DIGITS = 4000
 _ZERO = Fraction(0)
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational.
+def _ratio(text) -> tuple[int, int]:
+    """The one coordinate-text reader: integers (p, q), q > 0, with p/q the
+    value of the text, not reduced.
 
     ASCII "[-]digits" and "[-]digits/digits" are read with int(); any other
     text goes to Fraction(str), which accepts and rejects the same texts.
     Text longer than MAX_SCALAR_CHARS, or with a decimal exponent that
-    takes it past MAX_EXPONENT_DIGITS, is rejected with ParseError.  The
-    text "0" gives one shared Fraction(0).
+    takes it past MAX_EXPONENT_DIGITS, is rejected with ParseError.
     """
-    if text == "0":
-        return _ZERO
     s = str(text).strip()
     if len(s) > MAX_SCALAR_CHARS:
         raise ParseError(f"rational text longer than {MAX_SCALAR_CHARS} characters")
     num, slash, den = s.partition("/")
     try:
         if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            q = int(den or 1)
+            if q:  # "p/0" is left to Fraction, which rejects it
+                return int(num), q
         exponent = s.lower().partition("e")[2]
         if exponent and len(s) + abs(int(exponent)) > MAX_EXPONENT_DIGITS:
             raise ParseError(f"exponent of {s[:40]!r} too large")
-        return Fraction(s)
+        return Fraction(s).as_integer_ratio()
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"invalid rational {text!r}") from exc
+
+
+def parse_scalar(text: str) -> Fraction:
+    """Fraction(p, q) of _ratio(text); the text "0" gives one shared zero."""
+    if text == "0":
+        return _ZERO
+    return Fraction(*_ratio(text))
 
 
 def format_scalar(value: ScalarLike) -> str:

@@ -9,16 +9,17 @@ Support lemma, exact in any dimension: if u and v have different off-H
 supports, the segment [u, v] meets H at most at an endpoint that already
 lies on H.  Say u_j != 0 = v_j; then (1-t) u_j = 0 forces t = 1, the
 endpoint v.  So only segments between vertices of one nonempty support can
-cross H anywhere else, and only those pairs are tested (_section_points),
-at most MAX_PAIR_TESTS of them (past it, ScaleExceeded before the first
-test).  Within a support every support coordinate is nonzero at both ends,
-so a pair crosses H exactly when the first support coordinates have
-opposite signs and the support coordinates are proportional.
+cross H anywhere else, at most MAX_PAIR_TESTS pairs (past it, ScaleExceeded
+before the first test).  Within a support every support coordinate is
+nonzero at both ends, so a pair crosses H exactly when the first support
+coordinates have opposite signs, the only pairs tested (_section_points),
+and the support coordinates are proportional.
 
-Each vertex is read once, at construction, into its row
-(SectionedPolytope.rows): the primitive integer (X, Y, Z_3, ..., Z_d, W),
-W > 0 the lcm of the denominators of x, y and the support coordinates, 0
-off them.  Equal points have equal rows, the keys of repeated vertices.
+Each vertex is held as its row (SectionedPolytope.rows): the primitive
+integer (X, Y, Z_3, ..., Z_d, W), W > 0 the lcm of the denominators of x,
+y and the support coordinates, 0 off them.  A file is read straight into
+rows (jsonio), and its vertices are derived from them on first read.
+Equal points have equal rows, the keys of repeated vertices.
 Rows u, v of one support, first support coordinate j, cross H when Z_u,j
 and Z_v,j have opposite signs and Z_u,k Z_v,j = Z_v,k Z_u,j on the rest of
 the support (W cancels), at |Z_v,j| (X_u, Y_u, W_u) + |Z_u,j| (X_v, Y_v, W_v)
@@ -92,6 +93,8 @@ states that claim and certifies it.
 from __future__ import annotations
 
 from fractions import Fraction
+from bisect import bisect
+from itertools import compress
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -142,49 +145,56 @@ class SectionedPolytope:
     """A vertex-described polytope with a claimed planar section on H, a Polygon.
 
     The certificate flag is only ever set by verify_section.  rows and
-    blocks (module docstring) are computed at construction.
+    blocks (module docstring) are computed at construction; vertices are
+    kept as given, or derived from the rows (_from_rows) on first read.
     """
 
-    __slots__ = ("dim", "vertices", "rows", "claimed", "certified", "blocks")
+    __slots__ = ("dim", "_vertices", "rows", "claimed", "certified", "blocks")
 
     def __init__(self, dim: int, vertices: Sequence[Sequence], claimed: Polygon):
+        self._vertices = tuple(tuple(map(_fraction, v)) for v in vertices)
+        if any(len(v) != dim for v in self._vertices):
+            raise ValueError(f"a vertex does not have dimension {dim}")
+        self._set_rows(dim, map(_row, self._vertices), claimed)
+
+    @classmethod
+    def _from_rows(cls, dim: int, rows, claimed: Polygon) -> SectionedPolytope:
+        """The polytope of primitive rows of length dim + 1, W > 0."""
+        s = cls.__new__(cls)
+        s._vertices = None
+        s._set_rows(dim, rows, claimed)
+        return s
+
+    def _set_rows(self, dim: int, rows, claimed: Polygon) -> None:
+        """The constructor tail: rows, blocks read off their entries, claim."""
         if dim < 2:
             raise ValueError("ambient dimension must be at least 2")
-        self.dim = dim
-        verts, supports, rows = [], [], []
-        for v in vertices:
-            v = tuple(v)
-            # one C-level type test per vertex: only a vertex holding a
-            # non-Fraction is converted
-            if set(map(type, v)) != {Fraction}:
-                v = tuple(c if type(c) is Fraction else Fraction(c) for c in v)
-            if len(v) != dim:
-                raise ValueError(f"vertex {v} does not have dimension {dim}")
-            verts.append(v)
-            supports.append(_support(v))
-            rows.append(_row(v, supports[-1]))
-        self.vertices = tuple(verts)
-        self.rows = tuple(rows)
-        self.blocks = (None if any(len(support) > 1 for support in supports)
-                       else tuple(support[0] if support else None for support in supports))
         if not isinstance(claimed, Polygon):
             raise TypeError(f"cannot interpret {claimed!r} as a planar section")
-        self.claimed = claimed
-        self.certified = False
+        self.dim, self.rows, self.claimed, self.certified = dim, tuple(rows), claimed, False
+        supports = [_support(row) for row in self.rows]
+        self.blocks = (None if any(len(support) > 1 for support in supports)
+                       else tuple(support[0] if support else None for support in supports))
+
+    @property
+    def vertices(self) -> tuple[AmbientPoint, ...]:
+        """Fraction(X_k, W) of each row, the shared zero where X_k = 0."""
+        if self._vertices is None:
+            self._vertices = tuple(tuple([Fraction(c, row[-1]) if c else _ZERO for c in row[:-1]])
+                                   for row in self.rows)
+        return self._vertices
 
     def __repr__(self):
-        return (f"SectionedPolytope(dim={self.dim}, vertices={len(self.vertices)}, "
+        return (f"SectionedPolytope(dim={self.dim}, vertices={len(self.rows)}, "
                 f"certified={self.certified})")
 
 
-def _row(v: Sequence, support: tuple[int, ...]) -> Row:
+def _row(v: Sequence) -> Row:
     """The row of a vertex of Fractions or ints (module docstring), primitive:
-    a prime misses the entry whose denominator holds its full power in W."""
-    w = lcm(v[0].denominator, v[1].denominator, *[v[k].denominator for k in support])
-    row = [0] * len(v) + [w]
-    for k in (0, 1, *support):
-        row[k] = v[k].numerator * (w // v[k].denominator)
-    return tuple(row)
+    a prime misses the entry whose denominator holds its full power in W.
+    A zero coordinate has denominator 1, so it leaves W alone."""
+    w = lcm(*[c.denominator for c in v])
+    return (*[c.numerator * (w // c.denominator) for c in v], w)
 
 
 def _planar_lift(x: int, y: int, w: int) -> Triple:
@@ -205,10 +215,9 @@ def _segment_flat_crossing(u: Row, v: Row, support: tuple[int, ...]) -> Optional
     return _planar_lift(p * u[0] + q * v[0], p * u[1] + q * v[1], p * u[-1] + q * v[-1])
 
 
-def _support(v: Sequence) -> tuple[int, ...]:
-    """The off-H support of v: indices of its nonzero coordinates 3..d."""
-    # the shared zero of parsed files is settled without Fraction.__bool__
-    return tuple(k for k, c in enumerate(v[2:], 2) if c is not _ZERO and c)
+def _support(row: Row) -> tuple[int, ...]:
+    """The off-H support of a row: indices of its nonzero coordinates 3..d."""
+    return tuple(compress(range(2, len(row) - 1), row[2:-1]))
 
 
 MAX_PAIR_TESTS = 100_000  # about 2 s of crossing tests; package files make a few hundred
@@ -222,10 +231,11 @@ def _section_points(rows: Sequence[Row], supports: Sequence[tuple[int, ...]]):
     unique crossings of H by segments between vertices of one nonempty
     support, (i, j, lift) in lexicographic (i, j) order, i < j; by the
     support lemma no other segment crosses H except at an endpoint on H.
-    Equal rows are equal vertices, crossed at their first index only (a
-    later copy adds no crossing point, and no earlier pair).
-    ScaleExceeded, before any crossing test, past MAX_PAIR_TESTS pairs of
-    distinct vertices.
+    Only pairs whose first support coordinates have opposite signs are
+    tested: a same-sign pair cannot cross.  Equal rows are equal vertices,
+    crossed at their first index only (a later copy adds no crossing point,
+    and no earlier pair).  ScaleExceeded, before any crossing test, past
+    MAX_PAIR_TESTS pairs of distinct vertices of one support.
     """
     for k, (row, support) in enumerate(zip(rows, supports)):
         if not support:
@@ -239,9 +249,12 @@ def _section_points(rows: Sequence[Row], supports: Sequence[tuple[int, ...]]):
         raise ScaleExceeded(f"{pairs} vertex pairs to cross with the flat")
     later = [()] * len(rows)
     for members in groups.values():
-        members = list(members.values())
-        for pos, k in enumerate(members):
-            later[k] = members[pos + 1:]
+        sides = ([], [])  # by the sign of the first support coordinate, in index order
+        for k in members.values():
+            sides[rows[k][supports[k][0]] > 0].append(k)
+        for side, other in (sides, sides[::-1]):
+            for k in side:
+                later[k] = other[bisect(other, k):]
     for i, partners in enumerate(later):
         for j in partners:
             point = _segment_flat_crossing(rows[i], rows[j], supports[i])
@@ -249,15 +262,15 @@ def _section_points(rows: Sequence[Row], supports: Sequence[tuple[int, ...]]):
                 yield i, j, point
 
 
-def _section_columns(gens: Sequence[AmbientPoint], rows: Sequence[Row]) -> dict[Triple, dict]:
-    """Sparse convex column of every point that a generator or a generator
-    segment contributes to the section, keyed by its lift.
+def _section_columns(rows: Sequence[Row]) -> dict[Triple, dict]:
+    """Sparse convex column of every point that a generator (of rows rows)
+    or a generator segment contributes to the section, keyed by its lift.
 
     One entry per point of _section_points, the first kept: a unit column
-    for a generator on H, and for the crossing of [gens[i], gens[j]], of
+    for a generator on H, and for the crossing of generators i and j, of
     rows u and v, the weights |Z_v,j| W_u and |Z_u,j| W_v over their sum.
     """
-    supports = [_support(g) for g in gens]
+    supports = [_support(row) for row in rows]
     columns = {}
     for i, j, point in _section_points(rows, supports):
         if j is None:
@@ -269,17 +282,17 @@ def _section_columns(gens: Sequence[AmbientPoint], rows: Sequence[Row]) -> dict[
     return columns
 
 
-def _claim_columns(polygon: Polygon, gens: Sequence, rows: Sequence[Row], dim: int) -> Optional[list[dict]]:
-    """Sparse convex column over gens (of rows rows) of each polygon vertex
-    placed on H: its lift (Polygon.lifts) looked up in _section_columns,
-    else one exact LP (convex_coefficients); None outside conv(gens)."""
-    columns = _section_columns(gens, rows)
-    on_flat = (Fraction(0),) * (dim - 2)
+def _claim_columns(s: SectionedPolytope, distinct: dict[Row, int]) -> Optional[list[dict]]:
+    """Sparse convex column over the generators (distinct, of s.rows) of each
+    claimed vertex on H: its lift looked up in _section_columns, else one
+    exact LP (convex_coefficients); None outside their hull."""
+    columns = _section_columns(list(distinct))
+    on_flat = (Fraction(0),) * (s.dim - 2)
     out = []
-    for point, lift in zip(polygon.vertices, polygon.lifts):
+    for point, lift in zip(s.claimed.vertices, s.claimed.lifts):
         column = columns.get(lift)
         if column is None:
-            weights = convex_coefficients((*point, *on_flat), gens)
+            weights = convex_coefficients((*point, *on_flat), [s.vertices[k] for k in distinct.values()])
             if weights is None:
                 return None
             column = dict(enumerate(weights))
@@ -299,10 +312,9 @@ def compute_section(vertices: Sequence[Sequence], dim: int) -> tuple[AffinePair,
     """
     if any(len(v) != dim for v in vertices):
         raise ValueError("vertex dimension mismatch")
-    supports = [_support(v) for v in vertices]
-    rows = [_row(v, support) for v, support in zip(vertices, supports)]
+    rows = [_row(v) for v in vertices]
     hull = convex_hull_2d((Fraction(x, w), Fraction(y, w))
-                          for _, _, (x, y, w) in _section_points(rows, supports))
+                          for _, _, (x, y, w) in _section_points(rows, list(map(_support, rows))))
     if not hull:
         raise EmptySection("the flat does not meet the polytope")
     return hull
@@ -333,10 +345,10 @@ def _claim_is_section(s: SectionedPolytope) -> bool:
     distinct vertices (_claim_columns), and each edge inequality extends to
     the polytope (edge_extension).
     """
-    gens, rows = _distinct_rows(s.vertices, s.dim, s.rows)
-    polygon = s.claimed
-    return (_claim_columns(polygon, gens, rows, s.dim) is not None
-            and all(edge_extension(polygon, i, gens) is not None for i in range(polygon.n)))
+    distinct = _distinct_rows(s.rows, s.dim)
+    gens = [s.vertices[k] for k in distinct.values()]
+    return (_claim_columns(s, distinct) is not None
+            and all(edge_extension(s.claimed, i, gens) is not None for i in range(s.claimed.n)))
 
 
 def _claim_matches_crossings(s: SectionedPolytope) -> bool:
@@ -387,19 +399,17 @@ def certify(s: SectionedPolytope) -> SectionedPolytope:
 def distinct_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]:
     """The distinct points in first-occurrence order, within the input bound:
     from dimension 4 on, more than 64 are refused with ScaleExceeded."""
-    return _distinct_rows(vertices, dim)[0]
+    verts = [tuple(map(_fraction, v)) for v in vertices]
+    return [verts[k] for k in _distinct_rows(map(_row, verts), dim).values()]
 
 
-def _distinct_rows(vertices: Sequence, dim: int, rows: Optional[Sequence[Row]] = None) -> tuple[list, list]:
-    """distinct_points on rows, with their rows; the rows are made unless
-    given with Fraction vertices (SectionedPolytope.rows)."""
-    if rows is None:
-        vertices = [tuple(map(_fraction, v)) for v in vertices]
-        rows = [_row(v, _support(v)) for v in vertices]
-    distinct = dict(zip(rows, vertices))  # equal rows, equal points
+def _distinct_rows(rows, dim: int) -> dict[Row, int]:
+    """Each distinct row, in first-occurrence order, with the index of its
+    last copy (equal rows, equal points), within distinct_points' bound."""
+    distinct = {row: k for k, row in enumerate(rows)}
     if dim >= 4 and len(distinct) > 64:
         raise ScaleExceeded(f"{len(distinct)} points in dimension {dim}")
-    return list(distinct.values()), list(distinct)
+    return distinct
 
 
 def extreme_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]:
@@ -419,8 +429,10 @@ def extreme_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]
     MAX_PAIR_TESTS pairs).  With a single block there are no other blocks
     and no enumeration, and the LPs are those over all the other vertices.
     """
-    verts, rows = _distinct_rows(vertices, dim)
-    supports = [_support(v) for v in verts]
+    verts = [tuple(map(_fraction, v)) for v in vertices]
+    distinct = _distinct_rows(map(_row, verts), dim)
+    verts, rows = [verts[k] for k in distinct.values()], list(distinct)
+    supports = [_support(row) for row in rows]
     if any(len(support) > 1 for support in supports):
         return [v for i, v in enumerate(verts)
                 if _nonnegative_combination(rows[i], rows[:i] + rows[i + 1:]) is None]

@@ -91,7 +91,7 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope,
     """Free coefficients c on coordinates 3..d that extend the facet slack
     of the claimed polygon to all of the polytope, a tuple of s.dim - 2.
     gens are the distinct vertices of s (distinct_points), built once by
-    the caller for all facets.
+    the caller for all facets, and read by the edge LP alone.
 
     For the facet inequality a . x <= b, the functional
     b - a . x[:2] + c . x[2:] is the planar slack on H and is nonnegative
@@ -154,14 +154,15 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     """
     if s.claimed != polygon:
         raise DomainError("the extension's section is not this polygon")
-    gens, rows = _distinct_rows(s.vertices, s.dim, s.rows)
-    c_cols = _claim_columns(polygon, gens, rows, s.dim)
+    distinct = _distinct_rows(s.rows, s.dim)
+    c_cols = _claim_columns(s, distinct)
     if c_cols is None:
         raise NotInPolytope("a vertex of the polygon is not in the polytope")
-    r_rows = tuple(_edge_values(polygon, i, rows, extend_facet_inequality(i, s, gens))
+    gens = () if s.blocks is not None else [s.vertices[k] for k in distinct.values()]  # edge LPs
+    r_rows = tuple(_edge_values(polygon, i, distinct, extend_facet_inequality(i, s, gens))
                    for i in range(polygon.n))
     zero = Fraction(0)
-    c_rows = tuple(tuple(col.get(k, zero) for col in c_cols) for k in range(len(gens)))
+    c_rows = tuple(tuple(col.get(k, zero) for col in c_cols) for k in range(len(distinct)))
     fact = SlackFactorization(r_factor=r_rows, c_factor=c_rows)
     if not verify_factorization(slack_matrix(polygon), fact):
         raise CertificationFailure("factor product failed to reproduce the slack matrix")

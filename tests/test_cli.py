@@ -19,7 +19,7 @@ from polysec import cli, exactgeom, linalg, sections, slack
 from polysec import hexagon as hexagon_module
 from polysec import polygon as polygon_module
 from polysec.cli import main
-from polysec.compose import ngon_extension
+from polysec.compose import ngon_3d_extension, ngon_extension
 from polysec.heptagon import heptagon_extension
 from polysec.jsonio import dumps, loads, polygon_to_obj, sectioned_from_obj, sectioned_to_obj
 from polysec.polygon import Polygon, ProjMap2, convex_hull_2d, validate
@@ -535,6 +535,75 @@ class TestWorkBound:
             assert main(["factorize", path, str(ext)]) == 0
             inner.append(loads(capsys.readouterr().out)["r"])
         assert tested[0] == tested[1] > 0 and inner == [len(doc["vertices"]) - 1] * 2
+
+
+def lp_path_doc() -> dict:
+    """The 4-D LP-path file of the CI step: the unit square times a
+    segment, every vertex with two nonzero coordinates off H, plus the
+    vertex (2, 1/2, 1, 2); its section is the square."""
+    box = [[x, y, z, z] for z in ("1", "-1") for x, y in (("0", "0"), ("0", "1"), ("1", "1"), ("1", "0"))]
+    square = [["0", "0"], ["0", "1"], ["1", "1"], ["1", "0"]]
+    return {"dim": 4, "vertices": box + [["2", "1/2", "1", "2"]], "claimed": {"vertices": square}}
+
+
+# sha256 of `factorize` stdout on lp_path_doc written by json.dumps
+LP_PATH_FACTORIZE_SHA256 = "f5abc050c2c96f14a184e04795d06ae9a9fb1441c6f605fdeb397cd48ba14596"
+
+
+def derivations(monkeypatch) -> list:
+    """Records each polytope whose vertices are derived from its rows, at
+    the first read of SectionedPolytope.vertices."""
+    derived, getter = [], sections.SectionedPolytope.vertices.fget
+
+    def spy(s):
+        if s._vertices is None:
+            derived.append(s)
+        return getter(s)
+
+    monkeypatch.setattr(sections.SectionedPolytope, "vertices", property(spy))
+    return derived
+
+
+class TestRowsFromText:
+    @pytest.mark.parametrize("name", ["heptagon", "join-28", "3d-28", "lp-path"])
+    def test_derived_vertices_are_the_parsed_ones(self, name):
+        p28 = random_convex_polygon(random.Random(28), 28)
+        build = {"heptagon": lambda: heptagon_extension(validate(SIX_CROSSING_HEPTAGON)),
+                 "join-28": lambda: ngon_extension(p28), "3d-28": lambda: ngon_3d_extension(p28)}
+        doc = lp_path_doc() if name == "lp-path" else loads(dumps(sectioned_to_obj(build[name]())))
+        s = sectioned_from_obj(doc)
+        assert s.vertices == tuple(tuple(exactgeom.parse_scalar(c) for c in v) for v in doc["vertices"])
+        assert sections.verify_section(s)
+        assert dumps(sectioned_to_obj(s)) == dumps({**doc, "certified": True})
+
+    @pytest.mark.parametrize("mode", ["join", "3d"])
+    def test_verify_and_factorize_derive_no_vertices(self, mode, tmp_path, capsys, monkeypatch):
+        # the extension's coordinates go straight into rows; parse_scalar
+        # reads the polygon and the claim only
+        polygon = random_convex_polygon(random.Random(28), 28)
+        path = write_polygon(tmp_path, "p.json", polygon.vertices)
+        ext = str(tmp_path / "ext.json")
+        assert main(["extend", path, "--mode", mode, "--out", ext]) == 0
+        derived = derivations(monkeypatch)
+        parses = count_calls_everywhere(monkeypatch, exactgeom, "parse_scalar")
+        assert main(["verify", ext]) == 0
+        assert len(parses) == 2 * 28
+        assert main(["factorize", path, ext]) == 0
+        assert len(parses) == 2 * 28 + 4 * 28 and derived == []
+        assert loads(capsys.readouterr().out.splitlines()[-1])["r"] == (24 if mode == "join" else 27)
+
+    def test_lp_path_derives_them_and_prints_the_same(self, tmp_path, capsys, monkeypatch):
+        doc = lp_path_doc()
+        ext, square = tmp_path / "lp.json", tmp_path / "square.json"
+        ext.write_text(json.dumps(doc))
+        square.write_text(json.dumps({"vertices": doc["claimed"]["vertices"]}))
+        derived = derivations(monkeypatch)
+        assert main(["verify", str(ext)]) == 0 and len(derived) == 1
+        assert capsys.readouterr().out == "PASS\n"
+        assert main(["factorize", str(square), str(ext)]) == 0 and len(derived) == 2
+        out = capsys.readouterr().out
+        assert loads(out)["r"] == 9
+        assert hashlib.sha256(out.encode()).hexdigest() == LP_PATH_FACTORIZE_SHA256
 
 
 def false_square_claim(shadows, u, w) -> dict:

@@ -8,6 +8,7 @@ from polysec.exactgeom import (
     MAX_EXPONENT_DIGITS,
     MAX_SCALAR_CHARS,
     _canonical_int_triple,
+    _ratio,
     cross,
     det3,
     format_scalar,
@@ -148,6 +149,14 @@ def outcome(parse, text):
         return ParseError
 
 
+def read_ratio(text):
+    """_ratio's (p, q) as the Fraction p/q, after checking that p and q are
+    ints with q > 0."""
+    p, q = _ratio(text)
+    assert type(p) is int and type(q) is int and q > 0
+    return Fraction(p, q)
+
+
 PARITY_TEXTS = [
     "+3", " -0 ", "-0/5", "3/0", "4/6", "007", "1_0", "\u0661\u0662", "-", "/5", "5/", "--3",
     "-3/-4", "3/+4", "3 /4", "1/2/3", "0.5", "1e3", "\u00b2", "-" + "7" * 4300 + "/" + "9" * 4300,
@@ -161,12 +170,21 @@ PARITY_TEXTS = [
 class TestParseScalarFastPath:
     @pytest.mark.parametrize("text", PARITY_TEXTS, ids=range(len(PARITY_TEXTS)))
     def test_same_value_or_same_error_as_fraction(self, text):
-        assert outcome(parse_scalar, text) == outcome(fraction_parse, text)
+        # parse_scalar and the reader under it, _ratio
+        expected = outcome(fraction_parse, text)
+        assert outcome(parse_scalar, text) == expected == outcome(read_ratio, text)
 
     @settings(max_examples=300)
     @given(st.text(alphabet="0123456789-+/ ._e\u0661", max_size=12) | st.integers())
     def test_random_texts(self, text):
-        assert outcome(parse_scalar, text) == outcome(fraction_parse, text)
+        expected = outcome(fraction_parse, text)
+        assert outcome(parse_scalar, text) == expected == outcome(read_ratio, text)
+
+    def test_reader_keeps_the_written_terms(self):
+        # the int() path returns the integers as written, unreduced; the
+        # row reader divides the row by its gcd instead
+        assert _ratio(" -4/6 ") == (-4, 6) and _ratio("0/7") == (0, 7) and _ratio(12) == (12, 1)
+        assert _ratio("-0") == (0, 1) and _ratio("5e-1") == (1, 2)
 
 
 point_triples = st.tuples(rationals, rationals, st.sampled_from([Fraction(1)]))

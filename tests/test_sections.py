@@ -18,6 +18,7 @@ from polysec.errors import (
     ScaleExceeded,
     TooFewVertices,
 )
+from polysec.exactgeom import parse_scalar
 from polysec.linalg import convex_coefficients, solve_linear
 from polysec.heptagon import heptagon_extension
 from polysec.hexagon import hexagon_extension5, hexagon_ic
@@ -29,6 +30,7 @@ from polysec.sections import (
     _row,
     _section_columns,
     _section_points,
+    _segment_flat_crossing,
     _support,
     bounded_pullback,
     compute_section,
@@ -117,8 +119,13 @@ class TestComputeSection:
 def rows_and_supports(verts):
     """The rows of the vertices, as SectionedPolytope makes them, and their
     off-H supports: the arguments of _section_points."""
-    supports = [_support(v) for v in verts]
-    return [_row(v, support) for v, support in zip(verts, supports)], supports
+    rows = [_row(v) for v in verts]
+    return rows, [_support(row) for row in rows]
+
+
+def vertex_support(v):
+    """The off-H support of a vertex, read off its row."""
+    return _support(_row(v))
 
 
 def _on_flat(v):
@@ -207,15 +214,17 @@ class TestSupportBuckets:
                 compute_section(verts, dim)
         else:
             assert compute_section(verts, dim) == expected
-        assert _section_columns(verts, rows_and_supports(verts)[0]) == all_pairs_columns(verts)
+        assert _section_columns(rows_and_supports(verts)[0]) == all_pairs_columns(verts)
 
     def test_pairs_tested_only_within_a_support(self, monkeypatch):
-        # two blocks of three vertices in 4-space, two vertices on H
+        # two blocks of three vertices in 4-space, two vertices on H; the
+        # support coordinates are 1, -1, -2 per block, so only the pairs
+        # of opposite sign are tested, two per block
         verts = [(0, 0, 1, 0), (1, 0, -1, 0), (0, 1, -2, 0), (5, 5, 0, 0),
                  (0, 0, 0, 1), (2, 0, 0, -1), (0, 2, 0, -1), (7, 7, 0, 0)]
         calls = count_calls(monkeypatch, sections_module, "_segment_flat_crossing")
         hull = compute_section(verts, 4)
-        assert len(calls) == 3 + 3
+        assert len(calls) == 2 + 2
         assert hull == all_pairs_section(verts)
 
 
@@ -224,7 +233,7 @@ def first_copies_crossings(verts):
     vertices with one common nonempty support, in lexicographic order."""
     firsts = [k for k, v in enumerate(verts) if all(tuple(v) != tuple(w) for w in verts[:k])]
     for i, j in combinations(firsts, 2):
-        if _support(verts[i]) == _support(verts[j]) != ():
+        if vertex_support(verts[i]) == vertex_support(verts[j]) != ():
             crossing = all_coordinate_crossing(verts[i], verts[j])
             if crossing is not None:
                 yield i, j, *crossing
@@ -269,17 +278,51 @@ TWO_SUPPORT_PAIR = [(Fraction(1, 3), 2, 0, Fraction(-3, 2), 6),
                     (Fraction(-5, 2), Fraction(7, 4), 0, Fraction(1, 2), -2)]
 
 
+def all_pairs_section_points(rows, supports):
+    """_section_points testing every pair of first copies in a support
+    group, of either sign: the enumeration before opposite-sign pairing."""
+    for k, (row, support) in enumerate(zip(rows, supports)):
+        if not support:
+            yield k, None, _lift((Fraction(row[0], row[-1]), Fraction(row[1], row[-1])))
+    groups = {}
+    for k, (row, support) in enumerate(zip(rows, supports)):
+        if support:
+            groups.setdefault(support, {}).setdefault(row, k)
+    later = [()] * len(rows)
+    for members in groups.values():
+        members = list(members.values())
+        for pos, k in enumerate(members):
+            later[k] = members[pos + 1:]
+    for i, partners in enumerate(later):
+        for j in partners:
+            point = _segment_flat_crossing(rows[i], rows[j], supports[i])
+            if point is not None:
+                yield i, j, point
+
+
+def crossing_files(test):
+    """The inputs of TestFlatCrossingsOracle."""
+    test = example(verts=TWO_SUPPORT_PAIR[::-1])(test)
+    test = example(verts=TWO_SUPPORT_PAIR)(test)
+    test = example(verts=HUGE_PAIR[::-1])(test)
+    test = example(verts=HUGE_PAIR)(test)
+    test = given(verts=st.one_of(support_files(single=True), support_files(single=False)))(test)
+    return settings(max_examples=200)(test)
+
+
 class TestFlatCrossingsOracle:
-    @settings(max_examples=200)
-    @given(verts=st.one_of(support_files(single=True), support_files(single=False)))
-    @example(verts=HUGE_PAIR)
-    @example(verts=HUGE_PAIR[::-1])
-    @example(verts=TWO_SUPPORT_PAIR)
-    @example(verts=TWO_SUPPORT_PAIR[::-1])
+    @crossing_files
     def test_matches_all_coordinate_reference(self, verts):
         expected = [(i, j, point_key(point)) for i, j, _, point in first_copies_crossings(verts)]
         crossings = _section_points(*rows_and_supports(verts))
         assert [entry for entry in crossings if entry[1] is not None] == expected
+
+    @crossing_files
+    def test_same_list_as_all_pairs_enumeration(self, verts):
+        # testing only the pairs of opposite sign drops no crossing and
+        # keeps the lexicographic order and the first-copy rule
+        rows, supports = rows_and_supports(verts)
+        assert list(_section_points(rows, supports)) == list(all_pairs_section_points(rows, supports))
 
     def test_vertices_on_flat_come_first(self):
         # the vertices on H, lifted, in index order, then the crossings;
@@ -552,11 +595,11 @@ def single_support_set(rng, dim):
             if block is not None:
                 point[block] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
             pts.append(tuple(point))
-        supports = {_support(p) for p in pts}
+        supports = {vertex_support(p) for p in pts}
         if () in supports and len(supports) > 2:
             break
     u, v = rng.sample(pts, 2)
-    if len(set(_support(u) + _support(v))) < 2:
+    if len(set(vertex_support(u) + vertex_support(v))) < 2:
         pts.insert(rng.randrange(len(pts) + 1), tuple((a + b) / 2 for a, b in zip(u, v)))
     for p in rng.sample(pts, 2):
         pts.insert(rng.randrange(len(pts) + 1), p)
@@ -608,7 +651,7 @@ class TestExtremePoints:
 
     def test_join_with_a_midpoint_of_one_block(self):
         ext = ngon_extension(random_convex_polygon(random.Random(14), 14))
-        u, v = [w for w in ext.vertices if _support(w) == (2,)][:2]
+        u, v = [w for w in ext.vertices if vertex_support(w) == (2,)][:2]
         midpoint = tuple((a + b) / 2 for a, b in zip(u, v))
         out = extreme_points([*ext.vertices, midpoint], ext.dim)
         assert out == list(ext.vertices) == lp_over_all_others(ext.vertices, ext.dim)
@@ -674,7 +717,59 @@ def ambient_vectors(draw):
     return tuple(draw(st.lists(scalar, min_size=2, max_size=6)))
 
 
+def decimal_text(value: Fraction):
+    """value as an exact decimal text such as "-0.125", or None when no
+    power of ten up to 10^6 clears its denominator."""
+    for e in range(1, 7):
+        if 10**e % value.denominator == 0:
+            digits = str(abs(value.numerator) * (10**e // value.denominator)).rjust(e + 1, "0")
+            return "-" * (value < 0) + digits[:-e] + "." + digits[-e:]
+    return None
+
+
+def written_forms(value: Fraction) -> list:
+    """Texts (and JSON ints) of one rational: reduced, unreduced, padded,
+    as a decimal and with an exponent when exact, and zero in its forms."""
+    n, d = value.numerator, value.denominator
+    forms = [str(value), f"{2 * n}/{2 * d}", f"{3 * n}/{3 * d}", f"  {value} "]
+    decimal = decimal_text(value)
+    if decimal is not None:
+        e = len(decimal) - decimal.index(".") - 1
+        forms += [decimal, f"{n * 10**e // d}e-{e}", f"{n * 10**e // d}E-{e}"]
+    if d == 1:
+        forms += [n, f"{n}e0"]
+    if n == 0:
+        forms += ["-0", "0/7", 0, "0.0", "0e5", " 0 "]
+    return forms
+
+
+@st.composite
+def written_files(draw):
+    """An extension file of dimension 2-6 whose coordinates are written in
+    any of their written_forms, with zeros off H in most places."""
+    dim = draw(st.integers(2, 6))
+    value = (st.fractions(min_value=-20, max_value=20, max_denominator=40)
+             | st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(-7, 20), *OFF_FLAT_HUGE]))
+    vertices = []
+    for _ in range(draw(st.integers(1, 6))):
+        coords = [draw(value), draw(value)] + [draw(st.just(Fraction(0)) | value) for _ in range(dim - 2)]
+        vertices.append([draw(st.sampled_from(written_forms(c))) for c in coords])
+    return {"dim": dim, "vertices": vertices, "claimed": {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}}
+
+
 class TestRows:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=written_files())
+    def test_rows_read_from_text_are_rows_of_the_parsed_fractions(self, doc):
+        # sectioned_from_obj forms no Fraction per coordinate; its rows,
+        # blocks and derived vertices are those of the parsed Fractions
+        parsed = [tuple(parse_scalar(c) for c in v) for v in doc["vertices"]]
+        s = sectioned_from_obj(doc)
+        assert s.rows == tuple(_row(v) for v in parsed)
+        assert s.blocks == SectionedPolytope(doc["dim"], parsed, TRIANGLE).blocks
+        assert s.vertices == tuple(parsed)
+
     def test_equal_points_written_differently_get_equal_rows(self):
         # (1/2, 2, 0, -3/4): W = 4
         forms = [(Fraction(1, 2), 2, 0, Fraction(-3, 4)), ("2/4", "4/2", "-0", "-6/8"),
