@@ -103,7 +103,7 @@ def cmd_extend(args) -> int:
         {
             "dim": result.dim,
             "vertices": len(result.vertices),
-            "extreme_points": len(extreme_points(result.vertices, result.dim)),
+            "extreme_points": len(extreme_points(result.rows, result.dim)),
             "vertex_bound": bound,
             "lower_bound_3d": lower_bound_3d(polygon.n),
         }
@@ -164,7 +164,7 @@ def _fuzz_heptagon(rng: random.Random, count: int, emit) -> None:
     for index in range(count):
         polygon = random_convex_polygon(rng, 7)
         ext = heptagon_extension(polygon)
-        n_ext = len(extreme_points(ext.vertices, 3))
+        n_ext = len(extreme_points(ext.rows, 3))
         ok = n_ext == 6
         emit({"index": index, "ok": ok, "extreme_points": n_ext})
         if not ok:

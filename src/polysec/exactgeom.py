@@ -7,14 +7,17 @@ only scales with its inputs, and return the canonical one (gcd reduced,
 sign fixed): finite points at w > 0, and for points and lines at infinity
 the first nonzero coordinate positive.
 
-Stored coordinates are affine rational pairs (polygon.Polygon), and
-Polygon.vertex serves their positive-weight integer lifts, made once by
-validate.  This kernel serves where lines are formed: the crossing
-classification of standardization lines, hexagon concurrency,
-polygon.frame_map and the svg rendering.
+Every exact point also has one integer form, its row (_row): for rational
+coordinates c_1, ..., c_k, the primitive (c_1 W, ..., c_k W, W), W > 0 the
+lcm of the denominators.  The row of an affine point (x, y) is its
+canonical triple, the lift that Polygon.vertex serves, made once by
+validate; an ambient point's row is sections.SectionedPolytope.rows.  This
+kernel serves where lines are formed: the crossing classification of
+standardization lines, hexagon concurrency, polygon.frame_map and the svg
+rendering.
 
 Coordinate text has one reader, _ratio, giving integers (p, q): Fractions
-for parse_scalar, and an extension file's integer rows for jsonio.
+for parse_scalar, and an extension file's rows for jsonio.
 
 No floating point is used anywhere in this module.  All values are
 immutable and all operations are pure, so they are safe to share across
@@ -24,7 +27,7 @@ any number of workers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DegenerateJoin, DegenerateMeet, ParseError, ScaleExceeded
@@ -107,6 +110,15 @@ def _primitive_ints(values: Sequence[int]) -> list[int]:
     stay zeros."""
     g = gcd(*values)
     return [v // g for v in values] if g > 1 else list(values)
+
+
+def _row(ratios: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The row of the rationals p_1/q_1, ..., p_k/q_k, q_i > 0, in any terms:
+    (p_1 W/q_1, ..., p_k W/q_k, W), W the lcm of the q_i, divided by its
+    gcd.  Equal values give equal rows; no ratio gives (1,).  The q of a
+    zero is left out of W, which the gcd would take out again."""
+    w = lcm(*[q for p, q in ratios if p])
+    return tuple(_primitive_ints([*[p * (w // q) for p, q in ratios], w]))
 
 
 def _canonical_int_triple(coords: Sequence[int]) -> Triple:

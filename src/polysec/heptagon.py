@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CertificationFailure, DegenerateConstruction, NoneFound, NotHeptagon
-from .exactgeom import Triple, det3, join, meet
-from .polygon import Polygon, ProjMap2, _convex_cycle, _lift, _lift_keys, frame_map
+from .exactgeom import Triple, _row, det3, join, meet
+from .polygon import Polygon, ProjMap2, _convex_cycle, _lift_keys, frame_map
 from .sections import AmbientPoint, SectionedPolytope, bounded_pullback, certify
 
 __all__ = [
@@ -211,7 +211,7 @@ class StandardHeptagon:
             raise CertificationFailure(
                 f"need a, d, lam, mu > 0, got {self.a}, {self.d}, {self.lam}, {self.mu}"
             )
-        lifts = [_lift(p) for p in self.vertex_list()]
+        lifts = [_row([x.as_integer_ratio(), y.as_integer_ratio()]) for x, y in self.vertex_list()]
         if _convex_cycle(lifts, _lift_keys(lifts)) != -1:
             raise CertificationFailure("vertex list is not a strictly convex clockwise heptagon")
 

@@ -1,18 +1,18 @@
 """JSON serialization: rationals travel as "p/q" strings everywhere.
 
 Texts are read by exactgeom._ratio: planar points into Fractions
-(parse_scalar), an extension's vertices straight into integer rows.
+(parse_scalar), an extension's vertices straight into integer rows
+(exactgeom._row).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
 from .errors import ParseError
-from .exactgeom import _ratio, format_scalar, parse_scalar
+from .exactgeom import _ratio, _row, format_scalar, parse_scalar
 from .polygon import Polygon, validate
 from .sections import SectionedPolytope
 from .slack import SlackFactorization
@@ -92,15 +92,7 @@ def sectioned_from_obj(obj) -> SectionedPolytope:
     for raw in obj["vertices"]:
         if not isinstance(raw, list) or len(raw) != dim:
             raise ParseError(f"vertex {raw!r} must have {dim} coordinates")
-        # each text other than "0" as (p, q), q > 0; the row is
-        # (p (W / q) at its coordinate, ..., W), W the lcm of the q, primitive
-        ratios = [(k, _ratio(c)) for k, c in enumerate(raw) if c != "0"]
-        w = lcm(*[q for _, (_, q) in ratios])
-        row = [0] * dim + [w]
-        for k, (p, q) in ratios:
-            row[k] = p * (w // q)
-        g = gcd(*row)
-        rows.append(tuple(row) if g == 1 else tuple([c // g for c in row]))
+        rows.append(_row([(0, 1) if c == "0" else _ratio(c) for c in raw]))
     claimed_obj = obj["claimed"]
     if not isinstance(claimed_obj, dict) or "vertices" not in claimed_obj:
         raise ParseError("claimed section needs a 'vertices' field")

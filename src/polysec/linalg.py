@@ -16,8 +16,9 @@ artificial in the Phase-I objective, which can change the pivots.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
+
+from .exactgeom import _row
 
 Row = list[Fraction]
 
@@ -126,12 +127,10 @@ def convex_coefficients(
 ) -> Optional[Row]:
     """Nonnegative weights summing to 1 with sum(w_k g_k) = point exactly, or
     None outside conv(generators): one _nonnegative_combination (module
-    docstring), each vector times the lcm W of its denominators, then W."""
+    docstring) on the row (g W, W) of each vector (exactgeom._row)."""
     if not generators:
         return None
-    vectors = [[Fraction(c) for c in v] for v in (point, *generators)]
-    scales = [lcm(*[c.denominator for c in v]) for v in vectors]
-    p, *gens = [[*(c.numerator * (w // c.denominator) for c in v), w] for v, w in zip(vectors, scales)]
+    p, *gens = [_row([Fraction(c).as_integer_ratio() for c in v]) for v in (point, *generators)]
     mu = _nonnegative_combination(p, gens)
     return None if mu is None else [m * g[-1] / p[-1] for m, g in zip(mu, gens)]
 

@@ -10,9 +10,9 @@ specific index alignment take their own index parameter instead of
 relying on the canonical rotation.
 
 Orientation is an integer determinant sign.  An affine point (x, y) is
-lifted to the integer triple (x.num y.den, y.num x.den, x.den y.den),
-whose weight is positive, so the sign of the 3x3 determinant of three
-lifts is the sign of their turn.
+lifted to its row (exactgeom._row), the canonical triple (xW, yW, W) with
+W > 0 the lcm of the denominators, so the sign of the 3x3 determinant of
+three lifts is the sign of their turn.
 
 Points are ordered by exact integer keys, read off the lifts (_lift_keys).
 A lift (X, Y, W) is the point (X/W, Y/W).  When every weight of a set of
@@ -57,7 +57,7 @@ from .errors import (
     NotConvex,
     TooFewVertices,
 )
-from .exactgeom import Triple, _dot, _primitive_ints, det3, join
+from .exactgeom import Triple, _dot, _primitive_ints, _row, det3, join
 
 AffinePair = tuple[Fraction, Fraction]
 
@@ -68,13 +68,6 @@ def _fraction(c) -> Fraction:
     """c as a Fraction; a Fraction is kept, as converting it again costs
     an abstract-base-class check."""
     return c if type(c) is Fraction else Fraction(c)
-
-
-def _lift(p: AffinePair) -> tuple[int, int, int]:
-    """The integer homogeneous triple (x.num y.den, y.num x.den, x.den y.den)
-    of an affine rational point; its weight is positive."""
-    x, y = p
-    return x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator
 
 
 def _turn(a: tuple[int, int, int], b: tuple[int, int, int], c: tuple[int, int, int]) -> int:
@@ -152,7 +145,7 @@ def convex_hull_2d(points: Iterable[AffinePair]) -> tuple[AffinePair, ...]:
     the first given of equal points.
     """
     pts = list(points)
-    lifts = [_lift(p) for p in pts]
+    lifts = [_row([x.as_integer_ratio(), y.as_integer_ratio()]) for x, y in pts]
     keys = _lift_keys(lifts)
     order = sorted(range(len(pts)), key=keys.__getitem__)
     order = [k for pos, k in enumerate(order) if pos == 0 or keys[k] != keys[order[pos - 1]]]
@@ -171,7 +164,8 @@ def convex_hull_2d(points: Iterable[AffinePair]) -> tuple[AffinePair, ...]:
 
 class Polygon:
     """Strictly convex polygon, affine vertices cyclically clockwise labeled,
-    with lifts[i] = _lift(vertices[i]); validate builds every Polygon."""
+    with lifts[i] the row of vertices[i] (exactgeom._row); validate builds
+    every Polygon."""
 
     __slots__ = ("vertices", "lifts")
 
@@ -184,7 +178,7 @@ class Polygon:
         return len(self.vertices)
 
     def vertex(self, i: int) -> Triple:
-        """Vertex i, cyclically, as its integer lift (_lift) for the
+        """Vertex i, cyclically, as its canonical integer triple for the
         projective kernel."""
         return self.lifts[i % len(self.lifts)]
 
@@ -225,7 +219,7 @@ def validate(points: Iterable[Sequence]) -> Polygon:
     n = len(pts)
     if n < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {n}")
-    lifts = [_lift(p) for p in pts]
+    lifts = [_row([x.as_integer_ratio(), y.as_integer_ratio()]) for x, y in pts]
     keys = _lift_keys(lifts)
     turn = _convex_cycle(lifts, keys)
     if turn:

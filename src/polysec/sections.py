@@ -15,17 +15,18 @@ nonzero at both ends, so a pair crosses H exactly when the first support
 coordinates have opposite signs, the only pairs tested (_section_points),
 and the support coordinates are proportional.
 
-Each vertex is held as its row (SectionedPolytope.rows): the primitive
-integer (X, Y, Z_3, ..., Z_d, W), W > 0 the lcm of the denominators of x,
-y and the support coordinates, 0 off them.  A file is read straight into
-rows (jsonio), and its vertices are derived from them on first read.
-Equal points have equal rows, the keys of repeated vertices.
-Rows u, v of one support, first support coordinate j, cross H when Z_u,j
-and Z_v,j have opposite signs and Z_u,k Z_v,j = Z_v,k Z_u,j on the rest of
-the support (W cancels), at |Z_v,j| (X_u, Y_u, W_u) + |Z_u,j| (X_v, Y_v, W_v)
-in polygon._lift form, one gcd per coordinate (_segment_flat_crossing), and
-no Fraction is formed or hashed.  Every reader takes the points, after the
-vertices on H, from _section_points.
+Each vertex is held as its row (SectionedPolytope.rows, exactgeom._row):
+the primitive integer (X, Y, Z_3, ..., Z_d, W), W > 0 the lcm of the
+denominators of x, y and the support coordinates, 0 off them.  A file is
+read straight into rows (jsonio), and its vertices are derived from them on
+first read.  Equal points have equal rows, the keys of repeated vertices.
+A planar point is the row of (x, y), the form of Polygon.lifts: a vertex
+on H is (X, Y, W) of its row, primitive already, and rows u, v of one
+support, first support coordinate j, cross H when Z_u,j and Z_v,j have
+opposite signs and Z_u,k Z_v,j = Z_v,k Z_u,j on the rest of the support (W
+cancels), at |Z_v,j| (X_u, Y_u, W_u) + |Z_u,j| (X_v, Y_v, W_v) divided by
+its gcd (_segment_flat_crossing).  No Fraction is formed or hashed.  Every
+reader takes the points, after the vertices on H, from _section_points.
 
 The hull of the vertices on H and of these crossings lies in the section.
 It is the whole section when every vertex has at most one nonzero
@@ -76,7 +77,7 @@ compare this with.  A claim of fewer than three vertices is no polygon
 and fails, where compute_section gives one point or a segment.
 
 Any other vertex set is certified by exact linear programs over at most
-64 distinct vertices (distinct_points): each claimed vertex, placed on H,
+64 distinct vertices (_distinct_rows): each claimed vertex, placed on H,
 is a convex combination of the vertices, so the claim lies in the section;
 and each edge inequality of the claim extends to P (edge_extension), so the
 section lies in the claim.  By LP duality both hold when the claim is the
@@ -95,7 +96,6 @@ from __future__ import annotations
 from fractions import Fraction
 from bisect import bisect
 from itertools import compress
-from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -106,7 +106,7 @@ from .errors import (
     PullbackUnbounded,
     ScaleExceeded,
 )
-from .exactgeom import _ZERO, Triple
+from .exactgeom import _ZERO, Triple, _primitive_ints, _row
 from .linalg import (
     _nonnegative_combination,
     convex_coefficients,
@@ -135,7 +135,6 @@ __all__ = [
     "edge_extension",
     "shear_fixing_flat",
     "bounded_pullback",
-    "distinct_points",
     "extreme_points",
     "pullback",
 ]
@@ -155,7 +154,7 @@ class SectionedPolytope:
         self._vertices = tuple(tuple(map(_fraction, v)) for v in vertices)
         if any(len(v) != dim for v in self._vertices):
             raise ValueError(f"a vertex does not have dimension {dim}")
-        self._set_rows(dim, map(_row, self._vertices), claimed)
+        self._set_rows(dim, [_row([c.as_integer_ratio() for c in v]) for v in self._vertices], claimed)
 
     @classmethod
     def _from_rows(cls, dim: int, rows, claimed: Polygon) -> SectionedPolytope:
@@ -189,22 +188,8 @@ class SectionedPolytope:
                 f"certified={self.certified})")
 
 
-def _row(v: Sequence) -> Row:
-    """The row of a vertex of Fractions or ints (module docstring), primitive:
-    a prime misses the entry whose denominator holds its full power in W.
-    A zero coordinate has denominator 1, so it leaves W alone."""
-    w = lcm(*[c.denominator for c in v])
-    return (*[c.numerator * (w // c.denominator) for c in v], w)
-
-
-def _planar_lift(x: int, y: int, w: int) -> Triple:
-    """polygon._lift of the point (x/w, y/w), w > 0, by one gcd per coordinate."""
-    g, h = gcd(x, w), gcd(y, w)
-    return x // g * (w // h), y // h * (w // g), (w // g) * (w // h)
-
-
 def _segment_flat_crossing(u: Row, v: Row, support: tuple[int, ...]) -> Optional[Triple]:
-    """Lift of the planar point where segment [u, v] meets H, if it meets
+    """Row of the planar point where segment [u, v] meets H, if it meets
     H at one point, for the rows of two vertices of the same nonempty
     off-H support (module docstring)."""
     j = support[0]
@@ -212,7 +197,7 @@ def _segment_flat_crossing(u: Row, v: Row, support: tuple[int, ...]) -> Optional
     if (a > 0) == (b > 0) or len(support) > 1 and any(u[k] * b != v[k] * a for k in support[1:]):
         return None
     p, q = abs(b), abs(a)
-    return _planar_lift(p * u[0] + q * v[0], p * u[1] + q * v[1], p * u[-1] + q * v[-1])
+    return tuple(_primitive_ints((p * u[0] + q * v[0], p * u[1] + q * v[1], p * u[-1] + q * v[-1])))
 
 
 def _support(row: Row) -> tuple[int, ...]:
@@ -224,8 +209,8 @@ MAX_PAIR_TESTS = 100_000  # about 2 s of crossing tests; package files make a fe
 
 
 def _section_points(rows: Sequence[Row], supports: Sequence[tuple[int, ...]]):
-    """The section's points (module docstring) as planar lifts
-    (polygon._lift); supports[k] is the off-H support of rows[k].
+    """The section's points (module docstring) as rows of (x, y), the form
+    of Polygon.lifts; supports[k] is the off-H support of rows[k].
 
     Yields (k, None, lift) for each vertex k on H, in index order, then the
     unique crossings of H by segments between vertices of one nonempty
@@ -239,7 +224,7 @@ def _section_points(rows: Sequence[Row], supports: Sequence[tuple[int, ...]]):
     """
     for k, (row, support) in enumerate(zip(rows, supports)):
         if not support:
-            yield k, None, _planar_lift(row[0], row[1], row[-1])
+            yield k, None, (row[0], row[1], row[-1])
     groups = {}
     for k, (row, support) in enumerate(zip(rows, supports)):
         if support:
@@ -285,17 +270,19 @@ def _section_columns(rows: Sequence[Row]) -> dict[Triple, dict]:
 def _claim_columns(s: SectionedPolytope, distinct: dict[Row, int]) -> Optional[list[dict]]:
     """Sparse convex column over the generators (distinct, of s.rows) of each
     claimed vertex on H: its lift looked up in _section_columns, else one
-    exact LP (convex_coefficients); None outside their hull."""
+    exact LP (convex_coefficients), over the point padded with zeros to
+    s.dim; None outside their hull, with no padding when there is no
+    generator."""
     columns = _section_columns(list(distinct))
-    on_flat = (Fraction(0),) * (s.dim - 2)
     out = []
     for point, lift in zip(s.claimed.vertices, s.claimed.lifts):
         column = columns.get(lift)
+        if column is None and distinct:
+            weights = convex_coefficients([*point, *[_ZERO] * (s.dim - 2)],
+                                          [s.vertices[k] for k in distinct.values()])
+            column = None if weights is None else dict(enumerate(weights))
         if column is None:
-            weights = convex_coefficients((*point, *on_flat), [s.vertices[k] for k in distinct.values()])
-            if weights is None:
-                return None
-            column = dict(enumerate(weights))
+            return None
         out.append(column)
     return out
 
@@ -312,7 +299,7 @@ def compute_section(vertices: Sequence[Sequence], dim: int) -> tuple[AffinePair,
     """
     if any(len(v) != dim for v in vertices):
         raise ValueError("vertex dimension mismatch")
-    rows = [_row(v) for v in vertices]
+    rows = [_row([c.as_integer_ratio() for c in v]) for v in vertices]
     hull = convex_hull_2d((Fraction(x, w), Fraction(y, w))
                           for _, _, (x, y, w) in _section_points(rows, list(map(_support, rows))))
     if not hull:
@@ -396,29 +383,24 @@ def certify(s: SectionedPolytope) -> SectionedPolytope:
     return s
 
 
-def distinct_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]:
-    """The distinct points in first-occurrence order, within the input bound:
-    from dimension 4 on, more than 64 are refused with ScaleExceeded."""
-    verts = [tuple(map(_fraction, v)) for v in vertices]
-    return [verts[k] for k in _distinct_rows(map(_row, verts), dim).values()]
-
-
-def _distinct_rows(rows, dim: int) -> dict[Row, int]:
+def _distinct_rows(rows: Sequence[Row], dim: int) -> dict[Row, int]:
     """Each distinct row, in first-occurrence order, with the index of its
-    last copy (equal rows, equal points), within distinct_points' bound."""
+    last copy (equal rows, equal points), within the input bound: from
+    dimension 4 on, more than 64 are refused with ScaleExceeded."""
     distinct = {row: k for k, row in enumerate(rows)}
     if dim >= 4 and len(distinct) > 64:
         raise ScaleExceeded(f"{len(distinct)} points in dimension {dim}")
     return distinct
 
 
-def extreme_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]:
-    """The distinct vertices, in first-occurrence order, that are not convex
-    combinations of the others.
+def extreme_points(rows: Sequence[Row], dim: int) -> list[Row]:
+    """The rows of the distinct vertices, in first-occurrence order, that
+    are not convex combinations of the others, for the rows of a polytope
+    (SectionedPolytope.rows).
 
-    Duplicates are removed first (distinct_points, which also enforces the
+    Duplicates are removed first (_distinct_rows, which also enforces the
     input bound, before any crossing or LP); then each distinct vertex is
-    decided by one exact LP on integer columns, rows or planar lifts with
+    decided by one exact LP on integer columns, rows or planar rows with
     the weight last (linalg._nonnegative_combination).  When some vertex has
     two nonzero coordinates off H, the LP is over all the other vertices,
     in the full dimension.  Otherwise it is the block rule of the module
@@ -429,26 +411,24 @@ def extreme_points(vertices: Sequence[Sequence], dim: int) -> list[AmbientPoint]
     MAX_PAIR_TESTS pairs).  With a single block there are no other blocks
     and no enumeration, and the LPs are those over all the other vertices.
     """
-    verts = [tuple(map(_fraction, v)) for v in vertices]
-    distinct = _distinct_rows(map(_row, verts), dim)
-    verts, rows = [verts[k] for k in distinct.values()], list(distinct)
+    rows = list(_distinct_rows(rows, dim))
     supports = [_support(row) for row in rows]
     if any(len(support) > 1 for support in supports):
-        return [v for i, v in enumerate(verts)
-                if _nonnegative_combination(rows[i], rows[:i] + rows[i + 1:]) is None]
+        return [row for i, row in enumerate(rows)
+                if _nonnegative_combination(row, rows[:i] + rows[i + 1:]) is None]
     blocks = [support[0] if support else None for support in supports]
     planar = {}
     if len(set(blocks)) > 1:
         for i, _, lift in _section_points(rows, supports):
             planar.setdefault(blocks[i], []).append(lift)
     out = []
-    for i, (v, j) in enumerate(zip(verts, blocks)):
+    for i, (row, j) in enumerate(zip(rows, blocks)):
         # the block's own coordinates and W, and z_j = 0 at the other blocks' points
         axes, pad = ((0, 1, -1), ()) if j is None else ((0, 1, j, -1), (0,))
         gens = [tuple(r[k] for k in axes) for m, r in enumerate(rows) if m != i and blocks[m] == j]
         gens += [(x, y, *pad, w) for k, points in planar.items() if k != j for x, y, w in points]
-        if _nonnegative_combination(tuple(rows[i][k] for k in axes), gens) is None:
-            out.append(v)
+        if _nonnegative_combination(tuple(row[k] for k in axes), gens) is None:
+            out.append(row)
     return out
 
 

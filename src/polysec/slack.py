@@ -13,12 +13,14 @@ also the proof that the claimed polygon is the section, in any dimension:
   the vertices of its block bound (SectionedPolytope.blocks), or, when a
   vertex has two nonzero coordinates off H, one linear program gives
   them.  Entry (i, k) of R is that functional at generator k.  With
-  L_i = (X_i, Y_i, W_i) the polygon's lifts (Polygon.lifts) and
-  l_i = cross(L_i, L_{i+1}), l_i . (x, y, 1) = det(L_i, L_{i+1}, (x, y, 1)),
+  L_i = (X_i, Y_i, W_i) the rows of the polygon's vertices (Polygon.lifts)
+  and l_i = cross(L_i, L_{i+1}), l_i . (x, y, 1) = det(L_i, L_{i+1}, (x, y, 1)),
   so S_ij = -l_i . L_j / (W_i W_{i+1} W_j), and at the row (X, Y, Z, W) of
-  generator k (SectionedPolytope.rows), D the lcm of the denominators of
-  c_i, R_ik = (W_i W_{i+1} D c_i . Z - D l_i . (X, Y, W)) / (D W_i W_{i+1} W):
-  one integer expression over one denominator, as each Fourier-Motzkin bound.
+  generator k (SectionedPolytope.rows), (D c_i, D) the row of c_i,
+  R_ik = (W_i W_{i+1} D c_i . Z - D l_i . (X, Y, W)) / (D W_i W_{i+1} W):
+  one integer expression over one denominator, as each Fourier-Motzkin
+  bound.  Each is a ratio in which a positive multiple of any of the rows
+  cancels, so it reads the same value off any representatives.
 - C (column factor): each polygon vertex is an exact convex combination
   of polytope vertices that lands on H, so the polygon lies in the
   section.  A vertex on H or a crossing of H by a vertex segment is read
@@ -33,11 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import CertificationFailure, DomainError, NoExtension, NotInPolytope
-from .exactgeom import cross
+from .exactgeom import _row, cross
 from .linalg import fourier_motzkin_point
 from .polygon import Polygon
 from .sections import (
@@ -75,8 +76,7 @@ def _edge_values(polygon: Polygon, i: int, points: Sequence[tuple], tail: Sequen
     """R_ik (module docstring) at each point, a row or a lift, with tail as c_i."""
     p, q = polygon.lifts[i], polygon.lifts[(i + 1) % polygon.n]
     (a, b, c), m = cross(p, q), p[2] * q[2]
-    d = lcm(*[ck.denominator for ck in tail])
-    tail = [ck.numerator * (d // ck.denominator) for ck in tail]
+    *tail, d = _row([ck.as_integer_ratio() for ck in tail])
     return tuple(Fraction(m * sum(ck * zk for ck, zk in zip(tail, g[2:-1]) if zk)
                           - d * (a * g[0] + b * g[1] + c * g[-1]), d * m * g[-1]) for g in points)
 
@@ -90,7 +90,7 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope,
                             gens: Sequence[AmbientPoint]) -> tuple[Fraction, ...]:
     """Free coefficients c on coordinates 3..d that extend the facet slack
     of the claimed polygon to all of the polytope, a tuple of s.dim - 2.
-    gens are the distinct vertices of s (distinct_points), built once by
+    gens are the distinct vertices of s (sections._distinct_rows), built once by
     the caller for all facets, and read by the edge LP alone.
 
     For the facet inequality a . x <= b, the functional

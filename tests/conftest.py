@@ -13,7 +13,8 @@ from polysec.errors import DuplicateVertex, ImageNotConvex, NotConvex, TooFewVer
 from polysec.exactgeom import _canonical_int_triple, det3
 from polysec.heptagon import DetOctuple, _octuple
 from polysec.linalg import feasible_nonnegative_solution
-from polysec.polygon import Polygon, ProjMap2, _lift
+from polysec.polygon import Polygon, ProjMap2
+from polysec.sections import extreme_points
 
 # every property test draws the same examples on every run
 settings.register_profile("derandomized", derandomize=True, deadline=None)
@@ -117,9 +118,28 @@ def point(*coords) -> tuple:
     return _canonical_int_triple([int(c * scale) for c in coords])
 
 
+def row_of(v) -> tuple:
+    """The row of a point of rationals, by Fraction arithmetic: (c W, W) for
+    its coordinates c, W the lcm of their denominators; primitive, as a
+    prime misses the coordinate whose denominator holds its full power."""
+    v = [Fraction(c) for c in v]
+    w = lcm(*(c.denominator for c in v))
+    return (*(int(c * w) for c in v), w)
+
+
+def vertex_of(row) -> tuple:
+    """The point of a row, as Fractions."""
+    return tuple(Fraction(c, row[-1]) for c in row[:-1])
+
+
+def extreme_vertices(vertices, dim) -> list:
+    """extreme_points on the rows of the vertices, read back as points."""
+    return [vertex_of(row) for row in extreme_points([row_of(v) for v in vertices], dim)]
+
+
 def raw_polygon(points) -> Polygon:
     """A Polygon of the given pairs as they are, not validated."""
-    return Polygon(points, [_lift(p) for p in points])
+    return Polygon(points, [row_of(p) for p in points])
 
 
 def side(line, p) -> int:

@@ -21,13 +21,13 @@ from polysec.heptagon import (
 from polysec.hexagon import hexagon_extension5, hexagon_ic
 from polysec.polygon import validate
 from polysec.randgen import random_convex_polygon, random_hexagon_params, random_point_config
-from polysec.sections import extreme_points
 from polysec.slack import factorize_from_section, slack_matrix, verify_factorization
 
 from conftest import (
     AFFINE_REGULAR_HEXAGON,
     SIX_CROSSING_HEPTAGON,
     SIX_VERTEX_HEXAGON,
+    extreme_vertices,
     incident,
     rank,
     octuple_at,
@@ -60,7 +60,7 @@ def test_criterion_1_heptagon_intersection_complexity(heptagon_pool):
         ext = heptagon_extension(polygon)
         assert ext.certified and ext.dim == 3
         assert ext.claimed == polygon
-        assert len(extreme_points(ext.vertices, 3)) <= 6
+        assert len(extreme_vertices(ext.vertices, 3)) <= 6
     report(f"criterion 1: {HEPTAGON_COUNT} heptagons -> certified 3D extensions "
            "with <= 6 extreme points (lower bound 6: complexity is exactly 6)")
 
@@ -122,7 +122,7 @@ def test_criterion_4_six_crossing_heptagon():
 
     assert cross(std_points(polygon, 6).line, std_points(polygon, 2).line) == (0, 0, 0)
     ext = heptagon_extension(polygon)
-    assert ext.certified and len(extreme_points(ext.vertices, 3)) == 6
+    assert ext.certified and len(extreme_vertices(ext.vertices, 3)) == 6
     report("criterion 4: six-crossing heptagon has exactly 6 crossing lines, "
            "one coincident mirror pair, and a certified 6-vertex extension")
 
@@ -133,7 +133,7 @@ def test_criterion_5_hexagon_dichotomy():
     decision = hexagon_ic(regular)
     assert decision.ic == 5
     ext = hexagon_extension5(regular, decision)
-    assert ext.certified and len(extreme_points(ext.vertices, 3)) == 5
+    assert ext.certified and len(extreme_vertices(ext.vertices, 3)) == 5
     below = [v for v in ext.vertices if v[2] < 0]
     above = [v for v in ext.vertices if v[2] > 0]
     pair = below if len(below) == 2 else above
@@ -162,7 +162,7 @@ def test_criterion_5_hexagon_dichotomy():
             fives += 1
             ext = hexagon_extension5(polygon, decision)
             assert ext.certified
-            assert len(extreme_points(ext.vertices, 3)) == 5
+            assert len(extreme_vertices(ext.vertices, 3)) == 5
         else:
             sixes += 1
     assert fives >= 100  # every constructed witness hexagon certifies
@@ -179,7 +179,7 @@ def test_criterion_6_general_ngon_bounds():
         polygon = random_convex_polygon(rng, n)
         flat = ngon_3d_extension(polygon)
         assert flat.certified and flat.dim == 3
-        assert len(extreme_points(flat.vertices, 3)) <= n - 1
+        assert len(extreme_vertices(flat.vertices, 3)) <= n - 1
         assert flat.claimed == polygon
         joined = ngon_extension(polygon)
         assert joined.certified
@@ -200,7 +200,7 @@ def test_criterion_7_lower_bound_tightness():
         s = optimal_even_gon(m)
         assert s.certified
         assert s.claimed.n == 2 * m
-        count = len(extreme_points(s.vertices, 3))
+        count = len(extreme_vertices(s.vertices, 3))
         assert count == m + 2 == lower_bound_3d(2 * m)
     report("criterion 7: optimal even-gon witnesses for m = 2..6 match the "
            "3-dimensional lower bound exactly")

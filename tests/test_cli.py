@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -373,15 +374,23 @@ class TestSlackFactorize:
 
     def test_vertexless_file_in_huge_dimension_exits_one(self, tmp_path, capsys, monkeypatch):
         # with no vertices no point is a convex combination: refused before
-        # an LP whose tableau would grow with the square of the dimension
+        # an LP whose tableau would grow with the square of the dimension,
+        # and before a claimed vertex is padded to the dimension, which
+        # would take memory in proportion to a number that 10 bytes write
         square = [[str(x), str(y)] for x, y in UNIT_SQUARE]
         ext = tmp_path / "ext.json"
         ext.write_text(json.dumps({"dim": 10**6, "vertices": [], "claimed": {"vertices": square}}))
         lps = count_calls_everywhere(monkeypatch, linalg, "feasible_nonnegative_solution")
-        assert main(["factorize", write_polygon(tmp_path, "sq.json", UNIT_SQUARE), str(ext)]) == 1
+        polygon_path = write_polygon(tmp_path, "sq.json", UNIT_SQUARE)
+        tracemalloc.start()
+        try:
+            assert main(["factorize", polygon_path, str(ext)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert loads(capsys.readouterr().err) == {"error": "DomainError",
                                                   "message": "extension file fails verification"}
-        assert lps == []
+        assert lps == [] and peak < 2 * 2**20
 
     def test_true_section_off_the_crossings_factorizes(self, tmp_path, capsys):
         # (5, 5) is the centroid of the three off-plane vertices, no crossing
@@ -794,7 +803,7 @@ class TestFuzzCommand:
     def test_heptagon_target_fails_below_six_extreme_points(self, capsys, monkeypatch):
         # a heptagon extension has exactly 6 extreme points: 5 points, a
         # above and b below H, cross H in at most a * b <= 6 < 7 points
-        monkeypatch.setattr(cli, "extreme_points", lambda vertices, dim: vertices[:5])
+        monkeypatch.setattr(cli, "extreme_points", lambda rows, dim: rows[:5])
         assert main(["fuzz", "heptagon", "--count", "1"]) == 3
         captured = capsys.readouterr()
         assert loads(captured.out.splitlines()[0])["ok"] is False

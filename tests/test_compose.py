@@ -15,9 +15,9 @@ from polysec.errors import DomainError
 from polysec.heptagon import heptagon_extension, heptagon_vertices
 from polysec.polygon import convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
-from polysec.sections import SectionedPolytope, certify, extreme_points
+from polysec.sections import SectionedPolytope, certify
 
-from conftest import count_calls, count_calls_everywhere
+from conftest import count_calls, count_calls_everywhere, extreme_vertices
 
 
 class TestLowerBound:
@@ -74,7 +74,7 @@ class TestChunkPlan:
 class TestNgon3d:
     def test_heptagon_base_case(self, obs_heptagon):
         ext = ngon_3d_extension(obs_heptagon)
-        assert ext.certified and len(extreme_points(ext.vertices, 3)) <= 6
+        assert ext.certified and len(extreme_vertices(ext.vertices, 3)) <= 6
 
     def test_random_ten_gon(self, rng):
         polygon = random_convex_polygon(rng, 10)
@@ -86,7 +86,7 @@ class TestNgon3d:
     def test_octagon(self, rng):
         polygon = random_convex_polygon(rng, 8)
         ext = ngon_3d_extension(polygon)
-        assert ext.certified and len(extreme_points(ext.vertices, 3)) <= 7
+        assert ext.certified and len(extreme_vertices(ext.vertices, 3)) <= 7
 
     def test_certifies_once(self, rng, monkeypatch):
         # the heptagon core is extended uncertified; only the result is certified
@@ -115,7 +115,7 @@ class TestNgon3d:
         for n in (7, 9, 11):
             polygon = random_convex_polygon(rng, n)
             ext = ngon_3d_extension(polygon)
-            assert len(extreme_points(ext.vertices, 3)) >= lower_bound_3d(n)
+            assert len(extreme_vertices(ext.vertices, 3)) >= lower_bound_3d(n)
 
 
 class TestConvexJoin:
@@ -220,7 +220,7 @@ class TestNgonExtension:
     def test_extreme_point_count_within_bound(self, rng):
         polygon = random_convex_polygon(rng, 14)
         ext = ngon_extension(polygon)
-        assert len(extreme_points(ext.vertices, ext.dim)) <= 12
+        assert len(extreme_vertices(ext.vertices, ext.dim)) <= 12
 
     def test_every_remainder_size(self, rng):
         # n mod 7 runs over 0..6: point, segment and r-gon remainder chunks
@@ -236,18 +236,18 @@ class TestOptimalEvenGon:
     def test_smallest_case_quadrilateral(self):
         s = optimal_even_gon(2)
         assert s.certified
-        assert len(extreme_points(s.vertices, 3)) == 4
+        assert len(extreme_vertices(s.vertices, 3)) == 4
         assert s.claimed.n == 4
 
     def test_hexagon_from_five_vertices(self):
         s = optimal_even_gon(3)
         assert s.certified
-        assert len(extreme_points(s.vertices, 3)) == 5
+        assert len(extreme_vertices(s.vertices, 3)) == 5
         assert s.claimed.n == 6
 
     def test_decagon_meets_lower_bound(self):
         s = optimal_even_gon(5)
-        count = len(extreme_points(s.vertices, 3))
+        count = len(extreme_vertices(s.vertices, 3))
         assert s.certified and s.claimed.n == 10
         assert count == 7 == lower_bound_3d(10)
 
@@ -255,7 +255,7 @@ class TestOptimalEvenGon:
         for m in range(2, 8):
             s = optimal_even_gon(m)
             assert s.certified
-            assert len(extreme_points(s.vertices, 3)) == m + 2 == lower_bound_3d(2 * m)
+            assert len(extreme_vertices(s.vertices, 3)) == m + 2 == lower_bound_3d(2 * m)
             assert s.claimed.n == 2 * m
 
     def test_m_too_small(self):

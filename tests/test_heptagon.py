@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import polysec.exactgeom as exactgeom_module
 import polysec.heptagon as heptagon_module
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
@@ -20,9 +21,9 @@ from polysec.heptagon import (
     standardize,
     std_points,
 )
-from polysec.polygon import Polygon, _lift, validate
+from polysec.polygon import Polygon, validate
 from polysec.randgen import random_convex_polygon
-from polysec.sections import SectionedPolytope, certify, compute_section, extreme_points
+from polysec.sections import SectionedPolytope, certify, compute_section
 
 from conftest import (
     PUBLISHED_TO_CANONICAL_SHIFT,
@@ -31,6 +32,7 @@ from conftest import (
     contains,
     count_calls,
     count_calls_everywhere,
+    extreme_vertices,
     map_line_to_infinity,
     octuple_at,
     octuple_sums,
@@ -53,6 +55,11 @@ def standard_heptagon() -> StandardHeptagon:
 
 def standard_polygon() -> Polygon:
     return validate(standard_heptagon().vertex_list())
+
+
+def planar_rows(calls) -> list:
+    """The counted calls of exactgeom._row that lifted a planar point."""
+    return [args for args in calls if len(args[0]) == 2]
 
 
 def line_meets_polygon_oracle(line, polygon: Polygon) -> bool:
@@ -276,7 +283,7 @@ class TestStandardize:
         cycles = count_calls_everywhere(monkeypatch, polygon_module, "_convex_cycle")
         std = standard_heptagon()
         assert len(cycles) == 1
-        assert list(cycles[0][0]) == [_lift(p) for p in std.vertex_list()]
+        assert list(cycles[0][0]) == [point(*p) for p in std.vertex_list()]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(CertificationFailure):
@@ -340,13 +347,13 @@ class TestHeptagonExtension:
     def test_six_crossing_heptagon(self, obs_heptagon):
         ext = heptagon_extension(obs_heptagon)
         assert ext.certified and ext.dim == 3
-        assert len(extreme_points(ext.vertices, 3)) <= 6
+        assert len(extreme_vertices(ext.vertices, 3)) <= 6
         assert ext.claimed == obs_heptagon
 
     def test_already_standard_affine_pullback(self):
         polygon = standard_polygon()
         ext = heptagon_extension(polygon)
-        assert ext.certified and len(extreme_points(ext.vertices, 3)) == 6
+        assert ext.certified and len(extreme_vertices(ext.vertices, 3)) == 6
 
     def test_shear_forcing_maps_build_once(self, monkeypatch):
         # A horizon just beyond the heptagon separates it from the shadows of
@@ -380,33 +387,33 @@ class TestHeptagonExtension:
             assert ext.certified and len(sections) == 1
 
     def test_seven_conversions_and_no_validation(self, rng, monkeypatch):
-        # the input's vertices are lifted to integer triples once, for the
-        # crossing classification; nothing is validated, since the standard
-        # heptagon tests its own convexity, the pullback maps vertices and
-        # the result claims the input
-        conversions = count_calls(monkeypatch, polygon_module, "_lift")
+        # the polygon's lifts serve the crossing classification as they
+        # are; the standard heptagon lifts its own seven vertices, and
+        # nothing is validated, since it tests its own convexity, the
+        # pullback maps vertices and the result claims the input
+        rows = count_calls_everywhere(monkeypatch, exactgeom_module, "_row")
         validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
         for _ in range(20):
             polygon = random_convex_polygon(rng, 7)
-            conversions.clear()
+            rows.clear()
             validations.clear()
             assert heptagon_extension(polygon).claimed is polygon
-            assert len(conversions) <= 7 and validations == []
+            assert len(planar_rows(rows)) <= 7 and validations == []
 
     def test_validate_hands_its_lifts_to_the_extension(self, rng, monkeypatch):
         # validate lifts the seven input vertices and the polygon keeps
         # those lifts for the crossing classification; the standard
         # heptagon lifts its own seven vertices
-        lifts = count_calls_everywhere(monkeypatch, polygon_module, "_lift")
+        rows = count_calls_everywhere(monkeypatch, exactgeom_module, "_row")
         for _ in range(10):
             points = random_convex_polygon(rng, 7).vertices
-            lifts.clear()
+            rows.clear()
             assert heptagon_extension(validate(points)).certified
-            assert len(lifts) == 14
+            assert len(planar_rows(rows)) == 14
 
     def test_fuzzed_heptagons(self, rng):
         for _ in range(150):
             polygon = random_convex_polygon(rng, 7)
             ext = heptagon_extension(polygon)
             assert ext.certified
-            assert len(extreme_points(ext.vertices, 3)) <= 6
+            assert len(extreme_vertices(ext.vertices, 3)) <= 6

@@ -16,13 +16,14 @@ from polysec.hexagon import (
 )
 from polysec.polygon import ProjMap2, validate
 from polysec.randgen import random_hexagon_params
-from polysec.sections import SectionedPolytope, certify, extreme_points
+from polysec.sections import SectionedPolytope, certify
 
 from conftest import (
     SIX_VERTEX_HEXAGON,
     apply_map,
     count_calls,
     count_calls_everywhere,
+    extreme_vertices,
     map_line_to_infinity,
 )
 
@@ -257,7 +258,7 @@ class TestExtension5:
     def test_affine_regular_certified(self, regular_hexagon):
         ext = hexagon_extension5(regular_hexagon, hexagon_ic(regular_hexagon))
         assert ext.certified and ext.dim == 3
-        assert len(extreme_points(ext.vertices, 3)) == 5
+        assert len(extreme_vertices(ext.vertices, 3)) == 5
         assert ext.claimed == regular_hexagon
 
     def test_affine_regular_apex_edge_parallel_to_an_edge(self, regular_hexagon):
@@ -284,7 +285,7 @@ class TestExtension5:
     def test_mirrored_certified(self):
         hexagon = mirrored_hexagon_from_params(*ASYMMETRIC_PARAMS)
         ext = hexagon_extension5(hexagon, hexagon_ic(hexagon))
-        assert ext.certified and len(extreme_points(ext.vertices, 3)) == 5
+        assert ext.certified and len(extreme_vertices(ext.vertices, 3)) == 5
 
     def test_fuzzed_five_extensions(self, rng):
         for _ in range(30):
@@ -292,7 +293,7 @@ class TestExtension5:
             hexagon = hexagon_from_params(*params)
             ext = hexagon_extension5(hexagon, hexagon_ic(hexagon))
             assert ext.certified
-            assert len(extreme_points(ext.vertices, 3)) == 5
+            assert len(extreme_vertices(ext.vertices, 3)) == 5
             assert ext.claimed == hexagon
 
     def test_projective_images_still_certify(self, rng):
@@ -312,7 +313,7 @@ class TestExtension5:
             assert decision.ic == 5
             ext = hexagon_extension5(image, decision)
             assert ext.certified
-            assert len(extreme_points(ext.vertices, 3)) == 5
+            assert len(extreme_vertices(ext.vertices, 3)) == 5
 
     def test_intersections_reproduce_hexagon_after_pullback(self, rng):
         # the six crossing points of the pulled-back bipyramid are exactly

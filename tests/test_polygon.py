@@ -14,7 +14,7 @@ from polysec.errors import (
     TooFewVertices,
 )
 from polysec.exactgeom import det3, join, meet
-from polysec.polygon import Polygon, ProjMap2, _encloses, _lift, _lift_keys, convex_hull_2d, frame_map, validate
+from polysec.polygon import Polygon, ProjMap2, _encloses, _lift_keys, convex_hull_2d, frame_map, validate
 from polysec.randgen import random_convex_polygon
 
 from conftest import (
@@ -237,12 +237,10 @@ class TestRepresentatives:
     negates the map's matrix, the one sign that matters."""
 
     @given(seeds, st.integers(3, 9))
-    def test_vertex_is_a_positive_multiple_of_the_canonical_triple(self, seed, n):
+    def test_vertex_is_the_canonical_triple(self, seed, n):
         polygon = random_convex_polygon(random.Random(seed), n)
         for k, (x, y) in enumerate(polygon.vertices):
-            lift, canonical = polygon.vertex(k), point(x, y)
-            scale = Fraction(lift[2], canonical[2])
-            assert scale > 0 and scale.denominator == 1 and lift == scaled(canonical, scale)
+            assert polygon.vertex(k) == point(x, y)
 
     @given(seeds, nonzero, nonzero, nonzero, nonzero)
     def test_join_and_meet_ignore_scaling(self, seed, s, t, u, v):
@@ -455,7 +453,7 @@ class TestEncloses:
         assume(len(hull) >= 3)
         polygon = validate(hull)
         n = polygon.n
-        lifts = [_lift(p) for p in (*polygon.vertices, *HALF_GRID)]
+        lifts = [point(*p) for p in (*polygon.vertices, *HALF_GRID)]
         keys = _lift_keys(lifts)
         for k, (x, y) in enumerate(HALF_GRID, n):
             assert _encloses(lifts[:n], keys[:n], [lifts[k]], [keys[k]]) == contains(polygon, x, y)

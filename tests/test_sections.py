@@ -23,25 +23,33 @@ from polysec.linalg import convex_coefficients, solve_linear
 from polysec.heptagon import heptagon_extension
 from polysec.hexagon import hexagon_extension5, hexagon_ic
 from polysec.jsonio import sectioned_from_obj
-from polysec.polygon import ProjMap2, _lift, convex_hull_2d, validate
+from polysec.polygon import ProjMap2, convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import (
     SectionedPolytope,
-    _row,
+    _distinct_rows,
     _section_columns,
     _section_points,
     _segment_flat_crossing,
     _support,
     bounded_pullback,
     compute_section,
-    distinct_points,
-    extreme_points,
     pullback,
     verify_section,
 )
 from polysec.slack import factorize_from_section
 
-from conftest import SIX_CROSSING_HEPTAGON, apply_map, count_calls, count_calls_everywhere, raw_polygon
+from conftest import (
+    SIX_CROSSING_HEPTAGON,
+    apply_map,
+    count_calls,
+    count_calls_everywhere,
+    extreme_vertices,
+    point,
+    raw_polygon,
+    row_of,
+    vertex_of,
+)
 
 TETRA = [(0, 0, -1), (1, 0, -1), (0, 1, -1), (0, 0, 1)]
 TETRA_SECTION = [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]
@@ -119,13 +127,13 @@ class TestComputeSection:
 def rows_and_supports(verts):
     """The rows of the vertices, as SectionedPolytope makes them, and their
     off-H supports: the arguments of _section_points."""
-    rows = [_row(v) for v in verts]
+    rows = [row_of(v) for v in verts]
     return rows, [_support(row) for row in rows]
 
 
 def vertex_support(v):
     """The off-H support of a vertex, read off its row."""
-    return _support(_row(v))
+    return _support(row_of(v))
 
 
 def _on_flat(v):
@@ -172,18 +180,13 @@ def all_pairs_section(verts):
     return tuple(sorted(hull)) if len(hull) < 3 else validate(hull).vertices
 
 
-def point_key(point):
-    """The lift of a planar point, through its Fraction pair."""
-    return _lift(tuple(Fraction(c) for c in point))
-
-
 def all_pairs_columns(gens):
     columns = {}
     for k, g in enumerate(gens):
         if _on_flat(g):
-            columns.setdefault(point_key(g[:2]), {k: Fraction(1)})
+            columns.setdefault(row_of(g[:2]), {k: Fraction(1)})
     for i, j, t, point in all_pairs_crossings(gens):
-        columns.setdefault(point_key(point), {i: 1 - t, j: t})
+        columns.setdefault(row_of(point), {i: 1 - t, j: t})
     return columns
 
 
@@ -283,7 +286,7 @@ def all_pairs_section_points(rows, supports):
     group, of either sign: the enumeration before opposite-sign pairing."""
     for k, (row, support) in enumerate(zip(rows, supports)):
         if not support:
-            yield k, None, _lift((Fraction(row[0], row[-1]), Fraction(row[1], row[-1])))
+            yield k, None, row_of((Fraction(row[0], row[-1]), Fraction(row[1], row[-1])))
     groups = {}
     for k, (row, support) in enumerate(zip(rows, supports)):
         if support:
@@ -313,9 +316,12 @@ def crossing_files(test):
 class TestFlatCrossingsOracle:
     @crossing_files
     def test_matches_all_coordinate_reference(self, verts):
-        expected = [(i, j, point_key(point)) for i, j, _, point in first_copies_crossings(verts)]
-        crossings = _section_points(*rows_and_supports(verts))
-        assert [entry for entry in crossings if entry[1] is not None] == expected
+        # every point, a vertex on H or a crossing, comes as the canonical
+        # triple of its Fraction point, the form of Polygon.lifts, so that a
+        # claim matches by equality
+        on_flat = [(k, None, point(*v[:2])) for k, v in enumerate(verts) if _on_flat(v)]
+        crossings = [(i, j, point(*p)) for i, j, _, p in first_copies_crossings(verts)]
+        assert list(_section_points(*rows_and_supports(verts))) == on_flat + crossings
 
     @crossing_files
     def test_same_list_as_all_pairs_enumeration(self, verts):
@@ -331,9 +337,9 @@ class TestFlatCrossingsOracle:
                  (-1, Fraction(-2, 3), 0), (Fraction(1, 2), 3, 0)]
         rows, supports = rows_and_supports(verts)
         points = list(_section_points(rows, supports))
-        on_flat = [(k, None, point_key(v[:2])) for k, v in enumerate(verts) if not supports[k]]
+        on_flat = [(k, None, row_of(v[:2])) for k, v in enumerate(verts) if not supports[k]]
         assert points[:3] == on_flat and len(on_flat) == 3
-        assert points[3:] == [(0, 2, point_key((1, 0))), (0, 3, point_key((0, 1)))]
+        assert points[3:] == [(0, 2, row_of((1, 0))), (0, 3, row_of((0, 1)))]
 
     def test_no_fraction_hashing(self, monkeypatch):
         # the repeated-vertex key is the integer row: hashing a Fraction
@@ -578,7 +584,7 @@ def brute_force_extreme(pts, dim):
 def lp_over_all_others(vertices, dim):
     """The rule that multi-support sets keep, run on any set: one LP per
     distinct point over all the others, in the full dimension."""
-    verts = distinct_points(vertices, dim)
+    verts = [vertex_of(row) for row in _distinct_rows([row_of(v) for v in vertices], dim)]
     return [v for i, v in enumerate(verts) if convex_coefficients(v, verts[:i] + verts[i + 1:]) is None]
 
 
@@ -610,18 +616,18 @@ class TestExtremePoints:
     def test_square_corners_plus_center(self):
         pts = [(0, 0), (1, 0), (1, 1), (0, 1), (Fraction(1, 2), Fraction(1, 2))]
         embedded = [(x, y, 0) for x, y in pts]
-        out = extreme_points(embedded, 3)
+        out = extreme_vertices(embedded, 3)
         assert sorted(out) == sorted((Fraction(x), Fraction(y), Fraction(0)) for x, y in pts[:4])
 
     def test_duplicates_removed_first(self):
         pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 0)]
-        assert len(extreme_points(pts, 3)) == 3
+        assert len(extreme_vertices(pts, 3)) == 3
 
     def test_matches_bruteforce_oracle(self, rng):
         for _ in range(15):
             pts = [tuple(Fraction(rng.randrange(-6, 7)) for _ in range(3)) for _ in range(7)]
             pts = list(dict.fromkeys(pts))
-            assert set(extreme_points(pts, 3)) == set(brute_force_extreme(pts, 3))
+            assert set(extreme_vertices(pts, 3)) == set(brute_force_extreme(pts, 3))
 
     @pytest.mark.parametrize("dim", [4, 5])
     def test_single_support_sets_match_bruteforce_oracle(self, rng, dim):
@@ -629,14 +635,14 @@ class TestExtremePoints:
         # the subset oracle, in first-occurrence order
         for _ in range(12):
             pts = single_support_set(rng, dim)
-            assert extreme_points(pts, dim) == brute_force_extreme(list(dict.fromkeys(pts)), dim)
+            assert extreme_vertices(pts, dim) == brute_force_extreme(list(dict.fromkeys(pts)), dim)
 
     def test_crossing_through_a_vertex_on_the_flat(self):
         # block 2's segment from (0, 0, 1, 0) to (2, 0, -1, 0) crosses H at
         # the vertex (1, 0) on H, which is therefore not extreme
         pts = [(0, 0, 1, 0), (2, 0, -1, 0), (1, 0, 0, 0), (0, 3, 0, 1), (3, 3, 0, -1), (3, -1, 0, 0)]
         pts = [tuple(map(Fraction, p)) for p in pts]
-        out = extreme_points(pts, 4)
+        out = extreme_vertices(pts, 4)
         assert out == [p for p in pts if p != (1, 0, 0, 0)] == brute_force_extreme(pts, 4)
 
     def test_block_with_one_vertex(self):
@@ -646,14 +652,14 @@ class TestExtremePoints:
         pts = [(0, 0, 0, 0), (4, 0, 0, 0), (0, 4, 0, 0), (1, 1, 2, 0), (1, 1, -1, 0), (1, 1, 0, 1),
                (1, 1, 1, 0), (1, 2, 0, 0)]
         pts = [tuple(map(Fraction, p)) for p in pts]
-        out = extreme_points(pts, 4)
+        out = extreme_vertices(pts, 4)
         assert out == pts[:6] == brute_force_extreme(pts, 4)
 
     def test_join_with_a_midpoint_of_one_block(self):
         ext = ngon_extension(random_convex_polygon(random.Random(14), 14))
         u, v = [w for w in ext.vertices if vertex_support(w) == (2,)][:2]
         midpoint = tuple((a + b) / 2 for a, b in zip(u, v))
-        out = extreme_points([*ext.vertices, midpoint], ext.dim)
+        out = extreme_vertices([*ext.vertices, midpoint], ext.dim)
         assert out == list(ext.vertices) == lp_over_all_others(ext.vertices, ext.dim)
 
     def test_package_heptagons_and_hexagons_match_all_vertex_lp(self, rng, ic6_hexagon, regular_hexagon):
@@ -662,14 +668,14 @@ class TestExtremePoints:
         polytopes.append(hexagon_extension5(regular_hexagon, hexagon_ic(regular_hexagon)))
         polytopes.append(SectionedPolytope(3, [(x, y, 0) for x, y in ic6_hexagon.vertices], ic6_hexagon))
         for s in polytopes:
-            assert extreme_points(s.vertices, s.dim) == lp_over_all_others(s.vertices, s.dim)
+            assert extreme_vertices(s.vertices, s.dim) == lp_over_all_others(s.vertices, s.dim)
 
     @pytest.mark.parametrize("n", range(8, 36, 3))
     def test_package_ngons_match_all_vertex_lp(self, n):
         # every remainder n mod 7 from 0 to 6, in both constructions
         polygon = random_convex_polygon(random.Random(n), n)
         for s in (ngon_extension(polygon), ngon_3d_extension(polygon)):
-            assert extreme_points(s.vertices, s.dim) == lp_over_all_others(s.vertices, s.dim)
+            assert extreme_vertices(s.vertices, s.dim) == lp_over_all_others(s.vertices, s.dim)
 
     def test_join_lps_are_block_sized(self, monkeypatch):
         # one LP per distinct vertex, each in its block's (x, y, z_j) and
@@ -677,7 +683,7 @@ class TestExtremePoints:
         # have 6 coordinates and the weight
         ext = ngon_extension(random_convex_polygon(random.Random(1), 28))
         calls = count_calls(monkeypatch, sections_module, "_nonnegative_combination")
-        extreme_points(ext.vertices, ext.dim)
+        extreme_vertices(ext.vertices, ext.dim)
         assert ext.dim == 6 and len(calls) == 24
         assert all(len(point) <= 4 for point, _ in calls)
 
@@ -685,13 +691,13 @@ class TestExtremePoints:
         ext = heptagon_extension(random_convex_polygon(rng, 7))
         crossings = count_calls(monkeypatch, sections_module, "_section_points")
         lps = count_calls(monkeypatch, sections_module, "_nonnegative_combination")
-        assert len(extreme_points(ext.vertices, 3)) == 6
+        assert len(extreme_vertices(ext.vertices, 3)) == 6
         assert crossings == [] and len(lps) == 6
 
     def test_scale_guard(self):
         pts = [tuple(Fraction(k + j) for j in range(5)) for k in range(65)]
         with pytest.raises(ScaleExceeded):
-            extreme_points(pts, 5)
+            extreme_vertices(pts, 5)
 
     def test_single_support_refusal_comes_first(self, monkeypatch):
         # the 120 vertices of a 140-gon join are refused before any
@@ -700,7 +706,7 @@ class TestExtremePoints:
         crossings = count_calls(monkeypatch, sections_module, "_section_points")
         lps = count_calls(monkeypatch, sections_module, "_nonnegative_combination")
         with pytest.raises(ScaleExceeded):
-            extreme_points(ext.vertices, ext.dim)
+            extreme_vertices(ext.vertices, ext.dim)
         assert crossings == [] and lps == []
 
 
@@ -766,7 +772,7 @@ class TestRows:
         # blocks and derived vertices are those of the parsed Fractions
         parsed = [tuple(parse_scalar(c) for c in v) for v in doc["vertices"]]
         s = sectioned_from_obj(doc)
-        assert s.rows == tuple(_row(v) for v in parsed)
+        assert s.rows == tuple(map(row_of, parsed))
         assert s.blocks == SectionedPolytope(doc["dim"], parsed, TRIANGLE).blocks
         assert s.vertices == tuple(parsed)
 

@@ -10,7 +10,7 @@ from polysec.compose import ngon_3d_extension, ngon_extension
 from polysec.polygon import validate
 from polysec.randgen import random_convex_polygon
 from polysec.linalg import convex_coefficients
-from polysec.sections import SectionedPolytope, certify, distinct_points
+from polysec.sections import SectionedPolytope, _distinct_rows, certify
 from polysec.slack import (
     SlackFactorization,
     extend_facet_inequality,
@@ -20,6 +20,11 @@ from polysec.slack import (
 )
 
 from conftest import count_calls, count_calls_everywhere, rank
+
+
+def distinct_vertices(s: SectionedPolytope) -> list:
+    """The distinct vertices of s, in first-occurrence order (_distinct_rows)."""
+    return [s.vertices[k] for k in _distinct_rows(s.rows, s.dim).values()]
 
 
 class TestSlackMatrix:
@@ -78,7 +83,7 @@ def small_standard_extension():
 class TestExtendFacetInequality:
     def test_nonnegative_on_all_vertices_every_facet(self):
         std, ext = small_standard_extension()
-        gens = distinct_points(ext.vertices, ext.dim)
+        gens = distinct_vertices(ext)
         for i in range(7):
             c = extend_facet_inequality(i, ext, gens)
             assert all(extended(i, c, ext, v) >= 0 for v in ext.vertices)
@@ -87,7 +92,7 @@ class TestExtendFacetInequality:
         std, ext = small_standard_extension()
         polygon = ext.claimed
         sm = slack_matrix(polygon)
-        gens = distinct_points(ext.vertices, ext.dim)
+        gens = distinct_vertices(ext)
         for i in range(7):
             c = extend_facet_inequality(i, ext, gens)
             for j in range(7):
@@ -102,7 +107,7 @@ class TestExtendFacetInequality:
         box = [(x, y, z) for z in (1, -1) for x, y in square.vertices]
         ext = SectionedPolytope(3, box + [(2, Fraction(1, 2), 0)], square)
         assert ext.blocks == (2,) * 8 + (None,)
-        gens = distinct_points(ext.vertices, ext.dim)
+        gens = distinct_vertices(ext)
         for i in range(4):
             if square.edge_inequality(i) == ((1, 0), 1):
                 with pytest.raises(NoExtension):
@@ -116,7 +121,7 @@ class TestExtendFacetInequality:
     def test_codimension_two_feasible(self, rng):
         polygon = random_convex_polygon(rng, 14)
         ext = ngon_extension(polygon)
-        gens = distinct_points(ext.vertices, ext.dim)
+        gens = distinct_vertices(ext)
         for i in range(14):
             c = extend_facet_inequality(i, ext, gens)
             assert all(extended(i, c, ext, v) >= 0 for v in ext.vertices)
@@ -132,7 +137,7 @@ class TestExtendFacetInequality:
         ext = build()
         polygon = ext.claimed
         fact = factorize_from_section(polygon, ext)
-        gens = distinct_points(ext.vertices, ext.dim)
+        gens = distinct_vertices(ext)
         off_flat = 0
         for i, row in enumerate(fact.r_factor):
             c = extend_facet_inequality(i, ext, gens)
@@ -146,13 +151,13 @@ class TestExtendFacetInequality:
 class TestConvexCoefficients:
     def test_vertex_gets_unit_weight(self):
         _, ext = small_standard_extension()
-        gens = distinct_points(ext.vertices, 3)
+        gens = distinct_vertices(ext)
         weights = convex_coefficients(gens[2], gens)
         assert weights[2] == 1 and sum(weights) == 1
 
     def test_midpoint_of_two_vertices(self):
         _, ext = small_standard_extension()
-        gens = distinct_points(ext.vertices, 3)
+        gens = distinct_vertices(ext)
         mid = tuple((a + b) / 2 for a, b in zip(gens[0], gens[1]))
         weights = convex_coefficients(mid, gens)
         assert sum(weights) == 1
@@ -173,7 +178,7 @@ class TestConvexCoefficients:
 
     def test_outside_point_rejected(self):
         _, ext = small_standard_extension()
-        gens = distinct_points(ext.vertices, 3)
+        gens = distinct_vertices(ext)
         assert convex_coefficients((Fraction(100), Fraction(100), Fraction(0)), gens) is None
 
 
