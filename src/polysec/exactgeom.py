@@ -10,14 +10,15 @@ the first nonzero coordinate positive.
 Every exact point also has one integer form, its row (_row): for rational
 coordinates c_1, ..., c_k, the primitive (c_1 W, ..., c_k W, W), W > 0 the
 lcm of the denominators.  The row of an affine point (x, y) is its
-canonical triple, the lift that Polygon.vertex serves, made once by
-validate; an ambient point's row is sections.SectionedPolytope.rows.  This
-kernel serves where lines are formed: the crossing classification of
-standardization lines, hexagon concurrency, polygon.frame_map and the svg
-rendering.
+canonical triple, its lift: Polygon.lifts, the form a Polygon stores and
+Polygon.vertex serves.  An ambient point's row is
+sections.SectionedPolytope.rows.  This kernel serves where lines are
+formed: the crossing classification of standardization lines, hexagon
+concurrency, polygon.frame_map and the svg rendering.
 
-Coordinate text has one reader, _ratio, giving integers (p, q): Fractions
-for parse_scalar, and an extension file's rows for jsonio.
+Coordinate text has one reader, _ratio, giving integers (p, q).  jsonio
+makes rows of them, lifts and an extension's rows, with no Fraction;
+parse_scalar makes a Fraction, for other callers.
 
 No floating point is used anywhere in this module.  All values are
 immutable and all operations are pure, so they are safe to share across

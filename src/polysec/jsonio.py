@@ -1,8 +1,10 @@
 """JSON serialization: rationals travel as "p/q" strings everywhere.
 
-Texts are read by exactgeom._ratio: planar points into Fractions
-(parse_scalar), an extension's vertices straight into integer rows
-(exactgeom._row).
+Texts are read by exactgeom._ratio straight into integer rows
+(exactgeom._row), with no Fraction: the [x, y] pairs of a polygon or of an
+extension's claim into lifts (_parse_pairs, the one pair reader, then
+polygon._validate_lifts), and an extension's vertices into rows from their
+texts other than "0".
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParseError
-from .exactgeom import _ratio, _row, format_scalar, parse_scalar
-from .polygon import Polygon, validate
+from .exactgeom import Triple, _ratio, _row, format_scalar
+from .polygon import Polygon, _validate_lifts
 from .sections import SectionedPolytope
 from .slack import SlackFactorization
 
@@ -34,8 +36,8 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
-    """Decode JSON; a float literal stays its own text, so that parse_scalar
-    reads it exactly."""
+    """Decode JSON; a float literal stays its own text, so that
+    exactgeom._ratio reads it exactly."""
     try:
         return json.loads(text, parse_float=str)
     # ValueError covers JSONDecodeError and integers past the interpreter's
@@ -51,21 +53,22 @@ def polygon_to_obj(polygon: Polygon) -> dict:
     }
 
 
-def _parse_pairs(raw) -> list[tuple[Fraction, Fraction]]:
+def _parse_pairs(raw) -> list[Triple]:
+    """The lift (exactgeom._row) of each [x, y] pair of a vertex array."""
     if not isinstance(raw, list):
         raise ParseError("vertices must be an array")
     out = []
     for item in raw:
         if not isinstance(item, list) or len(item) != 2:
             raise ParseError(f"vertex {item!r} must be an [x, y] pair")
-        out.append((parse_scalar(item[0]), parse_scalar(item[1])))
+        out.append(_row([_ratio(item[0]), _ratio(item[1])]))
     return out
 
 
 def polygon_from_obj(obj) -> Polygon:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ParseError("polygon JSON needs a 'vertices' field")
-    return validate(_parse_pairs(obj["vertices"]))
+    return _validate_lifts(_parse_pairs(obj["vertices"]))
 
 
 def sectioned_to_obj(s: SectionedPolytope) -> dict:
@@ -92,11 +95,18 @@ def sectioned_from_obj(obj) -> SectionedPolytope:
     for raw in obj["vertices"]:
         if not isinstance(raw, list) or len(raw) != dim:
             raise ParseError(f"vertex {raw!r} must have {dim} coordinates")
-        rows.append(_row([(0, 1) if c == "0" else _ratio(c) for c in raw]))
+        # the row of the texts other than "0", written into their places
+        support = [k for k, c in enumerate(raw) if c != "0"]
+        *values, w = _row([_ratio(raw[k]) for k in support])
+        row = [0] * dim + [w]
+        for k, v in zip(support, values):
+            row[k] = v
+        rows.append(tuple(row))
     claimed_obj = obj["claimed"]
     if not isinstance(claimed_obj, dict) or "vertices" not in claimed_obj:
         raise ParseError("claimed section needs a 'vertices' field")
-    return SectionedPolytope._from_rows(dim, rows, validate(_parse_pairs(claimed_obj["vertices"])))
+    claimed = _validate_lifts(_parse_pairs(claimed_obj["vertices"]))
+    return SectionedPolytope._from_rows(dim, rows, claimed)
 
 
 def matrix_to_obj(matrix: Sequence[Sequence[Fraction]]) -> dict:

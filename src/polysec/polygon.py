@@ -1,12 +1,14 @@
 """Convex polygons with clockwise cyclic labeling, and planar maps.
 
-A Polygon stores its vertices as affine pairs of Fractions, the one
-planar coordinate of the package, and the integer lift of each, both made
-by validate().  The canonical labeling, the order that convex_hull_2d
-returns and validate() ends in, is clockwise (the triangle
-(p_{i+2}, p_{i+1}, p_i) is positively oriented for every i) with the
-lexicographically smallest vertex at index 0.  Operations that need a
-specific index alignment take their own index parameter instead of
+A Polygon stores the integer lift of each vertex (Polygon.lifts), its one
+form.  Its affine pairs of Fractions (Polygon.vertices) are the pairs that
+validate() was given, or are derived from the lifts on first read: a claim
+read from a file goes straight into lifts (jsonio, _validate_lifts), and
+the matching of verify forms no Fraction.  The canonical labeling, the
+order that convex_hull_2d returns and validate() ends in, is clockwise
+(the triangle (p_{i+2}, p_{i+1}, p_i) is positively oriented for every i)
+with the lexicographically smallest vertex at index 0.  Operations that
+need a specific index alignment take their own index parameter instead of
 relying on the canonical rotation.
 
 Orientation is an integer determinant sign.  An affine point (x, y) is
@@ -39,15 +41,14 @@ Planar maps are projective (ProjMap2), integer rows.  frame_map builds
 each normalization map from its frame, three points sent to (0, 0), (1, 0)
 and (0, 1) and a line sent to infinity, in one step.  Maps act on affine
 points in one place, ProjMap2.apply_affine, which refuses points on or
-across the line the map sends to infinity.  Polygon.lifts holds the lifts
-that validate's convexity test made, for exactgeom and sections.
+across the line the map sends to infinity.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DegenerateTriple,
@@ -130,27 +131,19 @@ def _encloses(lifts: Sequence[tuple[int, int, int]], keys: Sequence[tuple[int, i
     return True
 
 
-def convex_hull_2d(points: Iterable[AffinePair]) -> tuple[AffinePair, ...]:
-    """Strict convex hull (collinear boundary points dropped) in canonical
-    order: the lexicographically smallest point first, then clockwise.  One
-    point gives (p,), two the sorted pair, and three or more the vertices
-    of the canonical Polygon.
+def _hull_order(lifts: Sequence[tuple[int, int, int]], keys: Sequence[tuple[int, int]]) -> list[int]:
+    """Indices of the strict convex hull of the lifted points in canonical
+    order, the first given of equal points; keys from one _lift_keys call.
 
-    Each point is lifted once to integers, and the points are sorted and
-    deduplicated on the exact integer keys of their lifts (_lift_keys:
-    floor(x 2^s) and floor(y 2^s) with every weight below 2^(s/2), so
-    distinct values, at least 2^-s apart, never share a key); the monotone
-    chain then runs over the distinct points on integer determinant signs,
-    turning clockwise.  The hull holds the given pair objects themselves,
-    the first given of equal points.
+    The points are sorted and deduplicated on their exact keys (distinct
+    values, at least 2^-s apart, never share a key); the monotone chain then
+    runs over the distinct points on integer determinant signs, turning
+    clockwise.
     """
-    pts = list(points)
-    lifts = [_row([x.as_integer_ratio(), y.as_integer_ratio()]) for x, y in pts]
-    keys = _lift_keys(lifts)
-    order = sorted(range(len(pts)), key=keys.__getitem__)
+    order = sorted(range(len(lifts)), key=keys.__getitem__)
     order = [k for pos, k in enumerate(order) if pos == 0 or keys[k] != keys[order[pos - 1]]]
     if len(order) <= 2:
-        return tuple(pts[k] for k in order)
+        return order
     hull: list[int] = []
     for chain in (order, order[::-1]):
         base = len(hull)
@@ -159,23 +152,47 @@ def convex_hull_2d(points: Iterable[AffinePair]) -> tuple[AffinePair, ...]:
                 hull.pop()
             hull.append(k)
         hull.pop()  # each half ends where the other begins
-    return tuple(pts[k] for k in hull)
+    return hull
+
+
+def convex_hull_2d(points: Iterable[AffinePair]) -> tuple[AffinePair, ...]:
+    """Strict convex hull (collinear boundary points dropped) in canonical
+    order: the lexicographically smallest point first, then clockwise.  One
+    point gives (p,), two the sorted pair, and three or more the vertices
+    of the canonical Polygon.
+
+    Each point is lifted once to integers and ordered on the exact integer
+    keys of its lift (_lift_keys), with no Fraction compared (_hull_order).
+    The hull holds the given pair objects themselves, the first given of
+    equal points.
+    """
+    pts = list(points)
+    lifts = [_row([x.as_integer_ratio(), y.as_integer_ratio()]) for x, y in pts]
+    return tuple(pts[k] for k in _hull_order(lifts, _lift_keys(lifts)))
 
 
 class Polygon:
-    """Strictly convex polygon, affine vertices cyclically clockwise labeled,
-    with lifts[i] the row of vertices[i] (exactgeom._row); validate builds
-    every Polygon."""
+    """Strictly convex polygon, cyclically clockwise labeled, held as the
+    rows of its vertices: lifts[i] (exactgeom._row), the one stored form.
+    vertices[i] is the affine pair (Fraction(X, W), Fraction(Y, W)) of
+    lifts[i]: the pairs that validate was given, or derived on first read.
+    validate or _validate_lifts builds every Polygon."""
 
-    __slots__ = ("vertices", "lifts")
+    __slots__ = ("lifts", "_vertices")
 
-    def __init__(self, vertices: Sequence[AffinePair], lifts: Sequence[Triple]):
-        self.vertices = tuple(vertices)
+    def __init__(self, lifts: Sequence[Triple], vertices: Optional[Sequence[AffinePair]] = None):
         self.lifts = tuple(lifts)
+        self._vertices = None if vertices is None else tuple(vertices)
+
+    @property
+    def vertices(self) -> tuple[AffinePair, ...]:
+        if self._vertices is None:
+            self._vertices = tuple((Fraction(x, w), Fraction(y, w)) for x, y, w in self.lifts)
+        return self._vertices
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.lifts)
 
     def vertex(self, i: int) -> Triple:
         """Vertex i, cyclically, as its canonical integer triple for the
@@ -195,10 +212,11 @@ class Polygon:
         return a, a[0] * x0 + a[1] * y0
 
     def __eq__(self, other):
-        return isinstance(other, Polygon) and self.vertices == other.vertices
+        # lifts are canonical: equal points have equal lifts
+        return isinstance(other, Polygon) and self.lifts == other.lifts
 
     def __hash__(self):
-        return hash(self.vertices)
+        return hash(self.lifts)
 
     def __repr__(self):
         coords = ", ".join(f"({x},{y})" for x, y in self.vertices)
@@ -209,27 +227,33 @@ def validate(points: Iterable[Sequence]) -> Polygon:
     """Build the canonical Polygon from affine rational pairs.
 
     Accepts exactly the strictly convex polygons in cyclic order, in linear
-    time (module docstring), and returns the input pairs rotated to the
-    lexicographic minimum, reversed when they turn counterclockwise, with
-    the lifts that the convexity test made.
+    time (module docstring), and returns the input pairs, as Fractions,
+    rotated to the lexicographic minimum, reversed when they turn
+    counterclockwise, with their lifts (_validate_lifts).
     Rejects repeated points (DuplicateVertex), collinear or interior points,
     and convex-position points out of cyclic order (NotConvex).
     """
     pts = [(_fraction(p[0]), _fraction(p[1])) for p in points]
-    n = len(pts)
+    return _validate_lifts([_row([x.as_integer_ratio(), y.as_integer_ratio()]) for x, y in pts], pts)
+
+
+def _validate_lifts(lifts: Sequence[Triple], pairs: Optional[Sequence[AffinePair]] = None) -> Polygon:
+    """validate on the lifts of the points (exactgeom._row), with the same
+    errors, in the same linear time; pairs, when given, are the points
+    themselves, kept as the Polygon's vertices."""
+    n = len(lifts)
     if n < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {n}")
-    lifts = [_row([x.as_integer_ratio(), y.as_integer_ratio()]) for x, y in pts]
     keys = _lift_keys(lifts)
     turn = _convex_cycle(lifts, keys)
     if turn:
         m = keys.index(min(keys))
         order = [(m - turn * k) % n for k in range(n)]
-        return Polygon([pts[k] for k in order], [lifts[k] for k in order])
+        return Polygon([lifts[k] for k in order], None if pairs is None else [pairs[k] for k in order])
     # the keys are exact: equal keys are equal points
     if len(set(keys)) != n:
         raise DuplicateVertex("duplicate vertices in input")
-    if len(convex_hull_2d(pts)) != n:
+    if len(_hull_order(lifts, keys)) != n:
         raise NotConvex("input contains collinear or interior points")
     raise NotConvex("vertex order does not trace the convex hull")
 

@@ -60,21 +60,22 @@ combination of the other vertices, which equals g because both are zero
 off the projected coordinates.  A crossing equal to a vertex g on H rightly
 makes g not extreme: g lies inside a segment between two other vertices.
 
-On this path verify_section matches the claim's lifts (Polygon.lifts, made
-by validate) against the points, with no hull.  The claim passes when (1)
-it is strictly convex in canonical order: validate's linear test
-(polygon._convex_cycle) turns clockwise, from the lexicographic minimum at
-index 0; (2) every claimed vertex is one of the points; and (3) every
-other point lies in the closed claimed polygon (polygon._encloses: two
-turns per point, at the edges over its x that a bisection on the exact
-sort keys finds).  Then the hull of the points is the claimed polygon:
-(3) puts the points inside it and (2) its vertices among
-them, and the vertices of a strictly convex polygon are the vertices of
-its hull, so the claim is the hull vertex for vertex, in canonical order.
-Conversely the hull of the points, when it is a polygon, passes all three.
-compute_section, which hulls the points, is the reference the tests
-compare this with.  A claim of fewer than three vertices is no polygon
-and fails, where compute_section gives one point or a segment.
+On this path verify_section matches the claim's lifts (Polygon.lifts, the
+form a claim is read into) against the points, with no hull and no
+Fraction.  The claim passes when (1) it is strictly convex in canonical
+order: validate's linear test (polygon._convex_cycle) turns clockwise,
+from the lexicographic minimum at index 0; (2) every claimed vertex is
+one of the points; and (3) every other point lies in the closed claimed
+polygon (polygon._encloses: two turns per point, at the edges over its x
+that a bisection on the exact sort keys finds).  Then the hull of the
+points is the claimed polygon: (3) puts the points inside it and (2) its
+vertices among them, and the vertices of a strictly convex polygon are
+the vertices of its hull, so the claim is the hull vertex for vertex, in
+canonical order.  Conversely the hull of the points, when it is a
+polygon, passes all three.  compute_section, which hulls the points, is
+the reference the tests compare this with.  A claim of fewer than three
+vertices is no polygon and fails, where compute_section gives one point
+or a segment.
 
 Any other vertex set is certified by exact linear programs over at most
 64 distinct vertices (_distinct_rows): each claimed vertex, placed on H,
@@ -270,15 +271,16 @@ def _section_columns(rows: Sequence[Row]) -> dict[Triple, dict]:
 def _claim_columns(s: SectionedPolytope, distinct: dict[Row, int]) -> Optional[list[dict]]:
     """Sparse convex column over the generators (distinct, of s.rows) of each
     claimed vertex on H: its lift looked up in _section_columns, else one
-    exact LP (convex_coefficients), over the point padded with zeros to
-    s.dim; None outside their hull, with no padding when there is no
-    generator."""
+    exact LP (convex_coefficients), over the point (X/W, Y/W) of the lift
+    padded with zeros to s.dim; None outside their hull, with no point
+    formed when there is no generator."""
     columns = _section_columns(list(distinct))
     out = []
-    for point, lift in zip(s.claimed.vertices, s.claimed.lifts):
+    for lift in s.claimed.lifts:
         column = columns.get(lift)
         if column is None and distinct:
-            weights = convex_coefficients([*point, *[_ZERO] * (s.dim - 2)],
+            x, y, w = lift
+            weights = convex_coefficients([Fraction(x, w), Fraction(y, w), *[_ZERO] * (s.dim - 2)],
                                           [s.vertices[k] for k in distinct.values()])
             column = None if weights is None else dict(enumerate(weights))
         if column is None:

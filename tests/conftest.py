@@ -139,7 +139,7 @@ def extreme_vertices(vertices, dim) -> list:
 
 def raw_polygon(points) -> Polygon:
     """A Polygon of the given pairs as they are, not validated."""
-    return Polygon(points, [row_of(p) for p in points])
+    return Polygon([row_of(p) for p in points], points)
 
 
 def side(line, p) -> int:

@@ -559,17 +559,18 @@ def lp_path_doc() -> dict:
 LP_PATH_FACTORIZE_SHA256 = "f5abc050c2c96f14a184e04795d06ae9a9fb1441c6f605fdeb397cd48ba14596"
 
 
-def derivations(monkeypatch) -> list:
-    """Records each polytope whose vertices are derived from its rows, at
-    the first read of SectionedPolytope.vertices."""
-    derived, getter = [], sections.SectionedPolytope.vertices.fget
+def derivations(monkeypatch, cls=sections.SectionedPolytope) -> list:
+    """Records each object of cls whose vertices are derived, from its rows
+    (SectionedPolytope) or its lifts (Polygon), at the first read of
+    cls.vertices."""
+    derived, getter = [], cls.vertices.fget
 
     def spy(s):
         if s._vertices is None:
             derived.append(s)
         return getter(s)
 
-    monkeypatch.setattr(sections.SectionedPolytope, "vertices", property(spy))
+    monkeypatch.setattr(cls, "vertices", property(spy))
     return derived
 
 
@@ -587,18 +588,21 @@ class TestRowsFromText:
 
     @pytest.mark.parametrize("mode", ["join", "3d"])
     def test_verify_and_factorize_derive_no_vertices(self, mode, tmp_path, capsys, monkeypatch):
-        # the extension's coordinates go straight into rows; parse_scalar
-        # reads the polygon and the claim only
+        # the extension's coordinates go straight into rows, and the
+        # polygon's and the claim's into lifts: no parse_scalar Fraction,
+        # and neither command derives the vertices of the polytope or of a
+        # polygon
         polygon = random_convex_polygon(random.Random(28), 28)
         path = write_polygon(tmp_path, "p.json", polygon.vertices)
         ext = str(tmp_path / "ext.json")
         assert main(["extend", path, "--mode", mode, "--out", ext]) == 0
         derived = derivations(monkeypatch)
+        polygons = derivations(monkeypatch, Polygon)
         parses = count_calls_everywhere(monkeypatch, exactgeom, "parse_scalar")
         assert main(["verify", ext]) == 0
-        assert len(parses) == 2 * 28
+        assert parses == [] and derived == [] and polygons == []
         assert main(["factorize", path, ext]) == 0
-        assert len(parses) == 2 * 28 + 4 * 28 and derived == []
+        assert parses == [] and derived == [] and polygons == []
         assert loads(capsys.readouterr().out.splitlines()[-1])["r"] == (24 if mode == "join" else 27)
 
     def test_lp_path_derives_them_and_prints_the_same(self, tmp_path, capsys, monkeypatch):

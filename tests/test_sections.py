@@ -14,15 +14,17 @@ from polysec.errors import (
     NoExtension,
     NotConvex,
     NotInPolytope,
+    ParseError,
+    PolysecError,
     PullbackUnbounded,
     ScaleExceeded,
     TooFewVertices,
 )
-from polysec.exactgeom import parse_scalar
+from polysec.exactgeom import MAX_SCALAR_CHARS, _ratio, _row, parse_scalar
 from polysec.linalg import convex_coefficients, solve_linear
 from polysec.heptagon import heptagon_extension
 from polysec.hexagon import hexagon_extension5, hexagon_ic
-from polysec.jsonio import sectioned_from_obj
+from polysec.jsonio import polygon_from_obj, sectioned_from_obj
 from polysec.polygon import ProjMap2, convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import (
@@ -769,9 +771,12 @@ class TestRows:
     @given(doc=written_files())
     def test_rows_read_from_text_are_rows_of_the_parsed_fractions(self, doc):
         # sectioned_from_obj forms no Fraction per coordinate; its rows,
-        # blocks and derived vertices are those of the parsed Fractions
+        # made of the texts other than "0" only, are _row over every text,
+        # and its rows, blocks and derived vertices are those of the parsed
+        # Fractions
         parsed = [tuple(parse_scalar(c) for c in v) for v in doc["vertices"]]
         s = sectioned_from_obj(doc)
+        assert s.rows == tuple(_row([_ratio(c) for c in v]) for v in doc["vertices"])
         assert s.rows == tuple(map(row_of, parsed))
         assert s.blocks == SectionedPolytope(doc["dim"], parsed, TRIANGLE).blocks
         assert s.vertices == tuple(parsed)
@@ -795,6 +800,104 @@ class TestRows:
         assert w > 0 and gcd(*row) == 1 and len(row) == len(v) + 1
         assert all(Fraction(r, w) == c for r, c in zip(row, v))
         assert w == lcm(*(Fraction(c).denominator for c in v))
+
+    @pytest.mark.parametrize("vertex, row", [
+        (["0", "0", "0", "0"], (0, 0, 0, 0, 1)),
+        (["0", "1/2", "0", "-3/4"], (0, 2, 0, -3, 4)),
+        (["5e-1", "0", "2", "0"], (1, 0, 4, 0, 2)),
+        (["-0", "0/7", 0, " 3/6 "], (0, 0, 0, 1, 2)),
+        (["0.5", "14e-1", "0", "0"], (5, 14, 0, 0, 10)),
+        (["0/7", "-0", "0.0", 0], (0, 0, 0, 0, 1)),
+        (["9/27", "0", "-0", "12/8"], (2, 0, 0, 9, 6)),
+    ])
+    def test_rows_with_zeros_in_any_place(self, vertex, row):
+        doc = {"dim": 4, "vertices": [vertex], "claimed": {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}}
+        assert sectioned_from_obj(doc).rows == (row,) == (_row([_ratio(c) for c in vertex]),)
+
+
+def fraction_pair_polygon(raw):
+    """The pair reader on Fractions: parse_scalar on each text, then
+    validate on the pairs; the reference for polygon_from_obj and the claim
+    of sectioned_from_obj, which read the texts straight into lifts."""
+    if not isinstance(raw, list):
+        raise ParseError("vertices must be an array")
+    pairs = []
+    for item in raw:
+        if not isinstance(item, list) or len(item) != 2:
+            raise ParseError(f"vertex {item!r} must be an [x, y] pair")
+        pairs.append((parse_scalar(item[0]), parse_scalar(item[1])))
+    return validate(pairs)
+
+
+PAIR_READERS = {
+    "polygon": lambda raw: polygon_from_obj({"vertices": raw}),
+    "claim": lambda raw: sectioned_from_obj({"dim": 2, "vertices": [], "claimed": {"vertices": raw}}).claimed,
+}
+
+
+def read_outcome(read, raw):
+    """(vertices, lifts) of the Polygon read, or the class and message of its error."""
+    try:
+        polygon = read(raw)
+    except PolysecError as exc:
+        return type(exc), str(exc)
+    return polygon.vertices, polygon.lifts
+
+
+# (0, 0), (1/2, 0), (7/5, 1/2), (1/2, 7/5), (0, 1/2): zeros in x and in y
+HALVES_PENTAGON = [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)), (Fraction(7, 5), Fraction(1, 2)),
+                   (Fraction(1, 2), Fraction(7, 5)), (Fraction(0), Fraction(1, 2))]
+STAR_PENTAGON = [["0", "0"], ["5", "3"], ["0", "3"], ["4", "1"], ["2", "5"]]
+MALFORMED_CLAIMS = [
+    "0 0 1 0 0 1",
+    {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},
+    [["0", "0"], ["1", "0", "0"], ["0", "1"]],
+    [["0", "0"], "1 0", ["0", "1"]],
+    [["0", "0"], ["1", "1/0"], ["0", "1"]],
+    [["0", "0"], ["x", "0"], ["0", "1"]],
+    [["0", "0"], [None, "0"], ["0", "1"]],
+    [["0", "0"], ["1" * (MAX_SCALAR_CHARS + 1), "0"], ["0", "1"]],
+    [["0", "0"], ["1e" + "9" * 4, "0"], ["0", "1"]],
+    [["0", "0"], ["1", "0"]],
+    [],
+    [["0", "0"], ["1", "0"], ["2/2", "0.0"], ["0", "1"]],
+    [["0", "0"], ["4", "0"], ["4", "4"], ["0", "4"], ["2", "2"]],
+    [["0", "0"], ["2", "0"], ["1", "0"], ["1", "1"]],
+    STAR_PENTAGON,
+]
+
+
+def claim_texts(value: Fraction) -> list:
+    """written_forms, and the tripled terms padded with spaces."""
+    return [*written_forms(value), f" {3 * value.numerator}/{3 * value.denominator} "]
+
+
+class TestPairReader:
+    @pytest.mark.parametrize("reader", PAIR_READERS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_written_claims_read_as_validated_fractions(self, reader, seed):
+        points = HALVES_PENTAGON if seed < 2 else random_convex_polygon(random.Random(seed), 3 + seed).vertices
+        rng = random.Random(seed)
+        for _ in range(8):
+            order = list(points) if rng.random() < 0.5 else list(points)[::-1]
+            raw = [[rng.choice(claim_texts(c)) for c in p] for p in order]
+            expected = read_outcome(fraction_pair_polygon, raw)
+            assert read_outcome(PAIR_READERS[reader], raw) == expected
+            assert expected[1] == validate(points).lifts
+
+    def test_every_zero_form_and_term_form_is_read(self):
+        raw = [["0.5", "-0"], ["14e-1", " 3/6 "], [" 3/6 ", "14e-1"], [0, "3/6"], ["0/7", 0]]
+        polygon = polygon_from_obj({"vertices": raw})
+        assert polygon == validate(HALVES_PENTAGON)
+        assert polygon.vertices == validate(HALVES_PENTAGON).vertices
+        assert polygon.lifts == ((0, 0, 1), (0, 1, 2), (5, 14, 10), (14, 5, 10), (1, 0, 2))
+
+    @pytest.mark.parametrize("reader", PAIR_READERS)
+    @pytest.mark.parametrize("raw", MALFORMED_CLAIMS, ids=range(len(MALFORMED_CLAIMS)))
+    def test_malformed_claims_raise_the_same_errors(self, reader, raw):
+        expected = read_outcome(fraction_pair_polygon, raw)
+        assert isinstance(expected[0], type) and issubclass(expected[0], PolysecError)
+        assert read_outcome(PAIR_READERS[reader], raw) == expected
 
 
 class TestLiftAndPullback:
