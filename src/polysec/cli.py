@@ -86,7 +86,7 @@ def _extend(polygon: Polygon, mode: str) -> tuple[SectionedPolytope, int]:
         decision = hexagon_ic(polygon)
         if decision.ic == 5:
             return hexagon_extension5(polygon, decision), 5
-        flat = [(x, y, 0) for x, y in polygon.vertices]
+        flat = [(x, y, 0, w) for x, y, w in polygon.lifts]
         return certify(SectionedPolytope(3, flat, polygon)), 6
     if n == 7:
         return heptagon_extension(polygon), 6
@@ -102,7 +102,7 @@ def cmd_extend(args) -> int:
     summary = dumps(
         {
             "dim": result.dim,
-            "vertices": len(result.vertices),
+            "vertices": len(result.rows),
             "extreme_points": len(extreme_points(result.rows, result.dim)),
             "vertex_bound": bound,
             "lower_bound_3d": lower_bound_3d(polygon.n),
@@ -176,8 +176,8 @@ def _fuzz_ngon(rng: random.Random, count: int, emit) -> None:
         n = rng.randrange(8, 15)
         polygon = random_convex_polygon(rng, n)
         ext, bound = _extend(polygon, "join")
-        ok = len(ext.vertices) <= bound and ext.dim == 2 + n // 7
-        emit({"index": index, "n": n, "ok": ok, "vertices": len(ext.vertices)})
+        ok = len(ext.rows) <= bound and ext.dim == 2 + n // 7
+        emit({"index": index, "n": n, "ok": ok, "vertices": len(ext.rows)})
         if not ok:
             raise CertificationFailure(f"n-gon pipeline failed on {polygon!r}")
 

@@ -5,20 +5,19 @@ Three constructions: a 3-dimensional extension with at most n-1 vertices
 zero), the convex join of any number of sectioned polytopes (which adds
 dimensions but keeps vertex counts additive), and the chunked construction
 giving a (2 + floor(n/7))-dimensional extension with at most ceil(6n/7)
-vertices.  Each construction builds its vertex list from plain vertex
-lists (heptagon_vertices, the polygon's own vertices), claims its input
-polygon and certifies the result once, from scratch.
+vertices.  Each construction builds the rows of its vertices
+(SectionedPolytope.rows) in integers, from the rows of heptagon_vertices
+and the polygon's own lifts (Polygon.lifts), claims its input polygon and
+certifies the result once, from scratch.
 optimal_even_gon realizes the matching lower-bound witness: a 2m-gon cut
 out of a stacked polytope with m + 2 vertices.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError
 from .heptagon import heptagon_vertices
-from .polygon import Polygon, convex_hull_2d, validate
+from .polygon import Polygon, _hull_order, _lift_keys, _validate_lifts
 from .sections import SectionedPolytope, certify
 
 __all__ = [
@@ -47,55 +46,58 @@ def ngon_3d_extension(polygon: Polygon) -> SectionedPolytope:
     """
     if polygon.n < 7:
         raise DomainError(f"need n >= 7, got {polygon.n}")
-    vertices = heptagon_vertices(Polygon(polygon.lifts[:7], polygon.vertices[:7]))
-    vertices += [(x, y, Fraction(0)) for x, y in polygon.vertices[7:]]
-    return certify(SectionedPolytope(3, vertices, polygon))
+    rows = heptagon_vertices(Polygon(polygon.lifts[:7]))
+    rows += [(x, y, 0, w) for x, y, w in polygon.lifts[7:]]
+    return certify(SectionedPolytope(3, rows, polygon))
 
 
 def _join_vertices(blocks) -> tuple[int, list]:
-    """Dimension 2 + sum(d_i - 2) and vertices of the convex join of vertex
-    blocks over one plane: the coordinates past (x, y) of each block go to
-    their own coordinates, in block order; repeated vertices are kept once."""
-    widths = [len(block[0]) - 2 for block in blocks]
+    """Dimension 2 + sum(d_i - 2) and rows of the convex join of blocks of
+    rows over one plane: the coordinates past (x, y) of each block go to
+    their own coordinates, in block order, W last; repeated vertices are
+    kept once."""
+    widths = [len(block[0]) - 3 for block in blocks]
     dim = 2 + sum(widths)
-    vertices = {}  # insertion-ordered, drops repeats
+    rows = {}  # insertion-ordered, drops repeats
     before = 0
     for block, width in zip(blocks, widths):
         after = dim - 2 - before - width
-        for v in block:
-            vertices[(*v[:2], *[Fraction(0)] * before, *v[2:], *[Fraction(0)] * after)] = None
+        for r in block:
+            rows[(r[0], r[1], *[0] * before, *r[2:-1], *[0] * after, r[-1])] = None
         before += width
-    return dim, list(vertices)
+    return dim, list(rows)
 
 
 def convex_join_sections(*parts: SectionedPolytope) -> SectionedPolytope:
     """Combine sections over the same plane into one for the joint hull.
 
-    The parts' vertices are joined by _join_vertices; a part with no
-    vertices adds none.  The parts need not be certified: the result,
-    claiming the hull of the parts' claimed polygons, is certified once
-    from scratch.
+    The parts' rows are joined by _join_vertices; a part with no vertices
+    adds none.  The parts need not be certified: the result, claiming the
+    hull of the parts' claimed polygons, is certified once from scratch.
     """
-    dim, vertices = _join_vertices([s.vertices for s in parts if s.vertices])
-    claimed = validate(convex_hull_2d(p for s in parts for p in s.claimed.vertices))
-    return certify(SectionedPolytope(dim, vertices, claimed))
+    dim, rows = _join_vertices([s.rows for s in parts if s.rows])
+    lifts = [lift for s in parts for lift in s.claimed.lifts]
+    claimed = _validate_lifts([lifts[k] for k in _hull_order(lifts, _lift_keys(lifts))])
+    return certify(SectionedPolytope(dim, rows, claimed))
 
 
 def ngon_extension(polygon: Polygon) -> SectionedPolytope:
     """Certified extension in dimension 2 + floor(n/7) with 6*floor(n/7) +
     (n mod 7) <= ceil(6n/7) vertices: the join (_join_vertices) of the
-    vertices of one heptagon extension per full chunk vertices[k:k + 7] and
-    of the remainder chunk on the plane, claiming the polygon and certified
-    once."""
+    rows of one heptagon extension per full chunk lifts[k:k + 7] and of the
+    remainder chunk on the plane, claiming the polygon and certified once.
+    A full chunk is rotated to canonical order by _validate_lifts, the
+    remainder by the hull order of its lifts."""
     n = polygon.n
     if n < 7:
         raise DomainError(f"need n >= 7, got {n}")
     blocks = []
     for k in range(0, n, 7):
-        pts = polygon.vertices[k:k + 7]
-        blocks.append(heptagon_vertices(validate(pts)) if len(pts) == 7 else convex_hull_2d(pts))
-    dim, vertices = _join_vertices(blocks)
-    return certify(SectionedPolytope(dim, vertices, polygon))
+        lifts = polygon.lifts[k:k + 7]
+        blocks.append(heptagon_vertices(_validate_lifts(lifts)) if len(lifts) == 7
+                      else [lifts[j] for j in _hull_order(lifts, _lift_keys(lifts))])
+    dim, rows = _join_vertices(blocks)
+    return certify(SectionedPolytope(dim, rows, polygon))
 
 
 def optimal_even_gon(m: int) -> SectionedPolytope:
@@ -107,12 +109,8 @@ def optimal_even_gon(m: int) -> SectionedPolytope:
     """
     if m < 2:
         raise DomainError(f"need m >= 2, got {m}")
-    path = [(Fraction(k), Fraction(0), Fraction(k * k)) for k in range(1, m + 1)]
-    edge = [(Fraction(0), Fraction(1), Fraction(-1)), (Fraction(0), Fraction(-1), Fraction(-1))]
-    vertices = path + edge
-    upper, lower = [], []
-    for k in range(1, m + 1):
-        t = Fraction(k * k, k * k + 1)
-        upper.append((Fraction(k) * (1 - t), t))
-        lower.append((Fraction(k) * (1 - t), -t))
-    return certify(SectionedPolytope(3, vertices, validate(upper + lower[::-1])))
+    path = [(k, 0, k * k, 1) for k in range(1, m + 1)]
+    edge = [(0, 1, -1, 1), (0, -1, -1, 1)]
+    upper = [(k, k * k, k * k + 1) for k in range(1, m + 1)]  # spoke crossings (k, +-k^2) / (k^2 + 1)
+    lower = [(k, -y, w) for k, y, w in upper[::-1]]
+    return certify(SectionedPolytope(3, path + edge, _validate_lifts(upper + lower)))

@@ -12,9 +12,10 @@ coordinates c_1, ..., c_k, the primitive (c_1 W, ..., c_k W, W), W > 0 the
 lcm of the denominators.  The row of an affine point (x, y) is its
 canonical triple, its lift: Polygon.lifts, the form a Polygon stores and
 Polygon.vertex serves.  An ambient point's row is
-sections.SectionedPolytope.rows.  This kernel serves where lines are
-formed: the crossing classification of standardization lines, hexagon
-concurrency, polygon.frame_map and the svg rendering.
+sections.SectionedPolytope.rows, the form constructions build and
+pullbacks map.  This kernel serves where lines are formed: the crossing
+classification of standardization lines, hexagon concurrency,
+polygon.frame_map and the svg rendering.
 
 Coordinate text has one reader, _ratio, giving integers (p, q).  jsonio
 makes rows of them, lifts and an extension's rows, with no Fraction;

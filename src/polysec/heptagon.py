@@ -5,9 +5,9 @@ misses it; one projective map, fixed by that line and three vertices
 (polygon.frame_map), sends it to infinity and yields a standard heptagon,
 which carries an explicit 6-vertex extension; pulling the extension back
 gives a certified 6-vertex extension of the original heptagon.  The
-construction helpers (standardize, build_standard_extension,
-heptagon_vertices) return plain values and vertex lists; only
-heptagon_extension returns a certified SectionedPolytope.
+construction helpers return plain values: build_standard_extension the
+paper's vertices in Fractions, heptagon_vertices the pulled back rows
+(exactgeom._row); only heptagon_extension returns a SectionedPolytope.
 
 Crossing classification is purely algebraic, through products of vertex
 determinants; a brute-force edge-intersection oracle is kept in the test
@@ -24,7 +24,7 @@ from typing import Sequence
 from .errors import CertificationFailure, DegenerateConstruction, NoneFound, NotHeptagon
 from .exactgeom import Triple, _row, det3, join, meet
 from .polygon import Polygon, ProjMap2, _convex_cycle, _lift_keys, frame_map
-from .sections import AmbientPoint, SectionedPolytope, bounded_pullback, certify
+from .sections import AmbientPoint, Row, SectionedPolytope, bounded_pullback, certify
 
 __all__ = [
     "StdPoints",
@@ -245,7 +245,7 @@ def standardize(polygon: Polygon) -> tuple[StandardHeptagon, ProjMap2]:
     i = find_noncrossing(polygon)
     p = polygon.vertex
     total = frame_map(p(i), p(i - 3), p(i + 3), std_points(polygon, i).line)
-    v, _ = total.apply_affine([polygon.vertices[(i + k) % 7] for k in range(7)])
+    v = [(Fraction(x, w), Fraction(y, w)) for x, y, w in total.apply([p(i + k) for k in range(7)])]
     std = StandardHeptagon(
         a=v[6][0], b=v[6][1], c=v[1][0], d=v[1][1],
         lam=v[5][0] - v[6][0], mu=v[2][1] - v[1][1],
@@ -283,17 +283,19 @@ def build_standard_extension(std: StandardHeptagon) -> list[AmbientPoint]:
     ]
 
 
-def heptagon_vertices(polygon: Polygon) -> list[AmbientPoint]:
-    """The six vertices of a 3-polytope whose section on H is the heptagon.
+def heptagon_vertices(polygon: Polygon) -> list[Row]:
+    """The rows of the six vertices of a 3-polytope whose section on H is
+    the heptagon.
 
-    The vertices of the standard extension at the default K are pulled back
-    once; an H-fixing shear bounds the pullback when the canonical lift
-    alone would not, and bounded_pullback explains why such a shear always
-    exists.  The pullback carries the standard heptagon back to the input.
-    Nothing is certified here.
+    The vertices of the standard extension at the default K are made rows
+    once and pulled back once; an H-fixing shear bounds the pullback when
+    the canonical lift alone would not, and bounded_pullback explains why
+    such a shear always exists.  The pullback carries the standard heptagon
+    back to the input.  Nothing is certified here.
     """
     std, total = standardize(polygon)
-    return bounded_pullback(build_standard_extension(std), total.inverse())
+    rows = [_row([c.as_integer_ratio() for c in v]) for v in build_standard_extension(std)]
+    return bounded_pullback(rows, total.inverse())
 
 
 def heptagon_extension(polygon: Polygon) -> SectionedPolytope:

@@ -7,8 +7,9 @@ r = 0, 1, 2; otherwise six vertices are needed and the hexagon is its own
 cheapest section.  hexagon_normal_form brings a witness to its normal form
 by one projective map, built from its frame (polygon.frame_map): the
 concurrency point, two vertices and a horizon.  build_bipyramid returns the
-bipyramid's vertex list; only hexagon_extension5 returns a certified
-SectionedPolytope.
+bipyramid's vertex list in Fractions, which hexagon_extension5 makes rows
+(exactgeom._row) once, pulls back in integers and returns as the one
+certified SectionedPolytope.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import NoConcurrency, NormalFormConstraintViolated, NotHexagon
-from .exactgeom import Triple, _dot, det3, join, meet
+from .exactgeom import Triple, _dot, _row, det3, join, meet
 from .polygon import Polygon, ProjMap2, frame_map
 from .sections import AmbientPoint, SectionedPolytope, bounded_pullback, certify
 
@@ -139,8 +140,8 @@ def hexagon_normal_form(polygon: Polygon, decision: HexDecision) -> HexNormalFor
     else:
         normalize = frame_map(c, p(r + 2), p(r), horizon)
         order = [(r + 5 - j) % 6 for j in range(6)]
-    (v0, v1, v2, _, v4, _), _ = normalize.apply_affine([polygon.vertices[k] for k in order])
-    x, y = v4
+    v0, v1, v2, _, (x, y), _ = [(Fraction(a, w), Fraction(b, w))
+                                for a, b, w in normalize.apply([p(k) for k in order])]
     if not (x > 0 and y > 0):
         raise NormalFormConstraintViolated(f"need x, y > 0, got ({x}, {y})")
     alpha, beta, gamma = v0[1], v1[0] / x, v2[0]
@@ -161,7 +162,7 @@ def _far_line(polygon: Polygon, c: Triple) -> Triple:
     it.  The triple is (v, -M) times the denominator of M.
     """
     vx, vy, _ = c
-    values = [vx * x + vy * y for x, y in polygon.vertices]
+    values = [Fraction(vx * x + vy * y, w) for x, y, w in polygon.lifts]
     m = 2 * max(values) - min(values) + 1
     return vx * m.denominator, vy * m.denominator, -m.numerator
 
@@ -191,11 +192,11 @@ def hexagon_extension5(polygon: Polygon, decision: HexDecision) -> SectionedPoly
     """Certified 5-vertex extension of a hexagon, from its decision
     (hexagon_ic); NoConcurrency (hexagon_normal_form) for complexity 6.
 
-    The vertices of the bipyramid over the normal form are pulled back
-    (bounded_pullback); the normalizing map carries the input to the normal
-    form, so the result claims the input hexagon, and certify checks that
-    claim against the recomputed section.
+    The rows of the vertices of the bipyramid over the normal form are
+    pulled back (bounded_pullback); the normalizing map carries the input to
+    the normal form, so the result claims the input hexagon, and certify
+    checks that claim against the recomputed section.
     """
     nf = hexagon_normal_form(polygon, decision)
-    vertices = bounded_pullback(build_bipyramid(nf), nf.map.inverse())
-    return certify(SectionedPolytope(3, vertices, polygon))
+    rows = [_row([c.as_integer_ratio() for c in v]) for v in build_bipyramid(nf)]
+    return certify(SectionedPolytope(3, bounded_pullback(rows, nf.map.inverse()), polygon))

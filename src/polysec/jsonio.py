@@ -4,7 +4,7 @@ Texts are read by exactgeom._ratio straight into integer rows
 (exactgeom._row), with no Fraction: the [x, y] pairs of a polygon or of an
 extension's claim into lifts (_parse_pairs, the one pair reader, then
 polygon._validate_lifts), and an extension's vertices into rows from their
-texts other than "0".
+texts other than "0", handed to the one SectionedPolytope constructor.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def sectioned_from_obj(obj) -> SectionedPolytope:
     if not isinstance(claimed_obj, dict) or "vertices" not in claimed_obj:
         raise ParseError("claimed section needs a 'vertices' field")
     claimed = _validate_lifts(_parse_pairs(claimed_obj["vertices"]))
-    return SectionedPolytope._from_rows(dim, rows, claimed)
+    return SectionedPolytope(dim, rows, claimed)
 
 
 def matrix_to_obj(matrix: Sequence[Sequence[Fraction]]) -> dict:

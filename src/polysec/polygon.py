@@ -1,10 +1,11 @@
 """Convex polygons with clockwise cyclic labeling, and planar maps.
 
 A Polygon stores the integer lift of each vertex (Polygon.lifts), its one
-form.  Its affine pairs of Fractions (Polygon.vertices) are the pairs that
-validate() was given, or are derived from the lifts on first read: a claim
-read from a file goes straight into lifts (jsonio, _validate_lifts), and
-the matching of verify forms no Fraction.  The canonical labeling, the
+form.  Its affine pairs of Fractions (Polygon.vertices) are derived from
+the lifts on first read, for JSON output, the LP path and library users: a
+claim read from a file goes straight into lifts (jsonio, _validate_lifts),
+and neither the matching of verify nor a construction forms a Fraction
+vertex.  The canonical labeling, the
 order that convex_hull_2d returns and validate() ends in, is clockwise
 (the triangle (p_{i+2}, p_{i+1}, p_i) is positively oriented for every i)
 with the lexicographically smallest vertex at index 0.  Operations that
@@ -39,16 +40,16 @@ polygon passes both tests, so the hull only names a rejected input's defect.
 
 Planar maps are projective (ProjMap2), integer rows.  frame_map builds
 each normalization map from its frame, three points sent to (0, 0), (1, 0)
-and (0, 1) and a line sent to infinity, in one step.  Maps act on affine
-points in one place, ProjMap2.apply_affine, which refuses points on or
-across the line the map sends to infinity.
+and (0, 1) and a line sent to infinity, in one step.  Maps act on lifts in one
+place, ProjMap2.apply, which refuses points on or across the line the map
+sends to infinity.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DegenerateTriple,
@@ -175,14 +176,13 @@ class Polygon:
     """Strictly convex polygon, cyclically clockwise labeled, held as the
     rows of its vertices: lifts[i] (exactgeom._row), the one stored form.
     vertices[i] is the affine pair (Fraction(X, W), Fraction(Y, W)) of
-    lifts[i]: the pairs that validate was given, or derived on first read.
-    validate or _validate_lifts builds every Polygon."""
+    lifts[i], derived on first read.  validate or _validate_lifts builds
+    every Polygon."""
 
     __slots__ = ("lifts", "_vertices")
 
-    def __init__(self, lifts: Sequence[Triple], vertices: Optional[Sequence[AffinePair]] = None):
-        self.lifts = tuple(lifts)
-        self._vertices = None if vertices is None else tuple(vertices)
+    def __init__(self, lifts: Sequence[Triple]):
+        self.lifts, self._vertices = tuple(lifts), None
 
     @property
     def vertices(self) -> tuple[AffinePair, ...]:
@@ -227,20 +227,19 @@ def validate(points: Iterable[Sequence]) -> Polygon:
     """Build the canonical Polygon from affine rational pairs.
 
     Accepts exactly the strictly convex polygons in cyclic order, in linear
-    time (module docstring), and returns the input pairs, as Fractions,
-    rotated to the lexicographic minimum, reversed when they turn
-    counterclockwise, with their lifts (_validate_lifts).
+    time (module docstring), and returns the lifts of the input pairs
+    (_validate_lifts), rotated to the lexicographic minimum, reversed when
+    they turn counterclockwise.
     Rejects repeated points (DuplicateVertex), collinear or interior points,
     and convex-position points out of cyclic order (NotConvex).
     """
-    pts = [(_fraction(p[0]), _fraction(p[1])) for p in points]
-    return _validate_lifts([_row([x.as_integer_ratio(), y.as_integer_ratio()]) for x, y in pts], pts)
+    return _validate_lifts([_row([_fraction(p[0]).as_integer_ratio(), _fraction(p[1]).as_integer_ratio()])
+                            for p in points])
 
 
-def _validate_lifts(lifts: Sequence[Triple], pairs: Optional[Sequence[AffinePair]] = None) -> Polygon:
+def _validate_lifts(lifts: Sequence[Triple]) -> Polygon:
     """validate on the lifts of the points (exactgeom._row), with the same
-    errors, in the same linear time; pairs, when given, are the points
-    themselves, kept as the Polygon's vertices."""
+    errors, in the same linear time."""
     n = len(lifts)
     if n < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {n}")
@@ -248,8 +247,7 @@ def _validate_lifts(lifts: Sequence[Triple], pairs: Optional[Sequence[AffinePair
     turn = _convex_cycle(lifts, keys)
     if turn:
         m = keys.index(min(keys))
-        order = [(m - turn * k) % n for k in range(n)]
-        return Polygon([lifts[k] for k in order], None if pairs is None else [pairs[k] for k in order])
+        return Polygon([lifts[(m - turn * k) % n] for k in range(n)])
     # the keys are exact: equal keys are equal points
     if len(set(keys)) != n:
         raise DuplicateVertex("duplicate vertices in input")
@@ -273,24 +271,22 @@ class ProjMap2:
     def det(self) -> int:
         return det3(self.m[0], self.m[1], self.m[2])
 
-    def apply_affine(self, points: Sequence[Sequence]) -> tuple[list[AffinePair], list[Fraction]]:
-        """Affine images of points (x, y, ...), only x and y read, and the
-        weight w = m[2] . (x, y, 1) of each; the image is
-        (m[0] . (x, y, 1), m[1] . (x, y, 1)) / w.
+    def apply(self, points: Sequence[Sequence[int]]) -> list[Triple]:
+        """The image m . P of each lift P = (X, Y, W), W > 0, not reduced;
+        its weight m[2] . P has the sign of the weight m[2] . (x, y, 1) of
+        the affine point (x, y) = (X/W, Y/W).
 
         The horizon, the line the map sends to infinity, must leave all
         points strictly on one side: MapsVertexToInfinity for a point on it,
         ImageNotConvex when it separates two of them.
         """
-        (a, b, c), (d, e, f), (g, h, i) = self.m
-        weights = [Fraction(g * p[0] + h * p[1] + i) for p in points]
-        if any(w == 0 for w in weights):
+        m0, m1, m2 = self.m
+        images = [(_dot(m0, p), _dot(m1, p), _dot(m2, p)) for p in points]
+        if any(w == 0 for _, _, w in images):
             raise MapsVertexToInfinity("a point maps to the line at infinity")
-        if not (all(w > 0 for w in weights) or all(w < 0 for w in weights)):
+        if not (all(w > 0 for _, _, w in images) or all(w < 0 for _, _, w in images)):
             raise ImageNotConvex("the line sent to infinity separates the points")
-        images = [((a * p[0] + b * p[1] + c) / w, (d * p[0] + e * p[1] + f) / w)
-                  for p, w in zip(points, weights)]
-        return images, weights
+        return images
 
     def inverse(self) -> "ProjMap2":
         (a, b, c), (d, e, f), (g, h, i) = self.m

@@ -17,9 +17,10 @@ and the support coordinates are proportional.
 
 Each vertex is held as its row (SectionedPolytope.rows, exactgeom._row):
 the primitive integer (X, Y, Z_3, ..., Z_d, W), W > 0 the lcm of the
-denominators of x, y and the support coordinates, 0 off them.  A file is
-read straight into rows (jsonio), and its vertices are derived from them on
-first read.  Equal points have equal rows, the keys of repeated vertices.
+denominators of x, y and the support coordinates, 0 off them, the one
+stored form: a file is read straight into rows (jsonio), every
+construction builds them, and the vertices are derived from them on first
+read.  Equal points have equal rows, the keys of repeated vertices.
 A planar point is the row of (x, y), the form of Polygon.lifts: a vertex
 on H is (X, Y, W) of its row, primitive already, and rows u, v of one
 support, first support coordinate j, cross H when Z_u,j and Z_v,j have
@@ -87,9 +88,9 @@ read off with no LP (_claim_columns).  slack factorizes every file
 through the same two routines.
 
 Only verify_section sets the certificate flag.  pullback, shear_fixing_flat
-and bounded_pullback map vertex lists only: each fixes H as a set, so the
-section of the image is the planar image of the section, and the caller
-states that claim and certifies it.
+and bounded_pullback map rows to rows only, in integers: each fixes H as a
+set, so the section of the image is the planar image of the section, and
+the caller states that claim and certifies it.
 """
 
 from __future__ import annotations
@@ -120,7 +121,6 @@ from .polygon import (
     ProjMap2,
     _convex_cycle,
     _encloses,
-    _fraction,
     _lift_keys,
     convex_hull_2d,
 )
@@ -142,36 +142,25 @@ __all__ = [
 
 
 class SectionedPolytope:
-    """A vertex-described polytope with a claimed planar section on H, a Polygon.
+    """A polytope given by the rows of its vertices (module docstring), with
+    a claimed planar section on H, a Polygon.
 
-    The certificate flag is only ever set by verify_section.  rows and
-    blocks (module docstring) are computed at construction; vertices are
-    kept as given, or derived from the rows (_from_rows) on first read.
+    A row is dim + 1 integers with W > 0, else ValueError (a negative W
+    would flip every turn sign that the matching reads), and primitive by
+    the caller's contract (exactgeom._row).  blocks is computed here, the
+    vertices on first read.  Only verify_section sets the certificate flag.
     """
 
     __slots__ = ("dim", "_vertices", "rows", "claimed", "certified", "blocks")
 
-    def __init__(self, dim: int, vertices: Sequence[Sequence], claimed: Polygon):
-        self._vertices = tuple(tuple(map(_fraction, v)) for v in vertices)
-        if any(len(v) != dim for v in self._vertices):
-            raise ValueError(f"a vertex does not have dimension {dim}")
-        self._set_rows(dim, [_row([c.as_integer_ratio() for c in v]) for v in self._vertices], claimed)
-
-    @classmethod
-    def _from_rows(cls, dim: int, rows, claimed: Polygon) -> SectionedPolytope:
-        """The polytope of primitive rows of length dim + 1, W > 0."""
-        s = cls.__new__(cls)
-        s._vertices = None
-        s._set_rows(dim, rows, claimed)
-        return s
-
-    def _set_rows(self, dim: int, rows, claimed: Polygon) -> None:
-        """The constructor tail: rows, blocks read off their entries, claim."""
+    def __init__(self, dim: int, rows: Sequence[Row], claimed: Polygon):
         if dim < 2:
             raise ValueError("ambient dimension must be at least 2")
         if not isinstance(claimed, Polygon):
             raise TypeError(f"cannot interpret {claimed!r} as a planar section")
-        self.dim, self.rows, self.claimed, self.certified = dim, tuple(rows), claimed, False
+        self.dim, self.rows, self.claimed, self.certified, self._vertices = dim, tuple(rows), claimed, False, None
+        if any(len(row) != dim + 1 or row[-1] <= 0 for row in self.rows):
+            raise ValueError(f"a vertex row is not {dim + 1} integers with W > 0")
         supports = [_support(row) for row in self.rows]
         self.blocks = (None if any(len(support) > 1 for support in supports)
                        else tuple(support[0] if support else None for support in supports))
@@ -434,30 +423,35 @@ def extreme_points(rows: Sequence[Row], dim: int) -> list[Row]:
     return out
 
 
-def pullback(vertices: Sequence[Sequence], planar: ProjMap2) -> list[AmbientPoint]:
-    """The vertices carried through the lift of a planar map to d-space.
+def pullback(rows: Sequence[Row], planar: ProjMap2) -> list[Row]:
+    """The rows of vertices carried through the lift of a planar map to d-space.
 
     The lift applies the planar map to (x, y) and divides coordinates 3..d
-    by the same weight w (ProjMap2.apply_affine), so it carries H to itself.
-    Every vertex must land at a finite point with one sign of w, otherwise
-    the image is unbounded and PullbackUnbounded is raised.
+    by the same weight w, so it carries H to itself: the row with lift
+    P = (X, Y, W) goes to (m0 . P, m1 . P, Z_3, ..., Z_d, m2 . P)
+    (ProjMap2.apply), negated when m2 . P < 0 and divided by its gcd.  Every
+    vertex must land at a finite point with one sign of w, otherwise the
+    image is unbounded and PullbackUnbounded is raised.
     """
     try:
-        images, weights = planar.apply_affine(vertices)
+        images = planar.apply([(row[0], row[1], row[-1]) for row in rows])
     except (MapsVertexToInfinity, ImageNotConvex) as exc:
         raise PullbackUnbounded(f"the pullback is unbounded: {exc}") from exc
-    return [(*image, *(c / w for c in v[2:])) for image, w, v in zip(images, weights, vertices)]
+    sign = -1 if images and images[0][2] < 0 else 1  # the weights have one sign
+    return [tuple(_primitive_ints([sign * x, sign * y, *[sign * z for z in row[2:-1]], sign * w]))
+            for (x, y, w), row in zip(images, rows)]
 
 
-def shear_fixing_flat(
-    vertices: Sequence[Sequence], u: tuple[Fraction, Fraction]
-) -> list[AmbientPoint]:
-    """Apply the affine shear (x, y, z) -> (x + u1 z, y + u2 z, z) to 3-D vertices.
+def shear_fixing_flat(rows: Sequence[Row], u: tuple) -> list[Row]:
+    """Apply the affine shear (x, y, z) -> (x + u1 z, y + u2 z, z) to the
+    rows (X, Y, Z, W) of 3-D vertices: for u1 = p1/q1 and u2 = p2/q2, ints
+    or Fractions, (q X + p1 q2 Z, q Y + p2 q1 Z, q Z, q W) over its gcd, q = q1 q2.
 
     The shear fixes H pointwise, so the section carries over unchanged.
     """
-    u1, u2 = Fraction(u[0]), Fraction(u[1])
-    return [(x + u1 * z, y + u2 * z, z) for x, y, z in vertices]
+    (p1, q1), (p2, q2) = u[0].as_integer_ratio(), u[1].as_integer_ratio()
+    q, a1, a2 = q1 * q2, p1 * q2, p2 * q1
+    return [tuple(_primitive_ints([q * x + a1 * z, q * y + a2 * z, q * z, q * w])) for x, y, z, w in rows]
 
 
 def _shear_slope_interval(weights, heights) -> Optional[tuple]:
@@ -486,10 +480,12 @@ def _shear_slope_interval(weights, heights) -> Optional[tuple]:
     return None
 
 
-def bounded_pullback(vertices: Sequence[Sequence], planar: ProjMap2) -> list[AmbientPoint]:
-    """Pullback of the vertices of a 3-dimensional extension: the plain
-    lift when the weights h . (x, y, 1) of the vertices, h the horizon row
-    of the planar map, have one strict sign, and otherwise a sheared one.
+def bounded_pullback(rows: Sequence[Row], planar: ProjMap2) -> list[Row]:
+    """Pullback of the rows of the vertices of a 3-dimensional extension:
+    the plain lift when the weights h . P of their lifts P = (X, Y, W), h
+    the horizon row of the planar map, have one strict sign, and otherwise
+    a sheared one.  As W > 0, h . P has the sign of h . (x, y, 1), and the
+    slope bounds -(h . P)/Z are those of the affine point, -h . (x, y, 1)/z.
 
     Any shear fixing H pointwise yields another valid extension of the same
     section, and shifts each vertex's horizon value by a slope times its
@@ -506,17 +502,17 @@ def bounded_pullback(vertices: Sequence[Sequence], planar: ProjMap2) -> list[Amb
     missing the polygon lifts to a plane through l missing P; that plane is
     not H, which meets P.  The feasible slope interval is therefore never
     empty.  PullbackUnbounded, should it still be raised, is an internal
-    failure.  Like pullback, it maps vertices only; the section of the
-    image is the planar image of the section.
+    failure.  Like pullback, it maps rows only; the section of the image is
+    the planar image of the section.
     """
     h1, h2, h3 = planar.m[2]
-    weights = [h1 * x + h2 * y + h3 for x, y, _ in vertices]
+    weights = [h1 * x + h2 * y + h3 * w for x, y, _, w in rows]
     if all(w > 0 for w in weights) or all(w < 0 for w in weights):
-        return pullback(vertices, planar)
-    interval = _shear_slope_interval(weights, [z for _, _, z in vertices])
+        return pullback(rows, planar)
+    interval = _shear_slope_interval(weights, [z for _, _, z, _ in rows])
     if interval is None:
         raise PullbackUnbounded("no H-fixing shear bounds the pullback")
     rho = interval_point(*interval)
-    # h1 = h2 = 0 gives the weights h3, of one strict sign: returned above
-    u = (rho / h1, Fraction(0)) if h1 != 0 else (Fraction(0), rho / h2)
-    return pullback(shear_fixing_flat(vertices, u), planar)
+    # h1 = h2 = 0 gives the weights h3 W, of one strict sign: returned above
+    u = (rho / h1, 0) if h1 != 0 else (0, rho / h2)
+    return pullback(shear_fixing_flat(rows, u), planar)

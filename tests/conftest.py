@@ -101,11 +101,11 @@ def reference_convex_coefficients(point, generators):
 def apply_map(polygon: Polygon, t: ProjMap2) -> Polygon:
     """Vertexwise image of the polygon, revalidated.
 
-    The line t sends to infinity must miss the polygon (ProjMap2.apply_affine).
+    The line t sends to infinity must miss the polygon (ProjMap2.apply).
     """
-    images, _ = t.apply_affine(polygon.vertices)
+    images = t.apply(polygon.lifts)
     try:
-        return validate(images)
+        return validate([vertex_of(image) for image in images])
     except (NotConvex, DuplicateVertex, TooFewVertices) as exc:
         raise ImageNotConvex(str(exc)) from exc
 
@@ -138,8 +138,8 @@ def extreme_vertices(vertices, dim) -> list:
 
 
 def raw_polygon(points) -> Polygon:
-    """A Polygon of the given pairs as they are, not validated."""
-    return Polygon([row_of(p) for p in points], points)
+    """A Polygon of the given pairs in their given order, not validated."""
+    return Polygon([row_of(p) for p in points])
 
 
 def side(line, p) -> int:

@@ -32,6 +32,8 @@ from conftest import (
     SIX_VERTEX_HEXAGON,
     count_calls,
     count_calls_everywhere,
+    row_of,
+    vertex_of,
 )
 
 
@@ -668,7 +670,7 @@ def pinned_factorize_cases() -> list:
 
 def projective_image(points, rows) -> Polygon:
     """The polygon of the images of points under the map with these rows."""
-    return validate(ProjMap2(rows).apply_affine(points)[0])
+    return validate([vertex_of(image) for image in ProjMap2(rows).apply([row_of(p) for p in points])])
 
 
 # sha256 prefixes of `factorize` stdout for pinned_factorize_cases(), recorded

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import polysec.exactgeom as exactgeom_module
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
 from polysec.compose import (
@@ -11,13 +13,16 @@ from polysec.compose import (
     ngon_extension,
     optimal_even_gon,
 )
+from polysec.cli import _extend
 from polysec.errors import DomainError
+from polysec.exactgeom import _row
 from polysec.heptagon import heptagon_extension, heptagon_vertices
+from polysec.hexagon import hexagon_extension5, hexagon_ic
 from polysec.polygon import convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import SectionedPolytope, certify
 
-from conftest import count_calls, count_calls_everywhere, extreme_vertices
+from conftest import count_calls, count_calls_everywhere, extreme_vertices, vertex_of
 
 
 class TestLowerBound:
@@ -63,7 +68,7 @@ class TestChunkPlan:
             block = [v for v in ext.vertices if v[2 + q]]
             assert len(block) == 6 and not any(v[2 + (1 - q)] for v in block)
             assert block == [(*v[:2], *[Fraction(0)] * q, *v[2:], *[Fraction(0)] * (1 - q))
-                             for v in heptagon_vertices(validate(polygon.vertices[7 * q:7 * q + 7]))]
+                             for v in map(vertex_of, heptagon_vertices(validate(polygon.vertices[7 * q:7 * q + 7])))]
         assert on_plane(ext) == list(convex_hull_2d(polygon.vertices[14:20]))
 
     def test_rejects_hexagon(self, rng):
@@ -123,7 +128,7 @@ class TestConvexJoin:
         heptagon = random_convex_polygon(rng, 7)
         s1 = heptagon_extension(heptagon)
         outside = validate([(5, 5), (6, 5), (5, 6)])
-        s2 = certify(SectionedPolytope(2, outside.vertices, outside))
+        s2 = certify(SectionedPolytope(2, outside.lifts, outside))
         joined = convex_join_sections(s1, s2)
         assert joined.certified
         assert joined.dim == s1.dim
@@ -150,7 +155,7 @@ class TestConvexJoin:
         parts = [heptagon_extension(validate([polygon.vertices[k] for k in range(7)])),
                  heptagon_extension(validate([polygon.vertices[k] for k in range(7, 14)]))]
         tail = validate(polygon.vertices[14:])
-        parts.append(certify(SectionedPolytope(2, tail.vertices, tail)))
+        parts.append(certify(SectionedPolytope(2, tail.lifts, tail)))
         joined = convex_join_sections(*parts)
         folded = convex_join_sections(convex_join_sections(parts[0], parts[1]), parts[2])
         assert joined.certified and joined.dim == folded.dim == 4
@@ -163,7 +168,7 @@ class TestConvexJoin:
         core = validate(polygon.vertices[:7])
         tail = validate(polygon.vertices[7:])
         parts = [SectionedPolytope(3, heptagon_vertices(core), core),
-                 SectionedPolytope(2, tail.vertices, tail)]
+                 SectionedPolytope(2, tail.lifts, tail)]
         sections = count_calls(monkeypatch, sections_module, "verify_section")
         joined = convex_join_sections(*parts)
         assert not any(s.certified for s in parts)
@@ -184,7 +189,7 @@ class TestNgonExtension:
         polygon = random_convex_polygon(rng, 17)
         chunks = [validate(polygon.vertices[k:k + 7]) for k in (0, 7, 14)]
         parts = [SectionedPolytope(3, heptagon_vertices(c), c) for c in chunks[:2]]
-        parts.append(SectionedPolytope(2, chunks[2].vertices, chunks[2]))
+        parts.append(SectionedPolytope(2, chunks[2].lifts, chunks[2]))
         ext = ngon_extension(polygon)
         assert ext.certified and ext.dim == 4
         assert ext.vertices == convex_join_sections(*parts).vertices
@@ -221,6 +226,18 @@ class TestNgonExtension:
         polygon = random_convex_polygon(rng, 14)
         ext = ngon_extension(polygon)
         assert len(extreme_vertices(ext.vertices, ext.dim)) <= 12
+
+    def test_chunks_are_not_lifted_again(self, monkeypatch):
+        # each full chunk is its polygon's own lifts through _validate_lifts
+        # and the remainder their hull order: no polygon is validated and no
+        # vertex of the polygon is lifted again (the standard heptagons lift
+        # their own vertices)
+        polygon = random_convex_polygon(random.Random(28), 28)
+        validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
+        rows = count_calls_everywhere(monkeypatch, exactgeom_module, "_row")
+        assert ngon_extension(polygon).certified
+        relifted = [args for args in rows if len(args[0]) == 2 and _row(args[0]) in polygon.lifts]
+        assert validations == [] and relifted == []
 
     def test_every_remainder_size(self, rng):
         # n mod 7 runs over 0..6: point, segment and r-gon remainder chunks
@@ -261,3 +278,19 @@ class TestOptimalEvenGon:
     def test_m_too_small(self):
         with pytest.raises(DomainError):
             optimal_even_gon(1)
+
+
+class TestStoredRows:
+    def test_every_construction_stores_the_rows_of_its_vertices(self, rng, regular_hexagon, ic6_hexagon):
+        # each construction builds its rows in integers; they are the
+        # primitive rows (exactgeom._row) of the vertices derived from them
+        built = [heptagon_extension(random_convex_polygon(rng, 7)) for _ in range(20)]
+        built += [hexagon_extension5(regular_hexagon, hexagon_ic(regular_hexagon)), _extend(ic6_hexagon, "auto")[0]]
+        for n in (9, 16, 28):
+            polygon = random_convex_polygon(rng, n)
+            built += [ngon_3d_extension(polygon), ngon_extension(polygon), _extend(polygon, "join")[0]]
+        parts = built[:2]
+        built += [convex_join_sections(*parts), optimal_even_gon(2), optimal_even_gon(5)]
+        for s in built:
+            assert s.certified
+            assert s.rows == tuple(_row([c.as_integer_ratio() for c in v]) for v in s.vertices)

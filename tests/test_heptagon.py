@@ -40,6 +40,7 @@ from conftest import (
     point_values,
     rational_grid_point,
     raw_polygon,
+    row_of,
     side,
     strictly_contains,
     symbolic_octuples,
@@ -310,7 +311,7 @@ class TestBuildStandardExtension:
             (Fraction(-3, 11), Fraction(6, 11), Fraction(2, 11)),
         ]
         assert vertices == expected
-        assert certify(SectionedPolytope(3, vertices, validate(std.vertex_list()))).certified
+        assert certify(SectionedPolytope(3, map(row_of, vertices), validate(std.vertex_list()))).certified
 
     def test_three_below_three_above(self):
         zs = [v[2] for v in build_standard_extension(standard_heptagon())]

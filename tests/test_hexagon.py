@@ -25,6 +25,7 @@ from conftest import (
     count_calls_everywhere,
     extreme_vertices,
     map_line_to_infinity,
+    row_of,
 )
 
 # alpha = 2, beta = 5, gamma = 3, x = 1/4, y = 1/3: a hexagon whose only
@@ -237,7 +238,7 @@ class TestBipyramid:
         zs = [v[2] for v in vertices]
         assert sum(z < 0 for z in zs) == 2 and sum(z > 0 for z in zs) == 3
         claimed = normal_form_hexagon(nf)
-        assert certify(SectionedPolytope(3, vertices, claimed)).certified
+        assert certify(SectionedPolytope(3, map(row_of, vertices), claimed)).certified
 
     def test_crossings_reproduce_normal_form_vertices(self):
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)

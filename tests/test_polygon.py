@@ -131,10 +131,9 @@ class TestMapLineToInfinity:
         p = validate([(1, 0), (2, 0), (1, 1)])
         line = (1, 0, 1)
         t = frame_map(p.vertex(0), p.vertex(1), p.vertex(2), line)
-        _, weights = t.apply_affine(p.vertices)
-        assert all(w > 0 for w in weights)
+        assert all(w > 0 for _, _, w in t.apply(p.lifts))
         with pytest.raises(MapsVertexToInfinity):
-            t.apply_affine([(-1, 5)])
+            t.apply([point(-1, 5)])
 
     def test_crossing_line_rejected(self):
         # the vertical line x = 1 crosses the square: the map built with it
@@ -143,9 +142,9 @@ class TestMapLineToInfinity:
         horizon = join(point(1, -1), point(1, 3))
         t = frame_map(point(0, 0), point(0, 2), point(2, 0), horizon)
         with pytest.raises(ImageNotConvex):
-            t.apply_affine(p.vertices)
+            t.apply(p.lifts)
         with pytest.raises(MapsVertexToInfinity):
-            t.apply_affine([(1, 0)])
+            t.apply([point(1, 0)])
 
     def test_composition_yields_bounded_polygon(self, rng):
         for _ in range(25):

@@ -20,8 +20,8 @@ from polysec.errors import (
     ScaleExceeded,
     TooFewVertices,
 )
-from polysec.exactgeom import MAX_SCALAR_CHARS, _ratio, _row, parse_scalar
-from polysec.linalg import convex_coefficients, solve_linear
+from polysec.exactgeom import MAX_SCALAR_CHARS, _ratio, _row, det3, parse_scalar
+from polysec.linalg import convex_coefficients, interval_point, solve_linear
 from polysec.heptagon import heptagon_extension
 from polysec.hexagon import hexagon_extension5, hexagon_ic
 from polysec.jsonio import polygon_from_obj, sectioned_from_obj
@@ -33,6 +33,7 @@ from polysec.sections import (
     _section_columns,
     _section_points,
     _segment_flat_crossing,
+    _shear_slope_interval,
     _support,
     bounded_pullback,
     compute_section,
@@ -364,12 +365,12 @@ class TestFlatCrossingsOracle:
 
 class TestVerifySection:
     def test_certifies_true_claim(self):
-        s = SectionedPolytope(3, TETRA, validate(TETRA_SECTION))
+        s = SectionedPolytope(3, map(row_of, TETRA), validate(TETRA_SECTION))
         assert verify_section(s) and s.certified
 
     def test_rejects_perturbed_claim(self):
         wrong = [(0, 0), (Fraction(1, 2) + Fraction(1, 1000), 0), (0, Fraction(1, 2))]
-        s = SectionedPolytope(3, TETRA, validate(wrong))
+        s = SectionedPolytope(3, map(row_of, TETRA), validate(wrong))
         assert not verify_section(s) and not s.certified
 
     def test_blocks_pick_the_path(self, monkeypatch):
@@ -381,18 +382,18 @@ class TestVerifySection:
         flat = [(0, 0, 0, 0), (1, 0, 0, 0)]
         sections = count_calls(monkeypatch, sections_module, "_claim_matches_crossings")
         lps = count_calls(monkeypatch, sections_module, "_claim_is_section")
-        s = SectionedPolytope(4, flat + [(1, 1, 1, 0), (1, 1, -1, 0), (0, 1, 0, 1), (0, 1, 0, -1)],
+        s = SectionedPolytope(4, map(row_of, flat + [(1, 1, 1, 0), (1, 1, -1, 0), (0, 1, 0, 1), (0, 1, 0, -1)]),
                               square)
         assert s.blocks == (None, None, 2, 2, 3, 3)
         assert verify_section(s) and len(sections) == 1 and lps == []
-        s = SectionedPolytope(4, flat + [(1, 1, 1, 0), (1, 1, -1, 0), (0, 1, 1, 1), (0, 1, -1, -1)],
+        s = SectionedPolytope(4, map(row_of, flat + [(1, 1, 1, 0), (1, 1, -1, 0), (0, 1, 1, 1), (0, 1, -1, -1)]),
                               square)
         assert s.blocks is None
         assert verify_section(s) and len(sections) == 1 and len(lps) == 1
 
     def test_relabeled_claim_still_verifies(self):
         relabeled = [TETRA_SECTION[2], TETRA_SECTION[0], TETRA_SECTION[1]]
-        s = SectionedPolytope(3, TETRA, validate(relabeled))
+        s = SectionedPolytope(3, map(row_of, TETRA), validate(relabeled))
         assert verify_section(s)
 
 
@@ -417,7 +418,7 @@ def heptagon_file():
 
 def matches(verts, claim) -> bool:
     """verify_section of a claim built as a Polygon directly (raw_polygon), not validated."""
-    return verify_section(SectionedPolytope(len(verts[0]), verts, raw_polygon(claim)))
+    return verify_section(SectionedPolytope(len(verts[0]), map(row_of, verts), raw_polygon(claim)))
 
 
 class TestMatchingSoundness:
@@ -476,7 +477,7 @@ def claimed_files(draw):
         claim = validate(points) if change != "rotate" else raw_polygon(points)
     except (NotConvex, TooFewVertices):
         claim = raw_polygon(points)
-    return SectionedPolytope(ext.dim, ext.vertices, claim)
+    return SectionedPolytope(ext.dim, ext.rows, claim)
 
 
 class TestMatchingAgreesWithHull:
@@ -548,7 +549,7 @@ class TestLpPathOracle:
             except (NotConvex, TooFewVertices):
                 continue
         for claim in claims:
-            s = SectionedPolytope(dim, verts, claim)
+            s = SectionedPolytope(dim, map(row_of, verts), claim)
             assert s.blocks is None
             true = claim.vertices == section
             assert verify_section(s) == true
@@ -668,7 +669,7 @@ class TestExtremePoints:
         polytopes = [heptagon_extension(validate(SIX_CROSSING_HEPTAGON))]
         polytopes += [heptagon_extension(random_convex_polygon(rng, 7)) for _ in range(4)]
         polytopes.append(hexagon_extension5(regular_hexagon, hexagon_ic(regular_hexagon)))
-        polytopes.append(SectionedPolytope(3, [(x, y, 0) for x, y in ic6_hexagon.vertices], ic6_hexagon))
+        polytopes.append(SectionedPolytope(3, [row_of((x, y, 0)) for x, y in ic6_hexagon.vertices], ic6_hexagon))
         for s in polytopes:
             assert extreme_vertices(s.vertices, s.dim) == lp_over_all_others(s.vertices, s.dim)
 
@@ -778,24 +779,25 @@ class TestRows:
         s = sectioned_from_obj(doc)
         assert s.rows == tuple(_row([_ratio(c) for c in v]) for v in doc["vertices"])
         assert s.rows == tuple(map(row_of, parsed))
-        assert s.blocks == SectionedPolytope(doc["dim"], parsed, TRIANGLE).blocks
+        assert s.blocks == SectionedPolytope(doc["dim"], map(row_of, parsed), TRIANGLE).blocks
         assert s.vertices == tuple(parsed)
 
     def test_equal_points_written_differently_get_equal_rows(self):
         # (1/2, 2, 0, -3/4): W = 4
         forms = [(Fraction(1, 2), 2, 0, Fraction(-3, 4)), ("2/4", "4/2", "-0", "-6/8"),
                  ("0.5", Fraction(2), "0", "-0.75"), (Fraction(2, 4), Fraction(6, 3), Fraction(0), "-3/4")]
-        rows = SectionedPolytope(4, forms, TRIANGLE).rows
+        rows = [_row([_ratio(c) for c in v]) for v in forms]
         doc = {"dim": 4, "claimed": {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},
                "vertices": [["2/4", "4/2", "-0", "-6/8"], ["0.5", "2", "0", "-0.75"], ["1/2", "2", "0", "-3/4"]]}
         parsed = sectioned_from_obj(doc).rows
         assert set(rows) == set(parsed) == {(2, 8, 0, -3, 4)}
-        assert SectionedPolytope(3, [(0, 0, 0), ("-0", "0/5", "0.0")], TRIANGLE).rows == ((0, 0, 0, 1),) * 2
+        zeros = {"dim": 3, "claimed": doc["claimed"], "vertices": [["0", "0", "0"], ["-0", "0/5", "0.0"]]}
+        assert sectioned_from_obj(zeros).rows == ((0, 0, 0, 1),) * 2
 
     @settings(max_examples=300, deadline=None)
     @given(v=ambient_vectors())
     def test_rows_are_primitive_with_positive_weight(self, v):
-        (row,) = SectionedPolytope(len(v), [v], TRIANGLE).rows
+        row = _row([Fraction(c).as_integer_ratio() for c in v])
         w = row[-1]
         assert w > 0 and gcd(*row) == 1 and len(row) == len(v) + 1
         assert all(Fraction(r, w) == c for r, c in zip(row, v))
@@ -903,45 +905,45 @@ class TestPairReader:
 class TestLiftAndPullback:
     def test_identity_lift(self):
         point = (Fraction(3), Fraction(4), Fraction(5), Fraction(6))
-        assert pullback([point], ProjMap2(((1, 0, 0), (0, 1, 0), (0, 0, 1)))) == [(3, 4, 5, 6)]
+        assert pullback([row_of(point)], ProjMap2(((1, 0, 0), (0, 1, 0), (0, 0, 1)))) == [(3, 4, 5, 6, 1)]
 
     def test_translation_lift_fixes_transverse_coords(self):
         t = ProjMap2(((1, 0, 5), (0, 1, -2), (0, 0, 1)))
-        assert pullback([(Fraction(1), Fraction(1), Fraction(9))], t) == [(6, -1, 9)]
+        assert pullback([row_of((Fraction(1), Fraction(1), Fraction(9)))], t) == [(6, -1, 9, 1)]
 
     def test_horizon_hazard(self):
         # the map sending x = -1 to infinity kills points with x = -1 at any height
         t = ProjMap2(((0, 1, 0), (0, 0, 1), (1, 0, 1)))
         with pytest.raises(PullbackUnbounded):
-            pullback([(Fraction(-1), Fraction(2), Fraction(5))], t)
+            pullback([row_of((Fraction(-1), Fraction(2), Fraction(5)))], t)
 
     def test_affine_pullback_always_succeeds(self):
         section = validate(TETRA_SECTION)
-        s = SectionedPolytope(3, TETRA, section)
+        s = SectionedPolytope(3, map(row_of, TETRA), section)
         verify_section(s)
         t = ProjMap2(((2, 0, 1), (0, 2, -3), (0, 0, 1)))
-        out = SectionedPolytope(3, pullback(s.vertices, t), apply_map(section, t))
+        out = SectionedPolytope(3, pullback(s.rows, t), apply_map(section, t))
         assert verify_section(out) and out.dim == 3 and len(out.vertices) == 4
 
     def test_adversarial_pullback_unbounded(self):
-        s = SectionedPolytope(3, TETRA, validate(TETRA_SECTION))
+        s = SectionedPolytope(3, map(row_of, TETRA), validate(TETRA_SECTION))
         verify_section(s)
         # sends the plane x = -1 to infinity: tetrahedron has x in [0, 1],
         # but shift it so the horizon cuts it first
         bad = ProjMap2(((0, 1, 0), (0, 0, 1), (2, 0, -1)))  # horizon x = 1/2
         with pytest.raises(PullbackUnbounded):
-            pullback(s.vertices, bad)
+            pullback(s.rows, bad)
 
     def test_bounded_pullback_rescues_with_shear(self):
         # horizon x = 3/4 clips the base vertex (1,0,-1) but not the section
         # (x <= 1/2 there); a shear with slope in (-3, -1) fixes every sign
         section = validate(TETRA_SECTION)
-        s = SectionedPolytope(3, TETRA, section)
+        s = SectionedPolytope(3, map(row_of, TETRA), section)
         verify_section(s)
         bad = ProjMap2(((0, 1, 0), (0, 0, 1), (-4, 0, 3)))
         with pytest.raises(PullbackUnbounded):
-            pullback(s.vertices, bad)
-        out = SectionedPolytope(3, bounded_pullback(s.vertices, bad), apply_map(section, bad))
+            pullback(s.rows, bad)
+        out = SectionedPolytope(3, bounded_pullback(s.rows, bad), apply_map(section, bad))
         assert verify_section(out)
 
     def test_one_signed_weights_take_the_plain_lift(self, monkeypatch):
@@ -958,8 +960,114 @@ class TestLiftAndPullback:
             (above, ProjMap2(((0, 1, 0), (0, 0, 1), (-4, 0, -1)))),
         ]
         for vertices, planar in cases:
-            assert bounded_pullback(vertices, planar) == pullback(vertices, planar)
+            rows = [row_of(v) for v in vertices]
+            assert bounded_pullback(rows, planar) == pullback(rows, planar)
         assert shears == []
+
+
+@st.composite
+def pullback_cases(draw, dims=(3, 6)):
+    """An invertible integer planar map and one to six rational vertices of
+    one dimension in dims: weights of both signs, and zero, occur."""
+    coefficient = st.integers(-4, 4)
+    m = draw(st.lists(coefficient, min_size=9, max_size=9)
+             .filter(lambda m: det3(m[0:3], m[3:6], m[6:9]) != 0))
+    dim = draw(st.integers(*dims))
+    value = st.integers(-6, 6) | st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    vertices = draw(st.lists(st.tuples(*[value] * dim), min_size=1, max_size=6))
+    return ProjMap2((m[0:3], m[3:6], m[6:9])), [tuple(map(Fraction, v)) for v in vertices]
+
+
+def fraction_pullback(vertices, planar):
+    """The reference pullback by Fraction arithmetic:
+    (m0 . (x, y, 1), m1 . (x, y, 1), z_3, ..., z_d) / w with w = m2 . (x, y, 1);
+    None when a weight is zero or two weights differ in sign."""
+    m0, m1, m2 = planar.m
+    weights = [m2[0] * v[0] + m2[1] * v[1] + m2[2] for v in vertices]
+    if 0 in weights or min(weights) < 0 < max(weights):
+        return None
+    return [((m0[0] * v[0] + m0[1] * v[1] + m0[2]) / w, (m1[0] * v[0] + m1[1] * v[1] + m1[2]) / w,
+             *(z / w for z in v[2:])) for v, w in zip(vertices, weights)]
+
+
+def fraction_bounded_pullback(vertices, planar):
+    """The reference of bounded_pullback on 3-D vertices, by Fraction
+    arithmetic: the plain pullback for weights h . (x, y, 1) of one strict
+    sign, else the pullback of the vertices sheared by the slope of their
+    Fraction weights and heights; None when no slope works."""
+    h = planar.m[2]
+    weights = [h[0] * x + h[1] * y + h[2] for x, y, _ in vertices]
+    if all(w > 0 for w in weights) or all(w < 0 for w in weights):
+        return fraction_pullback(vertices, planar)
+    interval = _shear_slope_interval(weights, [z for _, _, z in vertices])
+    if interval is None:
+        return None
+    rho = interval_point(*interval)
+    u1, u2 = (rho / h[0], 0) if h[0] else (0, rho / h[1])
+    return fraction_pullback([(x + u1 * z, y + u2 * z, z) for x, y, z in vertices], planar)
+
+
+class TestRowPullback:
+    @settings(max_examples=300, deadline=None)
+    @given(case=pullback_cases())
+    def test_matches_fraction_reference(self, case):
+        # the rows map in integers to the rows of the reference's vertices,
+        # primitive with W > 0; PullbackUnbounded exactly when a weight is
+        # zero or two weights differ in sign
+        planar, vertices = case
+        expected = fraction_pullback(vertices, planar)
+        rows = [row_of(v) for v in vertices]
+        if expected is None:
+            with pytest.raises(PullbackUnbounded):
+                pullback(rows, planar)
+            return
+        out = pullback(rows, planar)
+        assert [vertex_of(row) for row in out] == expected
+        assert all(row[-1] > 0 and gcd(*row) == 1 for row in out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=pullback_cases(dims=(3, 3)))
+    def test_shear_matches_fraction_reference(self, case):
+        # the weights h . P and heights Z of the rows give the slope of the
+        # Fraction weights and heights, as W > 0 cancels
+        planar, vertices = case
+        expected = fraction_bounded_pullback(vertices, planar)
+        rows = [row_of(v) for v in vertices]
+        if expected is None:
+            with pytest.raises(PullbackUnbounded):
+                bounded_pullback(rows, planar)
+            return
+        out = bounded_pullback(rows, planar)
+        assert [vertex_of(row) for row in out] == expected
+        assert all(row[-1] > 0 and gcd(*row) == 1 for row in out)
+
+    def test_both_branches_drawn(self):
+        # the cases above reach the plain lift, the shear and both refusals
+        outcomes = set()
+
+        @settings(max_examples=100, deadline=None)
+        @given(case=pullback_cases(dims=(3, 3)))
+        def record(case):
+            planar, vertices = case
+            plain = fraction_pullback(vertices, planar)
+            outcomes.add((plain is None, fraction_bounded_pullback(vertices, planar) is None))
+
+        record()
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+class TestConstructor:
+    def test_rows_of_other_length_or_weight_refused(self):
+        # a negative W would flip every turn sign that the matching reads
+        for rows in ([(0, 0, 1, 1, 1)], [(0, 0, 1)], [(1, 0, 1, 0)], [(1, 0, 1, -2)],
+                     [(0, 0, 0, 1), (1, 1, 1)]):
+            with pytest.raises(ValueError):
+                SectionedPolytope(3, rows, TRIANGLE)
+
+    def test_vertices_derived_from_the_rows(self):
+        s = SectionedPolytope(3, [(1, 0, 1, 2), (0, 0, -3, 1)], TRIANGLE)
+        assert s.vertices == ((Fraction(1, 2), 0, Fraction(1, 2)), (0, 0, -3))
+        assert s.blocks == (2, 2)
 
 
 class TestCanonicalHull:

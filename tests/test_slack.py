@@ -19,7 +19,7 @@ from polysec.slack import (
     verify_factorization,
 )
 
-from conftest import count_calls, count_calls_everywhere, rank
+from conftest import count_calls, count_calls_everywhere, rank, row_of
 
 
 def distinct_vertices(s: SectionedPolytope) -> list:
@@ -71,13 +71,13 @@ def lp_path_square():
     square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
     box = [(x, y, z, z) for z in (1, -1) for x, y in square.vertices]
     far = (2, Fraction(1, 2), 1, 2)
-    return SectionedPolytope(4, box + [box[0], far], square)
+    return SectionedPolytope(4, map(row_of, box + [box[0], far]), square)
 
 
 def small_standard_extension():
     std = StandardHeptagon(a=Fraction(1, 2), b=Fraction(-1, 4), c=Fraction(-1, 4),
                            d=Fraction(1, 2), lam=Fraction(1, 4), mu=Fraction(1, 4))
-    return std, SectionedPolytope(3, build_standard_extension(std), validate(std.vertex_list()))
+    return std, SectionedPolytope(3, map(row_of, build_standard_extension(std)), validate(std.vertex_list()))
 
 
 class TestExtendFacetInequality:
@@ -105,7 +105,7 @@ class TestExtendFacetInequality:
         # can help where every off-H coordinate is zero
         square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
         box = [(x, y, z) for z in (1, -1) for x, y in square.vertices]
-        ext = SectionedPolytope(3, box + [(2, Fraction(1, 2), 0)], square)
+        ext = SectionedPolytope(3, map(row_of, box + [(2, Fraction(1, 2), 0)]), square)
         assert ext.blocks == (2,) * 8 + (None,)
         gens = distinct_vertices(ext)
         for i in range(4):
@@ -196,7 +196,7 @@ class TestFactorize:
     def test_square_as_its_own_section(self):
         square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
         flat = [(x, y, Fraction(0)) for x, y in square.vertices]
-        ext = certify(SectionedPolytope(3, flat, square))
+        ext = certify(SectionedPolytope(3, map(row_of, flat), square))
         fact = factorize_from_section(square, ext)
         sm = slack_matrix(square)
         assert fact.r_factor == sm
@@ -219,7 +219,7 @@ class TestFactorize:
             for build in (ngon_extension, ngon_3d_extension):
                 built = build(random_convex_polygon(random.Random(n), n))
                 scans.clear()
-                ext = SectionedPolytope(built.dim, built.vertices, built.claimed)
+                ext = SectionedPolytope(built.dim, built.rows, built.claimed)
                 assert len(scans) == len(built.vertices) and ext.blocks is not None
                 scans.clear()
                 fact = factorize_from_section(built.claimed, ext)
@@ -240,7 +240,7 @@ class TestFactorize:
         square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
         box = [(x, y, z) for z in (1, -1) for x, y in square.vertices]
         inside = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))
-        ext = certify(SectionedPolytope(3, box + [box[0], inside], square))
+        ext = certify(SectionedPolytope(3, map(row_of, box + [box[0], inside]), square))
         fact = factorize_from_section(square, ext)
         assert fact.inner_dim == 9
         assert verify_factorization(slack_matrix(square), fact)
@@ -252,7 +252,7 @@ class TestFactorize:
         square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
         above = [(Fraction(k, 64), Fraction(1, 2), 1, 0, 0) for k in range(61)]
         flat = [(x, y, 0, 0, 0) for x, y in square.vertices]
-        ext = certify(SectionedPolytope(5, flat + above, square))
+        ext = certify(SectionedPolytope(5, map(row_of, flat + above), square))
         with pytest.raises(ScaleExceeded, match="65 points in dimension 5"):
             factorize_from_section(square, ext)
 
