@@ -38,7 +38,6 @@ from .hexagon import (
     hexagon_ic,
     hexagon_normal_form,
 )
-from .linalg import convex_coefficients
 from .polygon import (
     Polygon,
     ProjMap2,

@@ -17,9 +17,11 @@ pullbacks map.  This kernel serves where lines are formed: the crossing
 classification of standardization lines, hexagon concurrency,
 polygon.frame_map and the svg rendering.
 
-Coordinate text has one reader, _ratio, giving integers (p, q).  jsonio
-makes rows of them, lifts and an extension's rows, with no Fraction;
-parse_scalar makes a Fraction, for other callers.
+Coordinate text has one reader, _ratio, giving integers (p, q), and one
+writer, _format_ratio, writing p/q in lowest terms.  jsonio reads texts
+into rows, lifts and an extension's rows, and writes rows back as texts,
+with no Fraction either way; parse_scalar makes a Fraction of a text, and
+format_scalar writes one (the factors R and C), for other callers.
 
 No floating point is used anywhere in this module.  All values are
 immutable and all operations are pure, so they are safe to share across
@@ -94,17 +96,27 @@ def parse_scalar(text: str) -> Fraction:
     return Fraction(*_ratio(text))
 
 
-def format_scalar(value: ScalarLike) -> str:
-    """Render a rational as "p/q", or "p" when the denominator is 1.
+def _format_ratio(p: int, q: int) -> str:
+    """The one coordinate-text writer: the rational p/q, q > 0, in lowest
+    terms as "p/q", or "p" when the denominator is 1, the text of
+    str(Fraction(p, q)) with one gcd and no Fraction.
 
-    A numerator or denominator past the interpreter's int/str conversion
-    limit (4300 digits by default) raises ScaleExceeded.
+    A reduced numerator or denominator past the interpreter's int/str
+    conversion limit (4300 digits by default) raises ScaleExceeded.
     """
-    value = Fraction(value)
+    g = gcd(p, q)
     try:
-        return str(value)
+        return str(p // g) if g == q else f"{p // g}/{q // g}"
     except ValueError as exc:
         raise ScaleExceeded("a rational has too many digits to write") from exc
+
+
+def format_scalar(value: ScalarLike) -> str:
+    """_format_ratio of a rational given as a Fraction, int or text; a
+    Fraction or an int is not converted again."""
+    if not isinstance(value, (Fraction, int)):
+        value = Fraction(value)
+    return _format_ratio(*value.as_integer_ratio())
 
 
 def _primitive_ints(values: Sequence[int]) -> list[int]:

@@ -1,10 +1,14 @@
 """JSON serialization: rationals travel as "p/q" strings everywhere.
 
-Texts are read by exactgeom._ratio straight into integer rows
-(exactgeom._row), with no Fraction: the [x, y] pairs of a polygon or of an
-extension's claim into lifts (_parse_pairs, the one pair reader, then
-polygon._validate_lifts), and an extension's vertices into rows from their
-texts other than "0", handed to the one SectionedPolytope constructor.
+Rows in, rows out.  Texts are read by exactgeom._ratio straight into
+integer rows (exactgeom._row), with no Fraction: the [x, y] pairs of a
+polygon or of an extension's claim into lifts (_parse_pairs, the one pair
+reader, then polygon._validate_lifts), and an extension's vertices into
+rows from their texts other than "0", handed to the one SectionedPolytope
+constructor.  Polygons and extensions are written from the same rows,
+Polygon.lifts and SectionedPolytope.rows, each coordinate X/W by
+exactgeom._format_ratio, with no Fraction either.  Only the factors R
+and C, Fraction matrices, go through format_scalar.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParseError
-from .exactgeom import Triple, _ratio, _row, format_scalar
+from .exactgeom import Triple, _format_ratio, _ratio, _row, format_scalar
 from .polygon import Polygon, _validate_lifts
 from .sections import SectionedPolytope
 from .slack import SlackFactorization
@@ -47,10 +51,7 @@ def loads(text: str):
 
 
 def polygon_to_obj(polygon: Polygon) -> dict:
-    return {
-        "vertices": [[format_scalar(x), format_scalar(y)]
-                     for x, y in polygon.vertices]
-    }
+    return {"vertices": [[_format_ratio(x, w), _format_ratio(y, w)] for x, y, w in polygon.lifts]}
 
 
 def _parse_pairs(raw) -> list[Triple]:
@@ -74,7 +75,7 @@ def polygon_from_obj(obj) -> Polygon:
 def sectioned_to_obj(s: SectionedPolytope) -> dict:
     return {
         "dim": s.dim,
-        "vertices": [[format_scalar(c) for c in v] for v in s.vertices],
+        "vertices": [[_format_ratio(c, row[-1]) if c else "0" for c in row[:-1]] for row in s.rows],
         "claimed": polygon_to_obj(s.claimed),
         "certified": bool(s.certified),
     }

@@ -4,21 +4,22 @@ Everything here works over Fraction and is deterministic: fixed pivoting
 order, Bland's rule in the simplex, lexicographic tie-breaks.  A separable
 system is one triple per constraint, naming its one coordinate.
 
-Convex combinations run on integer columns: mu >= 0 with
-sum mu_k (W_k g_k, W_k) = (W_p p, W_p) for positive scales gives the weights
+Convex combinations run on integer columns (_nonnegative_combination), the
+rows (W g, W) of the points (exactgeom._row) that callers hold: mu >= 0
+with sum mu_k (W_k g_k, W_k) = (W_p p, W_p) gives the weights
 w_k = mu_k W_k / W_p.  Scaling column j by D_j > 0 and the right-hand side by
 s > 0 multiplies each reduced cost d_j by D_j (the Phase-I costs sit on the
 unscaled artificials) and each ratio in entering column j by s / D_j, so
 Bland's rule makes every choice as before.  Scaling a row reweighs its
-artificial in the Phase-I objective, which can change the pivots.
+artificial in the Phase-I objective, which can change the pivots, so the
+edge LP (sections.edge_extension) keeps its rows in the affine values
+Z/W that its integer rows give.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Optional, Sequence
-
-from .exactgeom import _row
 
 Row = list[Fraction]
 
@@ -120,19 +121,6 @@ def feasible_nonnegative_solution(
         if var < n:
             x[var] = tab[i][total]
     return x
-
-
-def convex_coefficients(
-    point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
-) -> Optional[Row]:
-    """Nonnegative weights summing to 1 with sum(w_k g_k) = point exactly, or
-    None outside conv(generators): one _nonnegative_combination (module
-    docstring) on the row (g W, W) of each vector (exactgeom._row)."""
-    if not generators:
-        return None
-    p, *gens = [_row([Fraction(c).as_integer_ratio() for c in v]) for v in (point, *generators)]
-    mu = _nonnegative_combination(p, gens)
-    return None if mu is None else [m * g[-1] / p[-1] for m, g in zip(mu, gens)]
 
 
 def _nonnegative_combination(point: Sequence[int], columns: Sequence[Sequence[int]]) -> Optional[Row]:

@@ -1,11 +1,12 @@
 """Convex polygons with clockwise cyclic labeling, and planar maps.
 
 A Polygon stores the integer lift of each vertex (Polygon.lifts), its one
-form.  Its affine pairs of Fractions (Polygon.vertices) are derived from
-the lifts on first read, for JSON output, the LP path and library users: a
-claim read from a file goes straight into lifts (jsonio, _validate_lifts),
-and neither the matching of verify nor a construction forms a Fraction
-vertex.  The canonical labeling, the
+form, which every package path reads: a claim read from a file goes
+straight into lifts (jsonio, _validate_lifts), and is written back from
+them; the matching of verify, the LP path and the constructions form no
+Fraction vertex.  Its affine pairs of Fractions (Polygon.vertices) are
+derived from the lifts on first read, for library users, svg drawing and
+messages.  The canonical labeling, the
 order that convex_hull_2d returns and validate() ends in, is clockwise
 (the triangle (p_{i+2}, p_{i+1}, p_i) is positively oriented for every i)
 with the lexicographically smallest vertex at index 0.  Operations that
@@ -176,8 +177,9 @@ class Polygon:
     """Strictly convex polygon, cyclically clockwise labeled, held as the
     rows of its vertices: lifts[i] (exactgeom._row), the one stored form.
     vertices[i] is the affine pair (Fraction(X, W), Fraction(Y, W)) of
-    lifts[i], derived on first read.  validate or _validate_lifts builds
-    every Polygon."""
+    lifts[i], derived on first read for library users, not read by JSON
+    output or the LP path.  validate or _validate_lifts builds every
+    Polygon."""
 
     __slots__ = ("lifts", "_vertices")
 
@@ -198,18 +200,6 @@ class Polygon:
         """Vertex i, cyclically, as its canonical integer triple for the
         projective kernel."""
         return self.lifts[i % len(self.lifts)]
-
-    def edge_inequality(self, i: int) -> tuple[AffinePair, Fraction]:
-        """Outward normal a and offset b of edge (i, i+1): a . x <= b on the polygon.
-
-        For clockwise labels the outward normal is the edge vector rotated by
-        +90 degrees.
-        """
-        n = len(self.vertices)
-        x0, y0 = self.vertices[i % n]
-        x1, y1 = self.vertices[(i + 1) % n]
-        a = (-(y1 - y0), x1 - x0)
-        return a, a[0] * x0 + a[1] * y0
 
     def __eq__(self, other):
         # lifts are canonical: equal points have equal lifts

@@ -19,8 +19,10 @@ Each vertex is held as its row (SectionedPolytope.rows, exactgeom._row):
 the primitive integer (X, Y, Z_3, ..., Z_d, W), W > 0 the lcm of the
 denominators of x, y and the support coordinates, 0 off them, the one
 stored form: a file is read straight into rows (jsonio), every
-construction builds them, and the vertices are derived from them on first
-read.  Equal points have equal rows, the keys of repeated vertices.
+construction builds them, and every layer reads them, the LP path and
+JSON output too; the Fraction vertices (SectionedPolytope.vertices) are
+derived from them on first read, for library users only.  Equal points
+have equal rows, the keys of repeated vertices.
 A planar point is the row of (x, y), the form of Polygon.lifts: a vertex
 on H is (X, Y, W) of its row, primitive already, and rows u, v of one
 support, first support coordinate j, cross H when Z_u,j and Z_v,j have
@@ -78,12 +80,12 @@ the reference the tests compare this with.  A claim of fewer than three
 vertices is no polygon and fails, where compute_section gives one point
 or a segment.
 
-Any other vertex set is certified by exact linear programs over at most
-64 distinct vertices (_distinct_rows): each claimed vertex, placed on H,
-is a convex combination of the vertices, so the claim lies in the section;
-and each edge inequality of the claim extends to P (edge_extension), so the
-section lies in the claim.  By LP duality both hold when the claim is the
-section.  The combination of a claimed vertex on H or at a crossing is
+Any other vertex set is certified by exact linear programs over the rows
+of at most 64 distinct vertices (_distinct_rows): each claimed vertex,
+placed on H, is a convex combination of the vertices, so the claim lies in
+the section; and each edge inequality of the claim extends to P
+(edge_extension), so the section lies in the claim.  By LP duality both
+hold when the claim is the section.  The combination of a claimed vertex on H or at a crossing is
 read off with no LP (_claim_columns).  slack factorizes every file
 through the same two routines.
 
@@ -108,13 +110,8 @@ from .errors import (
     PullbackUnbounded,
     ScaleExceeded,
 )
-from .exactgeom import _ZERO, Triple, _primitive_ints, _row
-from .linalg import (
-    _nonnegative_combination,
-    convex_coefficients,
-    feasible_nonnegative_solution,
-    interval_point,
-)
+from .exactgeom import _ZERO, Triple, _dot, _primitive_ints, _row, cross
+from .linalg import _nonnegative_combination, feasible_nonnegative_solution, interval_point
 from .polygon import (
     AffinePair,
     Polygon,
@@ -147,8 +144,10 @@ class SectionedPolytope:
 
     A row is dim + 1 integers with W > 0, else ValueError (a negative W
     would flip every turn sign that the matching reads), and primitive by
-    the caller's contract (exactgeom._row).  blocks is computed here, the
-    vertices on first read.  Only verify_section sets the certificate flag.
+    the caller's contract (exactgeom._row); each is stored as a tuple, the
+    key of repeated vertices.  blocks is computed here.  vertices, the
+    Fraction view derived on first read, is for library users: no package
+    path reads it.  Only verify_section sets the certificate flag.
     """
 
     __slots__ = ("dim", "_vertices", "rows", "claimed", "certified", "blocks")
@@ -158,7 +157,7 @@ class SectionedPolytope:
             raise ValueError("ambient dimension must be at least 2")
         if not isinstance(claimed, Polygon):
             raise TypeError(f"cannot interpret {claimed!r} as a planar section")
-        self.dim, self.rows, self.claimed, self.certified, self._vertices = dim, tuple(rows), claimed, False, None
+        self.dim, self.rows, self.claimed, self.certified, self._vertices = dim, tuple(map(tuple, rows)), claimed, False, None
         if any(len(row) != dim + 1 or row[-1] <= 0 for row in self.rows):
             raise ValueError(f"a vertex row is not {dim + 1} integers with W > 0")
         supports = [_support(row) for row in self.rows]
@@ -260,18 +259,19 @@ def _section_columns(rows: Sequence[Row]) -> dict[Triple, dict]:
 def _claim_columns(s: SectionedPolytope, distinct: dict[Row, int]) -> Optional[list[dict]]:
     """Sparse convex column over the generators (distinct, of s.rows) of each
     claimed vertex on H: its lift looked up in _section_columns, else one
-    exact LP (convex_coefficients), over the point (X/W, Y/W) of the lift
-    padded with zeros to s.dim; None outside their hull, with no point
+    exact LP on integer columns (linalg._nonnegative_combination) of the
+    row (X, Y, 0, ..., 0, W) of the lift against the generator rows, mu
+    giving the weights mu_k W_k / W; None outside their hull, with no point
     formed when there is no generator."""
-    columns = _section_columns(list(distinct))
+    gens = list(distinct)
+    columns = _section_columns(gens)
     out = []
     for lift in s.claimed.lifts:
         column = columns.get(lift)
-        if column is None and distinct:
+        if column is None and gens:
             x, y, w = lift
-            weights = convex_coefficients([Fraction(x, w), Fraction(y, w), *[_ZERO] * (s.dim - 2)],
-                                          [s.vertices[k] for k in distinct.values()])
-            column = None if weights is None else dict(enumerate(weights))
+            mu = _nonnegative_combination((x, y, *[0] * (s.dim - 2), w), gens)
+            column = None if mu is None else {k: m * g[-1] / w for k, (m, g) in enumerate(zip(mu, gens))}
         if column is None:
             return None
         out.append(column)
@@ -298,33 +298,43 @@ def compute_section(vertices: Sequence[Sequence], dim: int) -> tuple[AffinePair,
     return hull
 
 
-def edge_extension(polygon: Polygon, i: int, gens: Sequence[AmbientPoint]) -> Optional[list[Fraction]]:
-    """Extend the inequality a . x <= b of edge (i, i+1) to conv(gens).
+def edge_extension(polygon: Polygon, i: int, rows: Sequence[Row]) -> Optional[list[Fraction]]:
+    """Extend the inequality of edge (i, i+1) to the hull of the generators,
+    given by their rows (X, Y, Z_3, ..., Z_d, W).
 
-    Returns c with b - a . g[:2] + c . g[2:] >= 0 at every generator g, or
-    None when there is none: one exact LP (feasible_nonnegative_solution)
-    in mu+, mu- and a slack per generator,
-    (mu+ - mu-) . g[2:] + slack_g = b - a . g[:2], with c = mu- - mu+.
+    With L_i the lifts of the polygon's vertices and l = cross(L_i, L_i+1),
+    as in slack._edge_values, the planar slack of edge i at a generator g
+    is -l . (X, Y, W) / (W_i W_i+1 W).  Returns c with that slack plus
+    c . z >= 0 at every generator, z = (Z_3, ..., Z_d)/W, or None when there
+    is none: one exact LP (feasible_nonnegative_solution) in mu+, mu- and
+    a slack per generator, (mu+ - mu-) . z + slack_g = -(planar slack),
+    with c = mu- - mu+.  Its entries are the affine values Z/W and the
+    planar slacks, Fractions, as a row scaled to integers could pivot
+    otherwise (linalg module docstring).
     """
-    (a1, a2), b = polygon.edge_inequality(i)
-    matrix = [[*g[2:], *(-c for c in g[2:]), *(Fraction(int(k == m)) for k in range(len(gens)))]
-              for m, g in enumerate(gens)]
-    x = feasible_nonnegative_solution(matrix, [b - a1 * g[0] - a2 * g[1] for g in gens])
+    p, q = polygon.lifts[i], polygon.lifts[(i + 1) % polygon.n]
+    edge, m = cross(p, q), p[2] * q[2]
+    matrix, rhs = [], []
+    for k, row in enumerate(rows):
+        z = [Fraction(c, row[-1]) for c in row[2:-1]]
+        matrix.append([*z, *(-c for c in z), *(int(k == j) for j in range(len(rows)))])
+        rhs.append(Fraction(-_dot(edge, (row[0], row[1], row[-1])), m * row[-1]))
+    x = feasible_nonnegative_solution(matrix, rhs)
     if x is None:
         return None
-    free = len(gens[0]) - 2
-    return [q - p for p, q in zip(x[:free], x[free:2 * free])]
+    free = len(rows[0]) - 3
+    return [b - a for a, b in zip(x[:free], x[free:2 * free])]
 
 
 def _claim_is_section(s: SectionedPolytope) -> bool:
-    """Whether the claimed polygon is the section of conv(s.vertices), by exact LPs.
+    """Whether the claimed polygon is the section of the hull of s.rows, by exact LPs.
 
     Each claimed vertex, placed on H, is a convex combination of the
-    distinct vertices (_claim_columns), and each edge inequality extends to
+    distinct rows (_claim_columns), and each edge inequality extends to
     the polytope (edge_extension).
     """
     distinct = _distinct_rows(s.rows, s.dim)
-    gens = [s.vertices[k] for k in distinct.values()]
+    gens = list(distinct)
     return (_claim_columns(s, distinct) is not None
             and all(edge_extension(s.claimed, i, gens) is not None for i in range(s.claimed.n)))
 
@@ -368,7 +378,7 @@ def certify(s: SectionedPolytope) -> SectionedPolytope:
     """verify_section, raising on failure.  Each construction pipeline ends in one call."""
     if not verify_section(s):
         raise CertificationFailure(
-            f"section certificate failed for {s!r}; vertices={s.vertices!r}, "
+            f"section certificate failed for {s!r}; rows={s.rows!r}, "
             f"claimed={s.claimed!r}"
         )
     return s

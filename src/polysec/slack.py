@@ -41,13 +41,7 @@ from .errors import CertificationFailure, DomainError, NoExtension, NotInPolytop
 from .exactgeom import _row, cross
 from .linalg import fourier_motzkin_point
 from .polygon import Polygon
-from .sections import (
-    AmbientPoint,
-    SectionedPolytope,
-    _claim_columns,
-    _distinct_rows,
-    edge_extension,
-)
+from .sections import SectionedPolytope, _claim_columns, _distinct_rows, edge_extension
 
 __all__ = [
     "SlackFactorization",
@@ -86,12 +80,10 @@ def slack_matrix(polygon: Polygon) -> Matrix:
     return tuple(_edge_values(polygon, i, polygon.lifts) for i in range(polygon.n))
 
 
-def extend_facet_inequality(facet: int, s: SectionedPolytope,
-                            gens: Sequence[AmbientPoint]) -> tuple[Fraction, ...]:
+def extend_facet_inequality(facet: int, s: SectionedPolytope) -> tuple[Fraction, ...]:
     """Free coefficients c on coordinates 3..d that extend the facet slack
-    of the claimed polygon to all of the polytope, a tuple of s.dim - 2.
-    gens are the distinct vertices of s (sections._distinct_rows), built once by
-    the caller for all facets, and read by the edge LP alone.
+    of the claimed polygon to all of the polytope, a tuple of s.dim - 2,
+    read off the rows of s.
 
     For the facet inequality a . x <= b, the functional
     b - a . x[:2] + c . x[2:] is the planar slack on H and is nonnegative
@@ -102,7 +94,7 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope,
     (j - 2, W_f W_{f+1} Z_j, l_f . (X, Y, W)) of its row (module
     docstring), or (None, 0, l_f . (X, Y, W)) on H, and the midpoint of
     each coefficient's interval; otherwise they come from the edge LP over
-    gens (sections.edge_extension).
+    the distinct rows of s (sections._distinct_rows, sections.edge_extension).
     NoExtension when there are none.
     """
     polygon = s.claimed
@@ -116,7 +108,7 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope,
             constraints.append((None, 0, rhs) if j is None else (j - 2, m * row[j], rhs))
         tail = fourier_motzkin_point(constraints, s.dim - 2)
     else:
-        tail = edge_extension(polygon, facet, gens)
+        tail = edge_extension(polygon, facet, list(_distinct_rows(s.rows, s.dim)))
     if tail is None:
         raise NoExtension(f"no nonnegative extension for facet {facet}")
     return tuple(tail)
@@ -129,7 +121,7 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     is the value at a vertex of a functional that is nonnegative at every
     vertex, and every C column is an exact convex combination of vertices
     that lands on H; together they prove that the polygon is the section of
-    conv(s.vertices), in any dimension (module docstring).
+    the hull of s.rows, in any dimension (module docstring).
 
     The generators are the distinct vertices of s in file order, so the
     inner dimension is their count.  C comes first, from the columns verify
@@ -158,8 +150,7 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     c_cols = _claim_columns(s, distinct)
     if c_cols is None:
         raise NotInPolytope("a vertex of the polygon is not in the polytope")
-    gens = () if s.blocks is not None else [s.vertices[k] for k in distinct.values()]  # edge LPs
-    r_rows = tuple(_edge_values(polygon, i, distinct, extend_facet_inequality(i, s, gens))
+    r_rows = tuple(_edge_values(polygon, i, distinct, extend_facet_inequality(i, s))
                    for i in range(polygon.n))
     zero = Fraction(0)
     c_rows = tuple(tuple(col.get(k, zero) for col in c_cols) for k in range(len(distinct)))

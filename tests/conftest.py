@@ -10,9 +10,9 @@ from hypothesis import settings
 
 from polysec import validate
 from polysec.errors import DuplicateVertex, ImageNotConvex, NotConvex, TooFewVertices
-from polysec.exactgeom import _canonical_int_triple, det3
+from polysec.exactgeom import _canonical_int_triple, _row, det3
 from polysec.heptagon import DetOctuple, _octuple
-from polysec.linalg import feasible_nonnegative_solution
+from polysec.linalg import _nonnegative_combination, feasible_nonnegative_solution
 from polysec.polygon import Polygon, ProjMap2
 from polysec.sections import extreme_points
 
@@ -82,6 +82,18 @@ def count_calls_everywhere(monkeypatch, module, name: str) -> list:
         if getattr(other, "__name__", "").startswith("polysec.") and vars(other).get(name) is original:
             monkeypatch.setattr(other, name, getattr(module, name))
     return calls
+
+
+def convex_coefficients(point, generators):
+    """Nonnegative weights summing to 1 with sum(w_k g_k) = point exactly, or
+    None outside conv(generators): one linalg._nonnegative_combination on
+    the row (g W, W) of each vector (exactgeom._row), the weights
+    mu_k W_k / W_p (linalg module docstring)."""
+    if not generators:
+        return None
+    p, *gens = [_row([Fraction(c).as_integer_ratio() for c in v]) for v in (point, *generators)]
+    mu = _nonnegative_combination(p, gens)
+    return None if mu is None else [m * g[-1] / p[-1] for m, g in zip(mu, gens)]
 
 
 def reference_convex_coefficients(point, generators):

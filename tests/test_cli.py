@@ -22,7 +22,7 @@ from polysec import polygon as polygon_module
 from polysec.cli import main
 from polysec.compose import ngon_3d_extension, ngon_extension
 from polysec.heptagon import heptagon_extension
-from polysec.jsonio import dumps, loads, polygon_to_obj, sectioned_from_obj, sectioned_to_obj
+from polysec.jsonio import dumps, loads, polygon_from_obj, polygon_to_obj, sectioned_from_obj, sectioned_to_obj
 from polysec.polygon import Polygon, ProjMap2, convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon, random_hexagon_params
 
@@ -413,13 +413,14 @@ class TestSlackFactorize:
         # nonzero coordinates off H, where Fourier-Motzkin blows up; each
         # square vertex is the crossing of two antipodal vertices, so both
         # commands solve one edge LP per edge and no convex-combination LP
+        # (linalg._nonnegative_combination)
         def refuse(*args):
             raise AssertionError("Fourier-Motzkin on a multi-coordinate support")
 
         monkeypatch.setattr(linalg, "fourier_motzkin_point", refuse)
         monkeypatch.setattr(slack, "fourier_motzkin_point", refuse)
         lps = count_calls_everywhere(monkeypatch, linalg, "feasible_nonnegative_solution")
-        columns = count_calls_everywhere(monkeypatch, linalg, "convex_coefficients")
+        columns = count_calls_everywhere(monkeypatch, linalg, "_nonnegative_combination")
         signs = itertools.product(("1", "-1"), repeat=dim - 2)
         vertices = [[str(x), str(y), *tail] for tail in signs for x, y in UNIT_SQUARE]
         square = [[str(x), str(y)] for x, y in UNIT_SQUARE]
@@ -591,31 +592,40 @@ class TestRowsFromText:
     @pytest.mark.parametrize("mode", ["join", "3d"])
     def test_verify_and_factorize_derive_no_vertices(self, mode, tmp_path, capsys, monkeypatch):
         # the extension's coordinates go straight into rows, and the
-        # polygon's and the claim's into lifts: no parse_scalar Fraction,
-        # and neither command derives the vertices of the polytope or of a
-        # polygon
+        # polygon's and the claim's into lifts: no parse_scalar Fraction;
+        # and no command derives the vertices of the polytope or of a
+        # polygon: not extend, which writes the extension from its rows,
+        # nor verify or factorize, nor the JSON writers in-process
         polygon = random_convex_polygon(random.Random(28), 28)
         path = write_polygon(tmp_path, "p.json", polygon.vertices)
         ext = str(tmp_path / "ext.json")
-        assert main(["extend", path, "--mode", mode, "--out", ext]) == 0
         derived = derivations(monkeypatch)
         polygons = derivations(monkeypatch, Polygon)
         parses = count_calls_everywhere(monkeypatch, exactgeom, "parse_scalar")
+        assert main(["extend", path, "--mode", mode, "--out", ext]) == 0
+        assert parses == [] and derived == [] and polygons == []
+        fresh = polygon_from_obj(loads(Path(path).read_text()))
+        built = (ngon_extension if mode == "join" else ngon_3d_extension)(fresh)
+        assert dumps(sectioned_to_obj(built)) == Path(ext).read_text()
+        assert polygon_to_obj(fresh) == loads(Path(path).read_text())
+        assert parses == [] and derived == [] and polygons == []
         assert main(["verify", ext]) == 0
         assert parses == [] and derived == [] and polygons == []
         assert main(["factorize", path, ext]) == 0
         assert parses == [] and derived == [] and polygons == []
         assert loads(capsys.readouterr().out.splitlines()[-1])["r"] == (24 if mode == "join" else 27)
 
-    def test_lp_path_derives_them_and_prints_the_same(self, tmp_path, capsys, monkeypatch):
+    def test_lp_path_derives_none_and_prints_the_same(self, tmp_path, capsys, monkeypatch):
+        # the claim columns and the edge LPs read the rows and the lifts
         doc = lp_path_doc()
         ext, square = tmp_path / "lp.json", tmp_path / "square.json"
         ext.write_text(json.dumps(doc))
         square.write_text(json.dumps({"vertices": doc["claimed"]["vertices"]}))
         derived = derivations(monkeypatch)
-        assert main(["verify", str(ext)]) == 0 and len(derived) == 1
+        polygons = derivations(monkeypatch, Polygon)
+        assert main(["verify", str(ext)]) == 0 and derived == [] and polygons == []
         assert capsys.readouterr().out == "PASS\n"
-        assert main(["factorize", str(square), str(ext)]) == 0 and len(derived) == 2
+        assert main(["factorize", str(square), str(ext)]) == 0 and derived == [] and polygons == []
         out = capsys.readouterr().out
         assert loads(out)["r"] == 9
         assert hashlib.sha256(out.encode()).hexdigest() == LP_PATH_FACTORIZE_SHA256

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from polysec.errors import DegenerateJoin, DegenerateMeet, ParseError
+from polysec.errors import DegenerateJoin, DegenerateMeet, ParseError, ScaleExceeded
 from polysec.exactgeom import (
     MAX_EXPONENT_DIGITS,
     MAX_SCALAR_CHARS,
     _canonical_int_triple,
+    _format_ratio,
     _ratio,
     cross,
     det3,
@@ -185,6 +186,51 @@ class TestParseScalarFastPath:
         # row reader divides the row by its gcd instead
         assert _ratio(" -4/6 ") == (-4, 6) and _ratio("0/7") == (0, 7) and _ratio(12) == (12, 1)
         assert _ratio("-0") == (0, 1) and _ratio("5e-1") == (1, 2)
+
+
+def written(write, p, q):
+    """The text write(p, q) gives, or ScaleExceeded when it has too many
+    digits: a ValueError from str of a Fraction, the interpreter's
+    int/str conversion limit, counts as ScaleExceeded."""
+    try:
+        return write(p, q)
+    except (ScaleExceeded, ValueError):
+        return ScaleExceeded
+
+
+def fraction_text(p, q):
+    return str(Fraction(p, q))
+
+
+class TestFormatRatio:
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**12), st.integers(1, 10**6))
+    @example(0, 7, 3)
+    @example(-6, 4, 1)
+    @example(-9, 3, 5)
+    def test_str_of_the_fraction(self, p, q, k):
+        # unreduced terms k p / k q, negative and zero numerators
+        assert _format_ratio(k * p, k * q) == fraction_text(k * p, k * q)
+
+    @settings(max_examples=60)
+    @given(st.integers(4297, 4303), st.sampled_from([1, 2, 3, 10, 7 * 10**3]), st.booleans(),
+           st.sampled_from([0, 1]), st.sampled_from([1, -1]))
+    def test_same_text_or_refusal_at_the_digit_limit(self, digits, k, big_numerator, offset, sign):
+        # a part of 4297-4303 digits, the other small, both scaled by k
+        # (the reduced parts have fewer digits than the written ones): the
+        # same text, or ScaleExceeded where str of the Fraction fails
+        big = 10 ** (digits - 1) + offset
+        p, q = (big, 7) if big_numerator else (3, big)
+        p, q = sign * k * p, k * q
+        assert written(_format_ratio, p, q) == written(fraction_text, p, q)
+        assert written(lambda p, q: format_scalar(Fraction(p, q)), p, q) == written(fraction_text, p, q)
+
+    def test_limit_cases_reached(self):
+        # the unreduced 10^4300 / 10 is written as 10^4299, 4300 digits
+        assert _format_ratio(10**4300, 10) == "1" + "0" * 4299
+        with pytest.raises(ScaleExceeded):
+            _format_ratio(-(10**4300), 3)
+        with pytest.raises(ScaleExceeded):
+            format_scalar(Fraction(1, 10**4300 + 1))
 
 
 point_triples = st.tuples(rationals, rationals, st.sampled_from([Fraction(1)]))

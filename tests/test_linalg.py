@@ -6,13 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from polysec import linalg
 from polysec.linalg import (
-    convex_coefficients,
     feasible_nonnegative_solution,
     fourier_motzkin_point,
     solve_linear,
 )
 
-from conftest import count_calls, rank, reference_convex_coefficients
+from conftest import convex_coefficients, count_calls, rank, reference_convex_coefficients
 
 
 def F(a, b=1):

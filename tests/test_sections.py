@@ -21,7 +21,7 @@ from polysec.errors import (
     TooFewVertices,
 )
 from polysec.exactgeom import MAX_SCALAR_CHARS, _ratio, _row, det3, parse_scalar
-from polysec.linalg import convex_coefficients, interval_point, solve_linear
+from polysec.linalg import interval_point, solve_linear
 from polysec.heptagon import heptagon_extension
 from polysec.hexagon import hexagon_extension5, hexagon_ic
 from polysec.jsonio import polygon_from_obj, sectioned_from_obj
@@ -45,6 +45,7 @@ from polysec.slack import factorize_from_section
 from conftest import (
     SIX_CROSSING_HEPTAGON,
     apply_map,
+    convex_coefficients,
     count_calls,
     count_calls_everywhere,
     extreme_vertices,
@@ -1068,6 +1069,15 @@ class TestConstructor:
         s = SectionedPolytope(3, [(1, 0, 1, 2), (0, 0, -3, 1)], TRIANGLE)
         assert s.vertices == ((Fraction(1, 2), 0, Fraction(1, 2)), (0, 0, -3))
         assert s.blocks == (2, 2)
+
+    def test_list_rows_verify_as_tuple_rows(self):
+        # rows are the keys of repeated vertices: list rows are stored as
+        # tuples, and verify gives the same result as for tuple rows
+        rows = [[0, 0, -1, 1], [2, 0, -1, 1], [0, 2, -1, 1], [0, 0, 1, 1]]
+        claim = validate([(0, 0), (1, 0), (0, 1)])
+        as_lists = SectionedPolytope(3, rows, claim)
+        assert as_lists.rows == tuple(map(tuple, rows))
+        assert verify_section(as_lists) is verify_section(SectionedPolytope(3, map(tuple, rows), claim)) is True
 
 
 class TestCanonicalHull:

@@ -9,7 +9,6 @@ from polysec.heptagon import StandardHeptagon, build_standard_extension, heptago
 from polysec.compose import ngon_3d_extension, ngon_extension
 from polysec.polygon import validate
 from polysec.randgen import random_convex_polygon
-from polysec.linalg import convex_coefficients
 from polysec.sections import SectionedPolytope, _distinct_rows, certify
 from polysec.slack import (
     SlackFactorization,
@@ -19,7 +18,7 @@ from polysec.slack import (
     verify_factorization,
 )
 
-from conftest import count_calls, count_calls_everywhere, rank, row_of
+from conftest import convex_coefficients, count_calls, count_calls_everywhere, rank, row_of
 
 
 def distinct_vertices(s: SectionedPolytope) -> list:
@@ -58,8 +57,14 @@ class TestSlackMatrix:
 
 
 def extended(facet, c, ext, v):
-    """The dense value at v of the extension of facet with free coefficients c."""
-    a, b = ext.claimed.edge_inequality(facet)
+    """The dense value at v of the extension of facet with free coefficients c:
+    b - a . v[:2] + c . v[2:], for the outward normal a of the edge from the
+    point of lift L_facet to that of L_facet+1, clockwise, its edge vector
+    turned by +90 degrees, and b = a . (x0, y0)."""
+    lifts = ext.claimed.lifts
+    (x0, y0, w0), (x1, y1, w1) = lifts[facet % len(lifts)], lifts[(facet + 1) % len(lifts)]
+    x0, y0, x1, y1 = Fraction(x0, w0), Fraction(y0, w0), Fraction(x1, w1), Fraction(y1, w1)
+    a, b = (y0 - y1, x1 - x0), (y0 - y1) * x0 + (x1 - x0) * y0
     return b - a[0] * v[0] - a[1] * v[1] + sum(ck * vk for ck, vk in zip(c, v[2:]))
 
 
@@ -83,18 +88,16 @@ def small_standard_extension():
 class TestExtendFacetInequality:
     def test_nonnegative_on_all_vertices_every_facet(self):
         std, ext = small_standard_extension()
-        gens = distinct_vertices(ext)
         for i in range(7):
-            c = extend_facet_inequality(i, ext, gens)
+            c = extend_facet_inequality(i, ext)
             assert all(extended(i, c, ext, v) >= 0 for v in ext.vertices)
 
     def test_restriction_reproduces_column_slacks(self):
         std, ext = small_standard_extension()
         polygon = ext.claimed
         sm = slack_matrix(polygon)
-        gens = distinct_vertices(ext)
         for i in range(7):
-            c = extend_facet_inequality(i, ext, gens)
+            c = extend_facet_inequality(i, ext)
             for j in range(7):
                 x, y = polygon.vertices[j]
                 assert extended(i, c, ext, (x, y, Fraction(0))) == sm[i][j]
@@ -107,13 +110,13 @@ class TestExtendFacetInequality:
         box = [(x, y, z) for z in (1, -1) for x, y in square.vertices]
         ext = SectionedPolytope(3, map(row_of, box + [(2, Fraction(1, 2), 0)]), square)
         assert ext.blocks == (2,) * 8 + (None,)
-        gens = distinct_vertices(ext)
         for i in range(4):
-            if square.edge_inequality(i) == ((1, 0), 1):
+            # the edge x <= 1: both ends have X = W
+            if all(x == w for x, _, w in (square.lifts[i], square.lifts[(i + 1) % 4])):
                 with pytest.raises(NoExtension):
-                    extend_facet_inequality(i, ext, gens)
+                    extend_facet_inequality(i, ext)
             else:
-                c = extend_facet_inequality(i, ext, gens)
+                c = extend_facet_inequality(i, ext)
                 assert extended(i, c, ext, (2, Fraction(1, 2), 0)) >= 0
         with pytest.raises(NoExtension):
             factorize_from_section(square, ext)
@@ -121,9 +124,8 @@ class TestExtendFacetInequality:
     def test_codimension_two_feasible(self, rng):
         polygon = random_convex_polygon(rng, 14)
         ext = ngon_extension(polygon)
-        gens = distinct_vertices(ext)
         for i in range(14):
-            c = extend_facet_inequality(i, ext, gens)
+            c = extend_facet_inequality(i, ext)
             assert all(extended(i, c, ext, v) >= 0 for v in ext.vertices)
 
     @pytest.mark.parametrize("build", [
@@ -140,7 +142,7 @@ class TestExtendFacetInequality:
         gens = distinct_vertices(ext)
         off_flat = 0
         for i, row in enumerate(fact.r_factor):
-            c = extend_facet_inequality(i, ext, gens)
+            c = extend_facet_inequality(i, ext)
             assert len(c) == ext.dim - 2 and all(type(ck) is Fraction for ck in c)
             assert row == tuple(extended(i, c, ext, g) for g in gens)
             off_flat += sum(1 for g in gens if sum(ck * gk for ck, gk in zip(c, g[2:])))
@@ -225,14 +227,17 @@ class TestFactorize:
                 fact = factorize_from_section(built.claimed, ext)
                 assert fact.inner_dim == len(built.vertices) == len(scans)
 
-    def test_lp_path_builds_the_generators_once(self, monkeypatch):
-        # every facet's edge LP runs over the one generator list that
-        # factorize builds from the rows, not over a list rebuilt per facet
+    def test_lp_path_edge_lps_run_over_the_distinct_rows(self, monkeypatch):
+        # every facet's edge LP runs over the integer rows of the distinct
+        # vertices, the generators of R and C, and no vertex is derived
         ext = lp_path_square()
         assert ext.blocks is None
-        builds = count_calls(monkeypatch, slack, "_distinct_rows")
+        edge_lps = count_calls(monkeypatch, slack, "edge_extension")
         fact = factorize_from_section(ext.claimed, ext)
-        assert len(builds) == 1 and fact.inner_dim == 9
+        assert fact.inner_dim == 9 and ext._vertices is None
+        assert [args[1] for args in edge_lps] == list(range(4))
+        assert all(args[2] == list(_distinct_rows(ext.rows, 4)) for args in edge_lps)
+        assert all(type(c) is int for args in edge_lps for row in args[2] for c in row)
 
     def test_duplicate_and_interior_vertices(self):
         # a box over the unit square, one corner listed twice and one point
