@@ -18,10 +18,13 @@ classification of standardization lines, hexagon concurrency,
 polygon.frame_map and the svg rendering.
 
 Coordinate text has one reader, _ratio, giving integers (p, q), and one
-writer, _format_ratio, writing p/q in lowest terms.  jsonio reads texts
-into rows, lifts and an extension's rows, and writes rows back as texts,
-with no Fraction either way; parse_scalar makes a Fraction of a text, and
-format_scalar writes one (the factors R and C), for other callers.
+writer, _format_ratio, writing p/q in lowest terms.  _ratios reads a list
+of texts as _ratio reads each, with int() alone when every text is plain
+"[-]digits[/digits]" and through _ratio otherwise.  jsonio reads each
+file's texts with one _ratios call into lifts and an extension's rows, and
+writes rows back as texts, with no Fraction either way; parse_scalar makes
+a Fraction of a text, and format_scalar writes one (the factors R and C),
+for other callers.
 
 No floating point is used anywhere in this module.  All values are
 immutable and all operations are pure, so they are safe to share across
@@ -31,6 +34,7 @@ any number of workers.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -89,6 +93,42 @@ def _ratio(text) -> tuple[int, int]:
         raise ParseError(f"invalid rational {text!r}") from exc
 
 
+# the characters int() reads in an ASCII text besides "-" and the digits
+_INT_EXTRAS = "+_" + "".join(c for c in map(chr, range(128)) if c.isspace())
+
+
+def _ratios(texts: Sequence) -> list[tuple[int, int]]:
+    """[_ratio(t) for t in texts]: the same values, and the same first
+    error.
+
+    When every text is an ASCII str of at most MAX_SCALAR_CHARS characters
+    with none of _INT_EXTRAS, int() accepts a part exactly when it has
+    _ratio's plain shape "[-]digits", so each text is read with int()
+    alone.  Any other case goes whole to _ratio, the one definition of an
+    accepted text: an item that is not a str, a text of another shape, a
+    part past int()'s digit limit, or a denominator that is not positive.
+    """
+    try:
+        joined = "".join(texts)
+    except TypeError:  # an item that is not a str
+        return [_ratio(t) for t in texts]
+    if (
+        joined.isascii()
+        and not any(c in joined for c in _INT_EXTRAS)
+        and max(map(len, texts), default=0) <= MAX_SCALAR_CHARS
+    ):
+        try:
+            out = [(int(num), int(den) if slash else 1)
+                   for num, slash, den in map(str.partition, texts, repeat("/"))]
+        except ValueError:  # a text of another shape, or a part past the digit limit
+            pass
+        else:
+            # a zero or negative denominator is written after "/0" or "/-"
+            if ("/0" not in joined and "/-" not in joined) or all(q > 0 for _, q in out):
+                return out
+    return [_ratio(t) for t in texts]
+
+
 def parse_scalar(text: str) -> Fraction:
     """Fraction(p, q) of _ratio(text); the text "0" gives one shared zero."""
     if text == "0":
@@ -131,8 +171,10 @@ def _row(ratios: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     (p_1 W/q_1, ..., p_k W/q_k, W), W the lcm of the q_i, divided by its
     gcd.  Equal values give equal rows; no ratio gives (1,).  The q of a
     zero is left out of W, which the gcd would take out again."""
-    w = lcm(*[q for p, q in ratios if p])
-    return tuple(_primitive_ints([*[p * (w // q) for p, q in ratios], w]))
+    w = lcm(*{q for p, q in ratios if p})
+    row = (*[p * (w // q) for p, q in ratios], w)
+    g = gcd(*row)
+    return row if g == 1 else tuple([v // g for v in row])
 
 
 def _canonical_int_triple(coords: Sequence[int]) -> Triple:

@@ -1,11 +1,15 @@
 """JSON serialization: rationals travel as "p/q" strings everywhere.
 
-Rows in, rows out.  Texts are read by exactgeom._ratio straight into
-integer rows (exactgeom._row), with no Fraction: the [x, y] pairs of a
-polygon or of an extension's claim into lifts (_parse_pairs, the one pair
-reader, then polygon._validate_lifts), and an extension's vertices into
-rows from their texts other than "0", handed to the one SectionedPolytope
-constructor.  Polygons and extensions are written from the same rows,
+Rows in, rows out.  Texts are read straight into integer rows
+(exactgeom._row), with no Fraction: the [x, y] pairs of a polygon or of an
+extension's claim into lifts (_parse_pairs, the one pair reader, then
+polygon._validate_lifts), and an extension's vertices into rows from their
+texts other than "0", handed to the one SectionedPolytope constructor.
+Each array is read with one pass over its shape that collects the texts,
+one exactgeom._ratios call, which reads them all as the one text reader
+exactgeom._ratio reads each, and one _row per vertex.  A shape defect
+first reads the texts before it, so the first defect in file order is the
+one reported.  Polygons and extensions are written from the same rows,
 Polygon.lifts and SectionedPolytope.rows, each coordinate X/W by
 exactgeom._format_ratio, with no Fraction either.  Only the factors R
 and C, Fraction matrices, go through format_scalar.
@@ -18,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParseError
-from .exactgeom import Triple, _format_ratio, _ratio, _row, format_scalar
+from .exactgeom import Triple, _format_ratio, _ratios, _row, format_scalar
 from .polygon import Polygon, _validate_lifts
 from .sections import SectionedPolytope
 from .slack import SlackFactorization
@@ -58,12 +62,14 @@ def _parse_pairs(raw) -> list[Triple]:
     """The lift (exactgeom._row) of each [x, y] pair of a vertex array."""
     if not isinstance(raw, list):
         raise ParseError("vertices must be an array")
-    out = []
+    texts = []
     for item in raw:
         if not isinstance(item, list) or len(item) != 2:
+            _ratios(texts)  # a bad text before this item is the first error
             raise ParseError(f"vertex {item!r} must be an [x, y] pair")
-        out.append(_row([_ratio(item[0]), _ratio(item[1])]))
-    return out
+        texts += item
+    ratios = _ratios(texts)
+    return [_row(ratios[k : k + 2]) for k in range(0, len(ratios), 2)]
 
 
 def polygon_from_obj(obj) -> Polygon:
@@ -92,16 +98,25 @@ def sectioned_from_obj(obj) -> SectionedPolytope:
         raise ParseError(f"bad dimension {dim!r}")
     if not isinstance(obj["vertices"], list):
         raise ParseError("vertices must be an array")
-    rows = []
+    texts, supports = [], []
     for raw in obj["vertices"]:
         if not isinstance(raw, list) or len(raw) != dim:
+            _ratios(texts)  # a bad text before this vertex is the first error
             raise ParseError(f"vertex {raw!r} must have {dim} coordinates")
-        # the row of the texts other than "0", written into their places
+        # the texts other than "0": a row is made from them and written into
+        # their places
         support = [k for k, c in enumerate(raw) if c != "0"]
-        *values, w = _row([_ratio(raw[k]) for k in support])
-        row = [0] * dim + [w]
+        texts += [raw[k] for k in support]
+        supports.append(support)
+    ratios = _ratios(texts)
+    rows, end = [], 0
+    for support in supports:
+        start, end = end, end + len(support)
+        values = _row(ratios[start:end])
+        row = [0] * dim
         for k, v in zip(support, values):
             row[k] = v
+        row.append(values[-1])
         rows.append(tuple(row))
     claimed_obj = obj["claimed"]
     if not isinstance(claimed_obj, dict) or "vertices" not in claimed_obj:

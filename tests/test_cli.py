@@ -204,13 +204,15 @@ class TestExtendVerify:
     def test_140gon_join_soundness(self, tmp_path, capsys, monkeypatch):
         # a join at benchmark scale passes; a claim one vertex of which is
         # moved outward by 2^-600, or dropped, is still a convex polygon and
-        # fails.  validate accepts each claim with no hull
+        # fails.  validate accepts each claim with no hull, and verify reads
+        # every text of the written forms with no per-text _ratio call
         polygon = random_convex_polygon(random.Random(140), 140)
         doc = sectioned_to_obj(ngon_extension(polygon))
         claim = doc["claimed"]["vertices"]
         x0, y0 = (Fraction(c) for c in claim[0])  # the leftmost vertex
         moved = [[str(x0 - Fraction(1, 2**600)), str(y0)], *claim[1:]]
         hulls = count_calls_everywhere(monkeypatch, polygon_module, "convex_hull_2d")
+        texts = count_calls_everywhere(monkeypatch, exactgeom, "_ratio")
         for vertices, code, out in ((claim, 0, "PASS"), (moved, 1, "FAIL"), (claim[1:], 1, "FAIL")):
             hulls.clear()
             assert validate([(Fraction(x), Fraction(y)) for x, y in vertices]).n == len(vertices)
@@ -219,6 +221,7 @@ class TestExtendVerify:
             path.write_text(dumps({**doc, "claimed": {"vertices": vertices}}))
             assert main(["verify", str(path)]) == code
             assert capsys.readouterr().out.startswith(out)
+            assert texts == []
 
     def test_file_flag_is_not_trusted(self):
         # only verify_section sets the flag; the writer still records it

@@ -1,8 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import polysec.exactgeom as exactgeom
 from polysec.errors import DegenerateJoin, DegenerateMeet, ParseError, ScaleExceeded
 from polysec.exactgeom import (
     MAX_EXPONENT_DIGITS,
@@ -10,6 +12,7 @@ from polysec.exactgeom import (
     _canonical_int_triple,
     _format_ratio,
     _ratio,
+    _ratios,
     cross,
     det3,
     format_scalar,
@@ -18,7 +21,7 @@ from polysec.exactgeom import (
     parse_scalar,
 )
 
-from conftest import incident, point
+from conftest import count_calls, incident, point
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 
@@ -186,6 +189,95 @@ class TestParseScalarFastPath:
         # row reader divides the row by its gcd instead
         assert _ratio(" -4/6 ") == (-4, 6) and _ratio("0/7") == (0, 7) and _ratio(12) == (12, 1)
         assert _ratio("-0") == (0, 1) and _ratio("5e-1") == (1, 2)
+
+
+def read_outcome(read, texts):
+    """The (p, q) list read, or the class and message of its ParseError."""
+    try:
+        return read(texts)
+    except ParseError as exc:
+        return ParseError, str(exc)
+
+
+def one_by_one(texts):
+    return [_ratio(t) for t in texts]
+
+
+PLAIN_TEXTS = ["3", "-4/6", "0/7", "12", "-0", "1/" + "9" * 40]
+
+# plain texts, and texts of the plain shape but for "\n", "," or a space
+SEPARATED_TEXTS = [
+    ["1,2"], ["1", "2,3"], ["1,", "2"], [",1"], ["1", ",", "2"], [","], ["1/2,3/4"],
+    ["1\n"], ["\n1"], ["1\n2"], ["1/2\n", "3"], ["1\r\n"], ["1\x1c"], [" 1 ", "2"], ["1\t/2"],
+    ["1", "\n"], ["3/,4"], ["3/\n4"], [""], ["", "1"],
+]
+
+
+class TestRatios:
+    """_ratios(texts) is [_ratio(t) for t in texts]: the same values, or the
+    same first ParseError."""
+
+    @pytest.mark.parametrize("text", PARITY_TEXTS, ids=range(len(PARITY_TEXTS)))
+    def test_each_parity_text_alone(self, text):
+        assert read_outcome(_ratios, [text]) == read_outcome(one_by_one, [text])
+
+    @pytest.mark.parametrize("text", PARITY_TEXTS, ids=range(len(PARITY_TEXTS)))
+    def test_each_parity_text_among_plain_texts(self, text):
+        # one odd text sends the whole list to _ratio, wherever it stands
+        for k in (0, 3, len(PLAIN_TEXTS)):
+            texts = [*PLAIN_TEXTS[:k], text, *PLAIN_TEXTS[k:]]
+            assert read_outcome(_ratios, texts) == read_outcome(one_by_one, texts)
+        # and the first of two bad texts is the one reported
+        texts = [*PLAIN_TEXTS, text, "x", text]
+        assert read_outcome(_ratios, texts) == read_outcome(one_by_one, texts)
+
+    @pytest.mark.parametrize("texts", SEPARATED_TEXTS, ids=range(len(SEPARATED_TEXTS)))
+    def test_texts_with_newlines_commas_and_spaces(self, texts):
+        assert read_outcome(_ratios, texts) == read_outcome(one_by_one, texts)
+        texts = [*PLAIN_TEXTS, *texts]
+        assert read_outcome(_ratios, texts) == read_outcome(one_by_one, texts)
+
+    def test_json_ints_and_other_items(self):
+        for texts in ([0, 5, -3], ["1/2", 10**30, "0"], [True], ["1", None], [[1], "2"], [{"x": 1}],
+                      [1.5], [Fraction(1, 2), "3"], []):
+            assert read_outcome(_ratios, texts) == read_outcome(one_by_one, texts)
+        assert _ratios(["1/2", 7, "-3"]) == [(1, 2), (7, 1), (-3, 1)]
+
+    def test_plain_texts_are_read_without_ratio(self, monkeypatch):
+        # the fast path keeps the written terms, as _ratio does
+        calls = count_calls(monkeypatch, exactgeom, "_ratio")
+        texts = [*PLAIN_TEXTS, "-" + "7" * 4300 + "/" + "9" * 4300]
+        assert _ratios(texts) == [(3, 1), (-4, 6), (0, 7), (12, 1), (0, 1), (1, int("9" * 40)),
+                                  (-int("7" * 4300), int("9" * 4300))]
+        assert calls == []
+        # a zero denominator and a part past int()'s digit limit take the
+        # slow path, which raises
+        for odd in ("3/0", "3/00", "1" * 4301):
+            with pytest.raises(ParseError):
+                _ratios([*PLAIN_TEXTS, odd])
+
+    def test_length_cap_without_a_digit_limit(self):
+        # past MAX_SCALAR_CHARS a text is refused even where int() would
+        # read it, as with the interpreter's digit limit switched off
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for text in ("1" * (MAX_SCALAR_CHARS + 1), "1/" + "3" * (MAX_SCALAR_CHARS - 1)):
+                texts = [*PLAIN_TEXTS, text]
+                assert read_outcome(_ratios, texts) == read_outcome(one_by_one, texts)
+                assert read_outcome(_ratios, texts)[0] is ParseError
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @settings(max_examples=400, derandomize=True)
+    @given(st.lists(
+        st.from_regex(r"-?[0-9]{1,6}(/[0-9]{1,4})?", fullmatch=True)
+        | st.text(alphabet="0123456789-+/ ,\n\t\x1c_.e\u0661", max_size=8)
+        | st.integers(-10**6, 10**6),
+        max_size=8,
+    ))
+    def test_random_lists(self, texts):
+        assert read_outcome(_ratios, texts) == read_outcome(one_by_one, texts)
 
 
 def written(write, p, q):

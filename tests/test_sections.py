@@ -818,6 +818,34 @@ class TestRows:
         assert sectioned_from_obj(doc).rows == (row,) == (_row([_ratio(c) for c in vertex]),)
 
 
+def one_by_one_rows(doc):
+    """The rows of an extension's vertices read one vertex at a time, its
+    shape, then each text other than "0" through _ratio: the reference for
+    the batched reader of sectioned_from_obj, and its first error."""
+    dim = doc["dim"]
+    rows = []
+    for raw in doc["vertices"]:
+        if not isinstance(raw, list) or len(raw) != dim:
+            raise ParseError(f"vertex {raw!r} must have {dim} coordinates")
+        support = [k for k, c in enumerate(raw) if c != "0"]
+        *values, w = _row([_ratio(raw[k]) for k in support])
+        row = [0] * dim + [w]
+        for k, v in zip(support, values):
+            row[k] = v
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+MALFORMED_VERTICES = [
+    [["1/2", "0", "1"], ["x", "0", "-1"], ["0", "1", "2", "3"], ["0", "1", "-1"]],
+    [["1/2", "0", "1"], ["0", "1", "2", "3"], ["x", "0", "-1"], ["0", "1", "-1"]],
+    [["1/2", "0", "1"], "0 1 2", ["1/0", "0", "-1"]],
+    [["1/2", "0", "1"], ["0", "3 /4", "1"], None, ["0", "1", "5/0"]],
+    [["1/2", "0", "1"], ["0", "1", "-1"], ["0", "0", "1" * (MAX_SCALAR_CHARS + 1)], ["1", "1"]],
+    [["1/2", "0", "1"], ["0", "1", "-1"], [None, "0", "1"], []],
+]
+
+
 def fraction_pair_polygon(raw):
     """The pair reader on Fractions: parse_scalar on each text, then
     validate on the pairs; the reference for polygon_from_obj and the claim
@@ -863,6 +891,9 @@ MALFORMED_CLAIMS = [
     [["0", "0"], ["1e" + "9" * 4, "0"], ["0", "1"]],
     [["0", "0"], ["1", "0"]],
     [],
+    # two defects: the first in file order is the one reported
+    [["0", "0"], ["x", "0"], ["1", "0", "0"], ["0", "1"]],
+    [["0", "0"], ["1", "0", "0"], ["x", "0"], ["0", "1"]],
     [["0", "0"], ["1", "0"], ["2/2", "0.0"], ["0", "1"]],
     [["0", "0"], ["4", "0"], ["4", "4"], ["0", "4"], ["2", "2"]],
     [["0", "0"], ["2", "0"], ["1", "0"], ["1", "1"]],
@@ -901,6 +932,17 @@ class TestPairReader:
         expected = read_outcome(fraction_pair_polygon, raw)
         assert isinstance(expected[0], type) and issubclass(expected[0], PolysecError)
         assert read_outcome(PAIR_READERS[reader], raw) == expected
+
+
+    @pytest.mark.parametrize("vertices", MALFORMED_VERTICES, ids=range(len(MALFORMED_VERTICES)))
+    def test_malformed_vertices_raise_the_first_error_in_file_order(self, vertices):
+        doc = {"dim": 3, "vertices": vertices, "claimed": {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}}
+        expected = read_outcome(one_by_one_rows, doc)
+        assert isinstance(expected[0], type) and issubclass(expected[0], ParseError)
+        assert read_outcome(lambda d: sectioned_from_obj(d).rows, doc) == expected
+        # and the vertex defect comes before a defect of the claim
+        doc["claimed"] = {"vertices": [["0", "0"], ["y", "0"]]}
+        assert read_outcome(lambda d: sectioned_from_obj(d).rows, doc) == expected
 
 
 class TestLiftAndPullback:
