@@ -36,7 +36,7 @@ from .jsonio import (
 from .polygon import Polygon
 from .randgen import random_convex_polygon, random_point_config
 from .sections import SectionedPolytope, certify, extreme_points, verify_section
-from .slack import factorize_from_section, slack_matrix
+from .slack import _slack_pairs, factorize_from_section
 from .svg import render_polygon_svg
 
 
@@ -129,7 +129,7 @@ def cmd_verify(args) -> int:
 
 def cmd_slack(args) -> int:
     polygon = _load_polygon(args.path)
-    sys.stdout.write(dumps(matrix_to_obj(slack_matrix(polygon))))
+    sys.stdout.write(dumps(matrix_to_obj(_slack_pairs(polygon))))
     return 0
 
 

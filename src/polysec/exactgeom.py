@@ -22,9 +22,9 @@ writer, _format_ratio, writing p/q in lowest terms.  _ratios reads a list
 of texts as _ratio reads each, with int() alone when every text is plain
 "[-]digits[/digits]" and through _ratio otherwise.  jsonio reads each
 file's texts with one _ratios call into lifts and an extension's rows, and
-writes rows back as texts, with no Fraction either way; parse_scalar makes
-a Fraction of a text, and format_scalar writes one (the factors R and C),
-for other callers.
+writes rows and the slack layer's integer pairs back as texts, with no
+Fraction either way; parse_scalar makes a Fraction of a text, and
+format_scalar writes one, for library callers.
 
 No floating point is used anywhere in this module.  All values are
 immutable and all operations are pure, so they are safe to share across

@@ -11,18 +11,19 @@ exactgeom._ratio reads each, and one _row per vertex.  A shape defect
 first reads the texts before it, so the first defect in file order is the
 one reported.  Polygons and extensions are written from the same rows,
 Polygon.lifts and SectionedPolytope.rows, each coordinate X/W by
-exactgeom._format_ratio, with no Fraction either.  Only the factors R
-and C, Fraction matrices, go through format_scalar.
+exactgeom._format_ratio, with no Fraction either, and so are matrices,
+from rows of integer pairs (p, q): the slack matrix and the factor R from
+the pairs the slack layer holds (slack module docstring), the factor C
+from the numerator and denominator of each Fraction.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParseError
-from .exactgeom import Triple, _format_ratio, _ratios, _row, format_scalar
+from .exactgeom import Triple, _format_ratio, _ratios, _row
 from .polygon import Polygon, _validate_lifts
 from .sections import SectionedPolytope
 from .slack import SlackFactorization
@@ -125,15 +126,17 @@ def sectioned_from_obj(obj) -> SectionedPolytope:
     return SectionedPolytope(dim, rows, claimed)
 
 
-def matrix_to_obj(matrix: Sequence[Sequence[Fraction]]) -> dict:
-    rows = [[format_scalar(v) for v in row] for row in matrix]
+def matrix_to_obj(matrix: Sequence[Sequence[tuple[int, int]]]) -> dict:
+    """The shape and the texts of a matrix given as rows of integer pairs
+    (p, q), q > 0, each p/q written in lowest terms by _format_ratio."""
+    rows = [[_format_ratio(p, q) for p, q in row] for row in matrix]
     return {"shape": [len(rows), len(rows[0]) if rows else 0], "entries": rows}
 
 
 def factorization_to_obj(fact: SlackFactorization, extension_sha256: str) -> dict:
     return {
         "r": fact.inner_dim,
-        "R": matrix_to_obj(fact.r_factor),
-        "C": matrix_to_obj(fact.c_factor),
+        "R": matrix_to_obj(fact.r_pairs),
+        "C": matrix_to_obj([[v.as_integer_ratio() for v in row] for row in fact.c_factor]),
         "extension_sha256": extension_sha256,
     }

@@ -155,17 +155,30 @@ def fourier_motzkin_point(constraints: Sequence[Constraint], nvars: int) -> Opti
     Each coordinate takes interval_point of the interval its own constraints
     give.  Fourier-Motzkin elimination combines no two variables of such a
     system, so this is the point it picks with midpoint back-substitution.
+    Each bound rhs / c is kept as the pair (rhs, c), signs turned so that
+    c > 0, and bounds are compared by cross-multiplication: a Fraction is
+    made only of the tightest bounds, which interval_point takes.
     Returns None when the system is infeasible.
     """
-    lowers: list[list[Fraction]] = [[] for _ in range(nvars)]
-    uppers: list[list[Fraction]] = [[] for _ in range(nvars)]
+    lowers: list[Optional[tuple]] = [None] * nvars
+    uppers: list[Optional[tuple]] = [None] * nvars
     for j, c, rhs in constraints:
-        if j is not None:
-            (lowers if c > 0 else uppers)[j].append(Fraction(rhs, c))
-        elif rhs > 0:
+        if j is None:
+            if rhs > 0:
+                return None
+        elif c > 0:
+            lo = lowers[j]
+            if lo is None or rhs * lo[1] > lo[0] * c:
+                lowers[j] = (rhs, c)
+        else:
+            hi = uppers[j]
+            # -rhs / -c < hi[0] / hi[1]
+            if hi is None or rhs * hi[1] > hi[0] * c:
+                uppers[j] = (-rhs, -c)
+    point = []
+    for lo, hi in zip(lowers, uppers):
+        if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
             return None
-    lo = [max(bounds, default=None) for bounds in lowers]
-    hi = [min(bounds, default=None) for bounds in uppers]
-    if any(a is not None and b is not None and a > b for a, b in zip(lo, hi)):
-        return None
-    return [interval_point(a, b) for a, b in zip(lo, hi)]
+        point.append(interval_point(None if lo is None else Fraction(*lo),
+                                    None if hi is None else Fraction(*hi)))
+    return point

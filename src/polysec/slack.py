@@ -12,36 +12,46 @@ also the proof that the claimed polygon is the section, in any dimension:
   polygon.  Each free coefficient is the midpoint of the interval that
   the vertices of its block bound (SectionedPolytope.blocks), or, when a
   vertex has two nonzero coordinates off H, one linear program gives
-  them.  Entry (i, k) of R is that functional at generator k.  With
-  L_i = (X_i, Y_i, W_i) the rows of the polygon's vertices (Polygon.lifts)
-  and l_i = cross(L_i, L_{i+1}), l_i . (x, y, 1) = det(L_i, L_{i+1}, (x, y, 1)),
-  so S_ij = -l_i . L_j / (W_i W_{i+1} W_j), and at the row (X, Y, Z, W) of
-  generator k (SectionedPolytope.rows), (D c_i, D) the row of c_i,
-  R_ik = (W_i W_{i+1} D c_i . Z - D l_i . (X, Y, W)) / (D W_i W_{i+1} W):
-  one integer expression over one denominator, as each Fourier-Motzkin
-  bound.  Each is a ratio in which a positive multiple of any of the rows
-  cancels, so it reads the same value off any representatives.
+  them.  Entry (i, k) of R is that functional at generator k.
 - C (column factor): each polygon vertex is an exact convex combination
   of polytope vertices that lands on H, so the polygon lies in the
   section.  A vertex on H or a crossing of H by a vertex segment is read
   off with no search, any other polygon vertex by one linear program
   (sections._claim_columns, which verify uses too).
 
-The product is checked exactly, once, summing only over the nonzero
-entries of each column of C.
+Every entry of S and R is held as an integer pair (N, D), D > 0, the
+rational N/D, not reduced.  With L_i = (X_i, Y_i, W_i) the rows of the
+polygon's vertices (Polygon.lifts) and l_i = cross(L_i, L_{i+1}),
+l_i . (x, y, 1) = det(L_i, L_{i+1}, (x, y, 1)), so
+S_ij = (-l_i . L_j, W_i W_{i+1} W_j).  At the row (X, Y, Z, W) of
+generator k (SectionedPolytope.rows), R_ik starts from the pair
+(-l_i . (X, Y, W), W_i W_{i+1}) and adds c_ij Z_j = (p_j Z_j, q_j) for
+each coordinate j of the support of the row, its nonzero coordinates off
+H, by cross-multiplication, the denominator then multiplied by W.  Only
+the denominators of the c_ij on that support enter: on a file with
+blocks the support is one coordinate, read off s.blocks, and
+R_ik = (W_i W_{i+1} p_j Z_j - q_j l_i . (X, Y, W), q_j W_i W_{i+1} W).
+One common denominator for c_i would put the lcm of all of them into
+every entry.  Each pair is a ratio in which a positive multiple of any of
+the rows cancels, so it reads the same value off any representatives.  A Fraction is formed only where a library user
+reads one: slack_matrix and SlackFactorization.r_factor.
+
+The product is checked exactly, once, in integers: each entry of R * C
+sums only over the nonzero entries of its column of C and is compared
+with S by cross-multiplication (verify_factorization).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import repeat
+from typing import Optional, Sequence, Union
 
 from .errors import CertificationFailure, DomainError, NoExtension, NotInPolytope
-from .exactgeom import _row, cross
+from .exactgeom import cross
 from .linalg import fourier_motzkin_point
 from .polygon import Polygon
-from .sections import SectionedPolytope, _claim_columns, _distinct_rows, edge_extension
+from .sections import SectionedPolytope, _claim_columns, _distinct_rows, _support, edge_extension
 
 __all__ = [
     "SlackFactorization",
@@ -52,32 +62,70 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Pair = tuple[int, int]  # (N, D), D > 0: the rational N/D, not reduced
+PairMatrix = tuple[tuple[Pair, ...], ...]
 
 
-@dataclass(frozen=True)
 class SlackFactorization:
-    """Exact nonnegative factors with R * C = S and unit column sums in C."""
+    """Exact nonnegative factors with R * C = S and unit column sums in C.
 
-    r_factor: Matrix
-    c_factor: Matrix
+    R is held as r_pairs, the integer pair (N, D) of each entry (module
+    docstring); r_factor, its Fraction view, is derived on first read, for
+    library users.  The keyword constructor takes R and C as Fraction
+    matrices (ints too).  C stays a Fraction matrix.
+    """
+
+    __slots__ = ("r_pairs", "c_factor", "_r_factor")
+
+    def __init__(self, r_factor: Matrix, c_factor: Matrix):
+        self.r_pairs = tuple(tuple(v.as_integer_ratio() for v in row) for row in r_factor)
+        self.c_factor, self._r_factor = c_factor, r_factor
+
+    @classmethod
+    def _of_pairs(cls, r_pairs: PairMatrix, c_factor: Matrix) -> SlackFactorization:
+        fact = cls.__new__(cls)
+        fact.r_pairs, fact.c_factor, fact._r_factor = r_pairs, c_factor, None
+        return fact
+
+    @property
+    def r_factor(self) -> Matrix:
+        """Fraction(N, D) of each pair of r_pairs."""
+        if self._r_factor is None:
+            self._r_factor = tuple(tuple([Fraction(n, d) for n, d in row]) for row in self.r_pairs)
+        return self._r_factor
 
     @property
     def inner_dim(self) -> int:
-        return len(self.r_factor[0]) if self.r_factor else 0
+        return len(self.r_pairs[0]) if self.r_pairs else 0
 
 
-def _edge_values(polygon: Polygon, i: int, points: Sequence[tuple], tail: Sequence[Fraction] = ()) -> tuple:
-    """R_ik (module docstring) at each point, a row or a lift, with tail as c_i."""
+def _edge_values(polygon: Polygon, i: int, points: Sequence[tuple],
+                 supports: Optional[Sequence[tuple[int, ...]]] = None, tail: Sequence[Pair] = ()) -> tuple:
+    """The pair of R_ik (module docstring) at each point, a row or a lift,
+    with tail the pairs (p, q) of c_i and supports[k] the coordinates j off
+    H where points[k] is nonzero, whose c_ij is tail[j - 2]; with no
+    supports every point is on H, and these are the pairs of S_i."""
     p, q = polygon.lifts[i], polygon.lifts[(i + 1) % polygon.n]
     (a, b, c), m = cross(p, q), p[2] * q[2]
-    *tail, d = _row([ck.as_integer_ratio() for ck in tail])
-    return tuple(Fraction(m * sum(ck * zk for ck, zk in zip(tail, g[2:-1]) if zk)
-                          - d * (a * g[0] + b * g[1] + c * g[-1]), d * m * g[-1]) for g in points)
+    out = []
+    for g, support in zip(points, supports or repeat(())):
+        num, den = -(a * g[0] + b * g[1] + c * g[-1]), m
+        for j in support:  # plus c_ij Z_j
+            cp, cq = tail[j - 2]
+            num, den = num * cq + cp * g[j] * den, den * cq
+        out.append((num, den * g[-1]))
+    return tuple(out)
+
+
+def _slack_pairs(polygon: Polygon) -> PairMatrix:
+    """The slack matrix as integer pairs (module docstring): row i holds
+    the slack of each vertex in the inequality of edge (i, i+1)."""
+    return tuple(_edge_values(polygon, i, polygon.lifts) for i in range(polygon.n))
 
 
 def slack_matrix(polygon: Polygon) -> Matrix:
     """Row i holds the slack of each vertex in the inequality of edge (i, i+1)."""
-    return tuple(_edge_values(polygon, i, polygon.lifts) for i in range(polygon.n))
+    return tuple(tuple([Fraction(n, d) for n, d in row]) for row in _slack_pairs(polygon))
 
 
 def extend_facet_inequality(facet: int, s: SectionedPolytope) -> tuple[Fraction, ...]:
@@ -88,9 +136,10 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> tuple[Fraction,
     For the facet inequality a . x <= b, the functional
     b - a . x[:2] + c . x[2:] is the planar slack on H and is nonnegative
     at every polytope vertex; factorize_from_section evaluates it at each
-    generator.  When no vertex has two nonzero coordinates off H
-    (s.blocks is not None), vertex v of block j bounds coefficient j
-    alone: fourier_motzkin_point takes the integer triple
+    generator, over the denominators of the c_j on the generator's own
+    support (module docstring).  When no vertex has two nonzero
+    coordinates off H (s.blocks is not None), vertex v of block j bounds
+    coefficient j alone: fourier_motzkin_point takes the integer triple
     (j - 2, W_f W_{f+1} Z_j, l_f . (X, Y, W)) of its row (module
     docstring), or (None, 0, l_f . (X, Y, W)) on H, and the midpoint of
     each coefficient's interval; otherwise they come from the edge LP over
@@ -137,7 +186,9 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     and any other vertex costs one exact LP.  Row i of R is the extended
     functional of edge (i, i+1), with free coefficients c
     (extend_facet_inequality), at each generator g: b - a . g[:2] plus
-    c . g[2:] (module docstring).
+    c . g[2:], as integer pairs (module docstring).  A generator's support
+    is its block (s.blocks), or, when some vertex has two nonzero
+    coordinates off H, scanned once per factorization.
 
     A claim that is not the section fails: a facet with no nonnegative
     extension raises NoExtension, a vertex outside the polytope
@@ -150,31 +201,55 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     c_cols = _claim_columns(s, distinct)
     if c_cols is None:
         raise NotInPolytope("a vertex of the polygon is not in the polytope")
-    r_rows = tuple(_edge_values(polygon, i, distinct, extend_facet_inequality(i, s))
-                   for i in range(polygon.n))
+    gens = list(distinct)
+    if s.blocks is not None:
+        supports = [() if s.blocks[k] is None else (s.blocks[k],) for k in distinct.values()]
+    else:
+        supports = list(map(_support, gens))
+    r_pairs = tuple(
+        _edge_values(polygon, i, gens, supports,
+                     [ck.as_integer_ratio() for ck in extend_facet_inequality(i, s)])
+        for i in range(polygon.n))
     zero = Fraction(0)
     c_rows = tuple(tuple(col.get(k, zero) for col in c_cols) for k in range(len(distinct)))
-    fact = SlackFactorization(r_factor=r_rows, c_factor=c_rows)
-    if not verify_factorization(slack_matrix(polygon), fact):
+    fact = SlackFactorization._of_pairs(r_pairs, c_rows)
+    if not verify_factorization(_slack_pairs(polygon), fact):
         raise CertificationFailure("factor product failed to reproduce the slack matrix")
     return fact
 
 
-def verify_factorization(sm: Matrix, fact: SlackFactorization) -> bool:
+def verify_factorization(sm: Union[Matrix, PairMatrix], fact: SlackFactorization) -> bool:
     """Exact check: factors nonnegative and R * C equals the slack matrix.
 
-    Each product entry sums over the nonzero entries of its C column only,
-    which omits exactly the zero terms.
+    sm holds Fractions or ints (slack_matrix), or integer pairs (N, D),
+    D > 0 (module docstring).  R is read as its pairs and C's entries as
+    their numerators and denominators, so no Fraction is formed and no gcd
+    taken: each factor entry is nonnegative when its numerator is, and each
+    product entry sums over the nonzero entries of its C column only, which
+    omits exactly the zero terms, into one unreduced pair compared with
+    S_ij by cross-multiplication, one integer equality.
     """
-    r, c = fact.r_factor, fact.c_factor
+    r, c = fact.r_pairs, fact.c_factor
     n = len(sm)
-    if len(r) != n or (r and len(c) != len(r[0])) or any(len(row) != n for row in c):
+    if (len(r) != n or any(len(row) != len(c) for row in r)
+            or any(len(row) != n for row in c) or any(len(row) != n for row in sm)):
         return False
-    if any(v < 0 for row in r for v in row) or any(v < 0 for row in c for v in row):
+    if any(v < 0 for row in r for v, _ in row):
         return False
-    for j in range(n):
-        column = [(k, row[j]) for k, row in enumerate(c) if row[j]]
-        for i in range(n):
-            if sum(r[i][k] * w for k, w in column) != sm[i][j]:
+    columns = [[] for _ in range(n)]  # the nonzero entries (k, p, q) of each column of C
+    for k, row in enumerate(c):
+        for column, w in zip(columns, row):
+            if w:
+                if w.numerator < 0:
+                    return False
+                column.append((k, w.numerator, w.denominator))
+    for ri, si in zip(r, sm):
+        for sv, column in zip(si, columns):
+            num, den = 0, 1
+            for k, wp, wq in column:
+                rn, rd = ri[k]
+                num, den = num * rd * wq + rn * wp * den, den * rd * wq
+            sn, sd = sv if type(sv) is tuple else sv.as_integer_ratio()
+            if num * sd != sn * den:
                 return False
     return True

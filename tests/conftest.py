@@ -78,10 +78,67 @@ def count_calls_everywhere(monkeypatch, module, name: str) -> list:
     """count_calls, also through every polysec module that imported module.name."""
     original = getattr(module, name)
     calls = count_calls(monkeypatch, module, name)
+    _rebind_everywhere(monkeypatch, name, original, getattr(module, name))
+    return calls
+
+
+def _rebind_everywhere(monkeypatch, name: str, original, replacement) -> None:
+    """Bind name to replacement in every polysec module that binds it to original."""
     for other in list(sys.modules.values()):
         if getattr(other, "__name__", "").startswith("polysec.") and vars(other).get(name) is original:
-            monkeypatch.setattr(other, name, getattr(module, name))
-    return calls
+            monkeypatch.setattr(other, name, replacement)
+
+
+def fractions_made_inside(monkeypatch, module, name: str) -> list:
+    """The arguments of each Fraction made while module.name runs, through
+    every polysec module that imported it.  Fraction() goes through
+    __new__; from Python 3.12 on, Fraction arithmetic makes its results
+    through Fraction._from_coprime_ints, which does not, so that is
+    counted too where it exists."""
+    made, depth = [], []
+    original = getattr(module, name)
+
+    def inside(*args, **kwargs):
+        depth.append(None)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(module, name, inside)
+    _rebind_everywhere(monkeypatch, name, original, inside)
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        if depth:
+            made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    coprime = vars(Fraction).get("_from_coprime_ints")
+    if coprime is not None:
+        def counted_coprime(cls, numerator, denominator):
+            if depth:
+                made.append((numerator, denominator))
+            return coprime.__func__(cls, numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    return made
+
+
+def reference_verify_factorization(sm, r, c) -> bool:
+    """The product check on Fractions, the oracle of
+    slack.verify_factorization: for the slack matrix sm and the factors R
+    and C, matrices of Fractions or ints, the shapes n x r and r x n, every
+    entry of R and C nonnegative, and the dense sum over k of
+    Fraction(R_ik) C_kj equal to S_ij for every i, j."""
+    n = len(sm)
+    if len(r) != n or any(len(row) != len(c) for row in r) or any(len(row) != n for row in c):
+        return False
+    if any(v < 0 for factor in (r, c) for row in factor for v in row):
+        return False
+    return all(sum(Fraction(r[i][k]) * c[k][j] for k in range(len(c))) == sm[i][j]
+               for i in range(n) for j in range(n))
 
 
 def convex_coefficients(point, generators):

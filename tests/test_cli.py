@@ -32,6 +32,7 @@ from conftest import (
     SIX_VERTEX_HEXAGON,
     count_calls,
     count_calls_everywhere,
+    fractions_made_inside,
     row_of,
     vertex_of,
 )
@@ -458,6 +459,26 @@ class TestSlackFactorize:
             assert main(["factorize", path, str(tmp_path / f"{k}.json")]) == 0
             assert len(checks) == len(verifies) == k + 1
         assert lps == [] and solves == [] and kernel == [[], [], []]
+
+    def test_product_check_makes_no_fraction(self, heptagon_file, tmp_path, capsys, monkeypatch):
+        # the one product check of factorize runs in integers, on the files
+        # extend writes and on the LP path alike: R and S as integer pairs,
+        # C read by numerator and denominator
+        polygon = random_convex_polygon(random.Random(28), 28)
+        path28 = write_polygon(tmp_path, "p28.json", polygon.vertices)
+        runs = [(heptagon_file, "auto"), (path28, "join"), (path28, "3d")]
+        for k, (path, mode) in enumerate(runs):
+            assert main(["extend", path, "--mode", mode, "--out", str(tmp_path / f"{k}.json")]) == 0
+        doc = lp_path_doc()
+        (tmp_path / "lp.json").write_text(json.dumps(doc))
+        square = write_polygon(tmp_path, "square.json", [tuple(map(Fraction, v)) for v in doc["claimed"]["vertices"]])
+        made = fractions_made_inside(monkeypatch, slack, "verify_factorization")
+        checks = count_calls_everywhere(monkeypatch, slack, "verify_factorization")
+        for k, (path, _) in enumerate(runs):
+            assert main(["factorize", path, str(tmp_path / f"{k}.json")]) == 0
+        assert main(["factorize", square, str(tmp_path / "lp.json")]) == 0
+        assert len(checks) == 4 and made == []
+        capsys.readouterr()
 
     @pytest.mark.slow
     def test_factorize_output_unchanged(self, tmp_path, capsys):

@@ -269,6 +269,25 @@ class TestFourierMotzkin:
         assert fourier_motzkin_point(constraints, 1) is None
         assert fourier_motzkin_point([(None, F(0), F(1))], 1) is None  # 0 >= 1
 
+    @pytest.mark.parametrize("triples", [
+        # x <= 5, x <= 3 (c = -2), x >= 3 (c = 3), x >= 1: the tightest
+        # bounds meet at x = 3; y <= -2 (c = -1/2) alone gives y = -3
+        [(0, F(-1), F(-5)), (0, F(-2), F(-6)), (0, F(3), F(9)), (0, F(1), F(1)), (1, F(-1, 2), F(1))],
+        # int triples, as the slack layer passes them: x >= -7/3 and
+        # x <= -7/3 give x = -7/3; y <= -9/4 and y <= -5/2 give y = -7/2
+        [(0, 3, -7), (0, -6, 14), (1, -4, 9), (1, -2, 5)],
+        # x <= -2 twice, from c = -3 and c = -1, and x >= -3/2: empty
+        [(0, -3, 6), (0, -1, 2), (0, 2, -3)],
+    ], ids=["mixed-signs", "integers", "empty"])
+    def test_negative_coefficients_and_single_point_intervals(self, triples):
+        # bounds rhs / c with c < 0 are upper bounds, compared with each
+        # other and with the lower ones by cross-multiplication
+        point = fourier_motzkin_point(triples, 2)
+        assert point == reference_fourier_motzkin(dense_rows(triples, 2), 2)
+        if point is not None:
+            assert all(type(v) is Fraction for v in point)
+            assert all(c * point[j] >= rhs for j, c, rhs in triples)
+
     def test_two_variables_feasible_point(self, rng):
         # a separable system gets a point that meets every constraint
         feasible = 0

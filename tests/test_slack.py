@@ -6,9 +6,10 @@ import pytest
 from polysec import sections, slack
 from polysec.errors import DomainError, NoExtension, ScaleExceeded
 from polysec.heptagon import StandardHeptagon, build_standard_extension, heptagon_extension
+from polysec.hexagon import hexagon_extension5, hexagon_ic
 from polysec.compose import ngon_3d_extension, ngon_extension
 from polysec.polygon import validate
-from polysec.randgen import random_convex_polygon
+from polysec.randgen import random_convex_polygon, random_hexagon_params
 from polysec.sections import SectionedPolytope, _distinct_rows, certify
 from polysec.slack import (
     SlackFactorization,
@@ -18,7 +19,14 @@ from polysec.slack import (
     verify_factorization,
 )
 
-from conftest import convex_coefficients, count_calls, count_calls_everywhere, rank, row_of
+from conftest import (
+    convex_coefficients,
+    count_calls,
+    count_calls_everywhere,
+    rank,
+    reference_verify_factorization,
+    row_of,
+)
 
 
 def distinct_vertices(s: SectionedPolytope) -> list:
@@ -326,3 +334,115 @@ class TestVerifyFactorization:
         sm = slack_matrix(obs_heptagon)
         bad = SlackFactorization(r_factor=((Fraction(1),),), c_factor=((Fraction(1),),))
         assert not verify_factorization(sm, bad)
+
+    def test_negative_c_weight_with_the_right_product_fails(self):
+        # a box over the unit square: its top corners g0 - g1 + g2 - g3 = 0,
+        # so the R columns of any affine functionals sum to zero with those
+        # signs; adding them to a column of C keeps R * C = S and the column
+        # sum, and leaves negative weights, which only the sign check rejects
+        square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
+        box = [(x, y, z) for z in (1, -1) for x, y in square.vertices]
+        assert [g[:2] for g in box[:4]] == [(0, 0), (0, 1), (1, 1), (1, 0)]
+        fact = factorize_from_section(square, certify(SectionedPolytope(3, map(row_of, box), square)))
+        rows = [list(r) for r in fact.c_factor]
+        for k, sign in enumerate((1, -1, 1, -1)):
+            rows[k][0] += sign
+        bad = SlackFactorization(r_factor=fact.r_factor, c_factor=tuple(map(tuple, rows)))
+        sm = slack_matrix(square)
+        assert any(w < 0 for row in bad.c_factor for w in row)
+        assert not verify_factorization(sm, bad)
+        assert not reference_verify_factorization(sm, bad.r_factor, bad.c_factor)
+        # while the product itself still equals S
+        assert all(sum(r[k] * c[j] for k, c in enumerate(bad.c_factor)) == sm[i][j]
+                   for i, r in enumerate(bad.r_factor) for j in range(4))
+
+    def test_ragged_r_fails(self):
+        # a row of R shorter than the first: a malformed factorization, not
+        # an IndexError
+        square = validate([(0, 0), (1, 0), (1, 1), (0, 1)])
+        flat = [(x, y, Fraction(0)) for x, y in square.vertices]
+        fact = factorize_from_section(square, certify(SectionedPolytope(3, map(row_of, flat), square)))
+        ragged = (*fact.r_factor[:3], fact.r_factor[3][:3])
+        bad = SlackFactorization(r_factor=ragged, c_factor=fact.c_factor)
+        assert not verify_factorization(slack_matrix(square), bad)
+        assert not reference_verify_factorization(slack_matrix(square), bad.r_factor, bad.c_factor)
+
+
+def five_vertex_hexagon(seed: int) -> SectionedPolytope:
+    """The 5-vertex extension of a seeded hexagon with a concurrent line
+    triple, from the parameters of randgen.random_hexagon_params."""
+    alpha, beta, gamma, x, y = random_hexagon_params(random.Random(seed))
+    hexagon = validate([(0, alpha), (beta * x, beta * y), (gamma, 0), (1, 0), (x, y), (0, 1)])
+    ext = hexagon_extension5(hexagon, hexagon_ic(hexagon))
+    assert len(ext.rows) == 5
+    return ext
+
+
+def tamperings(fact: SlackFactorization) -> dict:
+    """Factors (R, C) as Fraction matrices: the untampered ones, and four
+    tamperings, each of which changes the product or a sign."""
+    r, c = fact.r_factor, fact.c_factor
+    # a C entry that some R entry multiplies, and another generator's row
+    k, j = next((k, j) for k, row in enumerate(c) for j, w in enumerate(row) if w)
+    other = (k + 1) % len(c)
+
+    def changed(matrix, edit):
+        rows = [list(row) for row in matrix]
+        edit(rows)
+        return tuple(map(tuple, rows))
+
+    def raise_r(rows):
+        rows[0][k] += Fraction(1, 1000)
+
+    def negate_c(rows):
+        rows[k][j] = -rows[k][j]
+
+    def swap_r(rows):
+        rows[0], rows[1] = rows[1], rows[0]
+
+    def move_c(rows):
+        rows[other][j] += rows[k][j]
+        rows[k][j] = 0
+
+    return {
+        "untampered": (r, c),
+        "R entry raised by 1/1000": (changed(r, raise_r), c),
+        "C entry negated": (r, changed(c, negate_c)),
+        "two R rows swapped": (changed(r, swap_r), c),
+        "C weight moved to another row": (r, changed(c, move_c)),
+    }
+
+
+class TestIntegerProductCheck:
+    @pytest.mark.parametrize("build", [
+        *[lambda seed=seed: heptagon_extension(random_convex_polygon(random.Random(seed), 7))
+          for seed in range(3)],
+        *[lambda seed=seed: five_vertex_hexagon(seed) for seed in range(3)],
+        lambda: ngon_extension(random_convex_polygon(random.Random(28), 28)),
+        lambda: ngon_3d_extension(random_convex_polygon(random.Random(28), 28)),
+        lp_path_square,
+    ], ids=[*[f"heptagon-{seed}" for seed in range(3)], *[f"hexagon5-{seed}" for seed in range(3)],
+            "join-28", "3d-28", "lp-path"])
+    def test_agrees_with_the_fraction_oracle(self, build):
+        # the integer check decides as the dense Fraction product does, on
+        # the slack matrix as Fractions and as integer pairs, untampered
+        # and under each tampering
+        ext = build()
+        polygon = ext.claimed
+        fact = factorize_from_section(polygon, ext)
+        sm, pairs = slack_matrix(polygon), slack._slack_pairs(polygon)
+        for name, (r, c) in tamperings(fact).items():
+            expected = reference_verify_factorization(sm, r, c)
+            assert expected == (name == "untampered"), name
+            tampered = SlackFactorization(r_factor=r, c_factor=c)
+            assert verify_factorization(sm, tampered) == expected, name
+            assert verify_factorization(pairs, tampered) == expected, name
+
+    def test_r_read_from_its_pairs(self, obs_heptagon):
+        # factorize holds R as integer pairs, and its Fractions are derived
+        # from them on first read, the values of those pairs
+        fact = factorize_from_section(obs_heptagon, heptagon_extension(obs_heptagon))
+        assert fact._r_factor is None
+        assert all(type(n) is int and type(d) is int and d > 0 for row in fact.r_pairs for n, d in row)
+        assert fact.r_factor == tuple(tuple(Fraction(n, d) for n, d in row) for row in fact.r_pairs)
+        assert fact.r_factor is fact.r_factor
