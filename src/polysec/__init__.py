@@ -26,7 +26,6 @@ from .heptagon import (
     classify_line,
     find_noncrossing,
     heptagon_extension,
-    invariant_sum,
     standardize,
     std_points,
 )

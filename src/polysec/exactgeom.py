@@ -23,8 +23,8 @@ of texts as _ratio reads each, with int() alone when every text is plain
 "[-]digits[/digits]" and through _ratio otherwise.  jsonio reads each
 file's texts with one _ratios call into lifts and an extension's rows, and
 writes rows and the slack layer's integer pairs back as texts, with no
-Fraction either way; parse_scalar makes a Fraction of a text, and
-format_scalar writes one, for library callers.
+Fraction either way; parse_scalar makes a Fraction of a text, for
+library callers.
 
 No floating point is used anywhere in this module.  All values are
 immutable and all operations are pure, so they are safe to share across
@@ -36,11 +36,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import DegenerateJoin, DegenerateMeet, ParseError, ScaleExceeded
 
-ScalarLike = Union[Fraction, int, str]
 Triple = tuple[int, int, int]
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "det3",
     "cross",
     "parse_scalar",
-    "format_scalar",
 ]
 
 
@@ -149,14 +147,6 @@ def _format_ratio(p: int, q: int) -> str:
         return str(p // g) if g == q else f"{p // g}/{q // g}"
     except ValueError as exc:
         raise ScaleExceeded("a rational has too many digits to write") from exc
-
-
-def format_scalar(value: ScalarLike) -> str:
-    """_format_ratio of a rational given as a Fraction, int or text; a
-    Fraction or an int is not converted again."""
-    if not isinstance(value, (Fraction, int)):
-        value = Fraction(value)
-    return _format_ratio(*value.as_integer_ratio())
 
 
 def _primitive_ints(values: Sequence[int]) -> list[int]:

@@ -31,12 +31,9 @@ __all__ = [
     "Crossing",
     "StandardHeptagon",
     "DetOctuple",
-    "InvariantSums",
     "std_points",
     "classify_line",
     "find_noncrossing",
-    "det_octuple",
-    "invariant_sum",
     "standardize",
     "build_standard_extension",
     "heptagon_vertices",
@@ -76,15 +73,6 @@ class DetOctuple:
     f: Fraction
     g: Fraction
     h: Fraction
-
-
-@dataclass(frozen=True)
-class InvariantSums:
-    total: Fraction
-    sum_ab: Fraction
-    sum_cd: Fraction
-    sum_ef: Fraction
-    sum_gh: Fraction
 
 
 def std_points(polygon: Polygon, i: int) -> StdPoints:
@@ -149,40 +137,6 @@ def find_noncrossing(polygon: Polygon) -> int:
     raise NoneFound(
         "no non-crossing standardization line; this refutes a theorem -- "
         f"reproducible input: {list(polygon.vertices)!r}"
-    )
-
-
-def det_octuple(points: Sequence, i: int) -> DetOctuple:
-    """Determinant octuple at index i, evaluated on the w = 1 lifts of
-    seven affine points.
-
-    The identities below are affine statements: they hold for the unit lifts,
-    not for arbitrary rescalings of individual points.
-    """
-    if len(points) != 7:
-        raise ValueError("need exactly 7 points")
-    return _octuple([(Fraction(x), Fraction(y), Fraction(1)) for x, y in points], i)
-
-
-def invariant_sum(points: Sequence) -> InvariantSums:
-    """The cyclic determinant identity sum(AB - CD + EF - GH) over a 7-tuple.
-
-    Returns the total together with the four partial sums, so the two
-    half-identities sum(AB) = sum(GH) and sum(EF) = sum(CD) are exposed.
-    The total is identically zero for every configuration of 7 finite
-    points, convex or not.
-    """
-    sums = [Fraction(0)] * 4
-    for i in range(7):
-        o = det_octuple(points, i)
-        sums[0] += o.a * o.b
-        sums[1] += o.c * o.d
-        sums[2] += o.e * o.f
-        sums[3] += o.g * o.h
-    sum_ab, sum_cd, sum_ef, sum_gh = sums
-    return InvariantSums(
-        total=sum_ab - sum_cd + sum_ef - sum_gh,
-        sum_ab=sum_ab, sum_cd=sum_cd, sum_ef=sum_ef, sum_gh=sum_gh,
     )
 
 

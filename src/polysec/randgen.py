@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .polygon import Polygon, validate
 
-__all__ = ["random_convex_polygon", "random_point_config", "random_hexagon_params"]
+__all__ = ["random_convex_polygon", "random_hexagon_params"]
 
 _DENOM = 2**16
 
@@ -36,14 +36,6 @@ def random_convex_polygon(rng: random.Random, n: int) -> Polygon:
         params.add((2 * u - 1) / (2 * u * (1 - u)))
     pts = [_circle_point(t) for t in sorted(params)]
     return validate(pts)
-
-
-def random_point_config(rng: random.Random, count: int = 7) -> list[tuple[Fraction, Fraction]]:
-    """Random rational points in general position not required; raw draws."""
-    return [
-        (Fraction(rng.randrange(-800, 801), 64), Fraction(rng.randrange(-800, 801), 64))
-        for _ in range(count)
-    ]
 
 
 def random_hexagon_params(rng: random.Random) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:

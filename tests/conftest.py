@@ -1,6 +1,5 @@
 import random
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -11,7 +10,7 @@ from hypothesis import settings
 from polysec import validate
 from polysec.errors import DuplicateVertex, ImageNotConvex, NotConvex, TooFewVertices
 from polysec.exactgeom import _canonical_int_triple, _row, det3
-from polysec.heptagon import DetOctuple, _octuple
+from polysec.heptagon import _octuple
 from polysec.linalg import _nonnegative_combination, feasible_nonnegative_solution
 from polysec.polygon import Polygon, ProjMap2
 from polysec.sections import extreme_points
@@ -291,7 +290,7 @@ def rational_grid_point(r: random.Random, spread: int = 200, denom: int = 32):
 class Poly:
     """An integer polynomial: a dict from monomials (sorted tuples of variable
     names, repeated by degree) to nonzero int coefficients, with +, - and *
-    against Polys and ints, and evaluation at a dict of values."""
+    against Polys and ints."""
 
     __slots__ = ("terms",)
 
@@ -332,14 +331,6 @@ class Poly:
     def __eq__(self, other):
         return self.terms == Poly.lift(other).terms
 
-    def __call__(self, values: dict):
-        total = 0
-        for m, c in self.terms.items():
-            for name in m:
-                c *= values[name]
-            total += c
-        return total
-
 
 def symbolic_octuples() -> list:
     """The determinant octuples at indices 0..6 of seven generic affine points
@@ -348,18 +339,8 @@ def symbolic_octuples() -> list:
     return [_octuple(rows, i) for i in range(7)]
 
 
-def octuple_at(octuple, values: dict) -> DetOctuple:
-    """A symbolic octuple evaluated at values."""
-    return DetOctuple(*(getattr(octuple, f.name)(values) for f in fields(DetOctuple)))
-
-
 def octuple_sums(octs) -> tuple:
     """sum(AB), sum(CD), sum(EF) and sum(GH) over seven octuples, the partial
-    sums of invariant_sum."""
+    sums of the cyclic determinant identity."""
     return (sum(o.a * o.b for o in octs), sum(o.c * o.d for o in octs),
             sum(o.e * o.f for o in octs), sum(o.g * o.h for o in octs))
-
-
-def point_values(points) -> dict:
-    """The values of x0, y0, ..., x6, y6 at seven affine points."""
-    return {f"{axis}{k}": Fraction(c) for k, p in enumerate(points) for axis, c in zip("xy", p)}
