@@ -63,16 +63,17 @@ class StdPoints:
 
 @dataclass(frozen=True)
 class DetOctuple:
-    """The eight determinant abbreviations attached to index i of a 7-tuple."""
+    """The eight determinant abbreviations attached to index i of a 7-tuple,
+    each det3 of three integer lifts (_octuple)."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e: Fraction
-    f: Fraction
-    g: Fraction
-    h: Fraction
+    a: int
+    b: int
+    c: int
+    d: int
+    e: int
+    f: int
+    g: int
+    h: int
 
 
 def std_points(polygon: Polygon, i: int) -> StdPoints:

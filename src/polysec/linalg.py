@@ -1,8 +1,12 @@
 """Exact rational linear algebra helpers.
 
-Everything here works over Fraction and is deterministic: fixed pivoting
-order, Bland's rule in the simplex, lexicographic tie-breaks.  A separable
-system is one triple per constraint, naming its one coordinate.
+Everything here is deterministic: fixed pivoting order, Bland's rule in
+the simplex, lexicographic tie-breaks.  The eliminations and the simplex
+work over Fraction.  A separable system is one triple per constraint,
+naming its one coordinate; its point is found on integer pairs (N, D),
+D > 0 (_fourier_motzkin_pairs, _interval_pair, the one midpoint rule),
+which the slack layer and the shear of sections.bounded_pullback read,
+and fourier_motzkin_point and interval_point are their Fraction views.
 
 Convex combinations run on integer columns (_nonnegative_combination), the
 rows (W g, W) of the points (exactgeom._row) that callers hold: mu >= 0
@@ -19,6 +23,7 @@ Z/W that its integer rows give.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 Row = list[Fraction]
@@ -135,33 +140,37 @@ def _nonnegative_combination(point: Sequence[int], columns: Sequence[Sequence[in
 
 
 Constraint = tuple[Optional[int], Fraction, Fraction]  # (j, c, rhs): c x_j >= rhs, or 0 >= rhs
+Pair = tuple[int, int]  # (N, D), D > 0: the rational N/D, in any terms
+
+
+def _interval_pair(lo: Optional[Pair], hi: Optional[Pair]) -> Pair:
+    """The one midpoint rule, on integer pairs: the deterministic point of
+    [lo, hi], None marking an open end, is the midpoint, 1 inside a single
+    finite end, 0 when both ends are open; in lowest terms, one gcd, so
+    that the products it enters stay small."""
+    if lo is not None and hi is not None:
+        num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+    elif lo is not None:
+        num, den = lo[0] + lo[1], lo[1]
+    else:
+        num, den = (0, 1) if hi is None else (hi[0] - hi[1], hi[1])
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def interval_point(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
-    """Deterministic point of [lo, hi], None marking an open end: the
-    midpoint, 1 inside a single finite end, 0 when both ends are open."""
-    if lo is not None and hi is not None:
-        return (lo + hi) / 2
-    if lo is not None:
-        return lo + 1
-    return Fraction(0) if hi is None else hi - 1
+    """_interval_pair of Fraction or int ends, as a Fraction."""
+    return Fraction(*_interval_pair(*[None if v is None else v.as_integer_ratio() for v in (lo, hi)]))
 
 
-def fourier_motzkin_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Row]:
-    """Pick a deterministic feasible point of a separable system, given as
-    triples (j, c, rhs): the constraint c x_j >= rhs with c nonzero, or,
-    when j is None, the check 0 >= rhs.  The entries are Fractions or ints.
-
-    Each coordinate takes interval_point of the interval its own constraints
-    give.  Fourier-Motzkin elimination combines no two variables of such a
-    system, so this is the point it picks with midpoint back-substitution.
-    Each bound rhs / c is kept as the pair (rhs, c), signs turned so that
-    c > 0, and bounds are compared by cross-multiplication: a Fraction is
-    made only of the tightest bounds, which interval_point takes.
-    Returns None when the system is infeasible.
-    """
-    lowers: list[Optional[tuple]] = [None] * nvars
-    uppers: list[Optional[tuple]] = [None] * nvars
+def _fourier_motzkin_pairs(constraints: Sequence[Constraint], nvars: int) -> Optional[list[Pair]]:
+    """fourier_motzkin_point on int triples, with each coordinate an
+    integer pair (N, D), D > 0, in lowest terms.  Each bound rhs / c is
+    kept as the pair (rhs, c), signs turned so that c > 0; bounds are
+    compared by cross-multiplication and _interval_pair takes the tightest
+    ones, so no Fraction is made."""
+    lowers: list[Optional[Pair]] = [None] * nvars
+    uppers: list[Optional[Pair]] = [None] * nvars
     for j, c, rhs in constraints:
         if j is None:
             if rhs > 0:
@@ -179,6 +188,26 @@ def fourier_motzkin_point(constraints: Sequence[Constraint], nvars: int) -> Opti
     for lo, hi in zip(lowers, uppers):
         if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
             return None
-        point.append(interval_point(None if lo is None else Fraction(*lo),
-                                    None if hi is None else Fraction(*hi)))
+        point.append(_interval_pair(lo, hi))
     return point
+
+
+def fourier_motzkin_point(constraints: Sequence[Constraint], nvars: int) -> Optional[Row]:
+    """Pick a deterministic feasible point of a separable system, given as
+    triples (j, c, rhs): the constraint c x_j >= rhs with c nonzero, or,
+    when j is None, the check 0 >= rhs.  The entries are ints, or
+    Fractions.
+
+    Each coordinate takes the midpoint rule (_interval_pair) of the
+    interval its own constraints give.  Fourier-Motzkin elimination
+    combines no two variables of such a system, so this is the point it
+    picks with midpoint back-substitution.  The Fractions of
+    _fourier_motzkin_pairs, which the slack layer reads; None when the
+    system is infeasible.
+    """
+    scaled = []  # each triple times the denominators of c and rhs, in integers
+    for j, c, rhs in constraints:
+        (cn, cd), (rn, rd) = c.as_integer_ratio(), rhs.as_integer_ratio()
+        scaled.append((j, cn * rd, rn * cd))
+    point = _fourier_motzkin_pairs(scaled, nvars)
+    return None if point is None else [Fraction(n, d) for n, d in point]

@@ -111,7 +111,7 @@ from .errors import (
     ScaleExceeded,
 )
 from .exactgeom import _ZERO, Triple, _dot, _primitive_ints, _row, cross
-from .linalg import _nonnegative_combination, feasible_nonnegative_solution, interval_point
+from .linalg import _interval_pair, _nonnegative_combination, feasible_nonnegative_solution
 from .polygon import (
     AffinePair,
     Polygon,
@@ -454,20 +454,22 @@ def pullback(rows: Sequence[Row], planar: ProjMap2) -> list[Row]:
 
 def shear_fixing_flat(rows: Sequence[Row], u: tuple) -> list[Row]:
     """Apply the affine shear (x, y, z) -> (x + u1 z, y + u2 z, z) to the
-    rows (X, Y, Z, W) of 3-D vertices: for u1 = p1/q1 and u2 = p2/q2, ints
-    or Fractions, (q X + p1 q2 Z, q Y + p2 q1 Z, q Z, q W) over its gcd, q = q1 q2.
+    rows (X, Y, Z, W) of 3-D vertices: for u1 = p1/q1 and u2 = p2/q2, ints,
+    Fractions or integer pairs (p, q) with q > 0,
+    (q X + p1 q2 Z, q Y + p2 q1 Z, q Z, q W) over its gcd, q = q1 q2.
 
     The shear fixes H pointwise, so the section carries over unchanged.
     """
-    (p1, q1), (p2, q2) = u[0].as_integer_ratio(), u[1].as_integer_ratio()
+    (p1, q1), (p2, q2) = [v if type(v) is tuple else v.as_integer_ratio() for v in u]
     q, a1, a2 = q1 * q2, p1 * q2, p2 * q1
     return [tuple(_primitive_ints([q * x + a1 * z, q * y + a2 * z, q * z, q * w])) for x, y, z, w in rows]
 
 
-def _shear_slope_interval(weights, heights) -> Optional[tuple]:
+def _shear_slope_interval(weights: Sequence[int], heights: Sequence[int]) -> Optional[tuple]:
     """Feasible slopes rho with weight_k + rho * height_k of one strict sign.
 
-    Returns (lo, hi) with None for an unbounded end, or None if infeasible
+    Returns (lo, hi), each end an integer pair (N, D), D > 0, compared by
+    cross-multiplication, or None for an unbounded end; None if infeasible
     for both signs.
     """
     for sign in (1, -1):
@@ -480,12 +482,12 @@ def _shear_slope_interval(weights, heights) -> Optional[tuple]:
                     ok = False
                     break
                 continue
-            bound = Fraction(-o) / zz
-            if zz > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if ok and not (lo is not None and hi is not None and lo >= hi):
+            if zz > 0:  # rho > -o / zz
+                if lo is None or -o * lo[1] > lo[0] * zz:
+                    lo = (-o, zz)
+            elif hi is None or o * hi[1] < hi[0] * -zz:  # rho < o / -zz
+                hi = (o, -zz)
+        if ok and not (lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]):
             return (lo, hi)
     return None
 
@@ -522,7 +524,9 @@ def bounded_pullback(rows: Sequence[Row], planar: ProjMap2) -> list[Row]:
     interval = _shear_slope_interval(weights, [z for _, _, z, _ in rows])
     if interval is None:
         raise PullbackUnbounded("no H-fixing shear bounds the pullback")
-    rho = interval_point(*interval)
+    rn, rd = _interval_pair(*interval)  # the slope, by the one midpoint rule
     # h1 = h2 = 0 gives the weights h3 W, of one strict sign: returned above
-    u = (rho / h1, 0) if h1 != 0 else (0, rho / h2)
+    h = h1 or h2
+    slope = (rn, rd * h) if h > 0 else (-rn, -rd * h)  # rho / h
+    u = (slope, (0, 1)) if h1 != 0 else ((0, 1), slope)
     return pullback(shear_fixing_flat(rows, u), planar)

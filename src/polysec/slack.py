@@ -33,8 +33,12 @@ blocks the support is one coordinate, read off s.blocks, and
 R_ik = (W_i W_{i+1} p_j Z_j - q_j l_i . (X, Y, W), q_j W_i W_{i+1} W).
 One common denominator for c_i would put the lcm of all of them into
 every entry.  Each pair is a ratio in which a positive multiple of any of
-the rows cancels, so it reads the same value off any representatives.  A Fraction is formed only where a library user
-reads one: slack_matrix and SlackFactorization.r_factor.
+the rows cancels, so it reads the same value off any representatives.
+The c_ij are pairs too, from the midpoint rule of the Fourier-Motzkin
+point on pairs (linalg._fourier_motzkin_pairs); only the edge LP of the
+multi-coordinate supports solves in Fractions.  A Fraction is formed only
+where a library user reads one: slack_matrix, extend_facet_inequality and
+SlackFactorization.r_factor.
 
 The product is checked exactly, once, in integers: each entry of R * C
 sums only over the nonzero entries of its column of C and is compared
@@ -49,7 +53,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import CertificationFailure, DomainError, NoExtension, NotInPolytope
 from .exactgeom import cross
-from .linalg import fourier_motzkin_point
+from .linalg import Pair, _fourier_motzkin_pairs
 from .polygon import Polygon
 from .sections import SectionedPolytope, _claim_columns, _distinct_rows, _support, edge_extension
 
@@ -62,7 +66,6 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-Pair = tuple[int, int]  # (N, D), D > 0: the rational N/D, not reduced
 PairMatrix = tuple[tuple[Pair, ...], ...]
 
 
@@ -128,24 +131,9 @@ def slack_matrix(polygon: Polygon) -> Matrix:
     return tuple(tuple([Fraction(n, d) for n, d in row]) for row in _slack_pairs(polygon))
 
 
-def extend_facet_inequality(facet: int, s: SectionedPolytope) -> tuple[Fraction, ...]:
-    """Free coefficients c on coordinates 3..d that extend the facet slack
-    of the claimed polygon to all of the polytope, a tuple of s.dim - 2,
-    read off the rows of s.
-
-    For the facet inequality a . x <= b, the functional
-    b - a . x[:2] + c . x[2:] is the planar slack on H and is nonnegative
-    at every polytope vertex; factorize_from_section evaluates it at each
-    generator, over the denominators of the c_j on the generator's own
-    support (module docstring).  When no vertex has two nonzero
-    coordinates off H (s.blocks is not None), vertex v of block j bounds
-    coefficient j alone: fourier_motzkin_point takes the integer triple
-    (j - 2, W_f W_{f+1} Z_j, l_f . (X, Y, W)) of its row (module
-    docstring), or (None, 0, l_f . (X, Y, W)) on H, and the midpoint of
-    each coefficient's interval; otherwise they come from the edge LP over
-    the distinct rows of s (sections._distinct_rows, sections.edge_extension).
-    NoExtension when there are none.
-    """
+def _extension_pairs(facet: int, s: SectionedPolytope) -> list[Pair]:
+    """extend_facet_inequality with each free coefficient an integer pair
+    (N, D), D > 0, in lowest terms (module docstring)."""
     polygon = s.claimed
     facet %= polygon.n
     if s.blocks is not None:
@@ -155,12 +143,35 @@ def extend_facet_inequality(facet: int, s: SectionedPolytope) -> tuple[Fraction,
         for row, j in zip(s.rows, s.blocks):
             rhs = a * row[0] + b * row[1] + c * row[-1]
             constraints.append((None, 0, rhs) if j is None else (j - 2, m * row[j], rhs))
-        tail = fourier_motzkin_point(constraints, s.dim - 2)
+        tail = _fourier_motzkin_pairs(constraints, s.dim - 2)
     else:
         tail = edge_extension(polygon, facet, list(_distinct_rows(s.rows, s.dim)))
+        tail = None if tail is None else [v.as_integer_ratio() for v in tail]
     if tail is None:
         raise NoExtension(f"no nonnegative extension for facet {facet}")
-    return tuple(tail)
+    return tail
+
+
+def extend_facet_inequality(facet: int, s: SectionedPolytope) -> tuple[Fraction, ...]:
+    """Free coefficients c on coordinates 3..d that extend the facet slack
+    of the claimed polygon to all of the polytope, a tuple of s.dim - 2,
+    read off the rows of s: the Fractions of _extension_pairs, which
+    factorize_from_section reads.
+
+    For the facet inequality a . x <= b, the functional
+    b - a . x[:2] + c . x[2:] is the planar slack on H and is nonnegative
+    at every polytope vertex; factorize_from_section evaluates it at each
+    generator, over the denominators of the c_j on the generator's own
+    support (module docstring).  When no vertex has two nonzero
+    coordinates off H (s.blocks is not None), vertex v of block j bounds
+    coefficient j alone: linalg._fourier_motzkin_pairs takes the integer
+    triple (j - 2, W_f W_{f+1} Z_j, l_f . (X, Y, W)) of its row (module
+    docstring), or (None, 0, l_f . (X, Y, W)) on H, and the midpoint of
+    each coefficient's interval, as an integer pair; otherwise they come
+    from the edge LP over the distinct rows of s (sections._distinct_rows,
+    sections.edge_extension).  NoExtension when there are none.
+    """
+    return tuple([Fraction(n, d) for n, d in _extension_pairs(facet, s)])
 
 
 def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFactorization:
@@ -185,7 +196,7 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     other input the first segment in lexicographic (i, j) order is taken,
     and any other vertex costs one exact LP.  Row i of R is the extended
     functional of edge (i, i+1), with free coefficients c
-    (extend_facet_inequality), at each generator g: b - a . g[:2] plus
+    (_extension_pairs), at each generator g: b - a . g[:2] plus
     c . g[2:], as integer pairs (module docstring).  A generator's support
     is its block (s.blocks), or, when some vertex has two nonzero
     coordinates off H, scanned once per factorization.
@@ -207,8 +218,7 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     else:
         supports = list(map(_support, gens))
     r_pairs = tuple(
-        _edge_values(polygon, i, gens, supports,
-                     [ck.as_integer_ratio() for ck in extend_facet_inequality(i, s)])
+        _edge_values(polygon, i, gens, supports, _extension_pairs(i, s))
         for i in range(polygon.n))
     zero = Fraction(0)
     c_rows = tuple(tuple(col.get(k, zero) for col in c_cols) for k in range(len(distinct)))

@@ -125,6 +125,22 @@ def fractions_made_inside(monkeypatch, module, name: str) -> list:
     return made
 
 
+def reference_random_convex_polygon(rng: random.Random, n: int) -> Polygon:
+    """The Fraction generator that randgen.random_convex_polygon replaced,
+    its oracle: distinct draws u = a / 2^16, a in [1, 2^16), until there
+    are n distinct parameters t = (2u - 1) / (2u(1 - u)), then the points
+    ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)) in increasing t, validated."""
+    params = set()
+    while len(params) < n:
+        u = Fraction(rng.randrange(1, 2**16), 2**16)
+        params.add((2 * u - 1) / (2 * u * (1 - u)))
+    points = []
+    for t in sorted(params):
+        t2 = t * t
+        points.append(((1 - t2) / (1 + t2), 2 * t / (1 + t2)))
+    return validate(points)
+
+
 def reference_verify_factorization(sm, r, c) -> bool:
     """The product check on Fractions, the oracle of
     slack.verify_factorization: for the slack matrix sm and the factors R

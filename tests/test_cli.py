@@ -421,8 +421,10 @@ class TestSlackFactorize:
         def refuse(*args):
             raise AssertionError("Fourier-Motzkin on a multi-coordinate support")
 
+        # the pair-valued point that the slack layer reads, and its Fraction view
         monkeypatch.setattr(linalg, "fourier_motzkin_point", refuse)
-        monkeypatch.setattr(slack, "fourier_motzkin_point", refuse)
+        monkeypatch.setattr(linalg, "_fourier_motzkin_pairs", refuse)
+        monkeypatch.setattr(slack, "_fourier_motzkin_pairs", refuse)
         lps = count_calls_everywhere(monkeypatch, linalg, "feasible_nonnegative_solution")
         columns = count_calls_everywhere(monkeypatch, linalg, "_nonnegative_combination")
         signs = itertools.product(("1", "-1"), repeat=dim - 2)
@@ -463,7 +465,9 @@ class TestSlackFactorize:
     def test_product_check_makes_no_fraction(self, heptagon_file, tmp_path, capsys, monkeypatch):
         # the one product check of factorize runs in integers, on the files
         # extend writes and on the LP path alike: R and S as integer pairs,
-        # C read by numerator and denominator
+        # C read by numerator and denominator; on the files extend writes,
+        # the free coefficients of R come from the Fourier-Motzkin point on
+        # integer pairs, with no Fraction either
         polygon = random_convex_polygon(random.Random(28), 28)
         path28 = write_polygon(tmp_path, "p28.json", polygon.vertices)
         runs = [(heptagon_file, "auto"), (path28, "join"), (path28, "3d")]
@@ -473,9 +477,11 @@ class TestSlackFactorize:
         (tmp_path / "lp.json").write_text(json.dumps(doc))
         square = write_polygon(tmp_path, "square.json", [tuple(map(Fraction, v)) for v in doc["claimed"]["vertices"]])
         made = fractions_made_inside(monkeypatch, slack, "verify_factorization")
+        tail = fractions_made_inside(monkeypatch, slack, "_extension_pairs")
         checks = count_calls_everywhere(monkeypatch, slack, "verify_factorization")
         for k, (path, _) in enumerate(runs):
             assert main(["factorize", path, str(tmp_path / f"{k}.json")]) == 0
+        assert tail == []
         assert main(["factorize", square, str(tmp_path / "lp.json")]) == 0
         assert len(checks) == 4 and made == []
         capsys.readouterr()
@@ -786,6 +792,15 @@ PINNED_SLACK_SHA256 = {
 }
 
 
+# sha256 of `fuzz` stdout, recorded while random_convex_polygon drew its
+# vertices in Fractions; the CI step `Installed package` compares the ngon
+# digest with that of the installed `polysec fuzz ngon --count 5 --seed 3`
+PINNED_FUZZ_SHA256 = {
+    ("heptagon", 20, 7): "b4d3257eef570cf2f1a13cb42ea287f3b9811b49da240a6ac9a40d8469e786df",
+    ("ngon", 5, 3): "85fb742925dae5fed5b88885039f527f3bced45f812dbd5d709ab5f68cfb61e6",
+}
+
+
 # sha256 prefixes of `svg --std-lines --labels` stdout in
 # TestSvgCommand.test_output_unchanged, recorded while points and lines of
 # the projective kernel were wrapped in classes
@@ -856,6 +871,13 @@ class TestFuzzCommand:
         main(["fuzz", "ngon", "--count", "3", "--seed", "8"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_output_unchanged(self, capsys):
+        digests = {}
+        for target, count, seed in PINNED_FUZZ_SHA256:
+            assert main(["fuzz", target, "--count", str(count), "--seed", str(seed)]) == 0
+            digests[target, count, seed] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == PINNED_FUZZ_SHA256
 
     def test_negative_count_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,10 @@ KEPT = {
     "compute_section": "benchmark rows sections.compute_section",
     "convex_join_sections": "benchmark row compose.convex_join_sections.self_s",
     "random_hexagon_params": "bench/workloads.py draws its hexagons with it",
+    "validate": "library export: the documented validator, which bench/workloads.py calls",
+    "extend_facet_inequality": "library export: the Fraction view of slack._extension_pairs",
+    "fourier_motzkin_point": "library export: the Fraction view of linalg._fourier_motzkin_pairs",
+    "interval_point": "library export: the Fraction view of linalg._interval_pair",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

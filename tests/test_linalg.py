@@ -300,6 +300,19 @@ class TestFourierMotzkin:
                 assert all(c * point[j] >= rhs for j, c, rhs in constraints)
         assert feasible
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(system=separable_systems())
+    def test_pairs_in_lowest_terms(self, system):
+        # the integer pairs that the slack layer reads, on each triple
+        # cleared of its denominators: the reference's values, each in
+        # lowest terms with a positive denominator
+        triples, nvars = system
+        ints = [(j, int(c * d), int(rhs * d))
+                for j, c, rhs in triples for d in [c.denominator * rhs.denominator]]
+        point = reference_fourier_motzkin(dense_rows(triples, nvars), nvars)
+        assert linalg._fourier_motzkin_pairs(ints, nvars) == (
+            None if point is None else [v.as_integer_ratio() for v in point])
+
     @pytest.mark.slow
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(system=separable_systems())

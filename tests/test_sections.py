@@ -1042,12 +1042,33 @@ def fraction_bounded_pullback(vertices, planar):
     weights = [h[0] * x + h[1] * y + h[2] for x, y, _ in vertices]
     if all(w > 0 for w in weights) or all(w < 0 for w in weights):
         return fraction_pullback(vertices, planar)
-    interval = _shear_slope_interval(weights, [z for _, _, z in vertices])
+    interval = fraction_slope_interval(weights, [z for _, _, z in vertices])
     if interval is None:
         return None
     rho = interval_point(*interval)
     u1, u2 = (rho / h[0], 0) if h[0] else (0, rho / h[1])
     return fraction_pullback([(x + u1 * z, y + u2 * z, z) for x, y, z in vertices], planar)
+
+
+def fraction_slope_interval(weights, heights):
+    """The reference of sections._shear_slope_interval by Fraction
+    arithmetic: for the first sign s of 1, -1 such that every
+    s (weight + rho height) can be positive, the ends (lo, hi) of the open
+    interval of those rho, None where unbounded; None for neither sign."""
+    for sign in (1, -1):
+        lo = hi = None
+        if any(z == 0 and sign * w <= 0 for w, z in zip(weights, heights)):
+            continue
+        for w, z in zip(weights, heights):
+            if z:
+                bound = Fraction(-w, z)
+                if sign * z > 0:
+                    lo = bound if lo is None else max(lo, bound)
+                else:
+                    hi = bound if hi is None else min(hi, bound)
+        if lo is None or hi is None or lo < hi:
+            return lo, hi
+    return None
 
 
 class TestRowPullback:
@@ -1083,6 +1104,20 @@ class TestRowPullback:
         out = bounded_pullback(rows, planar)
         assert [vertex_of(row) for row in out] == expected
         assert all(row[-1] > 0 and gcd(*row) == 1 for row in out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=6))
+    def test_slope_interval_matches_fraction_reference(self, slopes):
+        # integer weights and heights: the ends are pairs with a positive
+        # denominator, of the values of the Fraction reference
+        weights, heights = zip(*slopes)
+        interval = _shear_slope_interval(weights, heights)
+        expected = fraction_slope_interval(weights, heights)
+        if interval is None:
+            assert expected is None
+            return
+        assert all(end is None or end[1] > 0 for end in interval)
+        assert tuple(None if end is None else Fraction(*end) for end in interval) == expected
 
     def test_both_branches_drawn(self):
         # the cases above reach the plain lift, the shear and both refusals
