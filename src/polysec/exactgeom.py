@@ -34,6 +34,7 @@ any number of workers.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -165,6 +166,9 @@ def _row(ratios: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     row = (*[p * (w // q) for p, q in ratios], w)
     g = gcd(*row)
     return row if g == 1 else tuple([v // g for v in row])
+
+
+_by_value = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])  # pairs (N, D), D > 0, by N/D
 
 
 def _canonical_int_triple(coords: Sequence[int]) -> Triple:

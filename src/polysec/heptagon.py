@@ -4,10 +4,15 @@ The pipeline: every heptagon has at least one standardization line that
 misses it; one projective map, fixed by that line and three vertices
 (polygon.frame_map), sends it to infinity and yields a standard heptagon,
 which carries an explicit 6-vertex extension; pulling the extension back
-gives a certified 6-vertex extension of the original heptagon.  The
-construction helpers return plain values: build_standard_extension the
-paper's vertices in Fractions, heptagon_vertices the pulled back rows
-(exactgeom._row); only heptagon_extension returns a SectionedPolytope.
+gives a certified 6-vertex extension of the original heptagon.
+
+All of it runs in integers.  The polynomial core, build_standard_extension,
+maps the parameters and K, integer pairs (N, D), D > 0, to homogeneous
+rows with +, - and * only, so the tests also run it on polynomial symbols
+and prove that its nine segment crossings are the seven standard vertices
+and the points (a, b + lam) and (c + mu, d) inside the heptagon.  The
+normalization divides each row by its gcd; heptagon_vertices pulls the
+rows back, and only heptagon_extension returns a SectionedPolytope.
 
 Crossing classification is purely algebraic, through products of vertex
 determinants; a brute-force edge-intersection oracle is kept in the test
@@ -17,14 +22,13 @@ suite only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CertificationFailure, DegenerateConstruction, NoneFound, NotHeptagon
-from .exactgeom import Triple, _row, det3, join, meet
+from .exactgeom import Triple, _by_value, _primitive_ints, det3, join, meet
+from .linalg import Pair
 from .polygon import Polygon, ProjMap2, _convex_cycle, _lift_keys, frame_map
-from .sections import AmbientPoint, Row, SectionedPolytope, bounded_pullback, certify
+from .sections import Row, SectionedPolytope, bounded_pullback, certify
 
 __all__ = [
     "StdPoints",
@@ -52,8 +56,7 @@ class Crossing(enum.Enum):
     MINUS_CROSSING = "--crossing"
 
 
-@dataclass(frozen=True)
-class StdPoints:
+class StdPoints(NamedTuple):
     """The i-th standardization construction: p_i^+, p_i^-, and their join."""
 
     plus: Triple
@@ -61,8 +64,7 @@ class StdPoints:
     line: Triple
 
 
-@dataclass(frozen=True)
-class DetOctuple:
+class DetOctuple(NamedTuple):
     """The eight determinant abbreviations attached to index i of a 7-tuple,
     each det3 of three integer lifts (_octuple)."""
 
@@ -141,47 +143,17 @@ def find_noncrossing(polygon: Polygon) -> int:
     )
 
 
-@dataclass(frozen=True)
-class StandardHeptagon:
-    """Heptagon with p_0 = (0,0), p_3 = (0,1), p_-3 = (1,0), the edge
-    (p_1, p_2) vertical and the edge (p_-1, p_-2) horizontal.
+class StandardHeptagon(NamedTuple):
+    """The heptagon (0,0), (c,d), (c,d+mu), (0,1), (1,0), (a+lam,b), (a,b),
+    in index order 0..6 (indices -1, -2, -3 are 6, 5, 4), with b, c < 0 <
+    a, d, lam, mu, each an integer pair (N, D), D > 0 (_read_standard)."""
 
-    Parameters satisfy b, c < 0 < a, d, lam, mu, and the vertex list is a
-    convex clockwise heptagon; the constructor certifies all of it.
-    """
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    lam: Fraction
-    mu: Fraction
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d", "lam", "mu"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if not (self.b < 0 and self.c < 0):
-            raise CertificationFailure(f"need b, c < 0, got b={self.b}, c={self.c}")
-        if not (self.a > 0 and self.d > 0 and self.lam > 0 and self.mu > 0):
-            raise CertificationFailure(
-                f"need a, d, lam, mu > 0, got {self.a}, {self.d}, {self.lam}, {self.mu}"
-            )
-        lifts = [_row([x.as_integer_ratio(), y.as_integer_ratio()]) for x, y in self.vertex_list()]
-        if _convex_cycle(lifts, _lift_keys(lifts)) != -1:
-            raise CertificationFailure("vertex list is not a strictly convex clockwise heptagon")
-
-    def vertex_list(self) -> list[tuple[Fraction, Fraction]]:
-        """Vertices in index order 0..6 (indices -1, -2, -3 are 6, 5, 4)."""
-        a, b, c, d, lam, mu = self.a, self.b, self.c, self.d, self.lam, self.mu
-        return [
-            (Fraction(0), Fraction(0)),
-            (c, d),
-            (c, d + mu),
-            (Fraction(0), Fraction(1)),
-            (Fraction(1), Fraction(0)),
-            (a + lam, b),
-            (a, b),
-        ]
+    a: Pair
+    b: Pair
+    c: Pair
+    d: Pair
+    lam: Pair
+    mu: Pair
 
 
 def standardize(polygon: Polygon) -> tuple[StandardHeptagon, ProjMap2]:
@@ -190,51 +162,63 @@ def standardize(polygon: Polygon) -> tuple[StandardHeptagon, ProjMap2]:
     One map, built from its frame (frame_map): it sends the first
     non-crossing standardization line to infinity and (p_i, p_{i-3},
     p_{i+3}) to ((0,0), (1,0), (0,1)).  Three points and a line fix a
-    projective map, so this is the map the construction needs.  The two
-    parallelism conditions hold in the image because p_i^+ and p_i^- were
-    sent to infinity; they hold exactly when the image equals the vertex
-    list of the parameters read from it, which is checked, and the
-    parameter sign constraints are certified by the StandardHeptagon
-    constructor.
+    projective map, so this is the map the construction needs; its images
+    give the parameters (_read_standard).
     """
     i = find_noncrossing(polygon)
     p = polygon.vertex
     total = frame_map(p(i), p(i - 3), p(i + 3), std_points(polygon, i).line)
-    v = [(Fraction(x, w), Fraction(y, w)) for x, y, w in total.apply([p(i + k) for k in range(7)])]
-    std = StandardHeptagon(
-        a=v[6][0], b=v[6][1], c=v[1][0], d=v[1][1],
-        lam=v[5][0] - v[6][0], mu=v[2][1] - v[1][1],
-    )
-    if std.vertex_list() != v:
+    return _read_standard(total.apply([p(i + k) for k in range(7)])), total
+
+
+def _read_standard(images: Sequence[Triple]) -> StandardHeptagon:
+    """The parameters read off the images of the vertices in index order,
+    of positive weight as frame_map gives p_0 one: a, b of p_-1, c, d of
+    p_1, lam and mu as differences.  CertificationFailure unless their
+    numerators have the signs, the images turn as a strictly convex
+    clockwise heptagon, and they are its vertices: p_0, p_3, p_-3 at (0,0),
+    (0,1), (1,0), and the edges (p_1, p_2) and (p_-1, p_-2) parallel to the
+    axes, as p_i^+ and p_i^- at infinity make them, by cross-multiplication."""
+    (x0, y0, _), (x1, y1, w1), (x2, y2, w2), (x3, y3, w3), (x4, y4, w4), (x5, y5, w5), (x6, y6, w6) = images
+    std = StandardHeptagon(a=(x6, w6), b=(y6, w6), c=(x1, w1), d=(y1, w1),
+                           lam=(x5 * w6 - x6 * w5, w5 * w6), mu=(y2 * w1 - y1 * w2, w1 * w2))
+    if not (y6 < 0 and x1 < 0):
+        raise CertificationFailure(f"need b, c < 0, got b={std.b}, c={std.c}")
+    if not (x6 > 0 and y1 > 0 and std.lam[0] > 0 and std.mu[0] > 0):
+        raise CertificationFailure(
+            f"need a, d, lam, mu > 0, got {std.a}, {std.d}, {std.lam}, {std.mu}"
+        )
+    if _convex_cycle(images, _lift_keys(images)) != -1:
+        raise CertificationFailure("vertex list is not a strictly convex clockwise heptagon")
+    if (x0, y0, x3, y4, y3, x4, x1 * w2, y5 * w6) != (0, 0, 0, 0, w3, w4, x2 * w1, y6 * w5):
         raise CertificationFailure("standardized vertices disagree with the parameters")
-    return std, total
+    return std
 
 
-def default_extension_k(std: StandardHeptagon) -> Fraction:
-    """K = max(lam - 1, mu - 1, 1) + 1, which exceeds lam - 1, mu - 1 and 0."""
-    return max(std.lam - 1, std.mu - 1, Fraction(1)) + 1
+def default_extension_k(std: StandardHeptagon) -> Pair:
+    """K = max(lam, mu, 2) = max(lam - 1, mu - 1, 1) + 1, a pair."""
+    return max(std.lam, std.mu, (2, 1), key=_by_value)
 
 
-def build_standard_extension(std: StandardHeptagon) -> list[AmbientPoint]:
-    """The six vertices of the explicit extension of a standard heptagon.
-
-    Three vertices sit at height -K, K = default_extension_k(std), the
-    remaining three strictly above the plane; the nine segment crossings
-    reproduce the seven vertices plus the two interior points (a, b+lam) and
-    (c+mu, d).  Nothing is certified; heptagon_extension certifies the
-    pulled-back polytope.
+def build_standard_extension(std: StandardHeptagon, k: Pair) -> list[Row]:
+    """The rows (X, Y, Z, W), not divided by their gcd, of the six vertices
+    (0, 0, 1), (0, 0, -K), (1+K, 0, -K), (0, 1+K, -K),
+    (a (1+K), b (1+K), lam K) / (1 + K - lam) and
+    (c (1+K), d (1+K), mu K) / (1 + K - mu) at K = k: the polynomial core
+    (module docstring).  For K > lam - 1, mu - 1, 0 every W is positive.
+    Nothing is certified; heptagon_extension certifies the pulled-back
+    polytope.
     """
-    a, b, c, d, lam, mu = std.a, std.b, std.c, std.d, std.lam, std.mu
-    k = default_extension_k(std)
-    s_lam = (1 + k) - lam
-    s_mu = (1 + k) - mu
+    (an, ad), (bn, bd), (cn, cd), (dn, dd), (ln, ld), (mn, md) = std
+    kn, kd = k
+    k1 = kd + kn  # (1 + K) kd
     return [
-        (Fraction(0), Fraction(0), Fraction(1)),
-        (Fraction(0), Fraction(0), -k),
-        (1 + k, Fraction(0), -k),
-        (Fraction(0), 1 + k, -k),
-        (a * (1 + k) / s_lam, b * (1 + k) / s_lam, lam * k / s_lam),
-        (c * (1 + k) / s_mu, d * (1 + k) / s_mu, mu * k / s_mu),
+        (0, 0, 1, 1),
+        (0, 0, -kn, kd),
+        (k1, 0, -kn, kd),
+        (0, k1, -kn, kd),
+        (an * k1 * bd * ld, bn * k1 * ad * ld, ln * kn * ad * bd, (k1 * ld - ln * kd) * ad * bd),
+        (cn * k1 * dd * md, dn * k1 * cd * md, mn * kn * cd * dd, (k1 * md - mn * kd) * cd * dd),
     ]
 
 
@@ -242,14 +226,14 @@ def heptagon_vertices(polygon: Polygon) -> list[Row]:
     """The rows of the six vertices of a 3-polytope whose section on H is
     the heptagon.
 
-    The vertices of the standard extension at the default K are made rows
-    once and pulled back once; an H-fixing shear bounds the pullback when
-    the canonical lift alone would not, and bounded_pullback explains why
-    such a shear always exists.  The pullback carries the standard heptagon
-    back to the input.  Nothing is certified here.
+    The rows of the standard extension at the default K, each divided by
+    its gcd, are pulled back once; an H-fixing shear bounds the pullback
+    when the canonical lift alone would not, and bounded_pullback explains
+    why such a shear always exists.  The pullback carries the standard
+    heptagon back to the input.  Nothing is certified here.
     """
     std, total = standardize(polygon)
-    rows = [_row([c.as_integer_ratio() for c in v]) for v in build_standard_extension(std)]
+    rows = [_primitive_ints(row) for row in build_standard_extension(std, default_extension_k(std))]
     return bounded_pullback(rows, total.inverse())
 
 

@@ -6,22 +6,25 @@ diagonal (p_{r+1}, p_{r+4}) are concurrent for one of the three pairings
 r = 0, 1, 2; otherwise six vertices are needed and the hexagon is its own
 cheapest section.  hexagon_normal_form brings a witness to its normal form
 by one projective map, built from its frame (polygon.frame_map): the
-concurrency point, two vertices and a horizon.  build_bipyramid returns the
-bipyramid's vertex list in Fractions, which hexagon_extension5 makes rows
-(exactgeom._row) once, pulls back in integers and returns as the one
-certified SectionedPolytope.
+concurrency point, two vertices and a horizon.
+
+All of it runs in integers.  The polynomial core, build_bipyramid, maps
+the normal-form parameters and K, integer pairs (N, D), D > 0, to
+homogeneous rows with +, - and * only, so the tests also run it on
+polynomial symbols and prove that its six segment crossings are the six
+normal-form vertices.  The normalization divides each row by its gcd;
+hexagon_extension5 pulls the rows back and certifies the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import NoConcurrency, NormalFormConstraintViolated, NotHexagon
-from .exactgeom import Triple, _dot, _row, det3, join, meet
+from .exactgeom import Triple, _by_value, _dot, _primitive_ints, det3, join, meet
+from .linalg import Pair
 from .polygon import Polygon, ProjMap2, frame_map
-from .sections import AmbientPoint, SectionedPolytope, bounded_pullback, certify
+from .sections import Row, SectionedPolytope, bounded_pullback, certify
 
 __all__ = [
     "HexNormalForm",
@@ -81,21 +84,18 @@ def hexagon_ic(polygon: Polygon) -> HexDecision:
     return HexDecision(6, None, None)
 
 
-@dataclass(frozen=True)
-class HexNormalForm:
-    """Normal-form parameters and the projective map that produces them.
+class HexNormalForm(NamedTuple):
+    """Normal-form parameters, integer pairs (N, D), D > 0, and the map
+    that produces them: the vertices (0, alpha), beta*(x, y), (gamma, 0),
+    (1, 0), (x, y), (0, 1), x, y > 0 and alpha, beta, gamma > 1.
+    `mirrored` records whether the map reverses orientation (both
+    orientations of the witness occur among valid hexagons)."""
 
-    Normal-form vertices: (0, alpha), beta*(x, y), (gamma, 0), (1, 0),
-    (x, y), (0, 1) with x, y > 0 and alpha, beta, gamma > 1.  `mirrored`
-    records whether the normalizing map reverses orientation (both
-    orientations of the witness occur among valid hexagons).
-    """
-
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    x: Fraction
-    y: Fraction
+    alpha: Pair
+    beta: Pair
+    gamma: Pair
+    x: Pair
+    y: Pair
     mirrored: bool
     map: ProjMap2
 
@@ -123,7 +123,7 @@ def hexagon_normal_form(polygon: Polygon, decision: HexDecision) -> HexNormalFor
     points on one side of its horizon at once, so the direct frame is the
     right one exactly when that triple turns against the label order; c's
     triple is negated first when it lies across the horizon from the
-    vertices.  A failed read is an internal failure
+    vertices.  A failed read of the images is an internal failure
     (NormalFormConstraintViolated).
     """
     _require_hexagon(polygon)
@@ -140,16 +140,17 @@ def hexagon_normal_form(polygon: Polygon, decision: HexDecision) -> HexNormalFor
     else:
         normalize = frame_map(c, p(r + 2), p(r), horizon)
         order = [(r + 5 - j) % 6 for j in range(6)]
-    v0, v1, v2, _, (x, y), _ = [(Fraction(a, w), Fraction(b, w))
-                                for a, b, w in normalize.apply([p(k) for k in order])]
+    images = normalize.apply([p(k) for k in order])
+    sign = 1 if images[0][2] > 0 else -1  # the weights have one sign
+    (_, y0, w0), (x1, _, w1), (x2, _, w2), _, (x, y, w), _ = [[sign * v for v in im] for im in images]
     if not (x > 0 and y > 0):
-        raise NormalFormConstraintViolated(f"need x, y > 0, got ({x}, {y})")
-    alpha, beta, gamma = v0[1], v1[0] / x, v2[0]
-    if not (alpha > 1 and beta > 1 and gamma > 1):
+        raise NormalFormConstraintViolated(f"need x, y > 0, got ({x}/{w}, {y}/{w})")
+    alpha, beta, gamma = (y0, w0), (x1 * w, w1 * x), (x2, w2)
+    if not all(n > d for n, d in (alpha, beta, gamma)):
         raise NormalFormConstraintViolated(
             f"need alpha, beta, gamma > 1, got {alpha}, {beta}, {gamma}"
         )
-    return HexNormalForm(alpha=alpha, beta=beta, gamma=gamma, x=x, y=y,
+    return HexNormalForm(alpha=alpha, beta=beta, gamma=gamma, x=(x, w), y=(y, w),
                          mirrored=not direct, map=normalize)
 
 
@@ -159,32 +160,37 @@ def _far_line(polygon: Polygon, c: Triple) -> Triple:
     The line {v . x = M} with v the common direction does not contain c;
     M = 2 max - min + 1 of v . x over the vertices sits one full functional
     spread beyond the farthest vertex, keeping the hexagon well clear of
-    it.  The triple is (v, -M) times the denominator of M.
+    it.  The values are the pairs (v . (X, Y), W) of the lifts, and the
+    triple is (v D, -N) for M = N / D.
     """
     vx, vy, _ = c
-    values = [Fraction(vx * x + vy * y, w) for x, y, w in polygon.lifts]
-    m = 2 * max(values) - min(values) + 1
-    return vx * m.denominator, vy * m.denominator, -m.numerator
+    values = [(vx * x + vy * y, w) for x, y, w in polygon.lifts]
+    (hn, hd), (ln, ld) = max(values, key=_by_value), min(values, key=_by_value)
+    m = hd * ld
+    return vx * m, vy * m, ln * hd - 2 * hn * ld - m
 
 
-def default_bipyramid_k(nf: HexNormalForm) -> Fraction:
-    """K = max(alpha, beta, gamma) + 1, which exceeds alpha, beta and gamma."""
-    return max(nf.alpha, nf.beta, nf.gamma) + 1
+def default_bipyramid_k(nf: HexNormalForm) -> Pair:
+    """K = max(alpha, beta, gamma) + 1, a pair."""
+    n, d = max(nf.alpha, nf.beta, nf.gamma, key=_by_value)
+    return n + d, d
 
 
-def build_bipyramid(nf: HexNormalForm) -> list[AmbientPoint]:
-    """The five vertices of the bipyramid over the normal-form hexagon at
-    K = default_bipyramid_k(nf); its section on H is that hexagon, whose
-    vertices HexNormalForm lists.  Nothing is certified here."""
-    alpha, beta, gamma, x, y = nf.alpha, nf.beta, nf.gamma, nf.x, nf.y
-    k = default_bipyramid_k(nf)
+def build_bipyramid(nf: HexNormalForm, k: Pair) -> list[Row]:
+    """The rows (X, Y, Z, W), not divided by their gcd, of the vertices
+    (0, 0, -K), (0, 0, -1) and, positive in W for K > alpha, beta, gamma,
+    ((K-1) gamma, 0, K (gamma-1)) / (K - gamma), ((K-1) beta x, (K-1) beta y,
+    K (beta-1)) / (K - beta) and (0, (K-1) alpha, K (alpha-1)) / (K - alpha)
+    at K = k: the polynomial core (module docstring).  Nothing is certified."""
+    (an, ad), (bn, bd), (gn, gd), (xn, xd), (yn, yd) = nf[:5]
+    kn, kd = k
+    k1 = kn - kd  # (K - 1) kd
     return [
-        (Fraction(0), Fraction(0), -k),
-        (Fraction(0), Fraction(0), Fraction(-1)),
-        ((k - 1) * gamma / (k - gamma), Fraction(0), k * (gamma - 1) / (k - gamma)),
-        (x * (k - 1) * beta / (k - beta), y * (k - 1) * beta / (k - beta),
-         k * (beta - 1) / (k - beta)),
-        (Fraction(0), (k - 1) * alpha / (k - alpha), k * (alpha - 1) / (k - alpha)),
+        (0, 0, -kn, kd),
+        (0, 0, -1, 1),
+        (k1 * gn, 0, kn * (gn - gd), kn * gd - gn * kd),
+        (k1 * bn * xn * yd, k1 * bn * yn * xd, kn * (bn - bd) * xd * yd, (kn * bd - bn * kd) * xd * yd),
+        (0, k1 * an, kn * (an - ad), kn * ad - an * kd),
     ]
 
 
@@ -192,11 +198,11 @@ def hexagon_extension5(polygon: Polygon, decision: HexDecision) -> SectionedPoly
     """Certified 5-vertex extension of a hexagon, from its decision
     (hexagon_ic); NoConcurrency (hexagon_normal_form) for complexity 6.
 
-    The rows of the vertices of the bipyramid over the normal form are
+    The bipyramid's rows at the default K, each divided by its gcd, are
     pulled back (bounded_pullback); the normalizing map carries the input to
     the normal form, so the result claims the input hexagon, and certify
     checks that claim against the recomputed section.
     """
     nf = hexagon_normal_form(polygon, decision)
-    rows = [_row([c.as_integer_ratio() for c in v]) for v in build_bipyramid(nf)]
+    rows = [_primitive_ints(row) for row in build_bipyramid(nf, default_bipyramid_k(nf))]
     return certify(SectionedPolytope(3, bounded_pullback(rows, nf.map.inverse()), polygon))

@@ -12,9 +12,8 @@ first reads the texts before it, so the first defect in file order is the
 one reported.  Polygons and extensions are written from the same rows,
 Polygon.lifts and SectionedPolytope.rows, each coordinate X/W by
 exactgeom._format_ratio, with no Fraction either, and so are matrices,
-from rows of integer pairs (p, q): the slack matrix and the factor R from
-the pairs the slack layer holds (slack module docstring), the factor C
-from the numerator and denominator of each Fraction.
+from rows of integer pairs (p, q): the slack matrix and the factors R
+and C from the pairs the slack layer holds (slack module docstring).
 """
 
 from __future__ import annotations
@@ -137,6 +136,6 @@ def factorization_to_obj(fact: SlackFactorization, extension_sha256: str) -> dic
     return {
         "r": fact.inner_dim,
         "R": matrix_to_obj(fact.r_pairs),
-        "C": matrix_to_obj([[v.as_integer_ratio() for v in row] for row in fact.c_factor]),
+        "C": matrix_to_obj(fact.c_pairs),
         "extension_sha256": extension_sha256,
     }

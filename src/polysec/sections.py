@@ -240,19 +240,20 @@ def _section_columns(rows: Sequence[Row]) -> dict[Triple, dict]:
     """Sparse convex column of every point that a generator (of rows rows)
     or a generator segment contributes to the section, keyed by its lift.
 
-    One entry per point of _section_points, the first kept: a unit column
-    for a generator on H, and for the crossing of generators i and j, of
-    rows u and v, the weights |Z_v,j| W_u and |Z_u,j| W_v over their sum.
+    One entry per point of _section_points, the first kept, in integer
+    pairs in lowest terms: (1, 1) for a generator on H, and for the crossing
+    of generators i and j, of rows u and v, |Z_v,j| W_u and |Z_u,j| W_v
+    over their sum, as unreduced pairs slow the product check.
     """
     supports = [_support(row) for row in rows]
     columns = {}
     for i, j, point in _section_points(rows, supports):
         if j is None:
-            columns.setdefault(point, {i: Fraction(1)})
+            columns.setdefault(point, {i: (1, 1)})
         elif point not in columns:
             first = supports[i][0]
-            p, q = abs(rows[j][first]) * rows[i][-1], abs(rows[i][first]) * rows[j][-1]
-            columns[point] = {i: Fraction(p, p + q), j: Fraction(q, p + q)}
+            p, q = _primitive_ints((abs(rows[j][first]) * rows[i][-1], abs(rows[i][first]) * rows[j][-1]))
+            columns[point] = {i: (p, p + q), j: (q, p + q)}
     return columns
 
 
@@ -261,8 +262,8 @@ def _claim_columns(s: SectionedPolytope, distinct: dict[Row, int]) -> Optional[l
     claimed vertex on H: its lift looked up in _section_columns, else one
     exact LP on integer columns (linalg._nonnegative_combination) of the
     row (X, Y, 0, ..., 0, W) of the lift against the generator rows, mu
-    giving the weights mu_k W_k / W; None outside their hull, with no point
-    formed when there is no generator."""
+    giving the weight pairs (N_k W_k, D_k W), mu_k = N_k / D_k; None
+    outside their hull, with no point formed when there is no generator."""
     gens = list(distinct)
     columns = _section_columns(gens)
     out = []
@@ -271,7 +272,8 @@ def _claim_columns(s: SectionedPolytope, distinct: dict[Row, int]) -> Optional[l
         if column is None and gens:
             x, y, w = lift
             mu = _nonnegative_combination((x, y, *[0] * (s.dim - 2), w), gens)
-            column = None if mu is None else {k: m * g[-1] / w for k, (m, g) in enumerate(zip(mu, gens))}
+            column = None if mu is None else {k: (n * g[-1], d * w) for k, (g, (n, d))
+                                              in enumerate(zip(gens, (m.as_integer_ratio() for m in mu)))}
         if column is None:
             return None
         out.append(column)

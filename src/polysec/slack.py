@@ -19,8 +19,9 @@ also the proof that the claimed polygon is the section, in any dimension:
   off with no search, any other polygon vertex by one linear program
   (sections._claim_columns, which verify uses too).
 
-Every entry of S and R is held as an integer pair (N, D), D > 0, the
-rational N/D, not reduced.  With L_i = (X_i, Y_i, W_i) the rows of the
+Every entry of S, R and C is held as an integer pair (N, D), D > 0, the
+rational N/D, not reduced; C's come from sections._section_columns.
+With L_i = (X_i, Y_i, W_i) the rows of the
 polygon's vertices (Polygon.lifts) and l_i = cross(L_i, L_{i+1}),
 l_i . (x, y, 1) = det(L_i, L_{i+1}, (x, y, 1)), so
 S_ij = (-l_i . L_j, W_i W_{i+1} W_j).  At the row (X, Y, Z, W) of
@@ -36,9 +37,10 @@ every entry.  Each pair is a ratio in which a positive multiple of any of
 the rows cancels, so it reads the same value off any representatives.
 The c_ij are pairs too, from the midpoint rule of the Fourier-Motzkin
 point on pairs (linalg._fourier_motzkin_pairs); only the edge LP of the
-multi-coordinate supports solves in Fractions.  A Fraction is formed only
-where a library user reads one: slack_matrix, extend_facet_inequality and
-SlackFactorization.r_factor.
+multi-coordinate supports solves in Fractions, as does the LP of a
+claimed vertex that is no point of the section (sections._claim_columns).
+A Fraction is formed only where a library user reads one: slack_matrix,
+extend_facet_inequality, SlackFactorization.r_factor and c_factor.
 
 The product is checked exactly, once, in integers: each entry of R * C
 sums only over the nonzero entries of its column of C and is compared
@@ -48,6 +50,7 @@ with S by cross-multiplication (verify_factorization).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from typing import Optional, Sequence, Union
 
@@ -72,30 +75,31 @@ PairMatrix = tuple[tuple[Pair, ...], ...]
 class SlackFactorization:
     """Exact nonnegative factors with R * C = S and unit column sums in C.
 
-    R is held as r_pairs, the integer pair (N, D) of each entry (module
-    docstring); r_factor, its Fraction view, is derived on first read, for
-    library users.  The keyword constructor takes R and C as Fraction
-    matrices (ints too).  C stays a Fraction matrix.
-    """
-
-    __slots__ = ("r_pairs", "c_factor", "_r_factor")
+    R and C are held as r_pairs and c_pairs, the integer pair (N, D) of
+    each entry (module docstring); their Fraction views r_factor and
+    c_factor are derived on first read, for library users.  The keyword
+    constructor takes R and C as Fraction matrices (ints too)."""
 
     def __init__(self, r_factor: Matrix, c_factor: Matrix):
-        self.r_pairs = tuple(tuple(v.as_integer_ratio() for v in row) for row in r_factor)
-        self.c_factor, self._r_factor = c_factor, r_factor
+        self.r_pairs, self.c_pairs = [tuple(tuple(v.as_integer_ratio() for v in row) for row in m)
+                                      for m in (r_factor, c_factor)]
+        self.r_factor, self.c_factor = r_factor, c_factor
 
     @classmethod
-    def _of_pairs(cls, r_pairs: PairMatrix, c_factor: Matrix) -> SlackFactorization:
+    def _of_pairs(cls, r_pairs: PairMatrix, c_pairs: PairMatrix) -> SlackFactorization:
         fact = cls.__new__(cls)
-        fact.r_pairs, fact.c_factor, fact._r_factor = r_pairs, c_factor, None
+        fact.r_pairs, fact.c_pairs = r_pairs, c_pairs
         return fact
 
-    @property
+    @cached_property
     def r_factor(self) -> Matrix:
         """Fraction(N, D) of each pair of r_pairs."""
-        if self._r_factor is None:
-            self._r_factor = tuple(tuple([Fraction(n, d) for n, d in row]) for row in self.r_pairs)
-        return self._r_factor
+        return _fractions(self.r_pairs)
+
+    @cached_property
+    def c_factor(self) -> Matrix:
+        """Fraction(N, D) of each pair of c_pairs."""
+        return _fractions(self.c_pairs)
 
     @property
     def inner_dim(self) -> int:
@@ -126,9 +130,14 @@ def _slack_pairs(polygon: Polygon) -> PairMatrix:
     return tuple(_edge_values(polygon, i, polygon.lifts) for i in range(polygon.n))
 
 
+def _fractions(pairs: PairMatrix) -> Matrix:
+    """The Fraction view of a matrix of integer pairs."""
+    return tuple(tuple([Fraction(n, d) for n, d in row]) for row in pairs)
+
+
 def slack_matrix(polygon: Polygon) -> Matrix:
     """Row i holds the slack of each vertex in the inequality of edge (i, i+1)."""
-    return tuple(tuple([Fraction(n, d) for n, d in row]) for row in _slack_pairs(polygon))
+    return _fractions(_slack_pairs(polygon))
 
 
 def _extension_pairs(facet: int, s: SectionedPolytope) -> list[Pair]:
@@ -220,9 +229,8 @@ def factorize_from_section(polygon: Polygon, s: SectionedPolytope) -> SlackFacto
     r_pairs = tuple(
         _edge_values(polygon, i, gens, supports, _extension_pairs(i, s))
         for i in range(polygon.n))
-    zero = Fraction(0)
-    c_rows = tuple(tuple(col.get(k, zero) for col in c_cols) for k in range(len(distinct)))
-    fact = SlackFactorization._of_pairs(r_pairs, c_rows)
+    c_pairs = tuple(tuple(col.get(k, (0, 1)) for col in c_cols) for k in range(len(distinct)))
+    fact = SlackFactorization._of_pairs(r_pairs, c_pairs)
     if not verify_factorization(_slack_pairs(polygon), fact):
         raise CertificationFailure("factor product failed to reproduce the slack matrix")
     return fact
@@ -232,14 +240,14 @@ def verify_factorization(sm: Union[Matrix, PairMatrix], fact: SlackFactorization
     """Exact check: factors nonnegative and R * C equals the slack matrix.
 
     sm holds Fractions or ints (slack_matrix), or integer pairs (N, D),
-    D > 0 (module docstring).  R is read as its pairs and C's entries as
-    their numerators and denominators, so no Fraction is formed and no gcd
-    taken: each factor entry is nonnegative when its numerator is, and each
+    D > 0 (module docstring).  R and C are read as their pairs, so no
+    Fraction is formed and no gcd taken: each factor entry is nonnegative
+    when its numerator is, and each
     product entry sums over the nonzero entries of its C column only, which
     omits exactly the zero terms, into one unreduced pair compared with
     S_ij by cross-multiplication, one integer equality.
     """
-    r, c = fact.r_pairs, fact.c_factor
+    r, c = fact.r_pairs, fact.c_pairs
     n = len(sm)
     if (len(r) != n or any(len(row) != len(c) for row in r)
             or any(len(row) != n for row in c) or any(len(row) != n for row in sm)):
@@ -248,11 +256,11 @@ def verify_factorization(sm: Union[Matrix, PairMatrix], fact: SlackFactorization
         return False
     columns = [[] for _ in range(n)]  # the nonzero entries (k, p, q) of each column of C
     for k, row in enumerate(c):
-        for column, w in zip(columns, row):
-            if w:
-                if w.numerator < 0:
+        for column, (wp, wq) in zip(columns, row):
+            if wp:
+                if wp < 0:
                     return False
-                column.append((k, w.numerator, w.denominator))
+                column.append((k, wp, wq))
     for ri, si in zip(r, sm):
         for sv, column in zip(si, columns):
             num, den = 0, 1

@@ -360,3 +360,28 @@ def octuple_sums(octs) -> tuple:
     sums of the cyclic determinant identity."""
     return (sum(o.a * o.b for o in octs), sum(o.c * o.d for o in octs),
             sum(o.e * o.f for o in octs), sum(o.g * o.h for o in octs))
+
+
+def symbolic_pair(name: str) -> tuple:
+    """The integer pair (N, D) of a symbolic rational: two Poly variables."""
+    return Poly({(name + "_n",): 1}), Poly({(name + "_d",): 1})
+
+
+def homogeneous(x, y) -> tuple:
+    """The homogeneous triple of the point (x, y), each an integer pair
+    (N, D): (x_N y_D, y_N x_D, x_D y_D)."""
+    return x[0] * y[1], y[0] * x[1], x[1] * y[1]
+
+
+def pair_sum(p, q) -> tuple:
+    """The pair of the sum of two rationals given as pairs."""
+    return p[0] * q[1] + q[0] * p[1], p[1] * q[1]
+
+
+def flat_crossing(above, below) -> tuple:
+    """The homogeneous triple where the segment between two rows
+    (X, Y, Z, W) of 3-D points, above H (Z > 0) and below it (Z < 0),
+    meets H: |Z_below| (X, Y, W)_above + |Z_above| (X, Y, W)_below, the
+    rule of sections._segment_flat_crossing.  Its weight is a sum of
+    positive terms whenever both weights are positive."""
+    return tuple(-below[2] * above[k] + above[2] * below[k] for k in (0, 1, 3))

@@ -12,11 +12,13 @@ from polysec.compose import lower_bound_3d, ngon_3d_extension, ngon_extension, o
 from polysec.exactgeom import cross, det3, join, meet
 from polysec.heptagon import (
     Crossing,
+    StandardHeptagon,
+    build_standard_extension,
     classify_line,
     find_noncrossing,
     heptagon_extension,
 )
-from polysec.hexagon import hexagon_extension5, hexagon_ic
+from polysec.hexagon import HexNormalForm, build_bipyramid, hexagon_extension5, hexagon_ic
 from polysec.polygon import validate
 from polysec.randgen import random_convex_polygon, random_hexagon_params
 from polysec.slack import factorize_from_section, slack_matrix, verify_factorization
@@ -26,11 +28,15 @@ from conftest import (
     SIX_CROSSING_HEPTAGON,
     SIX_VERTEX_HEXAGON,
     extreme_vertices,
+    flat_crossing,
+    homogeneous,
     incident,
     rank,
     octuple_sums,
+    pair_sum,
     point,
     symbolic_octuples,
+    symbolic_pair,
 )
 
 HEPTAGON_SEED = 20260809
@@ -58,6 +64,33 @@ def test_criterion_1_heptagon_intersection_complexity(heptagon_pool):
         assert len(extreme_vertices(ext.vertices, 3)) <= 6
     report(f"criterion 1: {HEPTAGON_COUNT} heptagons -> certified 3D extensions "
            "with <= 6 extreme points (lower bound 6: complexity is exactly 6)")
+
+
+def test_criterion_1_gadget_crossings_proved():
+    """The shipped heptagon core, on symbols: for any parameters and K,
+    as integer pairs, the nine crossings of H by the segments from the
+    three rows above it to the three below are the seven standard
+    vertices and the two points (a, b + lam) and (c + mu, d), as
+    polynomial identities (the cross product of two homogeneous triples
+    vanishes, and no weight is the zero polynomial).
+
+    With b, c < 0 < a, d, lam, mu and K > lam - 1, mu - 1, 0, every row
+    weight is positive and the three rows after (0, 0, 1) lie above H
+    exactly when they have Z > 0, so each crossing is a point."""
+    a, b, c, d, lam, mu, k = map(symbolic_pair, ("a", "b", "c", "d", "lam", "mu", "K"))
+    rows = build_standard_extension(StandardHeptagon(a, b, c, d, lam, mu), k)
+    zero, one = (0, 1), (1, 1)
+    expected = {  # (row above, row below): the point
+        (0, 1): (zero, zero), (0, 2): (one, zero), (0, 3): (zero, one),
+        (4, 1): (a, b), (4, 2): (pair_sum(a, lam), b), (4, 3): (a, pair_sum(b, lam)),
+        (5, 1): (c, d), (5, 2): (pair_sum(c, mu), d), (5, 3): (c, pair_sum(d, mu)),
+    }
+    for (i, j), (x, y) in expected.items():
+        crossing = flat_crossing(rows[i], rows[j])
+        assert crossing[2] != 0
+        assert cross(crossing, homogeneous(x, y)) == (0, 0, 0)
+    report("criterion 1: the nine crossings of the shipped heptagon core proved "
+           "for symbolic parameters and K")
 
 
 def test_criterion_2_noncrossing_existence_and_compatibility(heptagon_pool):
@@ -108,6 +141,28 @@ def test_criterion_4_six_crossing_heptagon():
     assert ext.certified and len(extreme_vertices(ext.vertices, 3)) == 6
     report("criterion 4: six-crossing heptagon has exactly 6 crossing lines, "
            "one coincident mirror pair, and a certified 6-vertex extension")
+
+
+def test_criterion_5_bipyramid_crossings_proved():
+    """The shipped bipyramid core, on symbols: for any normal-form
+    parameters and K, as integer pairs, the six crossings of H by the
+    segments from the three rows above it to the two below are the six
+    normal-form vertices, as polynomial identities.  With K > alpha,
+    beta, gamma > 1 and x, y > 0, every row weight is positive."""
+    alpha, beta, gamma, x, y, k = map(symbolic_pair, ("alpha", "beta", "gamma", "x", "y", "K"))
+    rows = build_bipyramid(HexNormalForm(alpha, beta, gamma, x, y, False, None), k)
+    zero, one = (0, 1), (1, 1)
+    beta_x, beta_y = (beta[0] * x[0], beta[1] * x[1]), (beta[0] * y[0], beta[1] * y[1])
+    expected = {  # (row above, row below): the point
+        (2, 0): (gamma, zero), (2, 1): (one, zero), (3, 0): (beta_x, beta_y),
+        (3, 1): (x, y), (4, 0): (zero, alpha), (4, 1): (zero, one),
+    }
+    for (i, j), (px, py) in expected.items():
+        crossing = flat_crossing(rows[i], rows[j])
+        assert crossing[2] != 0
+        assert cross(crossing, homogeneous(px, py)) == (0, 0, 0)
+    report("criterion 5: the six crossings of the shipped bipyramid core proved "
+           "for symbolic parameters and K")
 
 
 def test_criterion_5_hexagon_dichotomy():

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polysec import cli, exactgeom, linalg, sections, slack
+from polysec import cli, compose, exactgeom, linalg, sections, slack
+from polysec import heptagon as heptagon_module
 from polysec import hexagon as hexagon_module
 from polysec import polygon as polygon_module
 from polysec.cli import main
@@ -485,6 +486,40 @@ class TestSlackFactorize:
         assert main(["factorize", square, str(tmp_path / "lp.json")]) == 0
         assert len(checks) == 4 and made == []
         capsys.readouterr()
+
+    def test_factorize_makes_no_fraction(self, tmp_path, capsys, monkeypatch):
+        # C's weights are integer pairs, like R's entries, so the whole of
+        # factorize on the files extend writes, the seed-1 heptagon, the
+        # 28-gon join and the 3-D 28-gon, makes no Fraction
+        heptagon, ngon = (random_convex_polygon(random.Random(1), n) for n in (7, 28))
+        runs = [(heptagon, "auto"), (ngon, "join"), (ngon, "3d")]
+        paths = []
+        for k, (polygon, mode) in enumerate(runs):
+            path, ext = write_polygon(tmp_path, f"{k}.json", polygon.vertices), str(tmp_path / f"{k}.ext.json")
+            assert main(["extend", path, "--mode", mode, "--out", ext]) == 0
+            paths.append((path, ext))
+        made = fractions_made_inside(monkeypatch, cli, "main")
+        for path, ext in paths:
+            assert cli.main(["factorize", path, ext]) == 0
+            assert made == []
+        capsys.readouterr()
+
+    def test_constructions_make_no_fraction(self, monkeypatch):
+        # the heptagon and hexagon gadgets, and so both n-gon
+        # constructions, run in integers from the lifts to the rows
+        names = ("heptagon_extension", "hexagon_extension5", "ngon_extension", "ngon_3d_extension")
+        made = {name: fractions_made_inside(monkeypatch, module, name)
+                for module, name in zip((heptagon_module, hexagon_module, compose, compose), names)}
+        for name, polygon, mode in pinned_factorize_cases():
+            if mode != "auto":
+                (compose.ngon_extension if mode == "join" else compose.ngon_3d_extension)(polygon)
+            elif polygon.n == 7:
+                heptagon_module.heptagon_extension(polygon)
+            else:
+                decision = hexagon_module.hexagon_ic(polygon)
+                if decision.ic == 5:
+                    hexagon_module.hexagon_extension5(polygon, decision)
+        assert made == {name: [] for name in names}
 
     @pytest.mark.slow
     def test_factorize_output_unchanged(self, tmp_path, capsys):

@@ -7,11 +7,12 @@ import polysec.heptagon as heptagon_module
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
 from polysec.errors import CertificationFailure, NotHeptagon
-from polysec.exactgeom import cross, det3
+from polysec.exactgeom import _primitive_ints, cross, det3
 from polysec.heptagon import (
     Crossing,
     StandardHeptagon,
     _octuple,
+    _read_standard,
     build_standard_extension,
     classify_line,
     default_extension_k,
@@ -40,18 +41,34 @@ from conftest import (
     side,
     strictly_contains,
     symbolic_octuples,
+    vertex_of,
 )
 
-STD_PARAMS = dict(a=Fraction(1, 2), b=Fraction(-1, 4), c=Fraction(-1, 4),
-                  d=Fraction(1, 2), lam=Fraction(1, 4), mu=Fraction(1, 4))
+STD_PARAMS = dict(a=(1, 2), b=(-1, 4), c=(-1, 4), d=(1, 2), lam=(1, 4), mu=(1, 4))
 
 
 def standard_heptagon() -> StandardHeptagon:
     return StandardHeptagon(**STD_PARAMS)
 
 
+def values(pairs) -> tuple:
+    """The Fraction of each integer pair."""
+    return tuple(Fraction(*pair) for pair in pairs)
+
+
+def standard_points(std: StandardHeptagon) -> list:
+    """The vertices of a standard heptagon in index order 0..6, as Fractions."""
+    a, b, c, d, lam, mu = values(std)
+    return [(0, 0), (c, d), (c, d + mu), (0, 1), (1, 0), (a + lam, b), (a, b)]
+
+
 def standard_polygon() -> Polygon:
-    return validate(standard_heptagon().vertex_list())
+    return validate(standard_points(standard_heptagon()))
+
+
+def standard_rows(std: StandardHeptagon) -> list:
+    """The rows of the extension of std at the default K, each divided by its gcd."""
+    return [tuple(_primitive_ints(row)) for row in build_standard_extension(std, default_extension_k(std))]
 
 
 def planar_rows(calls) -> list:
@@ -168,7 +185,7 @@ class TestClassifyLine:
         # p_1 of the reference standard heptagon to the exact root so the
         # expression vanishes, and check the convention: a tie is a crossing,
         # matching the touching-line geometry
-        base = standard_heptagon().vertex_list()
+        base = standard_points(standard_heptagon())
         moved = list(base)
         moved[1] = (base[1][0] - Fraction(3, 44), base[1][1])
         polygon = raw_polygon(moved)
@@ -232,9 +249,9 @@ class TestInvariantSum:
 class TestStandardize:
     def test_already_standard_echoes_parameters(self):
         std = standard_heptagon()
-        out, mapping = standardize(validate(std.vertex_list()))
-        assert (out.a, out.b, out.c, out.d, out.lam, out.mu) == \
-            (std.a, std.b, std.c, std.d, std.lam, std.mu)
+        out, mapping = standardize(validate(standard_points(std)))
+        assert values(out) == values(std)
+        assert all(type(v) is int and d > 0 for (v, d) in out)
         # identity up to the canonical relabeling rotation
         assert mapping.m == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -242,41 +259,52 @@ class TestStandardize:
         out, _ = standardize(obs_heptagon)
         # frozen, derived by running the exact pipeline; the input's mirror
         # symmetry shows up as a = d and lam = mu
-        assert (out.a, out.d) == (Fraction(33, 46), Fraction(33, 46))
-        assert (out.b, out.c) == (Fraction(-1, 2), Fraction(-1, 2))
-        assert (out.lam, out.mu) == (Fraction(21, 115), Fraction(21, 115))
+        a, b, c, d, lam, mu = values(out)
+        assert (a, d) == (Fraction(33, 46), Fraction(33, 46))
+        assert (b, c) == (Fraction(-1, 2), Fraction(-1, 2))
+        assert (lam, mu) == (Fraction(21, 115), Fraction(21, 115))
 
     def test_constraints_on_fuzzed_heptagons(self, rng):
         for _ in range(60):
             polygon = random_convex_polygon(rng, 7)
             out, mapping = standardize(polygon)
-            assert out.b < 0 < out.a and out.c < 0 < out.d
-            assert out.lam > 0 and out.mu > 0
+            a, b, c, d, lam, mu = values(out)
+            assert b < 0 < a and c < 0 < d
+            assert lam > 0 and mu > 0
             assert mapping.det != 0
 
     def test_polygon_is_validated_once(self, monkeypatch):
-        # the constructor tests the convexity of the vertex list's lifts once
-        # and keeps nothing
+        # standardize tests the convexity of the seven images once, as
+        # they are, and keeps nothing
+        polygon = standard_polygon()
         cycles = count_calls_everywhere(monkeypatch, polygon_module, "_convex_cycle")
-        std = standard_heptagon()
+        standardize(polygon)
         assert len(cycles) == 1
-        assert list(cycles[0][0]) == [point(*p) for p in std.vertex_list()]
+        assert [vertex_of(row) for row in cycles[0][0]] == standard_points(standard_heptagon())
 
     def test_rejects_bad_parameters(self):
+        std = standard_heptagon()
         with pytest.raises(CertificationFailure):
-            StandardHeptagon(a=Fraction(1, 2), b=Fraction(-1, 4), c=Fraction(-1, 4),
-                             d=Fraction(1, 2), lam=Fraction(-1, 4), mu=Fraction(1, 4))
+            _read_standard([row_of(p) for p in standard_points(std._replace(lam=(-1, 4)))])
         with pytest.raises(CertificationFailure):
             # margin violation: a + b + lam >= 1
-            StandardHeptagon(a=Fraction(3, 2), b=Fraction(-1, 4), c=Fraction(-1, 4),
-                             d=Fraction(1, 2), lam=Fraction(1, 4), mu=Fraction(1, 4))
+            _read_standard([row_of(p) for p in standard_points(std._replace(a=(3, 2)))])
+        # the images of the vertices, at any positive scale
+        rows = [row_of(p) for p in standard_points(std)]
+        assert values(_read_standard([[3 * v for v in row] for row in rows])) == values(std)
+        with pytest.raises(CertificationFailure):
+            # p_2 off the vertical through p_1
+            moved = list(standard_points(std))
+            moved[2] = (moved[2][0] - Fraction(1, 100), moved[2][1])
+            _read_standard([row_of(p) for p in moved])
 
 
 class TestBuildStandardExtension:
     def test_explicit_vertices_at_k2(self):
         std = standard_heptagon()
-        assert default_extension_k(std) == 2
-        vertices = build_standard_extension(std)
+        assert Fraction(*default_extension_k(std)) == 2
+        rows = standard_rows(std)
+        vertices = [vertex_of(row) for row in rows]
         # frozen from the displayed formulas: s = 3 - 1/4 = 11/4
         expected = [
             (Fraction(0), Fraction(0), Fraction(1)),
@@ -286,19 +314,20 @@ class TestBuildStandardExtension:
             (Fraction(6, 11), Fraction(-3, 11), Fraction(2, 11)),
             (Fraction(-3, 11), Fraction(6, 11), Fraction(2, 11)),
         ]
-        assert vertices == expected
-        assert certify(SectionedPolytope(3, map(row_of, vertices), validate(std.vertex_list()))).certified
+        assert vertices == expected and rows == [row_of(v) for v in expected]
+        assert certify(SectionedPolytope(3, rows, validate(standard_points(std)))).certified
 
     def test_three_below_three_above(self):
-        zs = [v[2] for v in build_standard_extension(standard_heptagon())]
+        rows = standard_rows(standard_heptagon())
+        zs = [z for _, _, z, _ in rows]
+        assert all(w > 0 for *_, w in rows)
         assert sum(z < 0 for z in zs) == 3 and sum(z > 0 for z in zs) == 3
 
     def test_section_reproduces_nine_crossing_points(self):
         std = standard_heptagon()
-        verts = build_standard_extension(std)
+        verts = [vertex_of(row) for row in standard_rows(std)]
         hull = compute_section(verts, 3)
-        a, b, lam = std.a, std.b, std.lam
-        c, d, mu = std.c, std.d, std.mu
+        a, b, c, d, lam, mu = values(std)
         crossings = set()
         for i in range(6):
             for j in range(i + 1, 6):
@@ -307,8 +336,8 @@ class TestBuildStandardExtension:
                     continue
                 t = u[2] / (u[2] - v[2])
                 crossings.add((u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1])))
-        assert crossings == set(std.vertex_list()) | {(a, b + lam), (c + mu, d)}
-        polygon = validate(std.vertex_list())
+        assert crossings == set(standard_points(std)) | {(a, b + lam), (c + mu, d)}
+        polygon = validate(standard_points(std))
         assert hull == polygon.vertices
         # the two non-vertex crossing points lie strictly inside
         assert strictly_contains(polygon, a, b + lam)
@@ -316,8 +345,9 @@ class TestBuildStandardExtension:
 
     def test_default_k_keeps_denominators_positive(self):
         std = standard_heptagon()
-        k = default_extension_k(std)
-        assert (1 + k) - std.lam > 0 and (1 + k) - std.mu > 0
+        k = Fraction(*default_extension_k(std))
+        _, _, _, _, lam, mu = values(std)
+        assert (1 + k) - lam > 0 and (1 + k) - mu > 0
 
 
 class TestHeptagonExtension:
@@ -365,9 +395,11 @@ class TestHeptagonExtension:
 
     def test_seven_conversions_and_no_validation(self, rng, monkeypatch):
         # the polygon's lifts serve the crossing classification as they
-        # are; the standard heptagon lifts its own seven vertices, and
-        # nothing is validated, since it tests its own convexity, the
-        # pullback maps vertices and the result claims the input
+        # are; the standard heptagon is read off the images in integers,
+        # so of the seven conversions once allowed none is made; nothing
+        # is validated, since standardize tests the images'
+        # convexity, the pullback maps vertices and the result claims the
+        # input
         rows = count_calls_everywhere(monkeypatch, exactgeom_module, "_row")
         validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
         for _ in range(20):
@@ -375,18 +407,18 @@ class TestHeptagonExtension:
             rows.clear()
             validations.clear()
             assert heptagon_extension(polygon).claimed is polygon
-            assert len(planar_rows(rows)) <= 7 and validations == []
+            assert rows == [] and validations == []
 
     def test_validate_hands_its_lifts_to_the_extension(self, rng, monkeypatch):
         # validate lifts the seven input vertices and the polygon keeps
-        # those lifts for the crossing classification; the standard
-        # heptagon lifts its own seven vertices
+        # those lifts for the crossing classification; the construction
+        # lifts nothing
         rows = count_calls_everywhere(monkeypatch, exactgeom_module, "_row")
         for _ in range(10):
             points = random_convex_polygon(rng, 7).vertices
             rows.clear()
             assert heptagon_extension(validate(points)).certified
-            assert len(planar_rows(rows)) == 14
+            assert len(planar_rows(rows)) == 7
 
     def test_fuzzed_heptagons(self, rng):
         for _ in range(150):

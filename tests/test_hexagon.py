@@ -6,6 +6,7 @@ import polysec.hexagon as hexagon_module
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
 from polysec.errors import NoConcurrency, NotHexagon
+from polysec.exactgeom import _primitive_ints
 from polysec.hexagon import (
     build_bipyramid,
     concurrency_point,
@@ -25,7 +26,7 @@ from conftest import (
     count_calls_everywhere,
     extreme_vertices,
     map_line_to_infinity,
-    row_of,
+    vertex_of,
 )
 
 # alpha = 2, beta = 5, gamma = 3, x = 1/4, y = 1/3: a hexagon whose only
@@ -38,9 +39,19 @@ def hexagon_from_params(alpha, beta, gamma, x, y):
                      (1, 0), (x, y), (0, 1)])
 
 
+def nf_params(nf) -> tuple:
+    """alpha, beta, gamma, x and y of a normal form, the Fractions of its pairs."""
+    return tuple(Fraction(*pair) for pair in nf[:5])
+
+
 def normal_form_hexagon(nf):
     """The hexagon of nf's six normal-form vertices (HexNormalForm)."""
-    return hexagon_from_params(nf.alpha, nf.beta, nf.gamma, nf.x, nf.y)
+    return hexagon_from_params(*nf_params(nf))
+
+
+def bipyramid_rows(nf) -> list:
+    """The rows of the bipyramid over nf at the default K, each divided by its gcd."""
+    return [tuple(_primitive_ints(row)) for row in build_bipyramid(nf, default_bipyramid_k(nf))]
 
 
 def mirrored_hexagon_from_params(alpha, beta, gamma, x, y):
@@ -133,7 +144,8 @@ class TestNormalForm:
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)
         decision = hexagon_ic(hexagon)
         nf = hexagon_normal_form(hexagon, decision)
-        assert (nf.alpha, nf.beta, nf.gamma, nf.x, nf.y) == (alpha, beta, gamma, x, y)
+        assert nf_params(nf) == (alpha, beta, gamma, x, y)
+        assert all(type(v) is int and d > 0 for v, d in nf[:5])
         assert not nf.mirrored
         assert nf.map.m == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -146,9 +158,10 @@ class TestNormalForm:
         assert decision.ic == 5
         nf = hexagon_normal_form(mirrored, decision)
         alpha, beta, gamma, x, y = ASYMMETRIC_PARAMS
-        assert nf.beta == beta
-        assert {nf.alpha, nf.gamma} == {alpha, gamma}
-        assert {nf.x, nf.y} == {x, y}
+        nf_alpha, nf_beta, nf_gamma, nf_x, nf_y = nf_params(nf)
+        assert nf_beta == beta
+        assert {nf_alpha, nf_gamma} == {alpha, gamma}
+        assert {nf_x, nf_y} == {x, y}
 
     def test_mirror_assignment_branch(self):
         # this symmetric hexagon has an extra concurrent pairing at r = 0
@@ -159,14 +172,16 @@ class TestNormalForm:
         assert decision[:2] == (5, 0)
         nf = hexagon_normal_form(symmetric, decision)
         assert nf.mirrored
-        assert nf.alpha > 1 and nf.beta > 1 and nf.gamma > 1 and nf.x > 0 and nf.y > 0
+        alpha, beta, gamma, x, y = nf_params(nf)
+        assert alpha > 1 and beta > 1 and gamma > 1 and x > 0 and y > 0
         image = apply_map(symmetric, nf.map)
         assert image == normal_form_hexagon(nf)
 
     def test_parallel_case_composite_map(self, regular_hexagon):
         nf = hexagon_normal_form(regular_hexagon, hexagon_ic(regular_hexagon))
-        assert nf.alpha > 1 and nf.beta > 1 and nf.gamma > 1
-        assert nf.x > 0 and nf.y > 0
+        alpha, beta, gamma, x, y = nf_params(nf)
+        assert alpha > 1 and beta > 1 and gamma > 1
+        assert x > 0 and y > 0
         assert nf.map.m != ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         # the recorded map really carries the hexagon onto the normal form
         image = apply_map(regular_hexagon, nf.map)
@@ -181,10 +196,10 @@ class TestNormalForm:
             params = random_hexagon_params(rng)
             hexagon = hexagon_from_params(*params)
             decision = hexagon_ic(hexagon)
-            nf = hexagon_normal_form(hexagon, decision)
-            assert nf.x > 0 and nf.y > 0
-            assert nf.alpha > 1 and nf.beta > 1 and nf.gamma > 1
-            assert nf.x + nf.y < 1  # convexity of the inner vertex
+            alpha, beta, gamma, x, y = nf_params(hexagon_normal_form(hexagon, decision))
+            assert x > 0 and y > 0
+            assert alpha > 1 and beta > 1 and gamma > 1
+            assert x + y < 1  # convexity of the inner vertex
 
 
 class TestReadOnce:
@@ -233,17 +248,19 @@ class TestBipyramid:
     def test_two_below_three_above(self):
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)
         nf = hexagon_normal_form(hexagon, hexagon_ic(hexagon))
-        assert default_bipyramid_k(nf) == max(nf.alpha, nf.beta, nf.gamma) + 1
-        vertices = build_bipyramid(nf)
-        zs = [v[2] for v in vertices]
+        alpha, beta, gamma, _, _ = nf_params(nf)
+        assert Fraction(*default_bipyramid_k(nf)) == max(alpha, beta, gamma) + 1
+        rows = bipyramid_rows(nf)
+        zs = [z for _, _, z, _ in rows]
+        assert all(w > 0 for *_, w in rows)
         assert sum(z < 0 for z in zs) == 2 and sum(z > 0 for z in zs) == 3
         claimed = normal_form_hexagon(nf)
-        assert certify(SectionedPolytope(3, map(row_of, vertices), claimed)).certified
+        assert certify(SectionedPolytope(3, rows, claimed)).certified
 
     def test_crossings_reproduce_normal_form_vertices(self):
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)
         nf = hexagon_normal_form(hexagon, hexagon_ic(hexagon))
-        verts = build_bipyramid(nf)
+        verts = [vertex_of(row) for row in bipyramid_rows(nf)]
         crossings = set()
         for i in range(5):
             for j in range(i + 1, 5):

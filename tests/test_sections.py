@@ -221,7 +221,10 @@ class TestSupportBuckets:
                 compute_section(verts, dim)
         else:
             assert compute_section(verts, dim) == expected
-        assert _section_columns(rows_and_supports(verts)[0]) == all_pairs_columns(verts)
+        columns = _section_columns(rows_and_supports(verts)[0])
+        assert {point: {k: Fraction(*w) for k, w in column.items()} for point, column in columns.items()} \
+            == all_pairs_columns(verts)
+        assert all(type(n) is int and d > 0 for column in columns.values() for n, d in column.values())
 
     def test_pairs_tested_only_within_a_support(self, monkeypatch):
         # two blocks of three vertices in 4-space, two vertices on H; the

@@ -5,7 +5,8 @@ import pytest
 
 from polysec import sections, slack
 from polysec.errors import DomainError, NoExtension, ScaleExceeded
-from polysec.heptagon import StandardHeptagon, build_standard_extension, heptagon_extension
+from polysec.exactgeom import _primitive_ints
+from polysec.heptagon import StandardHeptagon, build_standard_extension, default_extension_k, heptagon_extension
 from polysec.hexagon import hexagon_extension5, hexagon_ic
 from polysec.compose import ngon_3d_extension, ngon_extension
 from polysec.polygon import validate
@@ -88,9 +89,13 @@ def lp_path_square():
 
 
 def small_standard_extension():
-    std = StandardHeptagon(a=Fraction(1, 2), b=Fraction(-1, 4), c=Fraction(-1, 4),
-                           d=Fraction(1, 2), lam=Fraction(1, 4), mu=Fraction(1, 4))
-    return std, SectionedPolytope(3, map(row_of, build_standard_extension(std)), validate(std.vertex_list()))
+    """The standard heptagon with a = d = 1/2, b = c = -1/4 and
+    lam = mu = 1/4, and its extension at the default K."""
+    std = StandardHeptagon(a=(1, 2), b=(-1, 4), c=(-1, 4), d=(1, 2), lam=(1, 4), mu=(1, 4))
+    a, b, c, d, lam, mu = (Fraction(*pair) for pair in std)
+    points = [(0, 0), (c, d), (c, d + mu), (0, 1), (1, 0), (a + lam, b), (a, b)]
+    rows = [_primitive_ints(row) for row in build_standard_extension(std, default_extension_k(std))]
+    return std, SectionedPolytope(3, rows, validate(points))
 
 
 class TestExtendFacetInequality:
@@ -178,10 +183,10 @@ class TestConvexCoefficients:
         # the planar identity behind the extension: (a, b+lam) splits over
         # p_{-1}, p_{-2}, p_3 with weights (1-a-b-lam, a, lam) / (1-b)
         std, _ = small_standard_extension()
-        a, b, lam = std.a, std.b, std.lam
+        a, b, lam = (Fraction(*pair) for pair in (std.a, std.b, std.lam))
         w = ((1 - a - b - lam) / (1 - b), a / (1 - b), lam / (1 - b))
         assert all(v > 0 for v in w) and sum(w) == 1
-        p_m1, p_m2, p_3 = (std.a, std.b), (std.a + std.lam, std.b), (Fraction(0), Fraction(1))
+        p_m1, p_m2, p_3 = (a, b), (a + lam, b), (Fraction(0), Fraction(1))
         combo = (w[0] * p_m1[0] + w[1] * p_m2[0] + w[2] * p_3[0],
                  w[0] * p_m1[1] + w[1] * p_m2[1] + w[2] * p_3[1])
         assert combo == (a, b + lam)
@@ -442,7 +447,17 @@ class TestIntegerProductCheck:
         # factorize holds R as integer pairs, and its Fractions are derived
         # from them on first read, the values of those pairs
         fact = factorize_from_section(obs_heptagon, heptagon_extension(obs_heptagon))
-        assert fact._r_factor is None
+        assert "r_factor" not in vars(fact)
         assert all(type(n) is int and type(d) is int and d > 0 for row in fact.r_pairs for n, d in row)
         assert fact.r_factor == tuple(tuple(Fraction(n, d) for n, d in row) for row in fact.r_pairs)
         assert fact.r_factor is fact.r_factor
+
+    def test_c_read_from_its_pairs(self, obs_heptagon):
+        # C too: its weights are integer pairs, read off the section's
+        # crossings, and its Fractions are derived on first read
+        fact = factorize_from_section(obs_heptagon, heptagon_extension(obs_heptagon))
+        assert "c_factor" not in vars(fact)
+        assert all(type(n) is int and type(d) is int and d > 0 for row in fact.c_pairs for n, d in row)
+        assert fact.c_factor == tuple(tuple(Fraction(n, d) for n, d in row) for row in fact.c_pairs)
+        assert fact.c_factor is fact.c_factor
+        assert all(sum(column) == 1 for column in zip(*fact.c_factor))
