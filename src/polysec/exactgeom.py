@@ -122,8 +122,7 @@ def _ratios(texts: Sequence) -> list[tuple[int, int]]:
         except ValueError:  # a text of another shape, or a part past the digit limit
             pass
         else:
-            # a zero or negative denominator is written after "/0" or "/-"
-            if ("/0" not in joined and "/-" not in joined) or all(q > 0 for _, q in out):
+            if all(q > 0 for _, q in out):
                 return out
     return [_ratio(t) for t in texts]
 
@@ -161,11 +160,31 @@ def _row(ratios: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     """The row of the rationals p_1/q_1, ..., p_k/q_k, q_i > 0, in any terms:
     (p_1 W/q_1, ..., p_k W/q_k, W), W the lcm of the q_i, divided by its
     gcd.  Equal values give equal rows; no ratio gives (1,).  The q of a
-    zero is left out of W, which the gcd would take out again."""
-    w = lcm(*{q for p, q in ratios if p})
-    row = (*[p * (w // q) for p, q in ratios], w)
+    zero is left out of W, which the gcd would take out again.  A term
+    whose q is W already, as in a file written in lowest terms over one
+    denominator, is kept with no division; _pair_row is this for k = 2."""
+    w = lcm(*[q for p, q in ratios if p])
+    row = (*[p if q == w else p * (w // q) for p, q in ratios], w)
     g = gcd(*row)
     return row if g == 1 else tuple([v // g for v in row])
+
+
+def _pair_row(x: tuple[int, int], y: tuple[int, int]) -> Triple:
+    """_row([x, y]): the lift (X, Y, W) of the point (p/q, r/s) for
+    x = (p, q) and y = (r, s), with no list.  The one step that reads a
+    claimed or polygon vertex (jsonio._parse_pairs)."""
+    (p, q), (r, s) = x, y
+    if not p:
+        q = 1
+    if not r:
+        s = 1
+    w = q if q == s else lcm(q, s)
+    if q != w:
+        p *= w // q
+    if s != w:
+        r *= w // s
+    g = gcd(p, r, w)
+    return (p, r, w) if g == 1 else (p // g, r // g, w // g)
 
 
 _by_value = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])  # pairs (N, D), D > 0, by N/D

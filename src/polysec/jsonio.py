@@ -5,11 +5,15 @@ Rows in, rows out.  Texts are read straight into integer rows
 extension's claim into lifts (_parse_pairs, the one pair reader, then
 polygon._validate_lifts), and an extension's vertices into rows from their
 texts other than "0", handed to the one SectionedPolytope constructor.
-Each array is read with one pass over its shape that collects the texts,
-one exactgeom._ratios call, which reads them all as the one text reader
-exactgeom._ratio reads each, and one _row per vertex.  A shape defect
-first reads the texts before it, so the first defect in file order is the
-one reported.  Polygons and extensions are written from the same rows,
+Each array is read with one pass over its shape that collects the texts
+(for a vertex, by index, those other than "0"), one exactgeom._ratios
+call, which reads them all as the one text reader exactgeom._ratio reads
+each, and then one row per vertex: exactgeom._pair_row of each pair, and
+exactgeom._row of a vertex's texts written into a copy of one row of
+zeros, made only once a vertex of dim texts has been read, so that memory
+follows the file and not the dim it states.  A shape defect first reads
+the texts before it, so the first defect in file order is the one
+reported.  Polygons and extensions are written from the same rows,
 Polygon.lifts and SectionedPolytope.rows, each coordinate X/W by
 exactgeom._format_ratio, with no Fraction either, and so are matrices,
 from rows of integer pairs (p, q): the slack matrix and the factors R
@@ -22,7 +26,7 @@ import json
 from typing import Sequence
 
 from .errors import ParseError
-from .exactgeom import Triple, _format_ratio, _ratios, _row
+from .exactgeom import Triple, _format_ratio, _pair_row, _ratios, _row
 from .polygon import Polygon, _validate_lifts
 from .sections import SectionedPolytope
 from .slack import SlackFactorization
@@ -59,7 +63,7 @@ def polygon_to_obj(polygon: Polygon) -> dict:
 
 
 def _parse_pairs(raw) -> list[Triple]:
-    """The lift (exactgeom._row) of each [x, y] pair of a vertex array."""
+    """The lift (exactgeom._pair_row) of each [x, y] pair of a vertex array."""
     if not isinstance(raw, list):
         raise ParseError("vertices must be an array")
     texts = []
@@ -69,7 +73,7 @@ def _parse_pairs(raw) -> list[Triple]:
             raise ParseError(f"vertex {item!r} must be an [x, y] pair")
         texts += item
     ratios = _ratios(texts)
-    return [_row(ratios[k : k + 2]) for k in range(0, len(ratios), 2)]
+    return list(map(_pair_row, ratios[::2], ratios[1::2]))
 
 
 def polygon_from_obj(obj) -> Polygon:
@@ -98,25 +102,25 @@ def sectioned_from_obj(obj) -> SectionedPolytope:
         raise ParseError(f"bad dimension {dim!r}")
     if not isinstance(obj["vertices"], list):
         raise ParseError("vertices must be an array")
-    texts, supports = [], []
+    texts, supports, indices = [], [], range(dim)
     for raw in obj["vertices"]:
         if not isinstance(raw, list) or len(raw) != dim:
             _ratios(texts)  # a bad text before this vertex is the first error
             raise ParseError(f"vertex {raw!r} must have {dim} coordinates")
         # the texts other than "0": a row is made from them and written into
         # their places
-        support = [k for k, c in enumerate(raw) if c != "0"]
+        support = [k for k in indices if raw[k] != "0"]
         texts += [raw[k] for k in support]
         supports.append(support)
     ratios = _ratios(texts)
-    rows, end = [], 0
+    rows, end, zeros = [], 0, [0] * (dim + 1) if supports else []
     for support in supports:
         start, end = end, end + len(support)
         values = _row(ratios[start:end])
-        row = [0] * dim
+        row = zeros[:]
         for k, v in zip(support, values):
             row[k] = v
-        row.append(values[-1])
+        row[-1] = values[-1]
         rows.append(tuple(row))
     claimed_obj = obj["claimed"]
     if not isinstance(claimed_obj, dict) or "vertices" not in claimed_obj:

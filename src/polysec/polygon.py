@@ -23,9 +23,12 @@ A lift (X, Y, W) is the point (X/W, Y/W).  When every weight of a set of
 lifts is below 2^(s/2), the key (X << s) // W of X/W is floor(x 2^s), and
 two distinct values X1/W1 != X2/W2 differ by at least 1/(W1 W2) > 2^-s,
 so their keys differ and keep their order, while equal values give equal
-keys.  Sorting and deduplication compare ints only.  convex_hull_2d lifts
-each point once, sorts on the keys and runs the monotone chain on the turn
-signs, and no Fraction is compared or hashed.
+keys.  Only the weights of the two keys compared enter: W1 W2 < 2^s is
+enough for that pair, which lets sections' matching compare a claim with
+points of larger weights at a smaller shift.  Sorting and deduplication
+compare ints only.  convex_hull_2d lifts each point once, sorts on the
+keys and runs the monotone chain on the turn signs, and no Fraction is
+compared or hashed.
 
 validate accepts in linear time, with no sort and no hull, when the n
 cyclic turns have one strict sign and, from the smallest key, the keys
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DegenerateTriple,
@@ -81,11 +84,14 @@ def _turn(a: tuple[int, int, int], b: tuple[int, int, int], c: tuple[int, int, i
     return (d > 0) - (d < 0)
 
 
-def _lift_keys(lifts: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
+def _lift_keys(lifts: Sequence[tuple[int, int, int]], s: Optional[int] = None) -> list[tuple[int, int]]:
     """The exact integer key pair of every lifted point: (X << s) // W and
-    (Y << s) // W, with s twice the largest weight bit length, so that
-    every weight is below 2^(s/2) (module docstring)."""
-    s = 2 * max((w for _, _, w in lifts), default=1).bit_length()
+    (Y << s) // W, with s by default twice the largest weight bit length,
+    so that every weight is below 2^(s/2) (module docstring).  A caller
+    that compares only some pairs of keys may pass a smaller s that is
+    at least the sum of the bit lengths of the two weights of each pair."""
+    if s is None:
+        s = 2 * max((w for _, _, w in lifts), default=1).bit_length()
     return [((x << s) // w, (y << s) // w) for x, y, w in lifts]
 
 
@@ -246,14 +252,19 @@ def _validate_lifts(lifts: Sequence[Triple]) -> Polygon:
     raise NotConvex("vertex order does not trace the convex hull")
 
 
+def _primitive_matrix(rows: Sequence[Sequence[int]]) -> tuple[Triple, Triple, Triple]:
+    """The rows of a 3x3 integer matrix divided by the gcd of its entries."""
+    ints = _primitive_ints([v for row in rows for v in row])
+    return tuple(tuple(ints[k:k + 3]) for k in (0, 3, 6))
+
+
 class ProjMap2:
     """Invertible projective map of the plane, a 3x3 integer matrix up to scale."""
 
     __slots__ = ("m",)
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        ints = _primitive_ints([v for row in rows for v in row])
-        self.m = tuple(tuple(ints[k:k + 3]) for k in (0, 3, 6))
+        self.m = _primitive_matrix(rows)
         if self.det == 0:
             raise DegenerateTriple("projective map must be invertible")
 
@@ -279,13 +290,19 @@ class ProjMap2:
         return images
 
     def inverse(self) -> "ProjMap2":
+        """The inverse map: the adjugate of m divided by its gcd.  The
+        adjugate of an invertible matrix has determinant det^2 != 0, so
+        __init__'s test is not repeated.  The gcd stays: the scale of the
+        matrix reaches the shear slope of bounded_pullback, whose midpoint
+        rule (linalg._interval_pair) is not scale-invariant."""
         (a, b, c), (d, e, f), (g, h, i) = self.m
-        adj = (
+        inverse = object.__new__(ProjMap2)
+        inverse.m = _primitive_matrix((
             (e * i - f * h, c * h - b * i, b * f - c * e),
             (f * g - d * i, a * i - c * g, c * d - a * f),
             (d * h - e * g, b * g - a * h, a * e - b * d),
-        )
-        return ProjMap2(adj)
+        ))
+        return inverse
 
     def __repr__(self):
         return f"ProjMap2{self.m}"

@@ -70,7 +70,13 @@ order: validate's linear test (polygon._convex_cycle) turns clockwise,
 from the lexicographic minimum at index 0; (2) every claimed vertex is
 one of the points; and (3) every other point lies in the closed claimed
 polygon (polygon._encloses: two turns per point, at the edges over its x
-that a bisection on the exact sort keys finds).  Then the hull of the
+that a bisection on the exact sort keys finds).  The keys are one
+polygon._lift_keys call at the shift s = c + max(c, p), for claimed
+weights below 2^c and weights of the other points below 2^p: (1)
+compares claimed keys with claimed keys, exact for s >= 2c, and (3) a
+point's key with claimed keys, exact for s >= c + p; no two other points
+are compared, so the default shift, twice the largest weight, is not
+needed (on a 140-gon join c is 62 bits and p 212).  Then the hull of the
 points is the claimed polygon: (3) puts the points inside it and (2) its
 vertices among them, and the vertices of a strictly convex polygon are
 the vertices of its hull, so the claim is the hull vertex for vertex, in
@@ -100,6 +106,7 @@ from __future__ import annotations
 from fractions import Fraction
 from bisect import bisect
 from itertools import compress
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import (
@@ -186,7 +193,9 @@ def _segment_flat_crossing(u: Row, v: Row, support: tuple[int, ...]) -> Optional
     if (a > 0) == (b > 0) or len(support) > 1 and any(u[k] * b != v[k] * a for k in support[1:]):
         return None
     p, q = abs(b), abs(a)
-    return tuple(_primitive_ints((p * u[0] + q * v[0], p * u[1] + q * v[1], p * u[-1] + q * v[-1])))
+    x, y, w = p * u[0] + q * v[0], p * u[1] + q * v[1], p * u[-1] + q * v[-1]
+    g = gcd(x, y, w)
+    return x // g, y // g, w // g
 
 
 def _support(row: Row) -> tuple[int, ...]:
@@ -350,14 +359,15 @@ def _claim_matches_crossings(s: SectionedPolytope) -> bool:
     claim = s.claimed.lifts
     if not points.issuperset(claim):
         return False
-    # the claim first, then the other points; one set of exact sort keys
-    lifts = [*claim, *points.difference(claim)]
-    order = _lift_keys(lifts)
-    n = len(claim)
-    claim_lifts, claim_order = lifts[:n], order[:n]
-    if _convex_cycle(claim_lifts, claim_order) != -1 or min(claim_order) != claim_order[0]:
+    # one set of exact sort keys, the claim's first, at the shift of the
+    # module docstring
+    others = list(points.difference(claim))
+    c, p = (max((w for _, _, w in part), default=1).bit_length() for part in (claim, others))
+    order, n = _lift_keys([*claim, *others], c + max(c, p)), len(claim)
+    claim_order = order[:n]
+    if _convex_cycle(claim, claim_order) != -1 or min(claim_order) != claim_order[0]:
         return False
-    return _encloses(claim_lifts, claim_order, lifts[n:], order[n:])
+    return _encloses(claim, claim_order, others, order[n:])
 
 
 def verify_section(s: SectionedPolytope) -> bool:

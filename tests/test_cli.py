@@ -53,6 +53,17 @@ def write_polygon(tmp_path, name, points):
     return str(path)
 
 
+def opposite_sign_pairs(rows) -> int:
+    """The pairs of distinct rows with one off-H support whose first
+    coordinates off H have opposite signs, counted from the rows alone."""
+    signs = {}
+    for row in set(rows):
+        support = [k for k in range(2, len(row) - 1) if row[k]]
+        if support:
+            signs.setdefault(tuple(support), []).append(row[support[0]] > 0)
+    return sum(side.count(True) * side.count(False) for side in signs.values())
+
+
 def run_cli_process(argv: list) -> subprocess.CompletedProcess:
     """Run the CLI on argv in a fresh interpreter, on this checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -198,10 +209,12 @@ class TestExtendVerify:
         crossings = count_calls_everywhere(monkeypatch, sections, "_segment_flat_crossing")
         hulls = count_calls_everywhere(monkeypatch, polygon_module, "convex_hull_2d")
         assert main(["verify", str(ext)]) == 0
-        # 4 blocks of 6 vertices: 4 * 15 pairs, not 24 * 23 / 2 = 276;
-        # no hull: validate accepts the claim without one, and verify
-        # matches the claim against the crossings
-        assert len(crossings) <= 60 and hulls == []
+        # 4 blocks of 6 vertices: only the pairs of one block whose first
+        # off-H coordinates have opposite signs, at most 4 * 15, not
+        # 24 * 23 / 2 = 276; no hull: validate accepts the claim without
+        # one, and verify matches the claim against the crossings
+        assert len(crossings) == opposite_sign_pairs(sectioned_from_obj(loads(ext.read_text())).rows) <= 60
+        assert hulls == []
 
     def test_140gon_join_soundness(self, tmp_path, capsys, monkeypatch):
         # a join at benchmark scale passes; a claim one vertex of which is
@@ -215,15 +228,19 @@ class TestExtendVerify:
         moved = [[str(x0 - Fraction(1, 2**600)), str(y0)], *claim[1:]]
         hulls = count_calls_everywhere(monkeypatch, polygon_module, "convex_hull_2d")
         texts = count_calls_everywhere(monkeypatch, exactgeom, "_ratio")
+        # every verify tests exactly the opposite-sign pairs of each block
+        crossings = count_calls_everywhere(monkeypatch, sections, "_segment_flat_crossing")
+        pairs = opposite_sign_pairs(sectioned_from_obj(doc).rows)
         for vertices, code, out in ((claim, 0, "PASS"), (moved, 1, "FAIL"), (claim[1:], 1, "FAIL")):
             hulls.clear()
+            crossings.clear()
             assert validate([(Fraction(x), Fraction(y)) for x, y in vertices]).n == len(vertices)
             assert hulls == []
             path = tmp_path / "join.json"
             path.write_text(dumps({**doc, "claimed": {"vertices": vertices}}))
             assert main(["verify", str(path)]) == code
             assert capsys.readouterr().out.startswith(out)
-            assert texts == []
+            assert texts == [] and len(crossings) == pairs
 
     def test_file_flag_is_not_trusted(self):
         # only verify_section sets the flag; the writer still records it

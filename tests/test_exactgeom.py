@@ -11,8 +11,10 @@ from polysec.exactgeom import (
     MAX_SCALAR_CHARS,
     _canonical_int_triple,
     _format_ratio,
+    _pair_row,
     _ratio,
     _ratios,
+    _row,
     cross,
     det3,
     join,
@@ -20,7 +22,7 @@ from polysec.exactgeom import (
     parse_scalar,
 )
 
-from conftest import count_calls, incident, point
+from conftest import count_calls, incident, point, row_of
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 
@@ -277,6 +279,33 @@ class TestRatios:
     ))
     def test_random_lists(self, texts):
         assert read_outcome(_ratios, texts) == read_outcome(one_by_one, texts)
+
+
+# integer parts of up to 450 bits, and small ones, so that equal and
+# dividing denominators are drawn too
+_parts = st.integers(0, 2**450) | st.integers(0, 12)
+# a coordinate text: "p/q" with its terms multiplied by k >= 1 (unreduced
+# when k > 1), an integer text, or a zero over any denominator
+coordinate_texts = (
+    st.builds(lambda sign, p, q, k: f"{sign}{p * k}/{(q + 1) * k}", st.sampled_from(["", "-"]),
+              _parts, _parts, st.integers(1, 2**40) | st.just(1))
+    | st.builds(lambda sign, p: f"{sign}{p}", st.sampled_from(["", "-"]), _parts)
+    | st.builds(lambda sign, q: f"{sign}0/{q + 1}", st.sampled_from(["", "-"]), _parts)
+    | st.sampled_from(["0", "-0", "0/7"])
+)
+
+
+class TestPairRow:
+    @settings(max_examples=500, derandomize=True)
+    @given(st.tuples(coordinate_texts, coordinate_texts))
+    @example(("0/7", "-0"))
+    @example(("-0", "6/4"))
+    @example(("3", "-9/6"))
+    def test_pair_row_is_the_generic_row(self, texts):
+        # the reader's two-coordinate step (jsonio._parse_pairs) against
+        # the generic _row and the row of the parsed Fractions
+        x, y = _ratios(list(texts))
+        assert _pair_row(x, y) == _row([x, y]) == row_of([Fraction(*x), Fraction(*y)])
 
 
 def written(write, p, q):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -168,6 +169,19 @@ class TestMapLineToInfinity:
             for q in (point(*a), point(*b)):
                 assert image(t, q)[2] == 0
             assert [image(t, q) for q in frame] == [point(0, 0), point(1, 0), point(0, 1)]
+
+    def test_inverse_is_primitive_and_inverts(self, rng):
+        # the adjugate divided by its gcd, with no determinant test: a
+        # primitive matrix whose product with the map is a nonzero scalar
+        for _ in range(25):
+            p = random_convex_polygon(rng, 7)
+            for horizon in ((1, 0, -3), join(p.vertex(1), p.vertex(4))):
+                t = frame_map(p.vertex(0), p.vertex(3), p.vertex(5), horizon)
+                inverse = t.inverse().m
+                assert gcd(*(v for row in inverse for v in row)) == 1
+                product = [[sum(t.m[i][k] * inverse[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+                scale = product[0][0]
+                assert scale != 0 and product == [[scale * (i == j) for j in range(3)] for i in range(3)]
 
     def test_origin_at_infinity(self):
         # the direction (1, 1) goes to the origin when the horizon is a

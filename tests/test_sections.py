@@ -449,6 +449,26 @@ class TestMatchingSoundness:
         for step in (2, 3):
             assert not matches(verts, [section[step * k % 7] for k in range(7)])
 
+    @pytest.mark.parametrize("offset", [Fraction(1, 2**100), Fraction(-1, 2**100)])
+    def test_heavier_point_beside_a_light_claim(self, offset):
+        # the unit square on H, weights 1, and the crossing (1 + offset, 1/2)
+        # of weight 2^101: outside the square the claim fails, inside it
+        # passes.  Keys at twice the claim's weight bits alone would give the
+        # outside crossing the square's largest x key and let it in
+        square = validate([(0, 0), (0, 1), (1, 1), (1, 0)]).vertices
+        x = 1 + offset
+        verts = [(a, b, 0) for a, b in square] + [(x, Fraction(1, 2), 1), (x, Fraction(1, 2), -1)]
+        assert matches(verts, square) == (compute_section(verts, 3) == square) == (offset < 0)
+
+    def test_close_claimed_vertices_and_no_other_point(self):
+        # a quadrilateral on H whose top edge joins two vertices 1/(W1 W2)
+        # apart in x, weights W1, W2 of 21 bits, inside its rising chain:
+        # claimed keys are compared with each other, at twice their bits
+        # however light the other points are (here there are none)
+        w1, w2 = 2**20 + 1, 2**20 + 3
+        section = validate([(0, 0), (Fraction(1, w2), 1), (Fraction(1, w1), 1), (1, 0)]).vertices
+        assert matches([(x, y, 0) for x, y in section], section)
+
     @pytest.mark.parametrize("case", ["heptagon", "pentagon"])
     def test_section_plus_inner_crossing_fails(self, case):
         verts, section = heptagon_file() if case == "heptagon" else (PENTAGON_FILE, validate(PENTAGON).vertices)
