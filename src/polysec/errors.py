@@ -2,7 +2,9 @@
 
 DomainError covers bad user input (CLI exit code 1).  CertificationFailure
 covers internal invariant violations: a construction that should be
-mathematically impossible to fail did fail (CLI exit code 3).
+mathematically impossible to fail did fail (CLI exit code 3).  Facts
+proved in the docstrings, such as the signs of the two normal forms, are
+not checked at run time; certify still checks every construction.
 PullbackUnbounded is raised by a pullback whose image would be unbounded;
 the constructions shear first so that it cannot happen there, and if it
 still does the CLI treats it as an internal failure (exit code 3).
@@ -61,10 +63,6 @@ class NotHexagon(DomainError):
 
 
 class NoConcurrency(DomainError):
-    pass
-
-
-class NormalFormConstraintViolated(CertificationFailure):
     pass
 
 

@@ -13,6 +13,7 @@ and prove that its nine segment crossings are the seven standard vertices
 and the points (a, b + lam) and (c + mu, d) inside the heptagon.  The
 normalization divides each row by its gcd; heptagon_vertices pulls the
 rows back, and only heptagon_extension returns a SectionedPolytope.
+The standard form is proved, not guarded (_read_standard, std_points).
 
 Crossing classification is purely algebraic, through products of vertex
 determinants; a brute-force edge-intersection oracle is kept in the test
@@ -24,10 +25,10 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple, Sequence
 
-from .errors import CertificationFailure, DegenerateConstruction, NoneFound, NotHeptagon
+from .errors import DegenerateConstruction, NoneFound, NotHeptagon
 from .exactgeom import Triple, _by_value, _primitive_ints, det3, join, meet
 from .linalg import Pair
-from .polygon import Polygon, ProjMap2, _convex_cycle, _lift_keys, frame_map
+from .polygon import Polygon, ProjMap2, frame_map
 from .sections import Row, SectionedPolytope, bounded_pullback, certify
 
 __all__ = [
@@ -79,7 +80,10 @@ class DetOctuple(NamedTuple):
 
 
 def std_points(polygon: Polygon, i: int) -> StdPoints:
-    """Standardization points p_i^+ = (i+1,i+2)v(i,i+3), p_i^- = (i-1,i-2)v(i,i-3)."""
+    """Standardization points p_i^+ = (i+1,i+2)v(i,i+3), p_i^- = (i-1,i-2)v(i,i-3),
+    distinct on a strictly convex heptagon: they lie on line(p_i, p_{i+3})
+    and line(p_i, p_{i-3}), which meet at p_i alone, and p_i^+ = p_i would
+    put three vertices on line(p_{i+1}, p_{i+2})."""
     _require_heptagon(polygon)
     p = polygon.vertex
 
@@ -88,8 +92,6 @@ def std_points(polygon: Polygon, i: int) -> StdPoints:
 
     plus = meet(line(1, 2), line(0, 3))
     minus = meet(line(-1, -2), line(0, -3))
-    if plus == minus:
-        raise DegenerateConstruction(f"p_{i}^+ equals p_{i}^- on {polygon!r}")
     return StdPoints(plus=plus, minus=minus, line=join(plus, minus))
 
 
@@ -172,27 +174,25 @@ def standardize(polygon: Polygon) -> tuple[StandardHeptagon, ProjMap2]:
 
 
 def _read_standard(images: Sequence[Triple]) -> StandardHeptagon:
-    """The parameters read off the images of the vertices in index order,
-    of positive weight as frame_map gives p_0 one: a, b of p_-1, c, d of
-    p_1, lam and mu as differences.  CertificationFailure unless their
-    numerators have the signs, the images turn as a strictly convex
-    clockwise heptagon, and they are its vertices: p_0, p_3, p_-3 at (0,0),
-    (0,1), (1,0), and the edges (p_1, p_2) and (p_-1, p_-2) parallel to the
-    axes, as p_i^+ and p_i^- at infinity make them, by cross-multiplication."""
-    (x0, y0, _), (x1, y1, w1), (x2, y2, w2), (x3, y3, w3), (x4, y4, w4), (x5, y5, w5), (x6, y6, w6) = images
-    std = StandardHeptagon(a=(x6, w6), b=(y6, w6), c=(x1, w1), d=(y1, w1),
-                           lam=(x5 * w6 - x6 * w5, w5 * w6), mu=(y2 * w1 - y1 * w2, w1 * w2))
-    if not (y6 < 0 and x1 < 0):
-        raise CertificationFailure(f"need b, c < 0, got b={std.b}, c={std.c}")
-    if not (x6 > 0 and y1 > 0 and std.lam[0] > 0 and std.mu[0] > 0):
-        raise CertificationFailure(
-            f"need a, d, lam, mu > 0, got {std.a}, {std.d}, {std.lam}, {std.mu}"
-        )
-    if _convex_cycle(images, _lift_keys(images)) != -1:
-        raise CertificationFailure("vertex list is not a strictly convex clockwise heptagon")
-    if (x0, y0, x3, y4, y3, x4, x1 * w2, y5 * w6) != (0, 0, 0, 0, w3, w4, x2 * w1, y6 * w5):
-        raise CertificationFailure("standardized vertices disagree with the parameters")
-    return std
+    """The parameters read off the images of the vertices in index order:
+    a, b of p_-1, c, d of p_1, lam and mu as differences.  Nothing is
+    checked; for a strictly convex clockwise input it is proved (the tests
+    prove each identity on symbols) that:
+    - the weights are positive: one strict sign (ProjMap2.apply), and
+      p_0's positive (frame_map);
+    - p_0, p_3, p_-3 go to (0,0), (0,1), (1,0), as the rows of frame_map
+      are lines through the frame points;
+    - (p_1, p_2) and (p_-1, p_-2) are parallel to the axes: by
+      Binet-Cauchy (l . p_1)(h . p_2) - (l . p_2)(h . p_1) =
+      (l x h) . (p_1 x p_2) for rows l, h, and l x h is p_0^+ or p_0^-;
+    - the map keeps orientation, as (p_0, p_3, p_-3) and its image
+      ((0,0), (0,1), (1,0)) both turn clockwise, so every turn of the
+      images is < 0, and c = turn(0,1,3), -d = turn(0,1,4), -a =
+      turn(3,6,0), b = turn(4,6,0), c mu = turn(0,1,2), lam b = turn(5,6,0)
+      over positive weights give b, c < 0 < a, d, lam, mu."""
+    _, (x1, y1, w1), (_, y2, w2), _, _, (x5, _, w5), (x6, y6, w6) = images
+    return StandardHeptagon(a=(x6, w6), b=(y6, w6), c=(x1, w1), d=(y1, w1),
+                            lam=(x5 * w6 - x6 * w5, w5 * w6), mu=(y2 * w1 - y1 * w2, w1 * w2))
 
 
 def default_extension_k(std: StandardHeptagon) -> Pair:

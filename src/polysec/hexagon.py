@@ -6,7 +6,8 @@ diagonal (p_{r+1}, p_{r+4}) are concurrent for one of the three pairings
 r = 0, 1, 2; otherwise six vertices are needed and the hexagon is its own
 cheapest section.  hexagon_normal_form brings a witness to its normal form
 by one projective map, built from its frame (polygon.frame_map): the
-concurrency point, two vertices and a horizon.
+concurrency point, two vertices and a horizon.  Its parameter signs follow
+from the witness's strict convexity and are proved, not guarded.
 
 All of it runs in integers.  The polynomial core, build_bipyramid, maps
 the normal-form parameters and K, integer pairs (N, D), D > 0, to
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import NoConcurrency, NormalFormConstraintViolated, NotHexagon
+from .errors import NoConcurrency, NotHexagon
 from .exactgeom import Triple, _by_value, _dot, _primitive_ints, det3, join, meet
 from .linalg import Pair
 from .polygon import Polygon, ProjMap2, frame_map
@@ -123,8 +124,13 @@ def hexagon_normal_form(polygon: Polygon, decision: HexDecision) -> HexNormalFor
     points on one side of its horizon at once, so the direct frame is the
     right one exactly when that triple turns against the label order; c's
     triple is negated first when it lies across the horizon from the
-    vertices.  A failed read of the images is an internal failure
-    (NormalFormConstraintViolated).
+    vertices.  So the images turn clockwise in the order read, every turn
+    of the normal-form vertices 0..5 is < 0, and nothing is checked (the
+    tests prove each identity on symbols): 1 - alpha = turn(3,5,0) and
+    1 - gamma = turn(2,3,5), then x (1 - alpha) = turn(4,5,0) and
+    y (1 - gamma) = turn(2,3,4), then x + y - 1 = turn(3,4,5) and
+    alpha gamma - beta (alpha x + gamma y) = turn(0,1,2) give alpha,
+    gamma > 1, x, y > 0 and beta > 1 / (x / gamma + y / alpha) > 1.
     """
     _require_hexagon(polygon)
     r, c = decision.witness, decision.point
@@ -143,14 +149,7 @@ def hexagon_normal_form(polygon: Polygon, decision: HexDecision) -> HexNormalFor
     images = normalize.apply([p(k) for k in order])
     sign = 1 if images[0][2] > 0 else -1  # the weights have one sign
     (_, y0, w0), (x1, _, w1), (x2, _, w2), _, (x, y, w), _ = [[sign * v for v in im] for im in images]
-    if not (x > 0 and y > 0):
-        raise NormalFormConstraintViolated(f"need x, y > 0, got ({x}/{w}, {y}/{w})")
-    alpha, beta, gamma = (y0, w0), (x1 * w, w1 * x), (x2, w2)
-    if not all(n > d for n, d in (alpha, beta, gamma)):
-        raise NormalFormConstraintViolated(
-            f"need alpha, beta, gamma > 1, got {alpha}, {beta}, {gamma}"
-        )
-    return HexNormalForm(alpha=alpha, beta=beta, gamma=gamma, x=(x, w), y=(y, w),
+    return HexNormalForm(alpha=(y0, w0), beta=(x1 * w, w1 * x), gamma=(x2, w2), x=(x, w), y=(y, w),
                          mirrored=not direct, map=normalize)
 
 

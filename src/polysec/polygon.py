@@ -293,8 +293,8 @@ class ProjMap2:
         """The inverse map: the adjugate of m divided by its gcd.  The
         adjugate of an invertible matrix has determinant det^2 != 0, so
         __init__'s test is not repeated.  The gcd stays: the scale of the
-        matrix reaches the shear slope of bounded_pullback, whose midpoint
-        rule (linalg._interval_pair) is not scale-invariant."""
+        matrix reaches the shear slope of bounded_pullback, a Fourier-Motzkin
+        midpoint (linalg._fourier_motzkin_pairs) that is not scale-invariant."""
         (a, b, c), (d, e, f), (g, h, i) = self.m
         inverse = object.__new__(ProjMap2)
         inverse.m = _primitive_matrix((

@@ -118,7 +118,7 @@ from .errors import (
     ScaleExceeded,
 )
 from .exactgeom import _ZERO, Triple, _dot, _primitive_ints, _row, cross
-from .linalg import _interval_pair, _nonnegative_combination, feasible_nonnegative_solution
+from .linalg import _fourier_motzkin_pairs, _nonnegative_combination, feasible_nonnegative_solution
 from .polygon import (
     AffinePair,
     Polygon,
@@ -477,33 +477,6 @@ def shear_fixing_flat(rows: Sequence[Row], u: tuple) -> list[Row]:
     return [tuple(_primitive_ints([q * x + a1 * z, q * y + a2 * z, q * z, q * w])) for x, y, z, w in rows]
 
 
-def _shear_slope_interval(weights: Sequence[int], heights: Sequence[int]) -> Optional[tuple]:
-    """Feasible slopes rho with weight_k + rho * height_k of one strict sign.
-
-    Returns (lo, hi), each end an integer pair (N, D), D > 0, compared by
-    cross-multiplication, or None for an unbounded end; None if infeasible
-    for both signs.
-    """
-    for sign in (1, -1):
-        lo = hi = None
-        ok = True
-        for w, z in zip(weights, heights):
-            o, zz = sign * w, sign * z
-            if zz == 0:
-                if o <= 0:
-                    ok = False
-                    break
-                continue
-            if zz > 0:  # rho > -o / zz
-                if lo is None or -o * lo[1] > lo[0] * zz:
-                    lo = (-o, zz)
-            elif hi is None or o * hi[1] < hi[0] * -zz:  # rho < o / -zz
-                hi = (o, -zz)
-        if ok and not (lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]):
-            return (lo, hi)
-    return None
-
-
 def bounded_pullback(rows: Sequence[Row], planar: ProjMap2) -> list[Row]:
     """Pullback of the rows of the vertices of a 3-dimensional extension:
     the plain lift when the weights h . P of their lifts P = (X, Y, W), h
@@ -512,10 +485,12 @@ def bounded_pullback(rows: Sequence[Row], planar: ProjMap2) -> list[Row]:
     slope bounds -(h . P)/Z are those of the affine point, -h . (x, y, 1)/z.
 
     Any shear fixing H pointwise yields another valid extension of the same
-    section, and shifts each vertex's horizon value by a slope times its
-    height; choosing the slope inside its exact feasible interval makes the
-    pulled-back polytope bounded whenever any H-invariant lift of the planar
-    map can.
+    section, and shifts each vertex's horizon value by a slope rho times its
+    height Z.  rho is the Fourier-Motzkin point (linalg._fourier_motzkin_pairs)
+    of s (h . P + rho Z) >= 0 for the first sign s of 1, -1 at which every
+    s (h . P + rho Z) > 0: the midpoint rule picks an interior point exactly
+    when the open interval of such slopes is not empty, so the pullback is
+    bounded whenever any H-invariant lift of the planar map can make it.
 
     In 3-D some slope always works when the planar map is finite on the
     section.  The horizon of the lifted map is the plane through the
@@ -530,13 +505,19 @@ def bounded_pullback(rows: Sequence[Row], planar: ProjMap2) -> list[Row]:
     the planar image of the section.
     """
     h1, h2, h3 = planar.m[2]
-    weights = [h1 * x + h2 * y + h3 * w for x, y, _, w in rows]
-    if all(w > 0 for w in weights) or all(w < 0 for w in weights):
+    values = [(h1 * x + h2 * y + h3 * w, z) for x, y, z, w in rows]  # (h . P, Z)
+    if all(v > 0 for v, _ in values) or all(v < 0 for v, _ in values):
         return pullback(rows, planar)
-    interval = _shear_slope_interval(weights, [z for _, _, z, _ in rows])
-    if interval is None:
+    for s in (1, -1):
+        # s (h . P + rho Z) >= 0 for every row, in the one variable rho
+        point = _fourier_motzkin_pairs([(0, s * z, -s * v) if z else (None, 0, -s * v)
+                                        for v, z in values], 1)
+        if point is not None:
+            rn, rd = point[0]
+            if all(s * (v * rd + rn * z) > 0 for v, z in values):
+                break
+    else:
         raise PullbackUnbounded("no H-fixing shear bounds the pullback")
-    rn, rd = _interval_pair(*interval)  # the slope, by the one midpoint rule
     # h1 = h2 = 0 gives the weights h3 W, of one strict sign: returned above
     h = h1 or h2
     slope = (rn, rd * h) if h > 0 else (-rn, -rd * h)  # rho / h

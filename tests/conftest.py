@@ -12,7 +12,7 @@ from polysec.errors import DuplicateVertex, ImageNotConvex, NotConvex, TooFewVer
 from polysec.exactgeom import _canonical_int_triple, _row, det3
 from polysec.heptagon import _octuple
 from polysec.linalg import _nonnegative_combination, feasible_nonnegative_solution
-from polysec.polygon import Polygon, ProjMap2
+from polysec.polygon import Polygon, ProjMap2, convex_hull_2d
 from polysec.sections import extreme_points
 
 # every property test draws the same examples on every run
@@ -298,6 +298,16 @@ def strictly_contains(polygon: Polygon, x, y) -> bool:
     return all(d < 0 for d in edge_turns(polygon, x, y))
 
 
+def lattice_polygon(r: random.Random, n: int, spread: int = 12) -> Polygon:
+    """A strictly convex n-gon with integer vertices: the hull of n to 2n
+    points of the square [-spread, spread]^2, drawn until it has n vertices."""
+    while True:
+        points = {(r.randint(-spread, spread), r.randint(-spread, spread)) for _ in range(r.randint(n, 2 * n))}
+        hull = convex_hull_2d(points)
+        if len(hull) == n:
+            return validate(hull)
+
+
 def rational_grid_point(r: random.Random, spread: int = 200, denom: int = 32):
     return (Fraction(r.randrange(-spread, spread + 1), denom),
             Fraction(r.randrange(-spread, spread + 1), denom))
@@ -348,10 +358,20 @@ class Poly:
         return self.terms == Poly.lift(other).terms
 
 
+def symbol(name: str) -> Poly:
+    """The Poly of one variable."""
+    return Poly({(name,): 1})
+
+
+def symbolic_points(n: int) -> list:
+    """The homogeneous triples (x_k, y_k, 1) of n generic affine points."""
+    return [(symbol(f"x{k}"), symbol(f"y{k}"), 1) for k in range(n)]
+
+
 def symbolic_octuples() -> list:
     """The determinant octuples at indices 0..6 of seven generic affine points
     (x0, y0), ..., (x6, y6), built by the shipped _octuple and det3 on Polys."""
-    rows = [(Poly({(f"x{k}",): 1}), Poly({(f"y{k}",): 1}), 1) for k in range(7)]
+    rows = symbolic_points(7)
     return [_octuple(rows, i) for i in range(7)]
 
 
@@ -364,7 +384,7 @@ def octuple_sums(octs) -> tuple:
 
 def symbolic_pair(name: str) -> tuple:
     """The integer pair (N, D) of a symbolic rational: two Poly variables."""
-    return Poly({(name + "_n",): 1}), Poly({(name + "_d",): 1})
+    return symbol(name + "_n"), symbol(name + "_d")
 
 
 def homogeneous(x, y) -> tuple:

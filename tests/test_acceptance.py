@@ -35,6 +35,7 @@ from conftest import (
     octuple_sums,
     pair_sum,
     point,
+    symbol,
     symbolic_octuples,
     symbolic_pair,
 )
@@ -91,6 +92,44 @@ def test_criterion_1_gadget_crossings_proved():
         assert cross(crossing, homogeneous(x, y)) == (0, 0, 0)
     report("criterion 1: the nine crossings of the shipped heptagon core proved "
            "for symbolic parameters and K")
+
+
+def test_criterion_1_extra_crossings_inside_proved():
+    """The two crossings (a, b + lam) and (c + mu, d) of the shipped
+    heptagon core lie strictly inside the standard heptagon: their 14 edge
+    turns, as polynomial identities, are sums of terms of known sign.
+
+    D(i, j) is the turn of vertex j against edge (i, i+1), < 0 for every
+    vertex off the edge of a strictly convex clockwise heptagon, and
+    b, c < 0 < a, d, lam, mu (heptagon._read_standard), so a term with an
+    odd number of negative factors is negative.  The parameters are
+    symbols over 1 and K a symbolic pair; each crossing is
+    W (x, y, 1) with W its weight (criterion 1's proof above)."""
+    a, b, c, d, lam, mu = syms = [symbol(n) for n in ("a", "b", "c", "d", "lam", "mu")]
+    rows = build_standard_extension(StandardHeptagon(*[(v, 1) for v in syms]), symbolic_pair("K"))
+    p = [(0, 0, 1), (c, d, 1), (c, d + mu, 1), (0, 1, 1), (1, 0, 1), (a + lam, b, 1), (a, b, 1)]
+    negative = {"b": b, "c": c, "-1": -1}
+    negative.update({f"D{i}{j}": det3(p[i], p[(i + 1) % 7], p[j])
+                     for i in range(7) for j in range(7) if j not in (i, (i + 1) % 7)})
+    positive = {"a": a, "d": d, "lam": lam, "mu": mu, "-b": -b, "-c": -c}
+    certificates = {  # crossing (row above, row below): its turns against edges 0..6
+        (4, 3): ["D06 + c lam", "D16", "a D24 + -c D35", "D35", "lam D35", "-1 lam lam", "-1 a lam"],
+        (5, 2): ["-1 d mu", "-1 mu mu", "mu D24", "D32", "d D35 + -b D24", "D51", "D61 + b mu"],
+    }
+    for (i, j), turns in certificates.items():
+        crossing = flat_crossing(rows[i], rows[j])
+        for edge, certificate in enumerate(turns):
+            total = 0
+            for term in certificate.split(" + "):
+                value = 1
+                factors = term.split()
+                assert sum(f in negative for f in factors) % 2 == 1
+                for f in factors:
+                    value = value * (negative[f] if f in negative else positive[f])
+                total = total + value
+            assert det3(p[edge], p[(edge + 1) % 7], crossing) == crossing[2] * total
+    report("criterion 1: the two extra crossings of the shipped heptagon core lie "
+           "strictly inside, by 14 sign certificates proved on symbols")
 
 
 def test_criterion_2_noncrossing_existence_and_compatibility(heptagon_pool):

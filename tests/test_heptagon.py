@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ import polysec.exactgeom as exactgeom_module
 import polysec.heptagon as heptagon_module
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
-from polysec.errors import CertificationFailure, NotHeptagon
-from polysec.exactgeom import _primitive_ints, cross, det3
+from polysec.errors import NotHeptagon, PolysecError
+from polysec.exactgeom import _dot, _primitive_ints, cross, det3
 from polysec.heptagon import (
     Crossing,
     StandardHeptagon,
@@ -18,10 +19,11 @@ from polysec.heptagon import (
     default_extension_k,
     find_noncrossing,
     heptagon_extension,
+    heptagon_vertices,
     standardize,
     std_points,
 )
-from polysec.polygon import Polygon, validate
+from polysec.polygon import Polygon, _convex_cycle, _lift_keys, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import SectionedPolytope, certify, compute_section
 
@@ -33,6 +35,7 @@ from conftest import (
     count_calls,
     count_calls_everywhere,
     extreme_vertices,
+    lattice_polygon,
     map_line_to_infinity,
     octuple_sums,
     point,
@@ -40,7 +43,9 @@ from conftest import (
     row_of,
     side,
     strictly_contains,
+    symbol,
     symbolic_octuples,
+    symbolic_points,
     vertex_of,
 )
 
@@ -274,29 +279,145 @@ class TestStandardize:
             assert mapping.det != 0
 
     def test_polygon_is_validated_once(self, monkeypatch):
-        # standardize tests the convexity of the seven images once, as
-        # they are, and keeps nothing
+        # the input was validated when it was made; standardize tests no
+        # convexity again, as the images' convexity is proved
+        # (_read_standard)
         polygon = standard_polygon()
         cycles = count_calls_everywhere(monkeypatch, polygon_module, "_convex_cycle")
-        standardize(polygon)
-        assert len(cycles) == 1
-        assert [vertex_of(row) for row in cycles[0][0]] == standard_points(standard_heptagon())
+        out, _ = standardize(polygon)
+        assert cycles == []
+        assert values(out) == values(standard_heptagon())
 
     def test_rejects_bad_parameters(self):
-        std = standard_heptagon()
-        with pytest.raises(CertificationFailure):
-            _read_standard([row_of(p) for p in standard_points(std._replace(lam=(-1, 4)))])
-        with pytest.raises(CertificationFailure):
-            # margin violation: a + b + lam >= 1
-            _read_standard([row_of(p) for p in standard_points(std._replace(a=(3, 2)))])
         # the images of the vertices, at any positive scale
+        std = standard_heptagon()
         rows = [row_of(p) for p in standard_points(std)]
         assert values(_read_standard([[3 * v for v in row] for row in rows])) == values(std)
-        with pytest.raises(CertificationFailure):
-            # p_2 off the vertical through p_1
-            moved = list(standard_points(std))
-            moved[2] = (moved[2][0] - Fraction(1, 100), moved[2][1])
-            _read_standard([row_of(p) for p in moved])
+
+
+def read_standard_guards(polygon: Polygon) -> None:
+    """The checks that standardize no longer makes, as a test-side oracle:
+    the frame map has a positive determinant and gives the seven images
+    positive weights; they are a strictly convex clockwise heptagon with
+    p_0, p_3, p_-3 at (0,0), (0,1), (1,0) and the edges (p_1, p_2) and
+    (p_-1, p_-2) parallel to the axes; b, c < 0 < a, d, lam, mu; and
+    p_i^+ != p_i^- at every index."""
+    std, total = standardize(polygon)
+    i = find_noncrossing(polygon)
+    images = total.apply([polygon.vertex(i + k) for k in range(7)])
+    assert total.det > 0 and all(w > 0 for *_, w in images)
+    assert _convex_cycle(images, _lift_keys(images)) == -1
+    (x0, y0, _), (x1, _, w1), (x2, _, w2), (x3, y3, w3), (x4, y4, w4), (_, y5, w5), (_, y6, w6) = images
+    assert (x0, y0, x3, y4, y3, x4, x1 * w2, y5 * w6) == (0, 0, 0, 0, w3, w4, x2 * w1, y6 * w5)
+    assert all(den > 0 for _, den in std)
+    a, b, c, d, lam, mu = values(std)
+    assert b < 0 < a and c < 0 < d and lam > 0 and mu > 0
+    for k in range(7):
+        sp = std_points(polygon, k)
+        assert sp.plus != sp.minus
+
+
+class TestStandardFormProved:
+    """The facts standardize takes as proved (_read_standard, std_points),
+    as polynomial identities on symbols, and the checks they replaced as
+    oracles over seeded and lattice heptagons."""
+
+    def test_parameter_signs_are_turns(self):
+        # symbolic images with p_0, p_3, p_-3 at (0,0), (0,1), (1,0) and the
+        # two edges parallel to the axes: p_2 = (t x1, y2, t w1) and
+        # p_5 = (x5, s y6, s w6).  Each parameter, as _read_standard reads
+        # it, is one turn of the images over positive weights, and every
+        # turn of a clockwise heptagon is < 0: b, c < 0 < a, d, lam, mu
+        w0, x1, y1, w1, t, y2, w3, w4, x5, s, x6, y6, w6 = map(symbol, (
+            "w0", "x1", "y1", "w1", "t", "y2", "w3", "w4", "x5", "s", "x6", "y6", "w6"))
+        p = [(0, 0, w0), (x1, y1, w1), (t * x1, y2, t * w1), (0, w3, w3), (w4, 0, w4),
+             (x5, s * y6, s * w6), (x6, y6, w6)]
+        std = _read_standard(p)
+        a, b, c, d, lam, mu = std
+        assert [den for _, den in std] == [w6, w6, w1, w1, s * w6 * w6, t * w1 * w1]
+
+        def turn_is(i, j, k, sign, *pairs):
+            num = den = 1
+            for n, dd in pairs:
+                num, den = num * n, den * dd
+            return det3(p[i], p[j], p[k]) * den == sign * p[i][2] * p[j][2] * p[k][2] * num
+
+        assert turn_is(0, 1, 3, 1, c)
+        assert turn_is(0, 1, 4, -1, d)
+        assert turn_is(3, 6, 0, -1, a)
+        assert turn_is(4, 6, 0, 1, b)
+        assert turn_is(0, 1, 2, 1, c, mu)
+        assert turn_is(5, 6, 0, 1, lam, b)
+
+    def test_parallel_edges_by_binet_cauchy(self):
+        # the frame map's rows are l_y = p_0 v p_3 (x), l_x = p_0 v p_-3 (y)
+        # and the standardization line h (weight), each times a scalar, so
+        # x_1 w_2 - x_2 w_1 is a multiple of the Binet-Cauchy form below,
+        # which is (l_y x h) . (p_1 x p_2) = 0: l_y x h is p_0^+, on
+        # line(p_1, p_2); the same with p_0^- gives y_5 w_6 = y_6 w_5
+        l, m, u, v = ((symbol(f"{n}0"), symbol(f"{n}1"), symbol(f"{n}2")) for n in "lmuv")
+        assert _dot(l, u) * _dot(m, v) - _dot(l, v) * _dot(m, u) == _dot(cross(l, m), cross(u, v))
+        p = symbolic_points(7)
+        plus = cross(cross(p[1], p[2]), cross(p[0], p[3]))
+        minus = cross(cross(p[6], p[5]), cross(p[0], p[4]))
+        h = cross(plus, minus)
+        for (i, j), line in (((1, 2), cross(p[0], p[3])), ((6, 5), cross(p[0], p[4]))):
+            assert _dot(line, p[i]) * _dot(h, p[j]) - _dot(line, p[j]) * _dot(h, p[i]) == 0
+
+    def test_plus_and_minus_differ(self):
+        # p_0^+ = p_0 det(p_1, p_2, p_3) - p_3 det(p_1, p_2, p_0) lies on
+        # line(p_0, p_3) and is p_0 only if det(p_0, p_1, p_2) = 0; p_0^-
+        # likewise on line(p_0, p_-3); the two lines meet at p_0 alone.  So
+        # on a strictly convex heptagon p_0^+ != p_0^-, and their join is a line
+        p = symbolic_points(7)
+        plus = cross(cross(p[1], p[2]), cross(p[0], p[3]))
+        minus = cross(cross(p[6], p[5]), cross(p[0], p[4]))
+        for point, (i, j, k) in ((plus, (1, 2, 3)), (minus, (6, 5, 4))):
+            assert _dot(cross(p[0], p[k]), point) == 0
+            scale = det3(p[i], p[j], p[0])
+            assert cross(point, p[0]) == tuple(-scale * v for v in cross(p[k], p[0]))
+        scale = det3(p[0], p[3], p[4])
+        assert cross(cross(p[0], p[3]), cross(p[0], p[4])) == tuple(scale * v for v in p[0])
+
+    def test_deleted_guards_hold_on_a_sweep(self, monkeypatch):
+        # seeded and lattice heptagons, sheared pullbacks among them
+        r = random.Random(20261022)
+        polygons = [random_convex_polygon(r, 7) for _ in range(600)]
+        polygons += [lattice_polygon(r, 7) for _ in range(600)]
+        shears = count_calls(monkeypatch, sections_module, "shear_fixing_flat")
+        for polygon in polygons:
+            read_standard_guards(polygon)
+            heptagon_vertices(polygon)
+        assert 0 < len(shears) < len(polygons)
+
+    def test_unvalidated_heptagons_raise_only_polysec_errors(self):
+        # seven points as given, never validated: random points, and lattice
+        # heptagons reversed, rotated, with two vertices swapped or with one
+        # moved halfway to the centroid.  The extension certifies, or a
+        # PolysecError is raised, never another exception
+        r = random.Random(7)
+        outcomes = set()
+        for n in range(500):
+            points = list(lattice_polygon(r, 7).vertices)
+            kind = n % 5
+            if kind == 0:
+                points = [(r.randint(-6, 6), r.randint(-6, 6)) for _ in range(7)]
+            elif kind == 1:
+                points.reverse()
+            elif kind == 2:
+                k = r.randrange(1, 7)
+                points = points[k:] + points[:k]
+            elif kind == 3:
+                i, j = r.sample(range(7), 2)
+                points[i], points[j] = points[j], points[i]
+            else:
+                i = r.randrange(7)
+                points[i] = tuple((points[i][k] + Fraction(sum(q[k] for q in points), 7)) / 2 for k in (0, 1))
+            try:
+                outcomes.add(heptagon_extension(raw_polygon(points)).certified)
+            except PolysecError as exc:
+                outcomes.add(type(exc).__name__)
+        assert True in outcomes and len(outcomes) > 4
 
 
 class TestBuildStandardExtension:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 import polysec.hexagon as hexagon_module
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
-from polysec.errors import NoConcurrency, NotHexagon
-from polysec.exactgeom import _primitive_ints
+from polysec.errors import NoConcurrency, NotHexagon, PolysecError
+from polysec.exactgeom import _primitive_ints, det3
 from polysec.hexagon import (
     build_bipyramid,
     concurrency_point,
@@ -15,7 +16,7 @@ from polysec.hexagon import (
     hexagon_ic,
     hexagon_normal_form,
 )
-from polysec.polygon import ProjMap2, validate
+from polysec.polygon import ProjMap2, _convex_cycle, _lift_keys, convex_hull_2d, validate
 from polysec.randgen import random_hexagon_params
 from polysec.sections import SectionedPolytope, certify
 
@@ -26,6 +27,7 @@ from conftest import (
     count_calls_everywhere,
     extreme_vertices,
     map_line_to_infinity,
+    symbol,
     vertex_of,
 )
 
@@ -200,6 +202,93 @@ class TestNormalForm:
             assert x > 0 and y > 0
             assert alpha > 1 and beta > 1 and gamma > 1
             assert x + y < 1  # convexity of the inner vertex
+
+
+def lattice_witness(r: random.Random):
+    """A hexagon of lattice points with a concurrent pairing, and its
+    decision: two points on each of three lines through a lattice point,
+    or on three parallel lines (a concurrency point at infinity), drawn
+    until the six points are a strictly convex hexagon of complexity 5."""
+    while True:
+        if r.random() < 0.5:
+            d = (r.randint(-3, 3), r.randint(-3, 3))
+            bases = [(r.randint(-9, 9), r.randint(-9, 9)) for _ in range(3)]
+            points = {(bx + k * d[0], by + k * d[1]) for bx, by in bases for k in r.sample(range(-4, 5), 2)}
+        else:
+            c = (r.randint(-9, 9), r.randint(-9, 9))
+            units = [(r.randint(-3, 3), r.randint(-3, 3)) for _ in range(3)]
+            points = {(c[0] + k * u[0], c[1] + k * u[1]) for u in units for k in r.sample(range(1, 6), 2)}
+        hull = convex_hull_2d(points)
+        if len(points) == 6 and len(hull) == 6:
+            hexagon = validate(hull)
+            decision = hexagon_ic(hexagon)
+            if decision.ic == 5:
+                return hexagon, decision
+
+
+def normal_form_guards(hexagon, decision) -> tuple:
+    """The checks that hexagon_normal_form no longer makes, as a test-side
+    oracle: the images, in the order the function reads them, are a
+    strictly convex clockwise hexagon, the normal-form vertices of the
+    parameters, with x, y > 0, alpha, beta, gamma > 1 and every
+    denominator positive.  Returns (mirrored, at infinity)."""
+    nf = hexagon_normal_form(hexagon, decision)
+    r = decision.witness
+    order = [(r + 5 - j) % 6 if nf.mirrored else (r + j) % 6 for j in range(6)]
+    images = nf.map.apply([hexagon.vertex(k) for k in order])
+    sign = 1 if images[0][2] > 0 else -1
+    images = [tuple(sign * v for v in image) for image in images]
+    assert _convex_cycle(images, _lift_keys(images)) == -1
+    assert all(den > 0 for _, den in nf[:5])
+    alpha, beta, gamma, x, y = nf_params(nf)
+    assert x > 0 and y > 0 and alpha > 1 and beta > 1 and gamma > 1
+    assert [vertex_of(image) for image in images] == [
+        (0, alpha), (beta * x, beta * y), (gamma, 0), (1, 0), (x, y), (0, 1)]
+    return nf.mirrored, decision.point[2] == 0
+
+
+class TestNormalFormProved:
+    """The parameter signs hexagon_normal_form takes as proved, as
+    polynomial identities on symbols, and the checks they replaced as
+    oracles over lattice witnesses."""
+
+    def test_parameter_signs_are_turns(self):
+        # the normal-form vertices 0..5 turn clockwise, so every turn below
+        # is < 0: alpha, gamma > 1, then x, y > 0, then
+        # beta (alpha x + gamma y) > alpha gamma with x / gamma + y / alpha
+        # < x + y < 1, so beta > 1
+        alpha, beta, gamma, x, y = map(symbol, ("alpha", "beta", "gamma", "x", "y"))
+        p = [(0, alpha, 1), (beta * x, beta * y, 1), (gamma, 0, 1), (1, 0, 1), (x, y, 1), (0, 1, 1)]
+
+        def turn(i, j, k):
+            return det3(p[i], p[j], p[k])
+
+        assert turn(3, 5, 0) == 1 - alpha
+        assert turn(2, 3, 5) == 1 - gamma
+        assert turn(4, 5, 0) == x * (1 - alpha)
+        assert turn(2, 3, 4) == y * (1 - gamma)
+        assert turn(3, 4, 5) == x + y - 1
+        assert turn(0, 1, 2) == alpha * gamma - beta * (alpha * x + gamma * y)
+
+    def test_deleted_guards_hold_on_a_sweep(self):
+        # lattice witnesses in both frames, with finite and infinite
+        # concurrency points
+        r = random.Random(20261022)
+        kinds = [normal_form_guards(*lattice_witness(r)) for _ in range(1000)]
+        assert set(kinds) == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_mismatched_decisions_raise_only_polysec_errors(self):
+        # each witness given another witness's decision: the extension
+        # certifies, or a PolysecError is raised, never another exception
+        r = random.Random(11)
+        outcomes = set()
+        for _ in range(300):
+            (hexagon, _), (_, decision) = lattice_witness(r), lattice_witness(r)
+            try:
+                outcomes.add(hexagon_extension5(hexagon, decision).certified)
+            except PolysecError as exc:
+                outcomes.add(type(exc).__name__)
+        assert True in outcomes and len(outcomes) > 2
 
 
 class TestReadOnce:

@@ -21,7 +21,7 @@ from polysec.errors import (
     TooFewVertices,
 )
 from polysec.exactgeom import MAX_SCALAR_CHARS, _ratio, _row, det3, parse_scalar
-from polysec.linalg import interval_point, solve_linear
+from polysec.linalg import _fourier_motzkin_pairs, interval_point, solve_linear
 from polysec.heptagon import heptagon_extension
 from polysec.hexagon import hexagon_extension5, hexagon_ic
 from polysec.jsonio import polygon_from_obj, sectioned_from_obj
@@ -33,7 +33,6 @@ from polysec.sections import (
     _section_columns,
     _section_points,
     _segment_flat_crossing,
-    _shear_slope_interval,
     _support,
     bounded_pullback,
     compute_section,
@@ -1074,8 +1073,8 @@ def fraction_bounded_pullback(vertices, planar):
 
 
 def fraction_slope_interval(weights, heights):
-    """The reference of sections._shear_slope_interval by Fraction
-    arithmetic: for the first sign s of 1, -1 such that every
+    """The reference of the shear slope of sections.bounded_pullback by
+    Fraction arithmetic: for the first sign s of 1, -1 such that every
     s (weight + rho height) can be positive, the ends (lo, hi) of the open
     interval of those rho, None where unbounded; None for neither sign."""
     for sign in (1, -1):
@@ -1092,6 +1091,28 @@ def fraction_slope_interval(weights, heights):
         if lo is None or hi is None or lo < hi:
             return lo, hi
     return None
+
+
+# the horizon row (1, 0, 0): the row (w, 0, z, 1) has horizon value w and height z
+SLOPE_MAP = ProjMap2(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+
+
+def shipped_slope(weights, heights):
+    """The slope by which bounded_pullback shears the rows (w, 0, z, 1) of
+    the weights and heights under SLOPE_MAP, read off its one
+    shear_fixing_flat call, with a positive denominator; None when it
+    raises PullbackUnbounded.  The weights must not have one strict sign,
+    or the rows take the plain lift and no slope."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, sections_module, "shear_fixing_flat")
+        try:
+            bounded_pullback([(w, 0, z, 1) for w, z in zip(weights, heights)], SLOPE_MAP)
+        except PullbackUnbounded:
+            assert calls == []
+            return None
+    [(_, ((rn, rd), zero))] = calls
+    assert zero == (0, 1) and rd > 0
+    return Fraction(rn, rd)
 
 
 class TestRowPullback:
@@ -1130,17 +1151,30 @@ class TestRowPullback:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=6))
+    @example([(1, 1), (-1, -1)])  # for s = 1 the closed interval [-1, -1]
+    @example([(1, 1), (0, 0), (-1, -1)])  # and a row of zero height and weight
+    @example([(-2, 0), (1, -1)])  # s = 1 fails on the zero height; s = -1: rho > 1, slope 2
+    @example([(-3, 1), (1, -1)])  # s = 1 fails on the bounds 3 > 1; s = -1: 1 < rho < 3, slope 2
     def test_slope_interval_matches_fraction_reference(self, slopes):
-        # integer weights and heights: the ends are pairs with a positive
-        # denominator, of the values of the Fraction reference
+        # integer weights and heights of both signs: the shipped slope is
+        # the midpoint rule of the Fraction reference's interval
         weights, heights = zip(*slopes)
-        interval = _shear_slope_interval(weights, heights)
+        assume(not (all(w > 0 for w in weights) or all(w < 0 for w in weights)))
         expected = fraction_slope_interval(weights, heights)
-        if interval is None:
-            assert expected is None
-            return
-        assert all(end is None or end[1] > 0 for end in interval)
-        assert tuple(None if end is None else Fraction(*end) for end in interval) == expected
+        assert shipped_slope(weights, heights) == (None if expected is None else interval_point(*expected))
+
+    def test_first_sign_failing_only_on_strictness_refuses(self):
+        # the Fourier-Motzkin point of s = 1 exists, but some row is 0 at
+        # it: the single point -1 of [-1, -1], or a row of zero height and
+        # weight.  In one variable the second sign cannot do better: the
+        # two rows tight at -1 have opposite signs at every other slope,
+        # and the zero row is 0 at every slope
+        for weights, heights in (((1, -1), (1, -1)), ((1, 0, -1), (1, 0, -1)), ((1, 0), (1, 0))):
+            point = _fourier_motzkin_pairs([(0, z, -w) if z else (None, 0, -w)
+                                            for w, z in zip(weights, heights)], 1)
+            assert point is not None
+            assert shipped_slope(weights, heights) is None
+            assert fraction_slope_interval(weights, heights) is None
 
     def test_both_branches_drawn(self):
         # the cases above reach the plain lift, the shear and both refusals
