@@ -83,9 +83,8 @@ def _extend(polygon: Polygon, mode: str) -> tuple[SectionedPolytope, int]:
     if n < 6:
         raise DomainError(f"extensions are constructed for n >= 6, got {n}")
     if n == 6:
-        decision = hexagon_ic(polygon)
-        if decision.ic == 5:
-            return hexagon_extension5(polygon, decision), 5
+        if hexagon_ic(polygon).ic == 5:
+            return hexagon_extension5(polygon), 5
         flat = [(x, y, 0, w) for x, y, w in polygon.lifts]
         return certify(SectionedPolytope(3, flat, polygon)), 6
     if n == 7:

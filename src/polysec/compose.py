@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .heptagon import heptagon_vertices
-from .polygon import Polygon, _hull_order, _lift_keys, _validate_lifts
+from .polygon import Polygon, _hull_order, _lift_keys
 from .sections import SectionedPolytope, certify
 
 __all__ = [
@@ -39,8 +39,9 @@ def lower_bound_3d(n: int) -> int:
 def ngon_3d_extension(polygon: Polygon) -> SectionedPolytope:
     """Certified 3-dimensional extension of an n-gon with at most n-1 vertices.
 
-    The first seven vertices of a canonical polygon are a canonical heptagon
-    (index 0 stays the lexicographic minimum, the order stays clockwise).
+    The first seven vertices of the polygon, in its clockwise order, are a
+    strictly convex heptagon, which the Polygon constructor takes as they
+    stand: index 0 stays the lexicographic minimum, so nothing is rotated.
     Its six-vertex extension together with the other n - 7 vertices at
     height zero is the polytope, certified once.
     """
@@ -77,7 +78,7 @@ def convex_join_sections(*parts: SectionedPolytope) -> SectionedPolytope:
     """
     dim, rows = _join_vertices([s.rows for s in parts if s.rows])
     lifts = [lift for s in parts for lift in s.claimed.lifts]
-    claimed = _validate_lifts([lifts[k] for k in _hull_order(lifts, _lift_keys(lifts))])
+    claimed = Polygon([lifts[k] for k in _hull_order(lifts, _lift_keys(lifts))])
     return certify(SectionedPolytope(dim, rows, claimed))
 
 
@@ -86,15 +87,15 @@ def ngon_extension(polygon: Polygon) -> SectionedPolytope:
     (n mod 7) <= ceil(6n/7) vertices: the join (_join_vertices) of the
     rows of one heptagon extension per full chunk lifts[k:k + 7] and of the
     remainder chunk on the plane, claiming the polygon and certified once.
-    A full chunk is rotated to canonical order by _validate_lifts, the
-    remainder by the hull order of its lifts."""
+    A full chunk is rotated to canonical order by the Polygon constructor,
+    the remainder by the hull order of its lifts."""
     n = polygon.n
     if n < 7:
         raise DomainError(f"need n >= 7, got {n}")
     blocks = []
     for k in range(0, n, 7):
         lifts = polygon.lifts[k:k + 7]
-        blocks.append(heptagon_vertices(_validate_lifts(lifts)) if len(lifts) == 7
+        blocks.append(heptagon_vertices(Polygon(lifts)) if len(lifts) == 7
                       else [lifts[j] for j in _hull_order(lifts, _lift_keys(lifts))])
     dim, rows = _join_vertices(blocks)
     return certify(SectionedPolytope(dim, rows, polygon))
@@ -113,4 +114,4 @@ def optimal_even_gon(m: int) -> SectionedPolytope:
     edge = [(0, 1, -1, 1), (0, -1, -1, 1)]
     upper = [(k, k * k, k * k + 1) for k in range(1, m + 1)]  # spoke crossings (k, +-k^2) / (k^2 + 1)
     lower = [(k, -y, w) for k, y, w in upper[::-1]]
-    return certify(SectionedPolytope(3, path + edge, _validate_lifts(upper + lower)))
+    return certify(SectionedPolytope(3, path + edge, Polygon(upper + lower)))

@@ -6,8 +6,10 @@ diagonal (p_{r+1}, p_{r+4}) are concurrent for one of the three pairings
 r = 0, 1, 2; otherwise six vertices are needed and the hexagon is its own
 cheapest section.  hexagon_normal_form brings a witness to its normal form
 by one projective map, built from its frame (polygon.frame_map): the
-concurrency point, two vertices and a horizon.  Its parameter signs follow
-from the witness's strict convexity and are proved, not guarded.
+concurrency point, two vertices and a horizon.  It and hexagon_extension5
+take the hexagon's decision (hexagon_ic) themselves.  The parameter signs
+follow from the witness being a Polygon, strictly convex and clockwise,
+and are proved, not guarded.
 
 All of it runs in integers.  The polynomial core, build_bipyramid, maps
 the normal-form parameters and K, integer pairs (N, D), D > 0, to
@@ -67,7 +69,7 @@ def concurrency_point(polygon: Polygon, r: int) -> Optional[Triple]:
 
 class HexDecision(NamedTuple):
     """The intersection complexity, and for 5 the witness pairing r with
-    its concurrency point, which hexagon_normal_form takes as found."""
+    its concurrency point."""
 
     ic: int
     witness: Optional[int]
@@ -101,10 +103,10 @@ class HexNormalForm(NamedTuple):
     map: ProjMap2
 
 
-def hexagon_normal_form(polygon: Polygon, decision: HexDecision) -> HexNormalForm:
+def hexagon_normal_form(polygon: Polygon) -> HexNormalForm:
     """Normalize a hexagon by one map, from its decision (hexagon_ic): the
     witness r, whose line triple is concurrent, and that concurrency point
-    c, not looked for again.  NoConcurrency for a hexagon of complexity 6.
+    c.  NoConcurrency for a hexagon of complexity 6.
 
     The map is built from its frame (frame_map): the concurrency point c
     and two vertices go to (0,0), (1,0) and (0,1), and a horizon to
@@ -121,25 +123,30 @@ def hexagon_normal_form(polygon: Polygon, decision: HexDecision) -> HexNormalFor
     (c, p_{r+3}, p_{r+5}) is counterclockwise, while the label order
     p_r..p_{r+5} is clockwise in the direct one and runs backwards in the
     mirrored one.  A projective map keeps or reverses all orientations of
-    points on one side of its horizon at once, so the direct frame is the
-    right one exactly when that triple turns against the label order; c's
-    triple is negated first when it lies across the horizon from the
-    vertices.  So the images turn clockwise in the order read, every turn
-    of the normal-form vertices 0..5 is < 0, and nothing is checked (the
-    tests prove each identity on symbols): 1 - alpha = turn(3,5,0) and
+    points on one side of its horizon at once, and the labels of a Polygon
+    run clockwise (its constructor validates), so the direct frame is the
+    right one exactly when that triple turns counterclockwise; c's triple
+    is negated first when it lies across the horizon from the vertices.
+    So the images turn clockwise in the order read, every turn of the
+    normal-form vertices 0..5 is < 0, and nothing is checked (the tests
+    prove each identity on symbols): 1 - alpha = turn(3,5,0) and
     1 - gamma = turn(2,3,5), then x (1 - alpha) = turn(4,5,0) and
     y (1 - gamma) = turn(2,3,4), then x + y - 1 = turn(3,4,5) and
     alpha gamma - beta (alpha x + gamma y) = turn(0,1,2) give alpha,
     gamma > 1, x, y > 0 and beta > 1 / (x / gamma + y / alpha) > 1.
     """
-    _require_hexagon(polygon)
+    return _normal_form(polygon, hexagon_ic(polygon))
+
+
+def _normal_form(polygon: Polygon, decision: HexDecision) -> HexNormalForm:
+    """hexagon_normal_form from the polygon's own decision (hexagon_ic)."""
     r, c = decision.witness, decision.point
     if c is None:
         raise NoConcurrency("no pairing of this hexagon is concurrent")
     horizon = (0, 0, 1) if c[2] != 0 else _far_line(polygon, c)
     p = polygon.vertex
     c_row = c if _dot(horizon, c) * _dot(horizon, p(r)) > 0 else tuple(-v for v in c)
-    direct = (det3(c_row, p(r + 3), p(r + 5)) > 0) == (det3(p(0), p(1), p(2)) < 0)
+    direct = det3(c_row, p(r + 3), p(r + 5)) > 0
     if direct:
         normalize = frame_map(c, p(r + 3), p(r + 5), horizon)
         order = [(r + j) % 6 for j in range(6)]
@@ -193,7 +200,7 @@ def build_bipyramid(nf: HexNormalForm, k: Pair) -> list[Row]:
     ]
 
 
-def hexagon_extension5(polygon: Polygon, decision: HexDecision) -> SectionedPolytope:
+def hexagon_extension5(polygon: Polygon) -> SectionedPolytope:
     """Certified 5-vertex extension of a hexagon, from its decision
     (hexagon_ic); NoConcurrency (hexagon_normal_form) for complexity 6.
 
@@ -202,6 +209,6 @@ def hexagon_extension5(polygon: Polygon, decision: HexDecision) -> SectionedPoly
     the normal form, so the result claims the input hexagon, and certify
     checks that claim against the recomputed section.
     """
-    nf = hexagon_normal_form(polygon, decision)
+    nf = _normal_form(polygon, hexagon_ic(polygon))
     rows = [_primitive_ints(row) for row in build_bipyramid(nf, default_bipyramid_k(nf))]
     return certify(SectionedPolytope(3, bounded_pullback(rows, nf.map.inverse()), polygon))

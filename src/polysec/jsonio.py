@@ -2,9 +2,10 @@
 
 Rows in, rows out.  Texts are read straight into integer rows
 (exactgeom._row), with no Fraction: the [x, y] pairs of a polygon or of an
-extension's claim into lifts (_parse_pairs, the one pair reader, then
-polygon._validate_lifts), and an extension's vertices into rows from their
-texts other than "0", handed to the one SectionedPolytope constructor.
+extension's claim into lifts (_parse_pairs, the one pair reader), which
+the Polygon constructor validates and stores in canonical order, and an
+extension's vertices into rows from their texts other than "0", handed to
+the one SectionedPolytope constructor.
 Each array is read with one pass over its shape that collects the texts
 (for a vertex, by index, those other than "0"), one exactgeom._ratios
 call, which reads them all as the one text reader exactgeom._ratio reads
@@ -27,7 +28,7 @@ from typing import Sequence
 
 from .errors import ParseError
 from .exactgeom import Triple, _format_ratio, _pair_row, _ratios, _row
-from .polygon import Polygon, _validate_lifts
+from .polygon import Polygon
 from .sections import SectionedPolytope
 from .slack import SlackFactorization
 
@@ -79,7 +80,7 @@ def _parse_pairs(raw) -> list[Triple]:
 def polygon_from_obj(obj) -> Polygon:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ParseError("polygon JSON needs a 'vertices' field")
-    return _validate_lifts(_parse_pairs(obj["vertices"]))
+    return Polygon(_parse_pairs(obj["vertices"]))
 
 
 def sectioned_to_obj(s: SectionedPolytope) -> dict:
@@ -125,7 +126,7 @@ def sectioned_from_obj(obj) -> SectionedPolytope:
     claimed_obj = obj["claimed"]
     if not isinstance(claimed_obj, dict) or "vertices" not in claimed_obj:
         raise ParseError("claimed section needs a 'vertices' field")
-    claimed = _validate_lifts(_parse_pairs(claimed_obj["vertices"]))
+    claimed = Polygon(_parse_pairs(claimed_obj["vertices"]))
     return SectionedPolytope(dim, rows, claimed)
 
 

@@ -2,16 +2,17 @@
 
 A Polygon stores the integer lift of each vertex (Polygon.lifts), its one
 form, which every package path reads: a claim read from a file goes
-straight into lifts (jsonio, _validate_lifts), and is written back from
-them; the matching of verify, the LP path and the constructions form no
-Fraction vertex.  Its affine pairs of Fractions (Polygon.vertices) are
-derived from the lifts on first read, for library users, svg drawing and
-messages.  The canonical labeling, the
-order that convex_hull_2d returns and validate() ends in, is clockwise
+straight into lifts (jsonio), and is written back from them; the matching
+of verify, the LP path and the constructions form no Fraction vertex.  Its
+affine pairs of Fractions (Polygon.vertices) are derived from the lifts on
+first read, for library users, svg drawing and messages.  Its one
+constructor validates, so every Polygon is strictly convex in the
+canonical labeling, which no code that takes one checks again: clockwise
 (the triangle (p_{i+2}, p_{i+1}, p_i) is positively oriented for every i)
-with the lexicographically smallest vertex at index 0.  Operations that
-need a specific index alignment take their own index parameter instead of
-relying on the canonical rotation.
+from the lexicographically smallest vertex at index 0, the order that
+convex_hull_2d also returns.  Operations that need a specific index
+alignment take their own index parameter instead of relying on the
+canonical rotation.
 
 Orientation is an integer determinant sign.  An affine point (x, y) is
 lifted to its row (exactgeom._row), the canonical triple (xW, yW, W) with
@@ -30,7 +31,7 @@ compare ints only.  convex_hull_2d lifts each point once, sorts on the
 keys and runs the monotone chain on the turn signs, and no Fraction is
 compared or hashed.
 
-validate accepts in linear time, with no sort and no hull, when the n
+The constructor accepts in linear time, with no sort and no hull, when the n
 cyclic turns have one strict sign and, from the smallest key, the keys
 rise strictly to the largest and then fall strictly.  Proof: the rising
 chain is lexicographically monotone, so its edge directions lie in one
@@ -113,8 +114,8 @@ def _convex_cycle(lifts: Sequence[tuple[int, int, int]], keys: Sequence[tuple[in
 def _encloses(lifts: Sequence[tuple[int, int, int]], keys: Sequence[tuple[int, int]],
               point_lifts: Sequence[tuple[int, int, int]], point_keys: Sequence[tuple[int, int]]) -> bool:
     """Whether every given point lies in the closed strictly convex polygon
-    whose vertices run clockwise from the smallest key (_convex_cycle gives
-    -1, and keys[0] is the minimum); all keys are of one _lift_keys call.
+    whose vertices run clockwise from the smallest key, the lifts of a
+    Polygon; all keys are of one _lift_keys call.
 
     The keys rise along the upper chain, from vertex 0 to the largest key
     at vertex m, and fall along the lower chain back to vertex 0.  Only the
@@ -180,17 +181,32 @@ def convex_hull_2d(points: Iterable[AffinePair]) -> tuple[AffinePair, ...]:
 
 
 class Polygon:
-    """Strictly convex polygon, cyclically clockwise labeled, held as the
-    rows of its vertices: lifts[i] (exactgeom._row), the one stored form.
-    vertices[i] is the affine pair (Fraction(X, W), Fraction(Y, W)) of
-    lifts[i], derived on first read for library users, not read by JSON
-    output or the LP path.  validate or _validate_lifts builds every
-    Polygon."""
+    """Strictly convex polygon in canonical order, held as the rows of its
+    vertices: lifts[i] (exactgeom._row), the one stored form.  The
+    constructor is the validator: it accepts exactly the lifts of a strictly
+    convex polygon in cyclic order, in linear time (module docstring), and
+    stores them rotated to the lexicographic minimum, reversed when they
+    turn counterclockwise; otherwise TooFewVertices, DuplicateVertex (a
+    repeated point) or NotConvex.  vertices[i] is the affine pair of
+    lifts[i], derived on first read for library users."""
 
     __slots__ = ("lifts", "_vertices")
 
     def __init__(self, lifts: Sequence[Triple]):
-        self.lifts, self._vertices = tuple(lifts), None
+        n = len(lifts)
+        if n < 3:
+            raise TooFewVertices(f"need at least 3 vertices, got {n}")
+        keys = _lift_keys(lifts)
+        turn = _convex_cycle(lifts, keys)
+        if not turn:
+            # the keys are exact: equal keys are equal points
+            if len(set(keys)) != n:
+                raise DuplicateVertex("duplicate vertices in input")
+            if len(_hull_order(lifts, keys)) != n:
+                raise NotConvex("input contains collinear or interior points")
+            raise NotConvex("vertex order does not trace the convex hull")
+        m = keys.index(min(keys))
+        self.lifts, self._vertices = tuple(lifts[(m - turn * k) % n] for k in range(n)), None
 
     @property
     def vertices(self) -> tuple[AffinePair, ...]:
@@ -220,36 +236,10 @@ class Polygon:
 
 
 def validate(points: Iterable[Sequence]) -> Polygon:
-    """Build the canonical Polygon from affine rational pairs.
-
-    Accepts exactly the strictly convex polygons in cyclic order, in linear
-    time (module docstring), and returns the lifts of the input pairs
-    (_validate_lifts), rotated to the lexicographic minimum, reversed when
-    they turn counterclockwise.
-    Rejects repeated points (DuplicateVertex), collinear or interior points,
-    and convex-position points out of cyclic order (NotConvex).
-    """
-    return _validate_lifts([_row([_fraction(p[0]).as_integer_ratio(), _fraction(p[1]).as_integer_ratio()])
-                            for p in points])
-
-
-def _validate_lifts(lifts: Sequence[Triple]) -> Polygon:
-    """validate on the lifts of the points (exactgeom._row), with the same
-    errors, in the same linear time."""
-    n = len(lifts)
-    if n < 3:
-        raise TooFewVertices(f"need at least 3 vertices, got {n}")
-    keys = _lift_keys(lifts)
-    turn = _convex_cycle(lifts, keys)
-    if turn:
-        m = keys.index(min(keys))
-        return Polygon([lifts[(m - turn * k) % n] for k in range(n)])
-    # the keys are exact: equal keys are equal points
-    if len(set(keys)) != n:
-        raise DuplicateVertex("duplicate vertices in input")
-    if len(_hull_order(lifts, keys)) != n:
-        raise NotConvex("input contains collinear or interior points")
-    raise NotConvex("vertex order does not trace the convex hull")
+    """The canonical Polygon of affine rational pairs: the Polygon of their
+    lifts, with its errors."""
+    return Polygon([_row([_fraction(p[0]).as_integer_ratio(), _fraction(p[1]).as_integer_ratio()])
+                    for p in points])
 
 
 def _primitive_matrix(rows: Sequence[Sequence[int]]) -> tuple[Triple, Triple, Triple]:

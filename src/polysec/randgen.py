@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
-from .polygon import Polygon, _validate_lifts
+from .polygon import Polygon
 
 __all__ = ["random_convex_polygon", "random_hexagon_params"]
 
@@ -45,7 +45,7 @@ def random_convex_polygon(rng: random.Random, n: int) -> Polygon:
         x, y, w = q * q - p * p, 2 * p * q, q * q + p * p
         g = gcd(x, y, w)
         lifts.append((x // g, y // g, w // g))
-    return _validate_lifts(lifts)
+    return Polygon(lifts)
 
 
 def random_hexagon_params(rng: random.Random) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:

@@ -65,26 +65,26 @@ makes g not extreme: g lies inside a segment between two other vertices.
 
 On this path verify_section matches the claim's lifts (Polygon.lifts, the
 form a claim is read into) against the points, with no hull and no
-Fraction.  The claim passes when (1) it is strictly convex in canonical
-order: validate's linear test (polygon._convex_cycle) turns clockwise,
-from the lexicographic minimum at index 0; (2) every claimed vertex is
-one of the points; and (3) every other point lies in the closed claimed
+Fraction.  The claim is a Polygon, strictly convex and clockwise from the
+lexicographic minimum at index 0 (its constructor validates), which
+nothing here tests again.  The claim passes when (1) every claimed vertex
+is one of the points; and (2) every other point lies in the closed claimed
 polygon (polygon._encloses: two turns per point, at the edges over its x
 that a bisection on the exact sort keys finds).  The keys are one
 polygon._lift_keys call at the shift s = c + max(c, p), for claimed
-weights below 2^c and weights of the other points below 2^p: (1)
-compares claimed keys with claimed keys, exact for s >= 2c, and (3) a
-point's key with claimed keys, exact for s >= c + p; no two other points
-are compared, so the default shift, twice the largest weight, is not
-needed (on a 140-gon join c is 62 bits and p 212).  Then the hull of the
-points is the claimed polygon: (3) puts the points inside it and (2) its
-vertices among them, and the vertices of a strictly convex polygon are
-the vertices of its hull, so the claim is the hull vertex for vertex, in
-canonical order.  Conversely the hull of the points, when it is a
-polygon, passes all three.  compute_section, which hulls the points, is
-the reference the tests compare this with.  A claim of fewer than three
-vertices is no polygon and fails, where compute_section gives one point
-or a segment.
+weights below 2^c and weights of the other points below 2^p: (2) compares
+claimed keys with claimed keys, exact for s >= 2c, and a point's key with
+claimed keys, exact for s >= c + p; no two other points are compared, so
+the default shift, twice the largest weight, is not needed (on a 140-gon
+join c is 62 bits and p 212).  Then the hull of the points is the claimed
+polygon: (2) puts the points inside it and (1) its vertices among them,
+and the vertices of a strictly convex polygon are the vertices of its
+hull, so the claim is the hull vertex for vertex, in canonical
+order.  Conversely the hull of the points, when it is a polygon, passes
+both.  compute_section, which hulls the points, is the reference the tests
+compare this with.  A section of one point or a segment, where
+compute_section gives fewer than three points, matches no claim: the three
+or more vertices of a Polygon are not collinear.
 
 Any other vertex set is certified by exact linear programs over the rows
 of at most 64 distinct vertices (_distinct_rows): each claimed vertex,
@@ -123,7 +123,6 @@ from .polygon import (
     AffinePair,
     Polygon,
     ProjMap2,
-    _convex_cycle,
     _encloses,
     _lift_keys,
     convex_hull_2d,
@@ -364,10 +363,7 @@ def _claim_matches_crossings(s: SectionedPolytope) -> bool:
     others = list(points.difference(claim))
     c, p = (max((w for _, _, w in part), default=1).bit_length() for part in (claim, others))
     order, n = _lift_keys([*claim, *others], c + max(c, p)), len(claim)
-    claim_order = order[:n]
-    if _convex_cycle(claim, claim_order) != -1 or min(claim_order) != claim_order[0]:
-        return False
-    return _encloses(claim, claim_order, others, order[n:])
+    return _encloses(claim, order[:n], others, order[n:])
 
 
 def verify_section(s: SectionedPolytope) -> bool:
@@ -376,9 +372,8 @@ def verify_section(s: SectionedPolytope) -> bool:
     With at most one nonzero coordinate off H per vertex (s.blocks is not
     None) the section is the hull of the vertices on H and of the
     crossings, and the claim must be that hull, canonical vertex for
-    vertex: a strictly convex polygon in canonical order whose vertices are
-    among those points and which contains the rest
-    (_claim_matches_crossings; module docstring).  Otherwise the claim is
+    vertex: a Polygon whose vertices are among those points and which
+    contains the rest (_claim_matches_crossings; module docstring).  Otherwise the claim is
     checked by exact LPs (_claim_is_section).  Sets (and returns) the
     certificate flag.
     """

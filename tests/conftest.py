@@ -221,11 +221,6 @@ def extreme_vertices(vertices, dim) -> list:
     return [vertex_of(row) for row in extreme_points([row_of(v) for v in vertices], dim)]
 
 
-def raw_polygon(points) -> Polygon:
-    """A Polygon of the given pairs in their given order, not validated."""
-    return Polygon([row_of(p) for p in points])
-
-
 def side(line, p) -> int:
     """Sign of the homogeneous product of a line and a point: 0 when the
     point is on the line, and one nonzero sign per side for points of

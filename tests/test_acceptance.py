@@ -207,9 +207,8 @@ def test_criterion_5_bipyramid_crossings_proved():
 def test_criterion_5_hexagon_dichotomy():
     """Hexagons decide to complexity 5 (certified bipyramid) or 6."""
     regular = validate(AFFINE_REGULAR_HEXAGON)
-    decision = hexagon_ic(regular)
-    assert decision.ic == 5
-    ext = hexagon_extension5(regular, decision)
+    assert hexagon_ic(regular).ic == 5
+    ext = hexagon_extension5(regular)
     assert ext.certified and len(extreme_vertices(ext.vertices, 3)) == 5
     below = [v for v in ext.vertices if v[2] < 0]
     above = [v for v in ext.vertices if v[2] > 0]
@@ -237,7 +236,7 @@ def test_criterion_5_hexagon_dichotomy():
         assert decision.ic in (5, 6)
         if decision.ic == 5:
             fives += 1
-            ext = hexagon_extension5(polygon, decision)
+            ext = hexagon_extension5(polygon)
             assert ext.certified
             assert len(extreme_vertices(ext.vertices, 3)) == 5
         else:

@@ -167,12 +167,14 @@ class TestExtendVerify:
         assert capsys.readouterr().out.strip() == "PASS"
 
     def test_hexagon_decided_once(self, tmp_path, capsys, monkeypatch):
-        # the decision _extend takes is the one hexagon_extension5 builds from
-        decisions = count_calls_everywhere(monkeypatch, hexagon_module, "hexagon_ic")
+        # _extend decides the hexagon once, to choose 5 or 6 vertices, and
+        # hexagon_extension5 takes its own decision of the same polygon
+        chosen = count_calls(monkeypatch, cli, "hexagon_ic")
+        taken = count_calls(monkeypatch, hexagon_module, "hexagon_ic")
         path = write_polygon(tmp_path, "hexagon.json", AFFINE_REGULAR_HEXAGON)
         assert main(["extend", str(path), "--out", str(tmp_path / "ext.json")]) == 0
         assert loads(capsys.readouterr().out)["vertices"] == 5
-        assert len(decisions) == 1
+        assert len(chosen) == len(taken) == 1 and chosen == taken
 
     def test_tampered_extension_fails_verification(self, heptagon_file, tmp_path, capsys):
         out = tmp_path / "ext.json"
@@ -241,6 +243,23 @@ class TestExtendVerify:
             assert main(["verify", str(path)]) == code
             assert capsys.readouterr().out.startswith(out)
             assert texts == [] and len(crossings) == pairs
+
+    def test_verify_tests_the_claim_convex_once(self, tmp_path, capsys, monkeypatch):
+        # the seed-1 heptagon extension, 28-gon join and 140-gon join: the
+        # reader's Polygon constructor tests the claim's convexity, and the
+        # matching takes the Polygon as canonical without testing it again
+        files = [(heptagon_extension, 7), (ngon_extension, 28), (ngon_extension, 140)]
+        paths = []
+        for k, (build, n) in enumerate(files):
+            path = tmp_path / f"{k}.ext.json"
+            path.write_text(dumps(sectioned_to_obj(build(random_convex_polygon(random.Random(1), n)))))
+            paths.append(str(path))
+        cycles = count_calls_everywhere(monkeypatch, polygon_module, "_convex_cycle")
+        for path in paths:
+            cycles.clear()
+            assert main(["verify", path]) == 0
+            assert capsys.readouterr().out == "PASS\n"
+            assert len(cycles) == 1
 
     def test_file_flag_is_not_trusted(self):
         # only verify_section sets the flag; the writer still records it
@@ -533,9 +552,8 @@ class TestSlackFactorize:
             elif polygon.n == 7:
                 heptagon_module.heptagon_extension(polygon)
             else:
-                decision = hexagon_module.hexagon_ic(polygon)
-                if decision.ic == 5:
-                    hexagon_module.hexagon_extension5(polygon, decision)
+                if hexagon_module.hexagon_ic(polygon).ic == 5:
+                    hexagon_module.hexagon_extension5(polygon)
         assert made == {name: [] for name in names}
 
     @pytest.mark.slow

@@ -17,7 +17,7 @@ from polysec.cli import _extend
 from polysec.errors import DomainError
 from polysec.exactgeom import _row
 from polysec.heptagon import heptagon_extension, heptagon_vertices
-from polysec.hexagon import hexagon_extension5, hexagon_ic
+from polysec.hexagon import hexagon_extension5
 from polysec.polygon import convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import SectionedPolytope, certify
@@ -228,10 +228,10 @@ class TestNgonExtension:
         assert len(extreme_vertices(ext.vertices, ext.dim)) <= 12
 
     def test_chunks_are_not_lifted_again(self, monkeypatch):
-        # each full chunk is its polygon's own lifts through _validate_lifts
-        # and the remainder their hull order: no polygon is validated and no
-        # vertex of the polygon is lifted again (the standard heptagons lift
-        # their own vertices)
+        # each full chunk is its polygon's own lifts through the Polygon
+        # constructor and the remainder their hull order: no polygon is
+        # validated from pairs and no vertex of the polygon is lifted again
+        # (the standard heptagons lift their own vertices)
         polygon = random_convex_polygon(random.Random(28), 28)
         validations = count_calls_everywhere(monkeypatch, polygon_module, "validate")
         rows = count_calls_everywhere(monkeypatch, exactgeom_module, "_row")
@@ -285,7 +285,7 @@ class TestStoredRows:
         # each construction builds its rows in integers; they are the
         # primitive rows (exactgeom._row) of the vertices derived from them
         built = [heptagon_extension(random_convex_polygon(rng, 7)) for _ in range(20)]
-        built += [hexagon_extension5(regular_hexagon, hexagon_ic(regular_hexagon)), _extend(ic6_hexagon, "auto")[0]]
+        built += [hexagon_extension5(regular_hexagon), _extend(ic6_hexagon, "auto")[0]]
         for n in (9, 16, 28):
             polygon = random_convex_polygon(rng, n)
             built += [ngon_3d_extension(polygon), ngon_extension(polygon), _extend(polygon, "join")[0]]

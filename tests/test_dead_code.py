@@ -19,6 +19,8 @@ KEPT = {
     "compute_section": "benchmark rows sections.compute_section",
     "convex_join_sections": "benchmark row compose.convex_join_sections.self_s",
     "random_hexagon_params": "bench/workloads.py draws its hexagons with it",
+    "hexagon_normal_form": "library export: hexagon_extension5 calls hexagon_ic itself, as the "
+                           "benchmark row hexagon.ic5_share counts, and then the shared _normal_form",
     "validate": "library export: the documented validator, which bench/workloads.py calls",
     "extend_facet_inequality": "library export: the Fraction view of slack._extension_pairs",
     "fourier_motzkin_point": "library export: the Fraction view of linalg._fourier_motzkin_pairs",

@@ -39,7 +39,6 @@ from conftest import (
     map_line_to_infinity,
     octuple_sums,
     point,
-    raw_polygon,
     row_of,
     side,
     strictly_contains,
@@ -193,14 +192,18 @@ class TestClassifyLine:
         base = standard_points(standard_heptagon())
         moved = list(base)
         moved[1] = (base[1][0] - Fraction(3, 44), base[1][1])
-        polygon = raw_polygon(moved)
+        polygon = Polygon([row_of(p) for p in moved])
+        # the constructor rotates the lexicographic minimum to index 0: the
+        # standard index 2 moves by that rotation
+        i = polygon.lifts.index(row_of(moved[2]))
+        assert polygon.lifts == tuple(row_of(moved[(k + 2 - i) % 7]) for k in range(7))
         for k in range(7):
             # still convex clockwise
             assert det3(polygon.vertex(k + 2), polygon.vertex(k + 1), polygon.vertex(k)) > 0
-        o = _octuple(polygon.lifts, 2)
+        o = _octuple(polygon.lifts, i)
         assert o.a * o.b - o.c * o.d == 0 and o.g * o.h - o.e * o.f < 0
-        assert classify_line(polygon, 2) is Crossing.PLUS_CROSSING
-        line = std_points(polygon, 2).line
+        assert classify_line(polygon, i) is Crossing.PLUS_CROSSING
+        line = std_points(polygon, i).line
         assert line_meets_polygon_oracle(line, polygon)
         assert any(side(line, polygon.vertex(k)) == 0 for k in range(7))
 
@@ -391,12 +394,14 @@ class TestStandardFormProved:
         assert 0 < len(shears) < len(polygons)
 
     def test_unvalidated_heptagons_raise_only_polysec_errors(self):
-        # seven points as given, never validated: random points, and lattice
-        # heptagons reversed, rotated, with two vertices swapped or with one
-        # moved halfway to the centroid.  The extension certifies, or a
-        # PolysecError is raised, never another exception
+        # seven points in their given order, handed to the Polygon
+        # constructor: random points, and lattice heptagons reversed,
+        # rotated, with two vertices swapped or with one moved halfway to the
+        # centroid.  The extension certifies, or a PolysecError is raised,
+        # never another exception; the reversed and rotated heptagons are
+        # the heptagon and certify, and a swap is never a relabeling
         r = random.Random(7)
-        outcomes = set()
+        outcomes = [set() for _ in range(5)]
         for n in range(500):
             points = list(lattice_polygon(r, 7).vertices)
             kind = n % 5
@@ -414,10 +419,26 @@ class TestStandardFormProved:
                 i = r.randrange(7)
                 points[i] = tuple((points[i][k] + Fraction(sum(q[k] for q in points), 7)) / 2 for k in (0, 1))
             try:
-                outcomes.add(heptagon_extension(raw_polygon(points)).certified)
+                outcomes[kind].add(heptagon_extension(Polygon([row_of(p) for p in points])).certified)
             except PolysecError as exc:
-                outcomes.add(type(exc).__name__)
-        assert True in outcomes and len(outcomes) > 4
+                outcomes[kind].add(type(exc).__name__)
+        assert outcomes[1] == outcomes[2] == {True} and outcomes[3] == {"NotConvex"}
+        assert outcomes[4] == {True, "NotConvex"}
+        assert outcomes[0] >= {"NotConvex", "DuplicateVertex"}
+
+    def test_reversed_and_rotated_heptagons_certify(self):
+        # a valid heptagon in any rotation of its labels, or reversed, is
+        # stored in canonical order by the constructor, so the extension
+        # claims it and certifies (such input once ended in
+        # CertificationFailure)
+        r = random.Random(84)
+        for _ in range(300):
+            heptagon = lattice_polygon(r, 7)
+            k = r.randrange(1, 7)
+            rotated = heptagon.lifts[k:] + heptagon.lifts[:k]
+            for lifts in (rotated, heptagon.lifts[::-1]):
+                ext = heptagon_extension(Polygon(lifts))
+                assert ext.certified and ext.claimed == heptagon
 
 
 class TestBuildStandardExtension:

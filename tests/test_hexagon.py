@@ -6,7 +6,7 @@ import pytest
 import polysec.hexagon as hexagon_module
 import polysec.polygon as polygon_module
 import polysec.sections as sections_module
-from polysec.errors import NoConcurrency, NotHexagon, PolysecError
+from polysec.errors import NoConcurrency, NotHexagon
 from polysec.exactgeom import _primitive_ints, det3
 from polysec.hexagon import (
     build_bipyramid,
@@ -144,8 +144,7 @@ class TestNormalForm:
     def test_already_normal_form_echoes(self):
         alpha, beta, gamma, x, y = ASYMMETRIC_PARAMS
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)
-        decision = hexagon_ic(hexagon)
-        nf = hexagon_normal_form(hexagon, decision)
+        nf = hexagon_normal_form(hexagon)
         assert nf_params(nf) == (alpha, beta, gamma, x, y)
         assert all(type(v) is int and d > 0 for v, d in nf[:5])
         assert not nf.mirrored
@@ -156,9 +155,8 @@ class TestNormalForm:
         # labeling may absorb the mirror into a rotation, so only the
         # parameter multiset is pinned here
         mirrored = mirrored_hexagon_from_params(*ASYMMETRIC_PARAMS)
-        decision = hexagon_ic(mirrored)
-        assert decision.ic == 5
-        nf = hexagon_normal_form(mirrored, decision)
+        assert hexagon_ic(mirrored).ic == 5
+        nf = hexagon_normal_form(mirrored)
         alpha, beta, gamma, x, y = ASYMMETRIC_PARAMS
         nf_alpha, nf_beta, nf_gamma, nf_x, nf_y = nf_params(nf)
         assert nf_beta == beta
@@ -170,9 +168,8 @@ class TestNormalForm:
         # whose orientation forces the label-reversing anchor assignment
         symmetric = hexagon_from_params(Fraction(2), Fraction(4), Fraction(2),
                                         Fraction(1, 3), Fraction(1, 3))
-        decision = hexagon_ic(symmetric)
-        assert decision[:2] == (5, 0)
-        nf = hexagon_normal_form(symmetric, decision)
+        assert hexagon_ic(symmetric)[:2] == (5, 0)
+        nf = hexagon_normal_form(symmetric)
         assert nf.mirrored
         alpha, beta, gamma, x, y = nf_params(nf)
         assert alpha > 1 and beta > 1 and gamma > 1 and x > 0 and y > 0
@@ -180,7 +177,7 @@ class TestNormalForm:
         assert image == normal_form_hexagon(nf)
 
     def test_parallel_case_composite_map(self, regular_hexagon):
-        nf = hexagon_normal_form(regular_hexagon, hexagon_ic(regular_hexagon))
+        nf = hexagon_normal_form(regular_hexagon)
         alpha, beta, gamma, x, y = nf_params(nf)
         assert alpha > 1 and beta > 1 and gamma > 1
         assert x > 0 and y > 0
@@ -191,14 +188,13 @@ class TestNormalForm:
 
     def test_no_concurrency_raises(self, ic6_hexagon):
         with pytest.raises(NoConcurrency):
-            hexagon_normal_form(ic6_hexagon, hexagon_ic(ic6_hexagon))
+            hexagon_normal_form(ic6_hexagon)
 
     def test_constraints_respected_on_fuzz(self, rng):
         for _ in range(25):
             params = random_hexagon_params(rng)
             hexagon = hexagon_from_params(*params)
-            decision = hexagon_ic(hexagon)
-            alpha, beta, gamma, x, y = nf_params(hexagon_normal_form(hexagon, decision))
+            alpha, beta, gamma, x, y = nf_params(hexagon_normal_form(hexagon))
             assert x > 0 and y > 0
             assert alpha > 1 and beta > 1 and gamma > 1
             assert x + y < 1  # convexity of the inner vertex
@@ -232,7 +228,7 @@ def normal_form_guards(hexagon, decision) -> tuple:
     strictly convex clockwise hexagon, the normal-form vertices of the
     parameters, with x, y > 0, alpha, beta, gamma > 1 and every
     denominator positive.  Returns (mirrored, at infinity)."""
-    nf = hexagon_normal_form(hexagon, decision)
+    nf = hexagon_normal_form(hexagon)
     r = decision.witness
     order = [(r + 5 - j) % 6 if nf.mirrored else (r + j) % 6 for j in range(6)]
     images = nf.map.apply([hexagon.vertex(k) for k in order])
@@ -277,18 +273,15 @@ class TestNormalFormProved:
         kinds = [normal_form_guards(*lattice_witness(r)) for _ in range(1000)]
         assert set(kinds) == {(False, False), (False, True), (True, False), (True, True)}
 
-    def test_mismatched_decisions_raise_only_polysec_errors(self):
-        # each witness given another witness's decision: the extension
-        # certifies, or a PolysecError is raised, never another exception
+    def test_witnesses_certify_from_their_own_decision(self):
+        # the extension takes the decision of the hexagon it is given, so
+        # no other witness's decision reaches it (given one, it ended in
+        # CertificationFailure or PullbackUnbounded): every witness certifies
         r = random.Random(11)
-        outcomes = set()
         for _ in range(300):
-            (hexagon, _), (_, decision) = lattice_witness(r), lattice_witness(r)
-            try:
-                outcomes.add(hexagon_extension5(hexagon, decision).certified)
-            except PolysecError as exc:
-                outcomes.add(type(exc).__name__)
-        assert True in outcomes and len(outcomes) > 2
+            hexagon, _ = lattice_witness(r)
+            ext = hexagon_extension5(hexagon)
+            assert ext.certified and ext.claimed == hexagon
 
 
 class TestReadOnce:
@@ -298,7 +291,7 @@ class TestReadOnce:
         hexagon = hexagon_from_params(Fraction(2), Fraction(5), Fraction(3),
                                       Fraction(1, 4), Fraction(1, 3))
         calls = count_calls(monkeypatch, hexagon_module, "concurrency_point")
-        assert hexagon_extension5(hexagon, hexagon_ic(hexagon)).certified
+        assert hexagon_extension5(hexagon).certified
         assert [r for _, r in calls] == [0, 1]
 
     def test_one_read_and_one_section_per_hexagon(self, regular_hexagon, rng, monkeypatch):
@@ -320,15 +313,14 @@ class TestReadOnce:
             hexagons += [hexagon_from_params(*params), mirrored_hexagon_from_params(*params)]
         mirrored = at_infinity = 0
         for hexagon in hexagons:
-            decision = hexagon_ic(hexagon)
             frames.clear()
-            nf = hexagon_normal_form(hexagon, decision)
+            nf = hexagon_normal_form(hexagon)
             assert len(frames) == 1
             mirrored += nf.mirrored
-            at_infinity += decision.point[2] == 0
+            at_infinity += hexagon_ic(hexagon).point[2] == 0
             sections.clear()
             validations.clear()
-            assert hexagon_extension5(hexagon, decision).certified and len(sections) == 1
+            assert hexagon_extension5(hexagon).certified and len(sections) == 1
             assert len(validations) == 0
         assert mirrored and at_infinity
 
@@ -336,7 +328,7 @@ class TestReadOnce:
 class TestBipyramid:
     def test_two_below_three_above(self):
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)
-        nf = hexagon_normal_form(hexagon, hexagon_ic(hexagon))
+        nf = hexagon_normal_form(hexagon)
         alpha, beta, gamma, _, _ = nf_params(nf)
         assert Fraction(*default_bipyramid_k(nf)) == max(alpha, beta, gamma) + 1
         rows = bipyramid_rows(nf)
@@ -348,7 +340,7 @@ class TestBipyramid:
 
     def test_crossings_reproduce_normal_form_vertices(self):
         hexagon = hexagon_from_params(*ASYMMETRIC_PARAMS)
-        nf = hexagon_normal_form(hexagon, hexagon_ic(hexagon))
+        nf = hexagon_normal_form(hexagon)
         verts = [vertex_of(row) for row in bipyramid_rows(nf)]
         crossings = set()
         for i in range(5):
@@ -363,7 +355,7 @@ class TestBipyramid:
 
 class TestExtension5:
     def test_affine_regular_certified(self, regular_hexagon):
-        ext = hexagon_extension5(regular_hexagon, hexagon_ic(regular_hexagon))
+        ext = hexagon_extension5(regular_hexagon)
         assert ext.certified and ext.dim == 3
         assert len(extreme_vertices(ext.vertices, 3)) == 5
         assert ext.claimed == regular_hexagon
@@ -372,7 +364,7 @@ class TestExtension5:
         # the bipyramid edge on the 2-vertex side of the plane meets the
         # section plane at the concurrency point; here that point is at
         # infinity, so the edge is parallel to an edge direction of the hexagon
-        ext = hexagon_extension5(regular_hexagon, hexagon_ic(regular_hexagon))
+        ext = hexagon_extension5(regular_hexagon)
         below = [v for v in ext.vertices if v[2] < 0]
         above = [v for v in ext.vertices if v[2] > 0]
         pair = below if len(below) == 2 else above
@@ -387,18 +379,18 @@ class TestExtension5:
 
     def test_ic6_raises(self, ic6_hexagon):
         with pytest.raises(NoConcurrency):
-            hexagon_extension5(ic6_hexagon, hexagon_ic(ic6_hexagon))
+            hexagon_extension5(ic6_hexagon)
 
     def test_mirrored_certified(self):
         hexagon = mirrored_hexagon_from_params(*ASYMMETRIC_PARAMS)
-        ext = hexagon_extension5(hexagon, hexagon_ic(hexagon))
+        ext = hexagon_extension5(hexagon)
         assert ext.certified and len(extreme_vertices(ext.vertices, 3)) == 5
 
     def test_fuzzed_five_extensions(self, rng):
         for _ in range(30):
             params = random_hexagon_params(rng)
             hexagon = hexagon_from_params(*params)
-            ext = hexagon_extension5(hexagon, hexagon_ic(hexagon))
+            ext = hexagon_extension5(hexagon)
             assert ext.certified
             assert len(extreme_vertices(ext.vertices, 3)) == 5
             assert ext.claimed == hexagon
@@ -416,9 +408,8 @@ class TestExtension5:
                 image = apply_map(hexagon, map_line_to_infinity(line, hexagon))
             except Exception:
                 continue
-            decision = hexagon_ic(image)
-            assert decision.ic == 5
-            ext = hexagon_extension5(image, decision)
+            assert hexagon_ic(image).ic == 5
+            ext = hexagon_extension5(image)
             assert ext.certified
             assert len(extreme_vertices(ext.vertices, 3)) == 5
 
@@ -427,7 +418,7 @@ class TestExtension5:
         # the hexagon's vertices
         params = random_hexagon_params(rng)
         hexagon = hexagon_from_params(*params)
-        ext = hexagon_extension5(hexagon, hexagon_ic(hexagon))
+        ext = hexagon_extension5(hexagon)
         verts = list(ext.vertices)
         crossings = set()
         for i in range(len(verts)):

@@ -22,8 +22,10 @@ from conftest import (
     SIX_CROSSING_HEPTAGON,
     apply_map,
     contains,
+    lattice_polygon,
     point,
     rational_grid_point,
+    row_of,
     side,
     strictly_contains,
 )
@@ -82,6 +84,54 @@ class TestValidate:
         assert contains(sq, Fraction(0), Fraction(1))
         assert not strictly_contains(sq, Fraction(0), Fraction(1))
         assert not contains(sq, Fraction(3), Fraction(0))
+
+
+@st.composite
+def relabeled_polygons(draw):
+    """A valid polygon of 3 to 9 vertices, seeded on the unit circle or of
+    lattice points, and an order of its vertex indices."""
+    n = draw(st.integers(3, 9))
+    r = random.Random(draw(st.integers(0, 2**32)))
+    polygon = random_convex_polygon(r, n) if draw(st.booleans()) else lattice_polygon(r, n)
+    return polygon, draw(st.permutations(range(n)))
+
+
+class TestConstructorValidates:
+    """The Polygon constructor is the validator: it takes a polygon's lifts
+    in any of its 2n cyclic orders to the one canonical Polygon, and
+    refuses every other order and every point inside."""
+
+    @settings(max_examples=150, derandomize=True)
+    @given(case=relabeled_polygons())
+    def test_rotations_and_reversal_give_the_canonical_polygon(self, case):
+        polygon, _ = case
+        canonical, lifts = validate(polygon.vertices), polygon.lifts
+        for k in range(polygon.n):
+            rotated = lifts[k:] + lifts[:k]
+            assert Polygon(rotated) == Polygon(rotated[::-1]) == canonical
+            assert Polygon(rotated).lifts == canonical.lifts == lifts
+
+    @settings(max_examples=300, derandomize=True)
+    @given(case=relabeled_polygons())
+    def test_other_orders_and_inner_points_raise_not_convex(self, case):
+        # an order of points in convex position traces the hull exactly
+        # when it is a rotation or a reversed rotation; a vertex moved to
+        # the centroid of the others (three or more, in strictly convex
+        # position) lies inside their hull
+        polygon, order = case
+        n, lifts = polygon.n, polygon.lifts
+        relabelings = {tuple((k + s * j) % n for j in range(n)) for k in range(n) for s in (1, -1)}
+        if tuple(order) in relabelings:
+            assert Polygon([lifts[k] for k in order]) == polygon
+        else:
+            with pytest.raises(NotConvex, match="does not trace the convex hull"):
+                Polygon([lifts[k] for k in order])
+        if n >= 4:
+            others = [v for k, v in enumerate(polygon.vertices) if k != order[0]]
+            centroid = tuple(sum(v[c] for v in others) / (n - 1) for c in (0, 1))
+            moved = [row_of(centroid) if k == order[0] else lifts[k] for k in range(n)]
+            with pytest.raises(NotConvex, match="collinear or interior points"):
+                Polygon(moved)
 
 
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))

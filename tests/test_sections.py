@@ -23,9 +23,9 @@ from polysec.errors import (
 from polysec.exactgeom import MAX_SCALAR_CHARS, _ratio, _row, det3, parse_scalar
 from polysec.linalg import _fourier_motzkin_pairs, interval_point, solve_linear
 from polysec.heptagon import heptagon_extension
-from polysec.hexagon import hexagon_extension5, hexagon_ic
+from polysec.hexagon import hexagon_extension5
 from polysec.jsonio import polygon_from_obj, sectioned_from_obj
-from polysec.polygon import ProjMap2, convex_hull_2d, validate
+from polysec.polygon import Polygon, ProjMap2, convex_hull_2d, validate
 from polysec.randgen import random_convex_polygon
 from polysec.sections import (
     SectionedPolytope,
@@ -49,7 +49,6 @@ from conftest import (
     count_calls_everywhere,
     extreme_vertices,
     point,
-    raw_polygon,
     row_of,
     vertex_of,
 )
@@ -419,34 +418,43 @@ def heptagon_file():
     return ext.vertices, ext.claimed.vertices
 
 
+def claim_of(points) -> Polygon:
+    """The Polygon constructor on the rows of the given pairs, in their given order."""
+    return Polygon([row_of(p) for p in points])
+
+
 def matches(verts, claim) -> bool:
-    """verify_section of a claim built as a Polygon directly (raw_polygon), not validated."""
-    return verify_section(SectionedPolytope(len(verts[0]), map(row_of, verts), raw_polygon(claim)))
+    """verify_section of the claim built by the Polygon constructor (claim_of)."""
+    return verify_section(SectionedPolytope(len(verts[0]), map(row_of, verts), claim_of(claim)))
 
 
 class TestMatchingSoundness:
-    # verify matches the claim against the crossings with no hull; a claim
-    # that is not the section in canonical order must still fail when it
-    # never went through validate
-    def test_counterclockwise_section_fails(self):
-        # the tetrahedron's crossings are all vertices of its section
+    # verify matches the claim against the crossings with no hull and no
+    # convexity test: a claim is a Polygon, whose constructor stores it in
+    # canonical order or refuses it
+    def test_counterclockwise_section_passes(self):
+        # the reversed section is the section; the tetrahedron's crossings
+        # are all vertices of its section
         files = [heptagon_file(), (PENTAGON_FILE, validate(PENTAGON).vertices),
                  (TETRA, validate(TETRA_SECTION).vertices)]
         for verts, section in files:
             assert matches(verts, section)
-            assert not matches(verts, (section[0], *section[:0:-1]))
+            assert claim_of((section[0], *section[:0:-1])).vertices == section
+            assert matches(verts, (section[0], *section[:0:-1]))
 
     def test_star_order_fails(self):
         # every turn of a star polygon has one sign; its keys rise and fall
-        # more than once.  Index 0 is the lexicographic minimum.  The flat
-        # pentagon has no point besides its vertices
+        # more than once, so the constructor refuses it.  The flat pentagon
+        # has no point besides its vertices
         section = validate(PENTAGON).vertices
         for verts in (PENTAGON_FILE, PENTAGON_FILE[:5]):
             assert matches(verts, section)
-            assert not matches(verts, [section[2 * k % 5] for k in range(5)])
+        stars = [[section[2 * k % 5] for k in range(5)]]
         verts, section = heptagon_file()
-        for step in (2, 3):
-            assert not matches(verts, [section[step * k % 7] for k in range(7)])
+        stars += [[section[step * k % 7] for k in range(7)] for step in (2, 3)]
+        for star in stars:
+            with pytest.raises(NotConvex, match="does not trace the convex hull"):
+                claim_of(star)
 
     @pytest.mark.parametrize("offset", [Fraction(1, 2**100), Fraction(-1, 2**100)])
     def test_heavier_point_beside_a_light_claim(self, offset):
@@ -470,19 +478,22 @@ class TestMatchingSoundness:
 
     @pytest.mark.parametrize("case", ["heptagon", "pentagon"])
     def test_section_plus_inner_crossing_fails(self, case):
+        # a crossing inside the section is no vertex of a strictly convex
+        # polygon with the section's vertices: the constructor refuses it
         verts, section = heptagon_file() if case == "heptagon" else (PENTAGON_FILE, validate(PENTAGON).vertices)
         inner = crossing_points(verts) - set(section)
         assert inner and compute_section(verts, len(verts[0])) == section
         for point in inner:
             for k in range(len(section) + 1):
-                assert not matches(verts, [*section[:k], point, *section[k:]])
+                with pytest.raises(NotConvex, match="collinear or interior points"):
+                    claim_of([*section[:k], point, *section[k:]])
 
 
 @st.composite
 def claimed_files(draw):
-    """A join or 3-D extension of a 7- to 28-gon, with its true claim, the
-    claim with a vertex dropped, rotated or moved radially by 1/7 or 1e-9
-    either way; validated when that succeeds, else a Polygon as built."""
+    """A join or 3-D extension of a 7- to 28-gon, and the vertex pairs of
+    its true claim, or of the claim with a vertex dropped, rotated or moved
+    radially by 1/7 or 1e-9 either way."""
     n = draw(st.integers(7, 28))
     polygon = random_convex_polygon(random.Random(draw(st.integers(0, 2**32))), n)
     ext = draw(st.sampled_from([ngon_extension, ngon_3d_extension]))(polygon)
@@ -496,20 +507,26 @@ def claimed_files(draw):
     elif change == "move":
         scale = 1 + draw(st.sampled_from([Fraction(1, 7), Fraction(-1, 7), Fraction(1, 10**9), Fraction(-1, 10**9)]))
         points[k] = (points[k][0] * scale, points[k][1] * scale)
-    try:
-        claim = validate(points) if change != "rotate" else raw_polygon(points)
-    except (NotConvex, TooFewVertices):
-        claim = raw_polygon(points)
-    return SectionedPolytope(ext.dim, ext.rows, claim)
+    return ext, points
 
 
 class TestMatchingAgreesWithHull:
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(s=claimed_files())
-    def test_matches_compute_section(self, s):
+    @given(case=claimed_files())
+    def test_matches_compute_section(self, case):
+        ext, points = case
+        section = compute_section(ext.vertices, ext.dim)
+        try:
+            claim = validate(points)
+        except NotConvex:
+            # points that are no strictly convex polygon in cyclic order are
+            # refused before any matching, and they are not the section
+            assert sorted(points) != sorted(section)
+            return
+        s = SectionedPolytope(ext.dim, ext.rows, claim)
         assert s.blocks is not None
-        assert verify_section(s) == (compute_section(s.vertices, s.dim) == s.claimed.vertices)
+        assert verify_section(s) == (section == claim.vertices)
 
 
 def brute_force_section(verts, dim):
@@ -691,7 +708,7 @@ class TestExtremePoints:
     def test_package_heptagons_and_hexagons_match_all_vertex_lp(self, rng, ic6_hexagon, regular_hexagon):
         polytopes = [heptagon_extension(validate(SIX_CROSSING_HEPTAGON))]
         polytopes += [heptagon_extension(random_convex_polygon(rng, 7)) for _ in range(4)]
-        polytopes.append(hexagon_extension5(regular_hexagon, hexagon_ic(regular_hexagon)))
+        polytopes.append(hexagon_extension5(regular_hexagon))
         polytopes.append(SectionedPolytope(3, [row_of((x, y, 0)) for x, y in ic6_hexagon.vertices], ic6_hexagon))
         for s in polytopes:
             assert extreme_vertices(s.vertices, s.dim) == lp_over_all_others(s.vertices, s.dim)

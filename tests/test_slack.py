@@ -7,7 +7,7 @@ from polysec import sections, slack
 from polysec.errors import DomainError, NoExtension, ScaleExceeded
 from polysec.exactgeom import _primitive_ints
 from polysec.heptagon import StandardHeptagon, build_standard_extension, default_extension_k, heptagon_extension
-from polysec.hexagon import hexagon_extension5, hexagon_ic
+from polysec.hexagon import hexagon_extension5
 from polysec.compose import ngon_3d_extension, ngon_extension
 from polysec.polygon import validate
 from polysec.randgen import random_convex_polygon, random_hexagon_params
@@ -378,7 +378,7 @@ def five_vertex_hexagon(seed: int) -> SectionedPolytope:
     triple, from the parameters of randgen.random_hexagon_params."""
     alpha, beta, gamma, x, y = random_hexagon_params(random.Random(seed))
     hexagon = validate([(0, alpha), (beta * x, beta * y), (gamma, 0), (1, 0), (x, y), (0, 1)])
-    ext = hexagon_extension5(hexagon, hexagon_ic(hexagon))
+    ext = hexagon_extension5(hexagon)
     assert len(ext.rows) == 5
     return ext
 
